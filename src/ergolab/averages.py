@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 
 from .measure import (
     Coupling,
-    IndependenceReport,
     Partition,
     SimpleFunction,
     ZERO,
@@ -38,7 +37,12 @@ from .systems import (
     invariant_factor,
     perm_order,
 )
-from .upsets import UpSet, bits_of, enumerate_upsets
+from .upsets import (
+    StructureReport,
+    bits_of,
+    enumerate_upsets,
+    upset_pair_independence,
+)
 
 
 @dataclass(frozen=True)
@@ -401,21 +405,9 @@ def van_der_corput_inequality(
     return VanDerCorputReport(lhs, rhs)
 
 
-@dataclass(frozen=True)
-class SelfJoiningStructureReport:
+class SelfJoiningStructureReport(StructureReport):
     """Structure predicates on the full self-joining; both clauses can fail
     for systems lacking the relevant extension structure."""
-
-    coordinate_clause: IndependenceReport
-    oblique_pairs: tuple[tuple[frozenset, frozenset, IndependenceReport], ...]
-
-    @property
-    def coordinate_holds(self) -> bool:
-        return self.coordinate_clause.holds
-
-    @property
-    def oblique_holds(self) -> bool:
-        return all(r.holds for _, _, r in self.oblique_pairs)
 
 
 def pair_factor_partition(sys: FiniteZdSystem, i: int) -> Partition:
@@ -430,24 +422,14 @@ def pair_factor_partition(sys: FiniteZdSystem, i: int) -> Partition:
     return common_refinement(*parts)
 
 
-def oblique_factor_partition(fj: FurstenbergJoining, upset: UpSet) -> Partition:
-    """Join of the oblique copies over the members of an up-set, as a
-    partition of the coupling support."""
-    n_supp = len(fj.coupling.support())
-    parts = [oblique_copy(fj, bits_of(m)) for m in upset.members]
-    if not parts:
-        return Partition.one_block(n_supp)
-    return common_refinement(*parts)
-
-
 def self_joining_structure_report(sys: FiniteZdSystem) -> SelfJoiningStructureReport:
     """Evaluate the two structure predicates of the full self-joining.
 
     Clause one: the coordinate pullbacks are relatively independent over the
     pullbacks of the pairwise-difference factor joins.  Clause two: for every
     pair of up-sets, the oblique factors are relatively independent over the
-    oblique factor of the intersection.  Up-set pairs are enumerated
-    exhaustively for d <= 4 and restricted to principal up-sets beyond that.
+    oblique factor of the intersection.  Up-sets range over
+    :func:`~ergolab.upsets.enumerate_upsets`.
     """
     d = sys.dim
     if d < 2:
@@ -457,15 +439,11 @@ def self_joining_structure_report(sys: FiniteZdSystem) -> SelfJoiningStructureRe
     subfactors = [pair_factor_partition(sys, i) for i in range(d)]
     clause1 = relative_independence(factors, subfactors, fj.coupling)
 
-    support_space = fj.coupling.as_space()
-    upsets = enumerate_upsets(d)
-    cache = {u.members: oblique_factor_partition(fj, u) for u in upsets}
-    pairs = []
-    for a in upsets:
-        for b in upsets:
-            meet = cache[(a & b).members]
-            rep = relative_independence(
-                (cache[a.members], cache[b.members]), (meet, meet), support_space
-            )
-            pairs.append((frozenset(a.members), frozenset(b.members), rep))
-    return SelfJoiningStructureReport(clause1, tuple(pairs))
+    pairs = upset_pair_independence(
+        enumerate_upsets(d),
+        lambda m: oblique_copy(fj, bits_of(m)),
+        fj.coupling.as_space(),
+    )
+    return SelfJoiningStructureReport(
+        clause1, tuple((a.members, b.members, rep) for a, b, rep in pairs)
+    )

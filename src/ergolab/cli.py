@@ -2,13 +2,13 @@
 
 Exit codes: 0 the run succeeded and the checked property holds; 1 a property
 was violated (the report carries a witness); 2 a search was not exhaustive;
-3 malformed or invalid input.
+3 malformed or invalid input; 4 an internal error (a bug), reported as
+``{"error": ...}`` on stdout with the traceback on stderr.
 
 Reports are canonical JSON (sorted keys, no insignificant whitespace,
 rationals as reduced ``p/q``), so identical inputs and seed give
 byte-identical output.  Wall time is printed to stderr only, keeping stdout
-deterministic.  The thread-count environment variable ``ERGOLAB_THREADS`` is
-accepted for operational symmetry but has no semantic effect.
+deterministic.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 from typing import Any
 
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_PARTIAL = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _jsonable(value: Any) -> Any:
@@ -56,6 +58,14 @@ def _load(path: str) -> Any:
         raise ValidationError(
             [path], f"malformed JSON at line {exc.lineno} column {exc.colno}"
         ) from None
+
+
+def _load_option(args, name: str) -> Any:
+    """Load the file named by an option that only some actions need."""
+    path = getattr(args, name)
+    if path is None:
+        raise ValidationError([f"--{name}"], f"required by '{args.command} {args.action}'")
+    return _load(path)
 
 
 def _digest(payload: Any) -> str:
@@ -176,7 +186,7 @@ def _cmd_joint(args) -> int:
 
 def _cmd_removal(args) -> int:
     if args.action == "check":
-        doc = _load(args.instance)
+        doc = _load_option(args, "instance")
         inst = serialize.removal_instance_from_json(doc)
         hyp = removal_mod.check_hypotheses(inst)
         results: dict[str, Any] = {
@@ -273,7 +283,7 @@ def _cmd_dhj(args) -> int:
 
 
 def _cmd_correspond(args) -> int:
-    doc = _load(args.set)
+    doc = _load_option(args, "set")
     if not isinstance(doc, list) or any(not isinstance(w, str) for w in doc):
         raise ValidationError(["set"], "expected a JSON array of words")
     cm = dhj.build_correspondence(doc, args.k, args.N, args.L)
@@ -297,7 +307,7 @@ def _cmd_correspond(args) -> int:
 
 
 def _cmd_stationarity(args) -> int:
-    doc = _load(args.law)
+    doc = _load_option(args, "law")
     law = serialize.law_from_json(doc)
     cap = args.dim_cap if args.dim_cap is not None else min(law.depth, 2)
     res = dhj.strong_stationarity_check(law, cap)
@@ -345,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="seed for sampling commands")
     common.add_argument("--budget", type=int, default=5_000_000, help="search node budget")
     common.add_argument("--json", type=str, default=None, help="write the report to a file")
-    common.add_argument("--depth", type=int, default=None, help="law truncation depth")
     common.add_argument("--dim-cap", dest="dim_cap", type=int, default=None,
                         help="subspace dimension cap for stationarity checks")
 
@@ -395,17 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", help="law truncation file (stationarity)")
     p.set_defaults(func=_cmd_dhj)
 
-    p = sub.add_parser("correspond", parents=[common], help="correspondence measure")
-    p.add_argument("--set", required=True)
-    p.add_argument("-k", type=int, default=2)
-    p.add_argument("-N", type=int, required=True)
-    p.add_argument("-L", type=int, default=1)
-    p.set_defaults(func=_cmd_correspond)
-
-    p = sub.add_parser("stationarity", parents=[common], help="strong stationarity check")
-    p.add_argument("--law", required=True)
-    p.set_defaults(func=_cmd_stationarity)
-
     p = sub.add_parser("rotation", parents=[common], help="group rotation membership and extension")
     p.add_argument("--rotation", required=True)
     p.add_argument("--extend", action="store_true")
@@ -430,12 +428,15 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args)
-    except ValidationError as exc:
+    except (ValueError, TypeError) as exc:  # ValidationError included
         print(canonical_dumps({"error": str(exc)}))
         return EXIT_INPUT
-    except (ValueError, TypeError) as exc:
-        print(canonical_dumps({"error": str(exc)}))
-        return EXIT_INPUT
+    except Exception as exc:
+        # A bug, not a verdict: keep exit 1 for witnessed violations and
+        # leave the traceback on stderr for the report.
+        traceback.print_exc(file=sys.stderr)
+        print(canonical_dumps({"error": f"internal error: {type(exc).__name__}: {exc}"}))
+        return EXIT_INTERNAL
     finally:
         elapsed = time.perf_counter() - start
         print(f"# wall_time_s={elapsed:.3f}", file=sys.stderr)

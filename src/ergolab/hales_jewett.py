@@ -23,14 +23,19 @@ from typing import Iterable, Sequence
 from .measure import (
     Coupling,
     ExactProbabilitySpace,
-    IndependenceReport,
     Partition,
     ZERO,
     common_refinement,
     relative_independence,
     support_pullback_partition,
 )
-from .upsets import bits_of, enumerate_upsets, mask_of
+from .upsets import (
+    StructureReport,
+    bits_of,
+    enumerate_upsets,
+    mask_of,
+    upset_pair_independence,
+)
 
 MAX_ALPHABET = 9
 
@@ -40,6 +45,7 @@ __all__ = [
     "StationaryLawTruncation",
     "all_words",
     "words_up_to",
+    "check_alphabet",
     "check_word",
     "letter_replace",
     "enumerate_lines",
@@ -62,9 +68,15 @@ __all__ = [
 ]
 
 
-def check_word(w: str, k: int) -> str:
+def check_alphabet(k: int) -> int:
+    """Letters are the single digits, so ``1 <= k <= MAX_ALPHABET``."""
     if not 1 <= k <= MAX_ALPHABET:
         raise ValueError(f"alphabet size must be between 1 and {MAX_ALPHABET}")
+    return k
+
+
+def check_word(w: str, k: int) -> str:
+    check_alphabet(k)
     for ch in w:
         if not ch.isdigit() or not 1 <= int(ch) <= k:
             raise ValueError(f"letter {ch!r} outside alphabet of size {k}")
@@ -73,7 +85,7 @@ def check_word(w: str, k: int) -> str:
 
 def all_words(k: int, length: int) -> list[str]:
     """All words of exactly the given length, lexicographic."""
-    alphabet = "".join(str(i) for i in range(1, k + 1))
+    alphabet = "".join(str(i) for i in range(1, check_alphabet(k) + 1))
     return ["".join(t) for t in iter_product(alphabet, repeat=length)]
 
 
@@ -153,6 +165,7 @@ class CombinatorialSubspace:
 
 def line_maps(k: int, N: int) -> list[tuple[str, ...]]:
     """All lines of ``[k]^N`` in parameter order ``(phi(1), ..., phi(k))``."""
+    check_alphabet(k)
     out = []
     positions = list(range(N))
     for r in range(1, N + 1):
@@ -407,8 +420,7 @@ class StationaryLawTruncation:
     weights: dict
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k <= MAX_ALPHABET:
-            raise ValueError(f"alphabet size must be between 1 and {MAX_ALPHABET}")
+        check_alphabet(self.k)
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
         wlist = tuple(words_up_to(self.k, self.depth))
@@ -602,25 +614,10 @@ def insensitive_algebra(law: StationaryLawTruncation, e: Iterable[int]) -> Parti
 
     # Graph characterization: join x and y when some pair of e-coordinates
     # carries positive mass with values x and y.
-    parent = list(range(m))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for t in line.mass:
-        for i in e:
-            for j in e:
-                if i < j:
-                    union(t[i - 1], t[j - 1])
-    graph_partition = Partition.from_labels(tuple(find(x) for x in range(m)))
+    graph_partition = Partition.from_pairs(
+        m,
+        ((t[i - 1], t[j - 1]) for t in line.mass for i in e for j in e if i < j),
+    )
 
     if m > 16:
         raise ValueError("carrier too large for the exhaustive dual characterization")
@@ -660,19 +657,9 @@ def insensitive_algebra(law: StationaryLawTruncation, e: Iterable[int]) -> Parti
 
 
 @dataclass(frozen=True)
-class LineStructureReport:
-    coordinate_clause: IndependenceReport
-    oblique_pairs: tuple[tuple[frozenset, frozenset, IndependenceReport], ...]
+class LineStructureReport(StructureReport):
     implication_holds: bool
     implication_witness: tuple | None
-
-    @property
-    def coordinate_holds(self) -> bool:
-        return self.coordinate_clause.holds
-
-    @property
-    def oblique_holds(self) -> bool:
-        return all(r.holds for _, _, r in self.oblique_pairs)
 
 
 def line_marginal_structure_report(
@@ -703,30 +690,15 @@ def line_marginal_structure_report(
         subfactors.append(common_refinement(*parts) if parts else Partition.one_block(m))
     clause1 = relative_independence(factors, subfactors, line)
 
-    def insensitive_for(mask: int) -> Partition:
+    def member_partition(mask: int) -> Partition:
         letters = [b + 1 for b in bits_of(mask)]
         parts = [insens[frozenset(p)] for p in combinations(letters, 2)]
-        return common_refinement(*parts)
-
-    support_space = line.as_space()
-    upsets = enumerate_upsets(k)
-    cache: dict[frozenset, Partition] = {}
-    for u in upsets:
-        parts = [
-            support_pullback_partition(line, insensitive_for(mask), min(bits_of(mask)))
-            for mask in sorted(u.members)
-        ]
-        cache[u.members] = (
-            common_refinement(*parts) if parts else Partition.one_block(len(support_space))
+        return support_pullback_partition(
+            line, common_refinement(*parts), min(bits_of(mask))
         )
-    pairs = []
-    for a in upsets:
-        for b in upsets:
-            meet = cache[(a & b).members]
-            rep = relative_independence(
-                (cache[a.members], cache[b.members]), (meet, meet), support_space
-            )
-            pairs.append((frozenset(a.members), frozenset(b.members), rep))
+
+    pairs = upset_pair_independence(enumerate_upsets(k), member_partition, line.as_space())
+    oblique = tuple((a.members, b.members, rep) for a, b, rep in pairs)
 
     if partition_family is None:
         partition_family = [Partition.singletons(m)] * k
@@ -742,7 +714,7 @@ def line_marginal_structure_report(
                 implication = False
                 witness = tuple(sets)
                 break
-    return LineStructureReport(clause1, tuple(pairs), implication, witness)
+    return LineStructureReport(clause1, oblique, implication, witness)
 
 
 def check_density_premises(

@@ -138,6 +138,24 @@ class Partition:
             groups.setdefault(lab, []).append(i)
         return cls(len(labels), tuple(tuple(g) for g in groups.values()))
 
+    @classmethod
+    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
+        """Connected components of the graph on ``range(n)`` with the given
+        edges (union-find with path halving)."""
+        parent = list(range(n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for a, b in pairs:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+        return cls.from_labels(tuple(find(x) for x in range(n)))
+
     def is_refinement_of(self, coarser: "Partition") -> bool:
         """True iff every block of ``self`` lies inside a single block of ``coarser``."""
         if self.size != coarser.size:

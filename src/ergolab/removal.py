@@ -35,12 +35,19 @@ from .measure import (
     ZERO,
     common_refinement,
     conditional_expectation,
-    relative_independence,
     relatively_independent_product,
     support_pullback_partition,
 )
 from .systems import FiniteZdSystem, invariant_factor
-from .upsets import UpSet, bits_of, enumerate_upsets, ground_masks, mask_of, popcount
+from .upsets import (
+    UpSet,
+    bits_of,
+    enumerate_upsets,
+    ground_masks,
+    mask_of,
+    popcount,
+    upset_pair_independence,
+)
 
 __all__ = [
     "UpSet",
@@ -132,49 +139,6 @@ class HypothesesReport:
         return self.monotone and self.identified and self.independent
 
 
-def _upsets_for_check(d: int) -> tuple[UpSet, ...]:
-    """Hypothesis [iii] quantifies over up-set pairs.
-
-    Exhaustive for d <= 3.  For d = 4 the poset of all up-sets is large, so
-    the check is restricted to closures of antichains of 2-sets together with
-    all principal up-sets; beyond that, principal up-sets only.
-    """
-    if d <= 3:
-        return enumerate_upsets(d)
-    out: dict = {}
-    if d == 4:
-        two_sets = [m for m in ground_masks(d) if popcount(m) == 2]
-        for bits in range(1 << len(two_sets)):
-            gens = [two_sets[i] for i in range(len(two_sets)) if bits >> i & 1]
-            if not gens:
-                continue
-            u = UpSet.closure(d, [bits_of(g) for g in gens])
-            out[u.members] = u
-    for m in ground_masks(d):
-        u = UpSet.closure(d, [bits_of(m)])
-        out[u.members] = u
-    out[frozenset()] = UpSet.empty(d)
-    out[UpSet.full(d).members] = UpSet.full(d)
-    return tuple(out.values())
-
-
-def lifted_partition(inst: RemovalInstance, upset: UpSet) -> Partition:
-    """The up-set algebra lifted to the coupling support.
-
-    Each member's partition is pulled back through its least coordinate (the
-    canonical representative; hypothesis [ii] makes the choice immaterial up
-    to null sets) and the results are joined.
-    """
-    n_supp = len(inst.coupling.support())
-    parts = [
-        support_pullback_partition(inst.coupling, inst.psi[m], min(bits_of(m)))
-        for m in sorted(upset.members)
-    ]
-    if not parts:
-        return Partition.one_block(n_supp)
-    return common_refinement(*parts)
-
-
 def check_hypotheses(inst: RemovalInstance) -> HypothesesReport:
     """Exhaustively test the three structural hypotheses of an instance."""
     d = inst.d
@@ -215,29 +179,22 @@ def check_hypotheses(inst: RemovalInstance) -> HypothesesReport:
         if not identified:
             break
 
-    independent = True
-    if monotone and identified:
-        support_space = inst.coupling.as_space()
-        upsets = _upsets_for_check(d)
-        cache = {u.members: lifted_partition(inst, u) for u in upsets}
-        for a in upsets:
-            for b in upsets:
-                meet = cache[(a & b).members]
-                rep = relative_independence(
-                    (cache[a.members], cache[b.members]), (meet, meet), support_space
-                )
-                if not rep.holds:
-                    independent = False
-                    witnesses["independent"] = (
-                        frozenset(a.members),
-                        frozenset(b.members),
-                        rep.witness,
-                    )
-                    break
-            if not independent:
+    independent = monotone and identified
+    if independent:
+        def member_partition(m: int) -> Partition:
+            # Pull back through the least coordinate: the canonical
+            # representative, which hypothesis [ii] makes immaterial up to
+            # null sets.
+            return support_pullback_partition(inst.coupling, inst.psi[m], min(bits_of(m)))
+
+        pairs = upset_pair_independence(
+            enumerate_upsets(d), member_partition, inst.coupling.as_space()
+        )
+        for a, b, rep in pairs:
+            if not rep.holds:
+                independent = False
+                witnesses["independent"] = (a.members, b.members, rep.witness)
                 break
-    else:
-        independent = False
 
     return HypothesesReport(monotone, identified, independent, witnesses)
 

@@ -207,31 +207,16 @@ def orbit_partition(
     over all points (convenient for building quotient systems).
     """
     n = len(sys)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
     if restrict_to_support:
         eligible = set(sys.space.support())
     else:
         eligible = set(range(n))
-    for v in subgroup.vectors:
-        if len(v) != sys.dim:
-            raise ValueError("subgroup vectors must match the system dimension")
-        p = sys.act(v)
-        for x in eligible:
-            if p[x] in eligible:
-                union(x, p[x])
-    return Partition.from_labels(tuple(find(x) for x in range(n)))
+    if any(len(v) != sys.dim for v in subgroup.vectors):
+        raise ValueError("subgroup vectors must match the system dimension")
+    perms = [sys.act(v) for v in subgroup.vectors]
+    return Partition.from_pairs(
+        n, ((x, p[x]) for p in perms for x in eligible if p[x] in eligible)
+    )
 
 
 def invariant_factor(sys: FiniteZdSystem, subgroup: SubgroupSpec) -> Partition:
@@ -242,18 +227,6 @@ def invariant_factor(sys: FiniteZdSystem, subgroup: SubgroupSpec) -> Partition:
     are a.e. invariant under the subaction.
     """
     return orbit_partition(sys, subgroup, restrict_to_support=True)
-
-
-def maximal_partially_trivial_factor(
-    sys: FiniteZdSystem, subgroup: SubgroupSpec
-) -> Partition:
-    """Maximal factor on which the subgroup subaction is trivial.
-
-    For the class of partially trivial systems this maximal factor is exactly
-    the invariant factor, so this is a definitional alias kept as a separate
-    entry point.
-    """
-    return invariant_factor(sys, subgroup)
 
 
 def is_partially_trivial(sys: FiniteZdSystem, subgroup: SubgroupSpec) -> bool:

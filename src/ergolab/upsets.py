@@ -3,12 +3,25 @@
 Members are bitmasks over ``range(d)``.  The poset is the collection of
 subsets of ``{0, ..., d-1}`` of size >= 2 ordered by inclusion; an up-set is
 closed upward under inclusion.
+
+:func:`enumerate_upsets` is the one up-set family every structure check
+quantifies over, and :func:`upset_pair_independence` is the one check that
+lifted up-set algebras are relatively independent over the algebra of their
+intersection.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Sequence
+
+from .measure import (
+    ExactProbabilitySpace,
+    IndependenceReport,
+    Partition,
+    common_refinement,
+    relative_independence,
+)
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -115,11 +128,15 @@ class UpSet:
 
 
 def enumerate_upsets(d: int, include_empty: bool = True) -> tuple[UpSet, ...]:
-    """All up-sets over subsets of ``range(d)`` of size >= 2.
+    """The up-set family over subsets of ``range(d)`` of size >= 2.
 
-    Exhaustive for d <= 4; for larger d only principal up-sets (plus the full
-    and, optionally, the empty one) are returned, since the poset of up-sets
-    explodes combinatorially.
+    For d <= 4 this is every up-set, sorted by member list.  For larger d
+    the poset of up-sets explodes combinatorially, so the family is the
+    full up-set, optionally the empty one, and the principal up-sets of the
+    masks of size >= 2.  Both families are closed under ``&``: up-sets
+    intersect to up-sets, and principal(e) & principal(e') is
+    principal(e | e').  Without the empty up-set the family stays closed,
+    since every nonempty up-set contains the full index set.
     """
     if d <= 4:
         ground = ground_masks(d)
@@ -142,3 +159,54 @@ def enumerate_upsets(d: int, include_empty: bool = True) -> tuple[UpSet, ...]:
         out.append(UpSet.closure(d, [bits_of(m)]))
     unique = {u.members: u for u in out}
     return tuple(unique.values())
+
+
+@dataclass(frozen=True)
+class StructureReport:
+    """Structure predicates of a coupling: the coordinate clause, and one
+    relative-independence report per ordered pair of up-sets (the oblique
+    clause).  Both clauses can fail for unstructured couplings."""
+
+    coordinate_clause: IndependenceReport
+    oblique_pairs: tuple[tuple[frozenset, frozenset, IndependenceReport], ...]
+
+    @property
+    def coordinate_holds(self) -> bool:
+        return self.coordinate_clause.holds
+
+    @property
+    def oblique_holds(self) -> bool:
+        return all(r.holds for _, _, r in self.oblique_pairs)
+
+
+def upset_pair_independence(
+    upsets: Sequence[UpSet],
+    member_partition: Callable[[int], Partition],
+    space: ExactProbabilitySpace,
+) -> Iterator[tuple[UpSet, UpSet, IndependenceReport]]:
+    """Yield ``(a, b, report)`` for every ordered pair of the up-sets.
+
+    ``member_partition(mask)`` is a member's algebra as a partition of
+    ``space``; it is called once per mask.  An up-set's lift is the join of
+    its members' partitions (one block for the empty up-set), and the report
+    tests the lifts of ``a`` and ``b`` for relative independence over the
+    lift of ``a & b``.  ``upsets`` must be closed under ``&``, as
+    :func:`enumerate_upsets` is.
+    """
+    parts: dict[int, Partition] = {}
+    lift: dict[frozenset, Partition] = {}
+    for u in upsets:
+        for m in sorted(u.members):
+            if m not in parts:
+                parts[m] = member_partition(m)
+        lift[u.members] = (
+            common_refinement(*(parts[m] for m in u.members))
+            if u.members
+            else Partition.one_block(len(space))
+        )
+    for a in upsets:
+        for b in upsets:
+            meet = lift[(a & b).members]
+            yield a, b, relative_independence(
+                (lift[a.members], lift[b.members]), (meet, meet), space
+            )

@@ -4,7 +4,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iter_product
 
-from ergolab.measure import ExactProbabilitySpace
+from ergolab.measure import (
+    ExactProbabilitySpace,
+    Partition,
+    common_refinement,
+    relative_independence,
+)
 from ergolab.systems import FiniteZdSystem
 
 
@@ -48,3 +53,22 @@ def brute_cesaro(sys: FiniteZdSystem, sets, n_terms: int) -> Fraction:
             if all(p[x] in s for p, s in zip(perms, sets)):
                 total += sys.space.weights[x]
     return total / n_terms
+
+
+def naive_upset_pairs(upsets, member_partition, space):
+    """Reference for ``upset_pair_independence``: the plain ordered-pair loop.
+
+    Every up-set's lift is rebuilt from scratch for each use (the join of
+    ``member_partition`` over its members, one block when empty), and the
+    meet is the ``UpSet`` intersection.  Yields ``(a, b, report)`` triples
+    with ``a`` and ``b`` as member frozensets.
+    """
+    def lift(upset):
+        parts = [member_partition(m) for m in sorted(upset.members)]
+        return common_refinement(*parts) if parts else Partition.one_block(len(space))
+
+    for a in upsets:
+        for b in upsets:
+            meet = lift(a & b)
+            rep = relative_independence((lift(a), lift(b)), (meet, meet), space)
+            yield frozenset(a.members), frozenset(b.members), rep

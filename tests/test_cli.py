@@ -65,17 +65,6 @@ def test_dhj_force(capsys):
     assert report["results"]["holds"] is True
 
 
-def test_correspond_subcommand(tmp_path, capsys):
-    path = tmp_path / "set.json"
-    path.write_text(json.dumps(["12", "21"]))
-    code, report = run(
-        capsys, ["correspond", "--set", str(path), "-k", "2", "-N", "2", "-L", "1"]
-    )
-    assert code == 0
-    assert report["results"]["point_events"] == {"1": "1/2", "2": "1/2"}
-    assert set(report["results"]["line_events"].values()) == {"0/1"}
-
-
 def test_fjoin_report(z3_file, capsys):
     code, report = run(capsys, ["fjoin", "--system", z3_file])
     assert code == 0
@@ -114,6 +103,48 @@ def test_unknown_subcommand_is_input_error(capsys):
     capsys.readouterr()
 
 
+def test_removed_duplicate_paths_are_input_errors(tmp_path, capsys):
+    # The top-level forms of 'dhj correspond' / 'dhj stationarity' and the
+    # unused --depth flag are gone.
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(["12", "21"]))
+    assert main(["correspond", "--set", str(path), "-N", "2"]) == 3
+    assert main(["stationarity", "--law", str(path)]) == 3
+    assert main(["dhj", "lines", "--depth", "2"]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["removal", "check"], "--instance"),
+        (["dhj", "correspond", "-N", "2"], "--set"),
+        (["dhj", "stationarity"], "--law"),
+    ],
+)
+def test_missing_action_file_is_path_precise_input_error(argv, option, capsys):
+    code, report = run(capsys, argv)
+    assert code == 3
+    assert report["error"].startswith(f"$.{option}: required by")
+
+
+def test_uncaught_exception_is_internal_error(z3_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("ergolab.averages.recurrence_certificate", broken)
+    code, report = run(capsys, ["recur", "--system", z3_file, "--set", "[0]"])
+    assert code == 4
+    assert report == {"error": "internal error: KeyError: 'boom'"}
+
+
+@pytest.mark.parametrize("action", ["lines", "maxfree"])
+def test_alphabet_beyond_single_digits_is_input_error(action, capsys):
+    code, report = run(capsys, ["dhj", action, "-k", "10", "-N", "1"])
+    assert code == 3
+    assert "alphabet size" in report["error"]
+
+
 def test_help_exits_clean(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -138,6 +169,17 @@ def test_removal_search_cli(capsys):
     assert report["exhaustive"] is False
 
 
+def test_removal_search_cli_d4_regression(capsys):
+    # The d = 4 up-set family is closed under intersection, so hypothesis
+    # [iii] is evaluated instead of failing on a missing meet.
+    code, report = run(
+        capsys,
+        ["removal", "search", "--sizes", "2", "-d", "4", "--random", "--samples", "1", "--seed", "1"],
+    )
+    assert code == 2
+    assert report["results"]["counterexample"] is None
+
+
 def test_removal_search_cli_exhaustive(capsys):
     code, report = run(capsys, ["removal", "search", "--sizes", "2", "-d", "3"])
     assert code == 0
@@ -153,7 +195,7 @@ def test_stationarity_cli(tmp_path, capsys):
     law = iid_law(2, 2, ExactProbabilitySpace((0, 1), (F(1, 2), F(1, 2))))
     path = tmp_path / "law.json"
     path.write_text(canonical_dumps(law_to_json(law)))
-    code, report = run(capsys, ["stationarity", "--law", str(path)])
+    code, report = run(capsys, ["dhj", "stationarity", "--law", str(path)])
     assert code == 0
     assert report["results"]["holds"] is True
     assert "line_marginal" in report["results"]
@@ -223,7 +265,9 @@ def test_dhj_correspond_action(tmp_path, capsys):
         capsys, ["dhj", "correspond", "--set", str(path), "-k", "2", "-N", "2", "-L", "1"]
     )
     assert code == 0
+    assert report["command"] == "correspond"
     assert report["results"]["point_events"] == {"1": "1/2", "2": "1/2"}
+    assert set(report["results"]["line_events"].values()) == {"0/1"}
 
 
 def test_json_flag_writes_file(z3_file, tmp_path, capsys):

@@ -48,6 +48,14 @@ def test_partition_canonical_and_validated():
         Partition(3, ((0, 1), (1, 2)))
 
 
+def test_partition_from_pairs_is_connected_components():
+    assert Partition.from_pairs(5, [(3, 1), (0, 4), (4, 0)]) == Partition(
+        5, ((0, 4), (1, 3), (2,))
+    )
+    assert Partition.from_pairs(3, []) == Partition.singletons(3)
+    assert Partition.from_pairs(4, [(0, 1), (2, 3), (1, 2)]) == Partition.one_block(4)
+
+
 def test_coupling_marginals_enforced():
     sp = small_space([F(1, 2), F(1, 2)])
     with pytest.raises(ValueError):

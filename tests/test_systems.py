@@ -20,7 +20,6 @@ from ergolab.systems import (
     invariant_factor,
     is_partially_trivial,
     joint_distribution_predicate,
-    maximal_partially_trivial_factor,
     orbit_partition,
     quotient_system,
     rotation_extension,
@@ -149,14 +148,12 @@ def test_zero_weight_points_are_singletons():
     assert (0, 1) in p.blocks
 
 
-def test_maximal_partially_trivial_factor_alias():
+def test_invariant_factor_z2_and_identity_action():
     sys_ = cyclic_system(2, 1)
-    gamma = SubgroupSpec(((1,),))
-    assert maximal_partially_trivial_factor(sys_, gamma) == invariant_factor(sys_, gamma)
-    assert maximal_partially_trivial_factor(sys_, gamma) == Partition.one_block(2)
+    assert invariant_factor(sys_, SubgroupSpec(((1,),))) == Partition.one_block(2)
     # A trivial action leaves every point alone: singleton invariance classes.
     ident = FiniteZdSystem(ExactProbabilitySpace.uniform((0, 1, 2)), ((0, 1, 2),))
-    assert maximal_partially_trivial_factor(ident, SubgroupSpec(((1,),))) == Partition.singletons(3)
+    assert invariant_factor(ident, SubgroupSpec(((1,),))) == Partition.singletons(3)
 
 
 def test_invariant_factor_sum_collapse_for_trivial_direction():
