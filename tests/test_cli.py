@@ -65,6 +65,18 @@ def test_dhj_force(capsys):
     assert report["results"]["holds"] is True
 
 
+def test_correspond_subcommand(tmp_path, capsys):
+    # The correspondence lives under 'dhj'; the top-level form is gone.
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(["12", "21"]))
+    code, report = run(
+        capsys, ["dhj", "correspond", "--set", str(path), "-k", "2", "-N", "2", "-L", "1"]
+    )
+    assert code == 0
+    assert report["results"]["point_events"] == {"1": "1/2", "2": "1/2"}
+    assert set(report["results"]["line_events"].values()) == {"0/1"}
+
+
 def test_fjoin_report(z3_file, capsys):
     code, report = run(capsys, ["fjoin", "--system", z3_file])
     assert code == 0
@@ -267,7 +279,6 @@ def test_dhj_correspond_action(tmp_path, capsys):
     assert code == 0
     assert report["command"] == "correspond"
     assert report["results"]["point_events"] == {"1": "1/2", "2": "1/2"}
-    assert set(report["results"]["line_events"].values()) == {"0/1"}
 
 
 def test_json_flag_writes_file(z3_file, tmp_path, capsys):
