@@ -97,24 +97,9 @@ class RemovalInstance:
         object.__setattr__(self, "families", families)
         if len(families) != d:
             raise ValueError("need one family of target sets per coordinate")
-        full = mask_of(range(d))
         for i, fam in enumerate(families):
             for ups, a in fam:
-                if ups.d != d:
-                    raise ValueError("up-set dimension mismatch")
-                if full not in ups:
-                    raise ValueError("each up-set must contain the full index set")
-                if not all(m & (1 << i) for m in ups.members):
-                    raise ValueError(
-                        f"family {i}: up-sets must lie inside the principal up-set of {i}"
-                    )
-                blocks = self.block_join(ups)
-                for b in blocks.blocks:
-                    inside = set(b) <= a
-                    if not inside and set(b) & a:
-                        raise ValueError(
-                            f"family {i}: a target set is not a union of its algebra's blocks"
-                        )
+                _check_target(d, i, ups, a, psi, len(self.space))
 
     @property
     def d(self) -> int:
@@ -125,6 +110,31 @@ class RemovalInstance:
         if not upset.members:
             return Partition.one_block(len(self.space))
         return common_refinement(*(self.psi[m] for m in upset.members))
+
+
+def _check_target(d: int, i: int, ups: UpSet, a: frozenset, psi: dict, n: int) -> None:
+    """Raise ``ValueError`` unless ``(ups, a)`` may be a target of coordinate ``i``.
+
+    The up-set lives over ``range(d)``, contains the full index set and lies
+    inside the principal up-set of ``i``; ``a`` is a union of blocks of the
+    join of ``psi`` over the up-set's members, that is, points with the same
+    tuple of ``psi`` labels are all in ``a`` or all outside it.
+    """
+    if ups.d != d:
+        raise ValueError("up-set dimension mismatch")
+    if mask_of(range(d)) not in ups:
+        raise ValueError("each up-set must contain the full index set")
+    if not all(m & (1 << i) for m in ups.members):
+        raise ValueError(
+            f"family {i}: up-sets must lie inside the principal up-set of {i}"
+        )
+    labels = [psi[m].labels for m in ups.members]
+    inside: dict[tuple[int, ...], bool] = {}
+    for x in range(n):
+        if inside.setdefault(tuple(lab[x] for lab in labels), x in a) != (x in a):
+            raise ValueError(
+                f"family {i}: a target set is not a union of its algebra's blocks"
+            )
 
 
 @dataclass(frozen=True)
@@ -208,17 +218,27 @@ def check_conclusion(inst: RemovalInstance, *, verified: bool = False) -> bool:
     """
     if not verified and not check_hypotheses(inst).all_hold:
         raise ValueError("hypotheses not satisfied; conclusion undefined")
-    per_coord = [
-        frozenset.intersection(*(a for _, a in fam)) if fam else frozenset(range(len(inst.space)))
-        for fam in inst.families
-    ]
-    if inst.coupling.event_mass(per_coord) != 0:
+    return _conclusion_holds(
+        inst.space, inst.coupling, [[a for _, a in fam] for fam in inst.families]
+    )
+
+
+def _conclusion_holds(
+    space: ExactProbabilitySpace, coupling: Coupling, targets: Sequence[Sequence[frozenset]]
+) -> bool:
+    """The removal implication on bare target sets, ``targets[i]`` being the
+    sets of coordinate ``i``: a null product event forces a null
+    intersection.
+
+    Stored coupling masses are positive and weights nonnegative, so an
+    event is null exactly when no support tuple (no positive-weight point)
+    lies in it; the test needs no rational sums.
+    """
+    points = frozenset(range(len(space)))
+    per_coord = [points.intersection(*sets) for sets in targets]
+    if any(all(t[c] in s for c, s in enumerate(per_coord)) for t in coupling.support()):
         return True
-    overall = set(range(len(inst.space)))
-    for fam in inst.families:
-        for _, a in fam:
-            overall &= a
-    return inst.space.measure(overall) == 0
+    return not any(space.weights[x] > 0 for x in points.intersection(*per_coord))
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +397,16 @@ class SearchConfig:
     exhaustive: bool = True
     samples: int = 200
 
+    def __post_init__(self) -> None:
+        if not self.sizes or any(n < 1 for n in self.sizes):
+            raise ValueError(
+                f"sizes: every point count must be at least 1, got {list(self.sizes)}"
+            )
+        if not self.exhaustive and self.samples < 1:
+            raise ValueError(
+                f"samples: random mode needs at least 1 sample, got {self.samples}"
+            )
+
 
 def search_counterexample(config: SearchConfig) -> RemovalInstance | None:
     """Enumerate or sample hypothesis-satisfying instances and return the
@@ -439,17 +469,21 @@ def _scan_families(
     )
     if not check_hypotheses(shell).all_hold:
         return None
+    # Each (up-set, target) choice is validated once here, so the
+    # combinations only evaluate the conclusion; the instance returned is
+    # built, and validated again as a whole, by the constructor.
+    d, n = coupling.arity, len(space)
     choice_lists = []
-    for opts in coord_upsets:
+    for i, opts in enumerate(coord_upsets):
         per_coord = []
         for ups in opts:
             for a in _block_unions(shell.block_join(ups)):
+                _check_target(d, i, ups, a, psi, n)
                 per_coord.append((ups, a))
         choice_lists.append(per_coord)
     for combo in iter_product(*choice_lists):
-        inst = RemovalInstance(space, coupling, psi, tuple((c,) for c in combo))
-        if not check_conclusion(inst, verified=True):
-            return inst
+        if not _conclusion_holds(space, coupling, [(a,) for _, a in combo]):
+            return RemovalInstance(space, coupling, psi, tuple((c,) for c in combo))
     return None
 
 

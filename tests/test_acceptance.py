@@ -220,7 +220,11 @@ def test_criterion_4_van_der_corput():
         assert rep.lhs == rep.rhs
 
 
-@criterion(5, "removal search finds no counterexample, exhaustive and 1000 random, under 5 min")
+@criterion(
+    5,
+    "removal search finds no counterexample, exhaustive at 2 and 3 points"
+    " and 1000 random, under 5 min",
+)
 def test_criterion_5_removal_search():
     start = time.perf_counter()
     exhaustive = SearchConfig(
@@ -230,6 +234,8 @@ def test_criterion_5_removal_search():
         exhaustive=True,
     )
     assert search_counterexample(exhaustive) is None
+    # Every monotone psi map, coupling and target choice on three points.
+    assert search_counterexample(SearchConfig(sizes=(3,), d=3)) is None
     sampled = SearchConfig(
         sizes=(2, 3, 4), d=3, seed=1234, exhaustive=False, samples=1000
     )

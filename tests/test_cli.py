@@ -192,6 +192,23 @@ def test_removal_search_cli_d4_regression(capsys):
     assert report["results"]["counterexample"] is None
 
 
+@pytest.mark.parametrize(
+    "options, field",
+    [
+        (["--sizes", "0", "--random", "--samples", "1"], "sizes"),
+        (["--sizes", "-1", "--random", "--samples", "1"], "sizes"),
+        (["--sizes", "2", "--random", "--samples", "0"], "samples"),
+        (["--sizes", "2", "--random", "--samples", "-3"], "samples"),
+        (["--sizes", "0"], "sizes"),
+    ],
+)
+def test_removal_search_cli_rejects_empty_domains(capsys, options, field):
+    # A search that could test nothing is an input error, not a clean sweep.
+    code, report = run(capsys, ["removal", "search", "-d", "3", *options])
+    assert code == 3
+    assert report["error"].startswith(f"{field}:")
+
+
 def test_removal_search_cli_exhaustive(capsys):
     code, report = run(capsys, ["removal", "search", "--sizes", "2", "-d", "3"])
     assert code == 0

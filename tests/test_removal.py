@@ -3,16 +3,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
 from helpers import cyclic_system
 
+from ergolab import removal
 from ergolab.averages import difference_subgroup, furstenberg_self_joining
 from ergolab.measure import (
     Coupling,
     ExactProbabilitySpace,
     Partition,
+    common_refinement,
     relatively_independent_product,
 )
 from ergolab.removal import (
@@ -213,6 +216,148 @@ def test_upset_family_constraints_enforced():
         )
 
 
+# -- target validation -------------------------------------------------------------
+
+def reference_target_error(d, i, ups, a, psi, n):
+    """The per-target checks as ``RemovalInstance`` made them before
+    ``_check_target``: the union-of-blocks test walks the blocks of the join
+    built as a ``Partition``.  Returns the error text, or ``None``."""
+    if ups.d != d:
+        return "up-set dimension mismatch"
+    if mask_of(range(d)) not in ups:
+        return "each up-set must contain the full index set"
+    if not all(m & (1 << i) for m in ups.members):
+        return f"family {i}: up-sets must lie inside the principal up-set of {i}"
+    blocks = (
+        common_refinement(*(psi[m] for m in ups.members))
+        if ups.members
+        else Partition.one_block(n)
+    )
+    for b in blocks.blocks:
+        if not set(b) <= a and set(b) & a:
+            return f"family {i}: a target set is not a union of its algebra's blocks"
+    return None
+
+
+def target_error(d, i, ups, a, psi, n):
+    try:
+        removal._check_target(d, i, ups, a, psi, n)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_target_matches_block_join_check():
+    rng = random.Random(31)
+    d = 3
+    upsets = enumerate_upsets(d) + enumerate_upsets(2)
+    outcomes = set()
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        psi = {
+            m: Partition.from_labels(tuple(rng.randrange(n) for _ in range(n)))
+            for m in ground_masks(d)
+        }
+        ups = rng.choice(upsets)
+        i = rng.randrange(d)
+        a = frozenset(x for x in range(n) if rng.random() < 0.5)
+        expected = reference_target_error(d, i, ups, a, psi, n)
+        assert target_error(d, i, ups, a, psi, n) == expected
+        outcomes.add(expected)
+    # Every error text and the accepting case occur in the sample.
+    assert outcomes == {
+        None,
+        "up-set dimension mismatch",
+        "each up-set must contain the full index set",
+        *(f"family {i}: up-sets must lie inside the principal up-set of {i}" for i in range(d)),
+        *(f"family {i}: a target set is not a union of its algebra's blocks" for i in range(d)),
+    }
+
+
+def test_check_target_uses_the_join_of_the_members():
+    # The join {01 | 2 | 3} is strictly finer than both member partitions,
+    # so {2} is a target of the up-set without being measurable for either
+    # member, while {0} splits a block of the join.
+    d, n = 3, 4
+    psi = {m: Partition.singletons(n) for m in ground_masks(d)}
+    psi[mask_of((0, 1))] = Partition(n, ((0, 1, 2), (3,)))
+    psi[mask_of((0, 1, 2))] = Partition(n, ((0, 1), (2, 3)))
+    ups = UpSet.principal(d, (0, 1))
+    join = common_refinement(*(psi[m] for m in ups.members))
+    assert join == Partition(n, ((0, 1), (2,), (3,)))
+    for m in ups.members:
+        assert join != psi[m] and join.is_refinement_of(psi[m])
+    for a in ({2}, {0, 1}, {0, 1, 3}, set(), set(range(n)), {0}, {1, 2}):
+        a = frozenset(a)
+        expected = reference_target_error(d, 0, ups, a, psi, n)
+        assert target_error(d, 0, ups, a, psi, n) == expected
+        assert (expected is None) == (a not in ({0}, {1, 2}))
+
+
+def reference_scan(space, coupling, psi, coord_upsets):
+    """The sweep over target choices as it ran before: one validated
+    ``RemovalInstance`` per combination, judged by ``check_conclusion``."""
+    shell = RemovalInstance(
+        space,
+        coupling,
+        psi,
+        tuple(((opts[0], frozenset(range(len(space)))),) for opts in coord_upsets),
+    )
+    if not check_hypotheses(shell).all_hold:
+        return None
+    choice_lists = [
+        [
+            (ups, a)
+            for ups in opts
+            for a in removal._block_unions(shell.block_join(ups))
+        ]
+        for opts in coord_upsets
+    ]
+    for combo in iter_product(*choice_lists):
+        inst = RemovalInstance(space, coupling, psi, tuple((c,) for c in combo))
+        if not check_conclusion(inst, verified=True):
+            return inst
+    return None
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 37, 400])
+def test_forced_failure_returns_the_reference_instance(monkeypatch, fail_at):
+    # The conclusion is made to fail at its fail_at-th evaluation, in the
+    # sweep and in the reference loop alike; both must return the same
+    # validated instance.
+    d, n = 3, 3
+    space = ExactProbabilitySpace(tuple(range(n)), (F(1, 6), F(1, 3), F(1, 2)))
+    coupling = relatively_independent_product([space] * d, [(0, 0, 1)] * d)
+    psi = {m: Partition(n, ((0, 1), (2,))) for m in ground_masks(d)}
+    coord_upsets = removal._coordinate_upsets(d)
+    holds = removal._conclusion_holds
+
+    def make_failing():
+        calls = [0]
+
+        def failing(space, coupling, targets):
+            calls[0] += 1
+            return calls[0] != fail_at and holds(space, coupling, targets)
+
+        return failing
+
+    monkeypatch.setattr(removal, "_conclusion_holds", make_failing())
+    hit = removal._scan_families(space, coupling, psi, coord_upsets)
+    monkeypatch.setattr(removal, "_conclusion_holds", make_failing())
+    expected = reference_scan(space, coupling, psi, coord_upsets)
+    assert isinstance(hit, RemovalInstance)
+    assert hit == expected
+
+
+def test_forced_failure_search_returns_a_validated_instance(monkeypatch):
+    monkeypatch.setattr(removal, "_conclusion_holds", lambda *args: False)
+    hit = search_counterexample(SearchConfig(sizes=(2,), d=3))
+    assert hit is not None
+    rebuilt = RemovalInstance(hit.space, hit.coupling, hit.psi, hit.families)
+    assert rebuilt == hit
+    assert check_hypotheses(hit).all_hold
+
+
 # -- the search ---------------------------------------------------------------------
 
 def test_exhaustive_search_small_domain_clean():
@@ -231,6 +376,22 @@ def test_search_rejects_oversized_exhaustive_config():
         search_counterexample(SearchConfig(sizes=(5,), d=3, exhaustive=True))
     with pytest.raises(ValueError):
         search_counterexample(SearchConfig(sizes=(2,), d=4, exhaustive=True))
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"sizes": (0,), "exhaustive": False, "samples": 1}, "sizes"),
+        ({"sizes": (2, -1), "exhaustive": False}, "sizes"),
+        ({"sizes": (0,)}, "sizes"),
+        ({"sizes": ()}, "sizes"),
+        ({"sizes": (2,), "exhaustive": False, "samples": 0}, "samples"),
+        ({"sizes": (2,), "exhaustive": False, "samples": -3}, "samples"),
+    ],
+)
+def test_search_config_rejects_empty_domains(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field}:"):
+        SearchConfig(**kwargs)
 
 
 # -- lifting scenarios -----------------------------------------------------------------

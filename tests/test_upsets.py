@@ -2,7 +2,8 @@
 
 The three structure tests built on ``upset_pair_independence`` (the
 self-joining report, the line-marginal report and removal hypothesis [iii])
-are compared with the plain ordered-pair loop in ``helpers``.
+are compared with the plain ordered-pair loop in ``helpers``, and every pair
+the routine answers by the tower property is run through the kernel.
 """
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import naive_upset_pairs
+from helpers import cyclic_system, naive_upset_pairs
 
+from ergolab import upsets
 from ergolab.averages import (
     furstenberg_self_joining,
     oblique_copy,
@@ -32,13 +34,21 @@ from ergolab.hales_jewett import (
 from ergolab.measure import (
     Coupling,
     ExactProbabilitySpace,
+    IndependenceReport,
     Partition,
     common_refinement,
+    relative_independence,
     relatively_independent_product,
     support_pullback_partition,
 )
 from ergolab.removal import RemovalInstance, UpSet, check_hypotheses
-from ergolab.upsets import bits_of, enumerate_upsets, ground_masks, mask_of
+from ergolab.upsets import (
+    bits_of,
+    enumerate_upsets,
+    ground_masks,
+    mask_of,
+    upset_pair_independence,
+)
 
 F = Fraction
 
@@ -202,3 +212,83 @@ def test_removal_iii_d4_checks_the_full_family():
     hyp = check_hypotheses(inst)
     assert hyp.monotone and hyp.identified
     assert hyp.witnesses.get("independent") == reference_iii_witness(inst)
+
+
+# -- the tower-property skip ---------------------------------------------------------------
+
+def assert_skip_is_exact(monkeypatch, family, member_partition, space):
+    """Every pair answered without the kernel holds when the kernel runs on
+    it, and the kernel runs exactly on the pairs where neither lift equals
+    the meet.  Returns the numbers of skipped and computed pairs."""
+    calls = []
+
+    def counting_kernel(factors, subfactors, nu):
+        calls.append((tuple(factors), tuple(subfactors)))
+        return relative_independence(factors, subfactors, nu)
+
+    monkeypatch.setattr(upsets, "relative_independence", counting_kernel)
+    pairs = list(upset_pair_independence(family, member_partition, space))
+    monkeypatch.undo()
+
+    lifts = {}
+
+    def lift(u):
+        if u.members not in lifts:
+            parts = [member_partition(m) for m in sorted(u.members)]
+            lifts[u.members] = (
+                common_refinement(*parts) if parts else Partition.one_block(len(space))
+            )
+        return lifts[u.members]
+
+    expected_calls = []
+    skipped = 0
+    for a, b, rep in pairs:
+        la, lb, meet = lift(a), lift(b), lift(a & b)
+        if la == meet or lb == meet:
+            skipped += 1
+            assert rep == IndependenceReport(True, None)
+            assert relative_independence((la, lb), (meet, meet), space).holds
+        else:
+            expected_calls.append(((la, lb), (meet, meet)))
+    assert calls == expected_calls
+    return skipped, len(calls)
+
+
+def test_skip_exact_on_removal_instances(monkeypatch):
+    computed = 0
+    for inst, _ in seeded_removal_instances(seed=2024, count=40):
+        _, c = assert_skip_is_exact(
+            monkeypatch,
+            enumerate_upsets(inst.d),
+            lambda m: support_pullback_partition(inst.coupling, inst.psi[m], min(bits_of(m))),
+            inst.coupling.as_space(),
+        )
+        computed += c
+    # Some pairs still reach the kernel, so the count check is not vacuous.
+    assert computed > 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_skip_exact_on_self_joinings(monkeypatch, seed):
+    rng = random.Random(seed)
+    sys_ = random_system(rng, max_points=6, dim=2 + seed % 2)
+    fj = furstenberg_self_joining(sys_)
+    skipped, _ = assert_skip_is_exact(
+        monkeypatch,
+        enumerate_upsets(sys_.dim),
+        lambda m: oblique_copy(fj, bits_of(m)),
+        fj.coupling.as_space(),
+    )
+    assert skipped > 0
+
+
+def test_skip_exact_on_z3_at_d4(monkeypatch):
+    fj = furstenberg_self_joining(cyclic_system(3, 1, 2, 0, 1))
+    skipped, computed = assert_skip_is_exact(
+        monkeypatch,
+        enumerate_upsets(4),
+        lambda m: oblique_copy(fj, bits_of(m)),
+        fj.coupling.as_space(),
+    )
+    # Every pair of this system is a tower-property tautology.
+    assert (skipped, computed) == (114 * 114, 0)
