@@ -36,13 +36,18 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 
+_SCALARS = frozenset({str, int, bool, type(None)})
+
+
 def _jsonable(value: Any) -> Any:
+    if type(value) in _SCALARS:  # exact types: already JSON, returned as is
+        return value
     if isinstance(value, Fraction):
         return format_fraction(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [v if type(v) in _SCALARS else _jsonable(v) for v in value]
     if isinstance(value, (frozenset, set)):
         return sorted(_jsonable(v) for v in value)
     return value

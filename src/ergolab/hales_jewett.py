@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
+from math import lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .measure import (
@@ -251,17 +253,26 @@ def max_line_free(k: int, N: int, budget: int = 5_000_000) -> MaxLineFreeResult:
 
     Include-first branch and bound over the line hypergraph; the first
     maximum found is the lexicographically least extremal set, and pruning
-    preserves that tie-break.  ``budget`` caps the number of search nodes;
-    exceeding it returns the best set found with ``exhaustive=False``.
+    preserves that tie-break.  Points are decided in index order and the
+    chosen set is always line-free, so including a point can only complete
+    a line whose largest point it is: each line is tested once per node,
+    at that point only.  ``budget`` (at least 1) caps the number of search
+    nodes; exceeding it returns the best set found with ``exhaustive=False``,
+    which is the empty set when no leaf was reached.
     """
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     points = all_words(k, N)
     if len(points) > 4096:
         raise ValueError("over budget: point set too large for the exact search")
     index = {w: i for i, w in enumerate(points)}
-    lines = [mask_of(index[w] for w in line) for line in enumerate_lines(k, N)]
     n_pts = len(points)
+    completes: list[list[int]] = [[] for _ in range(n_pts)]
+    for line in enumerate_lines(k, N):
+        idx = [index[w] for w in line]
+        completes[max(idx)].append(mask_of(idx))
 
-    best_size = -1
+    best_size = 0  # the empty set is line-free
     best_mask = 0
     nodes = 0
     exhausted = True
@@ -283,7 +294,7 @@ def max_line_free(k: int, N: int, budget: int = 5_000_000) -> MaxLineFreeResult:
                 best_mask = chosen
             continue
         with_pt = chosen | (1 << pos)
-        ok = all((line & with_pt) != line for line in lines)
+        ok = all((line & with_pt) != line for line in completes[pos])
         # Exclude branch pushed first so the include branch is explored first.
         stack.append((pos + 1, chosen, count))
         if ok:
@@ -412,6 +423,11 @@ class StationaryLawTruncation:
     The carrier weights must equal the marginal at the first word; marginal
     agreement across the other coordinates is what the stationarity check
     verifies, not an assumption.
+
+    Next to ``weights`` the law keeps integer numerators over the common
+    denominator of its masses, which the marginals and pullbacks sum; each
+    distinct tuple of coordinates is summed once per law and remembered, so
+    ``weights`` must not be changed after construction.
     """
 
     k: int
@@ -427,19 +443,28 @@ class StationaryLawTruncation:
         object.__setattr__(self, "_words", wlist)
         object.__setattr__(self, "_windex", {w: i for i, w in enumerate(wlist)})
         m = len(self.carrier)
+        width = len(wlist)
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for cfg, v in self.weights.items():
-            cfg = tuple(int(c) for c in cfg)
-            v = Fraction(v)
-            if len(cfg) != len(wlist) or any(not 0 <= c < m for c in cfg):
+            # Keys and values already of the stored types are kept, not copied.
+            if type(cfg) is not tuple or any(type(c) is not int for c in cfg):
+                cfg = tuple(int(c) for c in cfg)
+            if type(v) is not Fraction:
+                v = Fraction(v)
+            if len(cfg) != width or min(cfg) < 0 or max(cfg) >= m:
                 raise ValueError("configurations must index the carrier at every word")
             if v < 0:
                 raise ValueError("masses must be nonnegative")
             if v:
-                cleaned[cfg] = cleaned.get(cfg, ZERO) + v
+                cleaned[cfg] = cleaned[cfg] + v if cfg in cleaned else v
         object.__setattr__(self, "weights", cleaned)
-        if sum(cleaned.values(), ZERO) != 1:
+        den = lcm(*{v.denominator for v in cleaned.values()})
+        numerators = {cfg: v.numerator * (den // v.denominator) for cfg, v in cleaned.items()}
+        if sum(numerators.values()) != den:
             raise ValueError("total mass must be exactly 1")
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_numerators", numerators)
+        object.__setattr__(self, "_pulled", {})
         first = self.coordinate_marginal(wlist[0])
         if first != self.carrier.weights:
             raise ValueError("carrier weights must equal the first-coordinate marginal")
@@ -454,21 +479,41 @@ class StationaryLawTruncation:
             raise ValueError(f"word {w!r} beyond the truncation depth")
         return idx[w]
 
+    def _pull(self, idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """Numerators of the joint law of the coordinates ``idx`` (nonempty),
+        summed once per law and remembered; callers must not mutate it."""
+        pulled = self._pulled  # type: ignore[attr-defined]
+        if idx not in pulled:
+            pulled[idx] = self._sum_numerators(idx)
+        return pulled[idx]
+
+    def _sum_numerators(self, idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        get = itemgetter(*idx)
+        acc: dict = {}
+        for cfg, num in self._numerators.items():  # type: ignore[attr-defined]
+            key = get(cfg)
+            acc[key] = acc.get(key, 0) + num
+        if len(idx) == 1:  # a single index gives bare values, not 1-tuples
+            acc = {(key,): num for key, num in acc.items()}
+        return acc
+
     def coordinate_marginal(self, w: str) -> tuple[Fraction, ...]:
-        i = self.word_index(w)
-        out = [ZERO] * len(self.carrier)
-        for cfg, v in self.weights.items():
-            out[cfg[i]] += v
-        return tuple(out)
+        acc = self._pull((self.word_index(w),))
+        den = self._den  # type: ignore[attr-defined]
+        return tuple(Fraction(acc.get((c,), 0), den) for c in range(len(self.carrier)))
 
     def pullback(self, image_words: Sequence[str]) -> dict:
-        """Joint law of the coordinates at the given words."""
-        idx = [self.word_index(w) for w in image_words]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for cfg, v in self.weights.items():
-            key = tuple(cfg[i] for i in idx)
-            out[key] = out.get(key, ZERO) + v
-        return out
+        """Joint law of the coordinates at the given words, as a new dict.
+
+        The masses are summed as integer numerators over the law's common
+        denominator, once per distinct tuple of words, and divided only for
+        the output keys.
+        """
+        idx = tuple(self.word_index(w) for w in image_words)
+        if not idx:
+            return {(): Fraction(1)}
+        den = self._den  # type: ignore[attr-defined]
+        return {key: Fraction(num, den) for key, num in self._pull(idx).items()}
 
 
 def iid_law(k: int, depth: int, carrier: ExactProbabilitySpace) -> StationaryLawTruncation:
@@ -554,6 +599,8 @@ def strong_stationarity_check(
     Dimension 0 compares single-coordinate marginals.  Returns the first
     violating pair of subspace images.
     """
+    if dim_cap < 0:
+        raise ValueError("dimension cap must be nonnegative")
     if dim_cap > law.depth:
         raise ValueError("dimension cap cannot exceed the truncation depth")
     marg0 = law.coordinate_marginal(law.words[0])

@@ -353,7 +353,7 @@ def law_from_json(obj: Any, path: Sequence = ()) -> StationaryLawTruncation:
         epath = list(path) + ["weights", i]
         cfg = tuple(_int_list(_need(entry, "config", epath), epath + ["config"]))
         v = parse_fraction(_need(entry, "value", epath), epath + ["value"])
-        weights[cfg] = weights.get(cfg, Fraction(0)) + v
+        weights[cfg] = weights[cfg] + v if cfg in weights else v
     try:
         return StationaryLawTruncation(k, depth, carrier, weights)
     except ValueError as exc:

@@ -4,6 +4,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iter_product
 
+from ergolab.hales_jewett import all_words, enumerate_lines
 from ergolab.measure import (
     ExactProbabilitySpace,
     Partition,
@@ -72,3 +73,55 @@ def naive_upset_pairs(upsets, member_partition, space):
             meet = lift(a & b)
             rep = relative_independence((lift(a), lift(b)), (meet, meet), space)
             yield frozenset(a.members), frozenset(b.members), rep
+
+
+def naive_pullback(law, image_words):
+    """Reference for ``StationaryLawTruncation.pullback``: ``Fraction`` sums
+    over the public weights, keyed by the configuration at the given words."""
+    idx = [law.words.index(w) for w in image_words]
+    out = {}
+    for cfg, v in law.weights.items():
+        key = tuple(cfg[i] for i in idx)
+        out[key] = out.get(key, Fraction(0)) + v
+    return out
+
+
+def naive_coordinate_marginal(law, w):
+    """Reference for ``coordinate_marginal``: the carrier-indexed masses of
+    the coordinate at ``w``, summed as ``Fraction``s."""
+    i = law.words.index(w)
+    out = [Fraction(0)] * len(law.carrier)
+    for cfg, v in law.weights.items():
+        out[cfg[i]] += v
+    return tuple(out)
+
+
+def all_lines_max_line_free(k, N, budget):
+    """Reference for ``max_line_free``: the same include-first branch and
+    bound, but testing every line of ``[k]^N`` at every node instead of only
+    the lines whose largest point is being included.  Returns
+    ``(size, extremal, exhaustive)``."""
+    points = all_words(k, N)
+    index = {w: i for i, w in enumerate(points)}
+    lines = [sum(1 << index[w] for w in line) for line in enumerate_lines(k, N)]
+    n_pts = len(points)
+    best_size, best_mask, nodes, exhausted = 0, 0, 0, True
+    stack = [(0, 0, 0)]
+    while stack:
+        nodes += 1
+        if nodes > budget:
+            exhausted = False
+            break
+        pos, chosen, count = stack.pop()
+        if count + (n_pts - pos) <= best_size:
+            continue
+        if pos == n_pts:
+            if count > best_size:
+                best_size, best_mask = count, chosen
+            continue
+        with_pt = chosen | (1 << pos)
+        stack.append((pos + 1, chosen, count))
+        if all((line & with_pt) != line for line in lines):
+            stack.append((pos + 1, with_pt, count + 1))
+    extremal = tuple(points[i] for i in range(n_pts) if best_mask >> i & 1)
+    return best_size, extremal, exhausted

@@ -303,3 +303,93 @@ def test_json_flag_writes_file(z3_file, tmp_path, capsys):
     code = main(["recur", "--system", z3_file, "--set", "[0]", "--json", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["results"]["limit"] == "1/9"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_dhj_maxfree_rejects_budget_below_one(budget, capsys):
+    code, report = run(capsys, ["dhj", "maxfree", "-k", "2", "-N", "3", "--budget", budget])
+    assert code == 3
+    assert "budget" in report["error"]
+
+
+def test_dhj_maxfree_budget_short_of_a_leaf_reports_empty_set(capsys):
+    # One node is the root alone: no set was completed, and the empty set
+    # (always line-free) is reported instead of size -1.
+    code, report = run(capsys, ["dhj", "maxfree", "-k", "2", "-N", "3", "--budget", "1"])
+    assert code == 2
+    assert report["results"] == {"size": 0, "extremal": [], "exhaustive": False}
+
+
+def _iid_law_file(tmp_path, depth):
+    from ergolab.hales_jewett import iid_law
+    from ergolab.measure import ExactProbabilitySpace
+    from ergolab.serialize import law_to_json
+
+    law = iid_law(2, depth, ExactProbabilitySpace((0, 1), (F(2, 5), F(3, 5))))
+    path = tmp_path / "law.json"
+    path.write_text(canonical_dumps(law_to_json(law)))
+    return str(path)
+
+
+def test_stationarity_cli_rejects_negative_dim_cap(tmp_path, capsys):
+    code, report = run(
+        capsys, ["dhj", "stationarity", "--law", _iid_law_file(tmp_path, 1), "--dim-cap", "-1"]
+    )
+    assert code == 3
+    assert "nonnegative" in report["error"]
+
+
+def test_stationarity_cli_pulls_each_image_back_once(tmp_path, monkeypatch, capsys):
+    # At depth 3 and cap 2 the check and the marginals ask for 84 subspace
+    # pullbacks, of 25 line images and 9 plane images, and for every one of
+    # the 14 coordinate marginals several times; each is summed once.
+    from ergolab.hales_jewett import StationaryLawTruncation
+
+    path = _iid_law_file(tmp_path, 3)
+    summed = []
+    original = StationaryLawTruncation._sum_numerators
+
+    def counting(self, idx):
+        summed.append(idx)
+        return original(self, idx)
+
+    monkeypatch.setattr(StationaryLawTruncation, "_sum_numerators", counting)
+    code, report = run(capsys, ["dhj", "stationarity", "--law", path, "--dim-cap", "2"])
+    assert code == 0 and report["results"]["holds"] is True
+    assert len(summed) == len(set(summed))
+    assert sorted(len(idx) for idx in summed) == [1] * 14 + [2] * 25 + [4] * 9
+
+
+def _deep_copy_jsonable(value):
+    """The former ``_jsonable``: every value is rebuilt, scalars included."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, dict):
+        return {str(k): _deep_copy_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_deep_copy_jsonable(v) for v in value]
+    if isinstance(value, (frozenset, set)):
+        return sorted(_deep_copy_jsonable(v) for v in value)
+    return value
+
+
+def test_input_digest_bytes_unchanged():
+    import hashlib
+
+    from ergolab.cli import _digest
+    from ergolab.hales_jewett import iid_law
+    from ergolab.measure import ExactProbabilitySpace
+    from ergolab.serialize import law_to_json
+
+    law = law_to_json(iid_law(2, 2, ExactProbabilitySpace((0, 1), (F(2, 3), F(1, 3)))))
+    system = system_to_json(cyclic_system(3, 1, 2))
+    mixed = {"system": system, "directions": (0, 1), "set": [0, 2], "N": 5, "ok": True,
+             "none": None, "q": F(3, 6), "fs": frozenset({2, 1}),
+             "row": [True, None, "x", 3, F(1, 2), (False,)]}
+    # Digests printed by the deep-copying implementation.
+    expected = {"law": "596d60a3fce9826c", "system": "11e0a3e642193ffd",
+                "mixed": "956affc143745047"}
+    for name, doc in (("law", law), ("system", system), ("mixed", mixed)):
+        text = canonical_dumps(_deep_copy_jsonable(doc))
+        assert _digest(doc) == hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert _digest(doc) == expected[name]

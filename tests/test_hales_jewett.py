@@ -7,8 +7,11 @@ from itertools import product as iter_product
 
 import pytest
 
+from helpers import all_lines_max_line_free, naive_coordinate_marginal, naive_pullback
+
 from ergolab.hales_jewett import (
     CombinatorialSubspace,
+    StationaryLawTruncation,
     all_words,
     build_correspondence,
     check_density_premises,
@@ -172,6 +175,41 @@ def test_max_line_free_budget_degrades_gracefully():
     r = max_line_free(2, 3, budget=10)
     assert not r.exhaustive
     assert r.size <= 3
+
+
+def test_max_line_free_exhaustive_published_values():
+    # Sperner's theorem gives C(5, 2) = 10 at (2, 5); Polymath's c_3 = 18.
+    for k, N, size in ((2, 5, 10), (3, 3, 18)):
+        r = max_line_free(k, N)
+        assert (r.size, r.exhaustive) == (size, True)
+
+
+# (k, N) pairs the all-lines search settles quickly when unbudgeted; the
+# others ((2, 6), (4, 3), (7, 2), (8, 2)) are compared at a 100,000-node budget.
+_SETTLED = {(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1),
+            (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (7, 1), (8, 1), (9, 1)}
+
+
+@pytest.mark.parametrize(
+    "k,N", [(k, N) for k in range(2, 10) for N in range(1, 7) if k**N <= 64]
+)
+def test_max_line_free_matches_all_lines_search(k, N):
+    # Testing only the lines a point completes must not change a single node:
+    # sizes, witnesses and exhaustiveness agree at every budget.
+    deepest = 10**9 if (k, N) in _SETTLED else 100_000
+    for budget in (1, 10, 1_000, deepest):
+        r = max_line_free(k, N, budget)
+        assert (r.size, r.extremal, r.exhaustive) == all_lines_max_line_free(k, N, budget)
+
+
+def test_max_line_free_starts_from_the_empty_set():
+    # Too small a budget to reach any leaf reports the empty set, not size -1.
+    for budget in (1, 2, 3):
+        r = max_line_free(2, 3, budget)
+        assert (r.size, r.extremal, r.exhaustive) == (0, (), False)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget"):
+            max_line_free(2, 3, budget)
 
 
 # -- subspace forcing ----------------------------------------------------------------------
@@ -376,6 +414,89 @@ def test_line_structure_promoted_correspondence():
     assert not rep.implication_holds
     assert rep.implication_witness == (frozenset({0}), frozenset({0}))
     assert not rep.coordinate_holds
+
+
+# -- exact pullbacks against Fraction oracles ---------------------------------------
+
+def _mixed_denominator_law():
+    # Masses 1/3, 1/7 and 11/21 on three configurations of depth 2; the
+    # carrier is the first-coordinate marginal, so the law is valid but not
+    # stationary.
+    cfgs = [(0, 1, 1, 0, 2, 1), (2, 2, 0, 1, 0, 0), (0, 0, 2, 2, 1, 0)]
+    masses = [F(1, 3), F(1, 7), F(11, 21)]
+    first = [sum((v for c, v in zip(cfgs, masses) if c[0] == x), F(0)) for x in range(3)]
+    car = ExactProbabilitySpace((0, 1, 2), tuple(first))
+    return StationaryLawTruncation(2, 2, car, dict(zip(cfgs, masses)))
+
+
+def _oracle_laws():
+    mixed_carrier = ExactProbabilitySpace((0, 1, 2), (F(1, 3), F(1, 7), F(11, 21)))
+    return [
+        iid_law(2, 2, carrier(F(2, 5))),
+        iid_law(3, 1, mixed_carrier),
+        constant_law(2, 3, mixed_carrier),
+        mixture_law(
+            [iid_law(2, 2, carrier()), constant_law(2, 2, carrier())], [F(1, 3), F(2, 3)]
+        ),
+        law_from_correspondence(build_correspondence({"112", "121", "211", "222"}, 2, 3, 1)),
+        _mixed_denominator_law(),
+    ]
+
+
+@pytest.mark.parametrize("law", _oracle_laws())
+def test_pullbacks_and_marginals_match_fraction_oracle(law):
+    for w in law.words:
+        assert law.coordinate_marginal(w) == naive_coordinate_marginal(law, w)
+    rng = random.Random(len(law.weights))
+    images = [s.image() for n in range(1, law.depth + 1)
+              for s in enumerate_subspaces(law.k, n, law.depth)]
+    images += [tuple(rng.choice(law.words) for _ in range(rng.randint(1, 4)))
+               for _ in range(20)]
+    for img in images:
+        for _ in range(2):  # the second call is answered from the memo
+            assert law.pullback(img) == naive_pullback(law, img)
+    assert law.pullback(()) == {(): 1}
+
+
+def test_repeated_pullback_is_a_fresh_dict():
+    law = _mixed_denominator_law()
+    first = law.pullback(("1", "12"))
+    second = law.pullback(("1", "12"))
+    assert first == second and first is not second
+    first[(9, 9)] = F(1)
+    assert law.pullback(("1", "12")) == second
+
+
+def test_law_constructor_keeps_every_check():
+    car = ExactProbabilitySpace((0, 1), (F(1, 2), F(1, 2)))
+    with pytest.raises(ValueError, match="total mass"):
+        StationaryLawTruncation(2, 1, car, {(0, 0): F(1, 2), (1, 1): F(1, 3)})
+    with pytest.raises(ValueError, match="total mass"):
+        StationaryLawTruncation(2, 1, car, {})
+    with pytest.raises(ValueError, match="nonnegative"):
+        StationaryLawTruncation(2, 1, car, {(0, 0): F(3, 2), (1, 1): F(-1, 2)})
+    with pytest.raises(ValueError, match="index the carrier"):
+        StationaryLawTruncation(2, 1, car, {(0, 2): F(1)})
+    with pytest.raises(ValueError, match="index the carrier"):
+        StationaryLawTruncation(2, 1, car, {(-1, 0): F(1)})
+    with pytest.raises(ValueError, match="index the carrier"):
+        StationaryLawTruncation(2, 1, car, {(0, 0, 0): F(1)})
+    with pytest.raises(ValueError, match="first-coordinate"):
+        StationaryLawTruncation(2, 1, car, {(0, 0): F(1, 3), (1, 1): F(2, 3)})
+    # Keys of other types are converted and merged with the int tuples, and
+    # zero masses are dropped.
+    law = StationaryLawTruncation(
+        2, 1, car, {(0, 0): F(1, 4), "00": "1/4", (True, 1): 0.5, (0, 1): 0}
+    )
+    assert law.weights == {(0, 0): F(1, 2), (1, 1): F(1, 2)}
+    assert all(type(c) is int for cfg in law.weights for c in cfg)
+
+
+def test_stationarity_rejects_negative_cap():
+    law = iid_law(2, 1, carrier())
+    with pytest.raises(ValueError, match="nonnegative"):
+        strong_stationarity_check(law, -1)
+    assert strong_stationarity_check(law, 0).holds
 
 
 def test_law_carrier_marginal_validated():

@@ -90,6 +90,26 @@ def test_law_roundtrip():
     assert law_from_json(law_to_json(law)) == law
 
 
+def test_law_from_json_merges_duplicate_configs():
+    doc = {
+        "k": 2,
+        "depth": 1,
+        "carrier": {"points": [0, 1], "weights": ["1/3", "2/3"]},
+        "weights": [
+            {"config": [0, 0], "value": "1/6"},
+            {"config": [1, 1], "value": "2/3"},
+            {"config": [0, 0], "value": "1/6"},
+            {"config": [0, 1], "value": "0"},
+        ],
+    }
+    law = law_from_json(doc)
+    assert law.weights == {(0, 0): F(1, 3), (1, 1): F(2, 3)}
+    assert law.pullback(("1", "2")) == {(0, 0): F(1, 3), (1, 1): F(2, 3)}
+    doc["weights"][2]["value"] = "1/5"
+    with pytest.raises(ValidationError, match="total mass"):
+        law_from_json(doc)
+
+
 def test_removal_instance_roundtrip():
     sp = ExactProbabilitySpace.uniform((0, 1))
     lam = Coupling.diagonal(sp, 3)
