@@ -13,6 +13,7 @@ deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -422,10 +423,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call and reused after it.
+
+    Reuse is safe: ``parse_args`` reads the parser and fills a new
+    namespace on every call, so no value of one call reaches the next.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which this tool reserves for
         # non-exhaustive searches; remap to the input-error code.

@@ -274,10 +274,22 @@ class Coupling:
                 continue
             cleaned[t] = cleaned.get(t, ZERO) + v
         object.__setattr__(self, "mass", cleaned)
-        if sum(cleaned.values(), ZERO) != 1:
+        # Both checks compare integer numerators over one common
+        # denominator D of the masses and the base weights: x == y exactly
+        # when x * D == y * D, and every x * D here is an integer.
+        weights = self.base.weights
+        mass_dens = {v.denominator for v in cleaned.values()}
+        den = lcm(*mass_dens, *{w.denominator for w in weights})
+        scale = {q: den // q for q in mass_dens}
+        nums = [(t, v.numerator * scale[v.denominator]) for t, v in cleaned.items()]
+        if sum(num for _, num in nums) != den:
             raise ValueError("total mass must be exactly 1")
+        base_nums = [w.numerator * (den // w.denominator) for w in weights]
         for c in range(self.arity):
-            if self.marginal(c) != self.base.weights:
+            marginal = [0] * n
+            for t, num in nums:
+                marginal[t[c]] += num
+            if marginal != base_nums:
                 raise ValueError(f"coordinate {c} marginal differs from the base weights")
         object.__setattr__(self, "_support", tuple(sorted(cleaned)))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from typing import Iterable, Sequence
 
 from .averages import difference_subgroup, furstenberg_self_joining
@@ -166,28 +166,20 @@ def check_hypotheses(inst: RemovalInstance) -> HypothesesReport:
         if not monotone:
             break
 
+    # [ii]: stored masses are positive, so the mass of the tuples whose
+    # coordinates i and j fall on different sides of a block is nonzero
+    # exactly when some support tuple has different psi[m] labels at i and
+    # j; the rational mass is summed only for the witness.
     identified = True
+    supp = inst.coupling.support()
     for m in masks:
-        coords = bits_of(m)
-        for block in inst.psi[m].blocks:
-            bset = set(block)
-            for ai in range(len(coords)):
-                for bi in range(ai + 1, len(coords)):
-                    i, j = coords[ai], coords[bi]
-                    bad = ZERO
-                    for t, v in inst.coupling.mass.items():
-                        if (t[i] in bset) != (t[j] in bset):
-                            bad += v
-                    if bad != 0:
-                        identified = False
-                        witnesses["identified"] = (bits_of(m), block, (i, j), bad)
-                        break
-                if not identified:
-                    break
-            if not identified:
-                break
-        if not identified:
-            break
+        labels = inst.psi[m].labels
+        pairs = tuple(combinations(bits_of(m), 2))
+        if all(labels[t[i]] == labels[t[j]] for t in supp for i, j in pairs):
+            continue
+        identified = False
+        witnesses["identified"] = _identification_witness(inst, m, pairs)
+        break
 
     independent = monotone and identified
     if independent:
@@ -207,6 +199,23 @@ def check_hypotheses(inst: RemovalInstance) -> HypothesesReport:
                 break
 
     return HypothesesReport(monotone, identified, independent, witnesses)
+
+
+def _identification_witness(
+    inst: RemovalInstance, m: int, pairs: Sequence[tuple[int, int]]
+) -> tuple:
+    """The first block of ``psi[m]`` and coordinate pair ``(i, j)`` whose
+    block pulls back with nonzero mass difference, with that mass."""
+    for block in inst.psi[m].blocks:
+        bset = set(block)
+        for i, j in pairs:
+            bad = ZERO
+            for t, v in inst.coupling.mass.items():
+                if (t[i] in bset) != (t[j] in bset):
+                    bad += v
+            if bad != 0:
+                return (bits_of(m), block, (i, j), bad)
+    raise AssertionError("psi[m] pulls back equally through every pair")
 
 
 def check_conclusion(inst: RemovalInstance, *, verified: bool = False) -> bool:
@@ -440,7 +449,7 @@ def search_counterexample(config: SearchConfig) -> RemovalInstance | None:
     attempts = 0
     while tested < config.samples and attempts < 80 * config.samples:
         attempts += 1
-        inst = _random_instance(rng, config)
+        inst = _random_instance(rng, config, coord_upsets)
         if inst is None:
             continue
         if not check_hypotheses(inst).all_hold:
@@ -487,7 +496,9 @@ def _scan_families(
     return None
 
 
-def _random_instance(rng: random.Random, config: SearchConfig) -> RemovalInstance | None:
+def _random_instance(
+    rng: random.Random, config: SearchConfig, coord_upsets: list[list[UpSet]]
+) -> RemovalInstance | None:
     d = config.d
     n = rng.choice(list(config.sizes))
     masks = ground_masks(d)
@@ -516,7 +527,6 @@ def _random_instance(rng: random.Random, config: SearchConfig) -> RemovalInstanc
             part = rng.choice(_all_partitions(n))
             coupling = relatively_independent_product([space] * d, [part.labels] * d)
             psi = {m: part for m in masks}
-    coord_upsets = _coordinate_upsets(d)
     shell_families = []
     for i in range(d):
         fam = []

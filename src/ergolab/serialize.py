@@ -349,10 +349,19 @@ def law_from_json(obj: Any, path: Sequence = ()) -> StationaryLawTruncation:
     if not isinstance(entries, list):
         raise ValidationError(list(path) + ["weights"], "expected an array")
     weights: dict = {}
+    # Laws repeat few distinct weight strings over many configurations, so
+    # each string is parsed once; a bad one still fails at its first entry.
+    parsed: dict[str, Fraction] = {}
     for i, entry in enumerate(entries):
         epath = list(path) + ["weights", i]
         cfg = tuple(_int_list(_need(entry, "config", epath), epath + ["config"]))
-        v = parse_fraction(_need(entry, "value", epath), epath + ["value"])
+        raw = _need(entry, "value", epath)
+        if type(raw) is not str:
+            v = parse_fraction(raw, epath + ["value"])
+        elif raw in parsed:
+            v = parsed[raw]
+        else:
+            v = parsed[raw] = parse_fraction(raw, epath + ["value"])
         weights[cfg] = weights[cfg] + v if cfg in weights else v
     try:
         return StationaryLawTruncation(k, depth, carrier, weights)

@@ -12,6 +12,7 @@ intersection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -127,6 +128,7 @@ class UpSet:
         return self.d == other.d and self.members <= other.members
 
 
+@cache
 def enumerate_upsets(d: int, include_empty: bool = True) -> tuple[UpSet, ...]:
     """The up-set family over subsets of ``range(d)`` of size >= 2.
 
@@ -137,6 +139,10 @@ def enumerate_upsets(d: int, include_empty: bool = True) -> tuple[UpSet, ...]:
     intersect to up-sets, and principal(e) & principal(e') is
     principal(e | e').  Without the empty up-set the family stays closed,
     since every nonempty up-set contains the full index set.
+
+    The family is built once per ``(d, include_empty)`` and the same tuple
+    is returned on every later call; it is immutable, since ``UpSet`` is
+    frozen and its members are a frozenset.
     """
     if d <= 4:
         ground = ground_masks(d)
@@ -190,20 +196,24 @@ def upset_pair_independence(
     ``space``; it is called once per mask.  An up-set's lift is the join of
     its members' partitions (one block for the empty up-set), and the report
     tests the lifts of ``a`` and ``b`` for relative independence over the
-    lift of ``a & b``.  ``upsets`` must be closed under ``&``, as
-    :func:`enumerate_upsets` is.
+    lift of ``a & b``.  The up-sets must share one ``d`` and be closed under
+    ``&``, as :func:`enumerate_upsets` is; otherwise ``ValueError`` is
+    raised.  The meet is looked up by ``a.members & b.members``: that set is
+    the members of ``a & b``, so no ``UpSet`` is built or validated per pair.
 
     A pair where the lift of ``a`` or of ``b`` equals the lift of ``a & b``
-    is answered ``IndependenceReport(True, None)`` without calling
-    :func:`relative_independence`.  This is exact: say the lift of ``a`` is
-    the meet.  Then its block indicator ``f`` is measurable for the meet, so
-    ``E(f | meet) = f`` and, by the tower property,
+    is answered ``IndependenceReport(True, None)`` (one shared report)
+    without calling :func:`relative_independence`.  This is exact: say the
+    lift of ``a`` is the meet.  Then its block indicator ``f`` is measurable
+    for the meet, so ``E(f | meet) = f`` and, by the tower property,
     ``int f g = int E(f g | meet) = int f E(g | meet)`` for every block
     indicator ``g`` of ``b``, which is the identity the kernel checks.  The
     kernel's coarsening precondition holds here too, since a lift is the
     join of its members and the members of ``a & b`` are members of ``a``
     and of ``b``, so the skip never hides a ``ValueError``.
     """
+    if len({u.d for u in upsets}) > 1:
+        raise ValueError("up-sets live over different ground dimensions")
     parts: dict[int, Partition] = {}
     lift: dict[frozenset, Partition] = {}
     for u in upsets:
@@ -215,11 +225,19 @@ def upset_pair_independence(
             if u.members
             else Partition.one_block(len(space))
         )
+    tautology = IndependenceReport(True, None)
     for a in upsets:
+        la = lift[a.members]
         for b in upsets:
-            meet = lift[(a & b).members]
-            la, lb = lift[a.members], lift[b.members]
+            meet_members = a.members & b.members
+            meet = lift.get(meet_members)
+            if meet is None:
+                raise ValueError(
+                    "up-set family is not closed under &: the meet "
+                    f"{sorted(bits_of(m) for m in meet_members)} is missing"
+                )
+            lb = lift[b.members]
             if la == meet or lb == meet:
-                yield a, b, IndependenceReport(True, None)
+                yield a, b, tautology
             else:
                 yield a, b, relative_independence((la, lb), (meet, meet), space)

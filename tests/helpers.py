@@ -12,6 +12,7 @@ from ergolab.measure import (
     relative_independence,
 )
 from ergolab.systems import FiniteZdSystem
+from ergolab.upsets import bits_of, ground_masks
 
 
 def cyclic_system(n: int, *shifts: int) -> FiniteZdSystem:
@@ -125,3 +126,61 @@ def all_lines_max_line_free(k, N, budget):
             stack.append((pos + 1, with_pt, count + 1))
     extremal = tuple(points[i] for i in range(n_pts) if best_mask >> i & 1)
     return best_size, extremal, exhausted
+
+
+def cofactor_det(rows):
+    """Reference for ``systems._int_det``: cofactor expansion along the first
+    row, O(n!) integer operations."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        if rows[0][j] == 0:
+            continue
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        sign = -1 if j % 2 else 1
+        total += sign * rows[0][j] * cofactor_det(minor)
+    return total
+
+
+def fraction_coupling_error(arity, base, mass):
+    """Reference for the ``Coupling`` constructor's mass checks, summed as
+    ``Fraction``s: the error text of the first failing check, or ``None``.
+    ``mass`` must already satisfy the arity, range and sign checks."""
+    cleaned = {}
+    for t, v in mass.items():
+        v = Fraction(v)
+        if v:
+            cleaned[tuple(t)] = cleaned.get(tuple(t), Fraction(0)) + v
+    if sum(cleaned.values(), Fraction(0)) != 1:
+        return "total mass must be exactly 1"
+    for c in range(arity):
+        marginal = [Fraction(0)] * len(base)
+        for t, v in cleaned.items():
+            marginal[t[c]] += v
+        if tuple(marginal) != base.weights:
+            return f"coordinate {c} marginal differs from the base weights"
+    return None
+
+
+def fraction_identification(inst):
+    """Reference for removal hypothesis [ii]: the block-by-block loop that
+    sums the ``Fraction`` mass of every block's pullback mismatch.  Returns
+    ``(identified, witness)``."""
+    for m in ground_masks(inst.d):
+        coords = bits_of(m)
+        for block in inst.psi[m].blocks:
+            bset = set(block)
+            for ai in range(len(coords)):
+                for bi in range(ai + 1, len(coords)):
+                    i, j = coords[ai], coords[bi]
+                    bad = Fraction(0)
+                    for t, v in inst.coupling.mass.items():
+                        if (t[i] in bset) != (t[j] in bset):
+                            bad += v
+                    if bad != 0:
+                        return False, (coords, block, (i, j), bad)
+    return True, None

@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from helpers import cyclic_system
 
+import ergolab
+from ergolab import cli
 from ergolab.cli import main
 from ergolab.serialize import canonical_dumps, system_to_json
 
@@ -393,3 +398,55 @@ def test_input_digest_bytes_unchanged():
         text = canonical_dumps(_deep_copy_jsonable(doc))
         assert _digest(doc) == hashlib.sha256(text.encode()).hexdigest()[:16]
         assert _digest(doc) == expected[name]
+
+
+# -- one parser per process ------------------------------------------------------------
+
+def _fresh_python(*args, cwd=None):
+    """Run the interpreter on the ``ergolab`` sources this suite imports."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ergolab.__file__))}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
+    )
+
+
+def _standalone(argv, cwd):
+    """Exit code and stdout of the command in a fresh interpreter."""
+    proc = _fresh_python("-m", "ergolab.cli", *argv, cwd=cwd)
+    return proc.returncode, proc.stdout
+
+
+def test_parser_is_built_lazily():
+    proc = _fresh_python("-c", "import ergolab.cli as c; print(c._parser.cache_info().currsize)")
+    assert proc.stdout == "0\n"
+
+
+def test_reused_parser_leaks_no_defaults(z3_file, tmp_path, monkeypatch, capsys):
+    # Each command follows one that sets an option it leaves at its
+    # default; its exit code and bytes must be those of a fresh process.
+    law = _iid_law_file(tmp_path, 2)
+    in_process, standalone = tmp_path / "a.json", tmp_path / "b.json"
+    commands = [
+        ["removal", "search", "--sizes", "2", "-d", "3", "--random", "--samples", "3",
+         "--seed", "9"],
+        ["removal", "search", "--sizes", "2", "-d", "3"],
+        ["dhj", "stationarity", "--law", law, "--dim-cap", "1"],
+        ["dhj", "stationarity", "--law", law],
+        ["recur", "--system", z3_file, "--set", "[0]", "--json", "{report}"],
+        ["recur", "--system", z3_file, "--set", "[0]"],
+    ]
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    outputs = []
+    for argv in commands:
+        code = main([a.format(report=in_process) for a in argv])
+        outputs.append((code, capsys.readouterr().out))
+    assert len(builds) == 1
+    for argv, (code, out) in zip(commands, outputs):
+        assert _standalone([a.format(report=standalone) for a in argv], tmp_path) == (code, out)
+    assert outputs[4] == (0, "")
+    assert in_process.read_bytes() == standalone.read_bytes()
+    assert json.loads(outputs[2][1])["results"]["dim_cap"] == 1
+    assert json.loads(outputs[3][1])["results"]["dim_cap"] == 2

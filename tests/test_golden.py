@@ -1,0 +1,125 @@
+"""Golden stdout digests of CLI commands on fixed inputs and seeds.
+
+Reports are canonical JSON, so a command's stdout is a pure function of its
+inputs.  Each digest below is the sha256 of one command's stdout as first
+recorded; a change that alters any byte of any report fails here.  When a
+report is meant to change, record the new digest and say why in CHANGES.md.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from fractions import Fraction
+from itertools import product as iter_product
+
+import pytest
+
+from ergolab.cli import main
+
+Z3 = {"dim": 2, "generators": [[1, 2, 0], [2, 0, 1]],
+      "space": {"points": [0, 1, 2], "weights": ["1/3", "1/3", "1/3"]}}
+Z4 = {"dim": 2, "generators": [[1, 2, 3, 0], [2, 3, 0, 1]],
+      "space": {"points": [0, 1, 2, 3], "weights": ["1/4", "1/4", "1/4", "1/4"]}}
+FUNCTIONS = [["1", "0", "1/2"], ["2/3", "1", "0"]]
+SEQUENCE = {"entries": [[str(Fraction((-1) ** i * (i + 1), 3)), "1/2"] for i in range(12)]}
+# The iid law of depth 2 over a 2/5-3/5 carrier: six words, 64 configurations.
+IID_LAW = {
+    "k": 2,
+    "depth": 2,
+    "carrier": {"points": [0, 1], "weights": ["2/5", "3/5"]},
+    "weights": [
+        {"config": list(c),
+         "value": str(Fraction(2, 5) ** c.count(0) * Fraction(3, 5) ** c.count(1))}
+        for c in iter_product((0, 1), repeat=6)
+    ],
+}
+PSI = [{"partition": [[0], [1]], "set": s} for s in ([0, 1], [0, 2], [1, 2], [0, 1, 2])]
+FULL = {"d": 3, "members": [[0, 1, 2]]}
+REMOVAL_OK = {
+    "space": {"points": [0, 1], "weights": ["1/2", "1/2"]},
+    "coupling": {"arity": 3, "mass": [{"tuple": [0, 0, 0], "value": "1/2"},
+                                      {"tuple": [1, 1, 1], "value": "1/2"}]},
+    "psi": PSI,
+    "families": [[{"set": s, "upset": FULL}] for s in ([0], [1], [0, 1])],
+}
+# The product coupling breaks hypothesis [ii]; the report carries its witness.
+REMOVAL_UNIDENTIFIED = {
+    **REMOVAL_OK,
+    "coupling": {"arity": 3, "mass": [{"tuple": list(t), "value": "1/8"}
+                                      for t in iter_product((0, 1), repeat=3)]},
+    "families": [[{"set": [0, 1], "upset": FULL}]] * 3,
+}
+
+INPUTS = {
+    "z3.json": Z3,
+    "z4.json": Z4,
+    "functions.json": FUNCTIONS,
+    "seq.json": SEQUENCE,
+    "law.json": IID_LAW,
+    "words.json": ["12", "21", "22"],
+    "removal_ok.json": REMOVAL_OK,
+    "removal_unidentified.json": REMOVAL_UNIDENTIFIED,
+}
+
+# name -> (argv with {dir} for the input directory, exit code, sha256 of stdout)
+GOLDEN = {
+    "removal-search-exhaustive": (
+        ["removal", "search", "--sizes", "2", "-d", "3"], 0,
+        "7d746e593b19eda38f67762a4429dd1f8ee1b07bdbb8f3e57e5b231fc3c4c9fb"),
+    "removal-search-random": (
+        ["removal", "search", "--sizes", "2,3,4", "-d", "3", "--random", "--samples", "20",
+         "--seed", "7"], 2,
+        "aa484d79e4c17c014ccf2e2d09e2134f0ba36d02e7b2f1d9593f7fa4aa50cee7"),
+    "removal-check": (
+        ["removal", "check", "--instance", "{dir}/removal_ok.json"], 0,
+        "c87e6ca5c13a035cba661319b76489762a839254ae3c967f761e5d5592aa8af0"),
+    "removal-check-unidentified": (
+        ["removal", "check", "--instance", "{dir}/removal_unidentified.json"], 1,
+        "f4975e93b8a71559ccfb9cf3c9cfd0d0c8e30967f03f163e6a8a2c608dff41d9"),
+    "fjoin": (
+        ["fjoin", "--system", "{dir}/z4.json"], 0,
+        "bf82a1725d405f6cdcfaa8747ad554b3ff2cfe981ca7be8d527731c780612f7a"),
+    "recur": (
+        ["recur", "--system", "{dir}/z4.json", "--set", "[0, 3]"], 0,
+        "2d22b0169b0ac8cd825e500b1212860ff52a61d1fff70638932a42eb089a6bf5"),
+    "avg": (
+        ["avg", "--system", "{dir}/z3.json", "--functions", "{dir}/functions.json", "-N", "7"], 0,
+        "f5c81a9b520675ae10a5c448d6ebb759ed98f74b5ce5151f1c16dbcc0f7cca63"),
+    "vdc": (
+        ["vdc", "--seq", "{dir}/seq.json", "-N", "6", "-H", "3"], 0,
+        "65844b6b3411610e6bd5702dea02ec2417b9bfc81f2796affa90f6a72029a451"),
+    "dhj-stationarity": (
+        ["dhj", "stationarity", "--law", "{dir}/law.json"], 0,
+        "efe9ecaec80199cd6e03f4ab481c3a4da5ab9c79886da5c8eac4e4829d4b55e4"),
+    "dhj-correspond": (
+        ["dhj", "correspond", "--set", "{dir}/words.json", "-k", "2", "-N", "2", "-L", "1"], 0,
+        "95e7f3e52dd4ceb3050fd7ac09ac91f5b8cb5437b3174c23c8b68af9439fca87"),
+}
+
+
+def run_golden(directory) -> dict[str, tuple[int, str]]:
+    """Write the inputs into ``directory`` and return each command's exit
+    code and stdout digest."""
+    for name, doc in INPUTS.items():
+        with open(f"{directory}/{name}", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    out = {}
+    for name, (argv, _, _) in GOLDEN.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            code = main([a.format(dir=directory) for a in argv])
+        out[name] = (code, hashlib.sha256(buf.getvalue().encode()).hexdigest())
+    return out
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return run_golden(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stdout_matches_golden_digest(name, outputs):
+    _, code, digest = GOLDEN[name]
+    assert outputs[name] == (code, digest)

@@ -9,6 +9,8 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import fraction_coupling_error
+
 from ergolab.measure import (
     Coupling,
     ExactProbabilitySpace,
@@ -62,6 +64,64 @@ def test_coupling_marginals_enforced():
         Coupling(2, sp, {(0, 0): F(1)})
     diag = Coupling.diagonal(sp, 2)
     assert diag.mass == {(0, 0): F(1, 2), (1, 1): F(1, 2)}
+
+
+def _random_weights(rng, n):
+    nums = [rng.choice([0, 1, 1, 2, 3]) for _ in range(n)]
+    if not any(nums):
+        nums[rng.randrange(n)] = 1
+    total = sum(nums)
+    return tuple(F(v, total) for v in nums)
+
+
+def test_coupling_checks_match_the_fraction_sums():
+    # Seeded couplings, valid and broken, must get the error text of the
+    # Fraction-summed checks.  Half the broken ones keep the total at 1 but
+    # move mass between tuples; others are checked against a base whose
+    # denominators (7, 11, 13) never occur in the masses.
+    rng = random.Random(41)
+    outcomes = set()
+    foreign_base_rejected = 0
+    for _ in range(600):
+        n, arity = rng.randint(1, 4), rng.randint(1, 3)
+        base = small_space(_random_weights(rng, n))
+        kind = rng.choice(["product", "diagonal", "fiber"])
+        if kind == "product":
+            mass = dict(Coupling.product(base, arity).mass)
+        elif kind == "diagonal":
+            mass = dict(Coupling.diagonal(base, arity).mass)
+        else:
+            labels = tuple(rng.randrange(2) for _ in range(n))
+            mass = dict(relatively_independent_product([base] * arity, [labels] * arity).mass)
+        change = rng.choice(["none", "move", "scale", "zero", "foreign"])
+        if change == "move":
+            src = rng.choice(sorted(mass))
+            dst = tuple(rng.randrange(n) for _ in range(arity))
+            moved = mass[src] * F(rng.randint(1, 4), 4)
+            mass[src] -= moved
+            mass[dst] = mass.get(dst, F(0)) + moved
+        elif change == "scale":
+            t = rng.choice(sorted(mass))
+            mass[t] *= rng.choice([F(1, 2), F(3, 2), F(2)])
+        elif change == "zero":
+            mass[tuple(rng.randrange(n) for _ in range(arity))] = F(0)
+        elif change == "foreign" and n > 1:
+            q = rng.choice([7, 11, 13])
+            cut = rng.randint(1, q - 1)
+            base = small_space((F(cut, q), F(q - cut, q)) + (F(0),) * (n - 2))
+        expected = fraction_coupling_error(arity, base, mass)
+        try:
+            Coupling(arity, base, mass)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected
+        outcomes.add(expected)
+        foreign_base_rejected += change == "foreign" and n > 1 and expected is not None
+    assert outcomes == {None, "total mass must be exactly 1"} | {
+        f"coordinate {c} marginal differs from the base weights" for c in range(3)
+    }
+    assert foreign_base_rejected > 20
 
 
 def test_coupling_sparse_form_canonical():

@@ -4,10 +4,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product as iter_product
+from math import prod
 
 import pytest
 
-from helpers import cyclic_system
+from helpers import cyclic_system, fraction_identification
 
 from ergolab import removal
 from ergolab.averages import difference_subgroup, furstenberg_self_joining
@@ -132,6 +133,46 @@ def test_identification_violation_detected():
     assert rep.monotone and not rep.identified
     with pytest.raises(ValueError):
         check_conclusion(inst)
+
+
+def test_identification_witness_matches_the_fraction_loop():
+    # Seeded instances with arbitrary psi: hypothesis [ii] and its witness
+    # (mask, block, coordinate pair, exact mismatch mass) must be those of
+    # the block-by-block Fraction loop.
+    rng = random.Random(53)
+    failing, witnesses = 0, set()
+    for _ in range(300):
+        n, d = rng.randint(1, 4), rng.choice([2, 3])
+        nums = [rng.randint(1, 3) for _ in range(n)]
+        space = ExactProbabilitySpace(tuple(range(n)), tuple(F(v, sum(nums)) for v in nums))
+        if rng.random() < 0.5:
+            labels = tuple(rng.randrange(2) for _ in range(n))
+            coupling = relatively_independent_product([space] * d, [labels] * d)
+        else:
+            # Coordinates in one group are equal, groups are independent.
+            group = [rng.randrange(d) for _ in range(d)]
+            groups = sorted(set(group))
+            coupling = Coupling(d, space, {
+                tuple(v[groups.index(g)] for g in group): prod(space.weights[x] for x in v)
+                for v in iter_product(range(n), repeat=len(groups))
+            })
+        psi = {
+            m: Partition.from_labels(tuple(rng.randrange(n) for _ in range(n)))
+            for m in ground_masks(d)
+        }
+        full = UpSet.principal(d, range(d))
+        inst = RemovalInstance(
+            space, coupling, psi, tuple(((full, frozenset(range(n))),) for _ in range(d))
+        )
+        identified, witness = fraction_identification(inst)
+        rep = check_hypotheses(inst)
+        assert rep.identified == identified
+        assert rep.witnesses.get("identified") == witness
+        if not identified:
+            failing += 1
+            witnesses.add(witness[:3])
+    assert failing > 100
+    assert len(witnesses) > 10
 
 
 def test_independence_violation_detected_and_excluded():

@@ -110,6 +110,48 @@ def test_law_from_json_merges_duplicate_configs():
         law_from_json(doc)
 
 
+def test_law_from_json_parses_each_weight_string_once(monkeypatch):
+    from ergolab import serialize
+
+    doc = law_to_json(iid_law(2, 2, ExactProbabilitySpace((0, 1), (F(1, 3), F(2, 3)))))
+    values = [e["value"] for e in doc["weights"]]
+    assert len(set(values)) < len(values)
+    parsed = []
+    real = serialize.parse_fraction
+
+    def counting(s, path=()):
+        parsed.append(list(path))
+        return real(s, path)
+
+    monkeypatch.setattr(serialize, "parse_fraction", counting)
+    law = law_from_json(doc)
+    assert sum(p[0] == "weights" for p in parsed) == len(set(values))
+    assert law_to_json(law) == doc
+
+
+def test_law_from_json_weight_errors_keep_their_entry_path():
+    doc = {
+        "k": 2,
+        "depth": 1,
+        "carrier": {"points": [0, 1], "weights": ["1/2", "1/2"]},
+        "weights": [
+            {"config": [c0, c1], "value": "1/4"} for c0 in (0, 1) for c1 in (0, 1)
+        ] + [{"config": [0, 0], "value": "0"}],
+    }
+    doc["weights"][1]["value"] = doc["weights"][4]["value"] = "1/x"
+    with pytest.raises(ValidationError) as exc:
+        law_from_json(doc)
+    assert str(exc.value).startswith("$.weights[1].value: bad rational '1/x'")
+    doc["weights"][1]["value"] = "1/4"
+    with pytest.raises(ValidationError) as exc:
+        law_from_json(doc)
+    assert str(exc.value).startswith("$.weights[4].value: bad rational '1/x'")
+    doc["weights"][4]["value"] = 0.25
+    with pytest.raises(ValidationError) as exc:
+        law_from_json(doc)
+    assert str(exc.value) == "$.weights[4].value: expected a rational string, got float"
+
+
 def test_removal_instance_roundtrip():
     sp = ExactProbabilitySpace.uniform((0, 1))
     lam = Coupling.diagonal(sp, 3)

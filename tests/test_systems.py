@@ -2,15 +2,17 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from helpers import cyclic_system, three_direction_torus, torus_system
+from helpers import cofactor_det, cyclic_system, three_direction_torus, torus_system
 
 from ergolab.generators import random_subgroup, random_system
 from ergolab.measure import ExactProbabilitySpace, Partition, ae_equal, common_refinement
 from ergolab.systems import (
+    _int_det,
     FactorMap,
     FiniteZdSystem,
     GroupRotationSystem,
@@ -303,6 +305,46 @@ def test_direct_sum_verification():
         verify_direct_sum([SubgroupSpec(((2, 0),)), SubgroupSpec(((0, 1),))], 2)
     with pytest.raises(ValueError):
         verify_direct_sum([SubgroupSpec(((1, 0),))], 2)
+
+
+def test_int_det_matches_cofactor_expansion():
+    rng = random.Random(17)
+    entries = [0, 0, 0, 1, -1, 2, -3, 5, 12]  # zeros force pivot row swaps
+    dets = set()
+    for _ in range(1500):
+        n = rng.randint(0, 6)
+        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        expected = cofactor_det(rows)
+        assert _int_det(rows) == expected
+        dets.add(expected)
+    assert 0 in dets and len(dets) > 100
+
+
+def _unimodular(rng, n, steps=60):
+    """An integer matrix of determinant +-1: the identity under random
+    row additions and swaps."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            c = rng.choice([-2, -1, 1, 2])
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_direct_sum_verification_at_dimension_12():
+    rows = _unimodular(random.Random(5), 12)
+    assert max(abs(a) for r in rows for a in r) > 1
+    subgroups = [SubgroupSpec(tuple(map(tuple, rows[i : i + 3]))) for i in range(0, 12, 3)]
+    start = time.perf_counter()
+    verify_direct_sum(subgroups, 12)
+    rows[0] = [2 * a for a in rows[0]]
+    doubled = [SubgroupSpec(tuple(map(tuple, rows[i : i + 3]))) for i in range(0, 12, 3)]
+    with pytest.raises(ValueError, match="not a Z-basis"):
+        verify_direct_sum(doubled, 12)
+    assert time.perf_counter() - start < 0.5
 
 
 def _quotient_maps(sys_, subgroups):

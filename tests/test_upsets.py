@@ -76,6 +76,34 @@ def test_family_sizes():
         assert len(enumerate_upsets(d)) == 2 + len(ground_masks(d))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_family_is_built_once(d, include_empty):
+    family = enumerate_upsets(d, include_empty)
+    assert family == enumerate_upsets.__wrapped__(d, include_empty)
+    assert enumerate_upsets(d, include_empty) is family
+
+
+def _pairs_on_two_points(family):
+    space = ExactProbabilitySpace.uniform((0, 1))
+    return upset_pair_independence(family, lambda m: Partition.singletons(2), space)
+
+
+def test_pair_check_rejects_mixed_dimensions():
+    with pytest.raises(ValueError, match="different ground dimensions"):
+        next(_pairs_on_two_points(enumerate_upsets(3) + enumerate_upsets(2)))
+
+
+def test_pair_check_rejects_a_family_not_closed_under_meets():
+    # principal({0, 1}) & principal({0, 2}) is principal({0, 1, 2}), which
+    # the family lacks; the pairs before it are still yielded.
+    family = [UpSet.principal(3, (0, 1)), UpSet.principal(3, (0, 2))]
+    pairs = _pairs_on_two_points(family)
+    assert next(pairs)[2].holds
+    with pytest.raises(ValueError, match=r"not closed under &: the meet \[\(0, 1, 2\)\]"):
+        next(pairs)
+
+
 # -- the self-joining report ------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(8))
