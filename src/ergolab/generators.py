@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .measure import ExactProbabilitySpace, Partition
+from .measure import ExactProbabilitySpace
 from .systems import FiniteZdSystem, GroupRotationSystem, SubgroupSpec
 
 _COMPONENT_ORDERS = (1, 2, 3, 4, 5, 6)
@@ -27,12 +27,6 @@ def random_weights(rng: random.Random, n: int, allow_zero: bool = True) -> tuple
         total = sum(nums)
         if total > 0:
             return tuple(Fraction(v, total) for v in nums)
-
-
-def random_space(rng: random.Random, n: int, allow_zero: bool = True) -> ExactProbabilitySpace:
-    return ExactProbabilitySpace(
-        tuple(range(n)), random_weights(rng, n, allow_zero)
-    )
 
 
 def random_system(
@@ -116,12 +110,6 @@ def random_nonnull_subset(rng: random.Random, space: ExactProbabilitySpace) -> f
         s = random_subset(rng, len(space))
         if any(i in s for i in supp):
             return s
-
-
-def random_partition(rng: random.Random, n: int, max_blocks: int | None = None) -> Partition:
-    k = rng.randint(1, max_blocks or n)
-    labels = [rng.randrange(k) for _ in range(n)]
-    return Partition.from_labels(labels)
 
 
 def random_subgroup(rng: random.Random, dim: int, max_vectors: int = 1) -> SubgroupSpec:

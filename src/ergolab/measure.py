@@ -133,10 +133,28 @@ class Partition:
 
     @classmethod
     def from_labels(cls, labels: Sequence) -> "Partition":
-        groups: dict = {}
+        """The partition of ``range(len(labels))`` into equal-label classes.
+
+        Blocks are numbered by first occurrence, which is the canonical
+        order (each block ascending, blocks by least element), so the result
+        is built in one pass without ``__post_init__``'s validation.
+        """
+        index: dict = {}
+        blocks: list[list[int]] = []
+        canon = []
         for i, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(i)
-        return cls(len(labels), tuple(tuple(g) for g in groups.values()))
+            b = index.get(lab)
+            if b is None:
+                b = index[lab] = len(blocks)
+                blocks.append([i])
+            else:
+                blocks[b].append(i)
+            canon.append(b)
+        out = object.__new__(cls)
+        object.__setattr__(out, "size", len(canon))
+        object.__setattr__(out, "blocks", tuple(map(tuple, blocks)))
+        object.__setattr__(out, "_labels", tuple(canon))
+        return out
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
@@ -160,7 +178,12 @@ class Partition:
         """True iff every block of ``self`` lies inside a single block of ``coarser``."""
         if self.size != coarser.size:
             raise ValueError("partitions live on different point counts")
-        return all(len({coarser.block_of(i) for i in b}) == 1 for b in self.blocks)
+        # Labels number the blocks, so self refines coarser exactly when
+        # each of its labels meets one label of coarser.
+        seen: dict[int, int] = {}
+        return all(
+            seen.setdefault(f, c) == c for f, c in zip(self.labels, coarser.labels)
+        )
 
     def restricted_blocks(self, indices: Iterable[int]) -> frozenset[frozenset[int]]:
         """Nonempty traces of the blocks on a subset of points."""

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .averages import difference_subgroup, furstenberg_self_joining
 from .generators import random_system
@@ -43,10 +43,9 @@ from .upsets import (
     UpSet,
     bits_of,
     enumerate_upsets,
+    first_failing_pair,
     ground_masks,
     mask_of,
-    popcount,
-    upset_pair_independence,
 )
 
 __all__ = [
@@ -107,9 +106,13 @@ class RemovalInstance:
 
     def block_join(self, upset: UpSet) -> Partition:
         """Join of ``psi`` over the up-set members (trivial for the empty up-set)."""
-        if not upset.members:
-            return Partition.one_block(len(self.space))
-        return common_refinement(*(self.psi[m] for m in upset.members))
+        return _block_join(self.psi, upset, len(self.space))
+
+
+def _block_join(psi: dict, upset: UpSet, n: int) -> Partition:
+    if not upset.members:
+        return Partition.one_block(n)
+    return common_refinement(*(psi[m] for m in upset.members))
 
 
 def _check_target(d: int, i: int, ups: UpSet, a: frozenset, psi: dict, n: int) -> None:
@@ -151,7 +154,15 @@ class HypothesesReport:
 
 def check_hypotheses(inst: RemovalInstance) -> HypothesesReport:
     """Exhaustively test the three structural hypotheses of an instance."""
-    d = inst.d
+    return _hypotheses(inst.coupling, inst.psi, {})
+
+
+def _hypotheses(coupling: Coupling, psi: dict, reports: dict) -> HypothesesReport:
+    """:func:`check_hypotheses` on the parts it reads, so that the sweep
+    need not build an instance per psi map.  ``reports`` is the kernel memo
+    of :func:`~ergolab.upsets.first_failing_pair` for this coupling's
+    support space; the sweep shares one across the psi maps of a coupling."""
+    d = coupling.arity
     witnesses: dict = {}
 
     monotone = True
@@ -159,27 +170,21 @@ def check_hypotheses(inst: RemovalInstance) -> HypothesesReport:
     for small in masks:
         for big in masks:
             if small != big and small & big == small:
-                if not inst.psi[small].is_refinement_of(inst.psi[big]):
+                if not psi[small].is_refinement_of(psi[big]):
                     monotone = False
                     witnesses["monotone"] = (bits_of(small), bits_of(big))
                     break
         if not monotone:
             break
 
-    # [ii]: stored masses are positive, so the mass of the tuples whose
-    # coordinates i and j fall on different sides of a block is nonzero
-    # exactly when some support tuple has different psi[m] labels at i and
-    # j; the rational mass is summed only for the witness.
     identified = True
-    supp = inst.coupling.support()
     for m in masks:
-        labels = inst.psi[m].labels
-        pairs = tuple(combinations(bits_of(m), 2))
-        if all(labels[t[i]] == labels[t[j]] for t in supp for i, j in pairs):
-            continue
-        identified = False
-        witnesses["identified"] = _identification_witness(inst, m, pairs)
-        break
+        if not _identified(coupling, m, psi[m]):
+            identified = False
+            witnesses["identified"] = _identification_witness(
+                coupling, psi[m], m, tuple(combinations(bits_of(m), 2))
+            )
+            break
 
     independent = monotone and identified
     if independent:
@@ -187,30 +192,44 @@ def check_hypotheses(inst: RemovalInstance) -> HypothesesReport:
             # Pull back through the least coordinate: the canonical
             # representative, which hypothesis [ii] makes immaterial up to
             # null sets.
-            return support_pullback_partition(inst.coupling, inst.psi[m], min(bits_of(m)))
+            return support_pullback_partition(coupling, psi[m], min(bits_of(m)))
 
-        pairs = upset_pair_independence(
-            enumerate_upsets(d), member_partition, inst.coupling.as_space()
+        failing = first_failing_pair(
+            enumerate_upsets(d), member_partition, coupling.as_space(), reports
         )
-        for a, b, rep in pairs:
-            if not rep.holds:
-                independent = False
-                witnesses["independent"] = (a.members, b.members, rep.witness)
-                break
+        if failing is not None:
+            a, b, rep = failing
+            independent = False
+            witnesses["independent"] = (a.members, b.members, rep.witness)
 
     return HypothesesReport(monotone, identified, independent, witnesses)
 
 
+def _identified(coupling: Coupling, m: int, partition: Partition) -> bool:
+    """Hypothesis [ii] for one index set: every block of ``partition`` pulls
+    back equally, up to null sets, through the coordinates of ``m``.
+
+    Stored masses are positive, so the mass of the tuples whose coordinates
+    i and j fall on different sides of a block is nonzero exactly when some
+    support tuple has different labels at i and j; the rational mass is
+    summed only for the witness.
+    """
+    labels = partition.labels
+    pairs = tuple(combinations(bits_of(m), 2))
+    return all(labels[t[i]] == labels[t[j]] for t in coupling.support() for i, j in pairs)
+
+
 def _identification_witness(
-    inst: RemovalInstance, m: int, pairs: Sequence[tuple[int, int]]
+    coupling: Coupling, partition: Partition, m: int, pairs: Sequence[tuple[int, int]]
 ) -> tuple:
-    """The first block of ``psi[m]`` and coordinate pair ``(i, j)`` whose
-    block pulls back with nonzero mass difference, with that mass."""
-    for block in inst.psi[m].blocks:
+    """The first block of ``partition`` (``psi[m]``) and coordinate pair
+    ``(i, j)`` whose block pulls back with nonzero mass difference, with
+    that mass."""
+    for block in partition.blocks:
         bset = set(block)
         for i, j in pairs:
             bad = ZERO
-            for t, v in inst.coupling.mass.items():
+            for t, v in coupling.mass.items():
                 if (t[i] in bset) != (t[j] in bset):
                     bad += v
             if bad != 0:
@@ -227,27 +246,46 @@ def check_conclusion(inst: RemovalInstance, *, verified: bool = False) -> bool:
     """
     if not verified and not check_hypotheses(inst).all_hold:
         raise ValueError("hypotheses not satisfied; conclusion undefined")
+    points = frozenset(range(len(inst.space)))
     return _conclusion_holds(
-        inst.space, inst.coupling, [[a for _, a in fam] for fam in inst.families]
+        [
+            _target_masks(inst.coupling, i, points.intersection(*(a for _, a in fam)))
+            for i, fam in enumerate(inst.families)
+        ],
+        _positive_mask(inst.space),
     )
 
 
-def _conclusion_holds(
-    space: ExactProbabilitySpace, coupling: Coupling, targets: Sequence[Sequence[frozenset]]
-) -> bool:
-    """The removal implication on bare target sets, ``targets[i]`` being the
-    sets of coordinate ``i``: a null product event forces a null
+def _target_masks(coupling: Coupling, i: int, a: frozenset) -> tuple[int, int]:
+    """Bitmasks of a target set of coordinate ``i``: over the coupling's
+    support tuples ``t`` with ``t[i] in a``, and over the points of ``a``."""
+    support = 0
+    for k, t in enumerate(coupling.support()):
+        if t[i] in a:
+            support |= 1 << k
+    return support, sum(1 << x for x in a)
+
+
+def _positive_mask(space: ExactProbabilitySpace) -> int:
+    return sum(1 << x for x, w in enumerate(space.weights) if w > 0)
+
+
+def _conclusion_holds(chosen: Iterable[tuple[int, int]], positive: int) -> bool:
+    """The removal implication on one target per coordinate, each given by
+    its :func:`_target_masks`: a null product event forces a null
     intersection.
 
     Stored coupling masses are positive and weights nonnegative, so an
     event is null exactly when no support tuple (no positive-weight point)
-    lies in it; the test needs no rational sums.
+    lies in it.  The product event's support tuples are the AND of the
+    support masks, and the intersection's points the AND of the point
+    masks, so the test needs no rational sums.
     """
-    points = frozenset(range(len(space)))
-    per_coord = [points.intersection(*sets) for sets in targets]
-    if any(all(t[c] in s for c, s in enumerate(per_coord)) for t in coupling.support()):
-        return True
-    return not any(space.weights[x] > 0 for x in points.intersection(*per_coord))
+    product, meet = -1, positive
+    for support, points in chosen:
+        product &= support
+        meet &= points
+    return product != 0 or meet == 0
 
 
 # ---------------------------------------------------------------------------
@@ -328,43 +366,35 @@ def _coupling_menu(
 
 
 def _psi_maps(
-    parts: list[Partition], masks: tuple[int, ...], cap: int = 1000
-) -> list[dict]:
-    """Monotone psi assignments.  All of them when the raw product is small,
-    otherwise constants plus size-graded chains (documented restriction)."""
-    total = len(parts) ** len(masks)
-    maps: list[dict] = []
-    if total <= cap:
-        for choice in iter_product(parts, repeat=len(masks)):
-            psi = dict(zip(masks, choice))
-            if _monotone(psi, masks):
-                maps.append(psi)
-        return maps
-    for p in parts:
-        maps.append({m: p for m in masks})
-    sizes = sorted({popcount(m) for m in masks})
-    for chain in iter_product(parts, repeat=len(sizes)):
-        by_size = dict(zip(sizes, chain))
-        ok = all(
-            by_size[a].is_refinement_of(by_size[b])
-            for a in sizes
-            for b in sizes
-            if a < b
-        )
-        if ok:
-            psi = {m: by_size[popcount(m)] for m in masks}
-            if psi not in maps:
-                maps.append(psi)
-    return maps
+    parts: list[Partition], masks: tuple[int, ...], allowed: Sequence[Sequence[int]]
+) -> Iterator[dict]:
+    """Every monotone psi assignment with ``psi[masks[k]]`` drawn from
+    ``parts[c]`` for ``c`` in ``allowed[k]``; monotone means that
+    ``psi[small]`` refines ``psi[big]`` whenever ``small`` is a proper
+    subset of ``big``.
 
+    ``masks`` ascend, as :func:`~ergolab.upsets.ground_masks` does, so a
+    mask's subsets come before it.  The masks are assigned depth-first in
+    that order, each trying its allowed indices in order, and a partition
+    that does not coarsen every already-assigned subset's is pruned.  A
+    pruned prefix has no monotone completion, so the maps come out exactly
+    as the monotone members of the product of the allowed partitions, in
+    product order.
+    """
+    refines = [[p.is_refinement_of(q) for q in parts] for p in parts]
+    below = [[j for j in range(k) if masks[j] & m == masks[j]] for k, m in enumerate(masks)]
+    choice = [0] * len(masks)
 
-def _monotone(psi: dict, masks: tuple[int, ...]) -> bool:
-    for small in masks:
-        for big in masks:
-            if small != big and small & big == small:
-                if not psi[small].is_refinement_of(psi[big]):
-                    return False
-    return True
+    def assign(k: int) -> Iterator[dict]:
+        if k == len(masks):
+            yield {m: parts[c] for m, c in zip(masks, choice)}
+            return
+        for c in allowed[k]:
+            if all(refines[choice[j]][c] for j in below[k]):
+                choice[k] = c
+                yield from assign(k + 1)
+
+    return assign(0)
 
 
 def _coordinate_upsets(d: int) -> list[list[UpSet]]:
@@ -395,13 +425,19 @@ def _block_unions(partition: Partition) -> list[frozenset[int]]:
     return out
 
 
+FAMILIES = ("diagonal", "product", "fiber", "selfjoin")
+
+# The largest point count an exhaustive sweep accepts, per d.
+_EXHAUSTIVE_MAX_SIZE = {2: 4, 3: 4, 4: 3}
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Domain of the counterexample search; deterministic given the seed."""
 
     sizes: tuple[int, ...] = (2,)
     d: int = 3
-    families: tuple[str, ...] = ("diagonal", "product", "fiber", "selfjoin")
+    families: tuple[str, ...] = FAMILIES
     seed: int = 0
     exhaustive: bool = True
     samples: int = 200
@@ -410,6 +446,10 @@ class SearchConfig:
         if not self.sizes or any(n < 1 for n in self.sizes):
             raise ValueError(
                 f"sizes: every point count must be at least 1, got {list(self.sizes)}"
+            )
+        if not self.families or any(f not in FAMILIES for f in self.families):
+            raise ValueError(
+                f"families: need at least one of {list(FAMILIES)}, got {list(self.families)}"
             )
         if not self.exhaustive and self.samples < 1:
             raise ValueError(
@@ -421,25 +461,36 @@ def search_counterexample(config: SearchConfig) -> RemovalInstance | None:
     """Enumerate or sample hypothesis-satisfying instances and return the
     first one violating the conclusion, or ``None``.
 
-    Exhaustive mode sweeps, in lexicographic order: a fixed weight menu per
-    size, the requested coupling families, all monotone psi assignments (see
-    :func:`_psi_maps` for the documented cap), and one target set per
-    coordinate ranging over every up-set and every block union.  Random mode
-    draws ``samples`` valid instances from the same ingredients.
+    Exhaustive mode sweeps, in lexicographic order and each distinct size
+    once: a fixed weight menu per size, the requested coupling families,
+    every monotone psi assignment (:func:`_psi_maps`), and one target set
+    per coordinate ranging over every up-set and every block union.  It
+    accepts up to 4 points for d <= 3 and up to 3 points for d = 4
+    (``_EXHAUSTIVE_MAX_SIZE``).  Random mode draws ``samples`` valid
+    instances from the same ingredients.
     """
     if config.d < 2:
         raise ValueError("need at least two coordinates")
-    if config.exhaustive and (max(config.sizes) > 4 or config.d > 3):
+    if config.exhaustive and max(config.sizes) > _EXHAUSTIVE_MAX_SIZE.get(config.d, 0):
         raise ValueError("configuration too large for exhaustive mode")
     masks = ground_masks(config.d)
     coord_upsets = _coordinate_upsets(config.d)
     if config.exhaustive:
-        for n in config.sizes:
+        for n in dict.fromkeys(config.sizes):
+            parts = _all_partitions(n)
             for weights in _weight_menu(n):
                 space = ExactProbabilitySpace(tuple(range(n)), weights)
                 for _, coupling in _coupling_menu(space, config.d, config.families):
-                    for psi in _psi_maps(_all_partitions(n), masks):
-                        hit = _scan_families(space, coupling, psi, coord_upsets)
+                    # A psi map failing hypothesis [ii] gives a shell with
+                    # no instance, so each index set draws only from the
+                    # partitions it identifies.
+                    allowed = [
+                        [c for c, p in enumerate(parts) if _identified(coupling, m, p)]
+                        for m in masks
+                    ]
+                    reports: dict = {}
+                    for psi in _psi_maps(parts, masks, allowed):
+                        hit = _scan_families(space, coupling, psi, coord_upsets, reports)
                         if hit is not None:
                             return hit
         return None
@@ -467,32 +518,45 @@ def _scan_families(
     coupling: Coupling,
     psi: dict,
     coord_upsets: list[list[UpSet]],
+    reports: dict,
 ) -> RemovalInstance | None:
-    shell = RemovalInstance(
-        space,
-        coupling,
-        psi,
-        tuple(
-            ((opts[0], frozenset(range(len(space)))),) for opts in coord_upsets
-        ),
-    )
-    if not check_hypotheses(shell).all_hold:
+    """The lexicographically first (up-set, target) combination, one per
+    coordinate, whose conclusion fails, as a validated instance; ``None``
+    when ``psi`` fails the hypotheses or every combination passes.
+
+    The conclusion reads only the target sets, so each coordinate keeps
+    just the first choice of every distinct target.  That keeps the first
+    failing combination: replacing each of its choices by the first choice
+    with the same target gives a failing combination no later than it, so
+    it consists of first choices already.
+    """
+    if not _hypotheses(coupling, psi, reports).all_hold:
         return None
-    # Each (up-set, target) choice is validated once here, so the
-    # combinations only evaluate the conclusion; the instance returned is
-    # built, and validated again as a whole, by the constructor.
+    # Each kept choice is validated once here, so the combinations only
+    # evaluate the conclusion; the instance returned is built, and
+    # validated again as a whole, by the constructor.
     d, n = coupling.arity, len(space)
-    choice_lists = []
+    by_points: list[dict[int, tuple[UpSet, frozenset]]] = []
+    mask_lists = []
     for i, opts in enumerate(coord_upsets):
-        per_coord = []
+        first: dict[frozenset, UpSet] = {}
         for ups in opts:
-            for a in _block_unions(shell.block_join(ups)):
-                _check_target(d, i, ups, a, psi, n)
-                per_coord.append((ups, a))
-        choice_lists.append(per_coord)
-    for combo in iter_product(*choice_lists):
-        if not _conclusion_holds(space, coupling, [(a,) for _, a in combo]):
-            return RemovalInstance(space, coupling, psi, tuple((c,) for c in combo))
+            for a in _block_unions(_block_join(psi, ups, n)):
+                if a not in first:
+                    _check_target(d, i, ups, a, psi, n)
+                    first[a] = ups
+        masks = [_target_masks(coupling, i, a) for a in first]
+        by_points.append({points: (ups, a) for (_, points), (a, ups) in zip(masks, first.items())})
+        mask_lists.append(masks)
+    positive = _positive_mask(space)
+    for combo in iter_product(*mask_lists):
+        if not _conclusion_holds(combo, positive):
+            return RemovalInstance(
+                space,
+                coupling,
+                psi,
+                tuple((choices[points],) for choices, (_, points) in zip(by_points, combo)),
+            )
     return None
 
 
@@ -532,12 +596,7 @@ def _random_instance(
         fam = []
         for _ in range(rng.randint(1, 2)):
             ups = rng.choice(coord_upsets[i])
-            algebra = (
-                common_refinement(*(psi[m] for m in ups.members))
-                if ups.members
-                else Partition.one_block(n)
-            )
-            unions = _block_unions(algebra)
+            unions = _block_unions(_block_join(psi, ups, len(space)))
             fam.append((ups, rng.choice(unions)))
         shell_families.append(tuple(fam))
     try:

@@ -42,13 +42,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[q[x]] for x in range(len(p)))
 
 
-def invert(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for x, y in enumerate(p):
-        out[y] = x
-    return tuple(out)
-
-
 def perm_order(p: Perm) -> int:
     """lcm of the cycle lengths."""
     seen = [False] * len(p)

@@ -7,12 +7,13 @@ closed upward under inclusion.
 :func:`enumerate_upsets` is the one up-set family every structure check
 quantifies over, and :func:`upset_pair_independence` is the one check that
 lifted up-set algebras are relatively independent over the algebra of their
-intersection.
+intersection; :func:`first_failing_pair` runs the same check to its first
+failure.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -47,8 +48,12 @@ def popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
+@cache
 def ground_masks(d: int) -> tuple[int, ...]:
-    """All subsets of ``range(d)`` of size >= 2, as bitmasks, sorted."""
+    """All subsets of ``range(d)`` of size >= 2, as bitmasks, sorted.
+
+    Built once per ``d``; the tuple is immutable, so every call shares it.
+    """
     out = []
     for size in range(2, d + 1):
         for combo in combinations(range(d), size):
@@ -198,8 +203,14 @@ def upset_pair_independence(
     tests the lifts of ``a`` and ``b`` for relative independence over the
     lift of ``a & b``.  The up-sets must share one ``d`` and be closed under
     ``&``, as :func:`enumerate_upsets` is; otherwise ``ValueError`` is
-    raised.  The meet is looked up by ``a.members & b.members``: that set is
-    the members of ``a & b``, so no ``UpSet`` is built or validated per pair.
+    raised, when the first pair whose meet is missing is reached.  The meet
+    of each pair is looked up in a table built once per family
+    (:func:`_family_plan`), so no ``UpSet`` is built or validated per pair.
+
+    Each distinct lift gets a small id (:func:`_interned_lifts`).  The
+    report depends only on the three lifts, so :func:`relative_independence`
+    runs once per distinct (lift of ``a``, lift of ``b``, lift of the meet)
+    triple, and the pairs sharing a triple share its report.
 
     A pair where the lift of ``a`` or of ``b`` equals the lift of ``a & b``
     is answered ``IndependenceReport(True, None)`` (one shared report)
@@ -212,32 +223,146 @@ def upset_pair_independence(
     join of its members and the members of ``a & b`` are members of ``a``
     and of ``b``, so the skip never hides a ``ValueError``.
     """
+    upsets, meets, lift_of, report = _interned_lifts(upsets, member_partition, space, {})
+    for a, la, row in zip(upsets, lift_of, meets):
+        for b, lb, k in zip(upsets, lift_of, row):
+            if k is None:
+                raise _missing_meet(a, b)
+            lm = lift_of[k]
+            yield a, b, _TAUTOLOGY if la == lm or lb == lm else report(la, lb, lm)
+
+
+def first_failing_pair(
+    upsets: Sequence[UpSet],
+    member_partition: Callable[[int], Partition],
+    space: ExactProbabilitySpace,
+    reports: dict,
+) -> tuple[UpSet, UpSet, IndependenceReport] | None:
+    """The first ``(a, b, report)`` of :func:`upset_pair_independence` whose
+    report fails, or ``None`` when every pair holds.
+
+    The same pairs are visited in the same order, without a generator step
+    per pair.  ``reports`` memoizes the kernel by the labels of the three
+    lifts, so it must only ever see partitions of this ``space``; a caller
+    that checks many families of partitions of one space may pass the same
+    dict to every call, so that each distinct triple is checked once in all.
+    """
+    upsets, meets, lift_of, report = _interned_lifts(upsets, member_partition, space, reports)
+    for a, la, row in zip(upsets, lift_of, meets):
+        for b, lb, k in zip(upsets, lift_of, row):
+            if k is None:
+                raise _missing_meet(a, b)
+            lm = lift_of[k]
+            if la != lm and lb != lm:
+                rep = report(la, lb, lm)
+                if not rep.holds:
+                    return a, b, rep
+    return None
+
+
+_TAUTOLOGY = IndependenceReport(True, None)
+
+
+def _missing_meet(a: UpSet, b: UpSet) -> ValueError:
+    return ValueError(
+        "up-set family is not closed under &: the meet "
+        f"{sorted(bits_of(m) for m in a.members & b.members)} is missing"
+    )
+
+
+def _interned_lifts(
+    upsets: Sequence[UpSet],
+    member_partition: Callable[[int], Partition],
+    space: ExactProbabilitySpace,
+    reports: dict,
+) -> tuple[
+    tuple[UpSet, ...],
+    tuple[tuple[int | None, ...], ...],
+    list[int],
+    Callable[[int, int, int], IndependenceReport],
+]:
+    """The family as a tuple, its meet table, the lift id of each up-set,
+    and the report of a (lift a, lift b, lift of the meet) id triple, which
+    calls :func:`relative_independence` once per distinct triple; the
+    reports are kept in ``reports``, keyed by the triple's labels.
+
+    Lift ids number the distinct lifts in order of first occurrence, keyed
+    by their canonical labels.  Each lift is the join of a smaller lift and
+    a few member partitions (:func:`_family_plan`), and the join of two ids
+    is computed once.
+    """
+    upsets = tuple(upsets)
     if len({u.d for u in upsets}) > 1:
         raise ValueError("up-sets live over different ground dimensions")
-    parts: dict[int, Partition] = {}
-    lift: dict[frozenset, Partition] = {}
-    for u in upsets:
-        for m in sorted(u.members):
-            if m not in parts:
-                parts[m] = member_partition(m)
-        lift[u.members] = (
-            common_refinement(*(parts[m] for m in u.members))
-            if u.members
-            else Partition.one_block(len(space))
-        )
-    tautology = IndependenceReport(True, None)
-    for a in upsets:
-        la = lift[a.members]
-        for b in upsets:
-            meet_members = a.members & b.members
-            meet = lift.get(meet_members)
-            if meet is None:
-                raise ValueError(
-                    "up-set family is not closed under &: the meet "
-                    f"{sorted(bits_of(m) for m in meet_members)} is missing"
-                )
-            lb = lift[b.members]
-            if la == meet or lb == meet:
-                yield a, b, tautology
-            else:
-                yield a, b, relative_independence((la, lb), (meet, meet), space)
+    meets, masks, steps = _family_plan(tuple(u.members for u in upsets))
+    lifts: list[Partition] = []
+    ids: dict[tuple[int, ...], int] = {}
+
+    def intern(p: Partition) -> int:
+        k = ids.setdefault(p.labels, len(lifts))
+        if k == len(lifts):
+            lifts.append(p)
+        return k
+
+    one_block = intern(Partition.one_block(len(space)))
+    member_id = {m: intern(member_partition(m)) for m in masks}
+    joins: dict[tuple[int, int], int] = {}
+    lift_of = [one_block] * len(upsets)
+    for i, base, extra in steps:
+        acc = one_block if base is None else lift_of[base]
+        for m in extra:
+            k = member_id[m]
+            if k == acc or k == one_block:
+                continue
+            if acc == one_block:
+                acc = k
+                continue
+            key = (acc, k) if acc < k else (k, acc)
+            if key not in joins:
+                joins[key] = intern(common_refinement(lifts[acc], lifts[k]))
+            acc = joins[key]
+        lift_of[i] = acc
+
+    def report(la: int, lb: int, lm: int) -> IndependenceReport:
+        key = (lifts[la].labels, lifts[lb].labels, lifts[lm].labels)
+        rep = reports.get(key)
+        if rep is None:
+            meet = lifts[lm]
+            rep = reports[key] = relative_independence(
+                (lifts[la], lifts[lb]), (meet, meet), space
+            )
+        return rep
+
+    return upsets, meets, lift_of, report
+
+
+@lru_cache(maxsize=16)
+def _family_plan(family: tuple[frozenset[int], ...]) -> tuple[
+    tuple[tuple[int | None, ...], ...],
+    tuple[int, ...],
+    tuple[tuple[int, int | None, tuple[int, ...]], ...],
+]:
+    """What :func:`_interned_lifts` needs of a family, given as the members
+    of its up-sets, built once per family (the key hashes fast, since a
+    frozenset caches its hash):
+
+    * the meet table: ``meets[i][j]`` is the index of ``family[i] &
+      family[j]`` in the family, or ``None`` when the family lacks it;
+    * the member masks in order of first occurrence (up-sets in order,
+      members ascending), the order the member partitions are built in;
+    * steps ``(i, base, extra)`` in order of member count: the lift of
+      ``family[i]`` is the lift of ``family[base]`` (one block when ``base``
+      is ``None``) joined with the partitions of ``extra``.  ``base`` drops
+      one member when the family holds that smaller up-set, so most lifts
+      take one join.
+    """
+    index = {members: i for i, members in enumerate(family)}
+    meets = tuple(tuple(index.get(a & b) for b in family) for a in family)
+    masks = tuple(dict.fromkeys(m for members in family for m in sorted(members)))
+    steps = []
+    for i in sorted(range(len(family)), key=lambda i: len(family[i])):
+        members = family[i]
+        base = next((index[members - {m}] for m in sorted(members) if members - {m} in index), None)
+        extra = members - family[base] if base is not None else members
+        steps.append((i, base, tuple(sorted(extra))))
+    return meets, masks, tuple(steps)

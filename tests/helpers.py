@@ -12,7 +12,7 @@ from ergolab.measure import (
     relative_independence,
 )
 from ergolab.systems import FiniteZdSystem
-from ergolab.upsets import bits_of, ground_masks
+from ergolab.upsets import bits_of, ground_masks, popcount
 
 
 def cyclic_system(n: int, *shifts: int) -> FiniteZdSystem:
@@ -184,3 +184,108 @@ def fraction_identification(inst):
                     if bad != 0:
                         return False, (coords, block, (i, j), bad)
     return True, None
+
+
+# -- the removal sweep as it ran before direct monotone enumeration -------------------
+#
+# Verbatim copies of the former ``removal._psi_maps`` (with its cap and
+# graded-chain fallback), ``_monotone``, ``_conclusion_holds`` and
+# ``_scan_families``, the references for the current sweep.  The scan takes
+# the conclusion predicate as ``holds(targets)`` so that tests can force a
+# failure on chosen targets.
+
+def old_psi_maps(parts, masks, cap=1000):
+    """Monotone psi assignments.  All of them when the raw product is small,
+    otherwise constants plus size-graded chains (documented restriction)."""
+    total = len(parts) ** len(masks)
+    maps = []
+    if total <= cap:
+        for choice in iter_product(parts, repeat=len(masks)):
+            psi = dict(zip(masks, choice))
+            if old_monotone(psi, masks):
+                maps.append(psi)
+        return maps
+    for p in parts:
+        maps.append({m: p for m in masks})
+    sizes = sorted({popcount(m) for m in masks})
+    for chain in iter_product(parts, repeat=len(sizes)):
+        by_size = dict(zip(sizes, chain))
+        ok = all(
+            by_size[a].is_refinement_of(by_size[b])
+            for a in sizes
+            for b in sizes
+            if a < b
+        )
+        if ok:
+            psi = {m: by_size[popcount(m)] for m in masks}
+            if psi not in maps:
+                maps.append(psi)
+    return maps
+
+
+def old_monotone(psi, masks):
+    for small in masks:
+        for big in masks:
+            if small != big and small & big == small:
+                if not psi[small].is_refinement_of(psi[big]):
+                    return False
+    return True
+
+
+def old_conclusion_holds(space, coupling, targets):
+    points = frozenset(range(len(space)))
+    per_coord = [points.intersection(*sets) for sets in targets]
+    if any(all(t[c] in s for c, s in enumerate(per_coord)) for t in coupling.support()):
+        return True
+    return not any(space.weights[x] > 0 for x in points.intersection(*per_coord))
+
+
+def old_scan_families(space, coupling, psi, coord_upsets, holds=None):
+    """The former scan: every (up-set, target) choice per coordinate, in
+    product order; ``holds(targets)`` defaults to the former predicate."""
+    from ergolab import removal
+
+    if holds is None:
+        def holds(targets):
+            return old_conclusion_holds(space, coupling, [(a,) for a in targets])
+
+    shell = removal.RemovalInstance(
+        space,
+        coupling,
+        psi,
+        tuple(((opts[0], frozenset(range(len(space)))),) for opts in coord_upsets),
+    )
+    if not removal.check_hypotheses(shell).all_hold:
+        return None
+    d, n = coupling.arity, len(space)
+    choice_lists = []
+    for i, opts in enumerate(coord_upsets):
+        per_coord = []
+        for ups in opts:
+            for a in removal._block_unions(shell.block_join(ups)):
+                removal._check_target(d, i, ups, a, psi, n)
+                per_coord.append((ups, a))
+        choice_lists.append(per_coord)
+    for combo in iter_product(*choice_lists):
+        if not holds(tuple(a for _, a in combo)):
+            return removal.RemovalInstance(space, coupling, psi, tuple((c,) for c in combo))
+    return None
+
+
+def old_exhaustive_search(config, holds_for=None):
+    """The former exhaustive sweep, built from the copies above.
+    ``holds_for(space, coupling)`` gives the scan's ``holds`` per shell."""
+    from ergolab import removal
+
+    masks = ground_masks(config.d)
+    coord_upsets = removal._coordinate_upsets(config.d)
+    for n in config.sizes:
+        for weights in removal._weight_menu(n):
+            space = ExactProbabilitySpace(tuple(range(n)), weights)
+            for _, coupling in removal._coupling_menu(space, config.d, config.families):
+                holds = None if holds_for is None else holds_for(space, coupling)
+                for psi in old_psi_maps(removal._all_partitions(n), masks):
+                    hit = old_scan_families(space, coupling, psi, coord_upsets, holds)
+                    if hit is not None:
+                        return hit
+    return None

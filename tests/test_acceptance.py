@@ -234,8 +234,11 @@ def test_criterion_5_removal_search():
         exhaustive=True,
     )
     assert search_counterexample(exhaustive) is None
-    # Every monotone psi map, coupling and target choice on three points.
+    # Every monotone psi map, coupling and target choice on three points,
+    # on four points (4,116 psi maps) and on two points at d = 4.
     assert search_counterexample(SearchConfig(sizes=(3,), d=3)) is None
+    assert search_counterexample(SearchConfig(sizes=(4,), d=3)) is None
+    assert search_counterexample(SearchConfig(sizes=(2,), d=4)) is None
     sampled = SearchConfig(
         sizes=(2, 3, 4), d=3, seed=1234, exhaustive=False, samples=1000
     )

@@ -50,6 +50,23 @@ def test_partition_canonical_and_validated():
         Partition(3, ((0, 1), (1, 2)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 5), st.sampled_from("abc")), max_size=12))
+def test_from_labels_equals_the_validating_constructor(labels):
+    # from_labels skips __post_init__, so its output must already be the
+    # canonical, validated partition the constructor builds.
+    groups: dict = {}
+    for i, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(i)
+    expected = Partition(len(labels), tuple(groups.values()))
+    got = Partition.from_labels(labels)
+    assert got.size == expected.size
+    assert got.blocks == expected.blocks
+    assert got.labels == expected.labels
+    assert got == expected
+    assert hash(got) == hash(expected)
+
+
 def test_partition_from_pairs_is_connected_components():
     assert Partition.from_pairs(5, [(3, 1), (0, 4), (4, 0)]) == Partition(
         5, ((0, 4), (1, 3), (2,))

@@ -8,7 +8,14 @@ from math import prod
 
 import pytest
 
-from helpers import cyclic_system, fraction_identification
+from helpers import (
+    cyclic_system,
+    fraction_identification,
+    old_conclusion_holds,
+    old_exhaustive_search,
+    old_psi_maps,
+    old_scan_families,
+)
 
 from ergolab import removal
 from ergolab.averages import difference_subgroup, furstenberg_self_joining
@@ -228,6 +235,47 @@ def test_conclusion_vacuous_when_product_positive():
     assert check_conclusion(inst, verified=True)
 
 
+def test_conclusion_predicate_matches_the_set_loop():
+    # The bitmask predicate against the former loop over support tuples and
+    # points, on arbitrary couplings and targets (hypotheses not required),
+    # so that both verdicts occur.
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(400):
+        n, d = rng.randint(1, 4), rng.randint(2, 4)
+        nums = [rng.randint(0, 3) for _ in range(n)]
+        nums[rng.randrange(n)] += 1
+        space = ExactProbabilitySpace(tuple(range(n)), tuple(F(v, sum(nums)) for v in nums))
+        kind = rng.randrange(4)
+        if kind == 0:
+            coupling = Coupling.diagonal(space, d)
+        elif kind == 1:
+            coupling = Coupling.product(space, d)
+        elif kind == 2:
+            labels = tuple(rng.randrange(2) for _ in range(n))
+            coupling = relatively_independent_product([space] * d, [labels] * d)
+        else:
+            # Coordinate c shifted by c: the product of equal sets can be
+            # null while their intersection is not.
+            space = ExactProbabilitySpace.uniform(tuple(range(n)))
+            coupling = Coupling(
+                d, space, {tuple((x + c) % n for c in range(d)): F(1, n) for x in range(n)}
+            )
+        targets = [
+            [frozenset(x for x in range(n) if rng.random() < 0.6) for _ in range(rng.randint(1, 2))]
+            for _ in range(d)
+        ]
+        points = frozenset(range(n))
+        chosen = [
+            removal._target_masks(coupling, i, points.intersection(*sets))
+            for i, sets in enumerate(targets)
+        ]
+        expected = old_conclusion_holds(space, coupling, targets)
+        assert removal._conclusion_holds(chosen, removal._positive_mask(space)) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_measurability_enforced():
     sp = ExactProbabilitySpace.uniform((0, 1))
     lam = Coupling.product(sp, 3)
@@ -335,59 +383,83 @@ def test_check_target_uses_the_join_of_the_members():
         assert (expected is None) == (a not in ({0}, {1, 2}))
 
 
-def reference_scan(space, coupling, psi, coord_upsets):
-    """The sweep over target choices as it ran before: one validated
-    ``RemovalInstance`` per combination, judged by ``check_conclusion``."""
-    shell = RemovalInstance(
-        space,
-        coupling,
-        psi,
-        tuple(((opts[0], frozenset(range(len(space)))),) for opts in coord_upsets),
-    )
-    if not check_hypotheses(shell).all_hold:
-        return None
-    choice_lists = [
-        [
-            (ups, a)
-            for ups in opts
-            for a in removal._block_unions(shell.block_join(ups))
-        ]
-        for opts in coord_upsets
-    ]
-    for combo in iter_product(*choice_lists):
-        inst = RemovalInstance(space, coupling, psi, tuple((c,) for c in combo))
-        if not check_conclusion(inst, verified=True):
-            return inst
-    return None
+def forced_targets(space, coupling, psi, coord_upsets, fail_at):
+    """The targets of the fail_at-th combination the former scan evaluates."""
+    seen = []
+
+    def record(targets):
+        seen.append(targets)
+        return len(seen) != fail_at
+
+    old_scan_families(space, coupling, psi, coord_upsets, record)
+    assert len(seen) == fail_at
+    return seen[-1]
+
+
+def fail_on(monkeypatch, forced):
+    """Make the sweep's conclusion fail exactly on the given targets (one per
+    coordinate); like the real predicate, the forced one reads only the
+    target sets, through their point masks."""
+    forced_masks = tuple(sum(1 << x for x in a) for a in forced)
+    holds = removal._conclusion_holds
+
+    def forced_holds(chosen, positive):
+        chosen = tuple(chosen)
+        if tuple(points for _, points in chosen) == forced_masks:
+            return False
+        return holds(chosen, positive)
+
+    monkeypatch.setattr(removal, "_conclusion_holds", forced_holds)
 
 
 @pytest.mark.parametrize("fail_at", [1, 2, 37, 400])
 def test_forced_failure_returns_the_reference_instance(monkeypatch, fail_at):
-    # The conclusion is made to fail at its fail_at-th evaluation, in the
-    # sweep and in the reference loop alike; both must return the same
-    # validated instance.
+    # The conclusion is made to fail on the targets of the former scan's
+    # fail_at-th combination, in the sweep and in the former scan alike;
+    # both must return the same validated instance, the first combination
+    # with those targets, although the sweep keeps one choice per target.
     d, n = 3, 3
     space = ExactProbabilitySpace(tuple(range(n)), (F(1, 6), F(1, 3), F(1, 2)))
     coupling = relatively_independent_product([space] * d, [(0, 0, 1)] * d)
     psi = {m: Partition(n, ((0, 1), (2,))) for m in ground_masks(d)}
     coord_upsets = removal._coordinate_upsets(d)
-    holds = removal._conclusion_holds
-
-    def make_failing():
-        calls = [0]
-
-        def failing(space, coupling, targets):
-            calls[0] += 1
-            return calls[0] != fail_at and holds(space, coupling, targets)
-
-        return failing
-
-    monkeypatch.setattr(removal, "_conclusion_holds", make_failing())
-    hit = removal._scan_families(space, coupling, psi, coord_upsets)
-    monkeypatch.setattr(removal, "_conclusion_holds", make_failing())
-    expected = reference_scan(space, coupling, psi, coord_upsets)
+    forced = forced_targets(space, coupling, psi, coord_upsets, fail_at)
+    expected = old_scan_families(
+        space, coupling, psi, coord_upsets, lambda targets: targets != forced
+    )
+    fail_on(monkeypatch, forced)
+    hit = removal._scan_families(space, coupling, psi, coord_upsets, {})
     assert isinstance(hit, RemovalInstance)
     assert hit == expected
+    assert tuple(a for ((_, a),) in hit.families) == forced
+
+
+@pytest.mark.parametrize("fail_at", [1, 37, 400])
+def test_forced_failure_sweep_returns_the_former_instance(monkeypatch, fail_at):
+    # The same over the whole 3-point sweep: the targets of the former
+    # sweep's fail_at-th evaluated combination are forced to fail, and the
+    # current sweep must stop at the same shell and combination.
+    config = SearchConfig(sizes=(3,), d=3)
+    seen = []
+
+    def record_for(space, coupling):
+        def record(targets):
+            seen.append(targets)
+            return len(seen) != fail_at
+
+        return record
+
+    old_exhaustive_search(config, record_for)
+    forced = seen[fail_at - 1]
+    expected = old_exhaustive_search(
+        config,
+        lambda space, coupling: (
+            lambda targets: targets != forced
+            and old_conclusion_holds(space, coupling, [(a,) for a in targets])
+        ),
+    )
+    fail_on(monkeypatch, forced)
+    assert search_counterexample(config) == expected
 
 
 def test_forced_failure_search_returns_a_validated_instance(monkeypatch):
@@ -412,11 +484,75 @@ def test_random_search_clean_and_deterministic():
     assert search_counterexample(cfg) is None  # same seed, same outcome
 
 
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4)])
+def test_psi_maps_are_the_monotone_product_in_order(n, d):
+    parts = removal._all_partitions(n)
+    masks = ground_masks(d)
+    maps = list(removal._psi_maps(parts, masks, [range(len(parts))] * len(masks)))
+    assert maps == old_psi_maps(parts, masks, cap=len(parts) ** len(masks))
+    assert len(maps) == {(2, 3): 9, (3, 3): 150, (2, 4): 114}[n, d]
+
+
+def test_psi_maps_draw_only_identified_partitions():
+    # Restricting each index set to the partitions it identifies drops
+    # exactly the maps whose shells fail hypothesis [ii], keeping the order.
+    n, d = 3, 3
+    parts = removal._all_partitions(n)
+    masks = ground_masks(d)
+    space = ExactProbabilitySpace(tuple(range(n)), (F(1, 6), F(1, 3), F(1, 2)))
+    top = UpSet.principal(d, range(d))
+    families = tuple(((top, frozenset(range(n))),) for _ in range(d))
+    kept = set()
+    for _, coupling in removal._coupling_menu(space, d, SearchConfig().families):
+        allowed = [
+            [c for c, p in enumerate(parts) if removal._identified(coupling, m, p)]
+            for m in masks
+        ]
+        maps = list(removal._psi_maps(parts, masks, allowed))
+        expected = [
+            psi
+            for psi in old_psi_maps(parts, masks)
+            if fraction_identification(RemovalInstance(space, coupling, psi, families))[0]
+        ]
+        assert maps == expected
+        kept.add(len(maps))
+    assert len(kept) > 1 and 0 < min(kept) and max(kept) == 150
+
+
+def test_psi_maps_reach_every_monotone_map_at_four_points():
+    # The former sweep stopped at 60 maps here (constants and graded chains).
+    parts = removal._all_partitions(4)
+    masks = ground_masks(3)
+    maps = removal._psi_maps(parts, masks, [range(len(parts))] * len(masks))
+    assert sum(1 for _ in maps) == 4116 > len(old_psi_maps(parts, masks))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig(sizes=(2,), d=3),
+        SearchConfig(sizes=(4,), d=3, families=("product",)),
+    ],
+)
+def test_sweep_verdict_matches_the_former_sweep(config):
+    assert search_counterexample(config) == old_exhaustive_search(config) is None
+
+
 def test_search_rejects_oversized_exhaustive_config():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="too large"):
         search_counterexample(SearchConfig(sizes=(5,), d=3, exhaustive=True))
-    with pytest.raises(ValueError):
-        search_counterexample(SearchConfig(sizes=(2,), d=4, exhaustive=True))
+    with pytest.raises(ValueError, match="too large"):
+        search_counterexample(SearchConfig(sizes=(2, 4), d=4, exhaustive=True))
+    with pytest.raises(ValueError, match="too large"):
+        search_counterexample(SearchConfig(sizes=(2,), d=5, exhaustive=True))
+
+
+def test_exhaustive_sweep_visits_each_size_once(monkeypatch):
+    swept = []
+    menu = removal._weight_menu
+    monkeypatch.setattr(removal, "_weight_menu", lambda n: swept.append(n) or menu(n))
+    assert search_counterexample(SearchConfig(sizes=(2, 1, 2, 1), d=3)) is None
+    assert swept == [2, 1]
 
 
 @pytest.mark.parametrize(
@@ -428,6 +564,9 @@ def test_search_rejects_oversized_exhaustive_config():
         ({"sizes": ()}, "sizes"),
         ({"sizes": (2,), "exhaustive": False, "samples": 0}, "samples"),
         ({"sizes": (2,), "exhaustive": False, "samples": -3}, "samples"),
+        ({"families": ()}, "families"),
+        ({"families": ("bogus",)}, "families"),
+        ({"families": ("diagonal", "bogus"), "exhaustive": False}, "families"),
     ],
 )
 def test_search_config_rejects_empty_domains(kwargs, field):

@@ -45,6 +45,7 @@ from ergolab.removal import RemovalInstance, UpSet, check_hypotheses
 from ergolab.upsets import (
     bits_of,
     enumerate_upsets,
+    first_failing_pair,
     ground_masks,
     mask_of,
     upset_pair_independence,
@@ -102,6 +103,9 @@ def test_pair_check_rejects_a_family_not_closed_under_meets():
     assert next(pairs)[2].holds
     with pytest.raises(ValueError, match=r"not closed under &: the meet \[\(0, 1, 2\)\]"):
         next(pairs)
+    space = ExactProbabilitySpace.uniform((0, 1))
+    with pytest.raises(ValueError, match=r"not closed under &: the meet \[\(0, 1, 2\)\]"):
+        first_failing_pair(family, lambda m: Partition.singletons(2), space, {})
 
 
 # -- the self-joining report ------------------------------------------------------------
@@ -222,6 +226,51 @@ def test_removal_iii_matches_reference_loop():
     assert outcomes == {True, False}
 
 
+def test_first_failing_pair_matches_reference_loop():
+    # Per instance, and again with one kernel memo shared by all instances
+    # on the same support space.
+    memos = {}
+    outcomes = set()
+    for inst, _ in seeded_removal_instances(seed=77, count=60):
+        space = inst.coupling.as_space()
+
+        def member_partition(m):
+            return support_pullback_partition(inst.coupling, inst.psi[m], min(bits_of(m)))
+
+        pairs = naive_upset_pairs(enumerate_upsets(inst.d), member_partition, space)
+        expected = next(((a, b, rep) for a, b, rep in pairs if not rep.holds), None)
+        for reports in ({}, memos.setdefault(space, {})):
+            got = first_failing_pair(enumerate_upsets(inst.d), member_partition, space, reports)
+            if expected is None:
+                assert got is None
+            else:
+                a, b, rep = got
+                assert (a.members, b.members, rep) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+    assert any(len(m) > 1 for m in memos.values())
+
+
+@pytest.mark.parametrize("d, include_empty", [(3, False), (5, True), (5, False)])
+def test_pairs_match_reference_loop_on_other_families(d, include_empty):
+    # Families where some up-sets have no one-member-smaller up-set in the
+    # family: without the empty up-set, and the principal families of d >= 5.
+    rng = random.Random(d)
+    space = ExactProbabilitySpace(tuple(range(3)), (F(1, 6), F(1, 3), F(1, 2)))
+    coupling = relatively_independent_product([space] * d, [(0, 0, 1)] * d)
+    psi = {m: _random_partition(rng, 3) for m in ground_masks(d)}
+
+    def member_partition(m):
+        return support_pullback_partition(coupling, psi[m], min(bits_of(m)))
+
+    family = enumerate_upsets(d, include_empty)
+    nu = coupling.as_space()
+    got = [(a.members, b.members, rep) for a, b, rep in upset_pair_independence(family, member_partition, nu)]
+    expected = list(naive_upset_pairs(family, member_partition, nu))
+    assert got == expected
+    assert not all(rep.holds for _, _, rep in got)
+
+
 def test_removal_iii_d4_checks_the_full_family():
     # Two points, diagonal coupling, singletons below the full index set and
     # one block at it: monotone and identified, so [iii] runs over all 114
@@ -246,8 +295,11 @@ def test_removal_iii_d4_checks_the_full_family():
 
 def assert_skip_is_exact(monkeypatch, family, member_partition, space):
     """Every pair answered without the kernel holds when the kernel runs on
-    it, and the kernel runs exactly on the pairs where neither lift equals
-    the meet.  Returns the numbers of skipped and computed pairs."""
+    it; the kernel runs exactly once per distinct (lift of a, lift of b,
+    lift of the meet) triple where neither lift equals the meet, in the
+    order the pairs first reach it; and every other pair carries the
+    kernel's report on its triple.  Returns the numbers of skipped pairs
+    and of kernel calls."""
     calls = []
 
     def counting_kernel(factors, subfactors, nu):
@@ -277,7 +329,9 @@ def assert_skip_is_exact(monkeypatch, family, member_partition, space):
             assert rep == IndependenceReport(True, None)
             assert relative_independence((la, lb), (meet, meet), space).holds
         else:
-            expected_calls.append(((la, lb), (meet, meet)))
+            assert rep == relative_independence((la, lb), (meet, meet), space)
+            if ((la, lb), (meet, meet)) not in expected_calls:
+                expected_calls.append(((la, lb), (meet, meet)))
     assert calls == expected_calls
     return skipped, len(calls)
 
