@@ -30,6 +30,7 @@ from .generators import random_system
 from .measure import (
     Coupling,
     ExactProbabilitySpace,
+    IndependenceReport,
     Partition,
     SimpleFunction,
     ZERO,
@@ -40,12 +41,13 @@ from .measure import (
 )
 from .systems import FiniteZdSystem, invariant_factor
 from .upsets import (
+    KernelMemo,
     UpSet,
     bits_of,
     enumerate_upsets,
-    first_failing_pair,
     ground_masks,
     mask_of,
+    upset_pair_independence,
 )
 
 __all__ = [
@@ -154,14 +156,7 @@ class HypothesesReport:
 
 def check_hypotheses(inst: RemovalInstance) -> HypothesesReport:
     """Exhaustively test the three structural hypotheses of an instance."""
-    return _hypotheses(inst.coupling, inst.psi, {})
-
-
-def _hypotheses(coupling: Coupling, psi: dict, reports: dict) -> HypothesesReport:
-    """:func:`check_hypotheses` on the parts it reads, so that the sweep
-    need not build an instance per psi map.  ``reports`` is the kernel memo
-    of :func:`~ergolab.upsets.first_failing_pair` for this coupling's
-    support space; the sweep shares one across the psi maps of a coupling."""
+    coupling, psi = inst.coupling, inst.psi
     d = coupling.arity
     witnesses: dict = {}
 
@@ -188,21 +183,38 @@ def _hypotheses(coupling: Coupling, psi: dict, reports: dict) -> HypothesesRepor
 
     independent = monotone and identified
     if independent:
-        def member_partition(m: int) -> Partition:
-            # Pull back through the least coordinate: the canonical
-            # representative, which hypothesis [ii] makes immaterial up to
-            # null sets.
-            return support_pullback_partition(coupling, psi[m], min(bits_of(m)))
-
-        failing = first_failing_pair(
-            enumerate_upsets(d), member_partition, coupling.as_space(), reports
-        )
+        failing = _first_dependent_pair(coupling, psi, KernelMemo(coupling.as_space()))
         if failing is not None:
             a, b, rep = failing
             independent = False
             witnesses["independent"] = (a.members, b.members, rep.witness)
 
     return HypothesesReport(monotone, identified, independent, witnesses)
+
+
+def _first_dependent_pair(
+    coupling: Coupling, psi: dict, memo: KernelMemo
+) -> tuple[UpSet, UpSet, IndependenceReport] | None:
+    """Hypothesis [iii]: the first pair of up-sets whose lifts are not
+    relatively independent over the lift of their meet, or ``None``.
+
+    ``memo`` holds the coupling's support space (``coupling.as_space()``)
+    and its kernel reports; the sweep shares one across the psi maps of a
+    coupling.  Meaningful only when ``psi`` satisfies [i] and [ii].
+    """
+
+    def member_partition(m: int) -> Partition:
+        # Pull back through the least coordinate: the canonical
+        # representative, which hypothesis [ii] makes immaterial up to
+        # null sets.
+        return support_pullback_partition(coupling, psi[m], min(bits_of(m)))
+
+    for a, b, rep in upset_pair_independence(
+        enumerate_upsets(coupling.arity), member_partition, memo.space, memo
+    ):
+        if not rep.holds:
+            return a, b, rep
+    return None
 
 
 def _identified(coupling: Coupling, m: int, partition: Partition) -> bool:
@@ -488,9 +500,9 @@ def search_counterexample(config: SearchConfig) -> RemovalInstance | None:
                         [c for c, p in enumerate(parts) if _identified(coupling, m, p)]
                         for m in masks
                     ]
-                    reports: dict = {}
+                    memo = KernelMemo(coupling.as_space())
                     for psi in _psi_maps(parts, masks, allowed):
-                        hit = _scan_families(space, coupling, psi, coord_upsets, reports)
+                        hit = _scan_families(space, coupling, psi, coord_upsets, memo)
                         if hit is not None:
                             return hit
         return None
@@ -518,11 +530,16 @@ def _scan_families(
     coupling: Coupling,
     psi: dict,
     coord_upsets: list[list[UpSet]],
-    reports: dict,
+    memo: KernelMemo,
 ) -> RemovalInstance | None:
     """The lexicographically first (up-set, target) combination, one per
     coordinate, whose conclusion fails, as a validated instance; ``None``
-    when ``psi`` fails the hypotheses or every combination passes.
+    when ``psi`` fails hypothesis [iii] or every combination passes.
+
+    ``psi`` must satisfy hypotheses [i] and [ii], as every map of
+    :func:`_psi_maps` drawn from the partitions each index set identifies
+    does, so only [iii] is checked here, against ``memo`` (see
+    :func:`_first_dependent_pair`).
 
     The conclusion reads only the target sets, so each coordinate keeps
     just the first choice of every distinct target.  That keeps the first
@@ -530,7 +547,7 @@ def _scan_families(
     with the same target gives a failing combination no later than it, so
     it consists of first choices already.
     """
-    if not _hypotheses(coupling, psi, reports).all_hold:
+    if _first_dependent_pair(coupling, psi, memo) is not None:
         return None
     # Each kept choice is validated once here, so the combinations only
     # evaluate the conclusion; the instance returned is built, and

@@ -7,13 +7,12 @@ closed upward under inclusion.
 :func:`enumerate_upsets` is the one up-set family every structure check
 quantifies over, and :func:`upset_pair_independence` is the one check that
 lifted up-set algebras are relatively independent over the algebra of their
-intersection; :func:`first_failing_pair` runs the same check to its first
-failure.
+intersection.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, lru_cache
+from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -190,10 +189,27 @@ class StructureReport:
         return all(r.holds for _, _, r in self.oblique_pairs)
 
 
+@dataclass(frozen=True, eq=False)
+class KernelMemo:
+    """Reports of :func:`relative_independence` on one space, keyed by the
+    canonical labels of the three lifts (of ``a``, of ``b``, of the meet).
+
+    Calls of :func:`upset_pair_independence` that check many families of
+    partitions of one space may share one memo, so that each distinct
+    triple is checked once in all.  The memo holds its space, and a call
+    with another space raises ``ValueError``, so a report is never reused
+    for a different measure.
+    """
+
+    space: ExactProbabilitySpace
+    reports: dict = field(default_factory=dict)
+
+
 def upset_pair_independence(
     upsets: Sequence[UpSet],
     member_partition: Callable[[int], Partition],
     space: ExactProbabilitySpace,
+    memo: KernelMemo | None = None,
 ) -> Iterator[tuple[UpSet, UpSet, IndependenceReport]]:
     """Yield ``(a, b, report)`` for every ordered pair of the up-sets.
 
@@ -210,7 +226,9 @@ def upset_pair_independence(
     Each distinct lift gets a small id (:func:`_interned_lifts`).  The
     report depends only on the three lifts, so :func:`relative_independence`
     runs once per distinct (lift of ``a``, lift of ``b``, lift of the meet)
-    triple, and the pairs sharing a triple share its report.
+    triple, and the pairs sharing a triple share its report.  ``memo``
+    (a fresh one by default) keeps those reports, and may carry them over
+    from earlier calls on the same space.
 
     A pair where the lift of ``a`` or of ``b`` equals the lift of ``a & b``
     is answered ``IndependenceReport(True, None)`` (one shared report)
@@ -223,41 +241,17 @@ def upset_pair_independence(
     join of its members and the members of ``a & b`` are members of ``a``
     and of ``b``, so the skip never hides a ``ValueError``.
     """
-    upsets, meets, lift_of, report = _interned_lifts(upsets, member_partition, space, {})
+    if memo is None:
+        memo = KernelMemo(space)
+    elif memo.space != space:
+        raise ValueError("the kernel memo belongs to another space")
+    upsets, meets, lift_of, report = _interned_lifts(upsets, member_partition, memo)
     for a, la, row in zip(upsets, lift_of, meets):
         for b, lb, k in zip(upsets, lift_of, row):
             if k is None:
                 raise _missing_meet(a, b)
             lm = lift_of[k]
             yield a, b, _TAUTOLOGY if la == lm or lb == lm else report(la, lb, lm)
-
-
-def first_failing_pair(
-    upsets: Sequence[UpSet],
-    member_partition: Callable[[int], Partition],
-    space: ExactProbabilitySpace,
-    reports: dict,
-) -> tuple[UpSet, UpSet, IndependenceReport] | None:
-    """The first ``(a, b, report)`` of :func:`upset_pair_independence` whose
-    report fails, or ``None`` when every pair holds.
-
-    The same pairs are visited in the same order, without a generator step
-    per pair.  ``reports`` memoizes the kernel by the labels of the three
-    lifts, so it must only ever see partitions of this ``space``; a caller
-    that checks many families of partitions of one space may pass the same
-    dict to every call, so that each distinct triple is checked once in all.
-    """
-    upsets, meets, lift_of, report = _interned_lifts(upsets, member_partition, space, reports)
-    for a, la, row in zip(upsets, lift_of, meets):
-        for b, lb, k in zip(upsets, lift_of, row):
-            if k is None:
-                raise _missing_meet(a, b)
-            lm = lift_of[k]
-            if la != lm and lb != lm:
-                rep = report(la, lb, lm)
-                if not rep.holds:
-                    return a, b, rep
-    return None
 
 
 _TAUTOLOGY = IndependenceReport(True, None)
@@ -273,8 +267,7 @@ def _missing_meet(a: UpSet, b: UpSet) -> ValueError:
 def _interned_lifts(
     upsets: Sequence[UpSet],
     member_partition: Callable[[int], Partition],
-    space: ExactProbabilitySpace,
-    reports: dict,
+    memo: KernelMemo,
 ) -> tuple[
     tuple[UpSet, ...],
     tuple[tuple[int | None, ...], ...],
@@ -284,7 +277,7 @@ def _interned_lifts(
     """The family as a tuple, its meet table, the lift id of each up-set,
     and the report of a (lift a, lift b, lift of the meet) id triple, which
     calls :func:`relative_independence` once per distinct triple; the
-    reports are kept in ``reports``, keyed by the triple's labels.
+    reports are kept in ``memo``, keyed by the triple's labels.
 
     Lift ids number the distinct lifts in order of first occurrence, keyed
     by their canonical labels.  Each lift is the join of a smaller lift and
@@ -304,6 +297,7 @@ def _interned_lifts(
             lifts.append(p)
         return k
 
+    space, reports = memo.space, memo.reports
     one_block = intern(Partition.one_block(len(space)))
     member_id = {m: intern(member_partition(m)) for m in masks}
     joins: dict[tuple[int, int], int] = {}
@@ -336,7 +330,7 @@ def _interned_lifts(
     return upsets, meets, lift_of, report
 
 
-@lru_cache(maxsize=16)
+@cache
 def _family_plan(family: tuple[frozenset[int], ...]) -> tuple[
     tuple[tuple[int | None, ...], ...],
     tuple[int, ...],

@@ -38,7 +38,7 @@ from ergolab.removal import (
     search_counterexample,
 )
 from ergolab.systems import invariant_factor
-from ergolab.upsets import bits_of, ground_masks, mask_of
+from ergolab.upsets import KernelMemo, bits_of, ground_masks, mask_of
 
 F = Fraction
 
@@ -428,7 +428,8 @@ def test_forced_failure_returns_the_reference_instance(monkeypatch, fail_at):
         space, coupling, psi, coord_upsets, lambda targets: targets != forced
     )
     fail_on(monkeypatch, forced)
-    hit = removal._scan_families(space, coupling, psi, coord_upsets, {})
+    memo = KernelMemo(coupling.as_space())
+    hit = removal._scan_families(space, coupling, psi, coord_upsets, memo)
     assert isinstance(hit, RemovalInstance)
     assert hit == expected
     assert tuple(a for ((_, a),) in hit.families) == forced
@@ -517,6 +518,36 @@ def test_psi_maps_draw_only_identified_partitions():
         assert maps == expected
         kept.add(len(maps))
     assert len(kept) > 1 and 0 < min(kept) and max(kept) == 150
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (2, 4)])
+def test_sweep_checks_only_hypothesis_iii_per_map(monkeypatch, n, d):
+    # Every map the sweep draws already passes [i] and [ii] as
+    # check_hypotheses tests them, and the scan, which checks only [iii],
+    # returns an instance exactly when the map passes [iii] too (every
+    # combination is forced to fail, so any shell it keeps yields one).
+    monkeypatch.setattr(removal, "_conclusion_holds", lambda *args: False)
+    parts = removal._all_partitions(n)
+    masks = ground_masks(d)
+    coord_upsets = removal._coordinate_upsets(d)
+    top = UpSet.principal(d, range(d))
+    families = tuple(((top, frozenset(range(n))),) for _ in range(d))
+    outcomes = set()
+    for weights in removal._weight_menu(n):
+        space = ExactProbabilitySpace(tuple(range(n)), weights)
+        for _, coupling in removal._coupling_menu(space, d, SearchConfig().families):
+            allowed = [
+                [c for c, p in enumerate(parts) if removal._identified(coupling, m, p)]
+                for m in masks
+            ]
+            memo = KernelMemo(coupling.as_space())
+            for psi in removal._psi_maps(parts, masks, allowed):
+                hyp = check_hypotheses(RemovalInstance(space, coupling, psi, families))
+                assert hyp.monotone and hyp.identified
+                hit = removal._scan_families(space, coupling, psi, coord_upsets, memo)
+                assert (hit is not None) == hyp.independent
+                outcomes.add(hyp.independent)
+    assert outcomes == {True, False}
 
 
 def test_psi_maps_reach_every_monotone_map_at_four_points():

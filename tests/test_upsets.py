@@ -45,7 +45,7 @@ from ergolab.removal import RemovalInstance, UpSet, check_hypotheses
 from ergolab.upsets import (
     bits_of,
     enumerate_upsets,
-    first_failing_pair,
+    KernelMemo,
     ground_masks,
     mask_of,
     upset_pair_independence,
@@ -103,9 +103,25 @@ def test_pair_check_rejects_a_family_not_closed_under_meets():
     assert next(pairs)[2].holds
     with pytest.raises(ValueError, match=r"not closed under &: the meet \[\(0, 1, 2\)\]"):
         next(pairs)
+
+
+def test_pair_check_rejects_a_memo_of_another_space():
+    family = enumerate_upsets(2)
     space = ExactProbabilitySpace.uniform((0, 1))
-    with pytest.raises(ValueError, match=r"not closed under &: the meet \[\(0, 1, 2\)\]"):
-        first_failing_pair(family, lambda m: Partition.singletons(2), space, {})
+    other = ExactProbabilitySpace((0, 1), (F(1, 3), F(2, 3)))
+    pairs = upset_pair_independence(
+        family, lambda m: Partition.singletons(2), space, KernelMemo(other)
+    )
+    with pytest.raises(ValueError, match="memo belongs to another space"):
+        next(pairs)
+    # An equal space, built anew, shares the memo.
+    memo = KernelMemo(ExactProbabilitySpace.uniform((0, 1)))
+    assert all(
+        rep.holds
+        for _, _, rep in upset_pair_independence(
+            family, lambda m: Partition.singletons(2), space, memo
+        )
+    )
 
 
 # -- the self-joining report ------------------------------------------------------------
@@ -226,7 +242,7 @@ def test_removal_iii_matches_reference_loop():
     assert outcomes == {True, False}
 
 
-def test_first_failing_pair_matches_reference_loop():
+def test_shared_memo_matches_reference_loop():
     # Per instance, and again with one kernel memo shared by all instances
     # on the same support space.
     memos = {}
@@ -237,18 +253,15 @@ def test_first_failing_pair_matches_reference_loop():
         def member_partition(m):
             return support_pullback_partition(inst.coupling, inst.psi[m], min(bits_of(m)))
 
-        pairs = naive_upset_pairs(enumerate_upsets(inst.d), member_partition, space)
-        expected = next(((a, b, rep) for a, b, rep in pairs if not rep.holds), None)
-        for reports in ({}, memos.setdefault(space, {})):
-            got = first_failing_pair(enumerate_upsets(inst.d), member_partition, space, reports)
-            if expected is None:
-                assert got is None
-            else:
-                a, b, rep = got
-                assert (a.members, b.members, rep) == expected
-        outcomes.add(expected is None)
+        expected = list(naive_upset_pairs(enumerate_upsets(inst.d), member_partition, space))
+        for memo in (None, memos.setdefault(space, KernelMemo(space))):
+            pairs = upset_pair_independence(
+                enumerate_upsets(inst.d), member_partition, space, memo
+            )
+            assert [(a.members, b.members, rep) for a, b, rep in pairs] == expected
+        outcomes.add(all(rep.holds for _, _, rep in expected))
     assert outcomes == {True, False}
-    assert any(len(m) > 1 for m in memos.values())
+    assert any(len(memo.reports) > 1 for memo in memos.values())
 
 
 @pytest.mark.parametrize("d, include_empty", [(3, False), (5, True), (5, False)])
