@@ -74,8 +74,25 @@ def _load_option(args, name: str) -> Any:
     return _load(path)
 
 
+def _jsonable_default(value: Any) -> Any:
+    """``json``'s hook for the values it cannot encode itself, converted as
+    :func:`_jsonable` converts them."""
+    if isinstance(value, (Fraction, frozenset, set)):
+        return _jsonable(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _digest(payload: Any) -> str:
-    return hashlib.sha256(canonical_dumps(_jsonable(payload)).encode()).hexdigest()[:16]
+    """Hash of the canonical JSON of the input payload.
+
+    The payload is encoded as it stands, with no converted copy: ``json``
+    writes tuples as lists, as :func:`_jsonable` does, and hands only
+    ``Fraction`` and set values to :func:`_jsonable_default`.  Input
+    payloads are JSON documents and dicts with string keys, so the key
+    order is the same as well, and so are the bytes.
+    """
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_jsonable_default)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _emit(args, command: str, inputs: Any, results: dict, exhaustive: bool, code: int) -> int:
@@ -322,9 +339,14 @@ def _cmd_stationarity(args) -> int:
         dim, im_a, im_b = res.witness
         results["witness"] = {"dimension": dim, "first": list(im_a), "second": list(im_b)}
     if res.holds:
-        point, line = dhj.marginals(law)
+        # Cap 0 checks only the coordinate marginals; the line marginal is
+        # reported only where dimension-1 stationarity makes it well defined.
+        if cap >= 1 or dhj.strong_stationarity_check(law, 1).holds:
+            point, line = dhj.marginals(law)
+            results["line_marginal"] = serialize.coupling_to_json(line, include_base=False)
+        else:
+            point = dhj.point_marginal(law)
         results["point_marginal"] = serialize.space_to_json(point)
-        results["line_marginal"] = serialize.coupling_to_json(line, include_base=False)
     return _emit(
         args, "stationarity", doc, results, True, EXIT_OK if res.holds else EXIT_VIOLATED
     )

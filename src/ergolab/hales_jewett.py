@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from functools import cache
+from itertools import chain, combinations, product as iter_product
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -53,6 +54,7 @@ __all__ = [
     "enumerate_lines",
     "line_maps",
     "enumerate_subspaces",
+    "subspace_images",
     "max_line_free",
     "MaxLineFreeResult",
     "subspace_forcing_check",
@@ -61,6 +63,7 @@ __all__ = [
     "strong_stationarity_check",
     "StationarityResult",
     "marginals",
+    "point_marginal",
     "insensitive_algebra",
     "line_marginal_structure_report",
     "iid_law",
@@ -208,7 +211,13 @@ def enumerate_subspaces(
     k: int, n: int, max_length: int, exact_length: int | None = None
 ) -> list[CombinatorialSubspace]:
     """All n-dimensional subspaces with ambient length up to ``max_length``
-    (or exactly ``exact_length``), deduplicated by image."""
+    (or exactly ``exact_length``), deduplicated by image.
+
+    Of the templates that differ only at wildcard positions, which share one
+    image, the first in word order has letter 1 at every wildcard position;
+    it is the only one built.  Templates then run over the letters of the
+    other positions in word order, so each image keeps its first template.
+    """
     out: list[CombinatorialSubspace] = []
     seen: set[tuple[str, ...]] = set()
 
@@ -232,13 +241,26 @@ def enumerate_subspaces(
                     opts.extend(frozenset(c) for c in combinations(win, r))
                 wildcard_choices.append(opts)
             for wcs in iter_product(*wildcard_choices):
-                for template in all_words(k, total):
-                    s = CombinatorialSubspace(k, breakpoints, tuple(wcs), template)
+                wild = frozenset().union(*wcs)
+                fixed = [p for p in range(total) if p + 1 not in wild]
+                word = ["1"] * total
+                for letters in iter_product(all_words(k, 1), repeat=len(fixed)):
+                    for p, letter in zip(fixed, letters):
+                        word[p] = letter
+                    s = CombinatorialSubspace(k, breakpoints, tuple(wcs), "".join(word))
                     img = s.image()
                     if img not in seen:
                         seen.add(img)
                         out.append(s)
     return out
+
+
+@cache
+def subspace_images(k: int, n: int, max_length: int) -> tuple[tuple[str, ...], ...]:
+    """The images of :func:`enumerate_subspaces` ``(k, n, max_length)``, in
+    its order.  Built once per arguments and shared by every caller; the
+    tuple is immutable."""
+    return tuple(s.image() for s in enumerate_subspaces(k, n, max_length))
 
 
 @dataclass(frozen=True)
@@ -444,18 +466,32 @@ class StationaryLawTruncation:
         object.__setattr__(self, "_windex", {w: i for i, w in enumerate(wlist)})
         m = len(self.carrier)
         width = len(wlist)
+        keys = self.weights.keys()
+        # One pass in C over all keys recognises the usual case: width-long
+        # tuples of exact ints within the carrier, kept as they are.  Other
+        # keys are converted and checked entry by entry, in the loop below,
+        # so a bad entry still raises in dict order, before any later one.
+        exact = (
+            set(map(type, keys)) <= {tuple}
+            and set(map(len, keys)) <= {width}
+            and set(map(type, chain.from_iterable(keys))) <= {int}
+            and set(chain.from_iterable(keys)) <= set(range(m))
+        )
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for cfg, v in self.weights.items():
-            # Keys and values already of the stored types are kept, not copied.
-            if type(cfg) is not tuple or any(type(c) is not int for c in cfg):
-                cfg = tuple(int(c) for c in cfg)
+            if not exact:
+                if type(cfg) is not tuple or any(type(c) is not int for c in cfg):
+                    cfg = tuple(int(c) for c in cfg)
+                if len(cfg) != width or min(cfg) < 0 or max(cfg) >= m:
+                    raise ValueError("configurations must index the carrier at every word")
+            # Values already Fractions are kept, not copied; a Fraction's sign
+            # is its numerator's.
             if type(v) is not Fraction:
                 v = Fraction(v)
-            if len(cfg) != width or min(cfg) < 0 or max(cfg) >= m:
-                raise ValueError("configurations must index the carrier at every word")
-            if v < 0:
+            num = v.numerator
+            if num < 0:
                 raise ValueError("masses must be nonnegative")
-            if v:
+            if num:
                 cleaned[cfg] = cleaned[cfg] + v if cfg in cleaned else v
         object.__setattr__(self, "weights", cleaned)
         den = lcm(*{v.denominator for v in cleaned.values()})
@@ -479,23 +515,37 @@ class StationaryLawTruncation:
             raise ValueError(f"word {w!r} beyond the truncation depth")
         return idx[w]
 
+    def _indices(self, image_words: Sequence[str]) -> tuple[int, ...]:
+        return tuple(self.word_index(w) for w in image_words)
+
     def _pull(self, idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """Numerators of the joint law of the coordinates ``idx`` (nonempty),
-        summed once per law and remembered; callers must not mutate it."""
+        summed once per law and remembered; callers must not mutate it.
+
+        A new tuple is summed from the smallest remembered table whose
+        coordinates contain its own, and from the whole law only when none
+        does.  Both give the same numerators over the same denominator: a
+        marginal of a marginal is the marginal.
+        """
         pulled = self._pulled  # type: ignore[attr-defined]
-        if idx not in pulled:
-            pulled[idx] = self._sum_numerators(idx)
-        return pulled[idx]
+        table = pulled.get(idx)
+        if table is None:
+            wanted = set(idx)
+            source = min(
+                (key for key in pulled if wanted.issubset(key)),
+                key=lambda key: len(pulled[key]),
+                default=None,
+            )
+            if source is None:
+                table = self._sum_numerators(idx)
+            else:
+                table = _sum_by(pulled[source], [source.index(i) for i in idx])
+            pulled[idx] = table
+        return table
 
     def _sum_numerators(self, idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        get = itemgetter(*idx)
-        acc: dict = {}
-        for cfg, num in self._numerators.items():  # type: ignore[attr-defined]
-            key = get(cfg)
-            acc[key] = acc.get(key, 0) + num
-        if len(idx) == 1:  # a single index gives bare values, not 1-tuples
-            acc = {(key,): num for key, num in acc.items()}
-        return acc
+        """One scan of the whole law."""
+        return _sum_by(self._numerators, idx)  # type: ignore[attr-defined]
 
     def coordinate_marginal(self, w: str) -> tuple[Fraction, ...]:
         acc = self._pull((self.word_index(w),))
@@ -509,11 +559,24 @@ class StationaryLawTruncation:
         denominator, once per distinct tuple of words, and divided only for
         the output keys.
         """
-        idx = tuple(self.word_index(w) for w in image_words)
+        idx = self._indices(image_words)
         if not idx:
             return {(): Fraction(1)}
         den = self._den  # type: ignore[attr-defined]
         return {key: Fraction(num, den) for key, num in self._pull(idx).items()}
+
+
+def _sum_by(table: dict, positions: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """Integer masses of ``table`` summed by the entries of each key at the
+    given positions; a single position still gives 1-tuple keys."""
+    get = itemgetter(*positions)
+    acc: dict = {}
+    for key, num in table.items():
+        part = get(key)
+        acc[part] = acc.get(part, 0) + num
+    if len(positions) == 1:  # a single index gives bare values, not 1-tuples
+        acc = {(key,): num for key, num in acc.items()}
+    return acc
 
 
 def iid_law(k: int, depth: int, carrier: ExactProbabilitySpace) -> StationaryLawTruncation:
@@ -598,25 +661,37 @@ def strong_stationarity_check(
 
     Dimension 0 compares single-coordinate marginals.  Returns the first
     violating pair of subspace images.
+
+    The images are pulled back widest first, so that each narrower one, and
+    each coordinate marginal, is summed from a remembered wider table rather
+    than from the whole law (see ``StationaryLawTruncation._pull``).  The
+    comparisons then run from dimension 0 up, so the witness is the first
+    violation in that order.  Equal integer tables over the law's common
+    denominator are equal laws.
     """
     if dim_cap < 0:
         raise ValueError("dimension cap must be nonnegative")
     if dim_cap > law.depth:
         raise ValueError("dimension cap cannot exceed the truncation depth")
-    marg0 = law.coordinate_marginal(law.words[0])
-    for w in law.words[1:]:
-        if law.coordinate_marginal(w) != marg0:
+    images = [subspace_images(law.k, n, law.depth) for n in range(1, dim_cap + 1)]
+    for imgs in reversed(images):
+        for img in imgs:
+            law._pull(law._indices(img))
+    marg0 = law._pull((0,))
+    for i, w in enumerate(law.words[1:], 1):
+        if law._pull((i,)) != marg0:
             return StationarityResult(False, (0, (law.words[0],), (w,)))
-    for n in range(1, dim_cap + 1):
-        reference: tuple | None = None
-        for s in enumerate_subspaces(law.k, n, law.depth):
-            img = s.image()
-            pulled = law.pullback(img)
-            if reference is None:
-                reference = (img, pulled)
-            elif pulled != reference[1]:
-                return StationarityResult(False, (n, reference[0], img))
+    for n, imgs in enumerate(images, 1):  # n <= depth, so imgs is not empty
+        reference = law._pull(law._indices(imgs[0]))
+        for img in imgs[1:]:
+            if law._pull(law._indices(img)) != reference:
+                return StationarityResult(False, (n, imgs[0], img))
     return StationarityResult(True, None)
+
+
+def point_marginal(law: StationaryLawTruncation) -> ExactProbabilitySpace:
+    """The law of the first coordinate, on the carrier's points."""
+    return ExactProbabilitySpace(law.carrier.points, law.coordinate_marginal(law.words[0]))
 
 
 def marginals(
@@ -630,12 +705,8 @@ def marginals(
     res = strong_stationarity_check(law, min(1, law.depth))
     if not res.holds:
         raise ValueError("stationarity violated; marginals are ill-defined")
-    point = ExactProbabilitySpace(
-        law.carrier.points, law.coordinate_marginal(law.words[0])
-    )
-    line_laws = []
-    for s in enumerate_subspaces(law.k, 1, law.depth):
-        line_laws.append(law.pullback(s.image()))
+    point = point_marginal(law)
+    line_laws = [law.pullback(img) for img in subspace_images(law.k, 1, law.depth)]
     if not line_laws:
         raise ValueError("no line fits within the truncation depth")
     for other in line_laws[1:]:

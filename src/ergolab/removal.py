@@ -565,16 +565,50 @@ def _scan_families(
         masks = [_target_masks(coupling, i, a) for a in first]
         by_points.append({points: (ups, a) for (_, points), (a, ups) in zip(masks, first.items())})
         mask_lists.append(masks)
-    positive = _positive_mask(space)
-    for combo in iter_product(*mask_lists):
-        if not _conclusion_holds(combo, positive):
-            return RemovalInstance(
-                space,
-                coupling,
-                psi,
-                tuple((choices[points],) for choices, (_, points) in zip(by_points, combo)),
-            )
-    return None
+    combo = _first_failing(mask_lists, _positive_mask(space))
+    if combo is None:
+        return None
+    return RemovalInstance(
+        space,
+        coupling,
+        psi,
+        tuple((choices[points],) for choices, (_, points) in zip(by_points, combo)),
+    )
+
+
+# The masks of a coordinate whose target is not chosen yet: no support
+# tuple and every point, the choice most likely to make the conclusion fail.
+_UNCHOSEN = (0, -1)
+
+
+def _first_failing(
+    mask_lists: list[list[tuple[int, int]]], positive: int
+) -> tuple[tuple[int, int], ...] | None:
+    """The first combination in product order, one entry of each list of
+    :func:`_target_masks`, whose conclusion fails; ``None`` when all hold.
+
+    The walk is depth first, and each prefix is tested with the coordinates
+    after it unchosen.  The conclusion fails only on a null product event
+    whose intersection holds a positive-weight point, so a choice that
+    shrinks the product or grows the intersection can only make it fail.
+    The unchosen masks do both, so when the conclusion holds for a padded
+    prefix it holds for every completion, and the prefix is skipped: its
+    point masks already miss every positive-weight point.  Nothing else is
+    skipped, so the first failing combination is the one the full product
+    would find.
+    """
+    chosen = [_UNCHOSEN] * len(mask_lists)
+    last = len(mask_lists) - 1
+
+    def walk(i: int) -> bool:
+        for masks in mask_lists[i]:
+            chosen[i] = masks
+            if not _conclusion_holds(chosen, positive) and (i == last or walk(i + 1)):
+                return True
+        chosen[i] = _UNCHOSEN
+        return False
+
+    return tuple(chosen) if walk(0) else None
 
 
 def _random_instance(

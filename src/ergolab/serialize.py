@@ -89,8 +89,14 @@ def _need(obj: Any, key: str, path: Sequence) -> Any:
     return obj[key]
 
 
+_INT = frozenset({int})
+
+
 def _int_list(obj: Any, path: Sequence) -> list[int]:
-    if not isinstance(obj, list) or any(not isinstance(v, int) for v in obj):
+    # The set of exact types, built in C, settles the usual array of ints.
+    if not isinstance(obj, list) or not (
+        set(map(type, obj)) <= _INT or all(isinstance(v, int) for v in obj)
+    ):
         raise ValidationError(path, "expected an array of integers")
     return list(obj)
 

@@ -289,3 +289,83 @@ def old_exhaustive_search(config, holds_for=None):
                     if hit is not None:
                         return hit
     return None
+
+
+# -- the scan and the subspace enumeration as they were before depth-first pruning ----
+#
+# Verbatim copies of the former ``removal._scan_families``, which evaluates
+# every combination of the product, and of the former
+# ``hales_jewett.enumerate_subspaces``, which builds every template of each
+# image.  The removal names are looked up in the module at call time, so a
+# test that replaces ``removal._conclusion_holds`` reaches this scan too.
+
+def product_scan_families(space, coupling, psi, coord_upsets, memo):
+    """The lexicographically first (up-set, target) combination, one per
+    coordinate, whose conclusion fails, as a validated instance; ``None``
+    when ``psi`` fails hypothesis [iii] or every combination passes."""
+    from ergolab import removal
+
+    if removal._first_dependent_pair(coupling, psi, memo) is not None:
+        return None
+    d, n = coupling.arity, len(space)
+    by_points = []
+    mask_lists = []
+    for i, opts in enumerate(coord_upsets):
+        first = {}
+        for ups in opts:
+            for a in removal._block_unions(removal._block_join(psi, ups, n)):
+                if a not in first:
+                    removal._check_target(d, i, ups, a, psi, n)
+                    first[a] = ups
+        masks = [removal._target_masks(coupling, i, a) for a in first]
+        by_points.append({points: (ups, a) for (_, points), (a, ups) in zip(masks, first.items())})
+        mask_lists.append(masks)
+    positive = removal._positive_mask(space)
+    for combo in iter_product(*mask_lists):
+        if not removal._conclusion_holds(combo, positive):
+            return removal.RemovalInstance(
+                space,
+                coupling,
+                psi,
+                tuple((choices[points],) for choices, (_, points) in zip(by_points, combo)),
+            )
+    return None
+
+
+def every_template_subspaces(k, n, max_length, exact_length=None):
+    """All n-dimensional subspaces with ambient length up to ``max_length``
+    (or exactly ``exact_length``), deduplicated by image."""
+    from itertools import combinations
+
+    from ergolab.hales_jewett import CombinatorialSubspace
+
+    out = []
+    seen = set()
+
+    lengths = (
+        [exact_length] if exact_length is not None else list(range(n, max_length + 1))
+    )
+    for total in lengths:
+        if total < n:
+            continue
+        for bps in combinations(range(1, total + 1), n - 1) if n > 1 else [()]:
+            breakpoints = tuple(bps) + (total,)
+            windows = []
+            prev = 0
+            for b in breakpoints:
+                windows.append(tuple(range(prev + 1, b + 1)))
+                prev = b
+            wildcard_choices = []
+            for win in windows:
+                opts = []
+                for r in range(1, len(win) + 1):
+                    opts.extend(frozenset(c) for c in combinations(win, r))
+                wildcard_choices.append(opts)
+            for wcs in iter_product(*wildcard_choices):
+                for template in all_words(k, total):
+                    s = CombinatorialSubspace(k, breakpoints, tuple(wcs), template)
+                    img = s.image()
+                    if img not in seen:
+                        seen.add(img)
+                        out.append(s)
+    return out

@@ -347,22 +347,32 @@ def test_stationarity_cli_rejects_negative_dim_cap(tmp_path, capsys):
 def test_stationarity_cli_pulls_each_image_back_once(tmp_path, monkeypatch, capsys):
     # At depth 3 and cap 2 the check and the marginals ask for 84 subspace
     # pullbacks, of 25 line images and 9 plane images, and for every one of
-    # the 14 coordinate marginals several times; each is summed once.
+    # the 14 coordinate marginals several times.  Each of these 48 tables is
+    # summed once, and only 11 from the whole law: the first coordinate's
+    # (the constructor's check), the 9 planes and the one line of length 1,
+    # which lies in no plane.  The rest come from remembered wider tables.
+    from ergolab import hales_jewett
     from ergolab.hales_jewett import StationaryLawTruncation
 
     path = _iid_law_file(tmp_path, 3)
-    summed = []
-    original = StationaryLawTruncation._sum_numerators
+    scans, tables = [], []
+    scan, sum_by = StationaryLawTruncation._sum_numerators, hales_jewett._sum_by
 
-    def counting(self, idx):
-        summed.append(idx)
-        return original(self, idx)
+    def counting_scan(self, idx):
+        scans.append(idx)
+        return scan(self, idx)
 
-    monkeypatch.setattr(StationaryLawTruncation, "_sum_numerators", counting)
+    def counting_sum_by(table, positions):
+        tables.append(positions)
+        return sum_by(table, positions)
+
+    monkeypatch.setattr(StationaryLawTruncation, "_sum_numerators", counting_scan)
+    monkeypatch.setattr(hales_jewett, "_sum_by", counting_sum_by)
     code, report = run(capsys, ["dhj", "stationarity", "--law", path, "--dim-cap", "2"])
     assert code == 0 and report["results"]["holds"] is True
-    assert len(summed) == len(set(summed))
-    assert sorted(len(idx) for idx in summed) == [1] * 14 + [2] * 25 + [4] * 9
+    assert len(scans) == len(set(scans))
+    assert sorted(len(idx) for idx in scans) == [1, 2] + [4] * 9
+    assert sorted(len(p) for p in tables) == [1] * 14 + [2] * 25 + [4] * 9
 
 
 def _deep_copy_jsonable(value):
@@ -398,6 +408,75 @@ def test_input_digest_bytes_unchanged():
         text = canonical_dumps(_deep_copy_jsonable(doc))
         assert _digest(doc) == hashlib.sha256(text.encode()).hexdigest()[:16]
         assert _digest(doc) == expected[name]
+
+
+def test_digest_needs_no_converted_copy(tmp_path, monkeypatch):
+    # The digest of every golden command's input payload, and of payloads
+    # with Fractions, nested sets and tuples, is the hash of the canonical
+    # JSON of the converted copy, as both former conversions build it.
+    import hashlib
+
+    from test_golden import GOLDEN, run_golden
+
+    payloads = []
+    digest = cli._digest
+    monkeypatch.setattr(cli, "_digest", lambda payload: payloads.append(payload) or digest(payload))
+    run_golden(tmp_path)
+    assert len(payloads) == len(GOLDEN)
+    payloads += [
+        {"q": F(2, 4), "neg": F(-7, 3), "whole": F(5), "sets": [{F(1, 2), F(1, 3)}, set()]},
+        {"fs": frozenset({(1, 2), (0, 5)}), "words": frozenset({"21", "12"})},
+        {"t": (F(-1, 3), (F(0), [frozenset({3, 1})]), (None, True, "x", 2.5)),
+         "nested": {"a": {"b": ({F(1, 4)},)}}},
+        [F(1, 9), (), {"k": []}],
+    ]
+    for payload in payloads:
+        text = canonical_dumps(cli._jsonable(payload))
+        assert text == canonical_dumps(_deep_copy_jsonable(payload))
+        assert digest(payload) == hashlib.sha256(text.encode()).hexdigest()[:16]
+    with pytest.raises(TypeError):
+        digest({"x": object()})
+
+
+def _tied_law_file(tmp_path):
+    """k = 2, depth 2, uniform carrier, coordinates "1" and "2" equal and
+    the others independent: stationary at dimension 0 but not at 1."""
+    from itertools import product
+
+    weights = [
+        {"config": [x, x, *rest], "value": "1/32"} for x, *rest in product((0, 1), repeat=5)
+    ]
+    doc = {"k": 2, "depth": 2, "carrier": {"points": [0, 1], "weights": ["1/2", "1/2"]},
+           "weights": weights}
+    path = tmp_path / "tied.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_stationarity_cap_zero_reports_the_point_marginal_alone(tmp_path, capsys):
+    path = _tied_law_file(tmp_path)
+    code, report = run(capsys, ["dhj", "stationarity", "--law", path, "--dim-cap", "0"])
+    assert code == 0
+    assert report["results"] == {
+        "dim_cap": 0,
+        "holds": True,
+        "point_marginal": {"points": [0, 1], "weights": ["1/2", "1/2"]},
+    }
+    code, report = run(capsys, ["dhj", "stationarity", "--law", path, "--dim-cap", "1"])
+    assert code == 1
+    assert report["results"]["witness"] == {"dimension": 1, "first": ["1", "2"],
+                                            "second": ["11", "21"]}
+
+
+def test_stationarity_cap_zero_keeps_the_line_marginal_when_it_is_defined(tmp_path, capsys):
+    path = _iid_law_file(tmp_path, 2)
+    reports = []
+    for cap in ("0", "1"):
+        code, report = run(capsys, ["dhj", "stationarity", "--law", path, "--dim-cap", cap])
+        assert code == 0
+        reports.append(report["results"])
+    assert "line_marginal" in reports[0]
+    assert {**reports[0], "dim_cap": 1} == reports[1]
 
 
 # -- one parser per process ------------------------------------------------------------

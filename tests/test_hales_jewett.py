@@ -7,7 +7,12 @@ from itertools import product as iter_product
 
 import pytest
 
-from helpers import all_lines_max_line_free, naive_coordinate_marginal, naive_pullback
+from helpers import (
+    all_lines_max_line_free,
+    every_template_subspaces,
+    naive_coordinate_marginal,
+    naive_pullback,
+)
 
 from ergolab.hales_jewett import (
     CombinatorialSubspace,
@@ -29,6 +34,8 @@ from ergolab.hales_jewett import (
     mixture_law,
     strong_stationarity_check,
     subspace_forcing_check,
+    subspace_images,
+    words_up_to,
 )
 from ergolab.measure import ExactProbabilitySpace
 
@@ -56,6 +63,31 @@ def test_embedding_injective_on_small_parameters():
             for s in enumerate_subspaces(k, n, 3):
                 img = s.image()
                 assert len(set(img)) == k**n
+
+
+# Every (k, length) with k^length <= 81.
+_SMALL_SPACES = [(2, m) for m in range(1, 7)] + [(3, m) for m in range(1, 5)]
+
+
+@pytest.mark.parametrize("k, length", _SMALL_SPACES)
+def test_subspaces_match_the_every_template_enumeration(k, length):
+    # The same subspaces, templates included, in the same order, as the
+    # enumeration that builds every template of each image.  Images of
+    # different ambient lengths differ, so a max_length list is the
+    # concatenation of the exact_length lists.
+    for n in range(1, length + 1):
+        expected = every_template_subspaces(k, n, length, exact_length=length)
+        assert enumerate_subspaces(k, n, length, exact_length=length) == expected
+        below = [s for m in range(n, length) for s in enumerate_subspaces(k, n, m, exact_length=m)]
+        assert enumerate_subspaces(k, n, length) == below + expected
+    assert enumerate_subspaces(k, length + 1, length) == []
+    assert enumerate_subspaces(k, 2, 5, exact_length=1) == []
+
+
+def test_subspace_images_are_built_once_and_shared():
+    images = subspace_images(3, 2, 3)
+    assert images is subspace_images(3, 2, 3)
+    assert images == tuple(s.image() for s in enumerate_subspaces(3, 2, 3))
 
 
 def test_subspace_validation():
@@ -456,6 +488,112 @@ def test_pullbacks_and_marginals_match_fraction_oracle(law):
         for _ in range(2):  # the second call is answered from the memo
             assert law.pullback(img) == naive_pullback(law, img)
     assert law.pullback(()) == {(): 1}
+
+
+def _shuffled_requests(law, rng):
+    """Every subspace image up to the depth, every coordinate, and random
+    word tuples (repeats and reversals included), in a random order."""
+    requests = [img for n in range(1, law.depth + 1) for img in subspace_images(law.k, n, law.depth)]
+    requests += [(w,) for w in law.words]
+    requests += [tuple(rng.choice(law.words) for _ in range(rng.randint(1, 4))) for _ in range(20)]
+    requests += [tuple(reversed(img)) for img in requests[:5]]
+    rng.shuffle(requests)
+    return requests
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("index", range(6))
+def test_pullbacks_from_remembered_tables_match_fraction_oracle(monkeypatch, index, seed):
+    # A fresh law per order: each request is summed from the smallest
+    # remembered table containing its coordinates, or from the whole law,
+    # and must equal the Fraction sums over the weights either way.
+    law = _oracle_laws()[index]
+    scans = []
+    scan = StationaryLawTruncation._sum_numerators
+    monkeypatch.setattr(
+        StationaryLawTruncation,
+        "_sum_numerators",
+        lambda self, idx: scans.append(idx) or scan(self, idx),
+    )
+    rng = random.Random(seed)
+    requests = _shuffled_requests(law, rng)
+    for img in requests:
+        if len(img) == 1 and rng.random() < 0.5:
+            assert law.coordinate_marginal(img[0]) == naive_coordinate_marginal(law, img[0])
+        else:
+            assert law.pullback(img) == naive_pullback(law, img)
+    for w in law.words:
+        assert law.coordinate_marginal(w) == naive_coordinate_marginal(law, w)
+    distinct = {tuple(law.word_index(w) for w in img) for img in requests}
+    assert len(scans) == len(set(scans)) and set(scans) <= distinct
+    if law.depth > 1:
+        assert len(scans) < len(distinct)  # some tables came from wider ones
+
+
+def _naive_stationarity(law, dim_cap):
+    """The check as plain Fraction sums, subspace by subspace in order."""
+    marg0 = naive_coordinate_marginal(law, law.words[0])
+    for w in law.words[1:]:
+        if naive_coordinate_marginal(law, w) != marg0:
+            return False, (0, (law.words[0],), (w,))
+    for n in range(1, dim_cap + 1):
+        images = [s.image() for s in enumerate_subspaces(law.k, n, law.depth)]
+        reference = naive_pullback(law, images[0])
+        for img in images[1:]:
+            if naive_pullback(law, img) != reference:
+                return False, (n, images[0], img)
+    return True, None
+
+
+def _broken_laws():
+    # Stationary at dimension 0 but not at 1: coordinates "1" and "2" equal,
+    # the rest independent.  Stationary at 0 and 1 but not at 2: at depth 3
+    # the i-th word is the parity of (i + 1) & r for r uniform in 0..15,
+    # which makes any two coordinates independent, while four coordinates
+    # are independent only when their masks are.  The same with the masks
+    # of "1" and "2" equal, which fails at dimensions 1 and 2.  And a law
+    # whose coordinate "21" has another marginal.
+    words = words_up_to(2, 2)
+    tied = {}
+    for bits in iter_product((0, 1), repeat=5):
+        tied[(bits[0],) + bits] = F(1, 32)
+
+    def parity(masks):
+        return {
+            tuple(bin(mask & r).count("1") % 2 for mask in masks): F(1, 16) for r in range(16)
+        }
+
+    low = tuple(int(w == "21") for w in words)
+    return [
+        StationaryLawTruncation(2, 2, carrier(F(1, 2)), tied),
+        StationaryLawTruncation(2, 3, carrier(F(1, 2)), parity(range(1, 15))),
+        StationaryLawTruncation(2, 3, carrier(F(1, 2)), parity([1, *range(1, 14)])),
+        StationaryLawTruncation(2, 2, carrier(F(1, 2)), {low: F(1, 2), (1,) * 6: F(1, 2)}),
+    ]
+
+
+@pytest.mark.parametrize("law", _oracle_laws() + _broken_laws())
+def test_stationarity_check_matches_the_plain_check(law):
+    # Pulling the widest images first changes no verdict and no witness.
+    for cap in range(law.depth + 1):
+        res = strong_stationarity_check(law, cap)
+        assert (res.holds, res.witness) == _naive_stationarity(law, cap)
+
+
+def test_broken_laws_fail_at_the_intended_dimensions():
+    # The first violation of each law, and every dimension >= 1 at which
+    # two images differ: the third law fails at 1 and at 2, so the order of
+    # the comparisons decides its witness.
+    def differs(law, n):
+        images = subspace_images(law.k, n, law.depth)
+        reference = naive_pullback(law, images[0])
+        return any(naive_pullback(law, img) != reference for img in images[1:])
+
+    laws = _broken_laws()
+    assert [strong_stationarity_check(law, law.depth).witness[0] for law in laws] == [1, 2, 1, 0]
+    assert [[n for n in range(1, law.depth + 1) if differs(law, n)] for law in laws] == [
+        [1], [2], [1, 2], [1]
+    ]
 
 
 def test_repeated_pullback_is_a_fresh_dict():

@@ -15,6 +15,7 @@ from helpers import (
     old_exhaustive_search,
     old_psi_maps,
     old_scan_families,
+    product_scan_families,
 )
 
 from ergolab import removal
@@ -399,13 +400,18 @@ def forced_targets(space, coupling, psi, coord_upsets, fail_at):
 def fail_on(monkeypatch, forced):
     """Make the sweep's conclusion fail exactly on the given targets (one per
     coordinate); like the real predicate, the forced one reads only the
-    target sets, through their point masks."""
+    target sets, through their point masks.  It also fails on every prefix
+    of them padded with unchosen coordinates, as the real predicate fails
+    on a padded prefix whenever some completion fails, so that the scan
+    does not skip the forced combination."""
     forced_masks = tuple(sum(1 << x for x in a) for a in forced)
+    unchosen = removal._UNCHOSEN[1]
     holds = removal._conclusion_holds
 
     def forced_holds(chosen, positive):
         chosen = tuple(chosen)
-        if tuple(points for _, points in chosen) == forced_masks:
+        points = tuple(p for _, p in chosen)
+        if all(p in (f, unchosen) for p, f in zip(points, forced_masks)):
             return False
         return holds(chosen, positive)
 
@@ -470,6 +476,105 @@ def test_forced_failure_search_returns_a_validated_instance(monkeypatch):
     rebuilt = RemovalInstance(hit.space, hit.coupling, hit.psi, hit.families)
     assert rebuilt == hit
     assert check_hypotheses(hit).all_hold
+
+
+def _scan_shell():
+    d, n = 3, 3
+    space = ExactProbabilitySpace(tuple(range(n)), (F(1, 6), F(1, 3), F(1, 2)))
+    coupling = relatively_independent_product([space] * d, [(0, 0, 1)] * d)
+    psi = {m: Partition(n, ((0, 1), (2,))) for m in ground_masks(d)}
+    return space, coupling, psi, removal._coordinate_upsets(d)
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 23, 64])
+def test_depth_first_scan_returns_the_product_scan_instance(monkeypatch, fail_at):
+    # The fail_at-th of the 64 combinations of distinct targets the former
+    # product scan evaluates is forced to fail, in both scans alike; they
+    # must return the same instance.
+    space, coupling, psi, coord_upsets = _scan_shell()
+    seen = []
+
+    def record(chosen, positive):
+        seen.append(tuple(points for _, points in chosen))
+        return len(seen) != fail_at
+
+    monkeypatch.setattr(removal, "_conclusion_holds", record)
+    product_scan_families(space, coupling, psi, coord_upsets, KernelMemo(coupling.as_space()))
+    assert len(seen) == fail_at
+    forced = tuple(frozenset(x for x in range(len(space)) if m >> x & 1) for m in seen[-1])
+    monkeypatch.undo()
+    fail_on(monkeypatch, forced)
+    expected = product_scan_families(
+        space, coupling, psi, coord_upsets, KernelMemo(coupling.as_space())
+    )
+    hit = removal._scan_families(space, coupling, psi, coord_upsets, KernelMemo(coupling.as_space()))
+    assert isinstance(hit, RemovalInstance)
+    assert hit == expected
+    assert tuple(a for ((_, a),) in hit.families) == forced
+
+
+def _small_product_conclusion(limit):
+    """A weaker conclusion of the same shape: a product event with at most
+    ``limit`` support tuples (0 is the real conclusion) forces a null
+    intersection.  Like the real one, it can only fail more often as the
+    product shrinks and the intersection grows."""
+    def holds(chosen, positive):
+        product, meet = -1, positive
+        for support, points in chosen:
+            product &= support
+            meet &= points
+        return meet == 0 or bin(product).count("1") > limit
+
+    return holds
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 4])
+def test_depth_first_scan_matches_the_product_scan_over_a_sweep(monkeypatch, limit):
+    # Over every shell of the 3-point d = 3 sweep, with the conclusion
+    # weakened so that it fails on many shells, the skipping scan returns
+    # the instance of the scan that evaluates every combination.  With the
+    # real conclusion (limit 0) nothing fails, and the skipping scan never
+    # evaluates a whole combination whose first targets already miss every
+    # positive-weight point, while the product scan does.
+    holds = _small_product_conclusion(limit)
+    whole = {"skipping": [0, 0], "product": [0, 0]}  # [evaluated, hopeless]
+    scans = {"skipping": removal._scan_families, "product": product_scan_families}
+    d, n = 3, 3
+    parts = removal._all_partitions(n)
+    masks = ground_masks(d)
+    coord_upsets = removal._coordinate_upsets(d)
+    hits = set()
+    for weights in removal._weight_menu(n):
+        space = ExactProbabilitySpace(tuple(range(n)), weights)
+        for _, coupling in removal._coupling_menu(space, d, SearchConfig().families):
+            allowed = [
+                [c for c, p in enumerate(parts) if removal._identified(coupling, m, p)]
+                for m in masks
+            ]
+            memo = KernelMemo(coupling.as_space())
+            for psi in removal._psi_maps(parts, masks, allowed):
+                found = {}
+                for name, scan in scans.items():
+                    def counting(chosen, positive, name=name):
+                        chosen = tuple(chosen)
+                        if all(points != removal._UNCHOSEN[1] for _, points in chosen):
+                            whole[name][0] += 1
+                            meet = positive
+                            for _, points in chosen[:-1]:
+                                meet &= points
+                            whole[name][1] += meet == 0
+                        return holds(chosen, positive)
+
+                    monkeypatch.setattr(removal, "_conclusion_holds", counting)
+                    found[name] = scan(space, coupling, psi, coord_upsets, memo)
+                assert found["skipping"] == found["product"]
+                hits.add(found["skipping"] is None)
+    assert whole["skipping"][1] == 0
+    assert whole["skipping"][0] < whole["product"][0]
+    if limit == 0:
+        assert hits == {True} and whole["product"][1] > 0
+    else:
+        assert hits == {True, False}
 
 
 # -- the search ---------------------------------------------------------------------

@@ -152,6 +152,28 @@ def test_law_from_json_weight_errors_keep_their_entry_path():
     assert str(exc.value) == "$.weights[4].value: expected a rational string, got float"
 
 
+def test_law_configs_must_be_integer_arrays():
+    # Booleans are integers, and are stored as 0 and 1; any other entry is
+    # rejected at the entry's path, before the constructor sees the law.
+    doc = {
+        "k": 2,
+        "depth": 1,
+        "carrier": {"points": [0, 1], "weights": ["1/2", "1/2"]},
+        "weights": [
+            {"config": [False, False], "value": "1/2"},
+            {"config": [1, True], "value": "1/2"},
+        ],
+    }
+    law = law_from_json(doc)
+    assert law.weights == {(0, 0): F(1, 2), (1, 1): F(1, 2)}
+    assert all(type(c) is int for cfg in law.weights for c in cfg)
+    for bad in ("1", 1.0, None, [1]):
+        doc["weights"][1]["config"] = [1, bad]
+        with pytest.raises(ValidationError) as exc:
+            law_from_json(doc)
+        assert str(exc.value) == "$.weights[1].config: expected an array of integers"
+
+
 def test_removal_instance_roundtrip():
     sp = ExactProbabilitySpace.uniform((0, 1))
     lam = Coupling.diagonal(sp, 3)
