@@ -234,3 +234,132 @@ def test_correspondence_json_shape():
     doc = correspondence_to_json(cm)
     assert doc["k"] == 2 and doc["L"] == 1
     assert {tuple(e["config"]) for e in doc["mass"]} == {(0, 1), (1, 0)}
+
+
+# -- locked diagnostics ---------------------------------------------------------
+
+_SP2 = {"points": [0, 1], "weights": ["1/2", "1/2"]}
+_SP3 = {"points": [0, 1, 2], "weights": ["1/3", "1/3", "1/3"]}
+_CYCLE = [1, 2, 0]
+_SWAP = [1, 0, 2]
+_MASKS = ([0, 1], [0, 2], [1, 2], [0, 1, 2])
+
+
+def _system_doc(gens, space=_SP3, dim=None):
+    return {"dim": len(gens) if dim is None else dim, "space": space, "generators": gens}
+
+
+def _law_doc(entries):
+    return {
+        "k": 2,
+        "depth": 1,
+        "carrier": _SP2,
+        "weights": [{"config": c, "value": v} for c, v in entries],
+    }
+
+
+def _coupling_doc(entries, arity=2, base=_SP2):
+    doc = {"arity": arity, "mass": [{"tuple": t, "value": v} for t, v in entries]}
+    if base is not None:
+        doc["base"] = base
+    return doc
+
+
+def _instance_doc(partition=((0,), (1,)), masks=_MASKS, members=((0, 1, 2),), coords=3, aset=(0,)):
+    return {
+        "space": _SP2,
+        "coupling": _coupling_doc(
+            [([0, 0, 0], "1/2"), ([1, 1, 1], "1/2")], arity=3, base=None
+        ),
+        "psi": [{"set": m, "partition": [list(b) for b in partition]} for m in masks],
+        "families": [
+            [{"upset": {"d": 3, "members": [list(s) for s in members]}, "set": list(aset)}]
+            for _ in range(coords)
+        ],
+    }
+
+
+_LOCKED_DIAGNOSTICS = [
+    ("system", _system_doc([[0, 1, 1]]), "$.generators[0]: not a permutation of the points"),
+    ("system", _system_doc([_CYCLE, [0, 1]]), "$.generators[1]: not a permutation of the points"),
+    (
+        "system",
+        _system_doc([_SWAP], space={"points": [0, 1, 2], "weights": ["1/2", "1/4", "1/4"]}),
+        "$.generators[0]: weight not preserved at point 0",
+    ),
+    ("system", _system_doc([_CYCLE, _SWAP]), "$.generators: generators 0 and 1 do not commute"),
+    ("system", _system_doc([_CYCLE, _CYCLE, _SWAP]), "$.generators: generators 0 and 2 do not commute"),
+    ("system", _system_doc([_CYCLE], dim=2), "$.dim: dim must equal the number of generators"),
+    (
+        "law",
+        _law_doc([([0, 0], "1/2"), ([1, "1"], "1/2")]),
+        "$.weights[1].config: expected an array of integers",
+    ),
+    (
+        "law",
+        _law_doc([([0, 0], "1/2"), ([1, 1], "one half")]),
+        "$.weights[1].value: bad rational 'one half': Invalid literal for Fraction: 'one half'",
+    ),
+    ("law", _law_doc([([0, 0], "1/2"), ([1, 1], "1/3")]), "$: total mass must be exactly 1"),
+    (
+        "law",
+        _law_doc([([0, 0], "1/2"), ([1, 2], "1/2")]),
+        "$: configurations must index the carrier at every word",
+    ),
+    ("coupling", _coupling_doc([([0, 0], "1/2"), ([1], "1/2")]), "$: tuple length must equal the arity"),
+    ("coupling", _coupling_doc([([0, 0], "1/2"), ([1, 2], "1/2")]), "$: tuple entry out of range"),
+    ("coupling", _coupling_doc([([0, 0], "1/2"), ([1, 1], "1/3")]), "$: total mass must be exactly 1"),
+    (
+        "coupling",
+        _coupling_doc([([0, 0], "1/2"), ([0, 1], "1/2")]),
+        "$: coordinate 0 marginal differs from the base weights",
+    ),
+    (
+        "coupling",
+        _coupling_doc([([0, 0], "1/2"), ([1, 1], "-1/2"), ([1, 0], "1/2")]),
+        "$: masses must be nonnegative",
+    ),
+    ("coupling", _coupling_doc([([0, 0], "1")], arity=0), "$.arity: arity must be a positive integer"),
+    (
+        "coupling",
+        _coupling_doc([([0, 0], "1/2"), ([1, "x"], "1/2")]),
+        "$.mass[1].tuple: expected an array of integers",
+    ),
+    (
+        "instance",
+        _instance_doc(partition=((0,), (0, 1))),
+        "$.psi[0].partition: blocks must be pairwise disjoint",
+    ),
+    ("instance", _instance_doc(partition=((0,),)), "$.psi[0].partition: blocks must cover every point"),
+    (
+        "instance",
+        _instance_doc(partition=((0,), (2,))),
+        "$.psi[0].partition: point index 2 out of range",
+    ),
+    (
+        "instance",
+        _instance_doc(masks=_MASKS[:3]),
+        "$: psi must be defined exactly on the index sets of size >= 2",
+    ),
+    (
+        "instance",
+        _instance_doc(members=((0, 1),)),
+        "$.families[0][0].upset: family is not upward closed",
+    ),
+    (
+        "instance",
+        _instance_doc(members=((0,),)),
+        "$.families[0][0].upset: members must have size at least 2",
+    ),
+    ("instance", _instance_doc(coords=2), "$: need one family of target sets per coordinate"),
+    (
+        "instance",
+        _instance_doc(aset=("a",)),
+        "$.families[0][0].set: expected an array of integers",
+    ),
+]
+
+
+@pytest.mark.parametrize("schema, doc, expected", _LOCKED_DIAGNOSTICS)
+def test_validate_reports_the_locked_diagnostic(schema, doc, expected):
+    assert validate_document(doc, schema) == [expected]
