@@ -176,8 +176,7 @@ def _cmd_recur(args) -> int:
 
 def _cmd_vdc(args) -> int:
     doc = _load(args.seq)
-    entries = serialize.sequence_from_json(doc)
-    seq = averages.VectorSequence(entries)
+    seq = serialize.sequence_from_json(doc)
     rep = averages.van_der_corput_inequality(seq, args.N, args.H)
     results = {"lhs": rep.lhs, "rhs": rep.rhs, "holds": rep.holds}
     return _emit(

@@ -29,6 +29,24 @@ ONE = Fraction(1)
 Rational = Fraction | int
 
 
+class ValidationError(ValueError):
+    """An invariant failed.  ``path`` locates the offender by field names
+    and indices, the way a JSON path does; a caller that holds the object
+    inside a larger document prefixes its own path."""
+
+    def __init__(self, path: Sequence, message: str):
+        self.path = list(path)
+        self.message = message
+        super().__init__(f"{format_path(path)}: {message}")
+
+
+def format_path(path: Sequence) -> str:
+    out = "$"
+    for p in path:
+        out += f"[{p!r}]" if isinstance(p, int) else f".{p}"
+    return out
+
+
 def _frac(x: Rational) -> Fraction:
     if isinstance(x, Fraction):
         return x

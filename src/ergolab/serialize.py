@@ -1,5 +1,9 @@
 """JSON encodings and validation with path-precise diagnostics.
 
+The constructors check the invariants of the objects they build; this module
+checks JSON shape (keys and types) and the wire rules below, and places every
+error at its JSON path.
+
 Wire formats:
 
 * rationals: reduced strings ``"p/q"`` (a bare integer string is accepted on
@@ -29,28 +33,20 @@ from .hales_jewett import (
     CorrespondenceMeasure,
     StationaryLawTruncation,
 )
-from .measure import Coupling, ExactProbabilitySpace, Partition, SimpleFunction
+from .averages import VectorSequence
+from .measure import (
+    Coupling,
+    ExactProbabilitySpace,
+    Partition,
+    SimpleFunction,
+    ValidationError,
+    format_path,  # re-exported with ValidationError, as before they moved
+)
 from .systems import FiniteZdSystem, GroupRotationSystem, SubgroupSpec
 
 if TYPE_CHECKING:
     from .removal import RemovalInstance
     from .upsets import UpSet
-
-
-class ValidationError(ValueError):
-    """An input document failed validation; ``path`` locates the offender."""
-
-    def __init__(self, path: Sequence, message: str):
-        self.path = list(path)
-        self.message = message
-        super().__init__(f"{format_path(path)}: {message}")
-
-
-def format_path(path: Sequence) -> str:
-    out = "$"
-    for p in path:
-        out += f"[{p!r}]" if isinstance(p, int) else f".{p}"
-    return out
 
 
 def format_fraction(q: Fraction) -> str:
@@ -69,9 +65,11 @@ def parse_fraction(s: Any, path: Sequence = ()) -> Fraction:
         raise ValidationError(path, f"bad rational {s!r}: {exc}") from None
 
 
-def _normalize_label(x: Any) -> Any:
+def _normalize_label(x: Any, path: Sequence) -> Any:
     if isinstance(x, list):
-        return tuple(_normalize_label(v) for v in x)
+        return tuple(_normalize_label(v, path) for v in x)
+    if isinstance(x, dict):
+        raise ValidationError(path, "a point label cannot be an object")
     return x
 
 
@@ -101,6 +99,51 @@ def _int_list(obj: Any, path: Sequence) -> list[int]:
     return list(obj)
 
 
+def _build(path: Sequence, ctor: Any, *args: Any) -> Any:
+    """``ctor(*args)``, with the constructor's error placed at ``path``:
+    a located error's own path is appended to it.  The arguments are
+    evaluated by the caller, so their parse errors keep their own paths."""
+    try:
+        return ctor(*args)
+    except ValidationError as exc:
+        raise ValidationError(list(path) + exc.path, exc.message) from None
+    except ValueError as exc:
+        raise ValidationError(path, str(exc)) from None
+
+
+def _entries(
+    obj: Any, key: str, field: str, path: Sequence, stored: bool = False
+) -> dict[tuple[int, ...], Fraction]:
+    """Parse ``obj[key]``, an array of ``{field: [i, ...], "value": "p/q"}``,
+    into a dict summing repeated tuples.  Each distinct value string is
+    parsed once, and a bad one fails at its first entry.  ``stored`` adds the
+    wire rules of stored masses: tuples sorted and distinct, values positive.
+    """
+    entries = _need(obj, key, path)
+    if not isinstance(entries, list):
+        raise ValidationError(list(path) + [key], "expected an array")
+    out: dict = {}
+    parsed: dict[str, Fraction] = {}
+    prev: tuple | None = None
+    for i, entry in enumerate(entries):
+        epath = list(path) + [key, i]
+        t = tuple(_int_list(_need(entry, field, epath), epath + [field]))
+        if stored and prev is not None and t <= prev:
+            raise ValidationError(epath + [field], "tuples must be sorted and distinct")
+        prev = t
+        raw = _need(entry, "value", epath)
+        if type(raw) is not str:
+            v = parse_fraction(raw, epath + ["value"])
+        elif raw in parsed:
+            v = parsed[raw]
+        else:
+            v = parsed[raw] = parse_fraction(raw, epath + ["value"])
+        if stored and v <= 0:
+            raise ValidationError(epath + ["value"], "stored masses must be positive")
+        out[t] = out[t] + v if t in out else v
+    return out
+
+
 # -- spaces -----------------------------------------------------------------
 
 def space_to_json(space: ExactProbabilitySpace) -> dict:
@@ -115,13 +158,11 @@ def space_from_json(obj: Any, path: Sequence = ()) -> ExactProbabilitySpace:
     weights = _need(obj, "weights", path)
     if not isinstance(points, list) or not isinstance(weights, list):
         raise ValidationError(path, "points and weights must be arrays")
+    labels = tuple(
+        _normalize_label(p, list(path) + ["points", i]) for i, p in enumerate(points)
+    )
     ws = [parse_fraction(w, list(path) + ["weights", i]) for i, w in enumerate(weights)]
-    try:
-        return ExactProbabilitySpace(
-            tuple(_normalize_label(p) for p in points), tuple(ws)
-        )
-    except ValueError as exc:
-        raise ValidationError(path, str(exc)) from None
+    return _build(path, ExactProbabilitySpace, labels, tuple(ws))
 
 
 # -- partitions -------------------------------------------------------------
@@ -133,11 +174,8 @@ def partition_to_json(p: Partition) -> list:
 def partition_from_json(obj: Any, size: int, path: Sequence = ()) -> Partition:
     if not isinstance(obj, list):
         raise ValidationError(path, "expected an array of blocks")
-    blocks = [_int_list(b, list(path) + [i]) for i, b in enumerate(obj)]
-    try:
-        return Partition(size, tuple(tuple(b) for b in blocks))
-    except ValueError as exc:
-        raise ValidationError(path, str(exc)) from None
+    blocks = tuple(tuple(_int_list(b, list(path) + [i])) for i, b in enumerate(obj))
+    return _build(path, Partition, size, blocks)
 
 
 # -- couplings --------------------------------------------------------------
@@ -155,27 +193,40 @@ def coupling_to_json(c: Coupling, include_base: bool = True) -> dict:
     return out
 
 
-def coupling_from_json(
-    obj: Any, base: ExactProbabilitySpace | None = None, path: Sequence = ()
-) -> Coupling:
+def _arity(obj: Any, path: Sequence) -> int:
     arity = _need(obj, "arity", path)
     if not isinstance(arity, int) or arity < 1:
         raise ValidationError(list(path) + ["arity"], "arity must be a positive integer")
+    return arity
+
+
+def coupling_from_json(
+    obj: Any, base: ExactProbabilitySpace | None = None, path: Sequence = ()
+) -> Coupling:
+    arity = _arity(obj, path)
     if base is None:
         base = space_from_json(_need(obj, "base", path), list(path) + ["base"])
-    entries = _need(obj, "mass", path)
-    if not isinstance(entries, list):
-        raise ValidationError(list(path) + ["mass"], "expected an array")
-    mass: dict = {}
-    for i, entry in enumerate(entries):
-        epath = list(path) + ["mass", i]
-        t = tuple(_int_list(_need(entry, "tuple", epath), epath + ["tuple"]))
-        v = parse_fraction(_need(entry, "value", epath), epath + ["value"])
-        mass[t] = mass.get(t, Fraction(0)) + v
-    try:
-        return Coupling(arity, base, mass)
-    except ValueError as exc:
-        raise ValidationError(path, str(exc)) from None
+    return _build(path, Coupling, arity, base, _entries(obj, "mass", "tuple", path))
+
+
+def _baseless_coupling(arity: int, mass: dict) -> Coupling:
+    """The coupling a document without a base describes: its base is the
+    coordinate-0 marginal on the points ``0..max index``.  Points no tuple
+    uses weigh 0 in every marginal, so the used ones, renumbered in order,
+    stand for them (a huge index allocates nothing; a negative one becomes
+    -1).  A marginal that is no probability vector means an entry out of
+    range or a total other than 1, which ``Coupling`` reports before it
+    reads the base weights, so a uniform base serves then."""
+    used = sorted({i for t in mass for i in t if i >= 0}) or [0]
+    number = {x: j for j, x in enumerate(used)}
+    mass = {tuple(number.get(i, -1) for i in t): v for t, v in mass.items()}
+    weights = [Fraction(0)] * len(used)
+    for t, v in mass.items():
+        if t and t[0] >= 0:
+            weights[t[0]] += v
+    if sum(weights) != 1:
+        weights = [Fraction(1, len(used))] * len(used)
+    return Coupling(arity, ExactProbabilitySpace(tuple(used), tuple(weights)), mass)
 
 
 # -- systems ----------------------------------------------------------------
@@ -201,27 +252,7 @@ def system_from_json(obj: Any, path: Sequence = ()) -> FiniteZdSystem:
     perms = [
         tuple(_int_list(g, list(path) + ["generators", i])) for i, g in enumerate(gens)
     ]
-    n = len(space)
-    for i, g in enumerate(perms):
-        if sorted(g) != list(range(n)):
-            raise ValidationError(
-                list(path) + ["generators", i], "not a permutation of the points"
-            )
-        for x in range(n):
-            if space.weights[g[x]] != space.weights[x]:
-                raise ValidationError(
-                    list(path) + ["generators", i],
-                    f"weight not preserved at point {x}",
-                )
-    for i in range(len(perms)):
-        for j in range(i + 1, len(perms)):
-            a, b = perms[i], perms[j]
-            if any(a[b[x]] != b[a[x]] for x in range(n)):
-                raise ValidationError(
-                    list(path) + ["generators"],
-                    f"generators {i} and {j} do not commute",
-                )
-    return FiniteZdSystem(space, tuple(perms))
+    return _build(path, FiniteZdSystem, space, tuple(perms))
 
 
 # -- subgroups and rotations ------------------------------------------------
@@ -234,12 +265,10 @@ def subgroup_from_json(obj: Any, path: Sequence = ()) -> SubgroupSpec:
     vecs = _need(obj, "vectors", path)
     if not isinstance(vecs, list):
         raise ValidationError(list(path) + ["vectors"], "expected an array")
-    return SubgroupSpec(
-        tuple(
-            tuple(_int_list(v, list(path) + ["vectors", i]))
-            for i, v in enumerate(vecs)
-        )
+    vectors = tuple(
+        tuple(_int_list(v, list(path) + ["vectors", i])) for i, v in enumerate(vecs)
     )
+    return _build(path, SubgroupSpec, vectors)
 
 
 def rotation_to_json(rot: GroupRotationSystem) -> dict:
@@ -251,23 +280,16 @@ def rotation_from_json(obj: Any, path: Sequence = ()) -> GroupRotationSystem:
     phi = _need(obj, "phi", path)
     if not isinstance(phi, list):
         raise ValidationError(list(path) + ["phi"], "expected an array")
-    try:
-        return GroupRotationSystem(
-            tuple(orders),
-            tuple(
-                tuple(_int_list(v, list(path) + ["phi", i])) for i, v in enumerate(phi)
-            ),
-        )
-    except ValueError as exc:
-        raise ValidationError(path, str(exc)) from None
+    images = tuple(tuple(_int_list(v, list(path) + ["phi", i])) for i, v in enumerate(phi))
+    return _build(path, GroupRotationSystem, tuple(orders), images)
 
 
 # -- sequences, functions, subspaces ----------------------------------------
 
-def sequence_from_json(obj: Any, path: Sequence = ()) -> tuple[tuple[Fraction, ...], ...]:
+def sequence_from_json(obj: Any, path: Sequence = ()) -> VectorSequence:
     entries = _need(obj, "entries", path)
-    if not isinstance(entries, list) or not entries:
-        raise ValidationError(list(path) + ["entries"], "expected a nonempty array")
+    if not isinstance(entries, list):
+        raise ValidationError(list(path) + ["entries"], "expected an array")
     rows = []
     for i, row in enumerate(entries):
         if not isinstance(row, list):
@@ -278,7 +300,7 @@ def sequence_from_json(obj: Any, path: Sequence = ()) -> tuple[tuple[Fraction, .
                 for j, v in enumerate(row)
             )
         )
-    return tuple(rows)
+    return _build(list(path) + ["entries"], VectorSequence, tuple(rows))
 
 
 def function_from_json(obj: Any, path: Sequence = ()) -> SimpleFunction:
@@ -305,18 +327,10 @@ def subspace_from_json(obj: Any, k: int, path: Sequence = ()) -> CombinatorialSu
     template = _need(obj, "w", path)
     if not isinstance(template, str):
         raise ValidationError(list(path) + ["w"], "expected a word string")
-    try:
-        return CombinatorialSubspace(
-            k,
-            tuple(bps),
-            tuple(
-                frozenset(_int_list(w, list(path) + ["I", i]))
-                for i, w in enumerate(wsets)
-            ),
-            template,
-        )
-    except ValueError as exc:
-        raise ValidationError(path, str(exc)) from None
+    wildcards = tuple(
+        frozenset(_int_list(w, list(path) + ["I", i])) for i, w in enumerate(wsets)
+    )
+    return _build(path, CombinatorialSubspace, k, tuple(bps), wildcards, template)
 
 
 def correspondence_to_json(cm: CorrespondenceMeasure) -> dict:
@@ -351,28 +365,8 @@ def law_from_json(obj: Any, path: Sequence = ()) -> StationaryLawTruncation:
     if not isinstance(k, int) or not isinstance(depth, int):
         raise ValidationError(path, "k and depth must be integers")
     carrier = space_from_json(_need(obj, "carrier", path), list(path) + ["carrier"])
-    entries = _need(obj, "weights", path)
-    if not isinstance(entries, list):
-        raise ValidationError(list(path) + ["weights"], "expected an array")
-    weights: dict = {}
-    # Laws repeat few distinct weight strings over many configurations, so
-    # each string is parsed once; a bad one still fails at its first entry.
-    parsed: dict[str, Fraction] = {}
-    for i, entry in enumerate(entries):
-        epath = list(path) + ["weights", i]
-        cfg = tuple(_int_list(_need(entry, "config", epath), epath + ["config"]))
-        raw = _need(entry, "value", epath)
-        if type(raw) is not str:
-            v = parse_fraction(raw, epath + ["value"])
-        elif raw in parsed:
-            v = parsed[raw]
-        else:
-            v = parsed[raw] = parse_fraction(raw, epath + ["value"])
-        weights[cfg] = weights[cfg] + v if cfg in weights else v
-    try:
-        return StationaryLawTruncation(k, depth, carrier, weights)
-    except ValueError as exc:
-        raise ValidationError(path, str(exc)) from None
+    weights = _entries(obj, "weights", "config", path)
+    return _build(path, StationaryLawTruncation, k, depth, carrier, weights)
 
 
 # -- removal instances --------------------------------------------------------
@@ -397,10 +391,7 @@ def upset_from_json(obj: Any, d: int | None = None, path: Sequence = ()) -> "UpS
         mask_of(_int_list(m, list(path) + ["members", i]))
         for i, m in enumerate(members)
     )
-    try:
-        return UpSet(d, masks)
-    except ValueError as exc:
-        raise ValidationError(path, str(exc)) from None
+    return _build(path, UpSet, d, masks)
 
 
 def removal_instance_to_json(inst: "RemovalInstance") -> dict:
@@ -458,10 +449,7 @@ def removal_instance_from_json(obj: Any, path: Sequence = ()) -> "RemovalInstanc
             a = frozenset(_int_list(_need(entry, "set", epath), epath + ["set"]))
             out.append((u, a))
         families.append(tuple(out))
-    try:
-        return RemovalInstance(space, coupling, psi, tuple(families))
-    except ValueError as exc:
-        raise ValidationError(path, str(exc)) from None
+    return _build(path, RemovalInstance, space, coupling, psi, tuple(families))
 
 
 # -- joint-distribution instances ----------------------------------------------
@@ -477,16 +465,15 @@ def joint_instance_from_json(obj: Any, path: Sequence = ()) -> dict:
     groups_json = _need(obj, "subgroups", path)
     if not (isinstance(targets_json, list) and isinstance(maps_json, list)):
         raise ValidationError(path, "targets and maps must be arrays")
+    if not isinstance(groups_json, list):
+        raise ValidationError(list(path) + ["subgroups"], "expected an array")
     if len(targets_json) != len(maps_json) or len(groups_json) != len(maps_json):
         raise ValidationError(path, "targets, maps, and subgroups must align")
     maps = []
     for i, (tj, mj) in enumerate(zip(targets_json, maps_json)):
         target = system_from_json(tj, list(path) + ["targets", i])
         pm = _int_list(mj, list(path) + ["maps", i])
-        try:
-            maps.append(FactorMap(joining, target, tuple(pm)))
-        except ValueError as exc:
-            raise ValidationError(list(path) + ["maps", i], str(exc)) from None
+        maps.append(_build(list(path) + ["maps", i], FactorMap, joining, target, tuple(pm)))
     subgroups = [
         subgroup_from_json(g, list(path) + ["subgroups", i])
         for i, g in enumerate(groups_json)
@@ -505,33 +492,14 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def _coupling_document_check(obj: Any) -> None:
-    """Validate a coupling document; without a base only the structural
-    invariants (well-formed sorted tuples, positive masses summing to 1) can
-    be checked, since marginals need the base weights."""
+    """Validate a coupling document.  One without a base is checked as a
+    coupling of the base it implies (see :func:`_baseless_coupling`), after
+    the wire rules of stored masses."""
     if isinstance(obj, dict) and "base" in obj:
         coupling_from_json(obj)
         return
-    arity = _need(obj, "arity", ())
-    if not isinstance(arity, int) or arity < 1:
-        raise ValidationError(["arity"], "arity must be a positive integer")
-    entries = _need(obj, "mass", ())
-    if not isinstance(entries, list):
-        raise ValidationError(["mass"], "expected an array")
-    total = Fraction(0)
-    prev: tuple | None = None
-    for i, entry in enumerate(entries):
-        t = tuple(_int_list(_need(entry, "tuple", ["mass", i]), ["mass", i, "tuple"]))
-        if len(t) != arity:
-            raise ValidationError(["mass", i, "tuple"], "length must equal the arity")
-        if prev is not None and t <= prev:
-            raise ValidationError(["mass", i, "tuple"], "tuples must be sorted and distinct")
-        prev = t
-        v = parse_fraction(_need(entry, "value", ["mass", i]), ["mass", i, "value"])
-        if v <= 0:
-            raise ValidationError(["mass", i, "value"], "stored masses must be positive")
-        total += v
-    if total != 1:
-        raise ValidationError(["mass"], f"masses sum to {format_fraction(total)}, not 1")
+    arity = _arity(obj, ())
+    _build((), _baseless_coupling, arity, _entries(obj, "mass", "tuple", (), stored=True))
 
 
 _SCHEMAS = {

@@ -18,6 +18,7 @@ from .measure import (
     ExactProbabilitySpace,
     IndependenceReport,
     Partition,
+    ValidationError,
     common_refinement,
     relative_independence,
 )
@@ -77,7 +78,8 @@ def perm_power(p: Perm, k: int) -> Perm:
 @dataclass(frozen=True)
 class FiniteZdSystem:
     """A finite probability space acted on by d commuting weight-preserving
-    permutations."""
+    permutations.  A failed check raises a :class:`ValidationError` located
+    at the generator, e.g. ``$.generators[1]: not a permutation of the points``."""
 
     space: ExactProbabilitySpace
     generators: tuple[Perm, ...]
@@ -86,15 +88,17 @@ class FiniteZdSystem:
         gens = tuple(tuple(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         n = len(self.space)
-        for g in gens:
+        for i, g in enumerate(gens):
             if not is_permutation(g, n):
-                raise ValueError("each generator must be a permutation of the points")
+                raise ValidationError(["generators", i], "not a permutation of the points")
             for x in range(n):
                 if self.space.weights[g[x]] != self.space.weights[x]:
-                    raise ValueError("generators must preserve the weights exactly")
-        for a, b in combinations(gens, 2):
+                    raise ValidationError(
+                        ["generators", i], f"weight not preserved at point {x}"
+                    )
+        for (i, a), (j, b) in combinations(enumerate(gens), 2):
             if compose(a, b) != compose(b, a):
-                raise ValueError("generators must commute")
+                raise ValidationError(["generators"], f"generators {i} and {j} do not commute")
 
     @property
     def dim(self) -> int:

@@ -110,6 +110,68 @@ def test_validate_ok_and_error_codes(z3_file, tmp_path, capsys):
     assert "malformed" in report["error"]
 
 
+@pytest.mark.parametrize(
+    "schema, doc, expected",
+    [
+        (
+            "system",
+            {
+                "dim": 1,
+                "space": {"points": [{"a": 1}, {"b": 2}], "weights": ["1/2", "1/2"]},
+                "generators": [[1, 0]],
+            },
+            "$.space.points[0]: a point label cannot be an object",
+        ),
+        (
+            "joint",
+            {
+                "joining": {
+                    "dim": 1,
+                    "space": {"points": [0, 1], "weights": ["1/2", "1/2"]},
+                    "generators": [[1, 0]],
+                },
+                "targets": [],
+                "maps": [],
+                "subgroups": 5,
+            },
+            "$.subgroups: expected an array",
+        ),
+        (
+            "coupling",
+            {"arity": 2, "mass": [{"tuple": [0, 1], "value": "1/2"}, {"tuple": [0, 2], "value": "1/2"}]},
+            "$: coordinate 1 marginal differs from the base weights",
+        ),
+    ],
+    ids=["object-label", "subgroups-not-an-array", "baseless-unequal-marginals"],
+)
+def test_validate_reports_bad_documents(tmp_path, capsys, schema, doc, expected):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(capsys, ["validate", "--schema", schema, str(path)])
+    assert code == 3
+    assert report["results"] == {"ok": False, "diagnostics": [expected], "schema": schema}
+
+
+def test_object_labels_are_input_errors_with_a_path(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({
+        "dim": 1,
+        "space": {"points": [{"a": 1}, {"b": 2}], "weights": ["1/2", "1/2"]},
+        "generators": [[1, 0]],
+    }))
+    code, report = run(capsys, ["recur", "--system", str(path), "--set", "[0]"])
+    assert code == 3
+    assert report == {"error": "$.space.points[0]: a point label cannot be an object"}
+
+
+def test_vdc_ragged_sequence_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"entries": [["1", "2"], ["3"]] * 4}))
+    code, report = run(capsys, ["vdc", "--seq", str(path), "-N", "2", "-H", "2"])
+    assert code == 3
+    assert report == {"error": "$.entries: vectors must share one dimension"}
+
+
 def test_missing_file_is_input_error(capsys):
     code, report = run(capsys, ["recur", "--system", "/nonexistent.json", "--set", "[0]"])
     assert code == 3

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -360,6 +361,118 @@ _LOCKED_DIAGNOSTICS = [
 ]
 
 
-@pytest.mark.parametrize("schema, doc, expected", _LOCKED_DIAGNOSTICS)
+# Documents that used to pass validation, or that crashed it, and the
+# diagnostic that now names each fault.
+_NEW_DIAGNOSTICS = [
+    (
+        "coupling",
+        _coupling_doc([([0, 1], "1/2"), ([0, 2], "1/2")], base=None),
+        "$: coordinate 1 marginal differs from the base weights",
+    ),
+    ("coupling", _coupling_doc([([-1, -1], "1")], base=None), "$: tuple entry out of range"),
+    (
+        "coupling",
+        _coupling_doc([([0, 0], "1/2"), ([1, -1], "1/2")], base=None),
+        "$: tuple entry out of range",
+    ),
+    ("sequence", {"entries": [["1", "2"], ["3"]]}, "$.entries: vectors must share one dimension"),
+    (
+        "system",
+        _system_doc([_CYCLE], space={"points": [{"a": 1}, {"b": 2}, 3], "weights": ["1/3"] * 3}),
+        "$.space.points[0]: a point label cannot be an object",
+    ),
+    (
+        "system",
+        _system_doc([_CYCLE], space={"points": [0, [1, {"b": 2}], 3], "weights": ["1/3"] * 3}),
+        "$.space.points[1]: a point label cannot be an object",
+    ),
+    (
+        "joint",
+        {"joining": _system_doc([_CYCLE]), "targets": [], "maps": [], "subgroups": 5},
+        "$.subgroups: expected an array",
+    ),
+]
+
+
+def _slug(text: str) -> str:
+    return re.sub(r"[^a-z0-9]+", "-", text.lower()).strip("-")
+
+
+@pytest.mark.parametrize(
+    "schema, doc, expected",
+    _LOCKED_DIAGNOSTICS + _NEW_DIAGNOSTICS,
+    ids=[_slug(f"{s} {e}") for s, _, e in _LOCKED_DIAGNOSTICS + _NEW_DIAGNOSTICS],
+)
 def test_validate_reports_the_locked_diagnostic(schema, doc, expected):
     assert validate_document(doc, schema) == [expected]
+
+
+# Base-less couplings: the wire rules, then the constructor's checks
+# against the implied base.
+_BASELESS_DIAGNOSTICS = [
+    ([([0, 0], "1/2"), ([1], "1/2")], "$: tuple length must equal the arity"),
+    ([([0, 0], "1/2"), ([1, 1], "1/3")], "$: total mass must be exactly 1"),
+    ([], "$: total mass must be exactly 1"),
+    ([([1, 1], "1/2"), ([0, 0], "1/2")], "$.mass[1].tuple: tuples must be sorted and distinct"),
+    ([([0, 0], "1/2"), ([0, 0], "1/2")], "$.mass[1].tuple: tuples must be sorted and distinct"),
+    ([([0, 0], "1/2"), ([1, 1], "0")], "$.mass[1].value: stored masses must be positive"),
+    ([([0, 0], "1/2"), ([1, "1"], "1/2")], "$.mass[1].tuple: expected an array of integers"),
+]
+
+
+@pytest.mark.parametrize(
+    "entries, expected", _BASELESS_DIAGNOSTICS, ids=[_slug(e) for _, e in _BASELESS_DIAGNOSTICS]
+)
+def test_baseless_coupling_diagnostics(entries, expected):
+    assert validate_document(_coupling_doc(entries, base=None), "coupling") == [expected]
+
+
+def test_baseless_couplings_that_are_couplings_pass():
+    for entries in (
+        [([0, 0], "1/2"), ([1, 1], "1/2")],
+        [([0, 1], "1/2"), ([1, 0], "1/2")],
+        # Points 1 and 2 are unused: zero weight in the implied base.
+        [([0, 3], "1/4"), ([3, 0], "1/4"), ([3, 3], "1/2")],
+        # A huge index is renumbered, not allocated.
+        [([0, 10**12], "1/2"), ([10**12, 0], "1/2")],
+    ):
+        assert validate_document(_coupling_doc(entries, base=None), "coupling") == []
+
+
+def test_parse_errors_are_not_wrapped_in_the_document_path():
+    with pytest.raises(ValidationError) as exc:
+        rotation_from_json({"orders": [2], "phi": [["a"]]})
+    assert str(exc.value) == "$.phi[0]: expected an array of integers"
+    assert validate_document({"orders": [2], "phi": [["a"]]}, "rotation") == [
+        "$.phi[0]: expected an array of integers"
+    ]
+    from ergolab.serialize import subspace_from_json
+
+    with pytest.raises(ValidationError) as exc:
+        subspace_from_json({"N": [1], "I": [["x"]], "w": "1"}, 2)
+    assert str(exc.value) == "$.I[0]: expected an array of integers"
+
+
+def test_constructor_errors_get_the_enclosing_path():
+    sys_doc = _system_doc([_CYCLE, _SWAP])
+    joint = {"joining": sys_doc, "targets": [], "maps": [], "subgroups": []}
+    assert validate_document(joint, "joint") == [
+        "$.joining.generators: generators 0 and 1 do not commute"
+    ]
+    with pytest.raises(ValidationError) as exc:
+        subgroup_from_json({"vectors": [[1, 0], [1]]}, ["lambda"])
+    assert str(exc.value) == "$.lambda: generator vectors must share one dimension"
+
+
+def test_sequence_from_json_builds_the_sequence():
+    from ergolab.averages import VectorSequence
+    from ergolab.serialize import sequence_from_json
+
+    seq = sequence_from_json({"entries": [["1/2", 1], ["0", "2"]]})
+    assert seq == VectorSequence(((F(1, 2), F(1)), (F(0), F(2))))
+    for entries, expected in (
+        ([], "$.entries: sequence must be nonempty"),
+        (5, "$.entries: expected an array"),
+        ([["1"], "2"], "$.entries[1]: expected an array"),
+    ):
+        assert validate_document({"entries": entries}, "sequence") == [expected]

@@ -42,6 +42,26 @@ def test_noncommuting_generators_rejected():
         FiniteZdSystem(sp, (g, h))
 
 
+def test_generator_errors_are_located_value_errors():
+    from ergolab.measure import ValidationError
+
+    skew = ExactProbabilitySpace((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)))
+    uniform = ExactProbabilitySpace.uniform((0, 1, 2))
+    for space, gens, expected in (
+        (skew, ((1, 2, 0),), "$.generators[0]: weight not preserved at point 0"),
+        (skew, ((0, 2, 1), (0, 1)), "$.generators[1]: not a permutation of the points"),
+        (
+            uniform,
+            ((0, 1, 2), (1, 2, 0), (1, 0, 2)),
+            "$.generators: generators 1 and 2 do not commute",
+        ),
+    ):
+        with pytest.raises(ValueError) as exc:
+            FiniteZdSystem(space, gens)
+        assert isinstance(exc.value, ValidationError)
+        assert str(exc.value) == expected
+
+
 def test_weight_preservation_rejected():
     sp = ExactProbabilitySpace((0, 1), (F(1, 3), F(2, 3)))
     with pytest.raises(ValueError):
