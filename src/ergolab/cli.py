@@ -117,7 +117,7 @@ def _parse_set(text: str) -> frozenset[int]:
         data = json.loads(text)
     except json.JSONDecodeError:
         raise ValidationError(["--set"], "expected a JSON array of point indices") from None
-    if not isinstance(data, list) or any(not isinstance(i, int) for i in data):
+    if not isinstance(data, list) or any(type(i) is not int for i in data):
         raise ValidationError(["--set"], "expected a JSON array of point indices")
     return frozenset(data)
 
@@ -330,8 +330,15 @@ def _cmd_correspond(args) -> int:
 
 def _cmd_stationarity(args) -> int:
     doc = _load_option(args, "law")
-    law = serialize.law_from_json(doc)
-    cap = args.dim_cap if args.dim_cap is not None else min(law.depth, 2)
+    # The law is built and dropped inside the helper, so it is freed before
+    # the input digest encodes the document: the two never share the peak.
+    results = _stationarity_results(serialize.law_from_json(doc), args.dim_cap)
+    code = EXIT_OK if results["holds"] else EXIT_VIOLATED
+    return _emit(args, "stationarity", doc, results, True, code)
+
+
+def _stationarity_results(law: dhj.StationaryLawTruncation, dim_cap: int | None) -> dict:
+    cap = dim_cap if dim_cap is not None else min(law.depth, 2)
     res = dhj.strong_stationarity_check(law, cap)
     results: dict[str, Any] = {"holds": res.holds, "dim_cap": cap}
     if res.witness is not None:
@@ -346,9 +353,7 @@ def _cmd_stationarity(args) -> int:
         else:
             point = dhj.point_marginal(law)
         results["point_marginal"] = serialize.space_to_json(point)
-    return _emit(
-        args, "stationarity", doc, results, True, EXIT_OK if res.holds else EXIT_VIOLATED
-    )
+    return results
 
 
 def _cmd_rotation(args) -> int:

@@ -15,10 +15,11 @@ and bound, reporting the lexicographically least extremal set.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, product as iter_product
+from itertools import accumulate, chain, combinations, product as iter_product
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -263,6 +264,15 @@ def subspace_images(k: int, n: int, max_length: int) -> tuple[tuple[str, ...], .
     return tuple(s.image() for s in enumerate_subspaces(k, n, max_length))
 
 
+@cache
+def _image_indices(k: int, n: int, depth: int) -> tuple[tuple[int, ...], ...]:
+    """The images of :func:`subspace_images` ``(k, n, depth)`` as tuples of
+    indices into :func:`words_up_to` ``(k, depth)``, the coordinates of a
+    law truncation of that depth."""
+    index = {w: i for i, w in enumerate(words_up_to(k, depth))}
+    return tuple(tuple(index[w] for w in img) for img in subspace_images(k, n, depth))
+
+
 @dataclass(frozen=True)
 class MaxLineFreeResult:
     size: int
@@ -278,9 +288,14 @@ def max_line_free(k: int, N: int, budget: int = 5_000_000) -> MaxLineFreeResult:
     preserves that tie-break.  Points are decided in index order and the
     chosen set is always line-free, so including a point can only complete
     a line whose largest point it is: each line is tested once per node,
-    at that point only.  ``budget`` (at least 1) caps the number of search
-    nodes; exceeding it returns the best set found with ``exhaustive=False``,
-    which is the empty set when no leaf was reached.
+    at that point only, as the mask of its other points.  ``budget`` (at
+    least 1) caps the number of search nodes; exceeding it returns the best
+    set found with ``exhaustive=False``, which is the empty set when no
+    leaf was reached.
+
+    The include child is entered in place and only exclude children are
+    stacked, which visits and counts the nodes in the same depth-first
+    order as pushing both.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -289,38 +304,45 @@ def max_line_free(k: int, N: int, budget: int = 5_000_000) -> MaxLineFreeResult:
         raise ValueError("over budget: point set too large for the exact search")
     index = {w: i for i, w in enumerate(points)}
     n_pts = len(points)
+    # completes[p]: the lines whose largest point is p, without p.
     completes: list[list[int]] = [[] for _ in range(n_pts)]
     for line in enumerate_lines(k, N):
         idx = [index[w] for w in line]
-        completes[max(idx)].append(mask_of(idx))
+        top = max(idx)
+        completes[top].append(mask_of(idx) & ~(1 << top))
 
     best_size = 0  # the empty set is line-free
     best_mask = 0
     nodes = 0
     exhausted = True
 
-    # Depth-first over point decisions; a line is violated once all its
-    # points are chosen.
-    stack = [(0, 0, 0)]  # (next point, chosen mask, chosen count)
+    # Depth-first over point decisions; a frame is (next point, chosen
+    # mask, chosen count).  A node is pruned when even choosing every
+    # remaining point would not beat the best set: count - pos <= floor.
+    floor = best_size - n_pts
+    stack = [(0, 0, 0)]
     while stack:
-        nodes += 1
-        if nodes > budget:
-            exhausted = False
-            break
         pos, chosen, count = stack.pop()
-        if count + (n_pts - pos) <= best_size:
-            continue
-        if pos == n_pts:
-            if count > best_size:
-                best_size = count
-                best_mask = chosen
-            continue
-        with_pt = chosen | (1 << pos)
-        ok = all((line & with_pt) != line for line in completes[pos])
-        # Exclude branch pushed first so the include branch is explored first.
-        stack.append((pos + 1, chosen, count))
-        if ok:
-            stack.append((pos + 1, with_pt, count + 1))
+        while True:
+            nodes += 1
+            if nodes > budget:
+                exhausted = False
+                stack.clear()  # no frame is popped after this one
+                break
+            if count - pos <= floor:
+                break
+            if pos == n_pts:  # a leaf that beats the best set
+                best_size, best_mask = count, chosen
+                floor = best_size - n_pts
+                break
+            for rest in completes[pos]:
+                if chosen & rest == rest:
+                    break  # the point would complete a line: exclude only
+            else:
+                stack.append((pos + 1, chosen, count))
+                chosen |= 1 << pos
+                count += 1
+            pos += 1
 
     extremal = tuple(points[i] for i in range(n_pts) if best_mask >> i & 1)
     return MaxLineFreeResult(best_size, extremal, exhausted)
@@ -446,10 +468,15 @@ class StationaryLawTruncation:
     agreement across the other coordinates is what the stationarity check
     verifies, not an assumption.
 
-    Next to ``weights`` the law keeps integer numerators over the common
-    denominator of its masses, which the marginals and pullbacks sum; each
-    distinct tuple of coordinates is summed once per law and remembered, so
-    ``weights`` must not be changed after construction.
+    The constructor scans the law once, summing integer numerators over
+    the common denominator of its masses into one table per word length:
+    the joint law of the coordinates of that length.  A tuple of
+    coordinates of one length (every coordinate and subspace image is one)
+    is summed from its length's table, and any other tuple from the whole
+    law; each is summed once per law and remembered, so ``weights`` must
+    not be changed after construction.  A dict of usual keys and positive
+    ``Fraction`` masses becomes ``weights`` itself, not a copy, so neither
+    may the dict passed in.
     """
 
     k: int
@@ -466,40 +493,34 @@ class StationaryLawTruncation:
         object.__setattr__(self, "_windex", {w: i for i, w in enumerate(wlist)})
         m = len(self.carrier)
         width = len(wlist)
-        keys = self.weights.keys()
+        weights = self.weights
+        keys = weights.keys()
         # One pass in C over all keys recognises the usual case: width-long
-        # tuples of exact ints within the carrier, kept as they are.  Other
-        # keys are converted and checked entry by entry, in the loop below,
-        # so a bad entry still raises in dict order, before any later one.
-        exact = (
+        # tuples of exact ints within the carrier.  The values are checked
+        # once per distinct object: a parsed document shares one Fraction
+        # per distinct value string.  A law of such keys and positive
+        # Fractions is kept as given.
+        distinct = {id(v): v for v in weights.values()}
+        clean = (
             set(map(type, keys)) <= {tuple}
             and set(map(len, keys)) <= {width}
             and set(map(type, chain.from_iterable(keys))) <= {int}
             and set(chain.from_iterable(keys)) <= set(range(m))
+            and all(type(v) is Fraction and v.numerator > 0 for v in distinct.values())
         )
-        cleaned: dict[tuple[int, ...], Fraction] = {}
-        for cfg, v in self.weights.items():
-            if not exact:
-                if type(cfg) is not tuple or any(type(c) is not int for c in cfg):
-                    cfg = tuple(int(c) for c in cfg)
-                if len(cfg) != width or min(cfg) < 0 or max(cfg) >= m:
-                    raise ValueError("configurations must index the carrier at every word")
-            # Values already Fractions are kept, not copied; a Fraction's sign
-            # is its numerator's.
-            if type(v) is not Fraction:
-                v = Fraction(v)
-            num = v.numerator
-            if num < 0:
-                raise ValueError("masses must be nonnegative")
-            if num:
-                cleaned[cfg] = cleaned[cfg] + v if cfg in cleaned else v
-        object.__setattr__(self, "weights", cleaned)
-        den = lcm(*{v.denominator for v in cleaned.values()})
-        numerators = {cfg: v.numerator * (den // v.denominator) for cfg, v in cleaned.items()}
-        if sum(numerators.values()) != den:
-            raise ValueError("total mass must be exactly 1")
+        if not clean:
+            weights = _cleaned_weights(weights, width, m)
+            distinct = {id(v): v for v in weights.values()}
+        object.__setattr__(self, "weights", weights)
+        den = lcm(*{v.denominator for v in distinct.values()})
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_numerators", numerators)
+        bounds = tuple(accumulate((self.k**n for n in range(1, self.depth + 1)), initial=0))
+        object.__setattr__(self, "_bounds", bounds)
+        numerator = {i: v.numerator * (den // v.denominator) for i, v in distinct.items()}
+        by_length = self._length_tables(numerator)
+        if sum(by_length[0].values()) != den:
+            raise ValueError("total mass must be exactly 1")
+        object.__setattr__(self, "_by_length", by_length)
         object.__setattr__(self, "_pulled", {})
         first = self.coordinate_marginal(wlist[0])
         if first != self.carrier.weights:
@@ -518,34 +539,49 @@ class StationaryLawTruncation:
     def _indices(self, image_words: Sequence[str]) -> tuple[int, ...]:
         return tuple(self.word_index(w) for w in image_words)
 
+    def _length_tables(self, numerator: dict[int, int]) -> list[dict[tuple[int, ...], int]]:
+        """One scan of the whole law: for each word length, the numerators
+        summed by the configuration at the words of that length.
+        ``numerator`` maps the ``id`` of each mass to its numerator over
+        the common denominator."""
+        bounds = self._bounds  # type: ignore[attr-defined]
+        tables: list[dict] = [{} for _ in range(self.depth)]
+        parts = [(slice(lo, hi), t) for lo, hi, t in zip(bounds, bounds[1:], tables)]
+        for cfg, v in self.weights.items():
+            num = numerator[id(v)]
+            for part, table in parts:
+                key = cfg[part]
+                table[key] = table.get(key, 0) + num
+        return tables
+
     def _pull(self, idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """Numerators of the joint law of the coordinates ``idx`` (nonempty),
         summed once per law and remembered; callers must not mutate it.
 
-        A new tuple is summed from the smallest remembered table whose
-        coordinates contain its own, and from the whole law only when none
-        does.  Both give the same numerators over the same denominator: a
-        marginal of a marginal is the marginal.
+        Coordinates that are all words of one length are summed from that
+        length's table, by their positions in it; others from the whole law.
+        Both give the same numerators over the same denominator: a marginal
+        of a marginal is the marginal.
         """
         pulled = self._pulled  # type: ignore[attr-defined]
         table = pulled.get(idx)
         if table is None:
-            wanted = set(idx)
-            source = min(
-                (key for key in pulled if wanted.issubset(key)),
-                key=lambda key: len(pulled[key]),
-                default=None,
-            )
-            if source is None:
-                table = self._sum_numerators(idx)
+            bounds = self._bounds  # type: ignore[attr-defined]
+            n = bisect_right(bounds, idx[0])
+            lo, hi = bounds[n - 1], bounds[n]
+            if lo <= min(idx) and max(idx) < hi:
+                source = self._by_length[n - 1]  # type: ignore[attr-defined]
+                table = _sum_by(source, [i - lo for i in idx])
             else:
-                table = _sum_by(pulled[source], [source.index(i) for i in idx])
+                table = self._sum_numerators(idx)
             pulled[idx] = table
         return table
 
     def _sum_numerators(self, idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """One scan of the whole law."""
-        return _sum_by(self._numerators, idx)  # type: ignore[attr-defined]
+        """One scan of the whole law, for coordinates of several lengths."""
+        den = self._den  # type: ignore[attr-defined]
+        nums = {cfg: v.numerator * (den // v.denominator) for cfg, v in self.weights.items()}
+        return _sum_by(nums, idx)
 
     def coordinate_marginal(self, w: str) -> tuple[Fraction, ...]:
         acc = self._pull((self.word_index(w),))
@@ -564,6 +600,26 @@ class StationaryLawTruncation:
             return {(): Fraction(1)}
         den = self._den  # type: ignore[attr-defined]
         return {key: Fraction(num, den) for key, num in self._pull(idx).items()}
+
+
+def _cleaned_weights(weights: dict, width: int, m: int) -> dict:
+    """``weights`` with each key converted to a tuple of ints and checked
+    against the carrier, each value to a ``Fraction``, repeated keys summed
+    and zero masses dropped; a bad entry raises in dict order, before any
+    later one."""
+    cleaned: dict[tuple[int, ...], Fraction] = {}
+    for cfg, v in weights.items():
+        if type(cfg) is not tuple or any(type(c) is not int for c in cfg):
+            cfg = tuple(int(c) for c in cfg)
+        if len(cfg) != width or min(cfg) < 0 or max(cfg) >= m:
+            raise ValueError("configurations must index the carrier at every word")
+        if type(v) is not Fraction:
+            v = Fraction(v)
+        if v < 0:
+            raise ValueError("masses must be nonnegative")
+        if v:
+            cleaned[cfg] = cleaned[cfg] + v if cfg in cleaned else v
+    return cleaned
 
 
 def _sum_by(table: dict, positions: Sequence[int]) -> dict[tuple[int, ...], int]:
@@ -662,30 +718,26 @@ def strong_stationarity_check(
     Dimension 0 compares single-coordinate marginals.  Returns the first
     violating pair of subspace images.
 
-    The images are pulled back widest first, so that each narrower one, and
-    each coordinate marginal, is summed from a remembered wider table rather
-    than from the whole law (see ``StationaryLawTruncation._pull``).  The
-    comparisons then run from dimension 0 up, so the witness is the first
-    violation in that order.  Equal integer tables over the law's common
-    denominator are equal laws.
+    The comparisons run from dimension 0 up, and each table is summed when
+    it is first compared, from its word length's table (see
+    ``StationaryLawTruncation._pull``).  Equal integer tables over the law's
+    common denominator are equal laws.
     """
     if dim_cap < 0:
         raise ValueError("dimension cap must be nonnegative")
     if dim_cap > law.depth:
         raise ValueError("dimension cap cannot exceed the truncation depth")
-    images = [subspace_images(law.k, n, law.depth) for n in range(1, dim_cap + 1)]
-    for imgs in reversed(images):
-        for img in imgs:
-            law._pull(law._indices(img))
     marg0 = law._pull((0,))
     for i, w in enumerate(law.words[1:], 1):
         if law._pull((i,)) != marg0:
             return StationarityResult(False, (0, (law.words[0],), (w,)))
-    for n, imgs in enumerate(images, 1):  # n <= depth, so imgs is not empty
-        reference = law._pull(law._indices(imgs[0]))
-        for img in imgs[1:]:
-            if law._pull(law._indices(img)) != reference:
-                return StationarityResult(False, (n, imgs[0], img))
+    for n in range(1, dim_cap + 1):  # n <= depth, so there are images
+        first, *rest = _image_indices(law.k, n, law.depth)
+        reference = law._pull(first)
+        for j, idx in enumerate(rest, 1):
+            if law._pull(idx) != reference:
+                images = subspace_images(law.k, n, law.depth)
+                return StationarityResult(False, (n, images[0], images[j]))
     return StationarityResult(True, None)
 
 

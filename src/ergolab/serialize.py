@@ -11,7 +11,7 @@ Wire formats:
 * spaces: ``{"points": [...], "weights": ["1/4", ...]}``;
 * partitions: arrays of arrays of 0-based point indices;
 * couplings: ``{"arity": d, "mass": [{"tuple": [i, ...], "value": "p/q"}, ...]}``
-  with tuples sorted lexicographically;
+  with tuples sorted lexicographically and distinct, and values positive;
 * systems: ``{"dim": D, "space": ..., "generators": [[...], ...]}``;
 * subgroups: ``{"vectors": [[...], ...]}``;
 * group rotations: ``{"orders": [n1, ...], "phi": [[...], ...]}``;
@@ -55,7 +55,7 @@ def format_fraction(q: Fraction) -> str:
 
 
 def parse_fraction(s: Any, path: Sequence = ()) -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:  # a JSON boolean is no rational
         return Fraction(s)
     if not isinstance(s, str):
         raise ValidationError(path, f"expected a rational string, got {type(s).__name__}")
@@ -92,6 +92,7 @@ _INT = frozenset({int})
 
 def _int_list(obj: Any, path: Sequence) -> list[int]:
     # The set of exact types, built in C, settles the usual array of ints.
+    # Booleans pass, as 0 and 1: only the scalar fields refuse them.
     if not isinstance(obj, list) or not (
         set(map(type, obj)) <= _INT or all(isinstance(v, int) for v in obj)
     ):
@@ -118,29 +119,42 @@ def _entries(
     into a dict summing repeated tuples.  Each distinct value string is
     parsed once, and a bad one fails at its first entry.  ``stored`` adds the
     wire rules of stored masses: tuples sorted and distinct, values positive.
+
+    An entry that is an object with an array of ints and a value string
+    already parsed needs no JSON path; any other entry is checked at its
+    path, so the first bad entry raises, as it would in a fully checked loop.
     """
     entries = _need(obj, key, path)
     if not isinstance(entries, list):
         raise ValidationError(list(path) + [key], "expected an array")
-    out: dict = {}
+    tuples: list[tuple[int, ...]] = []
+    values: list[Fraction] = []
     parsed: dict[str, Fraction] = {}
     prev: tuple | None = None
     for i, entry in enumerate(entries):
-        epath = list(path) + [key, i]
-        t = tuple(_int_list(_need(entry, field, epath), epath + [field]))
-        if stored and prev is not None and t <= prev:
-            raise ValidationError(epath + [field], "tuples must be sorted and distinct")
-        prev = t
-        raw = _need(entry, "value", epath)
-        if type(raw) is not str:
-            v = parse_fraction(raw, epath + ["value"])
-        elif raw in parsed:
-            v = parsed[raw]
+        t = entry.get(field) if type(entry) is dict else None
+        if type(t) is list and _INT.issuperset(map(type, t)):
+            t = tuple(t)
         else:
-            v = parsed[raw] = parse_fraction(raw, epath + ["value"])
+            t = tuple(_int_list(_need(entry, field, [*path, key, i]), [*path, key, i, field]))
+        if stored and prev is not None and t <= prev:
+            raise ValidationError([*path, key, i, field], "tuples must be sorted and distinct")
+        prev = t
+        raw = entry.get("value")
+        v = parsed.get(raw) if type(raw) is str else None
+        if v is None:
+            v = parse_fraction(_need(entry, "value", [*path, key, i]), [*path, key, i, "value"])
+            if type(raw) is str:
+                parsed[raw] = v
         if stored and v <= 0:
-            raise ValidationError(epath + ["value"], "stored masses must be positive")
-        out[t] = out[t] + v if t in out else v
+            raise ValidationError([*path, key, i, "value"], "stored masses must be positive")
+        tuples.append(t)
+        values.append(v)
+    out = dict(zip(tuples, values))
+    if len(out) < len(tuples):  # repeated tuples: sum their values
+        out = {}
+        for t, v in zip(tuples, values):
+            out[t] = out[t] + v if t in out else v
     return out
 
 
@@ -195,7 +209,7 @@ def coupling_to_json(c: Coupling, include_base: bool = True) -> dict:
 
 def _arity(obj: Any, path: Sequence) -> int:
     arity = _need(obj, "arity", path)
-    if not isinstance(arity, int) or arity < 1:
+    if type(arity) is not int or arity < 1:
         raise ValidationError(list(path) + ["arity"], "arity must be a positive integer")
     return arity
 
@@ -203,10 +217,16 @@ def _arity(obj: Any, path: Sequence) -> int:
 def coupling_from_json(
     obj: Any, base: ExactProbabilitySpace | None = None, path: Sequence = ()
 ) -> Coupling:
+    """The coupling of a document with a base, or of ``obj`` over ``base``.
+    The constructor checks the masses first; the wire rules of stored masses
+    come after it, so a document that breaks both gets the constructor's
+    error."""
     arity = _arity(obj, path)
     if base is None:
         base = space_from_json(_need(obj, "base", path), list(path) + ["base"])
-    return _build(path, Coupling, arity, base, _entries(obj, "mass", "tuple", path))
+    coupling = _build(path, Coupling, arity, base, _entries(obj, "mass", "tuple", path))
+    _entries(obj, "mass", "tuple", path, stored=True)
+    return coupling
 
 
 def _baseless_coupling(arity: int, mass: dict) -> Coupling:
@@ -245,7 +265,7 @@ def system_from_json(obj: Any, path: Sequence = ()) -> FiniteZdSystem:
     gens = _need(obj, "generators", path)
     if not isinstance(gens, list):
         raise ValidationError(list(path) + ["generators"], "expected an array")
-    if not isinstance(dim, int) or dim != len(gens):
+    if type(dim) is not int or dim != len(gens):
         raise ValidationError(
             list(path) + ["dim"], "dim must equal the number of generators"
         )
@@ -362,7 +382,7 @@ def law_to_json(law: StationaryLawTruncation) -> dict:
 def law_from_json(obj: Any, path: Sequence = ()) -> StationaryLawTruncation:
     k = _need(obj, "k", path)
     depth = _need(obj, "depth", path)
-    if not isinstance(k, int) or not isinstance(depth, int):
+    if type(k) is not int or type(depth) is not int:
         raise ValidationError(path, "k and depth must be integers")
     carrier = space_from_json(_need(obj, "carrier", path), list(path) + ["carrier"])
     weights = _entries(obj, "weights", "config", path)
@@ -382,7 +402,7 @@ def upset_from_json(obj: Any, d: int | None = None, path: Sequence = ()) -> "UpS
 
     if d is None:
         d = _need(obj, "d", path)
-        if not isinstance(d, int):
+        if type(d) is not int:
             raise ValidationError(list(path) + ["d"], "expected an integer")
     members = _need(obj, "members", path)
     if not isinstance(members, list):
@@ -494,7 +514,7 @@ def canonical_dumps(obj: Any) -> str:
 def _coupling_document_check(obj: Any) -> None:
     """Validate a coupling document.  One without a base is checked as a
     coupling of the base it implies (see :func:`_baseless_coupling`), after
-    the wire rules of stored masses."""
+    the wire rules of stored masses, since that base is read off them."""
     if isinstance(obj, dict) and "base" in obj:
         coupling_from_json(obj)
         return

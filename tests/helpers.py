@@ -4,7 +4,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iter_product
 
-from ergolab.hales_jewett import all_words, enumerate_lines
+from ergolab.hales_jewett import MaxLineFreeResult, all_words, enumerate_lines
 from ergolab.measure import (
     ExactProbabilitySpace,
     Partition,
@@ -12,7 +12,7 @@ from ergolab.measure import (
     relative_independence,
 )
 from ergolab.systems import FiniteZdSystem
-from ergolab.upsets import bits_of, ground_masks, popcount
+from ergolab.upsets import bits_of, ground_masks, mask_of, popcount
 
 
 def cyclic_system(n: int, *shifts: int) -> FiniteZdSystem:
@@ -126,6 +126,64 @@ def all_lines_max_line_free(k, N, budget):
             stack.append((pos + 1, with_pt, count + 1))
     extremal = tuple(points[i] for i in range(n_pts) if best_mask >> i & 1)
     return best_size, extremal, exhausted
+
+
+# The line-free search as it was before the include child was entered in
+# place, kept verbatim (bar the name) as the reference for its node order.
+def old_max_line_free(k: int, N: int, budget: int = 5_000_000) -> MaxLineFreeResult:
+    """Largest subset of ``[k]^N`` containing no combinatorial line.
+
+    Include-first branch and bound over the line hypergraph; the first
+    maximum found is the lexicographically least extremal set, and pruning
+    preserves that tie-break.  Points are decided in index order and the
+    chosen set is always line-free, so including a point can only complete
+    a line whose largest point it is: each line is tested once per node,
+    at that point only.  ``budget`` (at least 1) caps the number of search
+    nodes; exceeding it returns the best set found with ``exhaustive=False``,
+    which is the empty set when no leaf was reached.
+    """
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    points = all_words(k, N)
+    if len(points) > 4096:
+        raise ValueError("over budget: point set too large for the exact search")
+    index = {w: i for i, w in enumerate(points)}
+    n_pts = len(points)
+    completes: list[list[int]] = [[] for _ in range(n_pts)]
+    for line in enumerate_lines(k, N):
+        idx = [index[w] for w in line]
+        completes[max(idx)].append(mask_of(idx))
+
+    best_size = 0  # the empty set is line-free
+    best_mask = 0
+    nodes = 0
+    exhausted = True
+
+    # Depth-first over point decisions; a line is violated once all its
+    # points are chosen.
+    stack = [(0, 0, 0)]  # (next point, chosen mask, chosen count)
+    while stack:
+        nodes += 1
+        if nodes > budget:
+            exhausted = False
+            break
+        pos, chosen, count = stack.pop()
+        if count + (n_pts - pos) <= best_size:
+            continue
+        if pos == n_pts:
+            if count > best_size:
+                best_size = count
+                best_mask = chosen
+            continue
+        with_pt = chosen | (1 << pos)
+        ok = all((line & with_pt) != line for line in completes[pos])
+        # Exclude branch pushed first so the include branch is explored first.
+        stack.append((pos + 1, chosen, count))
+        if ok:
+            stack.append((pos + 1, with_pt, count + 1))
+
+    extremal = tuple(points[i] for i in range(n_pts) if best_mask >> i & 1)
+    return MaxLineFreeResult(best_size, extremal, exhausted)
 
 
 def cofactor_det(rows):

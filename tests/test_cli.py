@@ -172,6 +172,12 @@ def test_vdc_ragged_sequence_is_an_input_error(tmp_path, capsys):
     assert report == {"error": "$.entries: vectors must share one dimension"}
 
 
+def test_boolean_point_index_is_an_input_error(z3_file, capsys):
+    code, report = run(capsys, ["recur", "--system", z3_file, "--set", "[true]"])
+    assert code == 3
+    assert report == {"error": "$.--set: expected a JSON array of point indices"}
+
+
 def test_missing_file_is_input_error(capsys):
     code, report = run(capsys, ["recur", "--system", "/nonexistent.json", "--set", "[0]"])
     assert code == 3
@@ -409,31 +415,38 @@ def test_stationarity_cli_rejects_negative_dim_cap(tmp_path, capsys):
 def test_stationarity_cli_pulls_each_image_back_once(tmp_path, monkeypatch, capsys):
     # At depth 3 and cap 2 the check and the marginals ask for 84 subspace
     # pullbacks, of 25 line images and 9 plane images, and for every one of
-    # the 14 coordinate marginals several times.  Each of these 48 tables is
-    # summed once, and only 11 from the whole law: the first coordinate's
-    # (the constructor's check), the 9 planes and the one line of length 1,
-    # which lies in no plane.  The rest come from remembered wider tables.
+    # the 14 coordinate marginals several times.  The law is scanned once,
+    # in the constructor, into one table per word length; each of the 48
+    # tables is then summed once, from its own length's table, and none
+    # from the whole law.
     from ergolab import hales_jewett
     from ergolab.hales_jewett import StationaryLawTruncation
 
     path = _iid_law_file(tmp_path, 3)
-    scans, tables = [], []
+    length_tables, scans, sources, tables = [], [], [], []
+    by_length = StationaryLawTruncation._length_tables
     scan, sum_by = StationaryLawTruncation._sum_numerators, hales_jewett._sum_by
+
+    def counting_length_tables(self, numerator):
+        length_tables.append(by_length(self, numerator))
+        return length_tables[-1]
 
     def counting_scan(self, idx):
         scans.append(idx)
         return scan(self, idx)
 
     def counting_sum_by(table, positions):
+        sources.append(table)
         tables.append(positions)
         return sum_by(table, positions)
 
+    monkeypatch.setattr(StationaryLawTruncation, "_length_tables", counting_length_tables)
     monkeypatch.setattr(StationaryLawTruncation, "_sum_numerators", counting_scan)
     monkeypatch.setattr(hales_jewett, "_sum_by", counting_sum_by)
     code, report = run(capsys, ["dhj", "stationarity", "--law", path, "--dim-cap", "2"])
     assert code == 0 and report["results"]["holds"] is True
-    assert len(scans) == len(set(scans))
-    assert sorted(len(idx) for idx in scans) == [1, 2] + [4] * 9
+    assert len(length_tables) == 1 and scans == []
+    assert all(any(t is own for own in length_tables[0]) for t in sources)
     assert sorted(len(p) for p in tables) == [1] * 14 + [2] * 25 + [4] * 9
 
 

@@ -24,17 +24,26 @@ Z4 = {"dim": 2, "generators": [[1, 2, 3, 0], [2, 3, 0, 1]],
       "space": {"points": [0, 1, 2, 3], "weights": ["1/4", "1/4", "1/4", "1/4"]}}
 FUNCTIONS = [["1", "0", "1/2"], ["2/3", "1", "0"]]
 SEQUENCE = {"entries": [[str(Fraction((-1) ** i * (i + 1), 3)), "1/2"] for i in range(12)]}
+
+
+def _iid_law(depth: int, p: Fraction) -> dict:
+    """The iid law over two letters and a p-(1 - p) carrier."""
+    width = sum(2**n for n in range(1, depth + 1))
+    return {
+        "k": 2,
+        "depth": depth,
+        "carrier": {"points": [0, 1], "weights": [str(p), str(1 - p)]},
+        "weights": [
+            {"config": list(c), "value": str(p ** c.count(0) * (1 - p) ** c.count(1))}
+            for c in iter_product((0, 1), repeat=width)
+        ],
+    }
+
+
 # The iid law of depth 2 over a 2/5-3/5 carrier: six words, 64 configurations.
-IID_LAW = {
-    "k": 2,
-    "depth": 2,
-    "carrier": {"points": [0, 1], "weights": ["2/5", "3/5"]},
-    "weights": [
-        {"config": list(c),
-         "value": str(Fraction(2, 5) ** c.count(0) * Fraction(3, 5) ** c.count(1))}
-        for c in iter_product((0, 1), repeat=6)
-    ],
-}
+IID_LAW = _iid_law(2, Fraction(2, 5))
+# Depth 3 over a 1/3-2/3 carrier: 14 words, 16,384 configurations.
+IID_LAW_3 = _iid_law(3, Fraction(1, 3))
 PSI = [{"partition": [[0], [1]], "set": s} for s in ([0, 1], [0, 2], [1, 2], [0, 1, 2])]
 FULL = {"d": 3, "members": [[0, 1, 2]]}
 REMOVAL_OK = {
@@ -58,6 +67,7 @@ INPUTS = {
     "functions.json": FUNCTIONS,
     "seq.json": SEQUENCE,
     "law.json": IID_LAW,
+    "law3.json": IID_LAW_3,
     "words.json": ["12", "21", "22"],
     "removal_ok.json": REMOVAL_OK,
     "removal_unidentified.json": REMOVAL_UNIDENTIFIED,
@@ -93,6 +103,15 @@ GOLDEN = {
     "dhj-stationarity": (
         ["dhj", "stationarity", "--law", "{dir}/law.json"], 0,
         "efe9ecaec80199cd6e03f4ab481c3a4da5ab9c79886da5c8eac4e4829d4b55e4"),
+    "dhj-stationarity-depth3": (
+        ["dhj", "stationarity", "--law", "{dir}/law3.json"], 0,
+        "d1d3c7dc6bd9d356112364889218fc0181bdd13c1327220cd65672108e65ebc4"),
+    "dhj-maxfree": (
+        ["dhj", "maxfree", "-k", "3", "-N", "3"], 0,
+        "562e1011b0209fb4a6d0c9901cf39b28b1333b84656a40d8db839c66eec5fa9f"),
+    "dhj-maxfree-budget": (
+        ["dhj", "maxfree", "-k", "2", "-N", "6", "--budget", "20000"], 2,
+        "b12a9614f64d25904c2801f1062d97d07b817c88c8f2e21a977cbc5663d8ff33"),
     "dhj-correspond": (
         ["dhj", "correspond", "--set", "{dir}/words.json", "-k", "2", "-N", "2", "-L", "1"], 0,
         "95e7f3e52dd4ceb3050fd7ac09ac91f5b8cb5437b3174c23c8b68af9439fca87"),

@@ -12,6 +12,7 @@ from helpers import (
     every_template_subspaces,
     naive_coordinate_marginal,
     naive_pullback,
+    old_max_line_free,
 )
 
 from ergolab.hales_jewett import (
@@ -232,6 +233,24 @@ def test_max_line_free_matches_all_lines_search(k, N):
     for budget in (1, 10, 1_000, deepest):
         r = max_line_free(k, N, budget)
         assert (r.size, r.extremal, r.exhaustive) == all_lines_max_line_free(k, N, budget)
+
+
+@pytest.mark.parametrize(
+    "k,N", [(k, N) for k in range(2, 10) for N in range(1, 7) if k**N <= 64]
+)
+def test_max_line_free_visits_the_old_nodes_at_every_small_budget(k, N):
+    # Entering the include child in place must keep the node order: every
+    # budget that cuts the search early must cut it at the same node.
+    for budget in range(1, 301):
+        r = max_line_free(k, N, budget)
+        assert r == old_max_line_free(k, N, budget), budget
+
+
+@pytest.mark.parametrize("k,N", [(2, 6), (3, 4)])
+def test_max_line_free_matches_the_old_search_at_the_bench_budget(k, N):
+    # The budgeted bench rows stay unsettled, with the same best set.
+    r = max_line_free(k, N, 20_000)
+    assert r == old_max_line_free(k, N, 20_000) and not r.exhaustive
 
 
 def test_max_line_free_starts_from_the_empty_set():
@@ -484,19 +503,43 @@ def test_pullbacks_and_marginals_match_fraction_oracle(law):
               for s in enumerate_subspaces(law.k, n, law.depth)]
     images += [tuple(rng.choice(law.words) for _ in range(rng.randint(1, 4)))
                for _ in range(20)]
+    images += _cross_length_requests(law)
     for img in images:
         for _ in range(2):  # the second call is answered from the memo
             assert law.pullback(img) == naive_pullback(law, img)
     assert law.pullback(()) == {(): 1}
 
 
+def _cross_length_requests(law):
+    """Word tuples that span several word lengths, which no length's table
+    holds: every pair of a shorter and a longer word's first and last
+    words, both ways round, and one word of every length, forwards and
+    reversed with a repeat."""
+    by_length = {}
+    for w in law.words:
+        by_length.setdefault(len(w), []).append(w)
+    ends = [(ws[0], ws[-1]) for _, ws in sorted(by_length.items())]
+    out = []
+    for i, short in enumerate(ends):
+        for long in ends[i + 1:]:
+            for a in short:
+                for b in long:
+                    out += [(a, b), (b, a)]
+    every = tuple(ws[-1] for ws in by_length.values())
+    if len(every) > 1:
+        out += [every, every[::-1] + every[:1]]
+    return out
+
+
 def _shuffled_requests(law, rng):
-    """Every subspace image up to the depth, every coordinate, and random
-    word tuples (repeats and reversals included), in a random order."""
+    """Every subspace image up to the depth, every coordinate, random word
+    tuples (repeats and reversals included) and the cross-length requests,
+    in a random order."""
     requests = [img for n in range(1, law.depth + 1) for img in subspace_images(law.k, n, law.depth)]
     requests += [(w,) for w in law.words]
     requests += [tuple(rng.choice(law.words) for _ in range(rng.randint(1, 4))) for _ in range(20)]
     requests += [tuple(reversed(img)) for img in requests[:5]]
+    requests += _cross_length_requests(law)
     rng.shuffle(requests)
     return requests
 
@@ -504,9 +547,9 @@ def _shuffled_requests(law, rng):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("index", range(6))
 def test_pullbacks_from_remembered_tables_match_fraction_oracle(monkeypatch, index, seed):
-    # A fresh law per order: each request is summed from the smallest
-    # remembered table containing its coordinates, or from the whole law,
-    # and must equal the Fraction sums over the weights either way.
+    # A fresh law per order: each request is summed from its word length's
+    # table, or from the whole law when it spans several lengths, and must
+    # equal the Fraction sums over the weights either way.
     law = _oracle_laws()[index]
     scans = []
     scan = StationaryLawTruncation._sum_numerators
@@ -525,9 +568,9 @@ def test_pullbacks_from_remembered_tables_match_fraction_oracle(monkeypatch, ind
     for w in law.words:
         assert law.coordinate_marginal(w) == naive_coordinate_marginal(law, w)
     distinct = {tuple(law.word_index(w) for w in img) for img in requests}
-    assert len(scans) == len(set(scans)) and set(scans) <= distinct
-    if law.depth > 1:
-        assert len(scans) < len(distinct)  # some tables came from wider ones
+    spanning = {idx for idx in distinct if len({len(law.words[i]) for i in idx}) > 1}
+    assert len(scans) == len(set(scans)) and set(scans) == spanning
+    assert bool(spanning) == (law.depth > 1)
 
 
 def _naive_stationarity(law, dim_cap):

@@ -394,14 +394,33 @@ _NEW_DIAGNOSTICS = [
 ]
 
 
+# JSON booleans where a scalar integer belongs; their ids are prefixed, so
+# that no earlier row's id changes.
+_BOOLEAN_DIAGNOSTICS = [
+    (
+        "coupling",
+        {"arity": True, "mass": [{"tuple": [0], "value": "1"}]},
+        "$.arity: arity must be a positive integer",
+    ),
+    ("system", _system_doc([_CYCLE], dim=True), "$.dim: dim must equal the number of generators"),
+    ("law", {**_law_doc([([0, 0], "1")]), "depth": True}, "$: k and depth must be integers"),
+    (
+        "law",
+        _law_doc([([0, 0], "1/2"), ([1, 1], True)]),
+        "$.weights[1].value: expected a rational string, got bool",
+    ),
+]
+
+
 def _slug(text: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", text.lower()).strip("-")
 
 
 @pytest.mark.parametrize(
     "schema, doc, expected",
-    _LOCKED_DIAGNOSTICS + _NEW_DIAGNOSTICS,
-    ids=[_slug(f"{s} {e}") for s, _, e in _LOCKED_DIAGNOSTICS + _NEW_DIAGNOSTICS],
+    _LOCKED_DIAGNOSTICS + _NEW_DIAGNOSTICS + _BOOLEAN_DIAGNOSTICS,
+    ids=[_slug(f"{s} {e}") for s, _, e in _LOCKED_DIAGNOSTICS + _NEW_DIAGNOSTICS]
+    + [_slug(f"boolean {s} {e}") for s, _, e in _BOOLEAN_DIAGNOSTICS],
 )
 def test_validate_reports_the_locked_diagnostic(schema, doc, expected):
     assert validate_document(doc, schema) == [expected]
@@ -425,6 +444,32 @@ _BASELESS_DIAGNOSTICS = [
 )
 def test_baseless_coupling_diagnostics(entries, expected):
     assert validate_document(_coupling_doc(entries, base=None), "coupling") == [expected]
+
+
+def test_upset_dimension_refuses_a_boolean():
+    from ergolab.serialize import upset_from_json
+
+    with pytest.raises(ValidationError) as exc:
+        upset_from_json({"d": True, "members": [[0]]})
+    assert str(exc.value) == "$.d: expected an integer"
+
+
+def test_couplings_with_a_base_keep_the_wire_rules():
+    # A coupling of its base whose tuples are unsorted and repeated, with a
+    # zero mass: the constructor accepts the masses, the wire rules do not.
+    doc = _coupling_doc(
+        [([1, 1], "1/2"), ([0, 0], "1/4"), ([0, 0], "1/4"), ([0, 1], "0")], base=_SP2
+    )
+    assert validate_document(doc, "coupling") == [
+        "$.mass[1].tuple: tuples must be sorted and distinct"
+    ]
+    doc = _coupling_doc([([0, 0], "1/2"), ([0, 1], "0"), ([1, 1], "1/2")], base=_SP2)
+    assert validate_document(doc, "coupling") == [
+        "$.mass[1].value: stored masses must be positive"
+    ]
+    with pytest.raises(ValidationError) as exc:
+        coupling_from_json(doc, base=ExactProbabilitySpace.uniform((0, 1)), path=["coupling"])
+    assert str(exc.value) == "$.coupling.mass[1].value: stored masses must be positive"
 
 
 def test_baseless_couplings_that_are_couplings_pass():
