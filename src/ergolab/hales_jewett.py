@@ -474,9 +474,8 @@ class StationaryLawTruncation:
     coordinates of one length (every coordinate and subspace image is one)
     is summed from its length's table, and any other tuple from the whole
     law; each is summed once per law and remembered, so ``weights`` must
-    not be changed after construction.  A dict of usual keys and positive
-    ``Fraction`` masses becomes ``weights`` itself, not a copy, so neither
-    may the dict passed in.
+    not be changed after construction.  ``weights`` is the law's own copy:
+    the dict passed in may be reused or changed afterwards.
     """
 
     k: int
@@ -499,7 +498,7 @@ class StationaryLawTruncation:
         # tuples of exact ints within the carrier.  The values are checked
         # once per distinct object: a parsed document shares one Fraction
         # per distinct value string.  A law of such keys and positive
-        # Fractions is kept as given.
+        # Fractions is copied as it is.
         distinct = {id(v): v for v in weights.values()}
         clean = (
             set(map(type, keys)) <= {tuple}
@@ -508,7 +507,9 @@ class StationaryLawTruncation:
             and set(chain.from_iterable(keys)) <= set(range(m))
             and all(type(v) is Fraction and v.numerator > 0 for v in distinct.values())
         )
-        if not clean:
+        if clean:
+            weights = dict(weights)
+        else:
             weights = _cleaned_weights(weights, width, m)
             distinct = {id(v): v for v in weights.values()}
         object.__setattr__(self, "weights", weights)

@@ -113,12 +113,19 @@ def _build(path: Sequence, ctor: Any, *args: Any) -> Any:
 
 
 def _entries(
-    obj: Any, key: str, field: str, path: Sequence, stored: bool = False
+    obj: Any,
+    key: str,
+    field: str,
+    path: Sequence,
+    stored: bool = False,
+    wire: list | None = None,
 ) -> dict[tuple[int, ...], Fraction]:
     """Parse ``obj[key]``, an array of ``{field: [i, ...], "value": "p/q"}``,
     into a dict summing repeated tuples.  Each distinct value string is
     parsed once, and a bad one fails at its first entry.  ``stored`` adds the
     wire rules of stored masses: tuples sorted and distinct, values positive.
+    A broken wire rule raises at once, or, when a list ``wire`` is given,
+    only the first one is appended to it and the parse goes on.
 
     An entry that is an object with an array of ints and a value string
     already parsed needs no JSON path; any other entry is checked at its
@@ -127,8 +134,7 @@ def _entries(
     entries = _need(obj, key, path)
     if not isinstance(entries, list):
         raise ValidationError(list(path) + [key], "expected an array")
-    tuples: list[tuple[int, ...]] = []
-    values: list[Fraction] = []
+    out: dict = {}
     parsed: dict[str, Fraction] = {}
     prev: tuple | None = None
     for i, entry in enumerate(entries):
@@ -138,7 +144,7 @@ def _entries(
         else:
             t = tuple(_int_list(_need(entry, field, [*path, key, i]), [*path, key, i, field]))
         if stored and prev is not None and t <= prev:
-            raise ValidationError([*path, key, i, field], "tuples must be sorted and distinct")
+            _broken(wire, [*path, key, i, field], "tuples must be sorted and distinct")
         prev = t
         raw = entry.get("value")
         v = parsed.get(raw) if type(raw) is str else None
@@ -147,15 +153,17 @@ def _entries(
             if type(raw) is str:
                 parsed[raw] = v
         if stored and v <= 0:
-            raise ValidationError([*path, key, i, "value"], "stored masses must be positive")
-        tuples.append(t)
-        values.append(v)
-    out = dict(zip(tuples, values))
-    if len(out) < len(tuples):  # repeated tuples: sum their values
-        out = {}
-        for t, v in zip(tuples, values):
-            out[t] = out[t] + v if t in out else v
+            _broken(wire, [*path, key, i, "value"], "stored masses must be positive")
+        out[t] = out[t] + v if t in out else v
     return out
+
+
+def _broken(wire: list | None, path: list, message: str) -> None:
+    """Raise a broken wire rule, or keep it in ``wire`` if that is the first."""
+    if wire is None:
+        raise ValidationError(path, message)
+    if not wire:
+        wire.append(ValidationError(path, message))
 
 
 # -- spaces -----------------------------------------------------------------
@@ -218,14 +226,17 @@ def coupling_from_json(
     obj: Any, base: ExactProbabilitySpace | None = None, path: Sequence = ()
 ) -> Coupling:
     """The coupling of a document with a base, or of ``obj`` over ``base``.
-    The constructor checks the masses first; the wire rules of stored masses
-    come after it, so a document that breaks both gets the constructor's
-    error."""
+    The masses are parsed once, with the wire rules of stored masses; the
+    constructor checks them before a broken wire rule is raised, so a
+    document that breaks both gets the constructor's error."""
     arity = _arity(obj, path)
     if base is None:
         base = space_from_json(_need(obj, "base", path), list(path) + ["base"])
-    coupling = _build(path, Coupling, arity, base, _entries(obj, "mass", "tuple", path))
-    _entries(obj, "mass", "tuple", path, stored=True)
+    wire: list[ValidationError] = []
+    mass = _entries(obj, "mass", "tuple", path, stored=True, wire=wire)
+    coupling = _build(path, Coupling, arity, base, mass)
+    if wire:
+        raise wire[0]
     return coupling
 
 

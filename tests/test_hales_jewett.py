@@ -648,6 +648,23 @@ def test_repeated_pullback_is_a_fresh_dict():
     assert law.pullback(("1", "12")) == second
 
 
+def test_law_owns_its_weights():
+    # Changing the dict a law was built from afterwards changes neither its
+    # weights nor the marginals, the cross-length pullbacks or the verdict.
+    car = carrier(F(1, 2))
+    given = dict(iid_law(2, 2, car).weights)
+    law = StationaryLawTruncation(2, 2, car, given)
+    assert law.weights is not given
+    before = (law.pullback(("1", "12")), law.coordinate_marginal("2"))
+    first = next(iter(given))
+    given[first] = F(1, 2)
+    given.clear()
+    assert law.weights == iid_law(2, 2, car).weights
+    assert (law.pullback(("1", "12")), law.coordinate_marginal("2")) == before
+    assert law.pullback(("1", "12")) == naive_pullback(law, ("1", "12"))
+    assert strong_stationarity_check(law, 2).holds
+
+
 def test_law_constructor_keeps_every_check():
     car = ExactProbabilitySpace((0, 1), (F(1, 2), F(1, 2)))
     with pytest.raises(ValueError, match="total mass"):

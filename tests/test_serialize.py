@@ -472,6 +472,24 @@ def test_couplings_with_a_base_keep_the_wire_rules():
     assert str(exc.value) == "$.coupling.mass[1].value: stored masses must be positive"
 
 
+def test_couplings_with_a_base_report_the_first_broken_wire_rule_last():
+    # One parse: a later malformed entry still wins over an earlier broken
+    # wire rule, the constructor's error wins over it too, and of two broken
+    # wire rules the first is reported.
+    doc = _coupling_doc([([0, 1], "1/2"), ([0, 0], "1/4"), (["x"], "1/4")], base=_SP2)
+    assert validate_document(doc, "coupling") == [
+        "$.mass[2].tuple: expected an array of integers"
+    ]
+    doc = _coupling_doc([([1, 1], "1/2"), ([0, 0], "1/4"), ([0, 1], "0")], base=_SP2)
+    assert validate_document(doc, "coupling") == ["$: total mass must be exactly 1"]
+    doc = _coupling_doc(
+        [([1, 1], "1/2"), ([0, 0], "1/4"), ([0, 1], "0"), ([0, 0], "1/4")], base=_SP2
+    )
+    assert validate_document(doc, "coupling") == [
+        "$.mass[1].tuple: tuples must be sorted and distinct"
+    ]
+
+
 def test_baseless_couplings_that_are_couplings_pass():
     for entries in (
         [([0, 0], "1/2"), ([1, 1], "1/2")],
