@@ -22,6 +22,13 @@ Z3 = {"dim": 2, "generators": [[1, 2, 0], [2, 0, 1]],
       "space": {"points": [0, 1, 2], "weights": ["1/3", "1/3", "1/3"]}}
 Z4 = {"dim": 2, "generators": [[1, 2, 3, 0], [2, 3, 0, 1]],
       "space": {"points": [0, 1, 2, 3], "weights": ["1/4", "1/4", "1/4", "1/4"]}}
+# Three commuting directions on two orbits of unequal weight, {0, 1, 2} and
+# {3, 4}, plus the null points 5 and 6, which the second direction swaps.
+# The set [0, 3, 5] first returns at n = 2 and holds a null point.
+W3 = {"dim": 3,
+      "generators": [[1, 2, 0, 4, 3, 5, 6], [2, 0, 1, 3, 4, 6, 5], [0, 1, 2, 4, 3, 5, 6]],
+      "space": {"points": [0, 1, 2, 3, 4, 5, 6],
+                "weights": ["1/6", "1/6", "1/6", "1/4", "1/4", "0", "0"]}}
 FUNCTIONS = [["1", "0", "1/2"], ["2/3", "1", "0"]]
 SEQUENCE = {"entries": [[str(Fraction((-1) ** i * (i + 1), 3)), "1/2"] for i in range(12)]}
 
@@ -64,6 +71,7 @@ REMOVAL_UNIDENTIFIED = {
 INPUTS = {
     "z3.json": Z3,
     "z4.json": Z4,
+    "w3.json": W3,
     "functions.json": FUNCTIONS,
     "seq.json": SEQUENCE,
     "law.json": IID_LAW,
@@ -94,6 +102,15 @@ GOLDEN = {
     "recur": (
         ["recur", "--system", "{dir}/z4.json", "--set", "[0, 3]"], 0,
         "2d22b0169b0ac8cd825e500b1212860ff52a61d1fff70638932a42eb089a6bf5"),
+    "fjoin-w3": (
+        ["fjoin", "--system", "{dir}/w3.json"], 0,
+        "60ae3273b78ccf0b265c3655c383285fcd2c34d27d3446c408263f4ecd7bd868"),
+    "fjoin-w3-directions": (
+        ["fjoin", "--system", "{dir}/w3.json", "--directions", "0,2"], 0,
+        "4daa1a9c825c85a09dbbb80761d56e42b8b7c77e3e365c6265aca1c351a6ed5c"),
+    "recur-w3": (
+        ["recur", "--system", "{dir}/w3.json", "--set", "[0, 3, 5]"], 0,
+        "a596d746f975542b98c8d20ef0ab50850a7c52d5d3b8367c85975b8285b55501"),
     "avg": (
         ["avg", "--system", "{dir}/z3.json", "--functions", "{dir}/functions.json", "-N", "7"], 0,
         "f5c81a9b520675ae10a5c448d6ebb759ed98f74b5ce5151f1c16dbcc0f7cca63"),
