@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -51,7 +52,9 @@ class FurstenbergJoining:
 
     ``directions`` are 0-based generator indices; the coupling has one
     coordinate per direction, marginals equal to the system measure, and is
-    invariant under the diagonal action.
+    invariant under the diagonal action.  The invariance is checked in
+    place, generator by generator, with :meth:`Coupling.invariant_under`:
+    no moved coupling is built.
     """
 
     system: FiniteZdSystem
@@ -60,22 +63,27 @@ class FurstenbergJoining:
     period: int
 
     def __post_init__(self) -> None:
-        dirs = tuple(sorted(self.directions))
+        dirs = _checked_directions(self.system, self.directions)
         object.__setattr__(self, "directions", dirs)
-        if not dirs or len(set(dirs)) != len(dirs):
-            raise ValueError("directions must be a nonempty set of generator indices")
-        if any(not 0 <= i < self.system.dim for i in dirs):
-            raise ValueError("direction out of range")
         if self.coupling.arity != len(dirs):
             raise ValueError("coupling arity must match the direction count")
         if self.coupling.base != self.system.space:
             raise ValueError("coupling base must be the system space")
         # Diagonal-action invariance is part of the construction contract.
-        for i in range(self.system.dim):
-            g = self.system.generators[i]
-            moved = self.coupling.permute_points([g] * self.coupling.arity)
-            if moved.mass != self.coupling.mass:
+        for g in self.system.generators:
+            if not self.coupling.invariant_under([g] * len(dirs)):
                 raise ValueError("coupling must be invariant under the diagonal action")
+
+
+def _checked_directions(sys: FiniteZdSystem, directions: Iterable[int]) -> tuple[int, ...]:
+    """The directions, sorted, once they are known to be a nonempty set of
+    generator indices of ``sys``."""
+    dirs = tuple(sorted(directions))
+    if not dirs or len(set(dirs)) != len(dirs):
+        raise ValueError("directions must be a nonempty set of generator indices")
+    if any(not 0 <= i < sys.dim for i in dirs):
+        raise ValueError("direction out of range")
+    return dirs
 
 
 def direction_period(sys: FiniteZdSystem, directions: Sequence[int]) -> int:
@@ -89,25 +97,25 @@ def furstenberg_self_joining(
     """Average the off-diagonal joinings over one exact period.
 
     The mass of ``(x_1, ..., x_k)`` is ``(1/L) sum_n sum_x mu(x)`` over the
-    pairs with ``x_j = T^(n e_ij) x`` for every ``j``.
+    pairs with ``x_j = T^(n e_ij) x`` for every ``j``.  The directions are
+    checked before any generator is read.
     """
-    if directions is None:
-        directions = range(sys.dim)
-    dirs = tuple(sorted(directions))
-    if not dirs:
-        raise ValueError("need at least one direction")
+    dirs = _checked_directions(sys, range(sys.dim) if directions is None else directions)
     L = direction_period(sys, dirs)
     den, nums = sys.space.integerized()
-    supp = sys.space.support()
+    live = [num for num in nums if num]
     acc: dict[tuple[int, ...], int] = {}
     current = [identity_perm(len(sys)) for _ in dirs]
     for _ in range(L):
-        for x in supp:
-            t = tuple(p[x] for p in current)
-            acc[t] = acc.get(t, 0) + nums[x]
+        # zip(*current) lists each point's orbit tuple; compress keeps the
+        # support points, whose numerators are positive.
+        for t, num in zip(compress(zip(*current), nums), live):
+            acc[t] = acc.get(t, 0) + num
         current = [compose(sys.generators[i], p) for i, p in zip(dirs, current)]
-    total = L * den
-    mass = {t: Fraction(v, total) for t, v in acc.items()}
+    # Equal masses share one Fraction, which later comparisons of the
+    # coupling's masses skip by identity.
+    share = {v: Fraction(v, L * den) for v in set(acc.values())}
+    mass = {t: share[v] for t, v in acc.items()}
     coupling = Coupling(len(dirs), sys.space, mass)
     return FurstenbergJoining(sys, dirs, coupling, L)
 
@@ -141,23 +149,59 @@ def cesaro_limit(sys: FiniteZdSystem, sets: Sequence[Iterable[int]]) -> Fraction
     """Exact limit of ``(1/N) sum_n mu(T^(-n e_1) A_1 cap ... cap T^(-n e_d) A_d)``.
 
     Computed as the average over one full period, which equals the limit for
-    any phase.  Coincides with the self-joining mass of the product set.
+    any phase, by :func:`_period_scan`: the self-joining's mass of the
+    product set, without building the joining.  A point index outside
+    ``range(len(sys))`` raises ``ValueError``.
     """
     if len(sets) != sys.dim:
         raise ValueError("need one set per generator")
-    fj = furstenberg_self_joining(sys)
-    return fj.coupling.event_mass([frozenset(s) for s in sets])
+    return _period_scan(sys, [frozenset(s) for s in sets])[0]
+
+
+def _period_scan(
+    sys: FiniteZdSystem, sets: Sequence[frozenset[int]]
+) -> tuple[Fraction, int | None]:
+    """The Cesaro limit of the product event ``A_1 x ... x A_d`` and its
+    least return time, from one integer scan over one period ``L``.
+
+    With ``den, nums = space.integerized()``, the scan adds ``nums[x]`` for
+    every point ``x`` and every ``n`` in ``1..L`` with ``T^(n e_i) x`` in
+    ``A_i`` for all ``i``, and notes the least ``n`` at which a support
+    point does so (``None`` if none does).  The limit is the sum over
+    ``L * den``, the same rational as the self-joining's mass of the
+    product set: both sum the same orbit tuples over one period.  Null
+    points add ``0`` and so never make a witness.
+    """
+    if not sets:
+        raise ValueError("need at least one direction")
+    n_pts = len(sys)
+    bad = [x for s in sets for x in s if not 0 <= x < n_pts]
+    if bad:
+        raise ValueError(f"point index {min(bad)} out of range for {n_pts} points")
+    L = direction_period(sys, range(sys.dim))
+    den, nums = sys.space.integerized()
+    # inside[i][x] says whether T^(n e_i) x lies in A_i; from n to n + 1 it
+    # is read at the generator's image, since T^(n+1) x = T^n (T x).
+    inside = [[x in s for x in range(n_pts)] for s in sets]
+    total = 0
+    witness = None
+    for n in range(1, L + 1):
+        inside = [list(map(row.__getitem__, g)) for row, g in zip(inside, sys.generators)]
+        hit = sum(compress(nums, map(all, zip(*inside))))
+        if hit and witness is None:
+            witness = n
+        total += hit
+    return Fraction(total, L * den), witness
 
 
 def check_offdiagonal_invariance(fj: FurstenbergJoining) -> bool:
-    """Exact invariance under ``T^(e_i1) x ... x T^(e_ik)``.
+    """Exact invariance under ``T^(e_i1) x ... x T^(e_ik)``, checked in place
+    by :meth:`Coupling.invariant_under`.
 
     This is a theorem for the averaged construction, so ``False`` signals a
     bug rather than an interesting outcome.
     """
-    perms = [fj.system.generators[i] for i in fj.directions]
-    moved = fj.coupling.permute_points(perms)
-    return moved.mass == fj.coupling.mass
+    return fj.coupling.invariant_under([fj.system.generators[i] for i in fj.directions])
 
 
 def project_joining(fj: FurstenbergJoining, directions: Iterable[int]) -> Coupling:
@@ -229,21 +273,13 @@ class RecurrenceCertificate:
 def recurrence_certificate(sys: FiniteZdSystem, A: Iterable[int]) -> RecurrenceCertificate:
     """Limit of ``(1/N) sum_n mu(icap_i T^(-n e_i) A)`` and least witness.
 
-    For a finite system with ``mu(A) > 0`` both are guaranteed positive: the
-    term at ``n = L`` is ``mu(A)`` itself.
+    Both come from one integer scan over one period (:func:`_period_scan`);
+    no self-joining is built.  For a finite system with ``mu(A) > 0`` both
+    are guaranteed positive: the term at ``n = L`` is ``mu(A)`` itself.  A
+    point index outside ``range(len(sys))`` raises ``ValueError``.
     """
     A = frozenset(A)
-    limit = cesaro_limit(sys, [A] * sys.dim)
-    witness = None
-    L = direction_period(sys, range(sys.dim))
-    supp = sys.space.support()
-    current = list(sys.generators)
-    for n in range(1, L + 1):
-        if any(all(p[x] in A for p in current) for x in supp):
-            witness = n
-            break
-        current = [compose(g, p) for g, p in zip(sys.generators, current)]
-    return RecurrenceCertificate(limit, witness)
+    return RecurrenceCertificate(*_period_scan(sys, [A] * sys.dim))
 
 
 def recurrence_certificates_exhaustive(

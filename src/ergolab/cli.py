@@ -122,6 +122,24 @@ def _parse_set(text: str) -> frozenset[int]:
     return frozenset(data)
 
 
+def _parse_directions(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ValidationError(
+            ["--directions"], "expected comma-separated generator indices"
+        ) from None
+
+
+def _located(option: str, call, *args) -> Any:
+    """``call(*args)``, with its ``ValueError`` reported at the option whose
+    value the call rejected."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise ValidationError([option], str(exc)) from None
+
+
 # -- handlers -----------------------------------------------------------------
 
 def _cmd_avg(args) -> int:
@@ -143,10 +161,12 @@ def _cmd_avg(args) -> int:
 def _cmd_fjoin(args) -> int:
     doc = _load(args.system)
     sys_ = serialize.system_from_json(doc)
-    dirs = (
-        tuple(int(s) for s in args.directions.split(",")) if args.directions else None
-    )
-    fj = averages.furstenberg_self_joining(sys_, dirs)
+    if args.directions:
+        dirs = _parse_directions(args.directions)
+        fj = _located("--directions", averages.furstenberg_self_joining, sys_, dirs)
+    else:
+        dirs = None
+        fj = averages.furstenberg_self_joining(sys_)
     results = {
         "directions": list(fj.directions),
         "period": fj.period,
@@ -160,7 +180,7 @@ def _cmd_recur(args) -> int:
     doc = _load(args.system)
     sys_ = serialize.system_from_json(doc)
     aset = _parse_set(args.set)
-    cert = averages.recurrence_certificate(sys_, aset)
+    cert = _located("--set", averages.recurrence_certificate, sys_, aset)
     results = {"limit": cert.limit, "witness_n": cert.witness}
     positive = sys_.space.measure(aset) > 0
     ok = (not positive) or (cert.limit > 0 and cert.witness is not None)

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, combinations, product as iter_product
+from itertools import accumulate, combinations, product as iter_product
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -29,6 +29,7 @@ from .measure import (
     ExactProbabilitySpace,
     Partition,
     ZERO,
+    clean_entries,
     common_refinement,
     relative_independence,
     support_pullback_partition,
@@ -493,21 +494,13 @@ class StationaryLawTruncation:
         m = len(self.carrier)
         width = len(wlist)
         weights = self.weights
-        keys = weights.keys()
         # One pass in C over all keys recognises the usual case: width-long
         # tuples of exact ints within the carrier.  The values are checked
         # once per distinct object: a parsed document shares one Fraction
         # per distinct value string.  A law of such keys and positive
         # Fractions is copied as it is.
         distinct = {id(v): v for v in weights.values()}
-        clean = (
-            set(map(type, keys)) <= {tuple}
-            and set(map(len, keys)) <= {width}
-            and set(map(type, chain.from_iterable(keys))) <= {int}
-            and set(chain.from_iterable(keys)) <= set(range(m))
-            and all(type(v) is Fraction and v.numerator > 0 for v in distinct.values())
-        )
-        if clean:
+        if clean_entries(weights.keys(), distinct.values(), width, m):
             weights = dict(weights)
         else:
             weights = _cleaned_weights(weights, width, m)

@@ -19,12 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 from math import lcm
+from operator import attrgetter, getitem
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+_numerator = attrgetter("numerator")
 
 Rational = Fraction | int
 
@@ -96,7 +99,7 @@ class ExactProbabilitySpace:
     def integerized(self) -> tuple[int, tuple[int, ...]]:
         """Common denominator ``D`` and numerators so weight ``i`` is ``num[i]/D``."""
         den = lcm(*(w.denominator for w in self.weights))
-        return den, tuple(int(w * den) for w in self.weights)
+        return den, tuple(w.numerator * (den // w.denominator) for w in self.weights)
 
 
 @dataclass(frozen=True)
@@ -290,7 +293,13 @@ class Coupling:
 
     Only positive-mass tuples are stored; zero entries passed to the
     constructor are dropped, so the sparse representation is canonical and
-    equality of couplings is equality of measures.
+    equality of couplings is equality of measures.  ``mass`` is the
+    coupling's own copy.  The usual input, a dict of ``arity``-long tuples
+    of exact ``int`` point indices with positive ``Fraction`` masses, is
+    recognised in one pass in C and copied as it is; any other input is
+    converted entry by entry, in dict order, and its first bad entry
+    raises.  The total and the marginals are then checked on integer
+    numerators.
     """
 
     arity: int
@@ -301,19 +310,11 @@ class Coupling:
         if self.arity < 1:
             raise ValueError("arity must be positive")
         n = len(self.base)
-        cleaned: dict[tuple[int, ...], Fraction] = {}
-        for t, v in self.mass.items():
-            t = tuple(t)
-            v = _frac(v)
-            if len(t) != self.arity:
-                raise ValueError("tuple length must equal the arity")
-            if any(not 0 <= i < n for i in t):
-                raise ValueError("tuple entry out of range")
-            if v < 0:
-                raise ValueError("masses must be nonnegative")
-            if v == 0:
-                continue
-            cleaned[t] = cleaned.get(t, ZERO) + v
+        mass = self.mass
+        if type(mass) is dict and clean_entries(mass.keys(), mass.values(), self.arity, n):
+            cleaned = dict(mass)
+        else:
+            cleaned = _cleaned_mass(mass, self.arity, n)
         object.__setattr__(self, "mass", cleaned)
         # Both checks compare integer numerators over one common
         # denominator D of the masses and the base weights: x == y exactly
@@ -360,15 +361,20 @@ class Coupling:
             out[key] = out.get(key, ZERO) + v
         return Coupling(len(coords), self.base, out)
 
-    def permute_points(self, point_maps: Sequence[Sequence[int]]) -> "Coupling":
-        """Pushforward under per-coordinate point bijections of the base."""
+    def invariant_under(self, point_maps: Sequence[Sequence[int]]) -> bool:
+        """Whether the pushforward under per-coordinate point bijections of
+        the base equals the coupling.
+
+        Checked in place: each support tuple's image must carry the tuple's
+        own mass.  Bijections send distinct tuples to distinct tuples, so
+        this holds exactly when the pushforward's mass equals ``mass``.
+        The masses are compared as lists, which skips the arithmetic
+        comparison of a mass with itself.
+        """
         if len(point_maps) != self.arity:
             raise ValueError("need one point map per coordinate")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for t, v in self.mass.items():
-            key = tuple(point_maps[c][t[c]] for c in range(self.arity))
-            out[key] = out.get(key, ZERO) + v
-        return Coupling(self.arity, self.base, out)
+        images = (tuple(map(getitem, point_maps, t)) for t in self.mass)
+        return list(map(self.mass.get, images)) == list(self.mass.values())
 
     def event_mass(self, sets: Sequence[Iterable[int]]) -> Fraction:
         """Mass of the product event ``A_1 x ... x A_arity``."""
@@ -397,6 +403,39 @@ class Coupling:
             for t in iter_product(supp, repeat=arity)
         }
         return cls(arity, space, mass)
+
+
+def clean_entries(keys: Iterable, values: Iterable, length: int, n: int) -> bool:
+    """Whether every key is a ``length``-long tuple of exact ints in
+    ``range(n)`` and every value a positive ``Fraction``, decided by passes
+    in C.  Such a table of masses needs no conversion."""
+    return (
+        set(map(type, keys)) <= {tuple}
+        and set(map(len, keys)) <= {length}
+        and set(map(type, chain.from_iterable(keys))) <= {int}
+        and set(chain.from_iterable(keys)) <= set(range(n))
+        and set(map(type, values)) <= {Fraction}
+        and min(map(_numerator, values), default=1) > 0
+    )
+
+
+def _cleaned_mass(mass, arity: int, n: int) -> dict:
+    """``mass`` with each key converted to a tuple and each value to a
+    ``Fraction``, repeated keys summed and zero masses dropped; a bad entry
+    raises in dict order, before any later one."""
+    cleaned: dict[tuple[int, ...], Fraction] = {}
+    for t, v in mass.items():
+        t = tuple(t)
+        v = _frac(v)
+        if len(t) != arity:
+            raise ValueError("tuple length must equal the arity")
+        if any(not 0 <= i < n for i in t):
+            raise ValueError("tuple entry out of range")
+        if v < 0:
+            raise ValueError("masses must be nonnegative")
+        if v:
+            cleaned[t] = cleaned[t] + v if t in cleaned else v
+    return cleaned
 
 
 def _prod(xs: Iterable[Fraction]) -> Fraction:

@@ -40,7 +40,7 @@ def is_permutation(p: Sequence[int], n: int) -> bool:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """The permutation ``p after q``: x -> p[q[x]]."""
-    return tuple(p[q[x]] for x in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def perm_order(p: Perm) -> int:

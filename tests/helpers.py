@@ -6,12 +6,13 @@ from itertools import product as iter_product
 
 from ergolab.hales_jewett import MaxLineFreeResult, all_words, enumerate_lines
 from ergolab.measure import (
+    Coupling,
     ExactProbabilitySpace,
     Partition,
     common_refinement,
     relative_independence,
 )
-from ergolab.systems import FiniteZdSystem
+from ergolab.systems import FiniteZdSystem, compose
 from ergolab.upsets import bits_of, ground_masks, mask_of, popcount
 
 
@@ -55,6 +56,32 @@ def brute_cesaro(sys: FiniteZdSystem, sets, n_terms: int) -> Fraction:
             if all(p[x] in s for p, s in zip(perms, sets)):
                 total += sys.space.weights[x]
     return total / n_terms
+
+
+def old_recurrence_witness(sys: FiniteZdSystem, A) -> int | None:
+    """Reference for the least return time: the loop that composed the
+    generator powers and tested every support point, ``n`` by ``n``."""
+    A = frozenset(A)
+    supp = sys.space.support()
+    current = list(sys.generators)
+    n = 1
+    while True:
+        if any(all(p[x] in A for p in current) for x in supp):
+            return n
+        if all(p == tuple(range(len(sys))) for p in current):
+            return None  # a full period without a return
+        current = [compose(g, p) for g, p in zip(sys.generators, current)]
+        n += 1
+
+
+def pushforward_invariant(coupling: Coupling, point_maps) -> bool:
+    """Reference for in-place invariance: build the validated pushforward
+    coupling under the point bijections and compare its masses."""
+    out: dict = {}
+    for t, v in coupling.mass.items():
+        key = tuple(point_maps[c][t[c]] for c in range(coupling.arity))
+        out[key] = out.get(key, Fraction(0)) + v
+    return Coupling(coupling.arity, coupling.base, out).mass == coupling.mass
 
 
 def naive_upset_pairs(upsets, member_partition, space):

@@ -7,7 +7,14 @@ from itertools import combinations, product as iter_product
 
 import pytest
 
-from helpers import brute_cesaro, cyclic_system, three_direction_torus, torus_system
+from helpers import (
+    brute_cesaro,
+    cyclic_system,
+    old_recurrence_witness,
+    pushforward_invariant,
+    three_direction_torus,
+    torus_system,
+)
 
 from ergolab.averages import (
     FurstenbergJoining,
@@ -28,10 +35,23 @@ from ergolab.averages import (
     van_der_corput_inequality,
 )
 from ergolab.generators import random_system, random_vector_sequence
-from ergolab.measure import Partition, SimpleFunction, support_pullback_partition
+from ergolab.measure import Coupling, Partition, SimpleFunction, support_pullback_partition
 from ergolab.systems import FiniteZdSystem, SubgroupSpec, invariant_factor
 
 F = Fraction
+
+
+def weighted_systems_with_null_points(seed: int, count: int, max_points: int = 8):
+    """Seeded random systems whose support carries at least two distinct
+    weights and which have at least one null point."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        sys_ = random_system(rng, max_points=max_points, dim=rng.randint(1, 3))
+        weights = set(sys_.space.weights)
+        if F(0) in weights and len(weights) > 2:
+            out.append(sys_)
+    return rng, out
 
 
 # -- nonconventional averages ---------------------------------------------------
@@ -180,6 +200,53 @@ def test_offdiagonal_invariance_randomized():
         assert check_offdiagonal_invariance(fj)
 
 
+def test_offdiagonal_check_in_place_matches_the_pushforward():
+    # The diagonal coupling is invariant under every diagonal action, so it
+    # passes the joining's own check; under two different generators it is
+    # not invariant, and the in-place check must say what comparing the
+    # rebuilt pushforward coupling says.
+    _, systems = weighted_systems_with_null_points(31, 60)
+    verdicts = set()
+    for sys_ in systems:
+        dirs = tuple(range(sys_.dim))
+        fj = FurstenbergJoining(sys_, dirs, Coupling.diagonal(sys_.space, sys_.dim), 1)
+        perms = [sys_.generators[i] for i in dirs]
+        verdict = check_offdiagonal_invariance(fj)
+        assert verdict == pushforward_invariant(fj.coupling, perms)
+        verdicts.add(verdict)
+        joined = furstenberg_self_joining(sys_)
+        assert check_offdiagonal_invariance(joined)
+        assert pushforward_invariant(joined.coupling, perms)
+    assert verdicts == {True, False}
+
+
+def test_joining_invariance_check_matches_the_pushforward():
+    # Graphs of random weight-preserving permutations: the joining must
+    # reject exactly those that some generator's rebuilt pushforward moves.
+    rng, systems = weighted_systems_with_null_points(33, 80)
+    outcomes = set()
+    for sys_ in systems:
+        if sys_.dim < 2:
+            continue
+        weights = sys_.space.weights
+        sigma = list(range(len(sys_)))
+        for w in set(weights):
+            cls = [x for x in range(len(sys_)) if weights[x] == w]
+            for x, y in zip(cls, rng.sample(cls, len(cls))):
+                sigma[x] = y
+        graph = Coupling(2, sys_.space, {(x, sigma[x]): w for x, w in enumerate(weights) if w})
+        expected = all(pushforward_invariant(graph, [g, g]) for g in sys_.generators)
+        try:
+            FurstenbergJoining(sys_, (0, 1), graph, 1)
+            outcomes.add(True)
+            assert expected
+        except ValueError as exc:
+            outcomes.add(False)
+            assert not expected
+            assert str(exc) == "coupling must be invariant under the diagonal action"
+    assert outcomes == {True, False}
+
+
 def test_projection_consistency_randomized():
     rng = random.Random(9)
     for _ in range(40):
@@ -270,6 +337,48 @@ def test_recurrence_full_set():
     sys_ = cyclic_system(3, 1, 2)
     cert = recurrence_certificate(sys_, {0, 1, 2})
     assert cert.limit == 1 and cert.witness == 1
+
+
+def test_period_scan_matches_the_joining_and_brute_force():
+    # One integer scan gives the limit the self-joining's product mass and
+    # the plain average over one period give, and the witness the old
+    # n-by-n loop found.
+    rng, systems = weighted_systems_with_null_points(32, 40)
+    witnesses = set()
+    for sys_ in systems:
+        fj = furstenberg_self_joining(sys_)
+        points = range(len(sys_))
+        for _ in range(4):
+            sets = [frozenset(x for x in points if rng.random() < 0.6) for _ in range(sys_.dim)]
+            limit = cesaro_limit(sys_, sets)
+            assert limit == fj.coupling.event_mass(sets)
+            assert limit == brute_cesaro(sys_, sets, fj.period)
+            A = sets[0]
+            cert = recurrence_certificate(sys_, A)
+            assert cert.limit == fj.coupling.event_mass([A] * sys_.dim)
+            assert cert.witness == old_recurrence_witness(sys_, A)
+            witnesses.add(cert.witness if cert.witness is None else min(cert.witness, 2))
+    assert witnesses == {None, 1, 2}  # null sets, and returns at n = 1 and later
+
+
+@pytest.mark.parametrize("index", [-1, 3, 99])
+def test_recurrence_rejects_points_outside_the_system(index):
+    sys_ = cyclic_system(3, 1, 2)
+    message = f"^point index {index} out of range for 3 points$"
+    with pytest.raises(ValueError, match=message):
+        recurrence_certificate(sys_, {0, index})
+    with pytest.raises(ValueError, match=message):
+        cesaro_limit(sys_, [{0}, {index}])
+
+
+def test_joining_checks_directions_before_reading_generators():
+    sys_ = cyclic_system(3, 1, 2)
+    with pytest.raises(ValueError, match="^direction out of range$"):
+        furstenberg_self_joining(sys_, (0, 5))
+    with pytest.raises(ValueError, match="^directions must be a nonempty set"):
+        furstenberg_self_joining(sys_, (1, 1))
+    with pytest.raises(ValueError, match="^directions must be a nonempty set"):
+        furstenberg_self_joining(sys_, ())
 
 
 def test_recurrence_exhaustive_agrees_with_single_calls():

@@ -178,6 +178,28 @@ def test_boolean_point_index_is_an_input_error(z3_file, capsys):
     assert report == {"error": "$.--set: expected a JSON array of point indices"}
 
 
+@pytest.mark.parametrize("index", [-1, 99])
+def test_point_index_outside_the_system_is_a_located_input_error(z3_file, index, capsys):
+    code, report = run(capsys, ["recur", "--system", z3_file, "--set", f"[0, {index}]"])
+    assert code == 3
+    assert report == {"error": f"$.--set: point index {index} out of range for 3 points"}
+
+
+@pytest.mark.parametrize(
+    "directions, message",
+    [
+        ("0,5", "direction out of range"),
+        ("1,1", "directions must be a nonempty set of generator indices"),
+        ("x", "expected comma-separated generator indices"),
+        (",", "expected comma-separated generator indices"),
+    ],
+)
+def test_bad_directions_are_located_input_errors(z3_file, directions, message, capsys):
+    code, report = run(capsys, ["fjoin", "--system", z3_file, "--directions", directions])
+    assert code == 3
+    assert report == {"error": f"$.--directions: {message}"}
+
+
 def test_missing_file_is_input_error(capsys):
     code, report = run(capsys, ["recur", "--system", "/nonexistent.json", "--set", "[0]"])
     assert code == 3

@@ -3,6 +3,7 @@ fiber products, and a.e. equality."""
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -13,6 +14,7 @@ from helpers import fraction_coupling_error
 
 from ergolab.measure import (
     Coupling,
+    clean_entries,
     ExactProbabilitySpace,
     Partition,
     SimpleFunction,
@@ -91,6 +93,44 @@ def _random_weights(rng, n):
     return tuple(F(v, total) for v in nums)
 
 
+class _Pairs:
+    """A mass given as ``(list, value)`` pairs: not a dict, and its keys are
+    lists."""
+
+    def __init__(self, mass):
+        self.pairs = [(list(t), v) for t, v in mass.items()]
+
+    def items(self):
+        return iter(self.pairs)
+
+
+def _coupling_outcome(arity, base, mass):
+    """The stored mass, or the type and text of the constructor's error."""
+    try:
+        return Coupling(arity, base, mass).mass
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _slow_variants(rng, mass, arity, n):
+    """The same measure written so that the constructor's one-pass check
+    cannot accept it: namedtuple keys, list keys, ``True`` entries, ``int``
+    masses and zero masses."""
+    key = namedtuple("Key", [f"c{i}" for i in range(arity)])
+    as_bool = {tuple(True if i == 1 else i for i in t): v for t, v in mass.items()}
+    ints = {t: v.numerator if v.denominator == 1 else v for t, v in mass.items()}
+    variants = [{key(*t): v for t, v in mass.items()}]
+    unused = [t for t in iter_product(range(n), repeat=arity) if t not in mass]
+    if unused:
+        fresh = rng.choice(unused)
+        variants += [{**ints, fresh: 0}, {**mass, fresh: F(0)}]
+    elif ints != mass or any(type(v) is int for v in ints.values()):
+        variants.append(ints)
+    if any(1 in t for t in mass):
+        variants.append(as_bool)
+    return variants
+
+
 def test_coupling_checks_match_the_fraction_sums():
     # Seeded couplings, valid and broken, must get the error text of the
     # Fraction-summed checks.  Half the broken ones keep the total at 1 but
@@ -133,6 +173,18 @@ def test_coupling_checks_match_the_fraction_sums():
         except ValueError as exc:
             got = str(exc)
         assert got == expected
+        # The one-pass recognition and the entry-by-entry loop must store
+        # the same mass and raise the same error.
+        clean = _coupling_outcome(arity, base, mass)
+        for variant in _slow_variants(rng, mass, arity, n):
+            assert not clean_entries(variant.keys(), variant.values(), arity, n)
+            assert _coupling_outcome(arity, base, variant) == clean
+        assert _coupling_outcome(arity, base, _Pairs(mass)) == clean
+        t = rng.choice(sorted(mass))
+        assert _coupling_outcome(arity, base, {**mass, t: F(-1, 5)}) == (
+            ValueError, "masses must be nonnegative")
+        assert _coupling_outcome(arity, base, {**mass, t: 1.0}) == (
+            TypeError, "expected an exact rational, got float")
         outcomes.add(expected)
         foreign_base_rejected += change == "foreign" and n > 1 and expected is not None
     assert outcomes == {None, "total mass must be exactly 1"} | {
