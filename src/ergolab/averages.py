@@ -9,9 +9,10 @@ implementation.
 
 The period ``L`` of a direction set is the lcm of the cycle lengths of the
 product-space permutation, i.e. the order of the tuple of generator
-permutations.  Witness searches are bounded by ``L``: one period is
-exhaustive for a finite system (the ``n = L`` term always reproduces the
-plain intersection).
+permutations; reports give it.  The scans walk each support point ``x``
+only over its local period ``L_x`` (the lcm of its own cycle lengths, which
+divides ``L``), weighted by ``1/L_x``.  Witness searches are bounded by
+``L_x``, which is exhaustive for ``x``: the ``n = L_x`` term reproduces ``x``.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import lcm
+from operator import or_
 from typing import Iterable, Sequence
 
 from .measure import (
@@ -32,8 +34,9 @@ from .measure import (
 )
 from .systems import (
     FiniteZdSystem,
+    Perm,
     SubgroupSpec,
-    compose,
+    cycle_decomposition,
     identity_perm,
     invariant_factor,
     perm_order,
@@ -91,6 +94,34 @@ def direction_period(sys: FiniteZdSystem, directions: Sequence[int]) -> int:
     return lcm(*(perm_order(sys.generators[i]) for i in directions))
 
 
+def _local_weights(sys: FiniteZdSystem, directions: Iterable[int]) -> tuple[list[int], list[int], int]:
+    """Per point ``x``: ``L_x``, the lcm of its cycle lengths under the given
+    directions, and the weight ``nums[x] * L' / L_x`` (0 off the support) that
+    makes one local period count as one period ``L'`` of the support; then
+    the weights' denominator ``L' * den``, with ``den, nums`` integerized."""
+    periods = [1] * len(sys)
+    for i in directions:
+        periods = list(map(lcm, periods, map(len, cycle_decomposition(sys.generators[i])[0])))
+    den, nums = sys.space.integerized()
+    full = lcm(*compress(periods, nums))
+    return periods, [num * (full // p) for num, p in zip(nums, periods)], full * den
+
+
+def _orbit_walk(gens: Sequence[Perm], rows: list, periods: Sequence[int], weights: list[int]):
+    """Yield ``(rows, live)`` for ``k = 0, 1, ...``: ``rows[j][x]`` is the
+    initial ``rows[j]`` read at ``gens[j]^k x`` (a step maps ``row[x] =
+    row[g[x]]`` in C), and ``live[x]`` is ``weights[x]`` while ``k <
+    periods[x]``, then 0.  Stops when no positive weight is left."""
+    ends = set(periods)
+    live = weights
+    for k in range(max(compress(periods, weights))):
+        if k:
+            rows = [list(map(row.__getitem__, g)) for row, g in zip(rows, gens)]
+            if k in ends:
+                live = [w if k < p else 0 for w, p in zip(live, periods)]
+        yield rows, live
+
+
 def furstenberg_self_joining(
     sys: FiniteZdSystem, directions: Iterable[int] | None = None
 ) -> FurstenbergJoining:
@@ -101,23 +132,20 @@ def furstenberg_self_joining(
     checked before any generator is read.
     """
     dirs = _checked_directions(sys, range(sys.dim) if directions is None else directions)
-    L = direction_period(sys, dirs)
-    den, nums = sys.space.integerized()
-    live = [num for num in nums if num]
+    periods, weights, total = _local_weights(sys, dirs)
     acc: dict[tuple[int, ...], int] = {}
-    current = [identity_perm(len(sys)) for _ in dirs]
-    for _ in range(L):
-        # zip(*current) lists each point's orbit tuple; compress keeps the
-        # support points, whose numerators are positive.
-        for t, num in zip(compress(zip(*current), nums), live):
-            acc[t] = acc.get(t, 0) + num
-        current = [compose(sys.generators[i], p) for i, p in zip(dirs, current)]
+    gens = [sys.generators[i] for i in dirs]
+    for rows, live in _orbit_walk(gens, [identity_perm(len(sys))] * len(dirs), periods, weights):
+        # zip(*rows) lists each point's orbit tuple; compress keeps the live
+        # support points, whose weights are positive.
+        for t, w in compress(zip(zip(*rows), live), live):
+            acc[t] = acc.get(t, 0) + w
     # Equal masses share one Fraction, which later comparisons of the
     # coupling's masses skip by identity.
-    share = {v: Fraction(v, L * den) for v in set(acc.values())}
+    share = {v: Fraction(v, total) for v in set(acc.values())}
     mass = {t: share[v] for t, v in acc.items()}
     coupling = Coupling(len(dirs), sys.space, mass)
-    return FurstenbergJoining(sys, dirs, coupling, L)
+    return FurstenbergJoining(sys, dirs, coupling, lcm(*periods))
 
 
 def nonconventional_average(
@@ -132,16 +160,16 @@ def nonconventional_average(
         raise ValueError("N must be at least 1")
     n_pts = len(sys)
     totals = [ZERO] * n_pts
-    current = list(sys.generators)
-    for _ in range(N):
+    # The rows start at n = 1: row i holds f_i o T^(e_i).
+    rows = [list(map(f.values.__getitem__, g)) for f, g in zip(functions, sys.generators)]
+    for rows, _ in _orbit_walk(sys.generators, rows, [N] * n_pts, [1] * n_pts):
         for x in range(n_pts):
             prod = Fraction(1)
-            for f, p in zip(functions, current):
-                prod *= f.values[p[x]]
+            for row in rows:
+                prod *= row[x]
                 if prod == 0:
                     break
             totals[x] += prod
-        current = [compose(g, p) for g, p in zip(sys.generators, current)]
     return SimpleFunction(tuple(v / N for v in totals))
 
 
@@ -162,15 +190,15 @@ def _period_scan(
     sys: FiniteZdSystem, sets: Sequence[frozenset[int]]
 ) -> tuple[Fraction, int | None]:
     """The Cesaro limit of the product event ``A_1 x ... x A_d`` and its
-    least return time, from one integer scan over one period ``L``.
+    least return time, from one integer scan over the local periods.
 
-    With ``den, nums = space.integerized()``, the scan adds ``nums[x]`` for
-    every point ``x`` and every ``n`` in ``1..L`` with ``T^(n e_i) x`` in
-    ``A_i`` for all ``i``, and notes the least ``n`` at which a support
-    point does so (``None`` if none does).  The limit is the sum over
-    ``L * den``, the same rational as the self-joining's mass of the
+    The scan adds the weight of :func:`_local_weights` for every point
+    ``x`` and every ``n`` in ``1..L_x`` with ``T^(n e_i) x`` in ``A_i`` for
+    all ``i``, and notes the least ``n`` at which a support point does so
+    (``None`` if none does).  The limit is the sum over the weights'
+    denominator, the same rational as the self-joining's mass of the
     product set: both sum the same orbit tuples over one period.  Null
-    points add ``0`` and so never make a witness.
+    points weigh ``0`` and so never make a witness.
     """
     if not sets:
         raise ValueError("need at least one direction")
@@ -178,20 +206,17 @@ def _period_scan(
     bad = [x for s in sets for x in s if not 0 <= x < n_pts]
     if bad:
         raise ValueError(f"point index {min(bad)} out of range for {n_pts} points")
-    L = direction_period(sys, range(sys.dim))
-    den, nums = sys.space.integerized()
-    # inside[i][x] says whether T^(n e_i) x lies in A_i; from n to n + 1 it
-    # is read at the generator's image, since T^(n+1) x = T^n (T x).
-    inside = [[x in s for x in range(n_pts)] for s in sets]
-    total = 0
+    periods, weights, total = _local_weights(sys, range(sys.dim))
+    # inside[i][x] says whether T^(n e_i) x lies in A_i, from n = 1 on.
+    inside = [list(map(s.__contains__, g)) for s, g in zip(sets, sys.generators)]
+    hits = 0
     witness = None
-    for n in range(1, L + 1):
-        inside = [list(map(row.__getitem__, g)) for row, g in zip(inside, sys.generators)]
-        hit = sum(compress(nums, map(all, zip(*inside))))
+    for n, (inside, live) in enumerate(_orbit_walk(sys.generators, inside, periods, weights), 1):
+        hit = sum(compress(live, map(all, zip(*inside))))
         if hit and witness is None:
             witness = n
-        total += hit
-    return Fraction(total, L * den), witness
+        hits += hit
+    return Fraction(hits, total), witness
 
 
 def check_offdiagonal_invariance(fj: FurstenbergJoining) -> bool:
@@ -273,9 +298,10 @@ class RecurrenceCertificate:
 def recurrence_certificate(sys: FiniteZdSystem, A: Iterable[int]) -> RecurrenceCertificate:
     """Limit of ``(1/N) sum_n mu(icap_i T^(-n e_i) A)`` and least witness.
 
-    Both come from one integer scan over one period (:func:`_period_scan`);
-    no self-joining is built.  For a finite system with ``mu(A) > 0`` both
-    are guaranteed positive: the term at ``n = L`` is ``mu(A)`` itself.  A
+    Both come from one integer scan over the local periods
+    (:func:`_period_scan`); no self-joining is built.  For a finite system
+    with ``mu(A) > 0`` both are guaranteed positive: a point ``x`` of ``A``
+    returns to ``A`` at ``n = L_x``.  A
     point index outside ``range(len(sys))`` raises ``ValueError``.
     """
     A = frozenset(A)
@@ -288,84 +314,56 @@ def recurrence_certificates_exhaustive(
     """Certificates for every subset of points at once, keyed by bitmask.
 
     Shares one period scan across all sets via a subset-sum transform, so the
-    full sweep over ``2^|X|`` sets costs ``O(2^|X| |X| + L |X|)`` integer
+    full sweep over ``2^|X|`` sets costs ``O(2^|X| |X| + |X| max L_x)`` integer
     operations.  Agrees with :func:`recurrence_certificate` set by set.
     """
     n_pts = len(sys)
     if n_pts > 20:
         raise ValueError("exhaustive sweep is limited to 20 points")
-    den, nums = sys.space.integerized()
-    supp = sys.space.support()
-    L = direction_period(sys, range(sys.dim))
-    d = sys.dim
+    periods, weights, total = _local_weights(sys, range(sys.dim))
+    sentinel = max(periods) + 1
 
-    # Aggregate the period scan by the point set touched by each orbit tuple.
+    # Aggregate the period scan by the point set touched by each orbit
+    # tuple, and note the least n at which each such set occurs.
     agg = [0] * (1 << n_pts)
-    masks_by_n: list[list[int]] = []
-    current = [identity_perm(n_pts) for _ in range(d)]
-    for n in range(L):
-        level = []
-        for x in supp:
-            m = 0
-            for p in current:
-                m |= 1 << p[x]
-            agg[m] += nums[x]
-            level.append(m)
-        masks_by_n.append(level)
-        current = [compose(g, p) for g, p in zip(sys.generators, current)]
+    wit = [sentinel] * (1 << n_pts)
+    rows = [[1 << y for y in g] for g in sys.generators]
+    for n, (rows, live) in enumerate(_orbit_walk(sys.generators, rows, periods, weights), 1):
+        masks = [0] * n_pts
+        for row in rows:
+            masks = list(map(or_, masks, row))
+        for m, w in compress(zip(masks, live), live):
+            agg[m] += w
+            if wit[m] == sentinel:
+                wit[m] = n
 
-    # Subset-sum transform: f[A] = total mass of orbit tuples inside A.
+    # Subset transforms: agg[A] becomes the total mass of orbit tuples inside
+    # A, and wit[A] the least offset whose orbit-image mask lies inside A.
     for bit in range(n_pts):
         step = 1 << bit
         for m in range(1 << n_pts):
             if m & step:
                 agg[m] += agg[m ^ step]
-
-    # Least witness per set, again by a subset transform: the witness of A is
-    # the least offset whose orbit-image mask lies inside A.  The masks for
-    # offset n equal those recorded at n mod L, so n = L reuses level 0.
-    first_hit: dict[int, int] = {}
-    for n in range(1, L + 1):
-        for tm in masks_by_n[n % L]:
-            if tm not in first_hit:
-                first_hit[tm] = n
-    sentinel = L + 1
-    wit = [sentinel] * (1 << n_pts)
-    for tm, n in first_hit.items():
-        if n < wit[tm]:
-            wit[tm] = n
-    for bit in range(n_pts):
-        step = 1 << bit
-        for m in range(1 << n_pts):
-            if m & step and wit[m ^ step] < wit[m]:
-                wit[m] = wit[m ^ step]
-
-    total = L * den
-    out: dict[int, RecurrenceCertificate] = {}
-    for m in range(1 << n_pts):
-        out[m] = RecurrenceCertificate(
-            Fraction(agg[m], total), wit[m] if wit[m] <= L else None
-        )
-    return out
+                if wit[m ^ step] < wit[m]:
+                    wit[m] = wit[m ^ step]
+    return {
+        m: RecurrenceCertificate(Fraction(a, total), w if w < sentinel else None)
+        for m, (a, w) in enumerate(zip(agg, wit))
+    }
 
 
-def multiple_recurrence_check(
-    sys: FiniteZdSystem,
-    sets: Sequence[Iterable[int]],
-    fj: FurstenbergJoining | None = None,
-) -> bool:
+def multiple_recurrence_check(sys: FiniteZdSystem, sets: Sequence[Iterable[int]]) -> bool:
     """Verify the implication: vanishing self-joining mass of the product set
     forces vanishing measure of the intersection.
 
+    The mass comes from :func:`_period_scan`, without building the joining.
     Vacuously true when the product mass is positive.  Unconditionally true
     for finite systems, since the period average dominates ``mu(cap A_i)/L``.
     """
     if len(sets) != sys.dim:
         raise ValueError("need one set per generator")
-    if fj is None:
-        fj = furstenberg_self_joining(sys)
     sets = [frozenset(s) for s in sets]
-    if fj.coupling.event_mass(sets) != 0:
+    if _period_scan(sys, sets)[0] != 0:
         return True
     inter = set.intersection(*(set(s) for s in sets)) if sets else set()
     return sys.space.measure(inter) == 0

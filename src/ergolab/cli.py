@@ -142,6 +142,15 @@ def _located(option: str, call, *args) -> Any:
 
 # -- handlers -----------------------------------------------------------------
 
+def _system_with_directions(doc: Any):
+    """The system of ``doc``; a system without generators is rejected at
+    ``$.generators``, since no option can supply a direction."""
+    sys_ = serialize.system_from_json(doc)
+    if not sys_.dim:
+        raise ValidationError(["generators"], "need at least one direction")
+    return sys_
+
+
 def _cmd_avg(args) -> int:
     doc = _load(args.system)
     sys_ = serialize.system_from_json(doc)
@@ -160,13 +169,13 @@ def _cmd_avg(args) -> int:
 
 def _cmd_fjoin(args) -> int:
     doc = _load(args.system)
-    sys_ = serialize.system_from_json(doc)
     if args.directions:
+        sys_ = serialize.system_from_json(doc)
         dirs = _parse_directions(args.directions)
         fj = _located("--directions", averages.furstenberg_self_joining, sys_, dirs)
     else:
         dirs = None
-        fj = averages.furstenberg_self_joining(sys_)
+        fj = averages.furstenberg_self_joining(_system_with_directions(doc))
     results = {
         "directions": list(fj.directions),
         "period": fj.period,
@@ -178,7 +187,7 @@ def _cmd_fjoin(args) -> int:
 
 def _cmd_recur(args) -> int:
     doc = _load(args.system)
-    sys_ = serialize.system_from_json(doc)
+    sys_ = _system_with_directions(doc)
     aset = _parse_set(args.set)
     cert = _located("--set", averages.recurrence_certificate, sys_, aset)
     results = {"limit": cert.limit, "witness_n": cert.witness}

@@ -20,15 +20,6 @@ from .systems import FiniteZdSystem, GroupRotationSystem, SubgroupSpec
 _COMPONENT_ORDERS = (1, 2, 3, 4, 5, 6)
 
 
-def random_weights(rng: random.Random, n: int, allow_zero: bool = True) -> tuple[Fraction, ...]:
-    """Random exact weights on n points summing to 1."""
-    while True:
-        nums = [rng.randint(0 if allow_zero else 1, 4) for _ in range(n)]
-        total = sum(nums)
-        if total > 0:
-            return tuple(Fraction(v, total) for v in nums)
-
-
 def random_system(
     rng: random.Random,
     max_points: int = 12,

@@ -43,32 +43,31 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(map(p.__getitem__, q))
 
 
+def cycle_decomposition(p: Perm) -> tuple[list[Perm], list[int]]:
+    """Each point's cycle under ``p`` (one tuple per cycle, from its least
+    point) and its position in it, so ``cycle[x][pos[x]] == x``."""
+    cycle: list = [None] * len(p)
+    pos = [0] * len(p)
+    for start in range(len(p)):
+        if cycle[start] is None:
+            c = [start]
+            while p[c[-1]] != start:
+                c.append(p[c[-1]])
+            c = tuple(c)
+            for i, y in enumerate(c):
+                cycle[y], pos[y] = c, i
+    return cycle, pos
+
+
 def perm_order(p: Perm) -> int:
     """lcm of the cycle lengths."""
-    seen = [False] * len(p)
-    out = 1
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        out = lcm(out, length)
-    return out
+    return lcm(*map(len, cycle_decomposition(p)[0]))
 
 
 def perm_power(p: Perm, k: int) -> Perm:
-    n = len(p)
-    if n == 0:
-        return p
-    k %= perm_order(p)
-    out = identity_perm(n)
-    for _ in range(k):
-        out = compose(p, out)
-    return out
+    """``p`` applied ``k`` times, for any integer ``k``, read off the cycles."""
+    cycle, pos = cycle_decomposition(p)
+    return tuple(c[(i + k) % len(c)] for c, i in zip(cycle, pos))
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +87,13 @@ class FiniteZdSystem:
         gens = tuple(tuple(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         n = len(self.space)
+        weights = self.space.weights
         for i, g in enumerate(gens):
             if not is_permutation(g, n):
                 raise ValidationError(["generators", i], "not a permutation of the points")
-            for x in range(n):
-                if self.space.weights[g[x]] != self.space.weights[x]:
-                    raise ValidationError(
-                        ["generators", i], f"weight not preserved at point {x}"
-                    )
+            if tuple(map(weights.__getitem__, g)) != weights:
+                x = next(x for x in range(n) if weights[g[x]] != weights[x])
+                raise ValidationError(["generators", i], f"weight not preserved at point {x}")
         for (i, a), (j, b) in combinations(enumerate(gens), 2):
             if compose(a, b) != compose(b, a):
                 raise ValidationError(["generators"], f"generators {i} and {j} do not commute")

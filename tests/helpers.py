@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import compress, product as iter_product
+from math import lcm
 
+from ergolab.averages import FurstenbergJoining, RecurrenceCertificate
 from ergolab.hales_jewett import MaxLineFreeResult, all_words, enumerate_lines
 from ergolab.measure import (
     Coupling,
@@ -21,6 +23,17 @@ def cyclic_system(n: int, *shifts: int) -> FiniteZdSystem:
     space = ExactProbabilitySpace.uniform(tuple(range(n)))
     gens = tuple(tuple((x + s) % n for x in range(n)) for s in shifts)
     return FiniteZdSystem(space, gens)
+
+
+def long_period_system() -> FiniteZdSystem:
+    """Uniform 100 points, one generator whose cycles, on consecutive
+    points, have the prime lengths 2, 3, 5, ..., 23: its order is
+    223,092,870, while every point's own period is at most 23."""
+    gen = []
+    for length in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        start = len(gen)
+        gen.extend(start + (i + 1) % length for i in range(length))
+    return FiniteZdSystem(ExactProbabilitySpace.uniform(tuple(range(100))), (tuple(gen),))
 
 
 def torus_system(mod: int, *vectors: tuple[int, ...]) -> FiniteZdSystem:
@@ -72,6 +85,121 @@ def old_recurrence_witness(sys: FiniteZdSystem, A) -> int | None:
             return None  # a full period without a return
         current = [compose(g, p) for g, p in zip(sys.generators, current)]
         n += 1
+
+
+# -- the period scans as they ran over the global period --------------------------
+#
+# Copies of the former ``averages.furstenberg_self_joining``, ``_period_scan``
+# and ``recurrence_certificates_exhaustive``, which step ``compose`` over the
+# global period ``L``, and of the former ``systems.perm_order`` and
+# ``perm_power``: the references for the local-period walk and the cycle
+# decomposition.
+
+def old_perm_order(p):
+    seen = [False] * len(p)
+    out = 1
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            length += 1
+        out = lcm(out, length)
+    return out
+
+
+def old_perm_power(p, k):
+    n = len(p)
+    if n == 0:
+        return p
+    k %= old_perm_order(p)
+    out = tuple(range(n))
+    for _ in range(k):
+        out = compose(p, out)
+    return out
+
+
+def old_direction_period(sys, directions):
+    return lcm(*(old_perm_order(sys.generators[i]) for i in directions))
+
+
+def old_furstenberg_self_joining(sys, directions=None):
+    dirs = tuple(sorted(range(sys.dim) if directions is None else directions))
+    L = old_direction_period(sys, dirs)
+    den, nums = sys.space.integerized()
+    live = [num for num in nums if num]
+    acc = {}
+    current = [tuple(range(len(sys))) for _ in dirs]
+    for _ in range(L):
+        for t, num in zip(compress(zip(*current), nums), live):
+            acc[t] = acc.get(t, 0) + num
+        current = [compose(sys.generators[i], p) for i, p in zip(dirs, current)]
+    share = {v: Fraction(v, L * den) for v in set(acc.values())}
+    mass = {t: share[v] for t, v in acc.items()}
+    return FurstenbergJoining(sys, dirs, Coupling(len(dirs), sys.space, mass), L)
+
+
+def old_period_scan(sys, sets):
+    n_pts = len(sys)
+    L = old_direction_period(sys, range(sys.dim))
+    den, nums = sys.space.integerized()
+    inside = [[x in s for x in range(n_pts)] for s in sets]
+    total = 0
+    witness = None
+    for n in range(1, L + 1):
+        inside = [list(map(row.__getitem__, g)) for row, g in zip(inside, sys.generators)]
+        hit = sum(compress(nums, map(all, zip(*inside))))
+        if hit and witness is None:
+            witness = n
+        total += hit
+    return Fraction(total, L * den), witness
+
+
+def old_recurrence_certificates_exhaustive(sys):
+    n_pts = len(sys)
+    den, nums = sys.space.integerized()
+    supp = sys.space.support()
+    L = old_direction_period(sys, range(sys.dim))
+    agg = [0] * (1 << n_pts)
+    masks_by_n = []
+    current = [tuple(range(n_pts)) for _ in range(sys.dim)]
+    for n in range(L):
+        level = []
+        for x in supp:
+            m = 0
+            for p in current:
+                m |= 1 << p[x]
+            agg[m] += nums[x]
+            level.append(m)
+        masks_by_n.append(level)
+        current = [compose(g, p) for g, p in zip(sys.generators, current)]
+    for bit in range(n_pts):
+        step = 1 << bit
+        for m in range(1 << n_pts):
+            if m & step:
+                agg[m] += agg[m ^ step]
+    first_hit = {}
+    for n in range(1, L + 1):
+        for tm in masks_by_n[n % L]:
+            if tm not in first_hit:
+                first_hit[tm] = n
+    sentinel = L + 1
+    wit = [sentinel] * (1 << n_pts)
+    for tm, n in first_hit.items():
+        if n < wit[tm]:
+            wit[tm] = n
+    for bit in range(n_pts):
+        step = 1 << bit
+        for m in range(1 << n_pts):
+            if m & step and wit[m ^ step] < wit[m]:
+                wit[m] = wit[m ^ step]
+    return {
+        m: RecurrenceCertificate(Fraction(agg[m], L * den), wit[m] if wit[m] <= L else None)
+        for m in range(1 << n_pts)
+    }
 
 
 def pushforward_invariant(coupling: Coupling, point_maps) -> bool:

@@ -2,14 +2,20 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product as iter_product
+from math import lcm
 
 import pytest
 
 from helpers import (
     brute_cesaro,
     cyclic_system,
+    long_period_system,
+    old_furstenberg_self_joining,
+    old_period_scan,
+    old_recurrence_certificates_exhaustive,
     old_recurrence_witness,
     pushforward_invariant,
     three_direction_torus,
@@ -18,6 +24,7 @@ from helpers import (
 
 from ergolab.averages import (
     FurstenbergJoining,
+    _period_scan,
     RecurrenceCertificate,
     VectorSequence,
     cesaro_limit,
@@ -379,6 +386,62 @@ def test_joining_checks_directions_before_reading_generators():
         furstenberg_self_joining(sys_, (1, 1))
     with pytest.raises(ValueError, match="^directions must be a nonempty set"):
         furstenberg_self_joining(sys_, ())
+
+
+def _local_periods(sys_, dirs):
+    """Each point's period under the given directions, by stepping."""
+    out = []
+    for x in range(len(sys_)):
+        period = 1
+        for i in dirs:
+            g, y, n = sys_.generators[i], sys_.generators[i][x], 1
+            while y != x:
+                y, n = g[y], n + 1
+            period = lcm(period, n)
+        out.append(period)
+    return out
+
+
+def test_local_period_walks_match_the_global_period_oracles():
+    # The joining (on every direction subset), the period scan and the
+    # exhaustive certificates equal the former loops over the global period,
+    # masses, witnesses and the joining's mass order included.
+    rng, systems = weighted_systems_with_null_points(41, 150)
+    mixed = shorter = 0
+    for sys_ in systems:
+        for r in range(1, sys_.dim + 1):
+            for dirs in combinations(range(sys_.dim), r):
+                new, old = furstenberg_self_joining(sys_, dirs), old_furstenberg_self_joining(sys_, dirs)
+                assert new == old and list(new.coupling.mass) == list(old.coupling.mass)
+                periods = _local_periods(sys_, dirs)
+                support = [periods[x] for x in sys_.space.support()]
+                mixed += len(set(support)) > 1
+                shorter += lcm(*support) < new.period
+        points = range(len(sys_))
+        for _ in range(6):
+            sets = [frozenset(x for x in points if rng.random() < 0.6) for _ in range(sys_.dim)]
+            assert _period_scan(sys_, sets) == old_period_scan(sys_, sets)
+            A = sets[0]
+            assert recurrence_certificate(sys_, A) == RecurrenceCertificate(
+                *old_period_scan(sys_, [A] * sys_.dim)
+            )
+        if len(sys_) <= 7:
+            assert recurrence_certificates_exhaustive(sys_) == old_recurrence_certificates_exhaustive(sys_)
+    # Support points with different local periods, and supports whose
+    # periods miss a cycle length of the null points.
+    assert mixed >= 20 and shorter >= 5
+
+
+def test_long_global_period_scans_in_local_periods():
+    sys_ = long_period_system()
+    A = frozenset(range(0, 100, 3))
+    start = time.perf_counter()
+    assert furstenberg_self_joining(sys_).period == 223092870
+    assert recurrence_certificate(sys_, A).limit == sys_.space.measure(A)
+    # One direction: the point before 0 on its 2-cycle enters {0} at n = 1.
+    assert recurrence_certificate(sys_, {0}) == RecurrenceCertificate(F(1, 100), 1)
+    assert multiple_recurrence_check(sys_, [A])
+    assert time.perf_counter() - start < 2.0
 
 
 def test_recurrence_exhaustive_agrees_with_single_calls():

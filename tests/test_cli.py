@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from helpers import cyclic_system
+from helpers import cyclic_system, long_period_system
 
 import ergolab
 from ergolab import cli
@@ -183,6 +184,40 @@ def test_point_index_outside_the_system_is_a_located_input_error(z3_file, index,
     code, report = run(capsys, ["recur", "--system", z3_file, "--set", f"[0, {index}]"])
     assert code == 3
     assert report == {"error": f"$.--set: point index {index} out of range for 3 points"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["recur", "--set", "[0]"], ["recur", "--set", "[7]"], ["fjoin"]],
+)
+def test_system_without_generators_is_located_at_the_generators(tmp_path, argv, capsys):
+    # No option can supply a direction, so the set is not at fault.
+    path = tmp_path / "dim0.json"
+    path.write_text(
+        json.dumps({"dim": 0, "generators": [], "space": {"points": [0, 1], "weights": ["1/2", "1/2"]}})
+    )
+    code, report = run(capsys, argv[:1] + ["--system", str(path)] + argv[1:])
+    assert code == 3
+    assert report == {"error": "$.generators: need at least one direction"}
+
+
+def test_long_global_period_commands_finish(tmp_path, capsys):
+    # One generator with cycles 2, 3, 5, ..., 23: the global period is
+    # 223,092,870, but no point's own period exceeds 23.
+    sys_ = long_period_system()
+    path = tmp_path / "long.json"
+    path.write_text(canonical_dumps(system_to_json(sys_)))
+    aset = [0, 2, 5, 10, 17, 28, 41, 58, 77]
+    start = time.perf_counter()
+    code, report = run(capsys, ["recur", "--system", str(path), "--set", json.dumps(aset)])
+    assert code == 0
+    # With one direction the limit is mu(A) itself.
+    assert report["results"]["limit"] == "9/100"
+    code, report = run(capsys, ["fjoin", "--system", str(path)])
+    assert code == 0
+    assert report["results"]["period"] == 223092870
+    assert report["results"]["offdiagonal_invariant"] is True
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cofactor_det, cyclic_system, three_direction_torus, torus_system
+from helpers import (
+    cofactor_det,
+    cyclic_system,
+    long_period_system,
+    old_perm_order,
+    old_perm_power,
+    three_direction_torus,
+    torus_system,
+)
 
 from ergolab.generators import random_subgroup, random_system
 from ergolab.measure import ExactProbabilitySpace, Partition, ae_equal, common_refinement
@@ -23,6 +31,8 @@ from ergolab.systems import (
     is_partially_trivial,
     joint_distribution_predicate,
     orbit_partition,
+    perm_order,
+    perm_power,
     quotient_system,
     rotation_extension,
     two_fold_joining_check,
@@ -50,6 +60,18 @@ def test_generator_errors_are_located_value_errors():
     for space, gens, expected in (
         (skew, ((1, 2, 0),), "$.generators[0]: weight not preserved at point 0"),
         (skew, ((0, 2, 1), (0, 1)), "$.generators[1]: not a permutation of the points"),
+        # The first failure is reported, also past point 0 and generator 0.
+        (
+            ExactProbabilitySpace((0, 1, 2), (F(1, 4), F(1, 2), F(1, 4))),
+            ((0, 2, 1),),
+            "$.generators[0]: weight not preserved at point 1",
+        ),
+        (
+            ExactProbabilitySpace((0, 1, 2, 3), (F(1, 4), F(1, 4), F(1, 8), F(3, 8))),
+            ((0, 1, 2, 3), (1, 0, 3, 2)),
+            "$.generators[1]: weight not preserved at point 2",
+        ),
+        (skew, ((1, 0, 2), (0, 1)), "$.generators[0]: weight not preserved at point 0"),
         (
             uniform,
             ((0, 1, 2), (1, 2, 0), (1, 0, 2)),
@@ -88,6 +110,32 @@ def test_act_is_homomorphism_randomized():
         n = tuple(rng.randint(-3, 3) for _ in range(sys_.dim))
         mn = tuple(a + b for a, b in zip(m, n))
         assert sys_.act(mn) == compose(sys_.act(m), sys_.act(n))
+
+
+def test_perm_power_and_order_match_the_composing_loop():
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randint(0, 9)
+        p = list(range(n))
+        rng.shuffle(p)
+        p = tuple(p)
+        order = old_perm_order(p)
+        assert perm_order(p) == order
+        for k in range(-2 * order - 1, 2 * order + 2):
+            assert perm_power(p, k) == old_perm_power(p, k)
+
+
+def test_act_reads_long_periods_off_the_cycles():
+    # One generator on 100 points with cycles 2, 3, 5, ..., 23: its order is
+    # 223,092,870, which a power loop would step through.
+    sys_ = long_period_system()
+    L = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    start = time.perf_counter()
+    assert perm_order(sys_.generators[0]) == L
+    assert sys_.act((L,)) == tuple(range(100))
+    assert sys_.act((L + 1,)) == sys_.generators[0]
+    assert sys_.act((-1,)) == perm_power(sys_.generators[0], L - 1)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- invariant factors -------------------------------------------------------------
