@@ -28,6 +28,7 @@ from .measure import (
     Partition,
     SimpleFunction,
     ZERO,
+    _frac,
     common_refinement,
     relative_independence,
     support_pullback_partition,
@@ -376,9 +377,7 @@ class VectorSequence:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(
-            tuple(Fraction(c) for c in row) for row in self.entries
-        )
+        entries = tuple(tuple(map(_frac, row)) for row in self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ValueError("sequence must be nonempty")

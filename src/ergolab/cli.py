@@ -37,23 +37,6 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 
-_SCALARS = frozenset({str, int, bool, type(None)})
-
-
-def _jsonable(value: Any) -> Any:
-    if type(value) in _SCALARS:  # exact types: already JSON, returned as is
-        return value
-    if isinstance(value, Fraction):
-        return format_fraction(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [v if type(v) in _SCALARS else _jsonable(v) for v in value]
-    if isinstance(value, (frozenset, set)):
-        return sorted(_jsonable(v) for v in value)
-    return value
-
-
 def _load(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -74,25 +57,9 @@ def _load_option(args, name: str) -> Any:
     return _load(path)
 
 
-def _jsonable_default(value: Any) -> Any:
-    """``json``'s hook for the values it cannot encode itself, converted as
-    :func:`_jsonable` converts them."""
-    if isinstance(value, (Fraction, frozenset, set)):
-        return _jsonable(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _digest(payload: Any) -> str:
-    """Hash of the canonical JSON of the input payload.
-
-    The payload is encoded as it stands, with no converted copy: ``json``
-    writes tuples as lists, as :func:`_jsonable` does, and hands only
-    ``Fraction`` and set values to :func:`_jsonable_default`.  Input
-    payloads are JSON documents and dicts with string keys, so the key
-    order is the same as well, and so are the bytes.
-    """
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_jsonable_default)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    """Hash of the canonical JSON of the input payload."""
+    return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()[:16]
 
 
 def _emit(args, command: str, inputs: Any, results: dict, exhaustive: bool, code: int) -> int:
@@ -100,7 +67,7 @@ def _emit(args, command: str, inputs: Any, results: dict, exhaustive: bool, code
         "command": command,
         "digest": _digest(inputs),
         "exhaustive": exhaustive,
-        "results": _jsonable(results),
+        "results": results,
         "seed": getattr(args, "seed", 0),
     }
     text = canonical_dumps(report)
@@ -122,13 +89,12 @@ def _parse_set(text: str) -> frozenset[int]:
     return frozenset(data)
 
 
-def _parse_directions(text: str) -> tuple[int, ...]:
+def _parse_ints(option: str, text: str, expected: str) -> tuple[int, ...]:
+    """The comma-separated integers of an option's value."""
     try:
         return tuple(int(s) for s in text.split(","))
     except ValueError:
-        raise ValidationError(
-            ["--directions"], "expected comma-separated generator indices"
-        ) from None
+        raise ValidationError([option], f"expected comma-separated {expected}") from None
 
 
 def _located(option: str, call, *args) -> Any:
@@ -171,7 +137,7 @@ def _cmd_fjoin(args) -> int:
     doc = _load(args.system)
     if args.directions:
         sys_ = serialize.system_from_json(doc)
-        dirs = _parse_directions(args.directions)
+        dirs = _parse_ints("--directions", args.directions, "generator indices")
         fj = _located("--directions", averages.furstenberg_self_joining, sys_, dirs)
     else:
         dirs = None
@@ -258,7 +224,7 @@ def _cmd_removal(args) -> int:
         return _emit(args, "removal-check", doc, results, True, code)
 
     config = removal_mod.SearchConfig(
-        sizes=tuple(int(s) for s in args.sizes.split(",")),
+        sizes=_parse_ints("--sizes", args.sizes, "point counts"),
         d=args.d,
         seed=args.seed,
         exhaustive=not args.random,

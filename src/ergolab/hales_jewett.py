@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations, product as iter_product
-from math import lcm
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Sequence
 
 from .measure import (
@@ -29,8 +28,8 @@ from .measure import (
     ExactProbabilitySpace,
     Partition,
     ZERO,
-    clean_entries,
     common_refinement,
+    exact_masses,
     relative_independence,
     support_pullback_partition,
 )
@@ -127,8 +126,8 @@ class CombinatorialSubspace:
     template: str
 
     def __post_init__(self) -> None:
-        bps = tuple(int(b) for b in self.breakpoints)
-        wcs = tuple(frozenset(int(p) for p in s) for s in self.wildcards)
+        bps = tuple(map(index, self.breakpoints))
+        wcs = tuple(frozenset(map(index, s)) for s in self.wildcards)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "wildcards", wcs)
         check_word(self.template, self.k)
@@ -391,27 +390,19 @@ def subspace_forcing_check(
 @dataclass(frozen=True)
 class CorrespondenceMeasure:
     """The joint law of the indicator slices of a set: a measure on
-    0/1 configurations indexed by ``[k]^L`` (sorted word order)."""
+    0/1 configurations indexed by ``[k]^L`` (sorted word order).  ``mass``
+    is the measure's own copy, read by :func:`measure.exact_masses`."""
 
     k: int
     length: int
     mass: dict
 
     def __post_init__(self) -> None:
-        cleaned: dict[tuple[int, ...], Fraction] = {}
-        width = self.k**self.length
-        for cfg, v in self.mass.items():
-            cfg = tuple(int(b) for b in cfg)
-            v = Fraction(v)
-            if len(cfg) != width or any(b not in (0, 1) for b in cfg):
-                raise ValueError("configurations must be 0/1 tuples over [k]^L")
-            if v < 0:
-                raise ValueError("masses must be nonnegative")
-            if v:
-                cleaned[cfg] = cleaned.get(cfg, ZERO) + v
-        object.__setattr__(self, "mass", cleaned)
-        if sum(cleaned.values(), ZERO) != 1:
-            raise ValueError("total mass must be exactly 1")
+        text = "configurations must be 0/1 tuples over [k]^L"
+        mass, _, _ = exact_masses(
+            self.mass, self.k**self.length, 2, length_error=text, range_error=text
+        )
+        object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "_words", tuple(all_words(self.k, self.length)))
 
     @property
@@ -475,8 +466,9 @@ class StationaryLawTruncation:
     coordinates of one length (every coordinate and subspace image is one)
     is summed from its length's table, and any other tuple from the whole
     law; each is summed once per law and remembered, so ``weights`` must
-    not be changed after construction.  ``weights`` is the law's own copy:
-    the dict passed in may be reused or changed afterwards.
+    not be changed after construction.  ``weights`` is the law's own copy,
+    read by :func:`measure.exact_masses`: the dict passed in may be reused
+    or changed afterwards.
     """
 
     k: int
@@ -491,30 +483,16 @@ class StationaryLawTruncation:
         wlist = tuple(words_up_to(self.k, self.depth))
         object.__setattr__(self, "_words", wlist)
         object.__setattr__(self, "_windex", {w: i for i, w in enumerate(wlist)})
-        m = len(self.carrier)
-        width = len(wlist)
-        weights = self.weights
-        # One pass in C over all keys recognises the usual case: width-long
-        # tuples of exact ints within the carrier.  The values are checked
-        # once per distinct object: a parsed document shares one Fraction
-        # per distinct value string.  A law of such keys and positive
-        # Fractions is copied as it is.
-        distinct = {id(v): v for v in weights.values()}
-        if clean_entries(weights.keys(), distinct.values(), width, m):
-            weights = dict(weights)
-        else:
-            weights = _cleaned_weights(weights, width, m)
-            distinct = {id(v): v for v in weights.values()}
+        text = "configurations must index the carrier at every word"
+        weights, den, nums = exact_masses(
+            self.weights, len(wlist), len(self.carrier), length_error=text, range_error=text
+        )
         object.__setattr__(self, "weights", weights)
-        den = lcm(*{v.denominator for v in distinct.values()})
         object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", nums)
         bounds = tuple(accumulate((self.k**n for n in range(1, self.depth + 1)), initial=0))
         object.__setattr__(self, "_bounds", bounds)
-        numerator = {i: v.numerator * (den // v.denominator) for i, v in distinct.items()}
-        by_length = self._length_tables(numerator)
-        if sum(by_length[0].values()) != den:
-            raise ValueError("total mass must be exactly 1")
-        object.__setattr__(self, "_by_length", by_length)
+        object.__setattr__(self, "_by_length", self._length_tables(nums))
         object.__setattr__(self, "_pulled", {})
         first = self.coordinate_marginal(wlist[0])
         if first != self.carrier.weights:
@@ -533,16 +511,15 @@ class StationaryLawTruncation:
     def _indices(self, image_words: Sequence[str]) -> tuple[int, ...]:
         return tuple(self.word_index(w) for w in image_words)
 
-    def _length_tables(self, numerator: dict[int, int]) -> list[dict[tuple[int, ...], int]]:
+    def _length_tables(self, nums: list[int]) -> list[dict[tuple[int, ...], int]]:
         """One scan of the whole law: for each word length, the numerators
-        summed by the configuration at the words of that length.
-        ``numerator`` maps the ``id`` of each mass to its numerator over
-        the common denominator."""
+        summed by the configuration at the words of that length.  ``nums``
+        holds each weight's numerator over the common denominator, in the
+        order of ``weights``."""
         bounds = self._bounds  # type: ignore[attr-defined]
         tables: list[dict] = [{} for _ in range(self.depth)]
         parts = [(slice(lo, hi), t) for lo, hi, t in zip(bounds, bounds[1:], tables)]
-        for cfg, v in self.weights.items():
-            num = numerator[id(v)]
+        for cfg, num in zip(self.weights, nums):
             for part, table in parts:
                 key = cfg[part]
                 table[key] = table.get(key, 0) + num
@@ -573,9 +550,8 @@ class StationaryLawTruncation:
 
     def _sum_numerators(self, idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """One scan of the whole law, for coordinates of several lengths."""
-        den = self._den  # type: ignore[attr-defined]
-        nums = {cfg: v.numerator * (den // v.denominator) for cfg, v in self.weights.items()}
-        return _sum_by(nums, idx)
+        nums = self._nums  # type: ignore[attr-defined]
+        return _sum_by(dict(zip(self.weights, nums)), idx)
 
     def coordinate_marginal(self, w: str) -> tuple[Fraction, ...]:
         acc = self._pull((self.word_index(w),))
@@ -594,26 +570,6 @@ class StationaryLawTruncation:
             return {(): Fraction(1)}
         den = self._den  # type: ignore[attr-defined]
         return {key: Fraction(num, den) for key, num in self._pull(idx).items()}
-
-
-def _cleaned_weights(weights: dict, width: int, m: int) -> dict:
-    """``weights`` with each key converted to a tuple of ints and checked
-    against the carrier, each value to a ``Fraction``, repeated keys summed
-    and zero masses dropped; a bad entry raises in dict order, before any
-    later one."""
-    cleaned: dict[tuple[int, ...], Fraction] = {}
-    for cfg, v in weights.items():
-        if type(cfg) is not tuple or any(type(c) is not int for c in cfg):
-            cfg = tuple(int(c) for c in cfg)
-        if len(cfg) != width or min(cfg) < 0 or max(cfg) >= m:
-            raise ValueError("configurations must index the carrier at every word")
-        if type(v) is not Fraction:
-            v = Fraction(v)
-        if v < 0:
-            raise ValueError("masses must be nonnegative")
-        if v:
-            cleaned[cfg] = cleaned[cfg] + v if cfg in cleaned else v
-    return cleaned
 
 
 def _sum_by(table: dict, positions: Sequence[int]) -> dict[tuple[int, ...], int]:

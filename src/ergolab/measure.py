@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product as iter_product
 from math import lcm
-from operator import attrgetter, getitem
-from typing import Iterable, Sequence
+from operator import attrgetter, getitem, index
+from typing import Collection, Iterable, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -294,12 +294,8 @@ class Coupling:
     Only positive-mass tuples are stored; zero entries passed to the
     constructor are dropped, so the sparse representation is canonical and
     equality of couplings is equality of measures.  ``mass`` is the
-    coupling's own copy.  The usual input, a dict of ``arity``-long tuples
-    of exact ``int`` point indices with positive ``Fraction`` masses, is
-    recognised in one pass in C and copied as it is; any other input is
-    converted entry by entry, in dict order, and its first bad entry
-    raises.  The total and the marginals are then checked on integer
-    numerators.
+    coupling's own copy, read by :func:`exact_masses`; the marginals are
+    then checked on integer numerators.
     """
 
     arity: int
@@ -310,30 +306,29 @@ class Coupling:
         if self.arity < 1:
             raise ValueError("arity must be positive")
         n = len(self.base)
-        mass = self.mass
-        if type(mass) is dict and clean_entries(mass.keys(), mass.values(), self.arity, n):
-            cleaned = dict(mass)
-        else:
-            cleaned = _cleaned_mass(mass, self.arity, n)
-        object.__setattr__(self, "mass", cleaned)
-        # Both checks compare integer numerators over one common
-        # denominator D of the masses and the base weights: x == y exactly
-        # when x * D == y * D, and every x * D here is an integer.
+        mass, den, nums = exact_masses(
+            self.mass,
+            self.arity,
+            n,
+            length_error="tuple length must equal the arity",
+            range_error="tuple entry out of range",
+        )
+        object.__setattr__(self, "mass", mass)
+        # The marginals are compared on integer numerators over D.  A base
+        # weight p/q in lowest terms is a sum of masses over D only if q
+        # divides D, so otherwise coordinate 0 already differs.
         weights = self.base.weights
-        mass_dens = {v.denominator for v in cleaned.values()}
-        den = lcm(*mass_dens, *{w.denominator for w in weights})
-        scale = {q: den // q for q in mass_dens}
-        nums = [(t, v.numerator * scale[v.denominator]) for t, v in cleaned.items()]
-        if sum(num for _, num in nums) != den:
-            raise ValueError("total mass must be exactly 1")
+        if any(den % w.denominator for w in weights):
+            raise ValueError("coordinate 0 marginal differs from the base weights")
         base_nums = [w.numerator * (den // w.denominator) for w in weights]
+        pairs = list(zip(mass, nums))
         for c in range(self.arity):
             marginal = [0] * n
-            for t, num in nums:
+            for t, num in pairs:
                 marginal[t[c]] += num
             if marginal != base_nums:
                 raise ValueError(f"coordinate {c} marginal differs from the base weights")
-        object.__setattr__(self, "_support", tuple(sorted(cleaned)))
+        object.__setattr__(self, "_support", tuple(sorted(mass)))
 
     def support(self) -> tuple[tuple[int, ...], ...]:
         """Positive-mass tuples in lexicographic order."""
@@ -419,23 +414,59 @@ def clean_entries(keys: Iterable, values: Iterable, length: int, n: int) -> bool
     )
 
 
-def _cleaned_mass(mass, arity: int, n: int) -> dict:
-    """``mass`` with each key converted to a tuple and each value to a
-    ``Fraction``, repeated keys summed and zero masses dropped; a bad entry
-    raises in dict order, before any later one."""
-    cleaned: dict[tuple[int, ...], Fraction] = {}
-    for t, v in mass.items():
-        t = tuple(t)
-        v = _frac(v)
-        if len(t) != arity:
-            raise ValueError("tuple length must equal the arity")
-        if any(not 0 <= i < n for i in t):
-            raise ValueError("tuple entry out of range")
-        if v < 0:
-            raise ValueError("masses must be nonnegative")
-        if v:
-            cleaned[t] = cleaned[t] + v if t in cleaned else v
-    return cleaned
+def exact_masses(
+    mass, length: int, n: int, *, length_error: str, range_error: str
+) -> tuple[dict, int, list[int]]:
+    """The table of exact masses of a probability measure on ``range(n)``
+    to the power ``length``, with its integer form.
+
+    Keys are ``length``-long tuples of ints in ``range(n)``, each entry read
+    with ``operator.index`` (a bool is an int; a float or a string raises
+    ``TypeError``), and values are read with :func:`_frac`.  Repeated keys
+    are summed and zero masses dropped.  A bad key raises ``ValueError``
+    with ``length_error`` or ``range_error``, and a negative mass with its
+    own text, in the order of ``mass.items()``, before any later entry.
+
+    Returns the table as a new dict, the lcm ``D`` of its denominators, and
+    the numerator over ``D`` of each mass, in table order.  The total is
+    checked to be 1 on those integers.
+
+    Each distinct mass object is read once: a parsed document shares one
+    ``Fraction`` per distinct value string.  The usual table, a dict of
+    such tuples of exact ints with positive ``Fraction`` masses, is
+    recognised by passes in C and copied as it is.
+    """
+    distinct = _by_id(mass.values()) if type(mass) is dict else None
+    if distinct is not None and clean_entries(mass.keys(), distinct.values(), length, n):
+        table = dict(mass)
+    else:
+        table = {}
+        for t, v in mass.items():
+            t = tuple(map(index, t))
+            if len(t) != length:
+                raise ValueError(length_error)
+            if any(not 0 <= i < n for i in t):
+                raise ValueError(range_error)
+            v = _frac(v)
+            if v < 0:
+                raise ValueError("masses must be nonnegative")
+            if v:
+                table[t] = table[t] + v if t in table else v
+        distinct = _by_id(table.values())
+    den = lcm(*{v.denominator for v in distinct.values()})
+    numerator = {i: v.numerator * (den // v.denominator) for i, v in distinct.items()}
+    if len(numerator) == len(table):  # each mass its own object, in table order
+        nums = list(numerator.values())
+    else:
+        nums = list(map(numerator.__getitem__, map(id, table.values())))
+    if sum(nums) != den:
+        raise ValueError("total mass must be exactly 1")
+    return table, den, nums
+
+
+def _by_id(values: Collection) -> dict:
+    """The distinct objects among ``values``, keyed by ``id``."""
+    return dict(zip(map(id, values), values))
 
 
 def _prod(xs: Iterable[Fraction]) -> Fraction:

@@ -158,6 +158,12 @@ def _entries(
     return out
 
 
+def _entries_to_json(mass: dict, keys: Sequence, field: str) -> list:
+    """The array :func:`_entries` reads: ``{field: [i, ...], "value": "p/q"}``
+    for each key of ``mass``, in the order of ``keys``."""
+    return [{field: list(t), "value": format_fraction(mass[t])} for t in keys]
+
+
 def _broken(wire: list | None, path: list, message: str) -> None:
     """Raise a broken wire rule, or keep it in ``wire`` if that is the first."""
     if wire is None:
@@ -203,13 +209,7 @@ def partition_from_json(obj: Any, size: int, path: Sequence = ()) -> Partition:
 # -- couplings --------------------------------------------------------------
 
 def coupling_to_json(c: Coupling, include_base: bool = True) -> dict:
-    out = {
-        "arity": c.arity,
-        "mass": [
-            {"tuple": list(t), "value": format_fraction(c.mass[t])}
-            for t in c.support()
-        ],
-    }
+    out = {"arity": c.arity, "mass": _entries_to_json(c.mass, c.support(), "tuple")}
     if include_base:
         out["base"] = space_to_json(c.base)
     return out
@@ -368,10 +368,7 @@ def correspondence_to_json(cm: CorrespondenceMeasure) -> dict:
     return {
         "k": cm.k,
         "L": cm.length,
-        "mass": [
-            {"config": list(cfg), "value": format_fraction(v)}
-            for cfg, v in sorted(cm.mass.items())
-        ],
+        "mass": _entries_to_json(cm.mass, sorted(cm.mass), "config"),
         "words": list(cm.words),
     }
 
@@ -383,10 +380,7 @@ def law_to_json(law: StationaryLawTruncation) -> dict:
         "k": law.k,
         "depth": law.depth,
         "carrier": space_to_json(law.carrier),
-        "weights": [
-            {"config": list(cfg), "value": format_fraction(v)}
-            for cfg, v in sorted(law.weights.items())
-        ],
+        "weights": _entries_to_json(law.weights, sorted(law.weights), "config"),
     }
 
 
@@ -518,8 +512,19 @@ def joint_instance_from_json(obj: Any, path: Sequence = ()) -> dict:
 # -- canonical output and validation ----------------------------------------
 
 def canonical_dumps(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, compact separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON: sorted keys, compact separators.  Tuples are
+    written as lists, a ``Fraction`` as ``"p/q"`` and a set as the sorted
+    list of its encoded members."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode)
+
+
+def _encode(value: Any) -> Any:
+    """``json``'s hook for the values it cannot encode itself."""
+    if isinstance(value, Fraction):
+        return format_fraction(value)
+    if isinstance(value, (set, frozenset)):
+        return sorted(json.loads(canonical_dumps(v)) for v in value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _coupling_document_check(obj: Any) -> None:

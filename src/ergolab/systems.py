@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Sequence
 
 from .measure import (
@@ -125,7 +126,7 @@ class SubgroupSpec:
     vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        vecs = tuple(tuple(int(c) for c in v) for v in self.vectors)
+        vecs = tuple(tuple(map(index, v)) for v in self.vectors)
         object.__setattr__(self, "vectors", vecs)
         dims = {len(v) for v in vecs}
         if len(dims) > 1:
@@ -272,11 +273,11 @@ class GroupRotationSystem:
     phi: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        orders = tuple(int(o) for o in self.orders)
+        orders = tuple(map(index, self.orders))
         if not orders or any(o < 1 for o in orders):
             raise ValueError("cyclic orders must be positive")
         phi = tuple(
-            tuple(int(c) % o for c, o in zip(v, orders)) for v in self.phi
+            tuple(index(c) % o for c, o in zip(v, orders)) for v in self.phi
         )
         if any(len(v) != len(orders) for v in self.phi):
             raise ValueError("each image must have one coordinate per cyclic part")

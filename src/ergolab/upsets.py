@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
+from operator import index
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .measure import (
@@ -68,7 +69,7 @@ class UpSet:
     members: frozenset[int]
 
     def __post_init__(self) -> None:
-        members = frozenset(int(m) for m in self.members)
+        members = frozenset(map(index, self.members))
         object.__setattr__(self, "members", members)
         full = mask_of(range(self.d))
         for m in members:

@@ -339,6 +339,13 @@ def test_removal_search_cli_rejects_empty_domains(capsys, options, field):
     assert report["error"].startswith(f"{field}:")
 
 
+@pytest.mark.parametrize("sizes", ["2,x", "x", "2,", "2.5"])
+def test_removal_search_cli_locates_unparsable_sizes(capsys, sizes):
+    code, report = run(capsys, ["removal", "search", "--sizes", sizes, "-d", "3"])
+    assert code == 3
+    assert report == {"error": "$.--sizes: expected comma-separated point counts"}
+
+
 def test_removal_search_cli_exhaustive(capsys):
     code, report = run(capsys, ["removal", "search", "--sizes", "2", "-d", "3"])
     assert code == 0
@@ -563,7 +570,7 @@ def test_digest_needs_no_converted_copy(tmp_path, monkeypatch):
         [F(1, 9), (), {"k": []}],
     ]
     for payload in payloads:
-        text = canonical_dumps(cli._jsonable(payload))
+        text = canonical_dumps(payload)
         assert text == canonical_dumps(_deep_copy_jsonable(payload))
         assert digest(payload) == hashlib.sha256(text.encode()).hexdigest()[:16]
     with pytest.raises(TypeError):

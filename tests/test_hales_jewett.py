@@ -17,6 +17,7 @@ from helpers import (
 
 from ergolab.hales_jewett import (
     CombinatorialSubspace,
+    CorrespondenceMeasure,
     StationaryLawTruncation,
     all_words,
     build_correspondence,
@@ -681,13 +682,56 @@ def test_law_constructor_keeps_every_check():
         StationaryLawTruncation(2, 1, car, {(0, 0, 0): F(1)})
     with pytest.raises(ValueError, match="first-coordinate"):
         StationaryLawTruncation(2, 1, car, {(0, 0): F(1, 3), (1, 1): F(2, 3)})
-    # Keys of other types are converted and merged with the int tuples, and
-    # zero masses are dropped.
+    # List keys and bool entries are read as ints and merged with the int
+    # tuples, and zero masses are dropped.
     law = StationaryLawTruncation(
-        2, 1, car, {(0, 0): F(1, 4), "00": "1/4", (True, 1): 0.5, (0, 1): 0}
+        2, 1, car, _Pairs([((0, 0), F(1, 4)), ([0, 0], F(1, 4)), ((True, 1), F(1, 2)), ((0, 1), 0)])
     )
     assert law.weights == {(0, 0): F(1, 2), (1, 1): F(1, 2)}
     assert all(type(c) is int for cfg in law.weights for c in cfg)
+    # Strings and floats are refused, as keys, as key entries and as masses.
+    for weights in _INEXACT_TABLES:
+        with pytest.raises(TypeError):
+            StationaryLawTruncation(2, 1, car, weights)
+
+
+class _Pairs:
+    """A table given as ``(key, value)`` pairs, so its keys may be lists."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return iter(self.pairs)
+
+
+# Tables on {0, 1}^2 with one inexact part each: a string key, a float key
+# entry, a float mass and a string mass.
+_INEXACT_TABLES = [
+    {(0, 0): F(1, 2), "11": F(1, 2)},
+    {(0, 0): F(1, 2), (1.0, 1): F(1, 2)},
+    {(0, 0): F(1, 2), (1, 1): 0.5},
+    {(0, 0): F(1, 2), (1, 1): "1/2"},
+]
+
+
+def test_correspondence_constructor_reads_exact_input():
+    cm = CorrespondenceMeasure(
+        2, 1, _Pairs([((0, 0), F(1, 4)), ([0, 0], F(1, 4)), ((True, 1), F(1, 2)), ((0, 1), 0)])
+    )
+    assert cm.mass == {(0, 0): F(1, 2), (1, 1): F(1, 2)}
+    assert all(type(c) is int for cfg in cm.mass for c in cfg)
+    for mass in _INEXACT_TABLES:
+        with pytest.raises(TypeError):
+            CorrespondenceMeasure(2, 1, mass)
+    with pytest.raises(ValueError, match="0/1 tuples"):
+        CorrespondenceMeasure(2, 1, {(0, 2): F(1)})
+    with pytest.raises(ValueError, match="0/1 tuples"):
+        CorrespondenceMeasure(2, 1, {(0,): F(1)})
+    with pytest.raises(ValueError, match="nonnegative"):
+        CorrespondenceMeasure(2, 1, {(0, 0): F(3, 2), (1, 1): F(-1, 2)})
+    with pytest.raises(ValueError, match="total mass"):
+        CorrespondenceMeasure(2, 1, {(0, 0): F(1, 2)})
 
 
 def test_stationarity_rejects_negative_cap():

@@ -12,6 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import fraction_coupling_error
 
+from ergolab.averages import VectorSequence
+from ergolab.hales_jewett import (
+    CombinatorialSubspace,
+    CorrespondenceMeasure,
+    StationaryLawTruncation,
+    all_words,
+    build_correspondence,
+    constant_law,
+    iid_law,
+)
 from ergolab.measure import (
     Coupling,
     clean_entries,
@@ -24,6 +34,8 @@ from ergolab.measure import (
     relative_independence,
     relatively_independent_product,
 )
+from ergolab.systems import GroupRotationSystem, SubgroupSpec
+from ergolab.upsets import UpSet
 
 F = Fraction
 
@@ -104,12 +116,32 @@ class _Pairs:
         return iter(self.pairs)
 
 
-def _coupling_outcome(arity, base, mass):
-    """The stored mass, or the type and text of the constructor's error."""
+def _table_outcome(build, mass):
+    """The table ``build`` stores, or the type and text of its error."""
     try:
-        return Coupling(arity, base, mass).mass
+        return build(mass)
     except (ValueError, TypeError) as exc:
         return type(exc), str(exc)
+
+
+def _coupling_outcome(arity, base, mass):
+    return _table_outcome(lambda m: Coupling(arity, base, m).mass, mass)
+
+
+def _perturb(rng, mass, change, n, width):
+    """Break ``mass`` in place as ``change`` says: move part of one mass to
+    a random key, scale one mass, or add a zero mass at a random key."""
+    if change == "move":
+        src = rng.choice(sorted(mass))
+        dst = tuple(rng.randrange(n) for _ in range(width))
+        moved = mass[src] * F(rng.randint(1, 4), 4)
+        mass[src] -= moved
+        mass[dst] = mass.get(dst, F(0)) + moved
+    elif change == "scale":
+        t = rng.choice(sorted(mass))
+        mass[t] *= rng.choice([F(1, 2), F(3, 2), F(2)])
+    elif change == "zero":
+        mass[tuple(rng.randrange(n) for _ in range(width))] = F(0)
 
 
 def _slow_variants(rng, mass, arity, n):
@@ -151,18 +183,8 @@ def test_coupling_checks_match_the_fraction_sums():
             labels = tuple(rng.randrange(2) for _ in range(n))
             mass = dict(relatively_independent_product([base] * arity, [labels] * arity).mass)
         change = rng.choice(["none", "move", "scale", "zero", "foreign"])
-        if change == "move":
-            src = rng.choice(sorted(mass))
-            dst = tuple(rng.randrange(n) for _ in range(arity))
-            moved = mass[src] * F(rng.randint(1, 4), 4)
-            mass[src] -= moved
-            mass[dst] = mass.get(dst, F(0)) + moved
-        elif change == "scale":
-            t = rng.choice(sorted(mass))
-            mass[t] *= rng.choice([F(1, 2), F(3, 2), F(2)])
-        elif change == "zero":
-            mass[tuple(rng.randrange(n) for _ in range(arity))] = F(0)
-        elif change == "foreign" and n > 1:
+        _perturb(rng, mass, change, n, arity)
+        if change == "foreign" and n > 1:
             q = rng.choice([7, 11, 13])
             cut = rng.randint(1, q - 1)
             base = small_space((F(cut, q), F(q - cut, q)) + (F(0),) * (n - 2))
@@ -191,6 +213,85 @@ def test_coupling_checks_match_the_fraction_sums():
         f"coordinate {c} marginal differs from the base weights" for c in range(3)
     }
     assert foreign_base_rejected > 20
+
+
+def _seeded_tables(rng):
+    """Seeded laws and correspondence measures, valid and broken: each as
+    ``(builder of the stored table, mass, key length, entry bound)``."""
+    for _ in range(150):
+        if rng.random() < 0.5:
+            k, depth, m = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 3)
+            car = small_space(_random_weights(rng, m))
+            law = rng.choice([iid_law, constant_law])(k, depth, car)
+            mass, n = dict(law.weights), m
+            build = lambda w, k=k, depth=depth, car=car: StationaryLawTruncation(k, depth, car, w).weights
+        else:
+            k, L = rng.randint(1, 2), 1
+            N = rng.randint(2, 3)
+            words = [w for w in all_words(k, N) if rng.random() < 0.5]
+            mass, n = dict(build_correspondence(words, k, N, L).mass), 2
+            build = lambda w, k=k, L=L: CorrespondenceMeasure(k, L, w).mass
+        width = len(next(iter(mass)))
+        _perturb(rng, mass, rng.choice(["none", "move", "scale", "zero"]), n, width)
+        yield build, mass, width, n
+
+
+def test_law_and_correspondence_read_both_paths_alike():
+    # The one-pass recognition and the entry-by-entry loop of the law and
+    # the correspondence measure store the same table and raise the same
+    # error, as the coupling's do.
+    rng = random.Random(43)
+    outcomes = set()
+    for build, mass, width, n in _seeded_tables(rng):
+        clean = _table_outcome(build, mass)
+        for variant in _slow_variants(rng, mass, width, n):
+            assert not clean_entries(variant.keys(), variant.values(), width, n)
+            assert _table_outcome(build, variant) == clean
+        assert _table_outcome(build, _Pairs(mass)) == clean
+        t = rng.choice(sorted(mass))
+        assert _table_outcome(build, {**mass, t: F(-1, 5)}) == (
+            ValueError, "masses must be nonnegative")
+        assert _table_outcome(build, {**mass, t: 1.0}) == (
+            TypeError, "expected an exact rational, got float")
+        outcomes.add(clean[1] if type(clean) is tuple else None)
+    assert outcomes == {
+        None,
+        "total mass must be exactly 1",
+        "carrier weights must equal the first-coordinate marginal",
+    }
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GroupRotationSystem((3.9,), ((1,),)),
+        lambda: GroupRotationSystem((3,), ((1.2,),)),
+        lambda: SubgroupSpec(((1.5, 0),)),
+        lambda: SubgroupSpec((("1", 0),)),
+        lambda: UpSet(2, {3.7}),
+        lambda: CombinatorialSubspace(2, (1.9,), ({1},), "1"),
+        lambda: CombinatorialSubspace(2, (1,), ({1.2},), "1"),
+        lambda: VectorSequence(((0.5, F(1, 3)),)),
+        lambda: VectorSequence(((F(1, 2), "1/3"),)),
+    ],
+    ids=[
+        "rotation-order", "rotation-image", "subgroup-float", "subgroup-string", "upset",
+        "subspace-breakpoint", "subspace-wildcard", "sequence-float", "sequence-string",
+    ],
+)
+def test_constructors_refuse_inexact_input(build):
+    # Integers are read with operator.index and rationals as Fraction or
+    # int, so nothing is truncated or parsed.
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_constructors_read_bools_as_integers():
+    assert GroupRotationSystem((True, 3), ((True, 2),)).orders == (1, 3)
+    assert SubgroupSpec(((True, False),)).vectors == ((1, 0),)
+    assert UpSet(2, {True + 2}).members == frozenset({3})
+    assert CombinatorialSubspace(2, (True,), ({True},), "1").breakpoints == (1,)
+    assert VectorSequence(((True, 2),)).entries == ((F(1), F(2)),)
 
 
 def test_coupling_sparse_form_canonical():
