@@ -67,6 +67,16 @@ REMOVAL_UNIDENTIFIED = {
                                       for t in iter_product((0, 1), repeat=3)]},
     "families": [[{"set": [0, 1], "upset": FULL}]] * 3,
 }
+# The diagonal coupling on four uniform points, singletons on the pairs and
+# {0, 1}, {2, 3} on the full index set: hypotheses [i] and [ii] hold and
+# [iii] fails, so the report carries its up-set pair and kernel witness.
+REMOVAL_DEPENDENT = {
+    "space": {"points": [0, 1, 2, 3], "weights": ["1/4"] * 4},
+    "coupling": {"arity": 3, "mass": [{"tuple": [x] * 3, "value": "1/4"} for x in range(4)]},
+    "psi": [{"partition": [[0], [1], [2], [3]], "set": s} for s in ([0, 1], [0, 2], [1, 2])]
+    + [{"partition": [[0, 1], [2, 3]], "set": [0, 1, 2]}],
+    "families": [[{"set": [0, 1, 2, 3], "upset": FULL}]] * 3,
+}
 
 INPUTS = {
     "z3.json": Z3,
@@ -79,6 +89,7 @@ INPUTS = {
     "words.json": ["12", "21", "22"],
     "removal_ok.json": REMOVAL_OK,
     "removal_unidentified.json": REMOVAL_UNIDENTIFIED,
+    "removal_dependent.json": REMOVAL_DEPENDENT,
 }
 
 # name -> (argv with {dir} for the input directory, exit code, sha256 of stdout)
@@ -96,6 +107,9 @@ GOLDEN = {
     "removal-check-unidentified": (
         ["removal", "check", "--instance", "{dir}/removal_unidentified.json"], 1,
         "f4975e93b8a71559ccfb9cf3c9cfd0d0c8e30967f03f163e6a8a2c608dff41d9"),
+    "removal-check-dependent": (
+        ["removal", "check", "--instance", "{dir}/removal_dependent.json"], 1,
+        "f2224bad7cda15cd595f5254e9e42683b9701d04d95baf7486243ac9add543ec"),
     "fjoin": (
         ["fjoin", "--system", "{dir}/z4.json"], 0,
         "bf82a1725d405f6cdcfaa8747ad554b3ff2cfe981ca7be8d527731c780612f7a"),
