@@ -76,8 +76,6 @@ def random_system(
             if rep not in coset_of:
                 coset_of[rep] = orbit_counter
                 orbit_counter += 1
-        for e in elems:
-            rep = min(rot.add(e, h) for h in sub)
             orbit_ids.append(coset_of[rep])
 
     while True:

@@ -28,6 +28,7 @@ from .measure import (
     ExactProbabilitySpace,
     Partition,
     ZERO,
+    _frac,
     common_refinement,
     exact_masses,
     relative_independence,
@@ -726,7 +727,7 @@ def insensitive_algebra(law: StationaryLawTruncation, e: Iterable[int]) -> Parti
     with ``mu_line(pullback_i A delta pullback_j A) = 0`` for ``i, j`` in
     ``e``.  Disagreement raises, as it would indicate a bug.
     """
-    e = sorted({int(i) for i in e})
+    e = sorted(set(map(index, e)))
     if any(not 1 <= i <= law.k for i in e):
         raise ValueError("line coordinates must lie in the alphabet")
     _, line = marginals(law)
@@ -841,8 +842,8 @@ def check_density_premises(
     obj: "CorrespondenceMeasure | StationaryLawTruncation", delta: Fraction
 ) -> bool:
     """Whether every point event (the coordinate taking the designated
-    positive value) has mass at least ``delta``."""
-    delta = Fraction(delta)
+    positive value) has mass at least ``delta``, an exact rational."""
+    delta = _frac(delta)
     if isinstance(obj, CorrespondenceMeasure):
         return all(obj.point_event(w) >= delta for w in obj.words)
     if isinstance(obj, StationaryLawTruncation):

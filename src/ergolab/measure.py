@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product as iter_product
-from math import lcm
-from operator import attrgetter, getitem, index
+from math import lcm, prod
+from operator import attrgetter, getitem, index, itemgetter
 from typing import Collection, Iterable, Sequence
 
 ZERO = Fraction(0)
@@ -76,7 +76,9 @@ class ExactProbabilitySpace:
             raise ValueError("point labels must be distinct")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
-        if sum(weights, ZERO) != 1:
+        # The total is summed on the numerators over the common denominator.
+        den = lcm(*{w.denominator for w in weights})
+        if sum(w.numerator * (den // w.denominator) for w in weights) != den:
             raise ValueError("weights must sum to exactly 1")
 
     def __len__(self) -> int:
@@ -161,16 +163,10 @@ class Partition:
         is built in one pass without ``__post_init__``'s validation.
         """
         index: dict = {}
-        blocks: list[list[int]] = []
-        canon = []
-        for i, lab in enumerate(labels):
-            b = index.get(lab)
-            if b is None:
-                b = index[lab] = len(blocks)
-                blocks.append([i])
-            else:
-                blocks[b].append(i)
-            canon.append(b)
+        canon = [index.setdefault(lab, len(index)) for lab in labels]
+        blocks: list[list[int]] = [[] for _ in index]
+        for i, b in enumerate(canon):
+            blocks[b].append(i)
         out = object.__new__(cls)
         object.__setattr__(out, "size", len(canon))
         object.__setattr__(out, "blocks", tuple(map(tuple, blocks)))
@@ -218,14 +214,19 @@ class Partition:
 
 
 def common_refinement(*partitions: Partition) -> Partition:
-    """The join of sigma-algebras: coarsest partition refining all inputs."""
+    """The join of sigma-algebras: coarsest partition refining all inputs.
+
+    When every input has the same labels, the join is that partition, and
+    the first input is returned as it is."""
     if not partitions:
         raise ValueError("need at least one partition")
     n = partitions[0].size
     if any(p.size != n for p in partitions):
         raise ValueError("partitions live on different point counts")
-    keys = [tuple(p.block_of(i) for p in partitions) for i in range(n)]
-    return Partition.from_labels(keys)
+    first = partitions[0].labels
+    if all(p.labels == first for p in partitions):
+        return partitions[0]
+    return Partition.from_labels(tuple(zip(*(p.labels for p in partitions))))
 
 
 def ae_equal(p: Partition, q: Partition, space: ExactProbabilitySpace) -> bool:
@@ -392,12 +393,17 @@ class Coupling:
 
     @classmethod
     def product(cls, space: ExactProbabilitySpace, arity: int) -> "Coupling":
-        supp = space.support()
-        mass = {
-            t: _prod(space.weights[i] for i in t)
-            for t in iter_product(supp, repeat=arity)
-        }
-        return cls(arity, space, mass)
+        """The independent coupling: a tuple's mass is the product of its
+        points' weights, computed on the integer numerators over the
+        weights' common denominator ``D`` as ``prod(num) / D**arity``."""
+        den, nums = space.integerized()
+        scale, shared = den**arity, _SharedFractions()
+        return cls(
+            arity,
+            space,
+            {t: shared[prod(map(nums.__getitem__, t)), scale]
+             for t in iter_product(space.support(), repeat=arity)},
+        )
 
 
 def clean_entries(keys: Iterable, values: Iterable, length: int, n: int) -> bool:
@@ -469,11 +475,19 @@ def _by_id(values: Collection) -> dict:
     return dict(zip(map(id, values), values))
 
 
-def _prod(xs: Iterable[Fraction]) -> Fraction:
-    out = ONE
-    for x in xs:
-        out *= x
-    return out
+class _SharedFractions(dict):
+    """``(num, den)`` -> ``Fraction(num, den)``, built on first use and
+    shared by every key of the same value, so that a table of masses holds
+    one ``Fraction`` per distinct mass."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.by_value: dict[Fraction, Fraction] = {}
+
+    def __missing__(self, key: tuple[int, int]) -> Fraction:
+        v = Fraction(*key)
+        out = self[key] = self.by_value.setdefault(v, v)
+        return out
 
 
 def relatively_independent_product(
@@ -485,6 +499,10 @@ def relatively_independent_product(
     maps must push the weights to the same fiber measure.  The mass of a tuple
     is ``nu(y) * prod_i mu_{i,y}(x_i)`` summed over fibers ``y``, with
     ``mu_{i,y}`` the exact disintegration; zero-mass fibers are omitted.
+
+    A tuple lies over at most one fiber ``y`` (its points' labels), so with
+    weights ``num[x]/D`` and ``nu(y) = s_y/D`` its mass is
+    ``prod_i num[x_i] / (D * s_y**(k-1))``, computed on those integers.
     """
     if not spaces or len(spaces) != len(maps):
         raise ValueError("need one map per space")
@@ -493,6 +511,7 @@ def relatively_independent_product(
         if sp.points != first.points or sp.weights != first.weights:
             raise ValueError("coupled spaces must be identical")
     n = len(first)
+    den, nums = first.integerized()
     fibers: list[dict] = []
     pushes: list[dict] = []
     for m in maps:
@@ -501,22 +520,21 @@ def relatively_independent_product(
         push: dict = {}
         fib: dict = {}
         for x in range(n):
-            w = first.weights[x]
-            if w > 0:
-                push[m[x]] = push.get(m[x], ZERO) + w
+            if nums[x]:
+                push[m[x]] = push.get(m[x], 0) + nums[x]
                 fib.setdefault(m[x], []).append(x)
         pushes.append(push)
         fibers.append(fib)
     for push in pushes[1:]:
         if push != pushes[0]:
             raise ValueError("maps push the weights to different base measures")
-    nu = pushes[0]
     mass: dict[tuple[int, ...], Fraction] = {}
     k = len(spaces)
-    for y, ny in nu.items():
-        scale = ny ** (k - 1)
+    shared = _SharedFractions()
+    for y, s in pushes[0].items():
+        scale = den * s ** (k - 1)
         for t in iter_product(*(fib[y] for fib in fibers)):
-            mass[t] = mass.get(t, ZERO) + _prod(first.weights[x] for x in t) / scale
+            mass[t] = shared[prod(map(nums.__getitem__, t)), scale]
     return Coupling(k, first, mass)
 
 
@@ -640,5 +658,5 @@ def support_pullback_partition(
     if not 0 <= coord < coupling.arity:
         raise ValueError("coordinate out of range")
     return Partition.from_labels(
-        tuple(partition.block_of(t[coord]) for t in coupling.support())
+        tuple(map(partition.labels.__getitem__, map(itemgetter(coord), coupling.support())))
     )

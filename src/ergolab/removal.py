@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .averages import difference_subgroup, furstenberg_self_joining
 from .generators import random_system
@@ -133,13 +134,13 @@ def _check_target(d: int, i: int, ups: UpSet, a: frozenset, psi: dict, n: int) -
         raise ValueError(
             f"family {i}: up-sets must lie inside the principal up-set of {i}"
         )
-    labels = [psi[m].labels for m in ups.members]
-    inside: dict[tuple[int, ...], bool] = {}
-    for x in range(n):
-        if inside.setdefault(tuple(lab[x] for lab in labels), x in a) != (x in a):
-            raise ValueError(
-                f"family {i}: a target set is not a union of its algebra's blocks"
-            )
+    # The members are nonempty here, since they hold the full index set.
+    keys = tuple(zip(*(psi[m].labels for m in ups.members)))
+    inside = {k for x, k in enumerate(keys) if x in a}
+    if any(k in inside for x, k in enumerate(keys) if x not in a):
+        raise ValueError(
+            f"family {i}: a target set is not a union of its algebra's blocks"
+        )
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ def check_hypotheses(inst: RemovalInstance) -> HypothesesReport:
 
     independent = monotone and identified
     if independent:
-        failing = _first_dependent_pair(coupling, psi, KernelMemo(coupling.as_space()))
+        failing = _first_dependent_pair(coupling, psi)
         if failing is not None:
             a, b, rep = failing
             independent = False
@@ -193,24 +194,42 @@ def check_hypotheses(inst: RemovalInstance) -> HypothesesReport:
 
 
 def _first_dependent_pair(
-    coupling: Coupling, psi: dict, memo: KernelMemo
+    coupling: Coupling, psi: dict, memo: KernelMemo | None = None
 ) -> tuple[UpSet, UpSet, IndependenceReport] | None:
     """Hypothesis [iii]: the first pair of up-sets whose lifts are not
     relatively independent over the lift of their meet, or ``None``.
 
-    ``memo`` holds the coupling's support space (``coupling.as_space()``)
-    and its kernel reports; the sweep shares one across the psi maps of a
-    coupling.  Meaningful only when ``psi`` satisfies [i] and [ii].
+    The member partitions are built first.  When they are all one
+    partition, every nonempty up-set's lift is that partition and the empty
+    up-set's is one block.  Every nonempty up-set of the family holds the
+    full index set, so the meet of two nonempty up-sets is nonempty, and in
+    every pair the lift of ``a`` or of ``b`` equals the lift of the meet:
+    the tower-property tautology of :func:`upset_pair_independence`, decided
+    once for the whole family, and ``None`` is returned.
+
+    Otherwise the pairs are checked in order against ``memo``, which holds
+    the coupling's support space (``coupling.as_space()``) and its kernel
+    reports; the sweep shares one across the psi maps of a coupling, and a
+    fresh one is built when none is given.  Meaningful only when ``psi``
+    satisfies [i] and [ii].
     """
-
-    def member_partition(m: int) -> Partition:
-        # Pull back through the least coordinate: the canonical
-        # representative, which hypothesis [ii] makes immaterial up to
-        # null sets.
-        return support_pullback_partition(coupling, psi[m], min(bits_of(m)))
-
+    # Pull back through the least coordinate: the canonical representative,
+    # which hypothesis [ii] makes immaterial up to null sets.  Masks with the
+    # same partition and least coordinate share one pullback.
+    pullbacks: dict = {}
+    members = {}
+    for m in ground_masks(coupling.arity):
+        least = (m & -m).bit_length() - 1
+        key = (psi[m].labels, least)
+        if key not in pullbacks:
+            pullbacks[key] = support_pullback_partition(coupling, psi[m], least)
+        members[m] = pullbacks[key]
+    if len({p.labels for p in pullbacks.values()}) == 1:
+        return None
+    if memo is None:
+        memo = KernelMemo(coupling.as_space())
     for a, b, rep in upset_pair_independence(
-        enumerate_upsets(coupling.arity), member_partition, memo.space, memo
+        enumerate_upsets(coupling.arity), members.__getitem__, memo.space, memo
     ):
         if not rep.holds:
             return a, b, rep
@@ -426,15 +445,14 @@ def _coordinate_upsets(d: int) -> list[list[UpSet]]:
 
 
 def _block_unions(partition: Partition) -> list[frozenset[int]]:
+    """Every union of blocks, the ``bits``-th taking the blocks whose bits
+    are set (:func:`_block_union`)."""
     blocks = partition.blocks
-    out = []
-    for bits in range(1 << len(blocks)):
-        s: set[int] = set()
-        for i in range(len(blocks)):
-            if bits >> i & 1:
-                s.update(blocks[i])
-        out.append(frozenset(s))
-    return out
+    return [_block_union(blocks, bits) for bits in range(1 << len(blocks))]
+
+
+def _block_union(blocks: Sequence[Sequence[int]], bits: int) -> frozenset[int]:
+    return frozenset(x for i, b in enumerate(blocks) if bits >> i & 1 for x in b)
 
 
 FAMILIES = ("diagonal", "product", "fiber", "selfjoin")
@@ -459,6 +477,8 @@ class SearchConfig:
             raise ValueError(
                 f"sizes: every point count must be at least 1, got {list(self.sizes)}"
             )
+        if self.d < 2:
+            raise ValueError(f"d: need at least two coordinates, got {self.d}")
         if not self.families or any(f not in FAMILIES for f in self.families):
             raise ValueError(
                 f"families: need at least one of {list(FAMILIES)}, got {list(self.families)}"
@@ -481,10 +501,8 @@ def search_counterexample(config: SearchConfig) -> RemovalInstance | None:
     (``_EXHAUSTIVE_MAX_SIZE``).  Random mode draws ``samples`` valid
     instances from the same ingredients.
     """
-    if config.d < 2:
-        raise ValueError("need at least two coordinates")
-    if config.exhaustive and max(config.sizes) > _EXHAUSTIVE_MAX_SIZE.get(config.d, 0):
-        raise ValueError("configuration too large for exhaustive mode")
+    if config.exhaustive:
+        _check_exhaustive_domain(config)
     masks = ground_masks(config.d)
     coord_upsets = _coordinate_upsets(config.d)
     if config.exhaustive:
@@ -508,11 +526,14 @@ def search_counterexample(config: SearchConfig) -> RemovalInstance | None:
         return None
 
     rng = random.Random(config.seed)
+    # The weight menu and the partition list of each size are built on
+    # first use and kept for this search only, so no draw rebuilds them.
+    weight_menu, partitions = cache(_weight_menu), cache(_all_partitions)
     tested = 0
     attempts = 0
     while tested < config.samples and attempts < 80 * config.samples:
         attempts += 1
-        inst = _random_instance(rng, config, coord_upsets)
+        inst = _random_instance(rng, config, coord_upsets, weight_menu, partitions)
         if inst is None:
             continue
         if not check_hypotheses(inst).all_hold:
@@ -523,6 +544,20 @@ def search_counterexample(config: SearchConfig) -> RemovalInstance | None:
     if tested < config.samples:
         raise RuntimeError("sampling failed to reach the requested valid-instance count")
     return None
+
+
+def _check_exhaustive_domain(config: SearchConfig) -> None:
+    """Raise ``ValueError``, located at the field that breaks the limit,
+    when an exhaustive sweep of ``config`` is out of reach."""
+    too_large = "configuration too large for exhaustive mode"
+    limit = _EXHAUSTIVE_MAX_SIZE.get(config.d)
+    if limit is None:
+        raise ValueError(f"d: {too_large}: at most d = {max(_EXHAUSTIVE_MAX_SIZE)}, got {config.d}")
+    if max(config.sizes) > limit:
+        raise ValueError(
+            f"sizes: {too_large}: at most {limit} points at d = {config.d}, "
+            f"got {max(config.sizes)}"
+        )
 
 
 def _scan_families(
@@ -612,8 +647,14 @@ def _first_failing(
 
 
 def _random_instance(
-    rng: random.Random, config: SearchConfig, coord_upsets: list[list[UpSet]]
+    rng: random.Random,
+    config: SearchConfig,
+    coord_upsets: list[list[UpSet]],
+    weight_menu: Callable[[int], list[tuple[Fraction, ...]]],
+    partitions: Callable[[int], list[Partition]],
 ) -> RemovalInstance | None:
+    """One draw: ``weight_menu(n)`` and ``partitions(n)`` give what
+    :func:`_weight_menu` and :func:`_all_partitions` do."""
     d = config.d
     n = rng.choice(list(config.sizes))
     masks = ground_masks(d)
@@ -628,27 +669,26 @@ def _random_instance(
             for m in masks
         }
     else:
-        space = ExactProbabilitySpace(
-            tuple(range(n)), rng.choice(_weight_menu(n))
-        )
+        space = ExactProbabilitySpace(tuple(range(n)), rng.choice(weight_menu(n)))
         if family == "diagonal":
             coupling = Coupling.diagonal(space, d)
-            psi_part = rng.choice(_all_partitions(n))
-            psi = {m: psi_part for m in masks}
+            part = rng.choice(partitions(n))
         elif family == "product":
             coupling = Coupling.product(space, d)
-            psi = {m: Partition.one_block(n) for m in masks}
+            part = Partition.one_block(n)
         else:
-            part = rng.choice(_all_partitions(n))
+            part = rng.choice(partitions(n))
             coupling = relatively_independent_product([space] * d, [part.labels] * d)
-            psi = {m: part for m in masks}
+        psi = dict.fromkeys(masks, part)
     shell_families = []
     for i in range(d):
         fam = []
         for _ in range(rng.randint(1, 2)):
             ups = rng.choice(coord_upsets[i])
-            unions = _block_unions(_block_join(psi, ups, len(space)))
-            fam.append((ups, rng.choice(unions)))
+            # Choosing from the range of union indices draws what choosing
+            # from the list of unions does, without building the list.
+            blocks = _block_join(psi, ups, len(space)).blocks
+            fam.append((ups, _block_union(blocks, rng.choice(range(1 << len(blocks))))))
         shell_families.append(tuple(fam))
     try:
         return RemovalInstance(space, coupling, psi, tuple(shell_families))

@@ -112,7 +112,8 @@ class FiniteZdSystem:
             raise ValueError("vector length must equal the dimension")
         out = identity_perm(len(self.space))
         for g, k in zip(self.generators, n_vec):
-            out = compose(perm_power(g, k), out)
+            if k:
+                out = compose(g if k == 1 else perm_power(g, k), out)
         return out
 
 

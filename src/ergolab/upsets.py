@@ -127,7 +127,7 @@ class UpSet:
         return frozenset(out)
 
     def __contains__(self, item: int) -> bool:
-        return int(item) in self.members
+        return index(item) in self.members
 
     def __le__(self, other: "UpSet") -> bool:
         return self.d == other.d and self.members <= other.members
@@ -299,7 +299,7 @@ def _interned_lifts(
         return k
 
     space, reports = memo.space, memo.reports
-    one_block = intern(Partition.one_block(len(space)))
+    one_block = intern(Partition.from_labels((0,) * len(space)))
     member_id = {m: intern(member_partition(m)) for m in masks}
     joins: dict[tuple[int, int], int] = {}
     lift_of = [one_block] * len(upsets)

@@ -212,23 +212,159 @@ def pushforward_invariant(coupling: Coupling, point_maps) -> bool:
     return Coupling(coupling.arity, coupling.base, out).mass == coupling.mass
 
 
-def naive_upset_pairs(upsets, member_partition, space):
+def naive_upset_pairs(upsets, member_partition, space, kernel=relative_independence):
     """Reference for ``upset_pair_independence``: the plain ordered-pair loop.
 
-    Every up-set's lift is rebuilt from scratch for each use (the join of
-    ``member_partition`` over its members, one block when empty), and the
-    meet is the ``UpSet`` intersection.  Yields ``(a, b, report)`` triples
-    with ``a`` and ``b`` as member frozensets.
+    The lift of a set of members is built from scratch on its first use
+    (the join of ``member_partition`` over the members, one block when
+    there are none) and kept for the later uses in this call.  The meet is
+    the intersection of the member sets.  Yields ``(a, b, report)`` triples
+    with ``a`` and ``b`` as member frozensets.  ``kernel`` stands for
+    ``relative_independence``, so that a caller may reuse its reports.
     """
-    def lift(upset):
-        parts = [member_partition(m) for m in sorted(upset.members)]
-        return common_refinement(*parts) if parts else Partition.one_block(len(space))
+    lifts = {}
+
+    def lift(members):
+        if members not in lifts:
+            parts = [member_partition(m) for m in sorted(members)]
+            lifts[members] = common_refinement(*parts) if parts else Partition.one_block(len(space))
+        return lifts[members]
 
     for a in upsets:
         for b in upsets:
-            meet = lift(a & b)
-            rep = relative_independence((lift(a), lift(b)), (meet, meet), space)
+            meet = lift(a.members & b.members)
+            rep = kernel((lift(a.members), lift(b.members)), (meet, meet), space)
             yield frozenset(a.members), frozenset(b.members), rep
+
+
+def first_dependent_naive_pair(coupling, psi, d):
+    """Reference for hypothesis [iii] of a removal instance: the first
+    ``(a, b, witness)`` of :func:`naive_upset_pairs` whose report fails, with
+    ``a`` and ``b`` as member frozensets, or ``None``.  Each member's
+    partition is its ``psi`` partition pulled back through its least
+    coordinate, built anew for every use."""
+    from ergolab.measure import support_pullback_partition
+    from ergolab.upsets import enumerate_upsets
+
+    def member_partition(m):
+        return support_pullback_partition(coupling, psi[m], min(bits_of(m)))
+
+    reports = {}
+
+    def kernel(factors, subfactors, space):
+        # The report is a function of the partitions' labels; d = 4 has
+        # 12,996 pairs, most of them repeating a few label triples.
+        key = tuple(p.labels for p in factors + subfactors)
+        if key not in reports:
+            reports[key] = relative_independence(factors, subfactors, space)
+        return reports[key]
+
+    pairs = naive_upset_pairs(enumerate_upsets(d), member_partition, coupling.as_space(), kernel)
+    for a, b, rep in pairs:
+        if not rep.holds:
+            return a, b, rep.witness
+    return None
+
+
+def old_random_instance(rng, config, coord_upsets):
+    """The former ``removal._random_instance``, which rebuilt the weight
+    menu, the partition list and the list of block unions on every draw."""
+    from ergolab import removal
+    from ergolab.averages import difference_subgroup, furstenberg_self_joining
+    from ergolab.generators import random_system
+    from ergolab.measure import relatively_independent_product
+    from ergolab.systems import invariant_factor
+
+    d = config.d
+    n = rng.choice(list(config.sizes))
+    masks = ground_masks(d)
+    family = rng.choice(list(config.families))
+    if family == "selfjoin":
+        sys = random_system(rng, max_points=n, dim=d)
+        space = sys.space
+        coupling = furstenberg_self_joining(sys).coupling
+        psi = {
+            m: invariant_factor(sys, difference_subgroup(sys.dim, bits_of(m)))
+            for m in masks
+        }
+    else:
+        space = ExactProbabilitySpace(tuple(range(n)), rng.choice(removal._weight_menu(n)))
+        if family == "diagonal":
+            coupling = Coupling.diagonal(space, d)
+            psi_part = rng.choice(removal._all_partitions(n))
+            psi = {m: psi_part for m in masks}
+        elif family == "product":
+            coupling = Coupling.product(space, d)
+            psi = {m: Partition.one_block(n) for m in masks}
+        else:
+            part = rng.choice(removal._all_partitions(n))
+            coupling = relatively_independent_product([space] * d, [part.labels] * d)
+            psi = {m: part for m in masks}
+    shell_families = []
+    for i in range(d):
+        fam = []
+        for _ in range(rng.randint(1, 2)):
+            ups = rng.choice(coord_upsets[i])
+            unions = removal._block_unions(removal._block_join(psi, ups, len(space)))
+            fam.append((ups, rng.choice(unions)))
+        shell_families.append(tuple(fam))
+    try:
+        return removal.RemovalInstance(space, coupling, psi, tuple(shell_families))
+    except ValueError:
+        return None
+
+
+# -- the product couplings as they were before integer numerators -------------------
+#
+# Verbatim in substance: every mass is a product of Fraction weights, and the
+# fiber product divides by the fiber mass as a Fraction and sums over fibers.
+
+def fraction_product_mass(space, arity):
+    """Reference for ``Coupling.product``: the mass table, in order."""
+    out = {}
+    for t in iter_product(space.support(), repeat=arity):
+        v = Fraction(1)
+        for i in t:
+            v *= space.weights[i]
+        out[t] = v
+    return out
+
+
+def fraction_fiber_product_mass(spaces, maps):
+    """Reference for ``relatively_independent_product``: the mass table, in
+    order, or the ``ValueError`` text the former construction raised."""
+    if not spaces or len(spaces) != len(maps):
+        return "need one map per space"
+    first = spaces[0]
+    for sp in spaces[1:]:
+        if sp.points != first.points or sp.weights != first.weights:
+            return "coupled spaces must be identical"
+    n = len(first)
+    fibers, pushes = [], []
+    for m in maps:
+        if len(m) != n:
+            return "map length must equal the point count"
+        push, fib = {}, {}
+        for x in range(n):
+            w = first.weights[x]
+            if w > 0:
+                push[m[x]] = push.get(m[x], Fraction(0)) + w
+                fib.setdefault(m[x], []).append(x)
+        pushes.append(push)
+        fibers.append(fib)
+    for push in pushes[1:]:
+        if push != pushes[0]:
+            return "maps push the weights to different base measures"
+    mass = {}
+    k = len(spaces)
+    for y, ny in pushes[0].items():
+        scale = ny ** (k - 1)
+        for t in iter_product(*(fib[y] for fib in fibers)):
+            v = Fraction(1)
+            for x in t:
+                v *= first.weights[x]
+            mass[t] = mass.get(t, Fraction(0)) + v / scale
+    return mass
 
 
 def naive_pullback(law, image_words):

@@ -339,6 +339,22 @@ def test_removal_search_cli_rejects_empty_domains(capsys, options, field):
     assert report["error"].startswith(f"{field}:")
 
 
+@pytest.mark.parametrize(
+    "options, error",
+    [
+        (["-d", "1"], "d: need at least two coordinates, got 1"),
+        (["-d", "0", "--random"], "d: need at least two coordinates, got 0"),
+        (["-d", "4", "--sizes", "2,4"],
+         "sizes: configuration too large for exhaustive mode: at most 3 points at d = 4, got 4"),
+        (["-d", "5"], "d: configuration too large for exhaustive mode: at most d = 4, got 5"),
+    ],
+)
+def test_removal_search_cli_locates_domain_errors(capsys, options, error):
+    code, report = run(capsys, ["removal", "search", *options])
+    assert code == 3
+    assert report == {"error": error}
+
+
 @pytest.mark.parametrize("sizes", ["2,x", "x", "2,", "2.5"])
 def test_removal_search_cli_locates_unparsable_sizes(capsys, sizes):
     code, report = run(capsys, ["removal", "search", "--sizes", sizes, "-d", "3"])

@@ -350,6 +350,26 @@ def test_density_premises():
     assert check_density_premises(full, F(1))
 
 
+@pytest.mark.parametrize("delta", [0.1, 0.5, "1/3", "1/2"])
+def test_density_premises_refuse_inexact_delta(delta):
+    # delta is read as an exact rational: a float is not read as its binary
+    # value, nor a string parsed.
+    cm = build_correspondence({"12", "21"}, 2, 2, 1)
+    for obj in (cm, iid_law(2, 2, carrier())):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            check_density_premises(obj, delta)
+
+
+def test_density_premises_read_bools_as_integers():
+    cm = build_correspondence({"12", "21"}, 2, 2, 1)
+    full = build_correspondence(all_words(2, 2), 2, 2, 1)
+    law = iid_law(2, 2, carrier())
+    for obj in (cm, full, law):
+        assert check_density_premises(obj, False) == check_density_premises(obj, 0)
+        assert check_density_premises(obj, True) == check_density_premises(obj, 1)
+    assert check_density_premises(full, True) and not check_density_premises(cm, True)
+
+
 # -- stationary laws ---------------------------------------------------------------------------
 
 def carrier(p=F(1, 3)):
@@ -417,6 +437,19 @@ def test_insensitive_algebra_product_is_one_block():
     law = iid_law(2, 2, carrier())
     part = insensitive_algebra(law, (1, 2))
     assert len(part.blocks) == 1
+
+
+@pytest.mark.parametrize("e", [[1.7, 2.2], [1, 2.0], ["1", 2]])
+def test_insensitive_algebra_refuses_inexact_letters(e):
+    # Letters are read with operator.index: 1.7 is not read as letter 1.
+    with pytest.raises(TypeError):
+        insensitive_algebra(constant_law(2, 2, carrier()), e)
+
+
+def test_insensitive_algebra_reads_bools_as_letters():
+    law = constant_law(2, 2, carrier())
+    assert insensitive_algebra(law, (True, 2)) == insensitive_algebra(law, (1, 2))
+    assert insensitive_algebra(law, [True]) == insensitive_algebra(law, (1,))
 
 
 def test_insensitive_algebra_singleton_letter_vacuous():

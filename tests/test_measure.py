@@ -10,8 +10,9 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import fraction_coupling_error
+from helpers import fraction_coupling_error, fraction_fiber_product_mass, fraction_product_mass
 
+from ergolab import removal
 from ergolab.averages import VectorSequence
 from ergolab.hales_jewett import (
     CombinatorialSubspace,
@@ -286,6 +287,20 @@ def test_constructors_refuse_inexact_input(build):
         build()
 
 
+@pytest.mark.parametrize("item", [3.9, 3.0, "3"])
+def test_upset_membership_refuses_inexact_input(item):
+    # Membership reads the mask with operator.index: 3.9 is not mask 3.
+    with pytest.raises(TypeError):
+        item in UpSet(2, {3})
+
+
+def test_upset_membership_reads_bools_as_integers():
+    ups = UpSet(2, {3})
+    assert 3 in ups
+    assert True not in ups and False not in ups
+    assert (True + 2) in ups
+
+
 def test_constructors_read_bools_as_integers():
     assert GroupRotationSystem((True, 3), ((True, 2),)).orders == (1, 3)
     assert SubgroupSpec(((True, False),)).vectors == ((1, 0),)
@@ -479,6 +494,62 @@ def test_coarsening_precondition_enforced():
 
 
 # -- relatively independent products -------------------------------------------
+
+def _product_spaces():
+    """Every weight menu of the removal search, at 1 to 4 points, plus the
+    menus' reversals, which put the zero weight last."""
+    for n in range(1, 5):
+        for weights in removal._weight_menu(n):
+            yield small_space(weights)
+            if weights[::-1] != weights:
+                yield small_space(weights[::-1])
+
+
+def _assert_same_table(got: Coupling, expected: dict) -> None:
+    # Same masses in the same order, one Fraction object per distinct mass.
+    assert list(got.mass.items()) == list(expected.items())
+    assert len({id(v) for v in got.mass.values()}) == len(set(got.mass.values()))
+
+
+def test_integer_products_match_the_fraction_formulas():
+    # Every weight menu, every partition as the fiber map and arity 1 to 4.
+    checked = 0
+    for space in _product_spaces():
+        n = len(space)
+        for arity in range(1, 5):
+            _assert_same_table(Coupling.product(space, arity), fraction_product_mass(space, arity))
+            for part in removal._all_partitions(n):
+                maps = [part.labels] * arity
+                _assert_same_table(
+                    relatively_independent_product([space] * arity, maps),
+                    fraction_fiber_product_mass([space] * arity, maps),
+                )
+                checked += 1
+    # 1 space at one point and 5 at 2 to 4 points, times the Bell numbers
+    # 1, 2, 5, 15 of partitions, times 4 arities.
+    assert checked == 4 * (1 * 1 + 5 * 2 + 5 * 5 + 5 * 15)
+
+
+def test_integer_fiber_product_matches_on_different_maps():
+    # Each coordinate with its own map (and its own label names): the table
+    # or the error must be the former one.
+    rng = random.Random(53)
+    outcomes = set()
+    for _ in range(400):
+        n, arity = rng.randint(1, 4), rng.randint(1, 4)
+        space = small_space(_random_weights(rng, n))
+        names = rng.choice([range(3), "abc"])
+        maps = [[names[rng.randrange(2)] for _ in range(n)] for _ in range(arity)]
+        expected = fraction_fiber_product_mass([space] * arity, maps)
+        try:
+            got = relatively_independent_product([space] * arity, maps)
+        except ValueError as exc:
+            assert str(exc) == expected
+            outcomes.add("error")
+            continue
+        _assert_same_table(got, expected)
+        outcomes.add("table")
+    assert outcomes == {"error", "table"}
 
 def test_fiber_product_trivial_base_is_product():
     sp = small_space([F(1, 3), F(2, 3)])

@@ -10,22 +10,26 @@ import pytest
 
 from helpers import (
     cyclic_system,
+    first_dependent_naive_pair,
     fraction_identification,
     old_conclusion_holds,
     old_exhaustive_search,
     old_psi_maps,
+    old_random_instance,
     old_scan_families,
     product_scan_families,
 )
 
 from ergolab import removal
 from ergolab.averages import difference_subgroup, furstenberg_self_joining
+from ergolab.generators import random_system
 from ergolab.measure import (
     Coupling,
     ExactProbabilitySpace,
     Partition,
     common_refinement,
     relatively_independent_product,
+    support_pullback_partition,
 )
 from ergolab.removal import (
     RemovalInstance,
@@ -201,6 +205,106 @@ def test_independence_violation_detected_and_excluded():
     assert "independent" in rep.witnesses
     with pytest.raises(ValueError):
         check_conclusion(inst)
+
+
+def _random_psi(rng, coupling, parts, masks):
+    """A random psi map satisfying hypotheses [i] and [ii]: the masks in
+    ascending order, each drawn from the partitions it identifies that
+    coarsen every assigned subset's partition (one block always does)."""
+    psi = {}
+    for m in masks:
+        psi[m] = rng.choice([
+            p for p in parts
+            if removal._identified(coupling, m, p)
+            and all(psi[s].is_refinement_of(p) for s in psi if s & m == s)
+        ])
+    return psi
+
+
+def _family_draw(rng, family, n, d):
+    """A coupling of the family and the psi map a search draw gives it."""
+    masks = ground_masks(d)
+    if family == "selfjoin":
+        sys_ = random_system(rng, max_points=n, dim=d)
+        psi = {m: invariant_factor(sys_, difference_subgroup(d, bits_of(m))) for m in masks}
+        return furstenberg_self_joining(sys_).coupling, psi
+    space = ExactProbabilitySpace(tuple(range(n)), rng.choice(removal._weight_menu(n)))
+    part = rng.choice(removal._all_partitions(n))
+    if family == "diagonal":
+        return Coupling.diagonal(space, d), dict.fromkeys(masks, part)
+    if family == "product":
+        return Coupling.product(space, d), dict.fromkeys(masks, Partition.one_block(n))
+    coupling = relatively_independent_product([space] * d, [part.labels] * d)
+    return coupling, dict.fromkeys(masks, part)
+
+
+@pytest.mark.parametrize("d, rounds", [(3, 8), (4, 2)])
+def test_independence_verdict_and_witness_match_the_naive_pair_loop(d, rounds):
+    # Seeded instances of all four families at 1 to 4 points, each with the
+    # psi map of a search draw and with a random psi map passing [i] and
+    # [ii]: hypothesis [iii] and its first witness must be those of the
+    # plain ordered-pair loop, which has no family-level rule.
+    rng = random.Random(100 + d)
+    seen = {"family rule": 0, "pair loop holds": 0, "fails": 0}
+    for family in removal.FAMILIES:
+        for n in range(1, 5):
+            for _ in range(rounds):
+                coupling, drawn = _family_draw(rng, family, n, d)
+                space = coupling.base
+                parts = removal._all_partitions(len(space))
+                for psi in (drawn, _random_psi(rng, coupling, parts, ground_masks(d))):
+                    full = UpSet.principal(d, range(d))
+                    everything = frozenset(range(len(space)))
+                    inst = RemovalInstance(
+                        space, coupling, psi, tuple(((full, everything),) for _ in range(d))
+                    )
+                    rep = check_hypotheses(inst)
+                    assert rep.monotone and rep.identified
+                    expected = first_dependent_naive_pair(coupling, psi, d)
+                    assert rep.independent == (expected is None)
+                    assert rep.witnesses.get("independent") == expected
+                    members = {
+                        support_pullback_partition(coupling, psi[m], min(bits_of(m))).labels
+                        for m in ground_masks(d)
+                    }
+                    if expected is not None:
+                        seen["fails"] += 1
+                    elif len(members) == 1:
+                        seen["family rule"] += 1
+                    else:
+                        seen["pair loop holds"] += 1
+    assert sum(seen.values()) == 2 * 4 * 4 * rounds
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_draws_match_the_former_draws(d):
+    # The same seed gives the same instances through the same rng calls:
+    # after every draw both generators are in the same state.
+    coord_upsets = removal._coordinate_upsets(d)
+    for seed in range(40):
+        config = SearchConfig(sizes=(1, 2, 3, 4), d=d, exhaustive=False, seed=seed)
+        new_rng, old_rng = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            inst = removal._random_instance(
+                new_rng, config, coord_upsets, removal._weight_menu, removal._all_partitions
+            )
+            assert inst == old_random_instance(old_rng, config, coord_upsets)
+            assert new_rng.getstate() == old_rng.getstate()
+
+
+def test_two_distinct_lifts_can_fail_independence():
+    # Singletons on the pairs and one block on the full index set: every
+    # lift is one of two partitions, and yet [iii] fails, so the family rule
+    # must not extend to two distinct lifts.
+    space = ExactProbabilitySpace.uniform((0, 1))
+    coupling = Coupling.diagonal(space, 3)
+    psi = {m: Partition.singletons(2) for m in ground_masks(3)}
+    psi[mask_of(range(3))] = Partition.one_block(2)
+    expected = first_dependent_naive_pair(coupling, psi, 3)
+    assert expected is not None
+    a, b, witness = removal._first_dependent_pair(coupling, psi)
+    assert (a.members, b.members, witness.witness) == expected
 
 
 def test_selfjoin_instance_hypotheses():
@@ -703,11 +807,28 @@ def test_exhaustive_sweep_visits_each_size_once(monkeypatch):
         ({"families": ()}, "families"),
         ({"families": ("bogus",)}, "families"),
         ({"families": ("diagonal", "bogus"), "exhaustive": False}, "families"),
+        ({"d": 1}, "d"),
+        ({"d": 0, "exhaustive": False}, "d"),
+        ({"d": -2}, "d"),
     ],
 )
 def test_search_config_rejects_empty_domains(kwargs, field):
     with pytest.raises(ValueError, match=f"^{field}:"):
         SearchConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"sizes": (5,), "d": 3}, "sizes: .* at most 4 points at d = 3, got 5$"),
+        ({"sizes": (2, 4), "d": 4}, "sizes: .* at most 3 points at d = 4, got 4$"),
+        ({"sizes": (2,), "d": 5}, "d: .* at most d = 4, got 5$"),
+    ],
+)
+def test_oversized_exhaustive_error_names_the_limit(kwargs, error):
+    config = SearchConfig(**kwargs)
+    with pytest.raises(ValueError, match=f"^{error}"):
+        search_counterexample(config)
 
 
 # -- lifting scenarios -----------------------------------------------------------------
