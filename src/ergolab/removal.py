@@ -552,7 +552,9 @@ def _check_exhaustive_domain(config: SearchConfig) -> None:
     too_large = "configuration too large for exhaustive mode"
     limit = _EXHAUSTIVE_MAX_SIZE.get(config.d)
     if limit is None:
-        raise ValueError(f"d: {too_large}: at most d = {max(_EXHAUSTIVE_MAX_SIZE)}, got {config.d}")
+        raise ValueError(
+            f"d: {too_large}: at most d = {max(_EXHAUSTIVE_MAX_SIZE)}, got {config.d}"
+        )
     if max(config.sizes) > limit:
         raise ValueError(
             f"sizes: {too_large}: at most {limit} points at d = {config.d}, "

@@ -227,7 +227,9 @@ def naive_upset_pairs(upsets, member_partition, space, kernel=relative_independe
     def lift(members):
         if members not in lifts:
             parts = [member_partition(m) for m in sorted(members)]
-            lifts[members] = common_refinement(*parts) if parts else Partition.one_block(len(space))
+            lifts[members] = (
+                common_refinement(*parts) if parts else Partition.one_block(len(space))
+            )
         return lifts[members]
 
     for a in upsets:

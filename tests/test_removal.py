@@ -303,8 +303,8 @@ def test_two_distinct_lifts_can_fail_independence():
     psi[mask_of(range(3))] = Partition.one_block(2)
     expected = first_dependent_naive_pair(coupling, psi, 3)
     assert expected is not None
-    a, b, witness = removal._first_dependent_pair(coupling, psi)
-    assert (a.members, b.members, witness.witness) == expected
+    a, b, rep = removal._first_dependent_pair(coupling, psi)
+    assert (a.members, b.members, rep.witness) == expected
 
 
 def test_selfjoin_instance_hypotheses():
