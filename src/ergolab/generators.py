@@ -68,15 +68,15 @@ def random_system(
         for i in range(dim):
             for e in elems:
                 perms[i].append(offset + index[rot.add(e, rot.phi[i])])
-        # Orbits of the generated subgroup are the cosets.
+        # Orbits of the generated subgroup are the cosets, numbered in order
+        # of their first element.
         sub = rot.generated_subgroup(rot.phi)
         coset_of: dict = {}
         for e in elems:
-            rep = min(rot.add(e, h) for h in sub)
-            if rep not in coset_of:
-                coset_of[rep] = orbit_counter
+            if e not in coset_of:
+                coset_of.update(dict.fromkeys((rot.add(e, h) for h in sub), orbit_counter))
                 orbit_counter += 1
-            orbit_ids.append(coset_of[rep])
+            orbit_ids.append(coset_of[e])
 
     while True:
         orbit_weight = [rng.randint(0 if allow_zero else 1, 4) for _ in range(orbit_counter)]

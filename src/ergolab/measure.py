@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product as iter_product
+from itertools import chain, compress, product as iter_product
 from math import lcm, prod
 from operator import attrgetter, getitem, index, itemgetter
 from typing import Collection, Iterable, Sequence
@@ -93,7 +93,9 @@ class ExactProbabilitySpace:
         return cls(labels, tuple(w for _ in labels))
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if w > 0)
+        # Weights are nonnegative Fractions, so a weight is positive exactly
+        # when its numerator is nonzero.
+        return tuple(compress(range(len(self.weights)), map(_numerator, self.weights)))
 
     def measure(self, indices: Iterable[int]) -> Fraction:
         return sum((self.weights[i] for i in indices), ZERO)
