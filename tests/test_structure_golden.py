@@ -1,0 +1,100 @@
+"""Golden digests of full structure reports on fixed inputs.
+
+Each digest is the sha256 of the canonical JSON of one report: the
+coordinate clause (verdict and witness), every ordered oblique pair (its
+two up-sets, verdict and witness) and, for a line-marginal report, the
+line-to-point implication (verdict and witness).  A change that alters any
+verdict or witness of any report fails here.  When a report is meant to
+change, record the new digest and say why in CHANGES.md.
+"""
+from __future__ import annotations
+
+import hashlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from helpers import cyclic_system, three_direction_torus
+
+from ergolab.averages import self_joining_structure_report
+from ergolab.generators import random_system
+from ergolab.hales_jewett import (
+    LineStructureReport,
+    constant_law,
+    iid_law,
+    line_marginal_structure_report,
+    mixture_law,
+)
+from ergolab.measure import ExactProbabilitySpace
+from ergolab.serialize import canonical_dumps
+
+F = Fraction
+
+
+def _carrier():
+    return ExactProbabilitySpace((0, 1), (F(1, 3), F(2, 3)))
+
+
+def _random_3d(seed: int):
+    return random_system(random.Random(seed), max_points=10, dim=3)
+
+
+SYSTEMS = {
+    "z3-1201": lambda: cyclic_system(3, 1, 2, 0, 1),
+    "torus-3": lambda: three_direction_torus(3),
+    **{f"random-3d-{seed}": (lambda seed=seed: _random_3d(seed)) for seed in range(12)},
+}
+
+LAWS = {
+    "iid-2": lambda: iid_law(2, 2, _carrier()),
+    "iid-3": lambda: iid_law(3, 1, _carrier()),
+    "constant-2": lambda: constant_law(2, 2, _carrier()),
+    "constant-3": lambda: constant_law(3, 1, _carrier()),
+    "mixture-2": lambda: mixture_law(
+        [iid_law(2, 2, _carrier()), constant_law(2, 2, _carrier())], [F(1, 2), F(1, 2)]
+    ),
+}
+
+
+def report_digest(rep) -> str:
+    doc = {
+        "coordinate": [rep.coordinate_clause.holds, rep.coordinate_clause.witness],
+        "oblique": [[a, b, r.holds, r.witness] for a, b, r in rep.oblique_pairs],
+    }
+    if isinstance(rep, LineStructureReport):
+        doc["implication"] = [rep.implication_holds, rep.implication_witness]
+    return hashlib.sha256(canonical_dumps(doc).encode()).hexdigest()
+
+
+GOLDEN = {
+    "random-3d-0": "b188afaefdc523b7e1d98b599b21b5eaa886a957f0f119cd15c0883233de7c5e",
+    "random-3d-1": "b188afaefdc523b7e1d98b599b21b5eaa886a957f0f119cd15c0883233de7c5e",
+    "random-3d-2": "b188afaefdc523b7e1d98b599b21b5eaa886a957f0f119cd15c0883233de7c5e",
+    "random-3d-3": "b82988af5f790be81116902daf381c59f817eab1a87d96384b34e27870c405a0",
+    "random-3d-4": "b188afaefdc523b7e1d98b599b21b5eaa886a957f0f119cd15c0883233de7c5e",
+    "random-3d-5": "b188afaefdc523b7e1d98b599b21b5eaa886a957f0f119cd15c0883233de7c5e",
+    "random-3d-6": "b188afaefdc523b7e1d98b599b21b5eaa886a957f0f119cd15c0883233de7c5e",
+    "random-3d-7": "b188afaefdc523b7e1d98b599b21b5eaa886a957f0f119cd15c0883233de7c5e",
+    "random-3d-8": "b188afaefdc523b7e1d98b599b21b5eaa886a957f0f119cd15c0883233de7c5e",
+    "random-3d-9": "f92d1f004142f484820f7c037f08a938bbb0854304fbfa0efc862503e147fd5e",
+    "random-3d-10": "a6840f184ba9fe328c7d7d2cf6b1bf5f8a21a017e37986997b092fa0b087918c",
+    "random-3d-11": "a31f91150dd199d78ba47ea009c207670df1e4cc1177f53f419702d1d1ee160e",
+    "torus-3": "b188afaefdc523b7e1d98b599b21b5eaa886a957f0f119cd15c0883233de7c5e",
+    "z3-1201": "3ca9a0f3fc7044d3b7c1e0a64ef7c31345f6a9889fe48b50492e6db8d376c26e",
+    "constant-2": "8ab63e4f35f8a5d66a00e61cf48b643b13b395e57a8d2b2abb3ac68e9cac4a6e",
+    "constant-3": "e1e529c32f7f2c3766567a9956440a503cf8d4a29a37d27389afb05ccbb96a94",
+    "iid-2": "8ab63e4f35f8a5d66a00e61cf48b643b13b395e57a8d2b2abb3ac68e9cac4a6e",
+    "iid-3": "e1e529c32f7f2c3766567a9956440a503cf8d4a29a37d27389afb05ccbb96a94",
+    "mixture-2": "c99c1c9c20f0791e268cc3f9ab0b8cdc1f0d03ab49c84c34d3f59f18bf86f082",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_self_joining_report_digest(name):
+    assert report_digest(self_joining_structure_report(SYSTEMS[name]())) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_line_marginal_report_digest(name):
+    assert report_digest(line_marginal_structure_report(LAWS[name]())) == GOLDEN[name]
