@@ -29,8 +29,6 @@ from .measure import (
     SimpleFunction,
     ZERO,
     _frac,
-    common_refinement,
-    relative_independence,
     support_pullback_partition,
 )
 from .systems import (
@@ -42,12 +40,7 @@ from .systems import (
     invariant_factor,
     perm_order,
 )
-from .upsets import (
-    StructureReport,
-    bits_of,
-    enumerate_upsets,
-    upset_pair_independence,
-)
+from .upsets import StructureReport, bits_of, structure_report
 
 
 @dataclass(frozen=True)
@@ -246,8 +239,9 @@ def project_joining(fj: FurstenbergJoining, directions: Iterable[int]) -> Coupli
 
 
 def difference_subgroup(dim: int, indices: Sequence[int]) -> SubgroupSpec:
-    """The subgroup generated by ``e_{i_1} - e_{i_j}`` for the given indices."""
-    idx = tuple(sorted(indices))
+    """The subgroup generated by ``e_{i_1} - e_{i_j}`` for the given indices,
+    read as a set: a repeated index adds no generator."""
+    idx = sorted(set(indices))
     vectors = []
     for j in idx[1:]:
         v = [0] * dim
@@ -265,9 +259,10 @@ def oblique_copy(fj: FurstenbergJoining, subset: Iterable[int]) -> Partition:
     All coordinates in ``subset`` must induce the same partition of the
     support (they agree modulo null sets by the diagonal restriction lemma);
     disagreement raises, since it would indicate a bug.  The least coordinate
-    is the canonical representative.
+    is the canonical representative.  ``subset`` is read as a set, so a
+    repeated direction counts once.
     """
-    idx = tuple(sorted(subset))
+    idx = tuple(sorted(set(subset)))
     if len(idx) < 2:
         raise ValueError("an oblique copy needs at least two directions")
     if any(i not in fj.directions for i in idx):
@@ -438,45 +433,23 @@ def van_der_corput_inequality(
     return VanDerCorputReport(lhs, rhs)
 
 
-class SelfJoiningStructureReport(StructureReport):
-    """Structure predicates on the full self-joining; both clauses can fail
-    for systems lacking the relevant extension structure."""
-
-
-def pair_factor_partition(sys: FiniteZdSystem, i: int) -> Partition:
-    """Join of the two-index difference invariant factors through index ``i``."""
-    parts = [
-        invariant_factor(sys, difference_subgroup(sys.dim, (i, j)))
-        for j in range(sys.dim)
-        if j != i
-    ]
-    if not parts:
-        return Partition.one_block(len(sys))
-    return common_refinement(*parts)
-
-
-def self_joining_structure_report(sys: FiniteZdSystem) -> SelfJoiningStructureReport:
-    """Evaluate the two structure predicates of the full self-joining.
+def self_joining_structure_report(sys: FiniteZdSystem) -> StructureReport:
+    """Evaluate the two structure predicates of the full self-joining with
+    :func:`~ergolab.upsets.structure_report`.
 
     Clause one: the coordinate pullbacks are relatively independent over the
-    pullbacks of the pairwise-difference factor joins.  Clause two: for every
-    pair of up-sets, the oblique factors are relatively independent over the
-    oblique factor of the intersection.  Up-sets range over
-    :func:`~ergolab.upsets.enumerate_upsets`.
+    pullbacks of the joins of the pairwise-difference invariant factors.
+    Clause two: for every pair of up-sets, the oblique factors are
+    relatively independent over the oblique factor of the intersection.
+    Both clauses can fail for systems lacking the relevant extension
+    structure.
     """
     d = sys.dim
     if d < 2:
         raise ValueError("structure predicates need at least two directions")
     fj = furstenberg_self_joining(sys)
-    factors = [Partition.singletons(len(sys))] * d
-    subfactors = [pair_factor_partition(sys, i) for i in range(d)]
-    clause1 = relative_independence(factors, subfactors, fj.coupling)
-
-    pairs = upset_pair_independence(
-        enumerate_upsets(d),
+    return structure_report(
+        fj.coupling,
+        lambda i, j: invariant_factor(sys, difference_subgroup(d, (i, j))),
         lambda m: oblique_copy(fj, bits_of(m)),
-        fj.coupling.as_space(),
-    )
-    return SelfJoiningStructureReport(
-        clause1, tuple((a.members, b.members, rep) for a, b, rep in pairs)
     )

@@ -135,13 +135,12 @@ def _cmd_avg(args) -> int:
 
 def _cmd_fjoin(args) -> int:
     doc = _load(args.system)
-    if args.directions:
+    if args.directions is None:
+        sys_, dirs = _system_with_directions(doc), None
+    else:
         sys_ = serialize.system_from_json(doc)
         dirs = _parse_ints("--directions", args.directions, "generator indices")
-        fj = _located("--directions", averages.furstenberg_self_joining, sys_, dirs)
-    else:
-        dirs = None
-        fj = averages.furstenberg_self_joining(_system_with_directions(doc))
+    fj = _located("--directions", averages.furstenberg_self_joining, sys_, dirs)
     results = {
         "directions": list(fj.directions),
         "period": fj.period,

@@ -31,16 +31,9 @@ from .measure import (
     _frac,
     common_refinement,
     exact_masses,
-    relative_independence,
     support_pullback_partition,
 )
-from .upsets import (
-    StructureReport,
-    bits_of,
-    enumerate_upsets,
-    mask_of,
-    upset_pair_independence,
-)
+from .upsets import StructureReport, bits_of, mask_of, structure_report
 
 MAX_ALPHABET = 9
 
@@ -730,41 +723,27 @@ def insensitive_algebra(law: StationaryLawTruncation, e: Iterable[int]) -> Parti
     e = sorted(set(map(index, e)))
     if any(not 1 <= i <= law.k for i in e):
         raise ValueError("line coordinates must lie in the alphabet")
-    _, line = marginals(law)
-    m = len(law.carrier)
+    return _insensitive_partition(marginals(law)[1], [i - 1 for i in e])
 
-    # Graph characterization: join x and y when some pair of e-coordinates
+
+def _insensitive_partition(line: Coupling, coords: Sequence[int]) -> Partition:
+    """:func:`insensitive_algebra` of the line marginal ``line``, for the
+    0-based line coordinates ``coords``, sorted and distinct."""
+    m = len(line.base)
+    pairs = tuple(combinations(coords, 2))
+    # Graph characterization: join x and y when some pair of coordinates
     # carries positive mass with values x and y.
     graph_partition = Partition.from_pairs(
-        m,
-        ((t[i - 1], t[j - 1]) for t in line.mass for i in e for j in e if i < j),
+        m, ((t[i], t[j]) for t in line.mass for i, j in pairs)
     )
 
     if m > 16:
         raise ValueError("carrier too large for the exhaustive dual characterization")
-    good_sets = []
-    for bits in range(1 << m):
-        aset = {x for x in range(m) if bits >> x & 1}
-        ok = True
-        for i in e:
-            for j in e:
-                if i >= j:
-                    continue
-                bad = sum(
-                    (
-                        v
-                        for t, v in line.mass.items()
-                        if (t[i - 1] in aset) != (t[j - 1] in aset)
-                    ),
-                    ZERO,
-                )
-                if bad != 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            good_sets.append(bits)
+    good_sets = [
+        bits
+        for bits in range(1 << m)
+        if all(line.pullback_disagreement(bits_of(bits), i, j) == 0 for i, j in pairs)
+    ]
     # Atoms of the closed set family: points are equivalent when no good set
     # separates them.
     labels = [
@@ -787,39 +766,29 @@ def line_marginal_structure_report(
     law: StationaryLawTruncation,
     partition_family: Sequence[Partition] | None = None,
 ) -> LineStructureReport:
-    """Structure predicates of the line marginal.
+    """Structure predicates of the line marginal, from
+    :func:`~ergolab.upsets.structure_report`.
 
     Clause one: coordinate pullbacks relatively independent over the joins of
     pairwise insensitive algebras.  Clause two: lifted insensitive algebras
     of up-sets relatively independent over intersections.  Both may fail for
-    unstructured laws.  The final check is the line-to-point implication:
-    for every tuple of blocks from the partition family (default: carrier
-    singletons), a null line event forces a null point intersection.
+    unstructured laws.  The marginals are computed once, and every
+    insensitive algebra is derived from that line marginal.  The final
+    check is the line-to-point implication: for every tuple of blocks from
+    the partition family (default: carrier singletons), a null line event
+    forces a null point intersection.
     """
     point, line = marginals(law)
     k = law.k
     m = len(law.carrier)
-
-    insens = {
-        frozenset(pair): insensitive_algebra(law, pair)
-        for pair in combinations(range(1, k + 1), 2)
-    }
-    factors = [Partition.singletons(m)] * k
-    subfactors = []
-    for i in range(1, k + 1):
-        parts = [insens[frozenset((i, j))] for j in range(1, k + 1) if j != i]
-        subfactors.append(common_refinement(*parts) if parts else Partition.one_block(m))
-    clause1 = relative_independence(factors, subfactors, line)
+    insens = {pair: _insensitive_partition(line, pair) for pair in combinations(range(k), 2)}
 
     def member_partition(mask: int) -> Partition:
-        letters = [b + 1 for b in bits_of(mask)]
-        parts = [insens[frozenset(p)] for p in combinations(letters, 2)]
-        return support_pullback_partition(
-            line, common_refinement(*parts), min(bits_of(mask))
-        )
+        coords = bits_of(mask)
+        algebra = common_refinement(*(insens[p] for p in combinations(coords, 2)))
+        return support_pullback_partition(line, algebra, coords[0])
 
-    pairs = upset_pair_independence(enumerate_upsets(k), member_partition, line.as_space())
-    oblique = tuple((a.members, b.members, rep) for a, b, rep in pairs)
+    rep = structure_report(line, lambda i, j: insens[i, j], member_partition)
 
     if partition_family is None:
         partition_family = [Partition.singletons(m)] * k
@@ -835,7 +804,7 @@ def line_marginal_structure_report(
                 implication = False
                 witness = tuple(sets)
                 break
-    return LineStructureReport(clause1, oblique, implication, witness)
+    return LineStructureReport(rep.coordinate_clause, rep.oblique_pairs, implication, witness)
 
 
 def check_density_premises(

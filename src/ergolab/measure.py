@@ -385,6 +385,17 @@ class Coupling:
                 total += v
         return total
 
+    def pullback_disagreement(self, aset: Iterable[int], i: int, j: int) -> Fraction:
+        """Mass of the tuples whose coordinates ``i`` and ``j`` fall on
+        different sides of ``aset``: the measure of the symmetric difference
+        of the pullbacks of ``aset`` through ``i`` and through ``j``."""
+        if not (0 <= i < self.arity and 0 <= j < self.arity):
+            raise ValueError("coordinate out of range")
+        aset = frozenset(aset)
+        return sum(
+            (v for t, v in self.mass.items() if (t[i] in aset) != (t[j] in aset)), ZERO
+        )
+
     @classmethod
     def diagonal(cls, space: ExactProbabilitySpace, arity: int) -> "Coupling":
         return cls(

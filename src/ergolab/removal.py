@@ -34,7 +34,6 @@ from .measure import (
     IndependenceReport,
     Partition,
     SimpleFunction,
-    ZERO,
     common_refinement,
     conditional_expectation,
     relatively_independent_product,
@@ -242,8 +241,8 @@ def _identified(coupling: Coupling, m: int, partition: Partition) -> bool:
 
     Stored masses are positive, so the mass of the tuples whose coordinates
     i and j fall on different sides of a block is nonzero exactly when some
-    support tuple has different labels at i and j; the rational mass is
-    summed only for the witness.
+    support tuple has different labels at i and j; the rational mass
+    (:meth:`Coupling.pullback_disagreement`) is summed only for the witness.
     """
     labels = partition.labels
     pairs = tuple(combinations(bits_of(m), 2))
@@ -257,12 +256,8 @@ def _identification_witness(
     ``(i, j)`` whose block pulls back with nonzero mass difference, with
     that mass."""
     for block in partition.blocks:
-        bset = set(block)
         for i, j in pairs:
-            bad = ZERO
-            for t, v in coupling.mass.items():
-                if (t[i] in bset) != (t[j] in bset):
-                    bad += v
+            bad = coupling.pullback_disagreement(block, i, j)
             if bad != 0:
                 return (bits_of(m), block, (i, j), bad)
     raise AssertionError("psi[m] pulls back equally through every pair")

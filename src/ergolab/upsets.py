@@ -7,7 +7,9 @@ closed upward under inclusion.
 :func:`enumerate_upsets` is the one up-set family every structure check
 quantifies over, and :func:`upset_pair_independence` is the one check that
 lifted up-set algebras are relatively independent over the algebra of their
-intersection.
+intersection.  :func:`structure_report` builds both structure clauses of a
+coupling from its pair partitions and its member partitions; the
+self-joining and line-marginal reports differ only in those two maps.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from operator import index
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .measure import (
+    Coupling,
     ExactProbabilitySpace,
     IndependenceReport,
     Partition,
@@ -188,6 +191,32 @@ class StructureReport:
     @property
     def oblique_holds(self) -> bool:
         return all(r.holds for _, _, r in self.oblique_pairs)
+
+
+def structure_report(
+    coupling: Coupling,
+    pair_partition: Callable[[int, int], Partition],
+    member_partition: Callable[[int], Partition],
+) -> StructureReport:
+    """Both structure clauses of a coupling of arity ``d``.
+
+    ``pair_partition(i, j)`` is the pairwise factor of coordinates ``i <
+    j``, a partition of the base points; it is called once per pair.
+    Clause one tests the coordinates' singleton factors for relative
+    independence over, at coordinate ``i``, the join of the pair partitions
+    through ``i`` (one block when ``d == 1``).  Clause two is
+    :func:`upset_pair_independence` over :func:`enumerate_upsets` with
+    ``member_partition``, a partition of the coupling's support tuples.
+    """
+    d, n = coupling.arity, len(coupling.base)
+    pairs = {(i, j): pair_partition(i, j) for i, j in combinations(range(d), 2)}
+    subfactors = []
+    for i in range(d):
+        through = [p for ij, p in pairs.items() if i in ij]
+        subfactors.append(common_refinement(*through) if through else Partition.one_block(n))
+    coordinate = relative_independence([Partition.singletons(n)] * d, subfactors, coupling)
+    oblique = upset_pair_independence(enumerate_upsets(d), member_partition, coupling.as_space())
+    return StructureReport(coordinate, tuple((a.members, b.members, r) for a, b, r in oblique))
 
 
 @dataclass(frozen=True, eq=False)

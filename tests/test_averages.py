@@ -321,6 +321,15 @@ def test_oblique_copy_needs_two_directions():
         oblique_copy(fj, (0,))
 
 
+def test_repeated_directions_count_once():
+    assert difference_subgroup(2, (0, 0)) == SubgroupSpec(())
+    assert difference_subgroup(3, (2, 0, 2)) == difference_subgroup(3, (0, 2))
+    fj = furstenberg_self_joining(cyclic_system(3, 1, 2))
+    with pytest.raises(ValueError, match="needs at least two directions"):
+        oblique_copy(fj, (0, 0))
+    assert oblique_copy(fj, (1, 0, 1)) == oblique_copy(fj, (0, 1))
+
+
 # -- recurrence ---------------------------------------------------------------------
 
 def test_recurrence_null_set():

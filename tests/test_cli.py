@@ -227,6 +227,7 @@ def test_long_global_period_commands_finish(tmp_path, capsys):
         ("1,1", "directions must be a nonempty set of generator indices"),
         ("x", "expected comma-separated generator indices"),
         (",", "expected comma-separated generator indices"),
+        ("", "expected comma-separated generator indices"),
     ],
 )
 def test_bad_directions_are_located_input_errors(z3_file, directions, message, capsys):

@@ -309,6 +309,34 @@ def test_constructors_read_bools_as_integers():
     assert VectorSequence(((True, 2),)).entries == ((F(1), F(2)),)
 
 
+def test_pullback_disagreement_matches_brute_force():
+    rng = random.Random(41)
+    for _ in range(80):
+        n, arity = rng.randint(1, 4), rng.randint(1, 3)
+        nums = [rng.randint(0, 3) for _ in range(n - 1)] + [rng.randint(1, 3)]
+        space = ExactProbabilitySpace(tuple(range(n)), tuple(F(v, sum(nums)) for v in nums))
+        if rng.random() < 0.5:
+            labels = tuple(rng.randrange(2) for _ in range(n))
+            coupling = relatively_independent_product([space] * arity, [labels] * arity)
+        else:
+            coupling = Coupling.diagonal(space, arity)
+        aset = [x for x in range(n) if rng.random() < 0.5]
+        for i, j in iter_product(range(arity), repeat=2):
+            brute = sum(
+                (
+                    coupling.mass.get(t, F(0))
+                    for t in iter_product(range(n), repeat=arity)
+                    if (t[i] in aset) != (t[j] in aset)
+                ),
+                F(0),
+            )
+            assert coupling.pullback_disagreement(aset, i, j) == brute
+    with pytest.raises(ValueError, match="coordinate out of range"):
+        coupling.pullback_disagreement(aset, -1, 0)
+    with pytest.raises(ValueError, match="coordinate out of range"):
+        coupling.pullback_disagreement(aset, 0, arity)
+
+
 def test_coupling_sparse_form_canonical():
     # Zero entries are dropped, so representation refinements do not matter.
     sp = small_space([F(1, 2), F(1, 2)])

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from helpers import cyclic_system, naive_upset_pairs
 
-from ergolab import upsets
+from ergolab import hales_jewett, upsets
 from ergolab.averages import (
     furstenberg_self_joining,
     oblique_copy,
@@ -124,6 +125,45 @@ def test_pair_check_rejects_a_memo_of_another_space():
     )
 
 
+# -- the structure-report builder ------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_structure_report_builds_each_pair_partition_once(d):
+    coupling = Coupling.product(ExactProbabilitySpace.uniform((0, 1)), d)
+    calls = []
+
+    def pair_partition(i, j):
+        calls.append((i, j))
+        return Partition.one_block(2)
+
+    one_block = Partition.one_block(len(coupling.support()))
+    rep = upsets.structure_report(coupling, pair_partition, lambda m: one_block)
+    # One call per pair i < j: C(d, 2) calls.
+    assert calls == list(combinations(range(d), 2))
+    # The product coupling is independent over the trivial factors.
+    assert rep.coordinate_holds and rep.oblique_holds
+    assert len(rep.oblique_pairs) == len(enumerate_upsets(d)) ** 2
+
+
+def test_structure_report_gives_arity_one_a_one_block_subfactor(monkeypatch):
+    seen = []
+    kernel = upsets.relative_independence
+
+    def spy(factors, subfactors, nu):
+        seen.append(tuple(subfactors))
+        return kernel(factors, subfactors, nu)
+
+    def no_pairs(i, j):
+        raise AssertionError("an arity-1 coupling has no coordinate pairs")
+
+    monkeypatch.setattr(upsets, "relative_independence", spy)
+    space = ExactProbabilitySpace((0, 1, 2), (F(1, 2), F(1, 3), F(1, 6)))
+    rep = upsets.structure_report(Coupling.diagonal(space, 1), no_pairs, no_pairs)
+    assert seen == [(Partition.one_block(3),)]
+    assert rep.coordinate_clause == IndependenceReport(True, None)
+    assert rep.oblique_pairs == ((frozenset(), frozenset(), IndependenceReport(True, None)),)
+
+
 # -- the self-joining report ------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(8))
@@ -176,6 +216,21 @@ def test_line_marginal_report_matches_reference_loop(name):
 
     reference = naive_upset_pairs(enumerate_upsets(law.k), member_partition, line.as_space())
     assert line_marginal_structure_report(law).oblique_pairs == tuple(reference)
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_line_marginal_report_computes_the_marginals_once(monkeypatch, name):
+    law = LAWS[name]()
+    calls = []
+    real = hales_jewett.marginals
+
+    def counting(arg):
+        calls.append(arg)
+        return real(arg)
+
+    monkeypatch.setattr(hales_jewett, "marginals", counting)
+    line_marginal_structure_report(law)
+    assert calls == [law]
 
 
 # -- removal hypothesis [iii] -------------------------------------------------------------------
