@@ -40,7 +40,7 @@ from .systems import (
     invariant_factor,
     perm_order,
 )
-from .upsets import StructureReport, bits_of, structure_report
+from .upsets import StructureReport, bits_of, ground_masks, identified_on, mask_of, structure_report
 
 
 @dataclass(frozen=True)
@@ -256,29 +256,22 @@ def oblique_copy(fj: FurstenbergJoining, subset: Iterable[int]) -> Partition:
     invariant factor of the difference subgroup, as a partition of the
     coupling's support tuples.
 
-    All coordinates in ``subset`` must induce the same partition of the
-    support (they agree modulo null sets by the diagonal restriction lemma);
-    disagreement raises, since it would indicate a bug.  The least coordinate
-    is the canonical representative.  ``subset`` is read as a set, so a
-    repeated direction counts once.
+    The factor must be identified on ``subset`` (by the diagonal restriction
+    lemma; :func:`~ergolab.upsets.identified_on`), so all its coordinates
+    pull it back alike; a failure raises, since it would indicate a bug.
+    The least coordinate is the canonical representative.  ``subset`` is
+    read as a set, so a repeated direction counts once.
     """
     idx = tuple(sorted(set(subset)))
     if len(idx) < 2:
         raise ValueError("an oblique copy needs at least two directions")
     if any(i not in fj.directions for i in idx):
         raise ValueError("subset must consist of joining directions")
-    base_partition = invariant_factor(
-        fj.system, difference_subgroup(fj.system.dim, idx)
-    )
+    factor = invariant_factor(fj.system, difference_subgroup(fj.system.dim, idx))
     positions = [fj.directions.index(i) for i in idx]
-    pulled = [
-        support_pullback_partition(fj.coupling, base_partition, pos)
-        for pos in positions
-    ]
-    for other in pulled[1:]:
-        if other != pulled[0]:
-            raise RuntimeError("oblique copies disagree across coordinates")
-    return pulled[0]
+    if not identified_on(fj.coupling, mask_of(positions), factor):
+        raise RuntimeError("oblique copies disagree across coordinates")
+    return support_pullback_partition(fj.coupling, factor, positions[0])
 
 
 @dataclass(frozen=True)
@@ -433,9 +426,17 @@ def van_der_corput_inequality(
     return VanDerCorputReport(lhs, rhs)
 
 
+def self_joining_psi(sys: FiniteZdSystem) -> dict[int, Partition]:
+    """The self-joining's family of algebras: for each index set ``e`` of
+    size >= 2 (a mask of :func:`~ergolab.upsets.ground_masks`), the
+    invariant factor of the difference subgroup of ``e``."""
+    d = sys.dim
+    return {m: invariant_factor(sys, difference_subgroup(d, bits_of(m))) for m in ground_masks(d)}
+
+
 def self_joining_structure_report(sys: FiniteZdSystem) -> StructureReport:
     """Evaluate the two structure predicates of the full self-joining with
-    :func:`~ergolab.upsets.structure_report`.
+    :func:`~ergolab.upsets.structure_report` and :func:`self_joining_psi`.
 
     Clause one: the coordinate pullbacks are relatively independent over the
     pullbacks of the joins of the pairwise-difference invariant factors.
@@ -444,12 +445,6 @@ def self_joining_structure_report(sys: FiniteZdSystem) -> StructureReport:
     Both clauses can fail for systems lacking the relevant extension
     structure.
     """
-    d = sys.dim
-    if d < 2:
+    if sys.dim < 2:
         raise ValueError("structure predicates need at least two directions")
-    fj = furstenberg_self_joining(sys)
-    return structure_report(
-        fj.coupling,
-        lambda i, j: invariant_factor(sys, difference_subgroup(d, (i, j))),
-        lambda m: oblique_copy(fj, bits_of(m)),
-    )
+    return structure_report(furstenberg_self_joining(sys).coupling, self_joining_psi(sys))

@@ -29,11 +29,9 @@ from .measure import (
     Partition,
     ZERO,
     _frac,
-    common_refinement,
     exact_masses,
-    support_pullback_partition,
 )
-from .upsets import StructureReport, bits_of, mask_of, structure_report
+from .upsets import StructureReport, bits_of, ground_masks, mask_of, structure_report
 
 MAX_ALPHABET = 9
 
@@ -762,42 +760,27 @@ class LineStructureReport(StructureReport):
     implication_witness: tuple | None
 
 
-def line_marginal_structure_report(
-    law: StationaryLawTruncation,
-    partition_family: Sequence[Partition] | None = None,
-) -> LineStructureReport:
+def line_marginal_structure_report(law: StationaryLawTruncation) -> LineStructureReport:
     """Structure predicates of the line marginal, from
     :func:`~ergolab.upsets.structure_report`.
 
-    Clause one: coordinate pullbacks relatively independent over the joins of
-    pairwise insensitive algebras.  Clause two: lifted insensitive algebras
-    of up-sets relatively independent over intersections.  Both may fail for
-    unstructured laws.  The marginals are computed once, and every
-    insensitive algebra is derived from that line marginal.  The final
-    check is the line-to-point implication: for every tuple of blocks from
-    the partition family (default: carrier singletons), a null line event
-    forces a null point intersection.
+    ``psi`` gives each set ``e`` of at least two line coordinates its
+    ``e``-insensitive algebra (:func:`insensitive_algebra`), derived from
+    one line marginal, so the members of an up-set are those algebras.
+    Clause one: coordinate pullbacks relatively independent over the joins
+    of pairwise insensitive algebras.  Clause two: lifted up-set algebras
+    relatively independent over intersections.  Both may fail for
+    unstructured laws.  The final check is the line-to-point implication:
+    for every tuple of carrier points, a null line event forces a null
+    point intersection.
     """
     point, line = marginals(law)
-    k = law.k
-    m = len(law.carrier)
-    insens = {pair: _insensitive_partition(line, pair) for pair in combinations(range(k), 2)}
-
-    def member_partition(mask: int) -> Partition:
-        coords = bits_of(mask)
-        algebra = common_refinement(*(insens[p] for p in combinations(coords, 2)))
-        return support_pullback_partition(line, algebra, coords[0])
-
-    rep = structure_report(line, lambda i, j: insens[i, j], member_partition)
-
-    if partition_family is None:
-        partition_family = [Partition.singletons(m)] * k
-    if len(partition_family) != k:
-        raise ValueError("need one partition per line coordinate")
+    psi = {m: _insensitive_partition(line, bits_of(m)) for m in ground_masks(law.k)}
+    rep = structure_report(line, psi)
     implication = True
     witness = None
-    for blocks in iter_product(*(p.blocks for p in partition_family)):
-        sets = [frozenset(b) for b in blocks]
+    for xs in iter_product(range(len(law.carrier)), repeat=law.k):
+        sets = [frozenset((x,)) for x in xs]
         if line.event_mass(sets) == 0:
             inter = frozenset.intersection(*sets)
             if point.measure(inter) != 0:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, product as iter_product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .averages import difference_subgroup, furstenberg_self_joining
+from .averages import furstenberg_self_joining, self_joining_psi
 from .generators import random_system
 from .measure import (
     Coupling,
@@ -37,16 +37,17 @@ from .measure import (
     common_refinement,
     conditional_expectation,
     relatively_independent_product,
-    support_pullback_partition,
 )
-from .systems import FiniteZdSystem, invariant_factor
+from .systems import FiniteZdSystem
 from .upsets import (
     KernelMemo,
     UpSet,
     bits_of,
     enumerate_upsets,
     ground_masks,
+    identified_on,
     mask_of,
+    oblique_members,
     upset_pair_independence,
 )
 
@@ -174,7 +175,7 @@ def check_hypotheses(inst: RemovalInstance) -> HypothesesReport:
 
     identified = True
     for m in masks:
-        if not _identified(coupling, m, psi[m]):
+        if not identified_on(coupling, m, psi[m]):
             identified = False
             witnesses["identified"] = _identification_witness(
                 coupling, psi[m], m, tuple(combinations(bits_of(m), 2))
@@ -198,13 +199,14 @@ def _first_dependent_pair(
     """Hypothesis [iii]: the first pair of up-sets whose lifts are not
     relatively independent over the lift of their meet, or ``None``.
 
-    The member partitions are built first.  When they are all one
-    partition, every nonempty up-set's lift is that partition and the empty
-    up-set's is one block.  Every nonempty up-set of the family holds the
-    full index set, so the meet of two nonempty up-sets is nonempty, and in
-    every pair the lift of ``a`` or of ``b`` equals the lift of the meet:
-    the tower-property tautology of :func:`upset_pair_independence`, decided
-    once for the whole family, and ``None`` is returned.
+    The member partitions (:func:`~ergolab.upsets.oblique_members`) are
+    built first.  When they are all one partition, every nonempty up-set's
+    lift is that partition and the empty up-set's is one block.  Every
+    nonempty up-set of the family holds the full index set, so the meet of
+    two nonempty up-sets is nonempty, and in every pair the lift of ``a``
+    or of ``b`` equals the lift of the meet: the tower-property tautology
+    of :func:`upset_pair_independence`, decided once for the whole family,
+    and ``None`` is returned.
 
     Otherwise the pairs are checked in order against ``memo``, which holds
     the coupling's support space (``coupling.as_space()``) and its kernel
@@ -212,18 +214,8 @@ def _first_dependent_pair(
     fresh one is built when none is given.  Meaningful only when ``psi``
     satisfies [i] and [ii].
     """
-    # Pull back through the least coordinate: the canonical representative,
-    # which hypothesis [ii] makes immaterial up to null sets.  Masks with the
-    # same partition and least coordinate share one pullback.
-    pullbacks: dict = {}
-    members = {}
-    for m in ground_masks(coupling.arity):
-        least = (m & -m).bit_length() - 1
-        key = (psi[m].labels, least)
-        if key not in pullbacks:
-            pullbacks[key] = support_pullback_partition(coupling, psi[m], least)
-        members[m] = pullbacks[key]
-    if len({p.labels for p in pullbacks.values()}) == 1:
+    members = oblique_members(coupling, psi)
+    if len({p.labels for p in members.values()}) == 1:
         return None
     if memo is None:
         memo = KernelMemo(coupling.as_space())
@@ -233,20 +225,6 @@ def _first_dependent_pair(
         if not rep.holds:
             return a, b, rep
     return None
-
-
-def _identified(coupling: Coupling, m: int, partition: Partition) -> bool:
-    """Hypothesis [ii] for one index set: every block of ``partition`` pulls
-    back equally, up to null sets, through the coordinates of ``m``.
-
-    Stored masses are positive, so the mass of the tuples whose coordinates
-    i and j fall on different sides of a block is nonzero exactly when some
-    support tuple has different labels at i and j; the rational mass
-    (:meth:`Coupling.pullback_disagreement`) is summed only for the witness.
-    """
-    labels = partition.labels
-    pairs = tuple(combinations(bits_of(m), 2))
-    return all(labels[t[i]] == labels[t[j]] for t in coupling.support() for i, j in pairs)
 
 
 def _identification_witness(
@@ -510,7 +488,7 @@ def search_counterexample(config: SearchConfig) -> RemovalInstance | None:
                     # no instance, so each index set draws only from the
                     # partitions it identifies.
                     allowed = [
-                        [c for c, p in enumerate(parts) if _identified(coupling, m, p)]
+                        [c for c, p in enumerate(parts) if identified_on(coupling, m, p)]
                         for m in masks
                     ]
                     memo = KernelMemo(coupling.as_space())
@@ -659,12 +637,8 @@ def _random_instance(
     if family == "selfjoin":
         sys = random_system(rng, max_points=n, dim=d)
         space = sys.space
-        fj = furstenberg_self_joining(sys)
-        coupling = fj.coupling
-        psi = {
-            m: invariant_factor(sys, difference_subgroup(sys.dim, bits_of(m)))
-            for m in masks
-        }
+        coupling = furstenberg_self_joining(sys).coupling
+        psi = self_joining_psi(sys)
     else:
         space = ExactProbabilitySpace(tuple(range(n)), rng.choice(weight_menu(n)))
         if family == "diagonal":

@@ -8,8 +8,8 @@ closed upward under inclusion.
 quantifies over, and :func:`upset_pair_independence` is the one check that
 lifted up-set algebras are relatively independent over the algebra of their
 intersection.  :func:`structure_report` builds both structure clauses of a
-coupling from its pair partitions and its member partitions; the
-self-joining and line-marginal reports differ only in those two maps.
+coupling from its family ``psi`` of algebras; the self-joining and
+line-marginal reports differ only in ``psi``.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .measure import (
     Partition,
     common_refinement,
     relative_independence,
+    support_pullback_partition,
 )
 
 
@@ -193,30 +194,72 @@ class StructureReport:
         return all(r.holds for _, _, r in self.oblique_pairs)
 
 
-def structure_report(
-    coupling: Coupling,
-    pair_partition: Callable[[int, int], Partition],
-    member_partition: Callable[[int], Partition],
-) -> StructureReport:
-    """Both structure clauses of a coupling of arity ``d``.
+def structure_report(coupling: Coupling, psi: dict) -> StructureReport:
+    """Both structure clauses of a coupling of arity ``d`` and its family
+    ``psi``: one partition of the base points for each mask of
+    :func:`ground_masks`, identified on its mask (:func:`identified_on`).
+    A missing or extra mask, or a partition of the wrong size or failing
+    hypothesis [ii], raises ``ValueError`` naming the mask.
 
-    ``pair_partition(i, j)`` is the pairwise factor of coordinates ``i <
-    j``, a partition of the base points; it is called once per pair.
-    Clause one tests the coordinates' singleton factors for relative
-    independence over, at coordinate ``i``, the join of the pair partitions
-    through ``i`` (one block when ``d == 1``).  Clause two is
-    :func:`upset_pair_independence` over :func:`enumerate_upsets` with
-    ``member_partition``, a partition of the coupling's support tuples.
+    Clause one tests the singleton factors for relative independence over,
+    at coordinate ``i``, the join of the pair factors ``psi[mask_of((i,
+    j))]`` through ``i`` (one block when ``d == 1``).  Clause two is
+    :func:`upset_pair_independence` over :func:`enumerate_upsets` with the
+    :func:`oblique_members` of ``psi``.
     """
     d, n = coupling.arity, len(coupling.base)
-    pairs = {(i, j): pair_partition(i, j) for i, j in combinations(range(d), 2)}
+    masks = ground_masks(d)
+    for m in psi:
+        if m not in masks:
+            raise ValueError(f"psi: {m!r} is not an index set of size >= 2 over range({d})")
+    for m in masks:
+        if m not in psi:
+            raise ValueError(f"psi: no partition for the index set {bits_of(m)}")
+        if psi[m].size != n or not identified_on(coupling, m, psi[m]):
+            raise ValueError(f"psi: {bits_of(m)} needs a partition of the base points "
+                             "that satisfies hypothesis [ii]")
     subfactors = []
     for i in range(d):
-        through = [p for ij, p in pairs.items() if i in ij]
+        through = [psi[mask_of((i, j))] for j in range(d) if j != i]
         subfactors.append(common_refinement(*through) if through else Partition.one_block(n))
     coordinate = relative_independence([Partition.singletons(n)] * d, subfactors, coupling)
-    oblique = upset_pair_independence(enumerate_upsets(d), member_partition, coupling.as_space())
+    members = oblique_members(coupling, psi).__getitem__
+    oblique = upset_pair_independence(enumerate_upsets(d), members, coupling.as_space())
     return StructureReport(coordinate, tuple((a.members, b.members, r) for a, b, r in oblique))
+
+
+def identified_on(coupling: Coupling, mask: int, partition: Partition) -> bool:
+    """Hypothesis [ii] for one index set: every block of ``partition``, a
+    partition of the base points, pulls back equally, up to null sets,
+    through the coordinates of ``mask``.
+
+    Stored masses are positive, so the mass of the tuples whose coordinates
+    i and j fall on different sides of a block is nonzero exactly when some
+    support tuple has different labels at i and j.
+    """
+    labels = partition.labels
+    pairs = tuple(combinations(bits_of(mask), 2))
+    return all(labels[t[i]] == labels[t[j]] for t in coupling.support() for i, j in pairs)
+
+
+def oblique_members(coupling: Coupling, psi: dict) -> dict[int, Partition]:
+    """The member algebra of each mask of :func:`ground_masks`: ``psi[mask]``
+    pulled back through the least coordinate of the mask, a partition of
+    the coupling's support tuples.
+
+    The least coordinate is the canonical representative, which hypothesis
+    [ii] makes immaterial up to null sets.  Masks with the same partition
+    and least coordinate share one pullback.
+    """
+    pullbacks: dict = {}
+    members = {}
+    for m in ground_masks(coupling.arity):
+        least = (m & -m).bit_length() - 1
+        key = (psi[m].labels, least)
+        if key not in pullbacks:
+            pullbacks[key] = support_pullback_partition(coupling, psi[m], least)
+        members[m] = pullbacks[key]
+    return members
 
 
 @dataclass(frozen=True, eq=False)

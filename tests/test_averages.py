@@ -22,6 +22,7 @@ from helpers import (
     torus_system,
 )
 
+from ergolab import averages
 from ergolab.averages import (
     FurstenbergJoining,
     _period_scan,
@@ -533,6 +534,26 @@ def test_structure_report_d2_oblique_poset_is_small():
     # d = 2: the only nonempty up-set is {{0,1}}; all pairs are degenerate.
     assert len(rep.oblique_pairs) == 4
     assert rep.oblique_holds
+
+
+@pytest.mark.parametrize(
+    "make, masks",
+    [(lambda: three_direction_torus(3), 4), (lambda: cyclic_system(3, 1, 2, 0, 1), 11)],
+    ids=["torus-3", "z3-1201"],
+)
+def test_structure_report_computes_each_invariant_factor_once(monkeypatch, make, masks):
+    # One invariant factor per index set of size >= 2, shared by the pair
+    # factors and the oblique members: 3 + 1 sets at d = 3, 6 + 4 + 1 at d = 4.
+    seen = []
+    real = averages.invariant_factor
+
+    def counting(sys_, subgroup):
+        seen.append(subgroup)
+        return real(sys_, subgroup)
+
+    monkeypatch.setattr(averages, "invariant_factor", counting)
+    self_joining_structure_report(make())
+    assert len(seen) == len(set(seen)) == masks
 
 
 def test_structure_report_needs_two_directions():

@@ -43,7 +43,7 @@ from ergolab.removal import (
     search_counterexample,
 )
 from ergolab.systems import invariant_factor
-from ergolab.upsets import KernelMemo, bits_of, ground_masks, mask_of
+from ergolab.upsets import KernelMemo, bits_of, ground_masks, identified_on, mask_of
 
 F = Fraction
 
@@ -215,7 +215,7 @@ def _random_psi(rng, coupling, parts, masks):
     for m in masks:
         psi[m] = rng.choice([
             p for p in parts
-            if removal._identified(coupling, m, p)
+            if identified_on(coupling, m, p)
             and all(psi[s].is_refinement_of(p) for s in psi if s & m == s)
         ])
     return psi
@@ -652,7 +652,7 @@ def test_depth_first_scan_matches_the_product_scan_over_a_sweep(monkeypatch, lim
         space = ExactProbabilitySpace(tuple(range(n)), weights)
         for _, coupling in removal._coupling_menu(space, d, SearchConfig().families):
             allowed = [
-                [c for c, p in enumerate(parts) if removal._identified(coupling, m, p)]
+                [c for c, p in enumerate(parts) if identified_on(coupling, m, p)]
                 for m in masks
             ]
             memo = KernelMemo(coupling.as_space())
@@ -715,7 +715,7 @@ def test_psi_maps_draw_only_identified_partitions():
     kept = set()
     for _, coupling in removal._coupling_menu(space, d, SearchConfig().families):
         allowed = [
-            [c for c, p in enumerate(parts) if removal._identified(coupling, m, p)]
+            [c for c, p in enumerate(parts) if identified_on(coupling, m, p)]
             for m in masks
         ]
         maps = list(removal._psi_maps(parts, masks, allowed))
@@ -746,7 +746,7 @@ def test_sweep_checks_only_hypothesis_iii_per_map(monkeypatch, n, d):
         space = ExactProbabilitySpace(tuple(range(n)), weights)
         for _, coupling in removal._coupling_menu(space, d, SearchConfig().families):
             allowed = [
-                [c for c, p in enumerate(parts) if removal._identified(coupling, m, p)]
+                [c for c, p in enumerate(parts) if identified_on(coupling, m, p)]
                 for m in masks
             ]
             memo = KernelMemo(coupling.as_space())

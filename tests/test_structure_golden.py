@@ -5,7 +5,9 @@ coordinate clause (verdict and witness), every ordered oblique pair (its
 two up-sets, verdict and witness) and, for a line-marginal report, the
 line-to-point implication (verdict and witness).  A change that alters any
 verdict or witness of any report fails here.  When a report is meant to
-change, record the new digest and say why in CHANGES.md.
+change, record the new digest and say why in CHANGES.md.  Each golden
+self-joining is also read as a removal instance, whose hypothesis [iii]
+must agree with the report's oblique clause.
 """
 from __future__ import annotations
 
@@ -17,7 +19,11 @@ import pytest
 
 from helpers import cyclic_system, three_direction_torus
 
-from ergolab.averages import self_joining_structure_report
+from ergolab.averages import (
+    furstenberg_self_joining,
+    self_joining_psi,
+    self_joining_structure_report,
+)
 from ergolab.generators import random_system
 from ergolab.hales_jewett import (
     LineStructureReport,
@@ -27,7 +33,9 @@ from ergolab.hales_jewett import (
     mixture_law,
 )
 from ergolab.measure import ExactProbabilitySpace
+from ergolab.removal import RemovalInstance, check_hypotheses
 from ergolab.serialize import canonical_dumps
+from ergolab.upsets import UpSet
 
 F = Fraction
 
@@ -98,3 +106,24 @@ def test_self_joining_report_digest(name):
 @pytest.mark.parametrize("name", sorted(LAWS))
 def test_line_marginal_report_digest(name):
     assert report_digest(line_marginal_structure_report(LAWS[name]())) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_removal_iii_on_the_self_joining_is_the_oblique_clause(name):
+    # The self-joining with its psi and full-set targets is a removal
+    # instance passing [i] and [ii]; hypothesis [iii] holds exactly when the
+    # report's oblique clause does, with the same first failing pair.
+    sys_ = SYSTEMS[name]()
+    target = (UpSet.principal(sys_.dim, range(sys_.dim)), frozenset(range(len(sys_.space))))
+    inst = RemovalInstance(
+        sys_.space,
+        furstenberg_self_joining(sys_).coupling,
+        self_joining_psi(sys_),
+        ((target,),) * sys_.dim,
+    )
+    hyp = check_hypotheses(inst)
+    rep = self_joining_structure_report(sys_)
+    first = next(((a, b, r.witness) for a, b, r in rep.oblique_pairs if not r.holds), None)
+    assert hyp.monotone and hyp.identified
+    assert hyp.independent == rep.oblique_holds
+    assert hyp.witnesses.get("independent") == first

@@ -128,19 +128,33 @@ def test_pair_check_rejects_a_memo_of_another_space():
 # -- the structure-report builder ------------------------------------------------------
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_structure_report_builds_each_pair_partition_once(d):
+def test_structure_report_builds_each_pair_partition_once(monkeypatch, d):
+    # The pair factor of i < j is psi[mask_of((i, j))].  Every partition is
+    # identified on the diagonal, so each mask may carry its own, and the
+    # coordinate clause's subfactor at i is the join of the pair factors
+    # through i (one block at arity 1).
+    rng = random.Random(d)
+    space = ExactProbabilitySpace.uniform(tuple(range(4)))
+    psi = {m: _random_partition(rng, 4) for m in ground_masks(d)}
+    seen = []
+    kernel = upsets.relative_independence
+
+    def spy(factors, subfactors, nu):
+        seen.append(tuple(subfactors))
+        return kernel(factors, subfactors, nu)
+
+    monkeypatch.setattr(upsets, "relative_independence", spy)
+    upsets.structure_report(Coupling.diagonal(space, d), psi)
+    expected = tuple(
+        common_refinement(*(psi[mask_of((i, j))] for j in range(d) if j != i))
+        if d > 1 else Partition.one_block(4)
+        for i in range(d)
+    )
+    assert seen[0] == expected
+    # The product coupling is independent over the trivial factors, the
+    # only ones it identifies.
     coupling = Coupling.product(ExactProbabilitySpace.uniform((0, 1)), d)
-    calls = []
-
-    def pair_partition(i, j):
-        calls.append((i, j))
-        return Partition.one_block(2)
-
-    one_block = Partition.one_block(len(coupling.support()))
-    rep = upsets.structure_report(coupling, pair_partition, lambda m: one_block)
-    # One call per pair i < j: C(d, 2) calls.
-    assert calls == list(combinations(range(d), 2))
-    # The product coupling is independent over the trivial factors.
+    rep = upsets.structure_report(coupling, dict.fromkeys(ground_masks(d), Partition.one_block(2)))
     assert rep.coordinate_holds and rep.oblique_holds
     assert len(rep.oblique_pairs) == len(enumerate_upsets(d)) ** 2
 
@@ -153,15 +167,47 @@ def test_structure_report_gives_arity_one_a_one_block_subfactor(monkeypatch):
         seen.append(tuple(subfactors))
         return kernel(factors, subfactors, nu)
 
-    def no_pairs(i, j):
-        raise AssertionError("an arity-1 coupling has no coordinate pairs")
-
     monkeypatch.setattr(upsets, "relative_independence", spy)
     space = ExactProbabilitySpace((0, 1, 2), (F(1, 2), F(1, 3), F(1, 6)))
-    rep = upsets.structure_report(Coupling.diagonal(space, 1), no_pairs, no_pairs)
+    # An arity-1 coupling has no index set of size >= 2, so psi is empty.
+    rep = upsets.structure_report(Coupling.diagonal(space, 1), {})
     assert seen == [(Partition.one_block(3),)]
     assert rep.coordinate_clause == IndependenceReport(True, None)
     assert rep.oblique_pairs == ((frozenset(), frozenset(), IndependenceReport(True, None)),)
+
+
+def test_structure_report_names_a_missing_extra_or_wrong_sized_mask():
+    coupling = Coupling.diagonal(ExactProbabilitySpace.uniform((0, 1)), 3)
+    psi = dict.fromkeys(ground_masks(3), Partition.singletons(2))
+    del psi[mask_of((0, 2))]
+    with pytest.raises(ValueError, match=r"no partition for the index set \(0, 2\)"):
+        upsets.structure_report(coupling, psi)
+    psi[mask_of((0, 2))] = Partition.singletons(3)
+    with pytest.raises(ValueError, match=r"\(0, 2\) needs a partition of the base points"):
+        upsets.structure_report(coupling, psi)
+    psi[mask_of((0, 2))] = psi[mask_of((1,))] = Partition.singletons(2)
+    with pytest.raises(ValueError, match="2 is not an index set"):
+        upsets.structure_report(coupling, psi)
+
+
+def test_structure_report_names_a_mask_failing_hypothesis_ii():
+    # The joins of the pairwise insensitive algebras, the members the line
+    # report once used: on this law the join at (0, 1, 2) separates the two
+    # points, which the 3-letter insensitive algebra joins, and a support
+    # tuple of the line marginal carries both at two of its coordinates.
+    law = law_from_correspondence(build_correspondence({"12", "21", "31"}, 3, 2, 1))
+    _, line = marginals(law)
+    pairs = {mask_of((i - 1, j - 1)): insensitive_algebra(law, (i, j))
+             for i, j in combinations((1, 2, 3), 2)}
+    psi = {m: common_refinement(*(p for pm, p in pairs.items() if pm & m == pm))
+           for m in ground_masks(3)}
+    assert psi[mask_of((0, 1, 2))] != insensitive_algebra(law, (1, 2, 3))
+    with pytest.raises(ValueError, match=r"\(0, 1, 2\) needs a partition .* hypothesis \[ii\]"):
+        upsets.structure_report(line, psi)
+    # With the insensitive algebra there, psi is the line report's own.
+    psi[mask_of((0, 1, 2))] = insensitive_algebra(law, (1, 2, 3))
+    rep, full = upsets.structure_report(line, psi), line_marginal_structure_report(law)
+    assert (rep.coordinate_clause, rep.oblique_pairs) == (full.coordinate_clause, full.oblique_pairs)
 
 
 # -- the self-joining report ------------------------------------------------------------
@@ -209,9 +255,7 @@ def test_line_marginal_report_matches_reference_loop(name):
 
     def member_partition(mask):
         letters = [b + 1 for b in bits_of(mask)]
-        algebra = common_refinement(
-            *(insensitive_algebra(law, (i, j)) for i in letters for j in letters if i < j)
-        )
+        algebra = insensitive_algebra(law, letters)
         return support_pullback_partition(line, algebra, min(bits_of(mask)))
 
     reference = naive_upset_pairs(enumerate_upsets(law.k), member_partition, line.as_space())
