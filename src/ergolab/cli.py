@@ -293,9 +293,7 @@ def _cmd_dhj(args) -> int:
         )
     if args.action == "correspond":
         return _cmd_correspond(args)
-    if args.action == "stationarity":
-        return _cmd_stationarity(args)
-    raise ValidationError(["action"], f"unknown dhj action {args.action!r}")
+    return _cmd_stationarity(args)
 
 
 def _cmd_correspond(args) -> int:

@@ -200,11 +200,9 @@ def enumerate_lines(k: int, N: int) -> list[tuple[str, ...]]:
     return out
 
 
-def enumerate_subspaces(
-    k: int, n: int, max_length: int, exact_length: int | None = None
-) -> list[CombinatorialSubspace]:
-    """All n-dimensional subspaces with ambient length up to ``max_length``
-    (or exactly ``exact_length``), deduplicated by image.
+def enumerate_subspaces(k: int, n: int, max_length: int) -> list[CombinatorialSubspace]:
+    """All n-dimensional subspaces with ambient length up to ``max_length``,
+    deduplicated by image, in order of ambient length.
 
     Of the templates that differ only at wildcard positions, which share one
     image, the first in word order has letter 1 at every wildcard position;
@@ -214,12 +212,7 @@ def enumerate_subspaces(
     out: list[CombinatorialSubspace] = []
     seen: set[tuple[str, ...]] = set()
 
-    lengths = (
-        [exact_length] if exact_length is not None else list(range(n, max_length + 1))
-    )
-    for total in lengths:
-        if total < n:
-            continue
+    for total in range(n, max_length + 1):
         for bps in combinations(range(1, total + 1), n - 1) if n > 1 else [()]:
             breakpoints = tuple(bps) + (total,)
             windows = []
@@ -346,10 +339,13 @@ def subspace_forcing_check(
     """Verify that every subset of ``[k]^N`` with density above
     ``1 - k^(-2L)`` contains an L-dimensional subspace.
 
-    Each qualifying set is checked two ways: the prefix family (a common
-    suffix ``w`` with ``u + w`` inside the set for every ``u``), which the
-    density bound guarantees, and a general subspace search.  Returns the
-    first violating set if any.
+    Each qualifying set is checked for a prefix set: a common suffix ``w``
+    with ``u + w`` inside the set for every ``u`` in ``[k]^L``, which the
+    density bound guarantees.  A prefix set is the image of an L-dimensional
+    subspace of ambient length N (breakpoints ``1, ..., L-1, N``, wildcard
+    ``i`` at position ``i``, template suffix ``w``), so it is the subspace
+    the statement asks for.  Returns the first set holding no prefix set,
+    if any.
     """
     if not 1 <= L <= N:
         raise ValueError("need 1 <= L <= N")
@@ -362,7 +358,6 @@ def subspace_forcing_check(
 
     prefixes = all_words(k, L)
     suffixes = all_words(k, N - L)
-    images = [s.image() for s in enumerate_subspaces(k, L, N, exact_length=N)]
     count = 0
     for miss in range(max_missing + 1):
         for gone in combinations(points, miss):
@@ -370,11 +365,7 @@ def subspace_forcing_check(
             if count > max_sets:
                 raise ValueError("over budget: too many qualifying sets")
             A = set(points) - set(gone)
-            prefix_hit = any(
-                all(u + w in A for u in prefixes) for w in suffixes
-            )
-            general_hit = any(all(word in A for word in img) for img in images)
-            if not (prefix_hit and general_hit):
+            if not any(all(u + w in A for u in prefixes) for w in suffixes):
                 return False, frozenset(A)
     return True, None
 
@@ -693,30 +684,25 @@ def marginals(
 ) -> tuple[ExactProbabilitySpace, Coupling]:
     """Point and line marginals; requires stationarity at dimensions 0 and 1.
 
-    The line marginal is computed from every line below the depth cap and the
-    results are asserted identical, so the choice of line is immaterial.
+    The stationarity check has compared the law of every line below the
+    depth with that of the first line, the words of length 1, so the line
+    marginal is read from that line alone.
     """
-    res = strong_stationarity_check(law, min(1, law.depth))
-    if not res.holds:
+    if not strong_stationarity_check(law, 1).holds:
         raise ValueError("stationarity violated; marginals are ill-defined")
     point = point_marginal(law)
-    line_laws = [law.pullback(img) for img in subspace_images(law.k, 1, law.depth)]
-    if not line_laws:
-        raise ValueError("no line fits within the truncation depth")
-    for other in line_laws[1:]:
-        if other != line_laws[0]:
-            raise RuntimeError("line marginal depends on the line choice")
-    return point, Coupling(law.k, point, line_laws[0])
+    return point, Coupling(law.k, point, law.pullback(law.words[: law.k]))
 
 
 def insensitive_algebra(law: StationaryLawTruncation, e: Iterable[int]) -> Partition:
     """The partition of the carrier whose block unions are the sets with
     coinciding pullbacks through every line coordinate in ``e``.
 
-    Two characterizations are computed and must agree: connected components
-    of the positive-mass cross graph, and atoms of the family of sets ``A``
-    with ``mu_line(pullback_i A delta pullback_j A) = 0`` for ``i, j`` in
-    ``e``.  Disagreement raises, as it would indicate a bug.
+    Its blocks are the connected components of the graph joining ``x`` and
+    ``y`` whenever a positive-mass line tuple takes the values ``x`` and
+    ``y`` at two coordinates in ``e``: a set whose pullbacks agree up to a
+    null set holds both ends of every edge or neither, and a union of
+    components has equal pullbacks.
     """
     e = sorted(set(map(index, e)))
     if any(not 1 <= i <= law.k for i in e):
@@ -727,31 +713,10 @@ def insensitive_algebra(law: StationaryLawTruncation, e: Iterable[int]) -> Parti
 def _insensitive_partition(line: Coupling, coords: Sequence[int]) -> Partition:
     """:func:`insensitive_algebra` of the line marginal ``line``, for the
     0-based line coordinates ``coords``, sorted and distinct."""
-    m = len(line.base)
     pairs = tuple(combinations(coords, 2))
-    # Graph characterization: join x and y when some pair of coordinates
-    # carries positive mass with values x and y.
-    graph_partition = Partition.from_pairs(
-        m, ((t[i], t[j]) for t in line.mass for i, j in pairs)
+    return Partition.from_pairs(
+        len(line.base), ((t[i], t[j]) for t in line.mass for i, j in pairs)
     )
-
-    if m > 16:
-        raise ValueError("carrier too large for the exhaustive dual characterization")
-    good_sets = [
-        bits
-        for bits in range(1 << m)
-        if all(line.pullback_disagreement(bits_of(bits), i, j) == 0 for i, j in pairs)
-    ]
-    # Atoms of the closed set family: points are equivalent when no good set
-    # separates them.
-    labels = [
-        tuple(bits for bits in good_sets if bits >> x & 1) for x in range(m)
-    ]
-    algebra_partition = Partition.from_labels(labels)
-
-    if graph_partition != algebra_partition:
-        raise RuntimeError("insensitive-algebra characterizations disagree")
-    return graph_partition
 
 
 @dataclass(frozen=True)
@@ -772,22 +737,20 @@ def line_marginal_structure_report(law: StationaryLawTruncation) -> LineStructur
     relatively independent over intersections.  Both may fail for
     unstructured laws.  The final check is the line-to-point implication:
     for every tuple of carrier points, a null line event forces a null
-    point intersection.
+    point intersection.  An intersection of singletons is null off the
+    diagonal, and a product of singletons is null exactly when its tuple
+    is off the line's support, so the first failing tuple, in product
+    order, is ``(x,) * k`` for the least point ``x`` of positive mass whose
+    diagonal tuple the line marginal misses.
     """
     point, line = marginals(law)
     psi = {m: _insensitive_partition(line, bits_of(m)) for m in ground_masks(law.k)}
     rep = structure_report(line, psi)
-    implication = True
-    witness = None
-    for xs in iter_product(range(len(law.carrier)), repeat=law.k):
-        sets = [frozenset((x,)) for x in xs]
-        if line.event_mass(sets) == 0:
-            inter = frozenset.intersection(*sets)
-            if point.measure(inter) != 0:
-                implication = False
-                witness = tuple(sets)
-                break
-    return LineStructureReport(rep.coordinate_clause, rep.oblique_pairs, implication, witness)
+    missed = next((x for x in point.support() if (x,) * law.k not in line.mass), None)
+    witness = None if missed is None else (frozenset((missed,)),) * law.k
+    return LineStructureReport(
+        rep.coordinate_clause, rep.oblique_pairs, missed is None, witness
+    )
 
 
 def check_density_premises(

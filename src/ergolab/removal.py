@@ -405,7 +405,7 @@ def _coordinate_upsets(d: int) -> list[list[UpSet]]:
     """Per coordinate, the up-sets containing the full set and lying inside
     the coordinate's principal up-set."""
     full = mask_of(range(d))
-    all_upsets = enumerate_upsets(d, include_empty=False)
+    all_upsets = enumerate_upsets(d)
     out = []
     for i in range(d):
         opts = [

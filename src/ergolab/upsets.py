@@ -138,20 +138,20 @@ class UpSet:
 
 
 @cache
-def enumerate_upsets(d: int, include_empty: bool = True) -> tuple[UpSet, ...]:
+def enumerate_upsets(d: int) -> tuple[UpSet, ...]:
     """The up-set family over subsets of ``range(d)`` of size >= 2.
 
     For d <= 4 this is every up-set, sorted by member list.  For larger d
     the poset of up-sets explodes combinatorially, so the family is the
-    full up-set, optionally the empty one, and the principal up-sets of the
-    masks of size >= 2.  Both families are closed under ``&``: up-sets
-    intersect to up-sets, and principal(e) & principal(e') is
-    principal(e | e').  Without the empty up-set the family stays closed,
-    since every nonempty up-set contains the full index set.
+    full up-set, the empty one, and the principal up-sets of the masks of
+    size >= 2.  Both families are closed under ``&``: up-sets intersect to
+    up-sets, and principal(e) & principal(e') is principal(e | e').
+    Without the empty up-set the family stays closed, since every nonempty
+    up-set contains the full index set.
 
-    The family is built once per ``(d, include_empty)`` and the same tuple
-    is returned on every later call; it is immutable, since ``UpSet`` is
-    frozen and its members are a frozenset.
+    The family is built once per ``d`` and the same tuple is returned on
+    every later call; it is immutable, since ``UpSet`` is frozen and its
+    members are a frozenset.
     """
     if d <= 4:
         ground = ground_masks(d)
@@ -164,12 +164,8 @@ def enumerate_upsets(d: int, include_empty: bool = True) -> tuple[UpSet, ...]:
                 out.append(UpSet(d, members))
             except ValueError:
                 continue
-        if not include_empty:
-            out = [u for u in out if u.members]
         return tuple(sorted(out, key=lambda u: sorted(u.members)))
-    out = [UpSet.full(d)]
-    if include_empty:
-        out.append(UpSet.empty(d))
+    out = [UpSet.full(d), UpSet.empty(d)]
     for m in ground_masks(d):
         out.append(UpSet.closure(d, [bits_of(m)]))
     unique = {u.members: u for u in out}

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, product as iter_product
+from itertools import combinations, compress, product as iter_product
 from math import lcm
 
 from ergolab.averages import FurstenbergJoining, RecurrenceCertificate
@@ -720,3 +720,33 @@ def every_template_subspaces(k, n, max_length, exact_length=None):
                         seen.add(img)
                         out.append(s)
     return out
+
+
+def set_family_atoms(line, coords):
+    """Reference for the insensitive algebra of the line marginal ``line``
+    at the 0-based coordinates ``coords``: the atoms of the family of sets
+    ``A`` of base points with ``mu_line(pullback_i A delta pullback_j A) = 0``
+    for every two coordinates ``i, j``, found by trying all ``2^m`` sets.
+    Two points share an atom when no set of the family separates them."""
+    m = len(line.base)
+    pairs = tuple(combinations(coords, 2))
+    good_sets = [
+        bits
+        for bits in range(1 << m)
+        if all(line.pullback_disagreement(bits_of(bits), i, j) == 0 for i, j in pairs)
+    ]
+    return Partition.from_labels(
+        [tuple(bits for bits in good_sets if bits >> x & 1) for x in range(m)]
+    )
+
+
+def old_line_to_point_implication(point, line):
+    """The line report's former implication check, ``(holds, witness)``:
+    every tuple of singletons of carrier points in product order, the first
+    whose line event is null while their intersection has positive point
+    mass."""
+    for xs in iter_product(range(len(point)), repeat=line.arity):
+        sets = [frozenset((x,)) for x in xs]
+        if line.event_mass(sets) == 0 and point.measure(frozenset.intersection(*sets)) != 0:
+            return False, tuple(sets)
+    return True, None

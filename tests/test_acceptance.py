@@ -14,7 +14,13 @@ from itertools import combinations, product as iter_product
 
 import pytest
 
-from helpers import brute_cesaro, cyclic_system, three_direction_torus, torus_system
+from helpers import (
+    brute_cesaro,
+    cyclic_system,
+    set_family_atoms,
+    three_direction_torus,
+    torus_system,
+)
 
 from ergolab.averages import (
     VectorSequence,
@@ -357,9 +363,11 @@ def test_criterion_11_stationarity():
     assert all(p == pulls[0] for p in pulls[1:])
     point, line_marginal = law_marginals(law)
     assert point.weights == carrier.weights
+    assert line_marginal.mass == pulls[0]
 
-    # Dual characterizations agree on every tested law (the function raises
-    # on mismatch); exercise product, diagonal, mixture, and promoted laws.
+    # Dual characterizations agree on every tested law: the graph components
+    # equal the atoms of the set family; product, diagonal, mixture, and
+    # promoted laws.
     tested = [
         law,
         constant_law(2, 2, carrier),
@@ -367,5 +375,6 @@ def test_criterion_11_stationarity():
         law_from_correspondence(build_correspondence({"12", "21"}, 2, 2, 1)),
     ]
     for lw in tested:
+        _, line = law_marginals(lw)
         for e in ((1,), (1, 2), (2,)):
-            insensitive_algebra(lw, e)
+            assert insensitive_algebra(lw, e) == set_family_atoms(line, [i - 1 for i in e])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -12,9 +13,12 @@ from helpers import (
     every_template_subspaces,
     naive_coordinate_marginal,
     naive_pullback,
+    old_line_to_point_implication,
     old_max_line_free,
+    set_family_atoms,
 )
 
+from ergolab import hales_jewett
 from ergolab.hales_jewett import (
     CombinatorialSubspace,
     CorrespondenceMeasure,
@@ -39,7 +43,8 @@ from ergolab.hales_jewett import (
     subspace_images,
     words_up_to,
 )
-from ergolab.measure import ExactProbabilitySpace
+from ergolab.measure import ExactProbabilitySpace, Partition
+from ergolab.upsets import bits_of, ground_masks, structure_report
 
 F = Fraction
 
@@ -75,15 +80,16 @@ _SMALL_SPACES = [(2, m) for m in range(1, 7)] + [(3, m) for m in range(1, 5)]
 def test_subspaces_match_the_every_template_enumeration(k, length):
     # The same subspaces, templates included, in the same order, as the
     # enumeration that builds every template of each image.  Images of
-    # different ambient lengths differ, so a max_length list is the
-    # concatenation of the exact_length lists.
+    # different ambient lengths differ, so the list runs through the
+    # ambient lengths in order, each the every-template list of its length.
     for n in range(1, length + 1):
-        expected = every_template_subspaces(k, n, length, exact_length=length)
-        assert enumerate_subspaces(k, n, length, exact_length=length) == expected
-        below = [s for m in range(n, length) for s in enumerate_subspaces(k, n, m, exact_length=m)]
-        assert enumerate_subspaces(k, n, length) == below + expected
+        subspaces = enumerate_subspaces(k, n, length)
+        lengths = [s.ambient_length for s in subspaces]
+        assert lengths == sorted(lengths)
+        for m in range(n, length + 1):
+            expected = every_template_subspaces(k, n, m, exact_length=m)
+            assert [s for s in subspaces if s.ambient_length == m] == expected
     assert enumerate_subspaces(k, length + 1, length) == []
-    assert enumerate_subspaces(k, 2, 5, exact_length=1) == []
 
 
 def test_subspace_images_are_built_once_and_shared():
@@ -129,8 +135,8 @@ def test_line_points_are_sorted_tuples():
 def test_general_subspace_enumeration_matches_line_count():
     # One-dimensional subspaces at exact ambient length are exactly the lines.
     for k, N in ((2, 2), (2, 3), (3, 2)):
-        subspaces = enumerate_subspaces(k, 1, N, exact_length=N)
-        images = {tuple(sorted(s.image())) for s in subspaces}
+        subspaces = enumerate_subspaces(k, 1, N)
+        images = {tuple(sorted(s.image())) for s in subspaces if s.ambient_length == N}
         assert images == set(enumerate_lines(k, N))
 
 
@@ -281,6 +287,18 @@ def test_forcing_k3_l1_n2():
     assert ok and counter is None
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_prefix_set_is_a_subspace_image(k):
+    # The forcing check looks for prefix sets {u + w : u in [k]^L}; each is
+    # the image of an L-dimensional subspace of ambient length N, so a set
+    # holding one holds the subspace the forcing statement asks for.
+    for N in range(1, 5):
+        for L in range(1, N + 1):
+            images = {img for img in subspace_images(k, L, N) if len(img[0]) == N}
+            for w in all_words(k, N - L):
+                assert tuple(u + w for u in all_words(k, L)) in images
+
+
 # -- correspondence measures -----------------------------------------------------------------
 
 def test_correspondence_full_set_is_all_ones():
@@ -414,8 +432,8 @@ def test_marginals_of_constant_law_are_diagonal():
 
 
 def test_marginals_choice_independent_for_mixture():
-    # Mixtures stay stationary; the marginal computation cross-checks every
-    # line below the depth cap (six of them at k=2, depth 2).
+    # Mixtures stay stationary: the law of each line below the depth cap
+    # (six of them at k=2, depth 2) is the marginal read from the first.
     law = mixture_law(
         [iid_law(2, 2, carrier()), constant_law(2, 2, carrier())],
         [F(1, 3), F(2, 3)],
@@ -425,6 +443,7 @@ def test_marginals_choice_independent_for_mixture():
     point, line = marginals(law)
     assert sum(line.mass.values(), F(0)) == 1
     assert point.weights == law.carrier.weights
+    assert all(law.pullback(img) == line.mass for img in subspace_images(2, 1, 2))
 
 
 def test_insensitive_algebra_diagonal_is_singletons():
@@ -459,6 +478,8 @@ def test_insensitive_algebra_singleton_letter_vacuous():
 
 
 def test_insensitive_algebra_dual_characterizations_on_mixtures():
+    # The graph components equal the atoms of the family of sets with
+    # coinciding pullbacks, computed by trying every set.
     rng = random.Random(19)
     for _ in range(10):
         c = F(rng.randint(0, 4), 4)
@@ -466,9 +487,15 @@ def test_insensitive_algebra_dual_characterizations_on_mixtures():
             [iid_law(2, 2, carrier()), constant_law(2, 2, carrier())],
             [c, 1 - c],
         )
-        # insensitive_algebra raises internally if the graph and algebra
-        # characterizations ever disagree.
-        insensitive_algebra(law, (1, 2))
+        _, line = marginals(law)
+        assert insensitive_algebra(law, (1, 2)) == set_family_atoms(line, (0, 1))
+
+
+def test_insensitive_algebra_has_no_carrier_size_limit():
+    # 17 points: the graph components need no pass over the 2^17 subsets.
+    c = ExactProbabilitySpace.uniform(tuple(range(17)))
+    assert insensitive_algebra(iid_law(2, 1, c), (1, 2)) == Partition.one_block(17)
+    assert insensitive_algebra(constant_law(2, 1, c), (1, 2)) == Partition.singletons(17)
 
 
 # -- line-structure predicates -----------------------------------------------------------------
@@ -499,6 +526,83 @@ def test_line_structure_promoted_correspondence():
     assert not rep.implication_holds
     assert rep.implication_witness == (frozenset({0}), frozenset({0}))
     assert not rep.coordinate_holds
+
+
+def _promoted_stationary_laws(rng, k, N, count):
+    """The first ``count`` stationary laws promoted, at L = 1, from seeded
+    subsets of ``[k]^N``."""
+    points = all_words(k, N)
+    out = []
+    while len(out) < count:
+        A = {w for w in points if rng.random() < 0.5}
+        law = law_from_correspondence(build_correspondence(A, k, N, 1))
+        if strong_stationarity_check(law, 1).holds:
+            out.append(law)
+    return out
+
+
+def _line_report_laws():
+    c = carrier(F(2, 3))  # the golden structure reports' five laws
+    laws = [
+        iid_law(2, 2, c),
+        iid_law(3, 1, c),
+        constant_law(2, 2, c),
+        constant_law(3, 1, c),
+        mixture_law([iid_law(2, 2, c), constant_law(2, 2, c)], [F(1, 2), F(1, 2)]),
+    ]
+    rng = random.Random(29)
+    for _ in range(20):  # iid/constant mixtures, some carriers with a null point
+        k = rng.choice((2, 3))
+        weights = [rng.randint(0, 3) for _ in range(rng.randint(2, 4))]
+        weights[0] += 1
+        space = ExactProbabilitySpace(
+            tuple(range(len(weights))), tuple(F(w, sum(weights)) for w in weights)
+        )
+        depth = 1 if k == 3 else rng.randint(1, 2)
+        t = F(rng.randint(0, 4), 4)
+        laws.append(
+            mixture_law([iid_law(k, depth, space), constant_law(k, depth, space)], [t, 1 - t])
+        )
+    for k, N in ((2, 2), (2, 3), (3, 2)):
+        laws.extend(_promoted_stationary_laws(rng, k, N, 12))
+    return laws
+
+
+def test_line_report_matches_the_exhaustive_oracles(monkeypatch):
+    # Every psi[m] the report builds equals the set-family atoms, and the
+    # implication's verdict and witness equal those of the loop over every
+    # tuple of singletons.
+    seen = []
+
+    def spy(line, psi):
+        seen.append(psi)
+        return structure_report(line, psi)
+
+    monkeypatch.setattr(hales_jewett, "structure_report", spy)
+    verdicts = set()
+    for law in _line_report_laws():
+        rep = line_marginal_structure_report(law)
+        point, line = marginals(law)
+        psi = seen.pop()
+        assert tuple(psi) == ground_masks(law.k)
+        for m, part in psi.items():
+            assert part == set_family_atoms(line, bits_of(m))
+        expected = old_line_to_point_implication(point, line)
+        assert (rep.implication_holds, rep.implication_witness) == expected
+        verdicts.add(rep.implication_holds)
+    assert verdicts == {True, False}
+
+
+def test_line_report_of_a_twelve_point_carrier_is_fast():
+    # Neither psi nor the implication may walk the 2^12 carrier subsets or
+    # the 12^3 singleton tuples; the report takes well under 0.1 s.
+    c = ExactProbabilitySpace.uniform(tuple(range(12)))
+    law = mixture_law([iid_law(3, 1, c), constant_law(3, 1, c)], [F(1, 2), F(1, 2)])
+    start = time.perf_counter()
+    rep = line_marginal_structure_report(law)
+    assert time.perf_counter() - start < 5
+    assert not rep.coordinate_holds
+    assert rep.implication_holds
 
 
 # -- exact pullbacks against Fraction oracles ---------------------------------------

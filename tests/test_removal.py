@@ -68,7 +68,7 @@ def test_principal_intersection_enumerated():
 
 
 def test_upset_closure_roundtrip():
-    for u in enumerate_upsets(3, include_empty=False):
+    for u in enumerate_upsets(3):  # the empty up-set included
         rebuilt = UpSet.closure(3, [bits_of(m) for m in u.minimal_members()])
         assert rebuilt == u
     u = UpSet.principal(4, (0, 1))
