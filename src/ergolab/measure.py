@@ -76,10 +76,14 @@ class ExactProbabilitySpace:
             raise ValueError("point labels must be distinct")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
-        # The total is summed on the numerators over the common denominator.
+        # The total is summed on the numerators over the common denominator,
+        # which are kept for :meth:`integerized`.
         den = lcm(*{w.denominator for w in weights})
-        if sum(w.numerator * (den // w.denominator) for w in weights) != den:
+        nums = tuple(w.numerator * (den // w.denominator) for w in weights)
+        if sum(nums) != den:
             raise ValueError("weights must sum to exactly 1")
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", nums)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -101,9 +105,9 @@ class ExactProbabilitySpace:
         return sum((self.weights[i] for i in indices), ZERO)
 
     def integerized(self) -> tuple[int, tuple[int, ...]]:
-        """Common denominator ``D`` and numerators so weight ``i`` is ``num[i]/D``."""
-        den = lcm(*(w.denominator for w in self.weights))
-        return den, tuple(w.numerator * (den // w.denominator) for w in self.weights)
+        """Common denominator ``D`` (the lcm of the weights' denominators) and
+        numerators so weight ``i`` is ``num[i]/D``."""
+        return self._den, self._nums  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -298,7 +302,9 @@ class Coupling:
     constructor are dropped, so the sparse representation is canonical and
     equality of couplings is equality of measures.  ``mass`` is the
     coupling's own copy, read by :func:`exact_masses`; the marginals are
-    then checked on integer numerators.
+    then checked on integer numerators.  The common denominator and the
+    numerators, in table order, are kept: sums of masses are taken on them
+    and divided once.
     """
 
     arity: int
@@ -317,6 +323,8 @@ class Coupling:
             range_error="tuple entry out of range",
         )
         object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", nums)
         # The marginals are compared on integer numerators over D.  A base
         # weight p/q in lowest terms is a sum of masses over D only if q
         # divides D, so otherwise coordinate 0 already differs.
@@ -338,10 +346,11 @@ class Coupling:
         return self._support  # type: ignore[attr-defined]
 
     def marginal(self, coord: int) -> tuple[Fraction, ...]:
-        out = [ZERO] * len(self.base)
-        for t, v in self.mass.items():
-            out[t[coord]] += v
-        return tuple(out)
+        out = [0] * len(self.base)
+        for t, num in zip(self.mass, self._nums):  # type: ignore[attr-defined]
+            out[t[coord]] += num
+        den = self._den  # type: ignore[attr-defined]
+        return tuple(Fraction(num, den) for num in out)
 
     def as_space(self) -> ExactProbabilitySpace:
         """The support tuples, with their masses, as a probability space."""
@@ -379,11 +388,12 @@ class Coupling:
         if len(sets) != self.arity:
             raise ValueError("need one set per coordinate")
         sets = [frozenset(s) for s in sets]
-        total = ZERO
-        for t, v in self.mass.items():
-            if all(t[c] in sets[c] for c in range(self.arity)):
-                total += v
-        return total
+        total = sum(
+            num
+            for t, num in zip(self.mass, self._nums)  # type: ignore[attr-defined]
+            if all(map(frozenset.__contains__, sets, t))
+        )
+        return Fraction(total, self._den)  # type: ignore[attr-defined]
 
     def pullback_disagreement(self, aset: Iterable[int], i: int, j: int) -> Fraction:
         """Mass of the tuples whose coordinates ``i`` and ``j`` fall on
@@ -392,9 +402,12 @@ class Coupling:
         if not (0 <= i < self.arity and 0 <= j < self.arity):
             raise ValueError("coordinate out of range")
         aset = frozenset(aset)
-        return sum(
-            (v for t, v in self.mass.items() if (t[i] in aset) != (t[j] in aset)), ZERO
+        total = sum(
+            num
+            for t, num in zip(self.mass, self._nums)  # type: ignore[attr-defined]
+            if (t[i] in aset) != (t[j] in aset)
         )
+        return Fraction(total, self._den)  # type: ignore[attr-defined]
 
     @classmethod
     def diagonal(cls, space: ExactProbabilitySpace, arity: int) -> "Coupling":
@@ -580,21 +593,50 @@ def relative_independence(
     probability space, in which case every factor acts on that space.
 
     Precondition: each subfactor coarsens its factor modulo nu-null blocks.
+
+    With ``B_i`` the factor blocks and ``C_i`` the subfactor blocks that
+    contain them, the left side is the pushforward of ``nu`` to block
+    tuples, and the right side is ``coarse(C) * prod_i mu(B_i)/mu(C_i)``,
+    where ``coarse`` is the pushforward of ``nu`` to subfactor-block
+    tuples (0 when some ``B_i`` is null).  The check costs
+    O(|supp nu| * k) plus one pass over the base points per factor, not
+    O(prod_i |blocks_i|):
+
+    * Both sides have total mass 1.  The positive-mass factor blocks in a
+      subfactor block ``C`` cover its positive-mass points (the
+      precondition), so their masses sum to ``mu(C)``, and summing the
+      right side over them leaves the total of ``coarse``.  So if the two
+      sides agree on every tuple of the left side's support, the
+      nonnegative right side has no mass left for any other tuple: the
+      identity holds everywhere.
+    * The witness is the first failing tuple in lex order, as a loop over
+      every tuple would find it.  It is the smaller of the first failing
+      tuple of the left support and the least tuple off that support with
+      a positive right side.  The second is found by a walk over the
+      tuples whose subfactor blocks form a key of ``coarse``, in lex
+      order, stopped at the first tuple off the support or once the walk
+      passes the first.  Every tuple of the walk has a positive right
+      side, so it visits at most ``|supp nu| + 1`` of them.
+
+    Both sides are compared on integer numerators over the common
+    denominator ``D`` of ``nu``'s masses (which the base weights divide):
+    ``lhs * prod mu(C_i) == coarse * prod mu(B_i)``.  ``Fraction``s are
+    built only for the witness.
     """
     if isinstance(nu, Coupling):
         k = nu.arity
         if len(factors) != k or len(subfactors) != k:
             raise ValueError("need one factor and one subfactor per coordinate")
         base = nu.base
-        entries = [(v, t) for t, v in nu.mass.items()]
+        den = nu._den  # type: ignore[attr-defined]
+        entries = zip(nu.mass, nu._nums)  # type: ignore[attr-defined]
     elif isinstance(nu, ExactProbabilitySpace):
         k = len(factors)
         if len(subfactors) != k:
             raise ValueError("need one subfactor per factor")
         base = nu
-        entries = [
-            (w, (x,) * k) for x, w in enumerate(nu.weights) if w > 0
-        ]
+        den, nums = nu.integerized()
+        entries = [((x,) * k, num) for x, num in enumerate(nums) if num]
     else:
         raise TypeError("nu must be a Coupling or an ExactProbabilitySpace")
 
@@ -603,62 +645,109 @@ def relative_independence(
         if p.size != n:
             raise ValueError("partition size must match the base point count")
 
-    supp = set(base.support())
-    # Coarsening precondition (mod null) and the containing-block map.
-    containing: list[list[int | None]] = []
+    # Base weights over D; a coupling's base denominators divide its D.
+    base_den, weights = base.integerized()
+    if base_den != den:
+        weights = [w * (den // base_den) for w in weights]
+    live = [(x, w) for x, w in enumerate(weights) if w]
+    flabels = [p.labels for p in factors]
+    slabels = [p.labels for p in subfactors]
+    # Coarsening precondition (mod null), the containing block of each
+    # positive-mass factor block, and the block masses over D.
+    containing: list[dict[int, int]] = []
+    block_mass: list[list[int]] = []
+    sub_mass: list[list[int]] = []
     for i in range(k):
-        cont: list[int | None] = []
-        for block in factors[i].blocks:
-            live = [x for x in block if x in supp]
-            labs = {subfactors[i].block_of(x) for x in live}
-            if len(labs) > 1:
+        cont: dict[int, int] = {}
+        fmass = [0] * len(factors[i])
+        smass = [0] * len(subfactors[i])
+        for x, w in live:
+            b, c = flabels[i][x], slabels[i][x]
+            if cont.setdefault(b, c) != c:
                 raise ValueError(
                     f"subfactor {i} does not coarsen its factor modulo null blocks"
                 )
-            cont.append(labs.pop() if labs else None)
+            fmass[b] += w
+            smass[c] += w
         containing.append(cont)
+        block_mass.append(fmass)
+        sub_mass.append(smass)
 
-    # E(1_B | Xi)(x) depends only on the Xi-block of x; with Xi coarser than
-    # the factor it is supported on the single block containing B.
-    evals: list[list[Fraction]] = []
-    for i in range(k):
-        sub_mass = [base.measure(b) for b in subfactors[i].blocks]
-        row = []
-        for bi, block in enumerate(factors[i].blocks):
-            c = containing[i][bi]
-            if c is None or sub_mass[c] == 0:
-                row.append(ZERO)
-            else:
-                row.append(base.measure(block) / sub_mass[c])
-        evals.append(row)
+    # Both pushforwards, and the subfactor key of each factor key.
+    lhs: dict[tuple[int, ...], int] = {}
+    coarse: dict[tuple[int, ...], int] = {}
+    ckey: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for t, num in entries:
+        fkey = tuple(map(getitem, flabels, t))
+        skey = tuple(map(getitem, slabels, t))
+        lhs[fkey] = lhs.get(fkey, 0) + num
+        coarse[skey] = coarse.get(skey, 0) + num
+        ckey[fkey] = skey
 
-    # One pass accumulates both sides' raw material.
-    lhs: dict[tuple[int, ...], Fraction] = {}
-    coarse: dict[tuple[int, ...], Fraction] = {}
-    flabels = [p.labels for p in factors]
-    slabels = [p.labels for p in subfactors]
-    for v, t in entries:
-        fkey = tuple(flabels[i][t[i]] for i in range(k))
-        skey = tuple(slabels[i][t[i]] for i in range(k))
-        lhs[fkey] = lhs.get(fkey, ZERO) + v
-        coarse[skey] = coarse.get(skey, ZERO) + v
+    failing = [
+        fkey
+        for fkey, num in lhs.items()
+        if num * prod(map(getitem, sub_mass, ckey[fkey]))
+        != coarse[ckey[fkey]] * prod(map(getitem, block_mass, fkey))
+    ]
+    if not failing:
+        return IndependenceReport(True, None)
+    first = min(failing)
+    off = _first_off_support(containing, coarse, lhs, first)
+    if off is not None:
+        fkey, skey = off
+        left = ZERO
+    else:
+        fkey, skey = first, ckey[first]
+        left = Fraction(lhs[fkey], den)
+    blocks = tuple(factors[i].blocks[fkey[i]] for i in range(k))
+    right = Fraction(
+        coarse[skey] * prod(map(getitem, block_mass, fkey)),
+        den * prod(map(getitem, sub_mass, skey)),
+    )
+    return IndependenceReport(False, (blocks, left, right))
 
-    for fkey in iter_product(*(range(len(p.blocks)) for p in factors)):
-        e = ONE
+
+def _first_off_support(
+    containing: Sequence[dict[int, int]],
+    coarse: dict[tuple[int, ...], int],
+    support: Collection[tuple[int, ...]],
+    bound: tuple[int, ...],
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The least tuple of positive-mass factor blocks below ``bound`` whose
+    containing subfactor blocks form a key of ``coarse`` and which is not in
+    ``support``, with that key; ``None`` if there is none.
+
+    The tuples are walked in lex order, one coordinate at a time, through
+    the subfactor keys' prefixes.  Each subfactor block of a key holds a
+    positive-mass factor block, so every prefix walked reaches a tuple.
+    """
+    k = len(containing)
+    groups: list[dict[int, list[int]]] = []
+    for cont in containing:
+        group: dict[int, list[int]] = {}
+        for b in sorted(cont):
+            group.setdefault(cont[b], []).append(b)
+        groups.append(group)
+    nexts: dict[tuple[int, ...], set[int]] = {}
+    for skey in coarse:
         for i in range(k):
-            e *= evals[i][fkey[i]]
-            if e == 0:
-                break
-        if e == 0:
-            rhs = ZERO
-        else:
-            ckey = tuple(containing[i][fkey[i]] for i in range(k))
-            rhs = coarse.get(ckey, ZERO) * e
-        left = lhs.get(fkey, ZERO)
-        if left != rhs:
-            blocks = tuple(factors[i].blocks[fkey[i]] for i in range(k))
-            return IndependenceReport(False, (blocks, left, rhs))
-    return IndependenceReport(True, None)
+            nexts.setdefault(skey[:i], set()).add(skey[i])
+
+    def walk(fkey: tuple[int, ...], skey: tuple[int, ...]):
+        i = len(fkey)
+        if i == k:
+            yield fkey, skey
+            return
+        for b, c in sorted((b, c) for c in nexts[skey] for b in groups[i][c]):
+            yield from walk(fkey + (b,), skey + (c,))
+
+    for fkey, skey in walk((), ()):
+        if fkey >= bound:
+            return None
+        if fkey not in support:
+            return fkey, skey
+    return None
 
 
 def support_pullback_partition(

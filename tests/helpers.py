@@ -4,12 +4,19 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, compress, product as iter_product
 from math import lcm
+from random import Random
 
-from ergolab.averages import FurstenbergJoining, RecurrenceCertificate
+from ergolab.averages import (
+    FurstenbergJoining,
+    RecurrenceCertificate,
+    furstenberg_self_joining,
+)
+from ergolab.generators import random_system
 from ergolab.hales_jewett import MaxLineFreeResult, all_words, enumerate_lines
 from ergolab.measure import (
     Coupling,
     ExactProbabilitySpace,
+    IndependenceReport,
     Partition,
     common_refinement,
     relative_independence,
@@ -56,6 +63,28 @@ def three_direction_torus(mod: int = 5) -> FiniteZdSystem:
     """The two-torus with directions (1,0), (0,1), (1,1): pairwise independent
     invariant factors that jointly generate everything."""
     return torus_system(mod, (1, 0), (0, 1), (1, 1))
+
+
+def self_joining_extension(sys: FiniteZdSystem) -> FiniteZdSystem:
+    """The support of the Furstenberg self-joining of all directions, as a
+    system: each support tuple is a point weighted by its mass, and
+    generator ``m`` acts diagonally, as ``T_m x ... x T_m``.  The
+    generators commute, so the diagonal action preserves the joining."""
+    coupling = furstenberg_self_joining(sys).coupling
+    space = coupling.as_space()
+    index = {t: i for i, t in enumerate(space.points)}
+    gens = tuple(
+        tuple(index[tuple(map(g.__getitem__, t))] for t in space.points)
+        for g in sys.generators
+    )
+    return FiniteZdSystem(space, gens)
+
+
+def twice_extended_system() -> FiniteZdSystem:
+    """A 152-point 3-direction system: a seeded random system on at most 10
+    points, extended twice by :func:`self_joining_extension`."""
+    sys_ = random_system(Random(9), max_points=10, dim=3)
+    return self_joining_extension(self_joining_extension(sys_))
 
 
 def brute_cesaro(sys: FiniteZdSystem, sets, n_terms: int) -> Fraction:
@@ -210,6 +239,79 @@ def pushforward_invariant(coupling: Coupling, point_maps) -> bool:
         key = tuple(point_maps[c][t[c]] for c in range(coupling.arity))
         out[key] = out.get(key, Fraction(0)) + v
     return Coupling(coupling.arity, coupling.base, out).mass == coupling.mass
+
+
+def old_relative_independence(factors, subfactors, nu) -> IndependenceReport:
+    """Reference for ``relative_independence``: the loop over every tuple
+    of factor blocks, in lex order, comparing both sides as ``Fraction``s
+    and reporting the first tuple where they differ."""
+    if isinstance(nu, Coupling):
+        k = nu.arity
+        if len(factors) != k or len(subfactors) != k:
+            raise ValueError("need one factor and one subfactor per coordinate")
+        base = nu.base
+        entries = [(v, t) for t, v in nu.mass.items()]
+    elif isinstance(nu, ExactProbabilitySpace):
+        k = len(factors)
+        if len(subfactors) != k:
+            raise ValueError("need one subfactor per factor")
+        base = nu
+        entries = [(w, (x,) * k) for x, w in enumerate(nu.weights) if w > 0]
+    else:
+        raise TypeError("nu must be a Coupling or an ExactProbabilitySpace")
+
+    n = len(base)
+    for p in list(factors) + list(subfactors):
+        if p.size != n:
+            raise ValueError("partition size must match the base point count")
+
+    supp = set(base.support())
+    containing = []
+    for i in range(k):
+        cont = []
+        for block in factors[i].blocks:
+            live = [x for x in block if x in supp]
+            labs = {subfactors[i].block_of(x) for x in live}
+            if len(labs) > 1:
+                raise ValueError(
+                    f"subfactor {i} does not coarsen its factor modulo null blocks"
+                )
+            cont.append(labs.pop() if labs else None)
+        containing.append(cont)
+
+    evals = []
+    for i in range(k):
+        sub_mass = [base.measure(b) for b in subfactors[i].blocks]
+        row = []
+        for bi, block in enumerate(factors[i].blocks):
+            c = containing[i][bi]
+            if c is None or sub_mass[c] == 0:
+                row.append(Fraction(0))
+            else:
+                row.append(base.measure(block) / sub_mass[c])
+        evals.append(row)
+
+    lhs, coarse = {}, {}
+    for v, t in entries:
+        fkey = tuple(factors[i].labels[t[i]] for i in range(k))
+        skey = tuple(subfactors[i].labels[t[i]] for i in range(k))
+        lhs[fkey] = lhs.get(fkey, Fraction(0)) + v
+        coarse[skey] = coarse.get(skey, Fraction(0)) + v
+
+    for fkey in iter_product(*(range(len(p.blocks)) for p in factors)):
+        e = Fraction(1)
+        for i in range(k):
+            e *= evals[i][fkey[i]]
+        if e == 0:
+            rhs = Fraction(0)
+        else:
+            ckey = tuple(containing[i][fkey[i]] for i in range(k))
+            rhs = coarse.get(ckey, Fraction(0)) * e
+        left = lhs.get(fkey, Fraction(0))
+        if left != rhs:
+            blocks = tuple(factors[i].blocks[fkey[i]] for i in range(k))
+            return IndependenceReport(False, (blocks, left, rhs))
+    return IndependenceReport(True, None)
 
 
 def naive_upset_pairs(upsets, member_partition, space, kernel=relative_independence):

@@ -16,7 +16,11 @@ from itertools import product as iter_product
 
 import pytest
 
+from helpers import three_direction_torus, torus_system
+
 from ergolab.cli import main
+from ergolab.serialize import subgroup_to_json, system_to_json
+from ergolab.systems import SubgroupSpec, orbit_partition, quotient_system
 
 Z3 = {"dim": 2, "generators": [[1, 2, 0], [2, 0, 1]],
       "space": {"points": [0, 1, 2], "weights": ["1/3", "1/3", "1/3"]}}
@@ -78,6 +82,26 @@ REMOVAL_DEPENDENT = {
     "families": [[{"set": [0, 1, 2, 3], "upset": FULL}]] * 3,
 }
 
+
+def _joint_instance(sys_) -> dict:
+    """The joining ``sys_`` with its quotients by the orbits of each basis
+    direction, the basis subgroups and an empty ``lambda``."""
+    gs = [SubgroupSpec.basis_vector(sys_.dim, i) for i in range(sys_.dim)]
+    quotients = [quotient_system(sys_, orbit_partition(sys_, g, False)) for g in gs]
+    return {
+        "joining": system_to_json(sys_),
+        "targets": [system_to_json(target) for target, _ in quotients],
+        "maps": [list(pi.point_map) for _, pi in quotients],
+        "subgroups": [subgroup_to_json(g) for g in gs],
+        "lambda": {"vectors": []},
+    }
+
+
+# The 2-direction torus on (Z_3)^2 holds; the 3-direction torus on (Z_3)^2
+# fails at every coordinate, each with its kernel witness.
+JOINT_TORUS = _joint_instance(torus_system(3, (1, 0), (0, 1)))
+JOINT_THREE_DIRECTIONS = _joint_instance(three_direction_torus(3))
+
 INPUTS = {
     "z3.json": Z3,
     "z4.json": Z4,
@@ -90,6 +114,8 @@ INPUTS = {
     "removal_ok.json": REMOVAL_OK,
     "removal_unidentified.json": REMOVAL_UNIDENTIFIED,
     "removal_dependent.json": REMOVAL_DEPENDENT,
+    "joint_torus.json": JOINT_TORUS,
+    "joint_three.json": JOINT_THREE_DIRECTIONS,
 }
 
 # name -> (argv with {dir} for the input directory, exit code, sha256 of stdout)
@@ -143,6 +169,12 @@ GOLDEN = {
     "dhj-maxfree-budget": (
         ["dhj", "maxfree", "-k", "2", "-N", "6", "--budget", "20000"], 2,
         "b12a9614f64d25904c2801f1062d97d07b817c88c8f2e21a977cbc5663d8ff33"),
+    "joint-torus": (
+        ["joint", "--instance", "{dir}/joint_torus.json"], 0,
+        "7b3ef3d5ad19521205f93506ffcc8552fc01e59c1c9a93c3324d378779cb51ae"),
+    "joint-three-directions": (
+        ["joint", "--instance", "{dir}/joint_three.json"], 1,
+        "07e74e17242b1b5a3ea08783b3ea5c634393acb93315c4cd108bc1330b68529a"),
     "dhj-correspond": (
         ["dhj", "correspond", "--set", "{dir}/words.json", "-k", "2", "-N", "2", "-L", "1"], 0,
         "95e7f3e52dd4ceb3050fd7ac09ac91f5b8cb5437b3174c23c8b68af9439fca87"),

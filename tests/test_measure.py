@@ -10,10 +10,16 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import fraction_coupling_error, fraction_fiber_product_mass, fraction_product_mass
+from helpers import (
+    fraction_coupling_error,
+    fraction_fiber_product_mass,
+    fraction_product_mass,
+    old_relative_independence,
+)
 
 from ergolab import removal
-from ergolab.averages import VectorSequence
+from ergolab.averages import VectorSequence, furstenberg_self_joining
+from ergolab.generators import random_system
 from ergolab.hales_jewett import (
     CombinatorialSubspace,
     CorrespondenceMeasure,
@@ -337,6 +343,27 @@ def test_pullback_disagreement_matches_brute_force():
         coupling.pullback_disagreement(aset, 0, arity)
 
 
+def test_marginal_and_event_mass_match_fraction_sums():
+    # Both are summed on integer numerators and divided once; the values
+    # must be the entry-by-entry Fraction sums.
+    rng = random.Random(43)
+    for _ in range(80):
+        n, arity = rng.randint(1, 4), rng.randint(1, 3)
+        space = small_space(_random_weights(rng, n))
+        coupling = rng.choice([Coupling.product, Coupling.diagonal])(space, arity)
+        for c in range(arity):
+            brute = [F(0)] * n
+            for t, v in coupling.mass.items():
+                brute[t[c]] += v
+            assert coupling.marginal(c) == tuple(brute) == space.weights
+        sets = [{x for x in range(n) if rng.random() < 0.5} for _ in range(arity)]
+        brute = sum(
+            (v for t, v in coupling.mass.items() if all(x in s for x, s in zip(t, sets))),
+            F(0),
+        )
+        assert coupling.event_mass(sets) == brute
+
+
 def test_coupling_sparse_form_canonical():
     # Zero entries are dropped, so representation refinements do not matter.
     sp = small_space([F(1, 2), F(1, 2)])
@@ -519,6 +546,104 @@ def test_coarsening_precondition_enforced():
     fine = (Partition.singletons(2), Partition.singletons(2))
     with pytest.raises(ValueError):
         relative_independence(coarse, fine, nu)
+
+
+def _random_nu(rng, k):
+    """A coupling of arity ``k`` or, for a plain space, ``k`` factors on it;
+    the base often has null points."""
+    if rng.random() < 0.3:
+        sys_ = random_system(rng, max_points=6, dim=k)
+        return furstenberg_self_joining(sys_).coupling
+    n = rng.randint(1, 5)
+    nums = [rng.choice((0, 0, 1, 2, 3)) for _ in range(n)]
+    if not any(nums):
+        nums[rng.randrange(n)] = 1
+    sp = small_space([F(v, sum(nums)) for v in nums])
+    kind = rng.randrange(5)
+    if kind == 0:
+        return sp
+    if kind == 1:
+        return Coupling.diagonal(sp, k)
+    if kind == 2:
+        return Coupling.product(sp, k)
+    labels = [rng.randrange(2) for _ in range(n)]
+    fiber = relatively_independent_product([sp] * k, [labels] * k)
+    if kind == 3:
+        return fiber
+    # Half the diagonal plus half the fiber product: marginals stay the weights.
+    mix = {t: v / 2 for t, v in fiber.mass.items()}
+    for t, v in Coupling.diagonal(sp, k).mass.items():
+        mix[t] = mix.get(t, F(0)) + v / 2
+    return Coupling(k, sp, mix)
+
+
+def _random_factor_pair(rng, base):
+    """A random factor and a subfactor that coarsens it modulo null points:
+    its blocks merge factor blocks, and each null point may move to any
+    block."""
+    n = len(base)
+    factor = Partition.from_labels([rng.randrange(rng.randint(1, n)) for _ in range(n)])
+    kind = rng.randrange(4)
+    if kind == 0:
+        return factor, factor
+    if kind == 1:
+        return factor, Partition.one_block(n)
+    merge = [rng.randrange(2) for _ in range(len(factor))]
+    labels = [merge[b] for b in factor.labels]
+    if kind == 3:
+        labels = [lab if w else rng.randrange(3) for lab, w in zip(labels, base.weights)]
+    return factor, Partition.from_labels(labels)
+
+
+def test_relative_independence_matches_the_block_product_loop():
+    # The support walk reproduces the loop over every block tuple: verdict,
+    # witness blocks and both witness values.
+    rng = random.Random(1717)
+    outcomes, off_support, shapes = set(), set(), set()
+    for case in range(400):
+        k = 1 + case % 3
+        nu = _random_nu(rng, k)
+        base = nu.base if isinstance(nu, Coupling) else nu
+        pairs = [_random_factor_pair(rng, base) for _ in range(k)]
+        factors = tuple(f for f, _ in pairs)
+        subs = tuple(s for _, s in pairs)
+        got = relative_independence(factors, subs, nu)
+        want = old_relative_independence(factors, subs, nu)
+        assert got.holds == want.holds
+        if not want.holds:
+            (blocks, lhs, rhs), (want_blocks, want_lhs, want_rhs) = got.witness, want.witness
+            assert blocks == want_blocks
+            assert (lhs, rhs) == (want_lhs, want_rhs)
+            off_support.add(lhs == 0)
+        outcomes.add(got.holds)
+        shapes.add((type(nu).__name__, k, any(w == 0 for w in base.weights)))
+    # Both outcomes, witnesses off and on the support, and couplings and
+    # plain spaces with and without null points, at every arity.
+    assert outcomes == off_support == {True, False}
+    assert shapes == {
+        (name, k, nulls)
+        for name in ("Coupling", "ExactProbabilitySpace")
+        for k in (1, 2, 3)
+        for nulls in (True, False)
+    }
+
+
+def test_precondition_violation_reports_the_same_error():
+    # Point 2 is null, so the factor block {1, 2} may straddle the
+    # subfactor blocks; the live points of {0, 1} may not.
+    sp = small_space([F(1, 2), F(1, 2), F(0)])
+    nu = Coupling.diagonal(sp, 2)
+    factor = Partition(3, ((0,), (1, 2)))
+    straddle_null = Partition(3, ((0, 2), (1,)))
+    assert relative_independence((factor, factor), (factor, straddle_null), nu) == (
+        old_relative_independence((factor, factor), (factor, straddle_null), nu)
+    )
+    coarse = Partition(3, ((0, 1), (2,)))
+    fine = Partition.singletons(3)
+    text = "subfactor 1 does not coarsen its factor modulo null blocks"
+    for kernel in (relative_independence, old_relative_independence):
+        with pytest.raises(ValueError, match=text):
+            kernel((factor, coarse), (factor, fine), nu)
 
 
 # -- relatively independent products -------------------------------------------

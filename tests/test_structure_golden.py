@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from helpers import cyclic_system, three_direction_torus
+from helpers import cyclic_system, three_direction_torus, twice_extended_system
 
 from ergolab.averages import (
     furstenberg_self_joining,
@@ -51,6 +52,9 @@ def _random_3d(seed: int):
 SYSTEMS = {
     "z3-1201": lambda: cyclic_system(3, 1, 2, 0, 1),
     "torus-3": lambda: three_direction_torus(3),
+    # 152 points: its coordinate clause checks singleton factors, 152^3
+    # block tuples for a loop over every tuple.
+    "extended-152": twice_extended_system,
     **{f"random-3d-{seed}": (lambda seed=seed: _random_3d(seed)) for seed in range(12)},
 }
 
@@ -76,6 +80,7 @@ def report_digest(rep) -> str:
 
 
 GOLDEN = {
+    "extended-152": "20b8c2c9317ab6d2116e19380316494a6c680f17de4e1b96eb6f10a6648929a4",
     "random-3d-0": "b188afaefdc523b7e1d98b599b21b5eaa886a957f0f119cd15c0883233de7c5e",
     "random-3d-1": "b188afaefdc523b7e1d98b599b21b5eaa886a957f0f119cd15c0883233de7c5e",
     "random-3d-2": "b188afaefdc523b7e1d98b599b21b5eaa886a957f0f119cd15c0883233de7c5e",
@@ -101,6 +106,17 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_self_joining_report_digest(name):
     assert report_digest(self_joining_structure_report(SYSTEMS[name]())) == GOLDEN[name]
+
+
+def test_report_on_152_points_is_fast():
+    # The relative-independence checks walk the joining's support, not the
+    # block product; a loop over every block tuple took over 30 s here.
+    sys_ = twice_extended_system()
+    start = time.perf_counter()
+    rep = self_joining_structure_report(sys_)
+    elapsed = time.perf_counter() - start
+    assert report_digest(rep) == GOLDEN["extended-152"]
+    assert elapsed < 2, f"structure report took {elapsed:.2f}s"
 
 
 @pytest.mark.parametrize("name", sorted(LAWS))

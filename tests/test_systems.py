@@ -13,10 +13,12 @@ from helpers import (
     long_period_system,
     old_perm_order,
     old_perm_power,
+    old_relative_independence,
     three_direction_torus,
     torus_system,
 )
 
+from ergolab import systems
 from ergolab.generators import random_subgroup, random_system
 from ergolab.measure import ExactProbabilitySpace, Partition, ae_equal, common_refinement
 from ergolab.systems import (
@@ -461,3 +463,37 @@ def test_joint_distribution_with_complement_subgroup():
     # Dropping the complement breaks the direct-sum precondition.
     with pytest.raises(ValueError):
         joint_distribution_predicate(sys_, maps, gs, SubgroupSpec.trivial())
+
+
+def test_joining_predicates_match_the_block_product_loop(monkeypatch):
+    # Every kernel call of the two joining predicates gives the report of
+    # the loop over every block tuple.
+    kernel = systems.relative_independence
+    outcomes = []
+
+    def compared(factors, subfactors, nu):
+        rep = kernel(factors, subfactors, nu)
+        assert rep == old_relative_independence(factors, subfactors, nu)
+        outcomes.append(rep.holds)
+        return rep
+
+    monkeypatch.setattr(systems, "relative_independence", compared)
+    rng = random.Random(23)
+    for _ in range(40):
+        sys_ = random_system(rng, max_points=10, dim=rng.choice((2, 3)))
+        g1 = random_subgroup(rng, sys_.dim, max_vectors=1)
+        g2 = random_subgroup(rng, sys_.dim, max_vectors=1)
+        _, pi1 = quotient_system(sys_, orbit_partition(sys_, g1, False))
+        _, pi2 = quotient_system(sys_, orbit_partition(sys_, g2, False))
+        two_fold_joining_check(sys_, pi1, pi2, g1, g2)
+    basis = [SubgroupSpec.basis_vector(3, i) for i in range(3)]
+    joinings = [
+        three_direction_torus(3),
+        torus_system(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        *(random_system(rng, max_points=10, dim=3) for _ in range(30)),
+    ]
+    for sys_ in joinings:
+        joint_distribution_predicate(
+            sys_, _quotient_maps(sys_, basis), basis, SubgroupSpec.trivial()
+        )
+    assert set(outcomes) == {True, False}
