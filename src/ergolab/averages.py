@@ -28,6 +28,7 @@ from .measure import (
     Partition,
     SimpleFunction,
     ZERO,
+    _SharedFractions,
     _frac,
     support_pullback_partition,
 )
@@ -136,8 +137,8 @@ def furstenberg_self_joining(
             acc[t] = acc.get(t, 0) + w
     # Equal masses share one Fraction, which later comparisons of the
     # coupling's masses skip by identity.
-    share = {v: Fraction(v, total) for v in set(acc.values())}
-    mass = {t: share[v] for t, v in acc.items()}
+    shared = _SharedFractions()
+    mass = {t: shared[v, total] for t, v in acc.items()}
     coupling = Coupling(len(dirs), sys.space, mass)
     return FurstenbergJoining(sys, dirs, coupling, lcm(*periods))
 

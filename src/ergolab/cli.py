@@ -376,11 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact checks for finite probability-preserving Z^d systems",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for sampling commands")
-    common.add_argument("--budget", type=int, default=5_000_000, help="search node budget")
     common.add_argument("--json", type=str, default=None, help="write the report to a file")
-    common.add_argument("--dim-cap", dest="dim_cap", type=int, default=None,
-                        help="subspace dimension cap for stationarity checks")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -417,6 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, default=3)
     p.add_argument("--random", action="store_true", help="sample instead of enumerating")
     p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0, help="seed for 'search --random'")
     p.set_defaults(func=_cmd_removal)
 
     p = sub.add_parser("dhj", parents=[common], help="combinatorial space tools")
@@ -426,6 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-L", type=int, default=1)
     p.add_argument("--set", help="JSON file with an array of words (correspond)")
     p.add_argument("--law", help="law truncation file (stationarity)")
+    p.add_argument("--budget", type=int, default=5_000_000, help="search node budget (maxfree)")
+    p.add_argument("--dim-cap", dest="dim_cap", type=int, default=None,
+                   help="subspace dimension cap (stationarity)")
     p.set_defaults(func=_cmd_dhj)
 
     p = sub.add_parser("rotation", parents=[common], help="group rotation membership and extension")

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations, product as iter_product
+from itertools import accumulate, combinations, product as iter_product, starmap
 from operator import index, itemgetter
 from typing import Iterable, Sequence
 
@@ -34,6 +34,7 @@ from .measure import (
 from .upsets import StructureReport, bits_of, ground_masks, mask_of, structure_report
 
 MAX_ALPHABET = 9
+_LETTERS = "123456789"
 
 __all__ = [
     "CombinatorialSubspace",
@@ -74,17 +75,18 @@ def check_alphabet(k: int) -> int:
 
 
 def check_word(w: str, k: int) -> str:
-    check_alphabet(k)
+    """``w`` itself, if every letter is one of the ASCII digits ``"1"`` to
+    ``str(k)``; other characters, other Unicode digits among them, raise."""
+    letters = _LETTERS[: check_alphabet(k)]
     for ch in w:
-        if not ch.isdigit() or not 1 <= int(ch) <= k:
+        if ch not in letters:
             raise ValueError(f"letter {ch!r} outside alphabet of size {k}")
     return w
 
 
 def all_words(k: int, length: int) -> list[str]:
     """All words of exactly the given length, lexicographic."""
-    alphabet = "".join(str(i) for i in range(1, check_alphabet(k) + 1))
-    return ["".join(t) for t in iter_product(alphabet, repeat=length)]
+    return ["".join(t) for t in iter_product(_LETTERS[: check_alphabet(k)], repeat=length)]
 
 
 def words_up_to(k: int, depth: int) -> list[str]:
@@ -151,35 +153,50 @@ class CombinatorialSubspace:
         check_word(v, self.k)
         if len(v) != self.n:
             raise ValueError("argument length must equal the subspace dimension")
-        out = list(self.template)
-        for i, positions in enumerate(self.wildcards):
-            for p in positions:
-                out[p - 1] = v[i]
-        return "".join(out)
+        return self._embed(v)
 
     def image(self) -> tuple[str, ...]:
-        return tuple(self.embed(v) for v in all_words(self.k, self.n))
+        return tuple(map(self._embed, all_words(self.k, self.n)))
+
+    def _embed(self, v: str) -> str:
+        out = list(self.template)
+        for letter, positions in zip(v, self.wildcards):
+            for p in positions:
+                out[p - 1] = letter
+        return "".join(out)
+
+
+def _subspace_maps(k: int, n: int, total: int):
+    """Every ``n``-dimensional subspace (``n >= 1``) of ambient length
+    ``total`` as ``(breakpoints, wildcards, template, image)``, with letter 1
+    at each wildcard position of the template, ordered by breakpoints, then
+    wildcard sets, then the letters of the other positions in word order.
+
+    A pattern holds ``{}`` at the other positions and ``{{i}}`` at those of
+    wildcard set ``i``; with the letters filled in, its values at the
+    parameter words, all 1s first, are the image."""
+    letters = _LETTERS[: check_alphabet(k)]
+    params = list(iter_product(letters, repeat=n))
+    for cuts in combinations(range(1, total), n - 1):
+        breakpoints = (*cuts, total)
+        windows = [range(lo + 1, hi + 1) for lo, hi in zip((0, *cuts), breakpoints)]
+        subsets = [[frozenset(c) for r in range(1, len(w) + 1) for c in combinations(w, r)]
+                   for w in windows]
+        for wildcards in iter_product(*subsets):
+            pattern = ["{}"] * total
+            for i, positions in enumerate(wildcards):
+                for p in positions:
+                    pattern[p - 1] = "{{%d}}" % i
+            fill = "".join(pattern).format
+            for fixed in iter_product(letters, repeat=pattern.count("{}")):
+                image = tuple(starmap(fill(*fixed).format, params))
+                yield breakpoints, wildcards, image[0], image
 
 
 def line_maps(k: int, N: int) -> list[tuple[str, ...]]:
-    """All lines of ``[k]^N`` in parameter order ``(phi(1), ..., phi(k))``."""
-    check_alphabet(k)
-    out = []
-    positions = list(range(N))
-    for r in range(1, N + 1):
-        for J in combinations(positions, r):
-            fixed_positions = [p for p in positions if p not in J]
-            for w0 in iter_product(range(1, k + 1), repeat=len(fixed_positions)):
-                line = []
-                for letter in range(1, k + 1):
-                    word = [""] * N
-                    for p in J:
-                        word[p] = str(letter)
-                    for p, c in zip(fixed_positions, w0):
-                        word[p] = str(c)
-                    line.append("".join(word))
-                out.append(tuple(line))
-    return out
+    """All lines of ``[k]^N`` in parameter order ``(phi(1), ..., phi(k))``:
+    the images of the 1-dimensional subspaces of ambient length ``N``."""
+    return [image for _, _, _, image in _subspace_maps(k, 1, N)]
 
 
 def enumerate_lines(k: int, N: int) -> list[tuple[str, ...]]:
@@ -201,43 +218,23 @@ def enumerate_lines(k: int, N: int) -> list[tuple[str, ...]]:
 
 
 def enumerate_subspaces(k: int, n: int, max_length: int) -> list[CombinatorialSubspace]:
-    """All n-dimensional subspaces with ambient length up to ``max_length``,
-    deduplicated by image, in order of ambient length.
+    """All n-dimensional subspaces (``n >= 1``) with ambient length up to
+    ``max_length``, deduplicated by image, in order of ambient length.
 
     Of the templates that differ only at wildcard positions, which share one
     image, the first in word order has letter 1 at every wildcard position;
-    it is the only one built.  Templates then run over the letters of the
-    other positions in word order, so each image keeps its first template.
+    it is the only one enumerated.  The other positions then run in word
+    order, so each image keeps its first template, built only once.
     """
+    if n < 1:
+        raise ValueError("subspace dimension must be at least 1")
     out: list[CombinatorialSubspace] = []
     seen: set[tuple[str, ...]] = set()
-
     for total in range(n, max_length + 1):
-        for bps in combinations(range(1, total + 1), n - 1) if n > 1 else [()]:
-            breakpoints = tuple(bps) + (total,)
-            windows = []
-            prev = 0
-            for b in breakpoints:
-                windows.append(tuple(range(prev + 1, b + 1)))
-                prev = b
-            wildcard_choices = []
-            for win in windows:
-                opts = []
-                for r in range(1, len(win) + 1):
-                    opts.extend(frozenset(c) for c in combinations(win, r))
-                wildcard_choices.append(opts)
-            for wcs in iter_product(*wildcard_choices):
-                wild = frozenset().union(*wcs)
-                fixed = [p for p in range(total) if p + 1 not in wild]
-                word = ["1"] * total
-                for letters in iter_product(all_words(k, 1), repeat=len(fixed)):
-                    for p, letter in zip(fixed, letters):
-                        word[p] = letter
-                    s = CombinatorialSubspace(k, breakpoints, tuple(wcs), "".join(word))
-                    img = s.image()
-                    if img not in seen:
-                        seen.add(img)
-                        out.append(s)
+        for breakpoints, wildcards, template, image in _subspace_maps(k, n, total):
+            if image not in seen:
+                seen.add(image)
+                out.append(CombinatorialSubspace(k, breakpoints, wildcards, template))
     return out
 
 

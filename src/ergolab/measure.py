@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, product as iter_product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import attrgetter, getitem, index, itemgetter
 from typing import Collection, Iterable, Sequence
 
@@ -314,11 +314,10 @@ class Coupling:
     def __post_init__(self) -> None:
         if self.arity < 1:
             raise ValueError("arity must be positive")
-        n = len(self.base)
         mass, den, nums = exact_masses(
             self.mass,
             self.arity,
-            n,
+            len(self.base),
             length_error="tuple length must equal the arity",
             range_error="tuple entry out of range",
         )
@@ -332,12 +331,8 @@ class Coupling:
         if any(den % w.denominator for w in weights):
             raise ValueError("coordinate 0 marginal differs from the base weights")
         base_nums = [w.numerator * (den // w.denominator) for w in weights]
-        pairs = list(zip(mass, nums))
         for c in range(self.arity):
-            marginal = [0] * n
-            for t, num in pairs:
-                marginal[t[c]] += num
-            if marginal != base_nums:
+            if self._marginal_nums(c) != base_nums:
                 raise ValueError(f"coordinate {c} marginal differs from the base weights")
         object.__setattr__(self, "_support", tuple(sorted(mass)))
 
@@ -346,11 +341,15 @@ class Coupling:
         return self._support  # type: ignore[attr-defined]
 
     def marginal(self, coord: int) -> tuple[Fraction, ...]:
+        den = self._den  # type: ignore[attr-defined]
+        return tuple(Fraction(num, den) for num in self._marginal_nums(coord))
+
+    def _marginal_nums(self, coord: int) -> list[int]:
+        """The numerators over ``_den`` of the marginal at ``coord``."""
         out = [0] * len(self.base)
         for t, num in zip(self.mass, self._nums):  # type: ignore[attr-defined]
             out[t[coord]] += num
-        den = self._den  # type: ignore[attr-defined]
-        return tuple(Fraction(num, den) for num in out)
+        return out
 
     def as_space(self) -> ExactProbabilitySpace:
         """The support tuples, with their masses, as a probability space."""
@@ -411,25 +410,22 @@ class Coupling:
 
     @classmethod
     def diagonal(cls, space: ExactProbabilitySpace, arity: int) -> "Coupling":
-        return cls(
-            arity,
-            space,
-            {(i,) * arity: w for i, w in enumerate(space.weights) if w > 0},
-        )
+        """The coupling carried by the diagonal: the fiber product over the
+        identity map, whose fibers are the points."""
+        return _fiber_power(space, arity, range(len(space)))
 
     @classmethod
     def product(cls, space: ExactProbabilitySpace, arity: int) -> "Coupling":
-        """The independent coupling: a tuple's mass is the product of its
-        points' weights, computed on the integer numerators over the
-        weights' common denominator ``D`` as ``prod(num) / D**arity``."""
-        den, nums = space.integerized()
-        scale, shared = den**arity, _SharedFractions()
-        return cls(
-            arity,
-            space,
-            {t: shared[prod(map(nums.__getitem__, t)), scale]
-             for t in iter_product(space.support(), repeat=arity)},
-        )
+        """The independent coupling: the fiber product over the map to one
+        point, so a tuple's mass is the product of its points' weights."""
+        return _fiber_power(space, arity, [0] * len(space))
+
+
+def _fiber_power(space: ExactProbabilitySpace, arity: int, labels: Sequence[int]) -> Coupling:
+    """The fiber product of ``arity`` copies of ``space`` over one map."""
+    if arity < 1:
+        raise ValueError("arity must be positive")
+    return relatively_independent_product([space] * arity, [labels] * arity)
 
 
 def clean_entries(keys: Iterable, values: Iterable, length: int, n: int) -> bool:
@@ -504,15 +500,13 @@ def _by_id(values: Collection) -> dict:
 class _SharedFractions(dict):
     """``(num, den)`` -> ``Fraction(num, den)``, built on first use and
     shared by every key of the same value, so that a table of masses holds
-    one ``Fraction`` per distinct mass."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.by_value: dict[Fraction, Fraction] = {}
+    one ``Fraction`` per distinct mass: a key not in lowest terms reads the
+    entry of its lowest terms."""
 
     def __missing__(self, key: tuple[int, int]) -> Fraction:
-        v = Fraction(*key)
-        out = self[key] = self.by_value.setdefault(v, v)
+        num, den = key
+        g = gcd(num, den)
+        out = self[key] = self[num // g, den // g] if g != 1 else Fraction(num, den)
         return out
 
 
@@ -545,10 +539,10 @@ def relatively_independent_product(
             raise ValueError("map length must equal the point count")
         push: dict = {}
         fib: dict = {}
-        for x in range(n):
-            if nums[x]:
-                push[m[x]] = push.get(m[x], 0) + nums[x]
-                fib.setdefault(m[x], []).append(x)
+        for x in first.support():
+            y = m[x]
+            push[y] = push.get(y, 0) + nums[x]
+            fib.setdefault(y, []).append(x)
         pushes.append(push)
         fibers.append(fib)
     for push in pushes[1:]:

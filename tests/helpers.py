@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, compress, product as iter_product
-from math import lcm
+from math import lcm, prod
 from random import Random
 
 from ergolab.averages import (
@@ -786,8 +786,8 @@ def product_scan_families(space, coupling, psi, coord_upsets, memo):
 
 
 def every_template_subspaces(k, n, max_length, exact_length=None):
-    """All n-dimensional subspaces with ambient length up to ``max_length``
-    (or exactly ``exact_length``), deduplicated by image."""
+    """All n-dimensional subspaces (``n >= 1``) with ambient length up to
+    ``max_length`` (or exactly ``exact_length``), deduplicated by image."""
     from itertools import combinations
 
     from ergolab.hales_jewett import CombinatorialSubspace
@@ -795,13 +795,15 @@ def every_template_subspaces(k, n, max_length, exact_length=None):
     out = []
     seen = set()
 
+    if n < 1:
+        raise ValueError("subspace dimension must be at least 1")
     lengths = (
         [exact_length] if exact_length is not None else list(range(n, max_length + 1))
     )
     for total in lengths:
         if total < n:
             continue
-        for bps in combinations(range(1, total + 1), n - 1) if n > 1 else [()]:
+        for bps in combinations(range(1, total + 1), n - 1):
             breakpoints = tuple(bps) + (total,)
             windows = []
             prev = 0
@@ -852,3 +854,53 @@ def old_line_to_point_implication(point, line):
         if line.event_mass(sets) == 0 and point.measure(frozenset.intersection(*sets)) != 0:
             return False, tuple(sets)
     return True, None
+
+
+# -- lines, products and diagonals as they were before the shared constructions ----
+#
+# Verbatim in substance: the former ``hales_jewett.line_maps`` loop, and the
+# former bodies of ``Coupling.product`` (integer numerators over ``D**arity``)
+# and ``Coupling.diagonal`` (the base weights on the diagonal tuples).
+
+def old_line_maps(k, N):
+    """Reference for ``line_maps``: every ``(J, w0)``, by ``|J|``, then ``J``
+    in order, then the letters ``w0`` of the other positions in word order."""
+    out = []
+    positions = list(range(N))
+    for r in range(1, N + 1):
+        for J in combinations(positions, r):
+            fixed_positions = [p for p in positions if p not in J]
+            for w0 in iter_product(range(1, k + 1), repeat=len(fixed_positions)):
+                line = []
+                for letter in range(1, k + 1):
+                    word = [""] * N
+                    for p in J:
+                        word[p] = str(letter)
+                    for p, c in zip(fixed_positions, w0):
+                        word[p] = str(c)
+                    line.append("".join(word))
+                out.append(tuple(line))
+    return out
+
+
+def old_product_coupling(space, arity):
+    """Reference for ``Coupling.product``."""
+    from ergolab.measure import _SharedFractions
+
+    den, nums = space.integerized()
+    scale, shared = den**arity, _SharedFractions()
+    return Coupling(
+        arity,
+        space,
+        {t: shared[prod(map(nums.__getitem__, t)), scale]
+         for t in iter_product(space.support(), repeat=arity)},
+    )
+
+
+def old_diagonal_coupling(space, arity):
+    """Reference for ``Coupling.diagonal``."""
+    return Coupling(
+        arity,
+        space,
+        {(i,) * arity: w for i, w in enumerate(space.weights) if w > 0},
+    )

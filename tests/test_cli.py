@@ -288,6 +288,47 @@ def test_alphabet_beyond_single_digits_is_input_error(action, capsys):
     assert "alphabet size" in report["error"]
 
 
+@pytest.mark.parametrize("word", ["1\u0663", "1\u00b2"])
+def test_correspond_refuses_a_letter_that_is_another_digit(word, tmp_path, capsys):
+    # U+0663 (Arabic-Indic three) was read as 3 and its word silently
+    # dropped; U+00B2 (superscript two) reached int() and failed there.
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps([word, "11"]), encoding="utf-8")
+    code, report = run(
+        capsys, ["dhj", "correspond", "--set", str(path), "-k", "3", "-N", "2", "-L", "1"]
+    )
+    assert code == 3
+    assert report == {"error": f"letter {word[1]!r} outside alphabet of size 3"}
+
+
+def test_options_belong_to_the_commands_that_read_them():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    owners = {
+        option: sorted(name for name, p in commands.items() if option in p._option_string_actions)
+        for option in ("--seed", "--budget", "--dim-cap", "--json")
+    }
+    assert owners == {
+        "--seed": ["removal"],
+        "--budget": ["dhj"],
+        "--dim-cap": ["dhj"],
+        "--json": sorted(commands),
+    }
+
+
+@pytest.mark.parametrize(
+    "extra", [["--budget", "5"], ["--seed", "1"], ["--dim-cap", "1"]]
+)
+def test_an_option_of_another_command_is_an_input_error(extra, z3_file, tmp_path, capsys):
+    functions = tmp_path / "functions.json"
+    functions.write_text(json.dumps([["1", "0", "1"], ["0", "1", "1"]]))
+    argv = ["avg", "--system", z3_file, "--functions", str(functions), "-N", "3"]
+    code, report = run(capsys, argv)
+    assert code == 0 and report["seed"] == 0
+    assert main(argv + extra) == 3
+    capsys.readouterr()
+
+
 def test_help_exits_clean(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -111,6 +111,8 @@ INPUTS = {
     "law.json": IID_LAW,
     "law3.json": IID_LAW_3,
     "words.json": ["12", "21", "22"],
+    "words3.json": ["112", "121", "211", "222"],
+    "words33.json": ["113", "123", "213", "311", "322", "333", "132", "231"],
     "removal_ok.json": REMOVAL_OK,
     "removal_unidentified.json": REMOVAL_UNIDENTIFIED,
     "removal_dependent.json": REMOVAL_DEPENDENT,
@@ -178,6 +180,18 @@ GOLDEN = {
     "dhj-correspond": (
         ["dhj", "correspond", "--set", "{dir}/words.json", "-k", "2", "-N", "2", "-L", "1"], 0,
         "95e7f3e52dd4ceb3050fd7ac09ac91f5b8cb5437b3174c23c8b68af9439fca87"),
+    "dhj-lines-3-2": (
+        ["dhj", "lines", "-k", "3", "-N", "2"], 0,
+        "b56ccfa0c077b693b89b2dc1c503ff3e903306b410ace54a41ef172df581fb08"),
+    "dhj-lines-2-3": (
+        ["dhj", "lines", "-k", "2", "-N", "3"], 0,
+        "49156f9fc17a7fdfa9c9bcb4333870a68ae1ee59e270950c723ea076ce6bb482"),
+    "dhj-correspond-L2": (
+        ["dhj", "correspond", "--set", "{dir}/words3.json", "-k", "2", "-N", "3", "-L", "2"], 0,
+        "d9ff4a84e3a971e3fbf0022ee722a26488880c8ac78375a4daf52ef9254a839f"),
+    "dhj-correspond-k3-L2": (
+        ["dhj", "correspond", "--set", "{dir}/words33.json", "-k", "3", "-N", "3", "-L", "2"], 0,
+        "82635b406a922c85faca9d075e2ad9598cbc4a280e4cfe06f7aee792b4637d61"),
 }
 
 

@@ -13,6 +13,7 @@ from helpers import (
     every_template_subspaces,
     naive_coordinate_marginal,
     naive_pullback,
+    old_line_maps,
     old_line_to_point_implication,
     old_max_line_free,
     set_family_atoms,
@@ -26,6 +27,7 @@ from ergolab.hales_jewett import (
     all_words,
     build_correspondence,
     check_density_premises,
+    check_word,
     constant_law,
     enumerate_lines,
     enumerate_subspaces,
@@ -112,6 +114,26 @@ def test_zero_dimensional_subspace_is_a_point():
     assert s.embed("") == "121"
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_enumerate_subspaces_refuses_dimension_below_one(n):
+    # Dimension 0 is the coordinate-marginal step of the stationarity
+    # check, which needs no subspace; n <= 0 used to return the lines.
+    with pytest.raises(ValueError, match="^subspace dimension must be at least 1$"):
+        enumerate_subspaces(2, n, 2)
+    with pytest.raises(ValueError):
+        every_template_subspaces(2, n, 2)
+
+
+@pytest.mark.parametrize("word", ["1\u0663", "1\u00b2", "14", "10", "1a", "1 "])
+def test_check_word_accepts_only_the_ascii_letters(word):
+    # U+0663 (Arabic-Indic three) and U+00B2 (superscript two) are digits
+    # to str.isdigit, but not letters of the alphabet.
+    with pytest.raises(ValueError, match=f"^letter {word[1]!r} outside alphabet of size 3$"):
+        check_word(word, 3)
+    assert check_word("123", 3) == "123"
+    assert check_word("", 3) == ""
+
+
 # -- lines ------------------------------------------------------------------------
 
 def test_line_counts_match_identity():
@@ -130,6 +152,27 @@ def test_line_points_are_sorted_tuples():
     for line in lines:
         assert list(line) == sorted(line)
         assert len(set(line)) == 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_line_maps_match_the_former_loop(k):
+    # The same lines, in the same parameter order, as the former loop over
+    # (J, w0), at every N <= 4 (none at N = 0); from k = 2 on, they are the
+    # images of the 1-dimensional subspaces of ambient length N, in order.
+    for N in range(5):
+        lines = line_maps(k, N)
+        assert lines == old_line_maps(k, N)
+        if k >= 2:
+            subspaces = enumerate_subspaces(k, 1, N)
+            assert lines == [s.image() for s in subspaces if s.ambient_length == N]
+
+
+@pytest.mark.parametrize("k", [0, 10])
+def test_enumerations_refuse_alphabets_beyond_the_digits(k):
+    for call in (lambda: line_maps(k, 2), lambda: line_maps(k, 0),
+                 lambda: enumerate_subspaces(k, 1, 2)):
+        with pytest.raises(ValueError, match="alphabet size"):
+            call()
 
 
 def test_general_subspace_enumeration_matches_line_count():

@@ -14,6 +14,8 @@ from helpers import (
     fraction_coupling_error,
     fraction_fiber_product_mass,
     fraction_product_mass,
+    old_diagonal_coupling,
+    old_product_coupling,
     old_relative_independence,
 )
 
@@ -703,6 +705,36 @@ def test_integer_fiber_product_matches_on_different_maps():
         _assert_same_table(got, expected)
         outcomes.add("table")
     assert outcomes == {"error", "table"}
+
+def test_product_and_diagonal_match_their_former_bodies():
+    # Both are fiber products now, over the map to one point and over the
+    # identity map: the masses, their order, the common denominator and the
+    # numerators must be those of the former bodies, at arity 1 to 4, on
+    # seeded spaces with null points among them.  Equal masses now share one
+    # Fraction in the diagonal too; the former one reused the base's weights.
+    rng = random.Random(61)
+    null_points = 0
+    for _ in range(300):
+        space = small_space(_random_weights(rng, rng.randint(1, 5)))
+        null_points += len(space) - len(space.support())
+        for arity in range(1, 5):
+            for build, former in (
+                (Coupling.product, old_product_coupling),
+                (Coupling.diagonal, old_diagonal_coupling),
+            ):
+                got, expected = build(space, arity), former(space, arity)
+                assert list(got.mass.items()) == list(expected.mass.items())
+                assert (got._den, got._nums) == (expected._den, expected._nums)
+                assert len({id(v) for v in got.mass.values()}) == len(set(got.mass.values()))
+    assert null_points > 0
+
+
+@pytest.mark.parametrize("arity", [0, -1])
+@pytest.mark.parametrize("build", [Coupling.product, Coupling.diagonal])
+def test_product_and_diagonal_refuse_nonpositive_arity(build, arity):
+    with pytest.raises(ValueError, match="^arity must be positive$"):
+        build(small_space([F(1, 2), F(1, 2)]), arity)
+
 
 def test_fiber_product_trivial_base_is_product():
     sp = small_space([F(1, 3), F(2, 3)])
