@@ -20,7 +20,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 from . import averages, hales_jewett as dhj, removal as removal_mod, serialize
 from .serialize import ValidationError, canonical_dumps, format_fraction
@@ -97,13 +97,15 @@ def _parse_ints(option: str, text: str, expected: str) -> tuple[int, ...]:
         raise ValidationError([option], f"expected comma-separated {expected}") from None
 
 
-def _located(option: str, call, *args) -> Any:
-    """``call(*args)``, with its ``ValueError`` reported at the option whose
-    value the call rejected."""
+def _located(keys: Sequence, call, *args) -> Any:
+    """``call(*args)``, with its ``ValueError`` reported at ``keys``: the
+    option, or the part of an input file, whose value the call rejected."""
     try:
         return call(*args)
+    except ValidationError as exc:
+        raise exc.within(*keys)
     except ValueError as exc:
-        raise ValidationError([option], str(exc)) from None
+        raise ValidationError(keys, str(exc)) from None
 
 
 # -- handlers -----------------------------------------------------------------
@@ -123,7 +125,9 @@ def _cmd_avg(args) -> int:
     fdoc = _load(args.functions)
     if not isinstance(fdoc, list):
         raise ValidationError(["functions"], "expected an array of function value arrays")
-    funcs = [serialize.function_from_json(f, ["functions", i]) for i, f in enumerate(fdoc)]
+    funcs = [
+        _located(["functions", i], serialize.function_from_json, f) for i, f in enumerate(fdoc)
+    ]
     avg = averages.nonconventional_average(sys_, funcs, args.N)
     results = {
         "values": [format_fraction(v) for v in avg.values],
@@ -140,7 +144,7 @@ def _cmd_fjoin(args) -> int:
     else:
         sys_ = serialize.system_from_json(doc)
         dirs = _parse_ints("--directions", args.directions, "generator indices")
-    fj = _located("--directions", averages.furstenberg_self_joining, sys_, dirs)
+    fj = _located(["--directions"], averages.furstenberg_self_joining, sys_, dirs)
     results = {
         "directions": list(fj.directions),
         "period": fj.period,
@@ -154,7 +158,7 @@ def _cmd_recur(args) -> int:
     doc = _load(args.system)
     sys_ = _system_with_directions(doc)
     aset = _parse_set(args.set)
-    cert = _located("--set", averages.recurrence_certificate, sys_, aset)
+    cert = _located(["--set"], averages.recurrence_certificate, sys_, aset)
     results = {"limit": cert.limit, "witness_n": cert.witness}
     positive = sys_.space.measure(aset) > 0
     ok = (not positive) or (cert.limit > 0 and cert.witness is not None)

@@ -24,7 +24,6 @@ def random_system(
     rng: random.Random,
     max_points: int = 12,
     dim: int = 2,
-    allow_zero: bool = True,
 ) -> FiniteZdSystem:
     """A random finite system: commuting translations on a disjoint union of
     small abelian groups, with weights constant on translation orbits."""
@@ -79,7 +78,7 @@ def random_system(
             orbit_ids.append(coset_of[e])
 
     while True:
-        orbit_weight = [rng.randint(0 if allow_zero else 1, 4) for _ in range(orbit_counter)]
+        orbit_weight = [rng.randint(0, 4) for _ in range(orbit_counter)]
         nums = [orbit_weight[orbit_ids[x]] for x in range(len(labels))]
         total = sum(nums)
         if total > 0:

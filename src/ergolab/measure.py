@@ -34,13 +34,20 @@ Rational = Fraction | int
 
 class ValidationError(ValueError):
     """An invariant failed.  ``path`` locates the offender by field names
-    and indices, the way a JSON path does; a caller that holds the object
-    inside a larger document prefixes its own path."""
+    and indices, the way a JSON path does, relative to the value that was
+    read; a caller that read that value inside a larger document places the
+    error there with :meth:`within`."""
 
     def __init__(self, path: Sequence, message: str):
         self.path = list(path)
         self.message = message
         super().__init__(f"{format_path(path)}: {message}")
+
+    def within(self, *keys) -> "ValidationError":
+        """This error, located inside the value at ``keys``."""
+        self.path[:0] = keys
+        self.args = (f"{format_path(self.path)}: {self.message}",)
+        return self
 
 
 def format_path(path: Sequence) -> str:

@@ -122,9 +122,10 @@ def _check_target(d: int, i: int, ups: UpSet, a: frozenset, psi: dict, n: int) -
     """Raise ``ValueError`` unless ``(ups, a)`` may be a target of coordinate ``i``.
 
     The up-set lives over ``range(d)``, contains the full index set and lies
-    inside the principal up-set of ``i``; ``a`` is a union of blocks of the
-    join of ``psi`` over the up-set's members, that is, points with the same
-    tuple of ``psi`` labels are all in ``a`` or all outside it.
+    inside the principal up-set of ``i``; ``a`` is a set of points of
+    ``range(n)`` and a union of blocks of the join of ``psi`` over the
+    up-set's members, that is, points with the same tuple of ``psi`` labels
+    are all in ``a`` or all outside it.
     """
     if ups.d != d:
         raise ValueError("up-set dimension mismatch")
@@ -134,6 +135,8 @@ def _check_target(d: int, i: int, ups: UpSet, a: frozenset, psi: dict, n: int) -
         raise ValueError(
             f"family {i}: up-sets must lie inside the principal up-set of {i}"
         )
+    if not all(x in range(n) for x in a):
+        raise ValueError(f"family {i}: a target set holds a point index out of range")
     # The members are nonempty here, since they hold the full index set.
     keys = tuple(zip(*(psi[m].labels for m in ups.members)))
     inside = {k for x, k in enumerate(keys) if x in a}

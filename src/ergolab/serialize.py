@@ -2,7 +2,10 @@
 
 The constructors check the invariants of the objects they build; this module
 checks JSON shape (keys and types) and the wire rules below, and places every
-error at its JSON path.
+error at its JSON path.  Each reader raises its errors relative to the value
+it reads, and a constructor's located error keeps its own path.  Whoever read
+that value at a key or an index places the error there as it unwinds, with
+:meth:`ValidationError.within`, so no reader takes a path.
 
 Wire formats:
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .hales_jewett import (
     CombinatorialSubspace,
@@ -42,11 +45,11 @@ from .measure import (
     ValidationError,
     format_path,  # re-exported with ValidationError, as before they moved
 )
-from .systems import FiniteZdSystem, GroupRotationSystem, SubgroupSpec
+from .systems import FactorMap, FiniteZdSystem, GroupRotationSystem, SubgroupSpec
+from .upsets import UpSet, bits_of, mask_of
 
 if TYPE_CHECKING:
     from .removal import RemovalInstance
-    from .upsets import UpSet
 
 
 def format_fraction(q: Fraction) -> str:
@@ -54,22 +57,22 @@ def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_fraction(s: Any, path: Sequence = ()) -> Fraction:
+def parse_fraction(s: Any) -> Fraction:
     if type(s) is int:  # a JSON boolean is no rational
         return Fraction(s)
     if not isinstance(s, str):
-        raise ValidationError(path, f"expected a rational string, got {type(s).__name__}")
+        raise ValidationError((), f"expected a rational string, got {type(s).__name__}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(path, f"bad rational {s!r}: {exc}") from None
+        raise ValidationError((), f"bad rational {s!r}: {exc}") from None
 
 
-def _normalize_label(x: Any, path: Sequence) -> Any:
+def _normalize_label(x: Any) -> Any:
     if isinstance(x, list):
-        return tuple(_normalize_label(v, path) for v in x)
+        return tuple(map(_normalize_label, x))
     if isinstance(x, dict):
-        raise ValidationError(path, "a point label cannot be an object")
+        raise ValidationError((), "a point label cannot be an object")
     return x
 
 
@@ -79,44 +82,75 @@ def _label_out(x: Any) -> Any:
     return x
 
 
-def _need(obj: Any, key: str, path: Sequence) -> Any:
+def _need(obj: Any, key: str) -> Any:
     if not isinstance(obj, dict):
-        raise ValidationError(path, "expected an object")
+        raise ValidationError((), "expected an object")
     if key not in obj:
-        raise ValidationError(path, f"missing key {key!r}")
+        raise ValidationError((), f"missing key {key!r}")
     return obj[key]
+
+
+def _key(obj: Any, key: str, read: Callable, *args: Any) -> Any:
+    """``read(obj[key], *args)``, its error located inside ``obj[key]``."""
+    value = _need(obj, key)
+    try:
+        return read(value, *args)
+    except ValidationError as exc:
+        raise exc.within(key)
+
+
+def _items(array: Any, read: Callable, *args: Any) -> tuple:
+    """``read(item, *args)`` for each item of the array ``array``, an error
+    located inside its item."""
+    if not isinstance(array, list):
+        raise ValidationError((), "expected an array")
+    out = []
+    for i, item in enumerate(array):
+        try:
+            out.append(read(item, *args))
+        except ValidationError as exc:
+            raise exc.within(i)
+    return tuple(out)
 
 
 _INT = frozenset({int})
 
 
-def _int_list(obj: Any, path: Sequence) -> list[int]:
+def _ints(obj: Any) -> tuple[int, ...]:
     # The set of exact types, built in C, settles the usual array of ints.
     # Booleans pass, as 0 and 1: only the scalar fields refuse them.
     if not isinstance(obj, list) or not (
         set(map(type, obj)) <= _INT or all(isinstance(v, int) for v in obj)
     ):
-        raise ValidationError(path, "expected an array of integers")
-    return list(obj)
+        raise ValidationError((), "expected an array of integers")
+    return tuple(obj)
 
 
-def _build(path: Sequence, ctor: Any, *args: Any) -> Any:
-    """``ctor(*args)``, with the constructor's error placed at ``path``:
-    a located error's own path is appended to it.  The arguments are
-    evaluated by the caller, so their parse errors keep their own paths."""
+def _mask(obj: Any) -> int:
+    """The bitmask of an array of nonnegative indices."""
+    indices = _ints(obj)
+    if any(i < 0 for i in indices):
+        raise ValidationError((), "expected an array of nonnegative integers")
+    return mask_of(indices)
+
+
+def _build(ctor: Callable, *args: Any) -> Any:
+    """``ctor(*args)``: a located error of the constructor keeps its path,
+    and any other ``ValueError`` is placed at the value being built.  The
+    arguments are evaluated by the caller, so their parse errors keep their
+    own paths."""
     try:
         return ctor(*args)
-    except ValidationError as exc:
-        raise ValidationError(list(path) + exc.path, exc.message) from None
+    except ValidationError:
+        raise
     except ValueError as exc:
-        raise ValidationError(path, str(exc)) from None
+        raise ValidationError((), str(exc)) from None
 
 
 def _entries(
     obj: Any,
     key: str,
     field: str,
-    path: Sequence,
     stored: bool = False,
     wire: list | None = None,
 ) -> dict[tuple[int, ...], Fraction]:
@@ -128,12 +162,13 @@ def _entries(
     only the first one is appended to it and the parse goes on.
 
     An entry that is an object with an array of ints and a value string
-    already parsed needs no JSON path; any other entry is checked at its
-    path, so the first bad entry raises, as it would in a fully checked loop.
+    already parsed is read inline; any other entry is read by the checked
+    readers, so the first bad entry raises, as it would in a fully checked
+    loop.
     """
-    entries = _need(obj, key, path)
+    entries = _need(obj, key)
     if not isinstance(entries, list):
-        raise ValidationError(list(path) + [key], "expected an array")
+        raise ValidationError([key], "expected an array")
     out: dict = {}
     parsed: dict[str, Fraction] = {}
     prev: tuple | None = None
@@ -142,18 +177,24 @@ def _entries(
         if type(t) is list and _INT.issuperset(map(type, t)):
             t = tuple(t)
         else:
-            t = tuple(_int_list(_need(entry, field, [*path, key, i]), [*path, key, i, field]))
+            try:
+                t = _key(entry, field, _ints)
+            except ValidationError as exc:
+                raise exc.within(key, i)
         if stored and prev is not None and t <= prev:
-            _broken(wire, [*path, key, i, field], "tuples must be sorted and distinct")
+            _broken(wire, [key, i, field], "tuples must be sorted and distinct")
         prev = t
         raw = entry.get("value")
         v = parsed.get(raw) if type(raw) is str else None
         if v is None:
-            v = parse_fraction(_need(entry, "value", [*path, key, i]), [*path, key, i, "value"])
+            try:
+                v = _key(entry, "value", parse_fraction)
+            except ValidationError as exc:
+                raise exc.within(key, i)
             if type(raw) is str:
                 parsed[raw] = v
         if stored and v <= 0:
-            _broken(wire, [*path, key, i, "value"], "stored masses must be positive")
+            _broken(wire, [key, i, "value"], "stored masses must be positive")
         out[t] = out[t] + v if t in out else v
     return out
 
@@ -181,16 +222,14 @@ def space_to_json(space: ExactProbabilitySpace) -> dict:
     }
 
 
-def space_from_json(obj: Any, path: Sequence = ()) -> ExactProbabilitySpace:
-    points = _need(obj, "points", path)
-    weights = _need(obj, "weights", path)
+def space_from_json(obj: Any) -> ExactProbabilitySpace:
+    points = _need(obj, "points")
+    weights = _need(obj, "weights")
     if not isinstance(points, list) or not isinstance(weights, list):
-        raise ValidationError(path, "points and weights must be arrays")
-    labels = tuple(
-        _normalize_label(p, list(path) + ["points", i]) for i, p in enumerate(points)
-    )
-    ws = [parse_fraction(w, list(path) + ["weights", i]) for i, w in enumerate(weights)]
-    return _build(path, ExactProbabilitySpace, labels, tuple(ws))
+        raise ValidationError((), "points and weights must be arrays")
+    labels = _key(obj, "points", _items, _normalize_label)
+    ws = _key(obj, "weights", _items, parse_fraction)
+    return _build(ExactProbabilitySpace, labels, ws)
 
 
 # -- partitions -------------------------------------------------------------
@@ -199,11 +238,10 @@ def partition_to_json(p: Partition) -> list:
     return [list(b) for b in p.blocks]
 
 
-def partition_from_json(obj: Any, size: int, path: Sequence = ()) -> Partition:
+def partition_from_json(obj: Any, size: int) -> Partition:
     if not isinstance(obj, list):
-        raise ValidationError(path, "expected an array of blocks")
-    blocks = tuple(tuple(_int_list(b, list(path) + [i])) for i, b in enumerate(obj))
-    return _build(path, Partition, size, blocks)
+        raise ValidationError((), "expected an array of blocks")
+    return _build(Partition, size, _items(obj, _ints))
 
 
 # -- couplings --------------------------------------------------------------
@@ -215,26 +253,24 @@ def coupling_to_json(c: Coupling, include_base: bool = True) -> dict:
     return out
 
 
-def _arity(obj: Any, path: Sequence) -> int:
-    arity = _need(obj, "arity", path)
+def _arity(obj: Any) -> int:
+    arity = _need(obj, "arity")
     if type(arity) is not int or arity < 1:
-        raise ValidationError(list(path) + ["arity"], "arity must be a positive integer")
+        raise ValidationError(["arity"], "arity must be a positive integer")
     return arity
 
 
-def coupling_from_json(
-    obj: Any, base: ExactProbabilitySpace | None = None, path: Sequence = ()
-) -> Coupling:
+def coupling_from_json(obj: Any, base: ExactProbabilitySpace | None = None) -> Coupling:
     """The coupling of a document with a base, or of ``obj`` over ``base``.
     The masses are parsed once, with the wire rules of stored masses; the
     constructor checks them before a broken wire rule is raised, so a
     document that breaks both gets the constructor's error."""
-    arity = _arity(obj, path)
+    arity = _arity(obj)
     if base is None:
-        base = space_from_json(_need(obj, "base", path), list(path) + ["base"])
+        base = _key(obj, "base", space_from_json)
     wire: list[ValidationError] = []
-    mass = _entries(obj, "mass", "tuple", path, stored=True, wire=wire)
-    coupling = _build(path, Coupling, arity, base, mass)
+    mass = _entries(obj, "mass", "tuple", stored=True, wire=wire)
+    coupling = _build(Coupling, arity, base, mass)
     if wire:
         raise wire[0]
     return coupling
@@ -270,20 +306,15 @@ def system_to_json(sys: FiniteZdSystem) -> dict:
     }
 
 
-def system_from_json(obj: Any, path: Sequence = ()) -> FiniteZdSystem:
-    dim = _need(obj, "dim", path)
-    space = space_from_json(_need(obj, "space", path), list(path) + ["space"])
-    gens = _need(obj, "generators", path)
+def system_from_json(obj: Any) -> FiniteZdSystem:
+    dim = _need(obj, "dim")
+    space = _key(obj, "space", space_from_json)
+    gens = _need(obj, "generators")
     if not isinstance(gens, list):
-        raise ValidationError(list(path) + ["generators"], "expected an array")
+        raise ValidationError(["generators"], "expected an array")
     if type(dim) is not int or dim != len(gens):
-        raise ValidationError(
-            list(path) + ["dim"], "dim must equal the number of generators"
-        )
-    perms = [
-        tuple(_int_list(g, list(path) + ["generators", i])) for i, g in enumerate(gens)
-    ]
-    return _build(path, FiniteZdSystem, space, tuple(perms))
+        raise ValidationError(["dim"], "dim must equal the number of generators")
+    return _build(FiniteZdSystem, space, _key(obj, "generators", _items, _ints))
 
 
 # -- subgroups and rotations ------------------------------------------------
@@ -292,54 +323,33 @@ def subgroup_to_json(g: SubgroupSpec) -> dict:
     return {"vectors": [list(v) for v in g.vectors]}
 
 
-def subgroup_from_json(obj: Any, path: Sequence = ()) -> SubgroupSpec:
-    vecs = _need(obj, "vectors", path)
-    if not isinstance(vecs, list):
-        raise ValidationError(list(path) + ["vectors"], "expected an array")
-    vectors = tuple(
-        tuple(_int_list(v, list(path) + ["vectors", i])) for i, v in enumerate(vecs)
-    )
-    return _build(path, SubgroupSpec, vectors)
+def subgroup_from_json(obj: Any) -> SubgroupSpec:
+    return _build(SubgroupSpec, _key(obj, "vectors", _items, _ints))
 
 
 def rotation_to_json(rot: GroupRotationSystem) -> dict:
     return {"orders": list(rot.orders), "phi": [list(v) for v in rot.phi]}
 
 
-def rotation_from_json(obj: Any, path: Sequence = ()) -> GroupRotationSystem:
-    orders = _int_list(_need(obj, "orders", path), list(path) + ["orders"])
-    phi = _need(obj, "phi", path)
-    if not isinstance(phi, list):
-        raise ValidationError(list(path) + ["phi"], "expected an array")
-    images = tuple(tuple(_int_list(v, list(path) + ["phi", i])) for i, v in enumerate(phi))
-    return _build(path, GroupRotationSystem, tuple(orders), images)
+def rotation_from_json(obj: Any) -> GroupRotationSystem:
+    orders = _key(obj, "orders", _ints)
+    return _build(GroupRotationSystem, orders, _key(obj, "phi", _items, _ints))
 
 
 # -- sequences, functions, subspaces ----------------------------------------
 
-def sequence_from_json(obj: Any, path: Sequence = ()) -> VectorSequence:
-    entries = _need(obj, "entries", path)
-    if not isinstance(entries, list):
-        raise ValidationError(list(path) + ["entries"], "expected an array")
-    rows = []
-    for i, row in enumerate(entries):
-        if not isinstance(row, list):
-            raise ValidationError(list(path) + ["entries", i], "expected an array")
-        rows.append(
-            tuple(
-                parse_fraction(v, list(path) + ["entries", i, j])
-                for j, v in enumerate(row)
-            )
-        )
-    return _build(list(path) + ["entries"], VectorSequence, tuple(rows))
+def _sequence(entries: Any) -> VectorSequence:
+    return _build(VectorSequence, _items(entries, _items, parse_fraction))
 
 
-def function_from_json(obj: Any, path: Sequence = ()) -> SimpleFunction:
+def sequence_from_json(obj: Any) -> VectorSequence:
+    return _key(obj, "entries", _sequence)
+
+
+def function_from_json(obj: Any) -> SimpleFunction:
     if not isinstance(obj, list):
-        raise ValidationError(path, "expected an array of rationals")
-    return SimpleFunction(
-        tuple(parse_fraction(v, list(path) + [i]) for i, v in enumerate(obj))
-    )
+        raise ValidationError((), "expected an array of rationals")
+    return SimpleFunction(_items(obj, parse_fraction))
 
 
 def subspace_to_json(s: CombinatorialSubspace) -> dict:
@@ -350,18 +360,16 @@ def subspace_to_json(s: CombinatorialSubspace) -> dict:
     }
 
 
-def subspace_from_json(obj: Any, k: int, path: Sequence = ()) -> CombinatorialSubspace:
-    bps = _int_list(_need(obj, "N", path), list(path) + ["N"])
-    wsets = _need(obj, "I", path)
+def subspace_from_json(obj: Any, k: int) -> CombinatorialSubspace:
+    bps = _key(obj, "N", _ints)
+    wsets = _need(obj, "I")
     if not isinstance(wsets, list):
-        raise ValidationError(list(path) + ["I"], "expected an array")
-    template = _need(obj, "w", path)
+        raise ValidationError(["I"], "expected an array")
+    template = _need(obj, "w")
     if not isinstance(template, str):
-        raise ValidationError(list(path) + ["w"], "expected a word string")
-    wildcards = tuple(
-        frozenset(_int_list(w, list(path) + ["I", i])) for i, w in enumerate(wsets)
-    )
-    return _build(path, CombinatorialSubspace, k, tuple(bps), wildcards, template)
+        raise ValidationError(["w"], "expected a word string")
+    wildcards = tuple(map(frozenset, _key(obj, "I", _items, _ints)))
+    return _build(CombinatorialSubspace, k, bps, wildcards, template)
 
 
 def correspondence_to_json(cm: CorrespondenceMeasure) -> dict:
@@ -384,44 +392,31 @@ def law_to_json(law: StationaryLawTruncation) -> dict:
     }
 
 
-def law_from_json(obj: Any, path: Sequence = ()) -> StationaryLawTruncation:
-    k = _need(obj, "k", path)
-    depth = _need(obj, "depth", path)
+def law_from_json(obj: Any) -> StationaryLawTruncation:
+    k = _need(obj, "k")
+    depth = _need(obj, "depth")
     if type(k) is not int or type(depth) is not int:
-        raise ValidationError(path, "k and depth must be integers")
-    carrier = space_from_json(_need(obj, "carrier", path), list(path) + ["carrier"])
-    weights = _entries(obj, "weights", "config", path)
-    return _build(path, StationaryLawTruncation, k, depth, carrier, weights)
+        raise ValidationError((), "k and depth must be integers")
+    carrier = _key(obj, "carrier", space_from_json)
+    weights = _entries(obj, "weights", "config")
+    return _build(StationaryLawTruncation, k, depth, carrier, weights)
 
 
 # -- removal instances --------------------------------------------------------
 
-def upset_to_json(u: "UpSet") -> dict:
-    from .upsets import bits_of
-
+def upset_to_json(u: UpSet) -> dict:
     return {"d": u.d, "members": sorted(list(bits_of(m)) for m in u.members)}
 
 
-def upset_from_json(obj: Any, d: int | None = None, path: Sequence = ()) -> "UpSet":
-    from .upsets import UpSet, mask_of
-
+def upset_from_json(obj: Any, d: int | None = None) -> UpSet:
     if d is None:
-        d = _need(obj, "d", path)
+        d = _need(obj, "d")
         if type(d) is not int:
-            raise ValidationError(list(path) + ["d"], "expected an integer")
-    members = _need(obj, "members", path)
-    if not isinstance(members, list):
-        raise ValidationError(list(path) + ["members"], "expected an array")
-    masks = frozenset(
-        mask_of(_int_list(m, list(path) + ["members", i]))
-        for i, m in enumerate(members)
-    )
-    return _build(path, UpSet, d, masks)
+            raise ValidationError(["d"], "expected an integer")
+    return _build(UpSet, d, frozenset(_key(obj, "members", _items, _mask)))
 
 
 def removal_instance_to_json(inst: "RemovalInstance") -> dict:
-    from .upsets import bits_of
-
     return {
         "space": space_to_json(inst.space),
         "coupling": coupling_to_json(inst.coupling, include_base=False),
@@ -439,73 +434,52 @@ def removal_instance_to_json(inst: "RemovalInstance") -> dict:
     }
 
 
-def removal_instance_from_json(obj: Any, path: Sequence = ()) -> "RemovalInstance":
-    from .removal import RemovalInstance
-    from .upsets import mask_of
+def _psi_entry(entry: Any, n: int) -> tuple[int, Partition]:
+    return _key(entry, "set", _mask), _key(entry, "partition", partition_from_json, n)
 
-    space = space_from_json(_need(obj, "space", path), list(path) + ["space"])
-    coupling = coupling_from_json(
-        _need(obj, "coupling", path), base=space, path=list(path) + ["coupling"]
-    )
-    psi_entries = _need(obj, "psi", path)
-    if not isinstance(psi_entries, list):
-        raise ValidationError(list(path) + ["psi"], "expected an array")
-    psi: dict = {}
-    for i, entry in enumerate(psi_entries):
-        epath = list(path) + ["psi", i]
-        mask = mask_of(_int_list(_need(entry, "set", epath), epath + ["set"]))
-        psi[mask] = partition_from_json(
-            _need(entry, "partition", epath), len(space), epath + ["partition"]
-        )
-    fam_entries = _need(obj, "families", path)
-    if not isinstance(fam_entries, list):
-        raise ValidationError(list(path) + ["families"], "expected an array")
-    families = []
-    for i, fam in enumerate(fam_entries):
-        fpath = list(path) + ["families", i]
-        if not isinstance(fam, list):
-            raise ValidationError(fpath, "expected an array")
-        out = []
-        for j, entry in enumerate(fam):
-            epath = fpath + [j]
-            u = upset_from_json(
-                _need(entry, "upset", epath), d=coupling.arity, path=epath + ["upset"]
-            )
-            a = frozenset(_int_list(_need(entry, "set", epath), epath + ["set"]))
-            out.append((u, a))
-        families.append(tuple(out))
-    return _build(path, RemovalInstance, space, coupling, psi, tuple(families))
+
+def _target(entry: Any, d: int) -> tuple[UpSet, frozenset[int]]:
+    return _key(entry, "upset", upset_from_json, d), frozenset(_key(entry, "set", _ints))
+
+
+def removal_instance_from_json(obj: Any) -> "RemovalInstance":
+    from .removal import RemovalInstance
+
+    space = _key(obj, "space", space_from_json)
+    coupling = _key(obj, "coupling", coupling_from_json, space)
+    psi = dict(_key(obj, "psi", _items, _psi_entry, len(space)))
+    # An array of arrays of targets.
+    families = _key(obj, "families", _items, _items, _target, coupling.arity)
+    return _build(RemovalInstance, space, coupling, psi, families)
 
 
 # -- joint-distribution instances ----------------------------------------------
 
-def joint_instance_from_json(obj: Any, path: Sequence = ()) -> dict:
+def joint_instance_from_json(obj: Any) -> dict:
     """Parse ``{"joining", "targets", "maps", "subgroups", "lambda"}`` into the
     pieces of a joint-distribution predicate call."""
-    from .systems import FactorMap
-
-    joining = system_from_json(_need(obj, "joining", path), list(path) + ["joining"])
-    targets_json = _need(obj, "targets", path)
-    maps_json = _need(obj, "maps", path)
-    groups_json = _need(obj, "subgroups", path)
+    joining = _key(obj, "joining", system_from_json)
+    targets_json = _need(obj, "targets")
+    maps_json = _need(obj, "maps")
+    groups_json = _need(obj, "subgroups")
     if not (isinstance(targets_json, list) and isinstance(maps_json, list)):
-        raise ValidationError(path, "targets and maps must be arrays")
+        raise ValidationError((), "targets and maps must be arrays")
     if not isinstance(groups_json, list):
-        raise ValidationError(list(path) + ["subgroups"], "expected an array")
+        raise ValidationError(["subgroups"], "expected an array")
     if len(targets_json) != len(maps_json) or len(groups_json) != len(maps_json):
-        raise ValidationError(path, "targets, maps, and subgroups must align")
+        raise ValidationError((), "targets, maps, and subgroups must align")
     maps = []
     for i, (tj, mj) in enumerate(zip(targets_json, maps_json)):
-        target = system_from_json(tj, list(path) + ["targets", i])
-        pm = _int_list(mj, list(path) + ["maps", i])
-        maps.append(_build(list(path) + ["maps", i], FactorMap, joining, target, tuple(pm)))
-    subgroups = [
-        subgroup_from_json(g, list(path) + ["subgroups", i])
-        for i, g in enumerate(groups_json)
-    ]
-    lam = subgroup_from_json(
-        obj.get("lambda", {"vectors": []}), list(path) + ["lambda"]
-    )
+        try:
+            target = system_from_json(tj)
+        except ValidationError as exc:
+            raise exc.within("targets", i)
+        try:
+            maps.append(_build(FactorMap, joining, target, _ints(mj)))
+        except ValidationError as exc:
+            raise exc.within("maps", i)
+    subgroups = list(_key(obj, "subgroups", _items, subgroup_from_json))
+    lam = _key(obj, "lambda", subgroup_from_json) if "lambda" in obj else SubgroupSpec(())
     return {"joining": joining, "maps": maps, "subgroups": subgroups, "lam": lam}
 
 
@@ -534,8 +508,8 @@ def _coupling_document_check(obj: Any) -> None:
     if isinstance(obj, dict) and "base" in obj:
         coupling_from_json(obj)
         return
-    arity = _arity(obj, ())
-    _build((), _baseless_coupling, arity, _entries(obj, "mass", "tuple", (), stored=True))
+    arity = _arity(obj)
+    _build(_baseless_coupling, arity, _entries(obj, "mass", "tuple", stored=True))
 
 
 _SCHEMAS = {

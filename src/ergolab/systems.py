@@ -85,7 +85,7 @@ class FiniteZdSystem:
     generators: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
-        gens = tuple(tuple(g) for g in self.generators)
+        gens = tuple(tuple(map(index, g)) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         n = len(self.space)
         weights = self.space.weights

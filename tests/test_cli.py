@@ -434,6 +434,25 @@ def test_avg_subcommand(z3_file, tmp_path, capsys):
     assert report["results"]["integral"] == "1/9"
 
 
+@pytest.mark.parametrize(
+    "functions, message",
+    [
+        (5, "$.functions: expected an array of function value arrays"),
+        ([["1", "0", "1"], 5], "$.functions[1]: expected an array of rationals"),
+        (
+            [["1", "0", "1"], ["1", "x", "0"]],
+            "$.functions[1][1]: bad rational 'x': Invalid literal for Fraction: 'x'",
+        ),
+    ],
+)
+def test_bad_functions_are_located_input_errors(z3_file, tmp_path, functions, message, capsys):
+    fpath = tmp_path / "fs.json"
+    fpath.write_text(json.dumps(functions))
+    code, report = run(capsys, ["avg", "--system", z3_file, "--functions", str(fpath), "-N", "3"])
+    assert code == 3
+    assert report == {"error": message}
+
+
 def test_joint_subcommand(tmp_path, capsys):
     from helpers import torus_system
     from ergolab.serialize import system_to_json as s2j, subgroup_to_json
@@ -619,7 +638,8 @@ def test_digest_needs_no_converted_copy(tmp_path, monkeypatch):
     digest = cli._digest
     monkeypatch.setattr(cli, "_digest", lambda payload: payloads.append(payload) or digest(payload))
     run_golden(tmp_path)
-    assert len(payloads) == len(GOLDEN)
+    # An input error (exit 3) reports no digest.
+    assert len(payloads) == sum(code != 3 for _, code, _ in GOLDEN.values())
     payloads += [
         {"q": F(2, 4), "neg": F(-7, 3), "whole": F(5), "sets": [{F(1, 2), F(1, 3)}, set()]},
         {"fs": frozenset({(1, 2), (0, 5)}), "words": frozenset({"21", "12"})},

@@ -102,6 +102,12 @@ def _joint_instance(sys_) -> dict:
 JOINT_TORUS = _joint_instance(torus_system(3, (1, 0), (0, 1)))
 JOINT_THREE_DIRECTIONS = _joint_instance(three_direction_torus(3))
 
+# Z_6 with the images 2 and 3: ergodic, and the join of its two quotients.
+# Z_4 with the image 2 twice generates only {0, 2}, so it has no extension.
+ROTATION_Z6 = {"orders": [6], "phi": [[2], [3]]}
+ROTATION_Z4 = {"orders": [4], "phi": [[2], [2]]}
+ROTATION_ONE_DIRECTION = {"orders": [5], "phi": [[1]]}
+
 INPUTS = {
     "z3.json": Z3,
     "z4.json": Z4,
@@ -118,6 +124,9 @@ INPUTS = {
     "removal_dependent.json": REMOVAL_DEPENDENT,
     "joint_torus.json": JOINT_TORUS,
     "joint_three.json": JOINT_THREE_DIRECTIONS,
+    "rotation_z6.json": ROTATION_Z6,
+    "rotation_z4.json": ROTATION_Z4,
+    "rotation_one.json": ROTATION_ONE_DIRECTION,
 }
 
 # name -> (argv with {dir} for the input directory, exit code, sha256 of stdout)
@@ -192,6 +201,18 @@ GOLDEN = {
     "dhj-correspond-k3-L2": (
         ["dhj", "correspond", "--set", "{dir}/words33.json", "-k", "3", "-N", "3", "-L", "2"], 0,
         "82635b406a922c85faca9d075e2ad9598cbc4a280e4cfe06f7aee792b4637d61"),
+    "rotation": (
+        ["rotation", "--rotation", "{dir}/rotation_z6.json"], 0,
+        "23e24a71345cce481d1d0dea29bc20d2ce028c15183541910ce118698a05f791"),
+    "rotation-extend": (
+        ["rotation", "--rotation", "{dir}/rotation_z6.json", "--extend"], 0,
+        "a87e44b84f71ec9f9d59e4b7b3ded42e62d609c12900fd2f3185b729e6c7b9e9"),
+    "rotation-extend-not-ergodic": (
+        ["rotation", "--rotation", "{dir}/rotation_z4.json", "--extend"], 3,
+        "f927af91f6e9d842d2e0a7ae9bb1a74dfc7b6322301bcf74369af6838453e637"),
+    "rotation-one-direction": (
+        ["rotation", "--rotation", "{dir}/rotation_one.json"], 3,
+        "a56a4905a4b972de15aa603bf161dd31e3f362c154ab0179c2338f6fd6f82ef6"),
 }
 
 

@@ -43,7 +43,7 @@ from ergolab.measure import (
     relative_independence,
     relatively_independent_product,
 )
-from ergolab.systems import GroupRotationSystem, SubgroupSpec
+from ergolab.systems import FiniteZdSystem, GroupRotationSystem, SubgroupSpec
 from ergolab.upsets import UpSet
 
 F = Fraction
@@ -282,10 +282,13 @@ def test_law_and_correspondence_read_both_paths_alike():
         lambda: CombinatorialSubspace(2, (1,), ({1.2},), "1"),
         lambda: VectorSequence(((0.5, F(1, 3)),)),
         lambda: VectorSequence(((F(1, 2), "1/3"),)),
+        lambda: FiniteZdSystem(ExactProbabilitySpace.uniform((0, 1)), (("1", "0"),)),
+        lambda: FiniteZdSystem(ExactProbabilitySpace.uniform((0, 1)), ((1.0, 0.0),)),
     ],
     ids=[
         "rotation-order", "rotation-image", "subgroup-float", "subgroup-string", "upset",
         "subspace-breakpoint", "subspace-wildcard", "sequence-float", "sequence-string",
+        "system-string", "system-float",
     ],
 )
 def test_constructors_refuse_inexact_input(build):
@@ -293,6 +296,15 @@ def test_constructors_refuse_inexact_input(build):
     # int, so nothing is truncated or parsed.
     with pytest.raises(TypeError):
         build()
+
+
+def test_system_generators_read_bools_as_integers():
+    from ergolab.serialize import canonical_dumps, system_to_json
+
+    sys_ = FiniteZdSystem(ExactProbabilitySpace.uniform((0, 1)), ((True, False),))
+    assert sys_.generators == ((1, 0),)
+    assert all(type(x) is int for x in sys_.generators[0])
+    assert canonical_dumps(system_to_json(sys_)["generators"]) == "[[1,0]]"
 
 
 @pytest.mark.parametrize("item", [3.9, 3.0, "3"])

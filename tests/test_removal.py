@@ -392,6 +392,15 @@ def test_measurability_enforced():
         )
 
 
+@pytest.mark.parametrize("target", [{0, 7}, {-1}, {2}])
+def test_target_sets_hold_only_points(target):
+    # The union-of-blocks check sees only the points, so an index outside
+    # them is refused on its own.
+    with pytest.raises(ValueError, match="family 0: a target set holds a point index out of range"):
+        diagonal_instance(sets=[target, {0, 1}, {0, 1}])
+    diagonal_instance(sets=[{0}, {0, 1}, {0, 1}])
+
+
 def test_upset_family_constraints_enforced():
     sp = ExactProbabilitySpace.uniform((0, 1))
     lam = Coupling.diagonal(sp, 3)

@@ -120,13 +120,14 @@ def test_law_from_json_parses_each_weight_string_once(monkeypatch):
     parsed = []
     real = serialize.parse_fraction
 
-    def counting(s, path=()):
-        parsed.append(list(path))
-        return real(s, path)
+    def counting(s):
+        parsed.append(s)
+        return real(s)
 
     monkeypatch.setattr(serialize, "parse_fraction", counting)
     law = law_from_json(doc)
-    assert sum(p[0] == "weights" for p in parsed) == len(set(values))
+    # The carrier's weights, then each distinct weight string at its first entry.
+    assert parsed == doc["carrier"]["weights"] + list(dict.fromkeys(values))
     assert law_to_json(law) == doc
 
 
@@ -412,18 +413,167 @@ _BOOLEAN_DIAGNOSTICS = [
 ]
 
 
+def _edited(doc, *keys, value):
+    """A deep copy of ``doc`` with the value at ``keys`` replaced."""
+    out = json.loads(json.dumps(doc))
+    inner = out
+    for k in keys[:-1]:
+        inner = inner[k]
+    inner[keys[-1]] = value
+    return out
+
+
+_JOINT = {
+    "joining": _system_doc([_CYCLE]),
+    "targets": [_system_doc([_CYCLE])],
+    "maps": [[0, 1, 2]],
+    "subgroups": [{"vectors": []}],
+}
+
+
+# Shape errors, each at the depth of the value that has the wrong shape;
+# their ids are prefixed, so that no earlier row's id changes.
+_SHAPE_DIAGNOSTICS = [
+    ("system", _system_doc([_CYCLE], space=5), "$.space: expected an object"),
+    (
+        "instance",
+        _edited(_instance_doc(), "psi", 0, value={"set": [0, 1]}),
+        "$.psi[0]: missing key 'partition'",
+    ),
+    (
+        "law",
+        {**_law_doc([([0, 0], "1")]), "carrier": {"points": [0, 1], "weights": "1/2"}},
+        "$.carrier: points and weights must be arrays",
+    ),
+    (
+        "instance",
+        _edited(_instance_doc(), "psi", 0, "partition", value=5),
+        "$.psi[0].partition: expected an array of blocks",
+    ),
+    (
+        "joint",
+        _edited(_JOINT, "targets", 0, "generators", value=5),
+        "$.targets[0].generators: expected an array",
+    ),
+    ("joint", {**_JOINT, "lambda": {"vectors": 5}}, "$.lambda.vectors: expected an array"),
+    ("rotation", {"orders": [2], "phi": 5}, "$.phi: expected an array"),
+    ("instance", _edited(_instance_doc(), "psi", value=5), "$.psi: expected an array"),
+    (
+        "instance",
+        _edited(_instance_doc(), "families", value=5),
+        "$.families: expected an array",
+    ),
+    (
+        "instance",
+        _edited(_instance_doc(), "families", 1, value=5),
+        "$.families[1]: expected an array",
+    ),
+    (
+        "instance",
+        _edited(_instance_doc(), "families", 0, 0, "upset", "members", value=5),
+        "$.families[0][0].upset.members: expected an array",
+    ),
+    ("joint", {**_JOINT, "targets": 5}, "$: targets and maps must be arrays"),
+    ("joint", {**_JOINT, "subgroups": []}, "$: targets, maps, and subgroups must align"),
+    ("law", {**_law_doc([]), "weights": 5}, "$.weights: expected an array"),
+    ("coupling", {**_coupling_doc([]), "mass": 5}, "$.mass: expected an array"),
+    (
+        "instance",
+        _edited(_instance_doc(), "coupling", "mass", value=5),
+        "$.coupling.mass: expected an array",
+    ),
+    (
+        "law",
+        _edited(_law_doc([([0, 0], "1/2"), ([1, 1], "1/2")]), "weights", 1, value=5),
+        "$.weights[1]: expected an object",
+    ),
+    (
+        "law",
+        _edited(_law_doc([([0, 0], "1")]), "weights", 0, value={"config": [0, 0]}),
+        "$.weights[0]: missing key 'value'",
+    ),
+    (
+        "coupling",
+        _edited(_coupling_doc([([0, 0], "1")]), "mass", 0, value={"value": "1"}),
+        "$.mass[0]: missing key 'tuple'",
+    ),
+]
+
+
 def _slug(text: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", text.lower()).strip("-")
 
 
 @pytest.mark.parametrize(
     "schema, doc, expected",
-    _LOCKED_DIAGNOSTICS + _NEW_DIAGNOSTICS + _BOOLEAN_DIAGNOSTICS,
+    _LOCKED_DIAGNOSTICS + _NEW_DIAGNOSTICS + _BOOLEAN_DIAGNOSTICS + _SHAPE_DIAGNOSTICS,
     ids=[_slug(f"{s} {e}") for s, _, e in _LOCKED_DIAGNOSTICS + _NEW_DIAGNOSTICS]
-    + [_slug(f"boolean {s} {e}") for s, _, e in _BOOLEAN_DIAGNOSTICS],
+    + [_slug(f"boolean {s} {e}") for s, _, e in _BOOLEAN_DIAGNOSTICS]
+    + [_slug(f"shape {s} {e}") for s, _, e in _SHAPE_DIAGNOSTICS],
 )
 def test_validate_reports_the_locked_diagnostic(schema, doc, expected):
     assert validate_document(doc, schema) == [expected]
+
+
+# Readers called on the value they read; no schema reaches the function and
+# subspace readers.
+_READER_DIAGNOSTICS = [
+    ("function_from_json", (), 5, "$: expected an array of rationals"),
+    (
+        "function_from_json",
+        (),
+        ["1", "x"],
+        "$[1]: bad rational 'x': Invalid literal for Fraction: 'x'",
+    ),
+    ("subspace_from_json", (2,), {"N": [1], "I": 5, "w": "1"}, "$.I: expected an array"),
+    ("subspace_from_json", (2,), {"N": [1], "I": [[1]], "w": 5}, "$.w: expected a word string"),
+    ("partition_from_json", (2,), [[0], [1, "x"]], "$[1]: expected an array of integers"),
+    (
+        "upset_from_json",
+        (),
+        {"d": 2, "members": [[0, 1], 5]},
+        "$.members[1]: expected an array of integers",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, args, doc, expected",
+    _READER_DIAGNOSTICS,
+    ids=[_slug(f"{r} {e}") for r, _, _, e in _READER_DIAGNOSTICS],
+)
+def test_readers_report_the_locked_diagnostic(reader, args, doc, expected):
+    from ergolab import serialize
+
+    with pytest.raises(ValidationError) as exc:
+        getattr(serialize, reader)(doc, *args)
+    assert str(exc.value) == expected
+
+
+# Indices that name no coordinate or no point: a negative coordinate index
+# is refused at its array, before it becomes a bitmask, and a target set
+# may hold only points.
+_INDEX_DIAGNOSTICS = [
+    (
+        _edited(_instance_doc(), "psi", 1, "set", value=[0, -2]),
+        "$.psi[1].set: expected an array of nonnegative integers",
+    ),
+    (
+        _instance_doc(members=((0, 1, 2), (-1, 0, 1, 2))),
+        "$.families[0][0].upset.members[1]: expected an array of nonnegative integers",
+    ),
+    (_instance_doc(aset=(0, 7)), "$: family 0: a target set holds a point index out of range"),
+    (_instance_doc(aset=(-1,)), "$: family 0: a target set holds a point index out of range"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, expected",
+    _INDEX_DIAGNOSTICS,
+    ids=["psi-set-negative", "upset-member-negative", "target-past-the-points", "target-negative"],
+)
+def test_instances_refuse_indices_outside_their_range(doc, expected):
+    assert validate_document(doc, "instance") == [expected]
 
 
 # Base-less couplings: the wire rules, then the constructor's checks
@@ -467,8 +617,13 @@ def test_couplings_with_a_base_keep_the_wire_rules():
     assert validate_document(doc, "coupling") == [
         "$.mass[1].value: stored masses must be positive"
     ]
+    # The coupling of a removal instance is read over the instance space.
+    coupling = _coupling_doc(
+        [([0, 0, 0], "1/2"), ([0, 0, 1], "0"), ([1, 1, 1], "1/2")], arity=3, base=None
+    )
+    inst = _edited(_instance_doc(), "coupling", value=coupling)
     with pytest.raises(ValidationError) as exc:
-        coupling_from_json(doc, base=ExactProbabilitySpace.uniform((0, 1)), path=["coupling"])
+        removal_instance_from_json(inst)
     assert str(exc.value) == "$.coupling.mass[1].value: stored masses must be positive"
 
 
@@ -522,9 +677,26 @@ def test_constructor_errors_get_the_enclosing_path():
     assert validate_document(joint, "joint") == [
         "$.joining.generators: generators 0 and 1 do not commute"
     ]
+    joint["lambda"] = {"vectors": [[1, 0], [1]]}
+    joint["joining"] = _system_doc([_CYCLE])
+    assert validate_document(joint, "joint") == [
+        "$.lambda: generator vectors must share one dimension"
+    ]
     with pytest.raises(ValidationError) as exc:
-        subgroup_from_json({"vectors": [[1, 0], [1]]}, ["lambda"])
-    assert str(exc.value) == "$.lambda: generator vectors must share one dimension"
+        subgroup_from_json({"vectors": [[1, 0], [1]]})
+    assert str(exc.value.within("lambda")) == (
+        "$.lambda: generator vectors must share one dimension"
+    )
+
+
+def test_within_places_an_error_inside_the_value_at_its_keys():
+    exc = ValidationError(["vectors", 1], "expected an array of integers")
+    assert exc.within("lambda") is exc
+    assert exc.within("joint", 0) is exc
+    assert exc.path == ["joint", 0, "lambda", "vectors", 1]
+    assert exc.message == "expected an array of integers"
+    assert str(exc) == "$.joint[0].lambda.vectors[1]: expected an array of integers"
+    assert str(ValidationError((), "bad").within()) == "$: bad"
 
 
 def test_sequence_from_json_builds_the_sequence():
