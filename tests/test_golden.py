@@ -33,6 +33,14 @@ W3 = {"dim": 3,
       "generators": [[1, 2, 0, 4, 3, 5, 6], [2, 0, 1, 3, 4, 6, 5], [0, 1, 2, 4, 3, 5, 6]],
       "space": {"points": [0, 1, 2, 3, 4, 5, 6],
                 "weights": ["1/6", "1/6", "1/6", "1/4", "1/4", "0", "0"]}}
+# Shaped like a generated system: labels ``[component, [coordinates]]``, a
+# rotation of Z_4, a fixed point and two swapped null points, with weights
+# repeated, unreduced or written as "0/1".
+LABELLED = {"dim": 2,
+            "generators": [[1, 2, 3, 0, 4, 6, 5], [2, 3, 0, 1, 4, 5, 6]],
+            "space": {"points": [[0, [0]], [0, [1]], [0, [2]], [0, [3]], [1, [0]],
+                                 [2, [0]], [2, [1]]],
+                      "weights": ["1/8", "1/8", "2/16", "1/8", "2/4", "0/1", "0/1"]}}
 FUNCTIONS = [["1", "0", "1/2"], ["2/3", "1", "0"]]
 SEQUENCE = {"entries": [[str(Fraction((-1) ** i * (i + 1), 3)), "1/2"] for i in range(12)]}
 
@@ -112,6 +120,7 @@ INPUTS = {
     "z3.json": Z3,
     "z4.json": Z4,
     "w3.json": W3,
+    "labelled.json": LABELLED,
     "functions.json": FUNCTIONS,
     "seq.json": SEQUENCE,
     "law.json": IID_LAW,
@@ -162,6 +171,15 @@ GOLDEN = {
     "recur-w3": (
         ["recur", "--system", "{dir}/w3.json", "--set", "[0, 3, 5]"], 0,
         "a596d746f975542b98c8d20ef0ab50850a7c52d5d3b8367c85975b8285b55501"),
+    "fjoin-labelled": (
+        ["fjoin", "--system", "{dir}/labelled.json"], 0,
+        "eafa95e1f160cb61df2d002a288832f3974a8227242a9607f96ca4c03a200418"),
+    "recur-labelled": (
+        ["recur", "--system", "{dir}/labelled.json", "--set", "[0, 4, 5]"], 0,
+        "056dee8e0c9f12acb4f143751fab7e8e4e56abb333c79a93ab56b19cf8d7afd8"),
+    "validate-labelled": (
+        ["validate", "--schema", "system", "{dir}/labelled.json"], 0,
+        "33543ef21ac21c0f8c80a7f4c1ca9bdebca9f0ac241c2f01a27f65c51054b44c"),
     "avg": (
         ["avg", "--system", "{dir}/z3.json", "--functions", "{dir}/functions.json", "-N", "7"], 0,
         "f5c81a9b520675ae10a5c448d6ebb759ed98f74b5ce5151f1c16dbcc0f7cca63"),

@@ -359,6 +359,47 @@ _LOCKED_DIAGNOSTICS = [
         _instance_doc(aset=("a",)),
         "$.families[0][0].set: expected an array of integers",
     ),
+    # The weights of a system: the first bad entry names its own index even
+    # when its string repeats, signs and total are checked in that order, and
+    # preservation compares values, not strings.
+    (
+        "system",
+        _system_doc([[0, 1, 2, 3]], space={"points": [0, 1, 2, 3], "weights": ["1/2", "1/x", "1/2", "1/x"]}),
+        "$.space.weights[1]: bad rational '1/x': Invalid literal for Fraction: '1/x'",
+    ),
+    (
+        "system",
+        _system_doc([_CYCLE], space={"points": [0, 1, 2], "weights": ["1/3", 0.5, "1/6"]}),
+        "$.space.weights[1]: expected a rational string, got float",
+    ),
+    (
+        "system",
+        _system_doc([_CYCLE], space={"points": [0, 1, 2], "weights": ["1/3", "1/3", True]}),
+        "$.space.weights[2]: expected a rational string, got bool",
+    ),
+    (
+        "system",
+        _system_doc([_CYCLE], space={"points": [0, 1, 2], "weights": ["1", "-1/2", "1/2"]}),
+        "$.space: weights must be nonnegative",
+    ),
+    (
+        "system",
+        _system_doc([_CYCLE], space={"points": [0, 1, 2], "weights": ["1/3", "1/3", "1/2"]}),
+        "$.space: weights must sum to exactly 1",
+    ),
+    (
+        "system",
+        _system_doc([[0, 2, 1]], space={"points": [0, 1, 2], "weights": ["1/6", "1/2", "1/3"]}),
+        "$.generators[0]: weight not preserved at point 1",
+    ),
+    (
+        "system",
+        _system_doc(
+            [[0, 1, 2], [1, 0, 2], [0, 2, 1]],
+            space={"points": [0, 1, 2], "weights": ["1/3", "2/6", "1/3"]},
+        ),
+        "$.generators: generators 1 and 2 do not commute",
+    ),
 ]
 
 
