@@ -81,12 +81,12 @@ class ExactProbabilitySpace:
             raise ValueError("points and weights must have equal length")
         if len(set(points)) != len(points):
             raise ValueError("point labels must be distinct")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
-        # The total is summed on the numerators over the common denominator,
-        # which are kept for :meth:`integerized`.
+        # Sign and total are checked on the numerators over the common
+        # denominator, which are kept for :meth:`integerized`.
         den = lcm(*{w.denominator for w in weights})
         nums = tuple(w.numerator * (den // w.denominator) for w in weights)
+        if min(nums, default=0) < 0:
+            raise ValueError("weights must be nonnegative")
         if sum(nums) != den:
             raise ValueError("weights must sum to exactly 1")
         object.__setattr__(self, "_den", den)

@@ -22,8 +22,14 @@ Wire formats:
 * subspaces: ``{"N": [...], "I": [[...], ...], "w": "..."}`` (1-based
   positions).
 
+Each reader of rationals (a space's weights, stored masses and law weights,
+a function's values, a sequence's entries) parses through one memo per
+value it reads, so each distinct string is parsed once, at its first
+occurrence, and equal strings share one ``Fraction``.
+
 Canonical output is sorted-key JSON with no insignificant whitespace, so a
-report is byte-stable for fixed inputs and seed.
+report is byte-stable for fixed inputs and seed.  One encoder, built at
+import, writes it.
 """
 from __future__ import annotations
 
@@ -53,7 +59,8 @@ if TYPE_CHECKING:
 
 
 def format_fraction(q: Fraction) -> str:
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -66,6 +73,21 @@ def parse_fraction(s: Any) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError((), f"bad rational {s!r}: {exc}") from None
+
+
+class _Rationals(dict):
+    """A memo of parsed rationals, one per document value read: each
+    distinct string is parsed by :func:`parse_fraction` at its first lookup,
+    so a bad one raises there, and equal strings share one ``Fraction``."""
+
+    def __missing__(self, s: str) -> Fraction:
+        out = self[s] = parse_fraction(s)
+        return out
+
+    def read(self, s: Any) -> Fraction:
+        """``parse_fraction(s)``, through the memo when ``s`` is a string (a
+        JSON boolean equals an int, so only strings are keys)."""
+        return self[s] if type(s) is str else parse_fraction(s)
 
 
 def _normalize_label(x: Any) -> Any:
@@ -126,11 +148,16 @@ def _ints(obj: Any) -> tuple[int, ...]:
     return tuple(obj)
 
 
-def _mask(obj: Any) -> int:
-    """The bitmask of an array of nonnegative indices."""
+def _mask(obj: Any, d: int) -> int:
+    """The bitmask of an array of coordinate indices in ``range(d)``.  An
+    index is checked before it becomes a bit, so a large one allocates
+    nothing."""
     indices = _ints(obj)
     if any(i < 0 for i in indices):
         raise ValidationError((), "expected an array of nonnegative integers")
+    for i in indices:
+        if i >= d:
+            raise ValidationError((), f"coordinate index {i} out of range")
     return mask_of(indices)
 
 
@@ -170,7 +197,7 @@ def _entries(
     if not isinstance(entries, list):
         raise ValidationError([key], "expected an array")
     out: dict = {}
-    parsed: dict[str, Fraction] = {}
+    parsed = _Rationals()
     prev: tuple | None = None
     for i, entry in enumerate(entries):
         t = entry.get(field) if type(entry) is dict else None
@@ -188,11 +215,9 @@ def _entries(
         v = parsed.get(raw) if type(raw) is str else None
         if v is None:
             try:
-                v = _key(entry, "value", parse_fraction)
+                v = _key(entry, "value", parsed.read)
             except ValidationError as exc:
                 raise exc.within(key, i)
-            if type(raw) is str:
-                parsed[raw] = v
         if stored and v <= 0:
             _broken(wire, [key, i, "value"], "stored masses must be positive")
         out[t] = out[t] + v if t in out else v
@@ -228,7 +253,7 @@ def space_from_json(obj: Any) -> ExactProbabilitySpace:
     if not isinstance(points, list) or not isinstance(weights, list):
         raise ValidationError((), "points and weights must be arrays")
     labels = _key(obj, "points", _items, _normalize_label)
-    ws = _key(obj, "weights", _items, parse_fraction)
+    ws = _key(obj, "weights", _items, _Rationals().read)
     return _build(ExactProbabilitySpace, labels, ws)
 
 
@@ -339,7 +364,7 @@ def rotation_from_json(obj: Any) -> GroupRotationSystem:
 # -- sequences, functions, subspaces ----------------------------------------
 
 def _sequence(entries: Any) -> VectorSequence:
-    return _build(VectorSequence, _items(entries, _items, parse_fraction))
+    return _build(VectorSequence, _items(entries, _items, _Rationals().read))
 
 
 def sequence_from_json(obj: Any) -> VectorSequence:
@@ -349,7 +374,7 @@ def sequence_from_json(obj: Any) -> VectorSequence:
 def function_from_json(obj: Any) -> SimpleFunction:
     if not isinstance(obj, list):
         raise ValidationError((), "expected an array of rationals")
-    return SimpleFunction(_items(obj, parse_fraction))
+    return SimpleFunction(_items(obj, _Rationals().read))
 
 
 def subspace_to_json(s: CombinatorialSubspace) -> dict:
@@ -413,7 +438,7 @@ def upset_from_json(obj: Any, d: int | None = None) -> UpSet:
         d = _need(obj, "d")
         if type(d) is not int:
             raise ValidationError(["d"], "expected an integer")
-    return _build(UpSet, d, frozenset(_key(obj, "members", _items, _mask)))
+    return _build(UpSet, d, frozenset(_key(obj, "members", _items, _mask, d)))
 
 
 def removal_instance_to_json(inst: "RemovalInstance") -> dict:
@@ -434,8 +459,8 @@ def removal_instance_to_json(inst: "RemovalInstance") -> dict:
     }
 
 
-def _psi_entry(entry: Any, n: int) -> tuple[int, Partition]:
-    return _key(entry, "set", _mask), _key(entry, "partition", partition_from_json, n)
+def _psi_entry(entry: Any, d: int, n: int) -> tuple[int, Partition]:
+    return _key(entry, "set", _mask, d), _key(entry, "partition", partition_from_json, n)
 
 
 def _target(entry: Any, d: int) -> tuple[UpSet, frozenset[int]]:
@@ -447,7 +472,7 @@ def removal_instance_from_json(obj: Any) -> "RemovalInstance":
 
     space = _key(obj, "space", space_from_json)
     coupling = _key(obj, "coupling", coupling_from_json, space)
-    psi = dict(_key(obj, "psi", _items, _psi_entry, len(space)))
+    psi = dict(_key(obj, "psi", _items, _psi_entry, coupling.arity, len(space)))
     # An array of arrays of targets.
     families = _key(obj, "families", _items, _items, _target, coupling.arity)
     return _build(RemovalInstance, space, coupling, psi, families)
@@ -488,8 +513,12 @@ def joint_instance_from_json(obj: Any) -> dict:
 def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON: sorted keys, compact separators.  Tuples are
     written as lists, a ``Fraction`` as ``"p/q"`` and a set as the sorted
-    list of its encoded members."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode)
+    list of its encoded members.
+
+    One encoder, built at import, serves every call.  It skips the check for
+    circular references: every value it encodes is a parsed JSON document or
+    a freshly built report, and neither can hold a cycle."""
+    return _ENCODER.encode(obj)
 
 
 def _encode(value: Any) -> Any:
@@ -499,6 +528,11 @@ def _encode(value: Any) -> Any:
     if isinstance(value, (set, frozenset)):
         return sorted(json.loads(canonical_dumps(v)) for v in value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=_encode, check_circular=False
+)
 
 
 def _coupling_document_check(obj: Any) -> None:

@@ -88,12 +88,13 @@ class FiniteZdSystem:
         gens = tuple(tuple(map(index, g)) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         n = len(self.space)
-        weights = self.space.weights
+        # Weights compare as their numerators over the common denominator.
+        _, nums = self.space.integerized()
         for i, g in enumerate(gens):
             if not is_permutation(g, n):
                 raise ValidationError(["generators", i], "not a permutation of the points")
-            if tuple(map(weights.__getitem__, g)) != weights:
-                x = next(x for x in range(n) if weights[g[x]] != weights[x])
+            if tuple(map(nums.__getitem__, g)) != nums:
+                x = next(x for x in range(n) if nums[g[x]] != nums[x])
                 raise ValidationError(["generators", i], f"weight not preserved at point {x}")
         for (i, a), (j, b) in combinations(enumerate(gens), 2):
             if compose(a, b) != compose(b, a):

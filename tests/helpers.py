@@ -904,3 +904,41 @@ def old_diagonal_coupling(space, arity):
         space,
         {(i,) * arity: w for i, w in enumerate(space.weights) if w > 0},
     )
+
+
+# -- the weight checks as they ran on Fractions before integer numerators ----------
+#
+# The former sign check of ``ExactProbabilitySpace`` (``w < 0`` on each
+# weight) and weight-preservation check of ``FiniteZdSystem`` (tuples of
+# weights compared as ``Fraction``s), with the other checks in their order.
+
+def fraction_space_error(points, weights):
+    """Reference for the ``ExactProbabilitySpace`` constructor's checks: the
+    error text of the first failing one, or ``None``."""
+    points, weights = tuple(points), tuple(weights)
+    if len(points) != len(weights):
+        return "points and weights must have equal length"
+    if len(set(points)) != len(points):
+        return "point labels must be distinct"
+    if any(w < 0 for w in weights):
+        return "weights must be nonnegative"
+    if sum(weights, Fraction(0)) != 1:
+        return "weights must sum to exactly 1"
+    return None
+
+
+def fraction_system_error(space, generators):
+    """Reference for the ``FiniteZdSystem`` constructor's checks: the text
+    of the first failing one, located as the constructor locates it, or
+    ``None``."""
+    n, weights = len(space), space.weights
+    for i, g in enumerate(generators):
+        if sorted(g) != list(range(n)):
+            return f"$.generators[{i}]: not a permutation of the points"
+        if tuple(weights[x] for x in g) != weights:
+            x = next(x for x in range(n) if weights[g[x]] != weights[x])
+            return f"$.generators[{i}]: weight not preserved at point {x}"
+    for (i, a), (j, b) in combinations(enumerate(generators), 2):
+        if compose(a, b) != compose(b, a):
+            return f"$.generators: generators {i} and {j} do not commute"
+    return None

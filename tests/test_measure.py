@@ -14,6 +14,7 @@ from helpers import (
     fraction_coupling_error,
     fraction_fiber_product_mass,
     fraction_product_mass,
+    fraction_space_error,
     old_diagonal_coupling,
     old_product_coupling,
     old_relative_independence,
@@ -62,6 +63,41 @@ def test_space_rejects_bad_weights():
         small_space([F(3, 2), F(-1, 2)])
     with pytest.raises(ValueError):
         ExactProbabilitySpace(("a", "a"), (F(1, 2), F(1, 2)))
+
+
+def test_space_checks_on_numerators_match_the_fraction_checks():
+    # Seeded spaces, most of them failing: a repeated label, a length
+    # mismatch, a negative weight (with a total of 1 or not), or a total
+    # other than 1.  A whole weight is sometimes given as an int.
+    rng = random.Random(20)
+    verdicts = set()
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        weights = [F(rng.randint(-2, 6), rng.randint(1, 6)) for _ in range(n)]
+        total = sum(weights, F(0))
+        if total > 0 and rng.random() < 0.7:
+            weights = [w / total for w in weights]
+        weights = [int(w) if w.denominator == 1 and rng.random() < 0.5 else w for w in weights]
+        points = list(range(n))
+        if n > 1 and rng.random() < 0.1:
+            points[-1] = points[0]
+        if rng.random() < 0.05:
+            points.append(n)
+        expected = fraction_space_error(points, weights)
+        verdicts.add(expected)
+        try:
+            ExactProbabilitySpace(points, weights)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected
+    assert verdicts == {
+        None,
+        "points and weights must have equal length",
+        "point labels must be distinct",
+        "weights must be nonnegative",
+        "weights must sum to exactly 1",
+    }
 
 
 def test_partition_canonical_and_validated():

@@ -131,6 +131,42 @@ def test_law_from_json_parses_each_weight_string_once(monkeypatch):
     assert law_to_json(law) == doc
 
 
+def test_system_from_json_parses_each_weight_string_once(monkeypatch):
+    from ergolab import serialize
+
+    weights = ["1/8", "1/8", "2/16", "1/8", "2/4", "0/1", "0/1"]
+    doc = _system_doc(
+        [[1, 2, 3, 0, 4, 6, 5]],
+        space={"points": [[0, [i]] for i in range(4)] + [[1, [0]], [2, [0]], [2, [1]]],
+               "weights": weights},
+    )
+    parsed = []
+    real = serialize.parse_fraction
+
+    def counting(s):
+        parsed.append(s)
+        return real(s)
+
+    monkeypatch.setattr(serialize, "parse_fraction", counting)
+    sys_ = system_from_json(doc)
+    assert parsed == ["1/8", "2/16", "2/4", "0/1"]
+    # Equal strings share one Fraction; "1/8" and "2/16" are equal values.
+    ws = sys_.space.weights
+    assert ws[0] is ws[1] is ws[3] and ws[5] is ws[6]
+    assert ws[2] == ws[0] and ws == (F(1, 8),) * 4 + (F(1, 2), F(0), F(0))
+
+
+def test_readers_share_one_fraction_per_string():
+    from ergolab.serialize import function_from_json, sequence_from_json
+
+    f = function_from_json(["1/3", "2/6", "1/3", 1, 1])
+    assert f.values[0] is f.values[2] and f.values[0] == f.values[1]
+    seq = sequence_from_json({"entries": [["1/2", "-1"], ["-1", "1/2"]]})
+    assert seq.entries[0][0] is seq.entries[1][1] and seq.entries[0][1] is seq.entries[1][0]
+    law = law_from_json(_law_doc([([0, 0], "1/4"), ([0, 1], "1/4"), ([1, 0], "1/4"), ([1, 1], "1/4")]))
+    assert len({id(v) for v in law.weights.values()}) == 1
+
+
 def test_law_from_json_weight_errors_keep_their_entry_path():
     doc = {
         "k": 2,
@@ -575,6 +611,7 @@ _READER_DIAGNOSTICS = [
         {"d": 2, "members": [[0, 1], 5]},
         "$.members[1]: expected an array of integers",
     ),
+    ("upset_from_json", (), {"d": 2, "members": [[0, 2]]}, "$.members[0]: coordinate index 2 out of range"),
 ]
 
 
@@ -591,9 +628,9 @@ def test_readers_report_the_locked_diagnostic(reader, args, doc, expected):
     assert str(exc.value) == expected
 
 
-# Indices that name no coordinate or no point: a negative coordinate index
-# is refused at its array, before it becomes a bitmask, and a target set
-# may hold only points.
+# Indices that name no coordinate or no point: a coordinate index that is
+# negative or not below the coupling's arity is refused at its array, before
+# it becomes a bitmask, and a target set may hold only points.
 _INDEX_DIAGNOSTICS = [
     (
         _edited(_instance_doc(), "psi", 1, "set", value=[0, -2]),
@@ -605,16 +642,47 @@ _INDEX_DIAGNOSTICS = [
     ),
     (_instance_doc(aset=(0, 7)), "$: family 0: a target set holds a point index out of range"),
     (_instance_doc(aset=(-1,)), "$: family 0: a target set holds a point index out of range"),
+    (
+        _edited(_instance_doc(), "psi", 1, "set", value=[0, 3]),
+        "$.psi[1].set: coordinate index 3 out of range",
+    ),
+    (
+        _instance_doc(members=((0, 1, 2), (0, 1, 2, 3))),
+        "$.families[0][0].upset.members[1]: coordinate index 3 out of range",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "doc, expected",
     _INDEX_DIAGNOSTICS,
-    ids=["psi-set-negative", "upset-member-negative", "target-past-the-points", "target-negative"],
+    ids=[
+        "psi-set-negative",
+        "upset-member-negative",
+        "target-past-the-points",
+        "target-negative",
+        "psi-set-past-the-coordinates",
+        "upset-member-past-the-coordinates",
+    ],
 )
 def test_instances_refuse_indices_outside_their_range(doc, expected):
     assert validate_document(doc, "instance") == [expected]
+
+
+def test_a_large_coordinate_index_allocates_nothing():
+    # The bitmask of index 10**7 would take 1.25 MB; the index is refused
+    # before any bit is set.
+    import tracemalloc
+
+    doc = _edited(_instance_doc(), "psi", 1, "set", value=[0, 10**7])
+    tracemalloc.start()
+    try:
+        diagnostics = validate_document(doc, "instance")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diagnostics == ["$.psi[1].set: coordinate index 10000000 out of range"]
+    assert peak < 2**18
 
 
 # Base-less couplings: the wire rules, then the constructor's checks

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from helpers import (
     cofactor_det,
     cyclic_system,
+    fraction_system_error,
     long_period_system,
     old_perm_order,
     old_perm_power,
@@ -20,7 +22,7 @@ from helpers import (
 
 from ergolab import systems
 from ergolab.generators import random_subgroup, random_system
-from ergolab.measure import ExactProbabilitySpace, Partition, ae_equal, common_refinement
+from ergolab.measure import ExactProbabilitySpace, Partition, ValidationError, ae_equal, common_refinement
 from ergolab.systems import (
     _int_det,
     FactorMap,
@@ -55,8 +57,6 @@ def test_noncommuting_generators_rejected():
 
 
 def test_generator_errors_are_located_value_errors():
-    from ergolab.measure import ValidationError
-
     skew = ExactProbabilitySpace((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)))
     uniform = ExactProbabilitySpace.uniform((0, 1, 2))
     for space, gens, expected in (
@@ -90,6 +90,57 @@ def test_weight_preservation_rejected():
     sp = ExactProbabilitySpace((0, 1), (F(1, 3), F(2, 3)))
     with pytest.raises(ValueError):
         FiniteZdSystem(sp, ((1, 0),))
+
+
+def _preserving_perm(rng, weights):
+    """A random permutation of the points that moves each point within its
+    class of equal weight."""
+    perm = list(range(len(weights)))
+    for w in set(weights):
+        cls = [x for x in perm if weights[x] == w]
+        for x, y in zip(cls, rng.sample(cls, len(cls))):
+            perm[x] = y
+    return tuple(perm)
+
+
+def test_system_checks_on_numerators_match_the_fraction_checks():
+    # Seeded spaces whose weights take two or three values, each built as a
+    # separate Fraction, with generators that preserve the weights, that do
+    # not, that commute or not, or that are no permutation.
+    rng = random.Random(20)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        values = [F(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(rng.randint(2, 3))]
+        raw = [rng.choice(values) for _ in range(n)]
+        total = sum(raw, F(0)) or F(1)
+        weights = [F(w.numerator * total.denominator, w.denominator * total.numerator) for w in raw]
+        if sum(weights, F(0)) != 1:
+            weights = [F(1, n)] * n
+        space = ExactProbabilitySpace(tuple(range(n)), tuple(weights))
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.6:
+                gens.append(_preserving_perm(rng, space.weights))
+            elif roll < 0.95:
+                gens.append(tuple(rng.sample(range(n), n)))
+            else:
+                gens.append(tuple(rng.randrange(n) for _ in range(n)))
+        expected = fraction_system_error(space, gens)
+        verdicts.add(expected and re.sub(r"\d+", "#", expected))
+        try:
+            FiniteZdSystem(space, tuple(gens))
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == expected
+    assert verdicts == {
+        None,
+        "$.generators[#]: not a permutation of the points",
+        "$.generators[#]: weight not preserved at point #",
+        "$.generators: generators # and # do not commute",
+    }
 
 
 def test_act_identity_and_cyclic_power():
