@@ -6,15 +6,16 @@ deterministic given a seed; the CLI records the seed in its reports.
 Random commuting tuples are built from translations on disjoint unions of
 finite abelian groups: translations always commute, and weight preservation
 is arranged by making weights constant on the orbits of the generated
-translation subgroup.  Cyclic orders are kept small so that the tuple period
-stays desk-scale.
+translation subgroup.  Those orbits are the connected components of the
+translation edges, found by union-find.  Cyclic orders are kept small so
+that the tuple period stays desk-scale.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from .measure import ExactProbabilitySpace
+from .measure import ExactProbabilitySpace, Partition
 from .systems import FiniteZdSystem, GroupRotationSystem, SubgroupSpec
 
 _COMPONENT_ORDERS = (1, 2, 3, 4, 5, 6)
@@ -57,8 +58,6 @@ def random_system(
 
     labels: list = []
     perms: list[list[int]] = [[] for _ in range(dim)]
-    orbit_ids: list[int] = []
-    orbit_counter = 0
     for ci, rot in enumerate(components):
         elems = rot.elements()
         index = {e: i for i, e in enumerate(elems)}
@@ -67,19 +66,14 @@ def random_system(
         for i in range(dim):
             for e in elems:
                 perms[i].append(offset + index[rot.add(e, rot.phi[i])])
-        # Orbits of the generated subgroup are the cosets, numbered in order
-        # of their first element.
-        sub = rot.generated_subgroup(rot.phi)
-        coset_of: dict = {}
-        for e in elems:
-            if e not in coset_of:
-                coset_of.update(dict.fromkeys((rot.add(e, h) for h in sub), orbit_counter))
-                orbit_counter += 1
-            orbit_ids.append(coset_of[e])
+    # Orbits of the translations are the cosets of the generated subgroups,
+    # numbered in order of their first element.
+    n = len(labels)
+    orbits = Partition.from_pairs(n, ((x, p[x]) for p in perms for x in range(n)))
 
     while True:
-        orbit_weight = [rng.randint(0, 4) for _ in range(orbit_counter)]
-        nums = [orbit_weight[orbit_ids[x]] for x in range(len(labels))]
+        orbit_weight = [rng.randint(0, 4) for _ in orbits.blocks]
+        nums = [orbit_weight[b] for b in orbits.labels]
         total = sum(nums)
         if total > 0:
             break

@@ -46,7 +46,6 @@ from .upsets import (
     enumerate_upsets,
     ground_masks,
     identified_on,
-    mask_of,
     oblique_members,
     upset_pair_independence,
 )
@@ -129,7 +128,7 @@ def _check_target(d: int, i: int, ups: UpSet, a: frozenset, psi: dict, n: int) -
     """
     if ups.d != d:
         raise ValueError("up-set dimension mismatch")
-    if mask_of(range(d)) not in ups:
+    if (1 << d) - 1 not in ups:
         raise ValueError("each up-set must contain the full index set")
     if not all(m & (1 << i) for m in ups.members):
         raise ValueError(
@@ -407,7 +406,7 @@ def _psi_maps(
 def _coordinate_upsets(d: int) -> list[list[UpSet]]:
     """Per coordinate, the up-sets containing the full set and lying inside
     the coordinate's principal up-set."""
-    full = mask_of(range(d))
+    full = (1 << d) - 1
     all_upsets = enumerate_upsets(d)
     out = []
     for i in range(d):

@@ -5,13 +5,16 @@ weight-preserving permutations (the generator images of the basis vectors).
 Partially invariant factors are orbit partitions of subgroup subactions,
 group rotations supply the concrete extension example, and the two joining
 predicates test relative-independence structure of finite joinings exactly.
+Subgroup orders (so membership and ergodicity of a rotation) and direct
+sums are lattice-index arithmetic, on ``_lattice_index``; no subgroup is
+listed element by element.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import index
 from typing import Iterable, Sequence
 
@@ -299,31 +302,25 @@ class GroupRotationSystem:
     def scale(self, k: int, g: Sequence[int]) -> tuple[int, ...]:
         return tuple((k * x) % o for x, o in zip(g, self.orders))
 
-    def element_order(self, g: Sequence[int]) -> int:
-        return lcm(*(o // gcd(x, o) for x, o in zip(g, self.orders)))
+    def subgroup_order(self, gens: Iterable[Sequence[int]]) -> int:
+        """The order of the subgroup the ``k`` elements ``gens`` generate.
 
-    def cyclic_subgroup(self, g: Sequence[int]) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.scale(k, g) for k in range(self.element_order(g)))
-
-    def generated_subgroup(
-        self, gens: Iterable[Sequence[int]]
-    ) -> frozenset[tuple[int, ...]]:
-        zero = tuple(0 for _ in self.orders)
-        seen = {zero}
-        frontier = [zero]
+        By duality it is the order of the subgroup of ``(Q/Z)^k`` that the
+        ``v_i / o_i`` generate (``v_i`` the gens' ``i``-th coordinates):
+        ``e^k`` over the index of the lattice that ``e Z^k`` and the
+        ``e v_i / o_i`` span, for a common denominator ``e``.
+        """
         gens = [tuple(g) for g in gens]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = self.add(cur, g)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return frozenset(seen)
+        k = len(gens)
+        cols = [(o, [g[i] % o for g in gens]) for i, o in enumerate(self.orders)]
+        e = lcm(*(o // gcd(o, *v) for o, v in cols))
+        rows = [[e * x // o for x in v] for o, v in cols]
+        rows += ([e if j == i else 0 for j in range(k)] for i in range(k))
+        return e**k // _lattice_index(rows, k)
 
     def is_ergodic(self) -> bool:
         """Finite surrogate for ergodicity: the images generate the group."""
-        return len(self.generated_subgroup(self.phi)) == len(self.elements())
+        return self.subgroup_order(self.phi) == prod(self.orders)
 
     def to_system(self) -> FiniteZdSystem:
         """The induced finite system: uniform weights, translation generators."""
@@ -339,12 +336,14 @@ class GroupRotationSystem:
 def in_partially_trivial_join(rot: GroupRotationSystem) -> bool:
     """Whether a two-direction rotation is a join of its two one-direction
     quotients, i.e. the cyclic subgroups generated by the two images intersect
-    trivially."""
+    trivially: ``|<a> & <b>| = |<a>| |<b>| / |<a, b>|`` is 1."""
     if rot.dim != 2:
         raise ValueError("the membership test is defined for two directions")
-    c1 = rot.cyclic_subgroup(rot.phi[0])
-    c2 = rot.cyclic_subgroup(rot.phi[1])
-    return len(c1 & c2) == 1
+    a, b = rot.phi
+    return rot.subgroup_order([a]) * rot.subgroup_order([b]) == rot.subgroup_order([a, b])
+
+
+_MAX_EXTENSION_POINTS = 1 << 16
 
 
 def rotation_extension(
@@ -356,14 +355,18 @@ def rotation_extension(
     The extension lives on ``Z_o1 + Z_o2`` (``o_i`` the order of the i-th
     image), the new images are ``(1,0)`` and ``(0,1)``, and the factor map is
     summation ``(a,b) -> a*phi_1 + b*phi_2``.  The output always passes
-    :func:`in_partially_trivial_join`.
+    :func:`in_partially_trivial_join`.  Every point of the extension is
+    built, so one of more than ``_MAX_EXTENSION_POINTS`` points is refused.
     """
     if rot.dim != 2:
         raise ValueError("the extension is defined for two directions")
     if not rot.is_ergodic():
         raise ValueError("ergodicity precondition fails: the images do not generate")
-    o1 = rot.element_order(rot.phi[0])
-    o2 = rot.element_order(rot.phi[1])
+    o1, o2 = (rot.subgroup_order([g]) for g in rot.phi)
+    if o1 * o2 > _MAX_EXTENSION_POINTS:
+        raise ValueError(
+            f"extension too large: at most {_MAX_EXTENSION_POINTS} points, got {o1 * o2}"
+        )
     ext = GroupRotationSystem((o1, o2), ((1, 0), (0, 1)))
     ext_sys = ext.to_system()
     base_sys = rot.to_system()
@@ -408,39 +411,38 @@ def two_fold_joining_check(
     return relative_independence(factors, subfactors, joining.space)
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss's fraction-free
-    elimination (Math. Comp. 1968), in O(n^3) integer operations.
+def _lattice_index(rows: Sequence[Sequence[int]], dim: int) -> int:
+    """The index in ``Z^dim`` of the lattice the integer ``rows`` span, or 0
+    when their rank is below ``dim``.
 
-    After step ``k`` every entry below and right of the pivot is a ``k+1``
-    by ``k+1`` minor of the input, so each division by the previous pivot
-    is exact; a row swap flips the sign.
+    Column by column, Euclid's algorithm on row operations folds every
+    remaining row's entry into one pivot row (their gcd) and clears the
+    others; the index is the product of the pivots of this echelon form.
     """
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, pivot_row = m[k][k], m[k]
-        for row in m[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
-        prev = pivot
-    return sign * m[-1][-1] if n else 1
+    rows = [list(r) for r in rows]
+    out = 1
+    for col in range(dim):
+        pivot, rest = None, []
+        for row in rows:
+            while pivot is not None and row[col]:
+                q = pivot[col] // row[col]
+                pivot, row = row, [a - q * b for a, b in zip(pivot, row)]
+            if pivot is None and row[col]:
+                pivot = row
+            else:
+                rest.append(row)
+        if pivot is None:
+            return 0
+        out *= abs(pivot[col])
+        rows = rest
+    return out
 
 
 def verify_direct_sum(subgroups: Sequence[SubgroupSpec], dim: int) -> None:
     """Check that the listed subgroups give a direct sum decomposition of Z^dim.
 
-    The stacked generator matrix must be square of full rank with all
-    elementary divisors equal to 1, i.e. an integer matrix of determinant
-    +-1.  Raises ValueError otherwise.
+    The stacked generator matrix must be square and span ``Z^dim``, i.e.
+    its lattice has index 1.  Raises ValueError otherwise.
     """
     rows = [list(v) for g in subgroups for v in g.vectors]
     if any(len(r) != dim for r in rows):
@@ -449,7 +451,7 @@ def verify_direct_sum(subgroups: Sequence[SubgroupSpec], dim: int) -> None:
         raise ValueError(
             "decomposition check fails: generator count differs from the dimension"
         )
-    if abs(_int_det(rows)) != 1:
+    if _lattice_index(rows, dim) != 1:
         raise ValueError("decomposition check fails: generators are not a Z-basis")
 
 

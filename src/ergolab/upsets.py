@@ -24,6 +24,7 @@ from .measure import (
     ExactProbabilitySpace,
     IndependenceReport,
     Partition,
+    ValidationError,
     common_refinement,
     relative_independence,
     support_pullback_partition,
@@ -75,7 +76,9 @@ class UpSet:
     def __post_init__(self) -> None:
         members = frozenset(map(index, self.members))
         object.__setattr__(self, "members", members)
-        full = mask_of(range(self.d))
+        if self.d < 0:
+            raise ValidationError(["d"], f"expected a nonnegative dimension, got {self.d}")
+        full = (1 << self.d) - 1
         for m in members:
             if popcount(m) < 2:
                 raise ValueError("members must have size at least 2")

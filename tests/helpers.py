@@ -582,8 +582,8 @@ def old_max_line_free(k: int, N: int, budget: int = 5_000_000) -> MaxLineFreeRes
 
 
 def cofactor_det(rows):
-    """Reference for ``systems._int_det``: cofactor expansion along the first
-    row, O(n!) integer operations."""
+    """Reference determinant for ``systems._lattice_index``: cofactor
+    expansion along the first row, O(n!) integer operations."""
     n = len(rows)
     if n == 0:
         return 1
@@ -597,6 +597,24 @@ def cofactor_det(rows):
         sign = -1 if j % 2 else 1
         total += sign * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def generated_subgroup(rot, gens):
+    """Reference for ``GroupRotationSystem.subgroup_order``: every element of
+    the subgroup the elements ``gens`` generate, by breadth-first search over
+    the group."""
+    zero = tuple(0 for _ in rot.orders)
+    seen = {zero}
+    frontier = [zero]
+    gens = [tuple(g) for g in gens]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = rot.add(cur, g)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
 
 
 def fraction_coupling_error(arity, base, mass):

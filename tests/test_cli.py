@@ -698,11 +698,12 @@ def test_stationarity_cap_zero_keeps_the_line_marginal_when_it_is_defined(tmp_pa
 
 # -- one parser per process ------------------------------------------------------------
 
-def _fresh_python(*args, cwd=None):
+def _fresh_python(*args, cwd=None, preexec_fn=None):
     """Run the interpreter on the ``ergolab`` sources this suite imports."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ergolab.__file__))}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd,
+        timeout=120, preexec_fn=preexec_fn,
     )
 
 
@@ -746,3 +747,34 @@ def test_reused_parser_leaks_no_defaults(z3_file, tmp_path, monkeypatch, capsys)
     assert in_process.read_bytes() == standalone.read_bytes()
     assert json.loads(outputs[2][1])["results"]["dim_cap"] == 1
     assert json.loads(outputs[3][1])["results"]["dim_cap"] == 2
+
+
+# -- rotations of large groups ----------------------------------------------------------
+
+def _capped_rotation(tmp_path, *options):
+    """Exit code, report and wall time of ``rotation`` on a group of order
+    10^8, in a child capped at 400 MB of address space."""
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "rot.json"
+    path.write_text(json.dumps({"orders": [100000000], "phi": [[1], [2]]}))
+    cap = 400 << 20
+    start = time.perf_counter()
+    proc = _fresh_python(
+        "-m", "ergolab.cli", "rotation", "--rotation", str(path), *options,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    return proc.returncode, json.loads(proc.stdout), time.perf_counter() - start
+
+
+def test_rotation_of_a_large_group_lists_no_elements(tmp_path):
+    # Membership is lattice-index arithmetic, so no subgroup is built.
+    code, report, elapsed = _capped_rotation(tmp_path)
+    assert (code, report["results"]) == (0, {"input_in_join": False})
+    assert elapsed < 2
+
+
+def test_rotation_extension_beyond_the_point_bound_is_an_input_error(tmp_path):
+    code, report, elapsed = _capped_rotation(tmp_path, "--extend")
+    assert code == 3
+    assert report == {"error": "extension too large: at most 65536 points, got 5000000000000000"}
+    assert elapsed < 2

@@ -5,6 +5,8 @@ import random
 import re
 import time
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -12,6 +14,7 @@ from helpers import (
     cofactor_det,
     cyclic_system,
     fraction_system_error,
+    generated_subgroup,
     long_period_system,
     old_perm_order,
     old_perm_power,
@@ -24,7 +27,6 @@ from ergolab import systems
 from ergolab.generators import random_subgroup, random_system
 from ergolab.measure import ExactProbabilitySpace, Partition, ValidationError, ae_equal, common_refinement
 from ergolab.systems import (
-    _int_det,
     FactorMap,
     FiniteZdSystem,
     GroupRotationSystem,
@@ -335,6 +337,25 @@ def test_rotation_extension_requires_generation():
         rotation_extension(rot)
 
 
+def test_subgroup_arithmetic_is_linear_in_the_cyclic_parts():
+    # One lattice row per cyclic part: 10,000 parts of order 2 (a matrix
+    # over Z^n with the o_i e_i would have 10^8 entries).
+    n = 10_000
+    rot = GroupRotationSystem((2,) * n, ((1,) * n, (1,) + (0,) * (n - 1)))
+    start = time.perf_counter()
+    assert in_partially_trivial_join(rot)
+    assert not rot.is_ergodic()
+    assert rot.subgroup_order(rot.phi) == 4
+    assert time.perf_counter() - start < 1
+
+
+def test_rotation_extension_refuses_more_than_the_point_bound():
+    # 2 * 32769 = 65538 points, two more than the bound; none is built.
+    rot = GroupRotationSystem((2, 32769), ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="^extension too large: at most 65536 points, got 65538$"):
+        rotation_extension(rot)
+
+
 def test_rotation_extension_always_passes_membership():
     rng = random.Random(3)
     done = 0
@@ -428,17 +449,60 @@ def test_direct_sum_verification():
         verify_direct_sum([SubgroupSpec(((1, 0),))], 2)
 
 
-def test_int_det_matches_cofactor_expansion():
+def test_lattice_index_matches_cofactor_expansion():
     rng = random.Random(17)
     entries = [0, 0, 0, 1, -1, 2, -3, 5, 12]  # zeros force pivot row swaps
     dets = set()
     for _ in range(1500):
         n = rng.randint(0, 6)
         rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
-        expected = cofactor_det(rows)
-        assert _int_det(rows) == expected
+        expected = abs(cofactor_det(rows))
+        assert systems._lattice_index(rows, n) == expected
         dets.add(expected)
     assert 0 in dets and len(dets) > 100
+
+
+def test_lattice_index_of_any_row_count_is_the_gcd_of_the_maximal_minors():
+    # The index of a full-rank lattice is the gcd of its n x n minors; a
+    # lattice of lower rank has every such minor 0 (and gcd() is 0).
+    rng = random.Random(29)
+    entries = [0, 0, 1, -1, 2, -2, 3, 4, -6]
+    indices = set()
+    for _ in range(800):
+        n = rng.randint(0, 4)
+        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(rng.randint(0, n + 3))]
+        expected = gcd(*(cofactor_det(list(sub)) for sub in combinations(rows, n)))
+        assert systems._lattice_index(rows, n) == expected
+        indices.add(expected)
+    assert {0, 1, 2, 3} <= indices
+
+
+def _random_rotation(rng):
+    orders = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 3)))
+    return GroupRotationSystem(
+        orders, tuple(tuple(rng.randrange(o) for o in orders) for _ in range(2))
+    )
+
+
+def test_subgroup_arithmetic_matches_the_breadth_first_search():
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(2000):
+        rot = _random_rotation(rng)
+        a, b = rot.phi
+        ca, cb = generated_subgroup(rot, [a]), generated_subgroup(rot, [b])
+        whole = generated_subgroup(rot, rot.phi)
+        assert rot.subgroup_order([a]) == len(ca)
+        assert rot.subgroup_order([b]) == len(cb)
+        assert rot.subgroup_order(rot.phi) == len(whole)
+        gens = [tuple(rng.randrange(o) for o in rot.orders) for _ in range(rng.randint(0, 3))]
+        assert rot.subgroup_order(gens) == len(generated_subgroup(rot, gens))
+        ergodic = len(whole) == prod(rot.orders)
+        member = len(ca & cb) == 1
+        assert rot.is_ergodic() == ergodic
+        assert in_partially_trivial_join(rot) == member
+        verdicts.add((ergodic, member))
+    assert len(verdicts) == 4
 
 
 def _unimodular(rng, n, steps=60):

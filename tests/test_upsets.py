@@ -8,6 +8,7 @@ the routine answers by the tower property is run through the kernel.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -43,6 +44,7 @@ from ergolab.measure import (
     support_pullback_partition,
 )
 from ergolab.removal import RemovalInstance, UpSet, check_hypotheses
+from ergolab.serialize import upset_from_json
 from ergolab.upsets import (
     bits_of,
     enumerate_upsets,
@@ -87,6 +89,22 @@ def test_family_is_built_once(d, include_empty):
     family = enumerate_upsets(d)
     assert enumerate_upsets(d) is family
     assert kept(family) == kept(enumerate_upsets.__wrapped__(d))
+
+
+def test_upset_of_a_huge_dimension_builds_its_mask_at_once():
+    start = time.perf_counter()
+    ups = upset_from_json({"d": 30_000_000, "members": []})
+    assert time.perf_counter() - start < 1
+    assert ups == UpSet(30_000_000, frozenset())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UpSet(-1, frozenset()),
+    lambda: upset_from_json({"d": -1, "members": []}),
+])
+def test_upset_refuses_a_negative_dimension(build):
+    with pytest.raises(ValueError, match=r"^\$\.d: expected a nonnegative dimension, got -1$"):
+        build()
 
 
 def _pairs_on_two_points(family):
