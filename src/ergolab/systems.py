@@ -6,7 +6,7 @@ Partially invariant factors are orbit partitions of subgroup subactions,
 group rotations supply the concrete extension example, and the two joining
 predicates test relative-independence structure of finite joinings exactly.
 Subgroup orders (so membership and ergodicity of a rotation) and direct
-sums are lattice-index arithmetic, on ``_lattice_index``; no subgroup is
+sums are lattice-index arithmetic (``_lattice_index``); no subgroup is
 listed element by element.
 """
 from __future__ import annotations
