@@ -36,6 +36,9 @@ EXIT_PARTIAL = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
+# `dhj lines` prints every line, so it lists at most this many.
+MAX_LISTED_LINES = 100_000
+
 
 def _load(path: str) -> Any:
     try:
@@ -257,7 +260,7 @@ def _cmd_removal(args) -> int:
 
 def _cmd_dhj(args) -> int:
     if args.action == "lines":
-        lines = dhj.enumerate_lines(args.k, args.N)
+        lines = dhj.enumerate_lines(args.k, args.N, MAX_LISTED_LINES)
         results = {
             "count": len(lines),
             "identity": (args.k + 1) ** args.N - args.k**args.N,
@@ -281,19 +284,24 @@ def _cmd_dhj(args) -> int:
             code,
         )
     if args.action == "force":
-        ok, counter = dhj.subspace_forcing_check(args.k, args.L, args.N)
+        res = dhj.subspace_forcing_check(args.k, args.L, args.N)
+        counter = res.counterexample
         results = {
-            "holds": ok,
+            "holds": res.holds,
             "counterexample": None if counter is None else sorted(counter),
             "threshold": Fraction(args.k ** (2 * args.L) - 1, args.k ** (2 * args.L)),
         }
+        if not res.holds:
+            code = EXIT_VIOLATED
+        else:
+            code = EXIT_OK if res.exhaustive else EXIT_PARTIAL
         return _emit(
             args,
             "dhj-force",
             {"k": args.k, "L": args.L, "N": args.N},
             results,
-            True,
-            EXIT_OK if ok else EXIT_VIOLATED,
+            res.exhaustive,
+            code,
         )
     if args.action == "correspond":
         return _cmd_correspond(args)
@@ -343,7 +351,9 @@ def _stationarity_results(law: dhj.StationaryLawTruncation, dim_cap: int | None)
     if res.holds:
         # Cap 0 checks only the coordinate marginals; the line marginal is
         # reported only where dimension-1 stationarity makes it well defined.
-        if cap >= 1 or dhj.strong_stationarity_check(law, 1).holds:
+        # The law remembers its verdict, so at a cap of 1 or more this
+        # check decides nothing again.
+        if dhj.strong_stationarity_check(law, 1).holds:
             point, line = dhj.marginals(law)
             results["line_marginal"] = serialize.coupling_to_json(line, include_base=False)
         else:

@@ -52,6 +52,7 @@ __all__ = [
     "max_line_free",
     "MaxLineFreeResult",
     "subspace_forcing_check",
+    "ForcingResult",
     "build_correspondence",
     "check_density_premises",
     "strong_stationarity_check",
@@ -199,17 +200,25 @@ def line_maps(k: int, N: int) -> list[tuple[str, ...]]:
     return [image for _, _, _, image in _subspace_maps(k, 1, N)]
 
 
-def enumerate_lines(k: int, N: int) -> list[tuple[str, ...]]:
+def enumerate_lines(k: int, N: int, max_lines: int | None = None) -> list[tuple[str, ...]]:
     """All combinatorial lines of ``[k]^N`` as sorted point tuples, lex ordered
     and deduplicated.
 
     Distinct ``(J, w0)`` data always give distinct point sets, so the count
     is ``(k+1)^N - k^N``; the deduplication is an assertion of that fact.
+    A count above ``max_lines``, when given, is refused before any line is
+    built.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
     if k < 2:
         raise ValueError("lines need an alphabet of at least two letters")
+    check_alphabet(k)
+    # (k+1)^N - k^N >= 2^(N-1), so a long N is over the bound without the powers.
+    if max_lines is not None and (
+        N > max_lines.bit_length() or (k + 1) ** N - k**N > max_lines
+    ):
+        raise ValueError(f"too many lines: at most {max_lines} are listed")
     seen = {tuple(sorted(line)) for line in line_maps(k, N)}
     out = sorted(seen)
     if len(out) != (k + 1) ** N - k**N:
@@ -247,12 +256,63 @@ def subspace_images(k: int, n: int, max_length: int) -> tuple[tuple[str, ...], .
 
 
 @cache
-def _image_indices(k: int, n: int, depth: int) -> tuple[tuple[int, ...], ...]:
-    """The images of :func:`subspace_images` ``(k, n, depth)`` as tuples of
-    indices into :func:`words_up_to` ``(k, depth)``, the coordinates of a
-    law truncation of that depth."""
-    index = {w: i for i, w in enumerate(words_up_to(k, depth))}
-    return tuple(tuple(index[w] for w in img) for img in subspace_images(k, n, depth))
+def _word_layout(k: int, depth: int) -> tuple[tuple[str, ...], dict[str, int], tuple[int, ...]]:
+    """The coordinates of a law truncation of that depth: the words of
+    :func:`words_up_to` ``(k, depth)``, each word's index among them, and
+    the bounds of the lengths (the words of length ``n`` have the indices
+    ``bounds[n - 1]`` to ``bounds[n] - 1``).  Built once per arguments and
+    shared by every law; callers must not change the index."""
+    words = tuple(words_up_to(k, depth))
+    bounds = tuple(accumulate((k**n for n in range(1, depth + 1)), initial=0))
+    return words, {w: i for i, w in enumerate(words)}, bounds
+
+
+@cache
+def _summation_plan(k: int, n: int, depth: int) -> tuple[tuple[int, itemgetter], ...]:
+    """How the stationarity check sums the images of :func:`subspace_images`
+    ``(k, n, depth)``, in their order: for each, the position of its word
+    length among a law's length tables, and an ``itemgetter`` of its words'
+    positions within that length (all words of an image share one length)."""
+    _, windex, bounds = _word_layout(k, depth)
+    plan = []
+    for img in subspace_images(k, n, depth):
+        lo = bounds[len(img[0]) - 1]
+        plan.append((len(img[0]) - 1, itemgetter(*(windex[w] - lo for w in img))))
+    return tuple(plan)
+
+
+MAX_SUBSPACE_MAPS = 100_000
+
+
+@cache
+def _subspace_map_count(k: int, depth: int, dim_cap: int, stop: int) -> int:
+    """The number of subspace maps of dimensions ``1..dim_cap`` and ambient
+    lengths up to ``depth``, as :func:`_subspace_maps` yields them; counting
+    ends as soon as it passes ``stop``.
+
+    A map of dimension ``n`` and length ``L`` cuts ``L`` into windows
+    ``s_1 + ... + s_n``, and a window of ``s`` positions has
+    ``(k+1)^s - k^s`` choices of a nonempty wildcard set and letters at its
+    other positions, so the count is a sum over those compositions of the
+    products of the windows' choices.
+    """
+    if dim_cap < 1:
+        return 0
+    total = 0
+    window = [0]  # window[s]: the choices of one window of s positions
+    ways = [[1]]  # ways[n][L]: the maps of dimension n and length L
+    for L in range(1, depth + 1):
+        window.append((k + 1) ** L - k**L)
+        ways[0].append(0)
+        if L <= dim_cap:
+            ways.append([0] * L)
+        for n in range(1, min(L, dim_cap) + 1):
+            here = sum(window[s] * ways[n - 1][L - s] for s in range(1, L - n + 2))
+            ways[n].append(here)
+            total += here
+        if total > stop:
+            break
+    return total
 
 
 @dataclass(frozen=True)
@@ -330,9 +390,14 @@ def max_line_free(k: int, N: int, budget: int = 5_000_000) -> MaxLineFreeResult:
     return MaxLineFreeResult(best_size, extremal, exhausted)
 
 
-def subspace_forcing_check(
-    k: int, L: int, N: int, max_sets: int = 200_000
-) -> tuple[bool, frozenset[str] | None]:
+@dataclass(frozen=True)
+class ForcingResult:
+    holds: bool
+    counterexample: frozenset[str] | None
+    exhaustive: bool
+
+
+def subspace_forcing_check(k: int, L: int, N: int, max_sets: int = 200_000) -> ForcingResult:
     """Verify that every subset of ``[k]^N`` with density above
     ``1 - k^(-2L)`` contains an L-dimensional subspace.
 
@@ -341,30 +406,28 @@ def subspace_forcing_check(
     density bound guarantees.  A prefix set is the image of an L-dimensional
     subspace of ambient length N (breakpoints ``1, ..., L-1, N``, wildcard
     ``i`` at position ``i``, template suffix ``w``), so it is the subspace
-    the statement asks for.  Returns the first set holding no prefix set,
-    if any.
+    the statement asks for.  The sets are the complements of the
+    combinations of missing points, fewest missing first; a set holds the
+    prefix set of ``w`` unless one of its missing points ends in ``w``.
+    Reports the first set holding no prefix set, if any.  Past ``max_sets``
+    sets the check stops, with ``exhaustive=False`` and the verdict of the
+    sets it checked.
     """
     if not 1 <= L <= N:
         raise ValueError("need 1 <= L <= N")
     points = all_words(k, N)
-    total = len(points)
-    threshold = 1 - Fraction(1, k ** (2 * L))
-    max_missing = 0
-    while Fraction(total - (max_missing + 1), total) > threshold:
-        max_missing += 1
-
-    prefixes = all_words(k, L)
-    suffixes = all_words(k, N - L)
+    # A set missing m points has density above 1 - k^(-2L) when m k^(2L) < k^N.
+    max_missing = (len(points) - 1) // k ** (2 * L)
+    n_suffixes = k ** (N - L)
     count = 0
     for miss in range(max_missing + 1):
         for gone in combinations(points, miss):
             count += 1
             if count > max_sets:
-                raise ValueError("over budget: too many qualifying sets")
-            A = set(points) - set(gone)
-            if not any(all(u + w in A for u in prefixes) for w in suffixes):
-                return False, frozenset(A)
-    return True, None
+                return ForcingResult(True, None, False)
+            if len({p[L:] for p in gone}) == n_suffixes:
+                return ForcingResult(False, frozenset(points).difference(gone), True)
+    return ForcingResult(True, None, True)
 
 
 @dataclass(frozen=True)
@@ -445,10 +508,11 @@ class StationaryLawTruncation:
     the joint law of the coordinates of that length.  A tuple of
     coordinates of one length (every coordinate and subspace image is one)
     is summed from its length's table, and any other tuple from the whole
-    law; each is summed once per law and remembered, so ``weights`` must
-    not be changed after construction.  ``weights`` is the law's own copy,
-    read by :func:`measure.exact_masses`: the dict passed in may be reused
-    or changed afterwards.
+    law; each is summed once per law and remembered, as is the highest
+    dimension cap at which :func:`strong_stationarity_check` held, so
+    ``weights`` must not be changed after construction.  ``weights`` is the
+    law's own copy, read by :func:`measure.exact_masses`: the dict passed in
+    may be reused or changed afterwards.
     """
 
     k: int
@@ -460,9 +524,9 @@ class StationaryLawTruncation:
         check_alphabet(self.k)
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
-        wlist = tuple(words_up_to(self.k, self.depth))
+        wlist, windex, bounds = _word_layout(self.k, self.depth)
         object.__setattr__(self, "_words", wlist)
-        object.__setattr__(self, "_windex", {w: i for i, w in enumerate(wlist)})
+        object.__setattr__(self, "_windex", windex)
         text = "configurations must index the carrier at every word"
         weights, den, nums = exact_masses(
             self.weights, len(wlist), len(self.carrier), length_error=text, range_error=text
@@ -470,10 +534,11 @@ class StationaryLawTruncation:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_nums", nums)
-        bounds = tuple(accumulate((self.k**n for n in range(1, self.depth + 1)), initial=0))
         object.__setattr__(self, "_bounds", bounds)
         object.__setattr__(self, "_by_length", self._length_tables(nums))
         object.__setattr__(self, "_pulled", {})
+        # The highest dimension cap at which the stationarity check held.
+        object.__setattr__(self, "_verified", -1)
         first = self.coordinate_marginal(wlist[0])
         if first != self.carrier.weights:
             raise ValueError("carrier weights must equal the first-coordinate marginal")
@@ -512,7 +577,8 @@ class StationaryLawTruncation:
         Coordinates that are all words of one length are summed from that
         length's table, by their positions in it; others from the whole law.
         Both give the same numerators over the same denominator: a marginal
-        of a marginal is the marginal.
+        of a marginal is the marginal.  All the words of one length, in
+        order, are that length's table itself.
         """
         pulled = self._pulled  # type: ignore[attr-defined]
         table = pulled.get(idx)
@@ -521,8 +587,9 @@ class StationaryLawTruncation:
             n = bisect_right(bounds, idx[0])
             lo, hi = bounds[n - 1], bounds[n]
             if lo <= min(idx) and max(idx) < hi:
-                source = self._by_length[n - 1]  # type: ignore[attr-defined]
-                table = _sum_by(source, [i - lo for i in idx])
+                table = self._by_length[n - 1]  # type: ignore[attr-defined]
+                if idx != tuple(range(lo, hi)):
+                    table = _sum_by(table, [i - lo for i in idx])
             else:
                 table = self._sum_numerators(idx)
             pulled[idx] = table
@@ -555,14 +622,30 @@ class StationaryLawTruncation:
 def _sum_by(table: dict, positions: Sequence[int]) -> dict[tuple[int, ...], int]:
     """Integer masses of ``table`` summed by the entries of each key at the
     given positions; a single position still gives 1-tuple keys."""
-    get = itemgetter(*positions)
+    acc = _sum_image(table, itemgetter(*positions))
+    if len(positions) == 1:  # a single index gives bare values, not 1-tuples
+        acc = {(key,): num for key, num in acc.items()}
+    return acc
+
+
+def _sum_image(table: dict, get: itemgetter) -> dict:
+    """Integer masses of ``table`` summed by the part ``get`` reads of each
+    key: a bare entry for a single position, a tuple for several."""
     acc: dict = {}
     for key, num in table.items():
         part = get(key)
         acc[part] = acc.get(part, 0) + num
-    if len(positions) == 1:  # a single index gives bare values, not 1-tuples
-        acc = {(key,): num for key, num in acc.items()}
     return acc
+
+
+def _coordinate_sums(table: dict) -> list[dict[int, int]]:
+    """The integer masses of each coordinate of a length table, by carrier
+    index, from one pass over the table."""
+    sums: list[dict[int, int]] = [{} for _ in next(iter(table))]
+    for key, num in table.items():
+        for acc, c in zip(sums, key):
+            acc[c] = acc.get(c, 0) + num
+    return sums
 
 
 def iid_law(k: int, depth: int, carrier: ExactProbabilitySpace) -> StationaryLawTruncation:
@@ -648,32 +731,60 @@ def strong_stationarity_check(
     Dimension 0 compares single-coordinate marginals.  Returns the first
     violating pair of subspace images.
 
-    The comparisons run from dimension 0 up, and each table is summed when
-    it is first compared, from its word length's table (see
-    ``StationaryLawTruncation._pull``).  Equal integer tables over the law's
-    common denominator are equal laws.
+    The comparisons run from dimension 0 up.  Dimension 0 reads every
+    coordinate marginal of one length from one pass over that length's
+    table; each image of a higher dimension is summed when it is compared,
+    from its length's table, by the law's cached summation plan.  Equal
+    integer tables over the law's common denominator are equal laws.  The
+    law remembers the highest cap at which the check held: a cap at or
+    below it is answered at once, and a higher one checks only the
+    dimensions above it, which gives the same verdict and witness.
+
+    A check that would walk more than ``MAX_SUBSPACE_MAPS`` subspace maps
+    (dimensions 1 to the cap, lengths up to the depth) is refused before
+    any is built.
     """
     if dim_cap < 0:
         raise ValueError("dimension cap must be nonnegative")
     if dim_cap > law.depth:
         raise ValueError("dimension cap cannot exceed the truncation depth")
-    marg0 = law._pull((0,))
-    for i, w in enumerate(law.words[1:], 1):
-        if law._pull((i,)) != marg0:
-            return StationarityResult(False, (0, (law.words[0],), (w,)))
-    for n in range(1, dim_cap + 1):  # n <= depth, so there are images
-        first, *rest = _image_indices(law.k, n, law.depth)
-        reference = law._pull(first)
-        for j, idx in enumerate(rest, 1):
-            if law._pull(idx) != reference:
+    # A law cannot change after construction, so it keeps its verdict.
+    verified = law._verified  # type: ignore[attr-defined]
+    if dim_cap <= verified:
+        return StationarityResult(True, None)
+    maps = _subspace_map_count(law.k, law.depth, dim_cap, MAX_SUBSPACE_MAPS)
+    if maps > MAX_SUBSPACE_MAPS:
+        raise ValueError(
+            f"law too deep for the check: more than {MAX_SUBSPACE_MAPS} subspace maps"
+            f" at depth {law.depth} and dimension cap {dim_cap}"
+        )
+    tables = law._by_length  # type: ignore[attr-defined]
+    if verified < 0:
+        bounds = law._bounds  # type: ignore[attr-defined]
+        first = None
+        for table, lo in zip(tables, bounds):
+            sums = _coordinate_sums(table)
+            if first is None:
+                first = sums[0]
+            for i, acc in enumerate(sums, lo):
+                if acc != first:
+                    return StationarityResult(False, (0, (law.words[0],), (law.words[i],)))
+        object.__setattr__(law, "_verified", 0)
+    for n in range(max(verified + 1, 1), dim_cap + 1):  # n <= depth, so there are images
+        (length, get), *rest = _summation_plan(law.k, n, law.depth)
+        reference = _sum_image(tables[length], get)
+        for j, (length, get) in enumerate(rest, 1):
+            if _sum_image(tables[length], get) != reference:
                 images = subspace_images(law.k, n, law.depth)
                 return StationarityResult(False, (n, images[0], images[j]))
+        object.__setattr__(law, "_verified", n)
     return StationarityResult(True, None)
 
 
 def point_marginal(law: StationaryLawTruncation) -> ExactProbabilitySpace:
-    """The law of the first coordinate, on the carrier's points."""
-    return ExactProbabilitySpace(law.carrier.points, law.coordinate_marginal(law.words[0]))
+    """The law of the first coordinate, on the carrier's points: the carrier
+    itself, whose weights the constructor checked against that law."""
+    return law.carrier
 
 
 def marginals(
@@ -683,7 +794,8 @@ def marginals(
 
     The stationarity check has compared the law of every line below the
     depth with that of the first line, the words of length 1, so the line
-    marginal is read from that line alone.
+    marginal is read from that line alone: the law's length-1 table.  A law
+    already checked at a cap of 1 or more is not checked again.
     """
     if not strong_stationarity_check(law, 1).holds:
         raise ValueError("stationarity violated; marginals are ill-defined")

@@ -316,7 +316,7 @@ class GroupRotationSystem:
         e = lcm(*(o // gcd(o, *v) for o, v in cols))
         rows = [[e * x // o for x in v] for o, v in cols]
         rows += ([e if j == i else 0 for j in range(k)] for i in range(k))
-        return e**k // _lattice_index(rows, k)
+        return e**k // _lattice_index(rows, k, e)
 
     def is_ergodic(self) -> bool:
         """Finite surrogate for ergodicity: the images generate the group."""
@@ -411,13 +411,20 @@ def two_fold_joining_check(
     return relative_independence(factors, subfactors, joining.space)
 
 
-def _lattice_index(rows: Sequence[Sequence[int]], dim: int) -> int:
+def _lattice_index(rows: Sequence[Sequence[int]], dim: int, modulus: int = 0) -> int:
     """The index in ``Z^dim`` of the lattice the integer ``rows`` span, or 0
     when their rank is below ``dim``.
 
     Column by column, Euclid's algorithm on row operations folds every
     remaining row's entry into one pivot row (their gcd) and clears the
     others; the index is the product of the pivots of this echelon form.
+
+    A nonzero ``modulus`` ``e`` promises that ``e Z^dim`` lies in the
+    lattice.  Then the remaining rows span the lattice's vectors that are
+    zero on the columns done, which hold ``e`` times every such vector; so
+    after each column they are reduced mod ``e``, zero rows dropped, and
+    ``e`` times each later unit vector added, which spans the same lattice
+    and keeps every entry below ``e``.
     """
     rows = [list(r) for r in rows]
     out = 1
@@ -434,6 +441,9 @@ def _lattice_index(rows: Sequence[Sequence[int]], dim: int) -> int:
         if pivot is None:
             return 0
         out *= abs(pivot[col])
+        if modulus:
+            rest = [r for r in ([x % modulus for x in row] for row in rest) if any(r)]
+            rest += ([modulus if j == i else 0 for j in range(dim)] for i in range(col + 1, dim))
         rows = rest
     return out
 

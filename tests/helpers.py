@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, compress, product as iter_product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from random import Random
 
 from ergolab.averages import (
@@ -581,6 +581,31 @@ def old_max_line_free(k: int, N: int, budget: int = 5_000_000) -> MaxLineFreeRes
     return MaxLineFreeResult(best_size, extremal, exhausted)
 
 
+def old_subspace_forcing_check(k, L, N, max_sets=200_000):
+    """The former ``subspace_forcing_check`` loop, kept as its reference:
+    the missing-point count found by ``Fraction`` comparisons, and every
+    qualifying set built and searched for a prefix set.  Returns
+    ``(holds, counterexample)`` and raises past ``max_sets`` sets."""
+    points = all_words(k, N)
+    total = len(points)
+    threshold = 1 - Fraction(1, k ** (2 * L))
+    max_missing = 0
+    while Fraction(total - (max_missing + 1), total) > threshold:
+        max_missing += 1
+    prefixes = all_words(k, L)
+    suffixes = all_words(k, N - L)
+    count = 0
+    for miss in range(max_missing + 1):
+        for gone in combinations(points, miss):
+            count += 1
+            if count > max_sets:
+                raise ValueError("over budget: too many qualifying sets")
+            A = set(points) - set(gone)
+            if not any(all(u + w in A for u in prefixes) for w in suffixes):
+                return False, frozenset(A)
+    return True, None
+
+
 def cofactor_det(rows):
     """Reference determinant for ``systems._lattice_index``: cofactor
     expansion along the first row, O(n!) integer operations."""
@@ -615,6 +640,32 @@ def generated_subgroup(rot, gens):
                 seen.add(nxt)
                 frontier.append(nxt)
     return frozenset(seen)
+
+
+def unreduced_subgroup_order(rot, gens):
+    """Reference for ``GroupRotationSystem.subgroup_order``: the same lattice
+    rows, with the echelon form of ``systems._lattice_index`` built without
+    reducing any entry mod the common denominator ``e``."""
+    gens = [tuple(g) for g in gens]
+    k = len(gens)
+    cols = [(o, [g[i] % o for g in gens]) for i, o in enumerate(rot.orders)]
+    e = lcm(*(o // gcd(o, *v) for o, v in cols))
+    rows = [[e * x // o for x in v] for o, v in cols]
+    rows += ([e if j == i else 0 for j in range(k)] for i in range(k))
+    index = 1
+    for col in range(k):
+        pivot, rest = None, []
+        for row in rows:
+            while pivot is not None and row[col]:
+                q = pivot[col] // row[col]
+                pivot, row = row, [a - q * b for a, b in zip(pivot, row)]
+            if pivot is None and row[col]:
+                pivot = row
+            else:
+                rest.append(row)
+        index *= abs(pivot[col])
+        rows = rest
+    return e**k // index
 
 
 def fraction_coupling_error(arity, base, mass):

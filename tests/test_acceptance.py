@@ -312,10 +312,9 @@ def test_criterion_8_extremals():
 
 @criterion(9, "high-density sets contain a line at the stated thresholds")
 def test_criterion_9_forcing():
-    ok, counter = subspace_forcing_check(2, 1, 3)
-    assert ok and counter is None
-    ok, counter = subspace_forcing_check(3, 1, 2)
-    assert ok and counter is None
+    for k, L, N in ((2, 1, 3), (3, 1, 2)):
+        res = subspace_forcing_check(k, L, N)
+        assert res.holds and res.counterexample is None and res.exhaustive
     # Thresholds as stated: densities above 3/4 and 8/9 respectively.
     assert 1 - F(1, 2 ** 2) == F(3, 4)
     assert 1 - F(1, 3 ** 2) == F(8, 9)

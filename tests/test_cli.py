@@ -71,6 +71,29 @@ def test_dhj_force(capsys):
     assert report["results"]["holds"] is True
 
 
+def test_dhj_force_over_its_set_limit_is_partial(capsys):
+    # [2]^5 has 4,514,873 sets of density above 3/4 (at most 7 of the 32
+    # points missing); the check stops after 200,000 of them, none a
+    # counterexample.
+    start = time.perf_counter()
+    code, report = run(capsys, ["dhj", "force", "-k", "2", "-L", "1", "-N", "5"])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert report["exhaustive"] is False
+    assert report["results"] == {"holds": True, "counterexample": None, "threshold": "3/4"}
+
+
+def test_dhj_lines_refuses_more_than_the_listed_bound(capsys):
+    # 10^8 - 9^8 = 56,953,279 lines at k = 9, N = 8, and at least 2^(N-1)
+    # at any long N: refused before any line is built.
+    for n in ("8", "1000000000"):
+        start = time.perf_counter()
+        code, report = run(capsys, ["dhj", "lines", "-k", "9", "-N", n])
+        assert time.perf_counter() - start < 2
+        assert code == 3
+        assert report == {"error": "too many lines: at most 100000 are listed"}
+
+
 def test_correspond_subcommand(tmp_path, capsys):
     # The correspondence lives under 'dhj'; the top-level form is gone.
     path = tmp_path / "set.json"
@@ -554,19 +577,21 @@ def test_stationarity_cli_rejects_negative_dim_cap(tmp_path, capsys):
 
 
 def test_stationarity_cli_pulls_each_image_back_once(tmp_path, monkeypatch, capsys):
-    # At depth 3 and cap 2 the check and the marginals ask for 84 subspace
-    # pullbacks, of 25 line images and 9 plane images, and for every one of
-    # the 14 coordinate marginals several times.  The law is scanned once,
-    # in the constructor, into one table per word length; each of the 48
-    # tables is then summed once, from its own length's table, and none
-    # from the whole law.
+    # At depth 3 and cap 2 the check compares 25 line images and 9 plane
+    # images, and the 14 coordinate marginals.  The law is scanned once, in
+    # the constructor, into one table per word length, and the constructor
+    # sums the first coordinate's marginal from the length-1 table.  The
+    # check then reads the coordinate marginals from one pass over each
+    # length's table and sums each image once, from its own length's table;
+    # the marginals decide nothing again and sum nothing.
     from ergolab import hales_jewett
     from ergolab.hales_jewett import StationaryLawTruncation
 
     path = _iid_law_file(tmp_path, 3)
-    length_tables, scans, sources, tables = [], [], [], []
+    length_tables, scans, passes, sources, parts = [], [], [], [], []
     by_length = StationaryLawTruncation._length_tables
-    scan, sum_by = StationaryLawTruncation._sum_numerators, hales_jewett._sum_by
+    scan = StationaryLawTruncation._sum_numerators
+    sum_image, coordinate_sums = hales_jewett._sum_image, hales_jewett._coordinate_sums
 
     def counting_length_tables(self, numerator):
         length_tables.append(by_length(self, numerator))
@@ -576,19 +601,26 @@ def test_stationarity_cli_pulls_each_image_back_once(tmp_path, monkeypatch, caps
         scans.append(idx)
         return scan(self, idx)
 
-    def counting_sum_by(table, positions):
+    def counting_coordinate_sums(table):
+        passes.append(table)
+        return coordinate_sums(table)
+
+    def counting_sum_image(table, get):
         sources.append(table)
-        tables.append(positions)
-        return sum_by(table, positions)
+        parts.append(get(next(iter(table))))
+        return sum_image(table, get)
 
     monkeypatch.setattr(StationaryLawTruncation, "_length_tables", counting_length_tables)
     monkeypatch.setattr(StationaryLawTruncation, "_sum_numerators", counting_scan)
-    monkeypatch.setattr(hales_jewett, "_sum_by", counting_sum_by)
+    monkeypatch.setattr(hales_jewett, "_coordinate_sums", counting_coordinate_sums)
+    monkeypatch.setattr(hales_jewett, "_sum_image", counting_sum_image)
     code, report = run(capsys, ["dhj", "stationarity", "--law", path, "--dim-cap", "2"])
     assert code == 0 and report["results"]["holds"] is True
     assert len(length_tables) == 1 and scans == []
+    assert [id(t) for t in passes] == [id(t) for t in length_tables[0]]
     assert all(any(t is own for own in length_tables[0]) for t in sources)
-    assert sorted(len(p) for p in tables) == [1] * 14 + [2] * 25 + [4] * 9
+    widths = [len(p) if isinstance(p, tuple) else 1 for p in parts]
+    assert sorted(widths) == [1] + [2] * 25 + [4] * 9
 
 
 def _deep_copy_jsonable(value):
@@ -668,6 +700,21 @@ def _tied_law_file(tmp_path):
     path = tmp_path / "tied.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_stationarity_refuses_a_law_too_deep_for_its_cap(tmp_path, capsys):
+    # k = 2 at depth 9: the check at the default cap 2 would walk 145,149
+    # subspace maps, over the bound of 100,000, and is refused at once.
+    doc = {"k": 2, "depth": 9, "carrier": {"points": [0, 1], "weights": ["1/2", "1/2"]},
+           "weights": [{"config": [x] * 1022, "value": "1/2"} for x in (0, 1)]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, report = run(capsys, ["dhj", "stationarity", "--law", str(path)])
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert report == {"error": "law too deep for the check: more than 100000 subspace maps"
+                               " at depth 9 and dimension cap 2"}
 
 
 def test_stationarity_cap_zero_reports_the_point_marginal_alone(tmp_path, capsys):

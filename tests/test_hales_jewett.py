@@ -16,6 +16,7 @@ from helpers import (
     old_line_maps,
     old_line_to_point_implication,
     old_max_line_free,
+    old_subspace_forcing_check,
     set_family_atoms,
 )
 
@@ -23,6 +24,7 @@ from ergolab import hales_jewett
 from ergolab.hales_jewett import (
     CombinatorialSubspace,
     CorrespondenceMeasure,
+    ForcingResult,
     StationaryLawTruncation,
     all_words,
     build_correspondence,
@@ -303,6 +305,20 @@ def test_max_line_free_matches_the_old_search_at_the_bench_budget(k, N):
     assert r == old_max_line_free(k, N, 20_000) and not r.exhaustive
 
 
+def test_enumerate_lines_refuses_a_count_over_its_bound():
+    assert len(enumerate_lines(2, 3, 19)) == 19
+    with pytest.raises(ValueError, match="^too many lines: at most 18 are listed$"):
+        enumerate_lines(2, 3, 18)
+    # 3^11 - 2^11 = 175,099 lines are over the CLI's bound of 100,000.
+    with pytest.raises(ValueError, match="at most 100000"):
+        enumerate_lines(2, 11, 100_000)
+    # Invalid arguments keep their own errors.
+    with pytest.raises(ValueError, match="alphabet size"):
+        enumerate_lines(10, 9, 100_000)
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        enumerate_lines(2, 0, 100_000)
+
+
 def test_max_line_free_starts_from_the_empty_set():
     # Too small a budget to reach any leaf reports the empty set, not size -1.
     for budget in (1, 2, 3):
@@ -316,18 +332,34 @@ def test_max_line_free_starts_from_the_empty_set():
 # -- subspace forcing ----------------------------------------------------------------------
 
 def test_forcing_k2_l1_n3():
-    ok, counter = subspace_forcing_check(2, 1, 3)
-    assert ok and counter is None
+    assert subspace_forcing_check(2, 1, 3) == ForcingResult(True, None, True)
 
 
 def test_forcing_k2_l1_n2_full_set_only():
-    ok, counter = subspace_forcing_check(2, 1, 2)
-    assert ok and counter is None
+    assert subspace_forcing_check(2, 1, 2) == ForcingResult(True, None, True)
 
 
 def test_forcing_k3_l1_n2():
-    ok, counter = subspace_forcing_check(3, 1, 2)
-    assert ok and counter is None
+    assert subspace_forcing_check(3, 1, 2) == ForcingResult(True, None, True)
+
+
+def test_forcing_matches_the_set_by_set_check():
+    # The missing-suffix test and the closed-form count of missing points
+    # against the former loop, which builds each set and looks for a prefix
+    # set in it: the same verdict, exhaustive in both.
+    for k in (1, 2, 3):
+        for N in range(1, 4 if k < 3 else 3):
+            for L in range(1, N + 1):
+                ok, counter = old_subspace_forcing_check(k, L, N)
+                assert subspace_forcing_check(k, L, N) == ForcingResult(ok, counter, True)
+
+
+def test_forcing_over_its_set_limit_is_partial():
+    # [2]^3 at L = 1 has the full set and the 8 sets missing one point.
+    assert subspace_forcing_check(2, 1, 3, max_sets=9) == ForcingResult(True, None, True)
+    assert subspace_forcing_check(2, 1, 3, max_sets=8) == ForcingResult(True, None, False)
+    with pytest.raises(ValueError, match="over budget"):
+        old_subspace_forcing_check(2, 1, 3, max_sets=8)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -802,6 +834,66 @@ def test_stationarity_check_matches_the_plain_check(law):
     for cap in range(law.depth + 1):
         res = strong_stationarity_check(law, cap)
         assert (res.holds, res.witness) == _naive_stationarity(law, cap)
+    # A law remembers the highest cap that held: on one fresh law object,
+    # the caps in descending and then in ascending order give the plain
+    # check's verdict and witness every time.
+    law = StationaryLawTruncation(law.k, law.depth, law.carrier, law.weights)
+    caps = list(range(law.depth, -1, -1))
+    for cap in caps + caps[::-1]:
+        res = strong_stationarity_check(law, cap)
+        assert (res.holds, res.witness) == _naive_stationarity(law, cap)
+
+
+def test_marginals_after_a_checked_cap_sum_no_image_again(monkeypatch):
+    # After the check at cap 2, the marginals, the insensitive algebras and
+    # the structure report decide nothing again and sum no table: the line
+    # marginal is the length-1 table and the point marginal was summed by
+    # the constructor.
+    law, fresh = iid_law(2, 2, carrier(F(2, 5))), iid_law(2, 2, carrier(F(2, 5)))
+    expected = (marginals(fresh), insensitive_algebra(fresh, [1, 2]))
+    assert strong_stationarity_check(law, 2).holds
+
+    def refuse(*args):
+        raise AssertionError("a table was summed again")
+
+    monkeypatch.setattr(hales_jewett, "_sum_image", refuse)
+    monkeypatch.setattr(hales_jewett, "_coordinate_sums", refuse)
+    monkeypatch.setattr(StationaryLawTruncation, "_sum_numerators", refuse)
+    assert (marginals(law), insensitive_algebra(law, [1, 2])) == expected
+    line_marginal_structure_report(law)
+    for cap in (0, 1, 2):
+        assert strong_stationarity_check(law, cap).holds
+
+
+def test_stationarity_refuses_a_law_too_deep_for_its_cap():
+    # Depth 9 at cap 2 walks 145,149 subspace maps, over the bound; cap 1
+    # walks 28,501 and runs.  The refusal comes before any map is built.
+    cfgs = [(0,) * 1022, (1,) * 1022]
+    law = StationaryLawTruncation(2, 9, carrier(F(1, 2)), {c: F(1, 2) for c in cfgs})
+    assert hales_jewett._subspace_map_count(2, 3, 2, 10**9) == 36
+    assert hales_jewett._subspace_map_count(2, 9, 2, 10**9) == 145_149
+    assert hales_jewett._subspace_map_count(2, 9, 1, 10**9) == 28_501
+    images = subspace_images.cache_info().currsize
+    with pytest.raises(ValueError, match="^law too deep for the check: more than 100000 "):
+        strong_stationarity_check(law, 2)
+    assert subspace_images.cache_info().currsize == images
+    assert strong_stationarity_check(law, 0).holds
+    assert strong_stationarity_check(law, 1).holds
+
+
+def test_subspace_map_count_matches_the_enumeration():
+    # Every map of dimensions 1..cap and lengths up to the depth, counted
+    # from the generator itself.
+    for k in (1, 2, 3):
+        for depth in range(1, 5):
+            for cap in range(depth + 1):
+                walked = sum(
+                    1
+                    for n in range(1, cap + 1)
+                    for total in range(n, depth + 1)
+                    for _ in hales_jewett._subspace_maps(k, n, total)
+                )
+                assert hales_jewett._subspace_map_count(k, depth, cap, 10**9) == walked
 
 
 def test_broken_laws_fail_at_the_intended_dimensions():

@@ -21,6 +21,7 @@ from helpers import (
     old_relative_independence,
     three_direction_torus,
     torus_system,
+    unreduced_subgroup_order,
 )
 
 from ergolab import systems
@@ -347,6 +348,27 @@ def test_subgroup_arithmetic_is_linear_in_the_cyclic_parts():
     assert not rot.is_ergodic()
     assert rot.subgroup_order(rot.phi) == 4
     assert time.perf_counter() - start < 1
+
+
+def test_subgroup_order_keeps_lattice_entries_below_the_denominator():
+    # 8 generators over 400 cyclic parts of orders 2 to 9: without reducing
+    # mod e after each column, the entries grow through the echelon form.
+    rng = random.Random(8)
+    orders = tuple(rng.randint(2, 9) for _ in range(400))
+    gens = [tuple(rng.randrange(o) for o in orders) for _ in range(8)]
+    rot = GroupRotationSystem(orders, tuple(gens[:2]))
+    start = time.perf_counter()
+    order = rot.subgroup_order(gens)
+    elapsed = time.perf_counter() - start
+    assert order == unreduced_subgroup_order(rot, gens)
+    assert elapsed < 0.2
+    # Small groups, against the element-by-element subgroup too.
+    for _ in range(200):
+        orders = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
+        gens = [tuple(rng.randrange(o) for o in orders) for _ in range(rng.randint(0, 4))]
+        rot = GroupRotationSystem(orders, ())
+        expected = len(generated_subgroup(rot, gens))
+        assert rot.subgroup_order(gens) == unreduced_subgroup_order(rot, gens) == expected
 
 
 def test_rotation_extension_refuses_more_than_the_point_bound():
