@@ -20,7 +20,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from . import averages, hales_jewett as dhj, removal as removal_mod, serialize
 from .serialize import ValidationError, canonical_dumps, format_fraction
@@ -465,13 +465,127 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+class _Table(NamedTuple):
+    """One subcommand's grammar, read off the built parser for :func:`_read`."""
+
+    options: dict[str, argparse.Action]  # option string -> store or store_true action
+    positionals: tuple[argparse.Action, ...]
+    defaults: dict[str, Any]  # the namespace before any token is read
+    required: tuple[argparse.Action, ...]
+    typed_defaults: tuple[argparse.Action, ...]  # string defaults with a ``type``
+
+
+# What argparse turns into a usage error when an argument's ``type`` raises it.
+_TYPE_ERRORS = (argparse.ArgumentTypeError, TypeError, ValueError)
+
+
+@functools.lru_cache(maxsize=1)
+def _tables(parser: argparse.ArgumentParser) -> dict[str, _Table]:
+    """The table of each subcommand of ``parser`` that :func:`_read` can
+    read: its options and positionals all store one value, or ``True``.
+    Built on the first :func:`main` call, as the parser is."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if any(a is not commands and not isinstance(a, argparse._HelpAction) for a in parser._actions):
+        return {}
+    tables = {}
+    for name, sub in commands.choices.items():
+        options, positionals = {}, []
+        for action in sub._actions:
+            readable = (
+                type(action) is argparse._StoreAction and action.nargs is None
+                or type(action) is argparse._StoreTrueAction
+            )
+            if readable and action.option_strings:
+                options.update(dict.fromkeys(action.option_strings, action))
+            elif readable:
+                positionals.append(action)
+            elif not action.option_strings:
+                break  # a positional the reader cannot read
+        else:
+            # parse_known_args fills a new namespace with the first default
+            # of each dest, then the set_defaults values; the subcommand's
+            # namespace is copied over the top-level one.
+            own: dict[str, Any] = {}
+            for action in sub._actions:
+                if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                    own.setdefault(action.dest, action.default)
+            own = {**sub._defaults, **own}
+            tables[name] = _Table(
+                options,
+                tuple(positionals),
+                {**parser._defaults, commands.dest: name, **own},
+                tuple(a for a in sub._actions if a.required),
+                tuple(a for a in sub._actions if isinstance(a.default, str) and a.type is not None),
+            )
+    return tables
+
+
+def _read(tables: dict[str, _Table], argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace ``parse_args(argv)`` returns, read with one table
+    lookup per token, or ``None`` where argparse must read ``argv``: a first
+    token that is no subcommand, any token not in the table (abbreviations,
+    ``--opt=value``, ``-k2``, ``--``, ``-h``), a missing value or one that
+    starts with ``-``, a failed ``type`` or ``choices`` check, a missing
+    required argument and an extra positional.  So help and every usage
+    error stay argparse's."""
+    table = tables.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    values = dict(table.defaults)
+    seen = set()
+    tokens = iter(argv[1:])
+    free = iter(table.positionals)
+    for token in tokens:
+        action = table.options.get(token)
+        if action is None:
+            action, value = next(free, None), token
+            if action is None:
+                return None
+        elif action.nargs == 0:
+            values[action.dest] = action.const
+            seen.add(action)
+            continue
+        else:
+            value = next(tokens, None)
+        if value is None or value[:1] == "-":
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except _TYPE_ERRORS:
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    for action in table.required:
+        if action not in seen:
+            return None
+    for action in table.typed_defaults:
+        # argparse passes a string default through ``type`` once it is
+        # known that no token set the value.
+        if action not in seen and values.get(action.dest) is action.default:
+            try:
+                values[action.dest] = action.type(action.default)
+            except _TYPE_ERRORS:
+                return None
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors, which this tool reserves for
-        # non-exhaustive searches; remap to the input-error code.
-        return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _parser()
+    args = _read(_tables(parser), argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors, which this tool reserves for
+            # non-exhaustive searches; remap to the input-error code.
+            return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     start = time.perf_counter()
     try:
         code = args.func(args)

@@ -27,6 +27,7 @@ from .measure import (
     Coupling,
     ExactProbabilitySpace,
     Partition,
+    ValidationError,
     ZERO,
     _frac,
     exact_masses,
@@ -255,6 +256,22 @@ def subspace_images(k: int, n: int, max_length: int) -> tuple[tuple[str, ...], .
     return tuple(s.image() for s in enumerate_subspaces(k, n, max_length))
 
 
+MAX_LAW_LETTERS = 1 << 24
+
+
+def _word_letters(k: int, depth: int, stop: int) -> int:
+    """The letters of the words of lengths ``1..depth``, the sum of
+    ``m * k^m``; counting ends as soon as it passes ``stop``."""
+    if k == 1:
+        return depth * (depth + 1) // 2
+    total = 0
+    for m in range(1, depth + 1):
+        total += m * k**m
+        if total > stop:
+            break
+    return total
+
+
 @cache
 def _word_layout(k: int, depth: int) -> tuple[tuple[str, ...], dict[str, int], tuple[int, ...]]:
     """The coordinates of a law truncation of that depth: the words of
@@ -315,6 +332,17 @@ def _subspace_map_count(k: int, depth: int, dim_cap: int, stop: int) -> int:
     return total
 
 
+MAX_SEARCH_POINTS = 4096
+MAX_FORCING_POINTS = 1 << 21
+
+
+def _more_points(k: int, N: int, bound: int) -> bool:
+    """Whether ``[k]^N`` has more than ``bound`` points, for ``k >= 2``.
+    There are at least ``2^N``, so a long ``N`` is over the bound without
+    the power."""
+    return N >= bound.bit_length() or k**N > bound
+
+
 @dataclass(frozen=True)
 class MaxLineFreeResult:
     size: int
@@ -333,7 +361,8 @@ def max_line_free(k: int, N: int, budget: int = 5_000_000) -> MaxLineFreeResult:
     at that point only, as the mask of its other points.  ``budget`` (at
     least 1) caps the number of search nodes; exceeding it returns the best
     set found with ``exhaustive=False``, which is the empty set when no
-    leaf was reached.
+    leaf was reached.  A space of more than ``MAX_SEARCH_POINTS`` points is
+    refused before any point is built.
 
     The include child is entered in place and only exclude children are
     stacked, which visits and counts the nodes in the same depth-first
@@ -341,14 +370,15 @@ def max_line_free(k: int, N: int, budget: int = 5_000_000) -> MaxLineFreeResult:
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    points = all_words(k, N)
-    if len(points) > 4096:
+    if check_alphabet(k) > 1 and _more_points(k, N, MAX_SEARCH_POINTS):
         raise ValueError("over budget: point set too large for the exact search")
+    lines = enumerate_lines(k, N)  # refuses N < 1 and k = 1
+    points = all_words(k, N)
     index = {w: i for i, w in enumerate(points)}
     n_pts = len(points)
     # completes[p]: the lines whose largest point is p, without p.
     completes: list[list[int]] = [[] for _ in range(n_pts)]
-    for line in enumerate_lines(k, N):
+    for line in lines:
         idx = [index[w] for w in line]
         top = max(idx)
         completes[top].append(mask_of(idx) & ~(1 << top))
@@ -411,10 +441,17 @@ def subspace_forcing_check(k: int, L: int, N: int, max_sets: int = 200_000) -> F
     prefix set of ``w`` unless one of its missing points ends in ``w``.
     Reports the first set holding no prefix set, if any.  Past ``max_sets``
     sets the check stops, with ``exhaustive=False`` and the verdict of the
-    sets it checked.
+    sets it checked.  A space of more than ``MAX_FORCING_POINTS`` points is
+    refused before any point is built.
     """
     if not 1 <= L <= N:
         raise ValueError("need 1 <= L <= N")
+    if check_alphabet(k) == 1:
+        return ForcingResult(True, None, True)  # one point, its own prefix set
+    if _more_points(k, N, MAX_FORCING_POINTS):
+        raise ValueError(
+            f"point set too large for the forcing check: at most {MAX_FORCING_POINTS} points"
+        )
     points = all_words(k, N)
     # A set missing m points has density above 1 - k^(-2L) when m k^(2L) < k^N.
     max_missing = (len(points) - 1) // k ** (2 * L)
@@ -512,7 +549,9 @@ class StationaryLawTruncation:
     dimension cap at which :func:`strong_stationarity_check` held, so
     ``weights`` must not be changed after construction.  ``weights`` is the
     law's own copy, read by :func:`measure.exact_masses`: the dict passed in
-    may be reused or changed afterwards.
+    may be reused or changed afterwards.  A depth whose words would have more
+    than ``MAX_LAW_LETTERS`` letters in all is refused, at ``depth``, before
+    any word is built.
     """
 
     k: int
@@ -524,6 +563,10 @@ class StationaryLawTruncation:
         check_alphabet(self.k)
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
+        if _word_letters(self.k, self.depth, MAX_LAW_LETTERS) > MAX_LAW_LETTERS:
+            raise ValidationError(
+                ["depth"], f"law too deep: its words would have more than {MAX_LAW_LETTERS} letters"
+            )
         wlist, windex, bounds = _word_layout(self.k, self.depth)
         object.__setattr__(self, "_words", wlist)
         object.__setattr__(self, "_windex", windex)

@@ -1,14 +1,20 @@
 """Command-line dispatch: reports, exit codes, determinism."""
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import cyclic_system, long_period_system
 
@@ -761,8 +767,12 @@ def _standalone(argv, cwd):
 
 
 def test_parser_is_built_lazily():
-    proc = _fresh_python("-c", "import ergolab.cli as c; print(c._parser.cache_info().currsize)")
-    assert proc.stdout == "0\n"
+    proc = _fresh_python(
+        "-c",
+        "import ergolab.cli as c; "
+        "print(c._parser.cache_info().currsize, c._tables.cache_info().currsize)",
+    )
+    assert proc.stdout == "0 0\n"
 
 
 def test_reused_parser_leaks_no_defaults(z3_file, tmp_path, monkeypatch, capsys):
@@ -825,3 +835,221 @@ def test_rotation_extension_beyond_the_point_bound_is_an_input_error(tmp_path):
     assert code == 3
     assert report == {"error": "extension too large: at most 65536 points, got 5000000000000000"}
     assert elapsed < 2
+
+
+# -- bounds checked before the words are built ------------------------------------------
+
+def _capped_cli(*argv, cwd=None):
+    """Exit code, stdout and wall time of the command in a child capped at
+    400 MB of address space."""
+    resource = pytest.importorskip("resource")
+    cap = 400 << 20
+    start = time.perf_counter()
+    proc = _fresh_python(
+        "-m", "ergolab.cli", *argv, cwd=cwd,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    return proc.returncode, proc.stdout, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("N", ["25", "1000000000000"])
+def test_maxfree_refuses_a_large_space_before_building_it(N):
+    code, out, elapsed = _capped_cli("dhj", "maxfree", "-k", "2", "-N", N)
+    assert code == 3
+    assert json.loads(out) == {"error": "over budget: point set too large for the exact search"}
+    assert elapsed < 5
+
+
+@pytest.mark.parametrize("N", ["22", "25", "1000000000000"])
+def test_force_refuses_more_than_its_point_bound_before_building_them(N):
+    code, out, elapsed = _capped_cli("dhj", "force", "-k", "2", "-L", "1", "-N", N)
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "point set too large for the forcing check: at most 2097152 points"
+    }
+    assert elapsed < 5
+
+
+def test_force_at_its_point_bound_still_runs_under_the_cap():
+    # 2^21 points is the largest space the bound admits; it stops at its
+    # set budget as before.
+    code, out, _ = _capped_cli("dhj", "force", "-k", "2", "-L", "1", "-N", "21")
+    assert code == 2
+    assert json.loads(out)["results"] == {"counterexample": None, "holds": True, "threshold": "3/4"}
+
+
+def test_a_law_with_too_many_letters_is_refused_at_its_depth(tmp_path):
+    # k = 1 and depth 30,000: the words "1", "11", ... would hold
+    # 450,015,000 letters, so the law is refused before any word is built.
+    depth = 30_000
+    doc = {
+        "k": 1,
+        "depth": depth,
+        "carrier": {"points": [0, 1], "weights": ["1/2", "1/2"]},
+        "weights": [{"config": [x] * depth, "value": "1/2"} for x in (0, 1)],
+    }
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(doc))
+    code, out, elapsed = _capped_cli("dhj", "stationarity", "--law", str(path), "--dim-cap", "0")
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "$.depth: law too deep: its words would have more than 16777216 letters"
+    }
+    assert elapsed < 5
+
+
+# -- the table reader ---------------------------------------------------------------
+
+# Every command's files, by name, relative to the directory the commands run in.
+READER_FILES = {
+    "z3.json": system_to_json(cyclic_system(3, 1, 2)),
+    "functions.json": [["1", "0", "1"], ["0", "1", "1"]],
+    "seq.json": {"entries": [["2/3", "-1/2"]] * 6},
+    "words.json": ["12", "21", "22"],
+    "law.json": {
+        "k": 2, "depth": 1, "carrier": {"points": [0, 1], "weights": ["1/2", "1/2"]},
+        "weights": [{"config": list(c), "value": "1/4"} for c in ([0, 0], [0, 1], [1, 0], [1, 1])],
+    },
+    "rotation.json": {"orders": [6], "phi": [[2], [3]]},
+}
+COMMANDS = next(
+    a for a in cli.build_parser()._actions if a.dest == "command"
+).choices
+# Values an option or positional is given, by dest; the ints include a
+# non-ASCII digit, a padded one and ones that fail or start with "-".
+VALUES = {
+    "system": ["z3.json", "seq.json", "missing.json"],
+    "functions": ["functions.json"],
+    "seq": ["seq.json"],
+    "instance": ["words.json", "missing.json"],
+    "set": ["[0]", "[0, 1]", "words.json", "[5]"],
+    "law": ["law.json"],
+    "rotation": ["rotation.json", "z3.json"],
+    "file": ["z3.json", "law.json", "missing.json"],
+    "schema": ["system", "law", "rotation", "nope"],
+    "directions": ["0,1", "0", "x"],
+    "sizes": ["1", "2", "1,2", "0", "x"],
+    "json": ["report.json"],
+}
+INTS = ["0", "1", "2", "3", "٢", " 2", "-1", "x", "2.0"]
+# Tokens inserted anywhere: prefixes, "=" forms, joined short options, "--",
+# help, negative numbers, non-ASCII digits, stray words and bare options.
+HOSTILE = ["-1", "--", "=", "-k2", "-N3", "--set=[0]", "--sys", "--dim", "--dim_cap", "-h",
+           "--help", "٣", "", "-", "extra", "--json", "-N", "2", "--random", "--extend"]
+
+
+def _values(action):
+    if action.choices is not None:
+        return [*action.choices, "frob"]
+    return INTS if action.type is int else VALUES[action.dest]
+
+
+@st.composite
+def _argvs(draw):
+    """A command line: the options of one command, each required one
+    almost always and the others sometimes, in any order, with up to three
+    edits (a token inserted, dropped or repeated, or the first one
+    replaced)."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    pieces = []
+    for action in COMMANDS[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if draw(st.integers(0, 9)) < (9 if action.required else 4):
+            head = [draw(st.sampled_from(action.option_strings))] if action.option_strings else []
+            tail = [] if action.nargs == 0 else [draw(st.sampled_from(_values(action)))]
+            pieces.append(head + tail)
+    argv = [command] + [t for piece in draw(st.permutations(pieces)) for t in piece]
+    options = sorted(COMMANDS[command]._option_string_actions)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "option", "drop", "repeat", "first"]))
+        if edit == "insert":
+            argv.insert(at, draw(st.sampled_from(HOSTILE)))
+        elif edit == "option":
+            argv.insert(at, draw(st.sampled_from(options)))
+        elif edit == "first":
+            argv[0] = draw(st.sampled_from(HOSTILE + ["dh", "Dhj", "recur"]))
+        elif at < len(argv):
+            argv[at:at + 1] = [] if edit == "drop" else [argv[at]] * 2
+    return argv
+
+
+def _argparse_reading(argv):
+    """The namespace ``parse_args`` gives, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_argvs())
+def test_the_reader_gives_argparse_namespace_or_declines(argv):
+    read = cli._read(cli._tables(cli._parser()), argv)
+    if read is not None:
+        expected = _argparse_reading(argv)
+        assert isinstance(expected, argparse.Namespace)
+        assert vars(read) == vars(expected)
+
+
+@pytest.fixture(scope="module")
+def reader_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader")
+
+
+def _main_in(directory, argv):
+    """Exit code, stdout and stderr of ``main(argv)`` run in ``directory``
+    on fresh input files, with the wall time masked."""
+    for name, doc in READER_FILES.items():
+        (directory / name).write_text(json.dumps(doc))
+    out, err, here = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(here)
+    return code, out.getvalue(), re.sub(r"wall_time_s=[0-9.]+", "wall_time_s=", err.getvalue())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_argvs())
+def test_main_is_the_same_with_or_without_the_reader(reader_dir, argv):
+    with_reader = _main_in(reader_dir, argv)
+    with mock.patch.object(cli, "_read", lambda tables, argv: None):
+        assert _main_in(reader_dir, argv) == with_reader
+
+
+def _bench_job_shapes(files):
+    """The command lines of the benchmark's jobs (``bench/workloads.py``),
+    one per shape."""
+    return [
+        ["removal", "search", "--sizes", "2", "-d", "3"],
+        ["removal", "search", "--sizes", "2,3,4", "-d", "3", "--random", "--samples", "20",
+         "--seed", "7"],
+        ["fjoin", "--system", files["z3.json"]],
+        ["recur", "--system", files["z3.json"], "--set", "[0, 2]"],
+        ["avg", "--system", files["z3.json"], "--functions", files["functions.json"], "-N", "40"],
+        ["vdc", "--seq", files["seq.json"], "-N", "6", "-H", "3"],
+        ["validate", "--schema", "system", files["z3.json"]],
+        ["dhj", "maxfree", "-k", "2", "-N", "3"],
+        ["dhj", "maxfree", "-k", "2", "-N", "6", "--budget", "20000"],
+        ["dhj", "force", "-k", "2", "-L", "1", "-N", "3"],
+        ["dhj", "stationarity", "--law", files["law.json"], "--dim-cap", "2"],
+        ["dhj", "correspond", "--set", files["words.json"], "-k", "2", "-N", "3", "-L", "1"],
+    ]
+
+
+def test_the_reader_reads_every_golden_and_bench_command_line(tmp_path):
+    from test_golden import GOLDEN
+
+    files = {name: str(tmp_path / name) for name in READER_FILES}
+    argvs = [[a.format(dir=tmp_path) for a in argv] for argv, _, _ in GOLDEN.values()]
+    argvs += _bench_job_shapes(files)
+    tables = cli._tables(cli._parser())
+    for argv in argvs:
+        read = cli._read(tables, argv)
+        assert read is not None, argv
+        assert vars(read) == vars(_argparse_reading(argv))

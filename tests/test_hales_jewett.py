@@ -47,7 +47,7 @@ from ergolab.hales_jewett import (
     subspace_images,
     words_up_to,
 )
-from ergolab.measure import ExactProbabilitySpace, Partition
+from ergolab.measure import ExactProbabilitySpace, Partition, ValidationError
 from ergolab.upsets import bits_of, ground_masks, structure_report
 
 F = Fraction
@@ -1020,3 +1020,53 @@ def test_law_carrier_marginal_validated():
     car = ExactProbabilitySpace((0, 1), (F(1, 2), F(1, 2)))
     with pytest.raises(ValueError):
         StationaryLawTruncation(2, 1, car, {(1, 1): F(1)})
+
+
+# -- input bounds checked before any word is built --------------------------------------
+
+def test_point_bounds_of_a_long_space_need_no_power():
+    # 2^(10^18) has no room in memory, so each call returns only because
+    # it never computes the number of points.
+    with pytest.raises(ValueError, match="over budget: point set too large"):
+        max_line_free(2, 10**18)
+    with pytest.raises(ValueError, match="at most 2097152 points"):
+        subspace_forcing_check(2, 1, 10**18)
+    # [1]^N is one point, so the forcing check holds without its word.
+    assert subspace_forcing_check(1, 1, 10**18) == ForcingResult(True, None, True)
+    assert subspace_forcing_check(1, 2, 5) == ForcingResult(True, None, True)
+
+
+@pytest.mark.parametrize("k, N", [(2, 12), (3, 7), (8, 4), (9, 3)])
+def test_max_line_free_bound_admits_every_space_up_to_4096_points(k, N):
+    # k^N <= 4096; a budget of one node stops the search at once.
+    assert max_line_free(k, N, budget=1).exhaustive is False
+    with pytest.raises(ValueError, match="over budget"):
+        max_line_free(k, N + 1, budget=1)
+
+
+def test_max_line_free_checks_its_arguments_before_building_words():
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        max_line_free(2, -1)
+    with pytest.raises(ValueError, match="at least two letters"):
+        max_line_free(1, 10**18)
+
+
+@pytest.mark.parametrize("k, depth", [(1, 5792), (2, 18), (3, 12), (9, 6)])
+def test_law_letter_bound_is_the_sum_of_the_word_lengths(k, depth):
+    # The deepest law of each alphabet whose words hold at most 2^24
+    # letters, and one deeper, summed term by term.
+    letters = sum(m * k**m for m in range(1, depth + 1))
+    deeper = letters + (depth + 1) * k ** (depth + 1)
+    assert letters <= hales_jewett.MAX_LAW_LETTERS < deeper
+    assert hales_jewett._word_letters(k, depth, hales_jewett.MAX_LAW_LETTERS) == letters
+    assert hales_jewett._word_letters(k, depth + 1, hales_jewett.MAX_LAW_LETTERS) > (
+        hales_jewett.MAX_LAW_LETTERS
+    )
+
+
+def test_a_law_too_deep_for_its_letters_is_refused_at_its_depth():
+    carrier = ExactProbabilitySpace((0,), (F(1),))
+    with pytest.raises(ValidationError) as err:
+        StationaryLawTruncation(1, 30_000, carrier, {(0,) * 30_000: F(1)})
+    assert err.value.path == ["depth"]
+    assert str(err.value) == "$.depth: law too deep: its words would have more than 16777216 letters"
