@@ -39,7 +39,6 @@ from .systems import (
     cycle_decomposition,
     identity_perm,
     invariant_factor,
-    perm_order,
 )
 from .upsets import StructureReport, bits_of, ground_masks, identified_on, mask_of, structure_report
 
@@ -82,11 +81,6 @@ def _checked_directions(sys: FiniteZdSystem, directions: Iterable[int]) -> tuple
     if any(not 0 <= i < sys.dim for i in dirs):
         raise ValueError("direction out of range")
     return dirs
-
-
-def direction_period(sys: FiniteZdSystem, directions: Sequence[int]) -> int:
-    """Order of the tuple of generator permutations at the given directions."""
-    return lcm(*(perm_order(sys.generators[i]) for i in directions))
 
 
 def _local_weights(sys: FiniteZdSystem, directions: Iterable[int]) -> tuple[list[int], list[int], int]:
@@ -340,23 +334,6 @@ def recurrence_certificates_exhaustive(
         m: RecurrenceCertificate(Fraction(a, total), w if w < sentinel else None)
         for m, (a, w) in enumerate(zip(agg, wit))
     }
-
-
-def multiple_recurrence_check(sys: FiniteZdSystem, sets: Sequence[Iterable[int]]) -> bool:
-    """Verify the implication: vanishing self-joining mass of the product set
-    forces vanishing measure of the intersection.
-
-    The mass comes from :func:`_period_scan`, without building the joining.
-    Vacuously true when the product mass is positive.  Unconditionally true
-    for finite systems, since the period average dominates ``mu(cap A_i)/L``.
-    """
-    if len(sets) != sys.dim:
-        raise ValueError("need one set per generator")
-    sets = [frozenset(s) for s in sets]
-    if _period_scan(sys, sets)[0] != 0:
-        return True
-    inter = set.intersection(*(set(s) for s in sets)) if sets else set()
-    return sys.space.measure(inter) == 0
 
 
 @dataclass(frozen=True)

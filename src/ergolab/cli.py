@@ -36,7 +36,8 @@ EXIT_PARTIAL = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
-# `dhj lines` prints every line, so it lists at most this many.
+# `dhj lines` prints every line, and `dhj correspond` every line event of
+# its window, so each lists at most this many.
 MAX_LISTED_LINES = 100_000
 
 
@@ -312,7 +313,8 @@ def _cmd_correspond(args) -> int:
     doc = _load_option(args, "set")
     if not isinstance(doc, list) or any(not isinstance(w, str) for w in doc):
         raise ValidationError(["set"], "expected a JSON array of words")
-    cm = dhj.build_correspondence(doc, args.k, args.N, args.L)
+    # Every line event is listed, so the lines follow the bound of `dhj lines`.
+    cm = dhj.build_correspondence(doc, args.k, args.N, args.L, MAX_LISTED_LINES)
     line_events = {
         "/".join(line): cm.line_event(line)
         for line in dhj.line_maps(args.k, args.L)

@@ -201,6 +201,14 @@ def line_maps(k: int, N: int) -> list[tuple[str, ...]]:
     return [image for _, _, _, image in _subspace_maps(k, 1, N)]
 
 
+def _check_lines(k: int, N: int, max_lines: int) -> None:
+    """Refuse ``[k]^N`` (``N >= 1``) when it has more than ``max_lines``
+    lines, ``(k+1)^N - k^N``.  That is at least ``2^(N-1)``, so a long
+    ``N`` is over the bound without the powers."""
+    if N > max_lines.bit_length() or (k + 1) ** N - k**N > max_lines:
+        raise ValueError(f"too many lines: at most {max_lines} are listed")
+
+
 def enumerate_lines(k: int, N: int, max_lines: int | None = None) -> list[tuple[str, ...]]:
     """All combinatorial lines of ``[k]^N`` as sorted point tuples, lex ordered
     and deduplicated.
@@ -215,11 +223,8 @@ def enumerate_lines(k: int, N: int, max_lines: int | None = None) -> list[tuple[
     if k < 2:
         raise ValueError("lines need an alphabet of at least two letters")
     check_alphabet(k)
-    # (k+1)^N - k^N >= 2^(N-1), so a long N is over the bound without the powers.
-    if max_lines is not None and (
-        N > max_lines.bit_length() or (k + 1) ** N - k**N > max_lines
-    ):
-        raise ValueError(f"too many lines: at most {max_lines} are listed")
+    if max_lines is not None:
+        _check_lines(k, N, max_lines)
     seen = {tuple(sorted(line)) for line in line_maps(k, N)}
     out = sorted(seen)
     if len(out) != (k + 1) ** N - k**N:
@@ -503,7 +508,9 @@ class CorrespondenceMeasure:
         )
 
 
-def build_correspondence(A: Iterable[str], k: int, N: int, L: int) -> CorrespondenceMeasure:
+def build_correspondence(
+    A: Iterable[str], k: int, N: int, L: int, max_lines: int | None = None
+) -> CorrespondenceMeasure:
     """The measure whose configuration probabilities are the densities of the
     suffix patterns of ``A``:
 
@@ -511,6 +518,12 @@ def build_correspondence(A: Iterable[str], k: int, N: int, L: int) -> Correspond
 
     with ``A_w = {v : w + v in A}``.  Point events equal the slice densities
     and line events the densities of slice intersections.
+
+    After the arguments and the words of ``A`` are checked, a space of more
+    than ``MAX_FORCING_POINTS`` points (``k^N``) is refused before any word
+    is built, and so, when ``max_lines`` is given, is a window ``[k]^L`` of
+    more than ``max_lines`` lines: a caller that lists every line event
+    passes its listing bound.
     """
     if not 1 <= L < N:
         raise ValueError("need 1 <= L < N")
@@ -518,6 +531,12 @@ def build_correspondence(A: Iterable[str], k: int, N: int, L: int) -> Correspond
     for w in A:
         if len(w) != N:
             raise ValueError("set elements must have length N")
+    if check_alphabet(k) > 1 and _more_points(k, N, MAX_FORCING_POINTS):
+        raise ValueError(
+            f"point set too large for the correspondence: at most {MAX_FORCING_POINTS} points"
+        )
+    if max_lines is not None:
+        _check_lines(k, L, max_lines)
     prefixes = all_words(k, L)
     M = N - L
     acc: dict[tuple[int, ...], int] = {}
@@ -549,9 +568,13 @@ class StationaryLawTruncation:
     dimension cap at which :func:`strong_stationarity_check` held, so
     ``weights`` must not be changed after construction.  ``weights`` is the
     law's own copy, read by :func:`measure.exact_masses`: the dict passed in
-    may be reused or changed afterwards.  A depth whose words would have more
-    than ``MAX_LAW_LETTERS`` letters in all is refused, at ``depth``, before
-    any word is built.
+    may be reused or changed afterwards.  That read is the one check of the
+    configurations' entries (their types and range), also for a law read
+    from a document: ``serialize`` hands the entries over unchecked and
+    runs its located per-entry read only after a check here has failed, to
+    place the error.  A depth whose words would have more than
+    ``MAX_LAW_LETTERS`` letters in all is refused, at ``depth``, before any
+    word is built.
     """
 
     k: int

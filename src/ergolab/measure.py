@@ -469,7 +469,13 @@ def exact_masses(
     Each distinct mass object is read once: a parsed document shares one
     ``Fraction`` per distinct value string.  The usual table, a dict of
     such tuples of exact ints with positive ``Fraction`` masses, is
-    recognised by passes in C and copied as it is.
+    recognised by passes in C (:func:`clean_entries`) and copied as it is.
+
+    This is the one check of a key entry's type and range.  A mass table
+    read from a document (law weights, coupling masses) reaches it with
+    its keys unchecked: ``serialize`` checks only the document's shape, and
+    runs its located per-entry read only when this check, or its own,
+    fails, to place the error.
     """
     distinct = _by_id(mass.values()) if type(mass) is dict else None
     if distinct is not None and clean_entries(mass.keys(), distinct.values(), length, n):

@@ -22,6 +22,11 @@ Wire formats:
 * subspaces: ``{"N": [...], "I": [[...], ...], "w": "..."}`` (1-based
   positions).
 
+A mass table (law weights, coupling masses) is read in one batched pass
+and handed to its constructor, whose exact-mass check is the one check of
+its integers; only a document that fails a check is read again entry by
+entry, to place the error (see :func:`_mass_table`).
+
 Each reader of rationals (a space's weights, stored masses and law weights,
 a function's values, a sequence's entries) parses through one memo per
 value it reads, so each distinct string is parsed once, at its first
@@ -35,6 +40,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
+from itertools import chain
+from operator import index, itemgetter, lt
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .hales_jewett import (
@@ -182,16 +190,16 @@ def _entries(
     wire: list | None = None,
 ) -> dict[tuple[int, ...], Fraction]:
     """Parse ``obj[key]``, an array of ``{field: [i, ...], "value": "p/q"}``,
-    into a dict summing repeated tuples.  Each distinct value string is
-    parsed once, and a bad one fails at its first entry.  ``stored`` adds the
-    wire rules of stored masses: tuples sorted and distinct, values positive.
-    A broken wire rule raises at once, or, when a list ``wire`` is given,
-    only the first one is appended to it and the parse goes on.
+    into a dict summing repeated tuples, checking every entry in order: the
+    located per-entry read.  Each distinct value string is parsed once, and
+    a bad one fails at its first entry.  ``stored`` adds the wire rules of
+    stored masses: tuples sorted and distinct, values positive.  A broken
+    wire rule raises at once, or, when a list ``wire`` is given, only the
+    first one is appended to it and the parse goes on.
 
-    An entry that is an object with an array of ints and a value string
-    already parsed is read inline; any other entry is read by the checked
-    readers, so the first bad entry raises, as it would in a fully checked
-    loop.
+    Only :func:`_mass_table` calls it, for a document its batched read
+    could not build, so the first bad entry raises here, at its path,
+    before (or instead of) the constructor's error.
     """
     entries = _need(obj, key)
     if not isinstance(entries, list):
@@ -200,27 +208,85 @@ def _entries(
     parsed = _Rationals()
     prev: tuple | None = None
     for i, entry in enumerate(entries):
-        t = entry.get(field) if type(entry) is dict else None
-        if type(t) is list and _INT.issuperset(map(type, t)):
-            t = tuple(t)
-        else:
-            try:
-                t = _key(entry, field, _ints)
-            except ValidationError as exc:
-                raise exc.within(key, i)
+        try:
+            t = _key(entry, field, _ints)
+        except ValidationError as exc:
+            raise exc.within(key, i)
         if stored and prev is not None and t <= prev:
             _broken(wire, [key, i, field], "tuples must be sorted and distinct")
         prev = t
-        raw = entry.get("value")
-        v = parsed.get(raw) if type(raw) is str else None
-        if v is None:
-            try:
-                v = _key(entry, "value", parsed.read)
-            except ValidationError as exc:
-                raise exc.within(key, i)
+        try:
+            v = _key(entry, "value", parsed.read)
+        except ValidationError as exc:
+            raise exc.within(key, i)
         if stored and v <= 0:
             _broken(wire, [key, i, "value"], "stored masses must be positive")
         out[t] = out[t] + v if t in out else v
+    return out
+
+
+def _batched_entries(obj: dict, key: str, field: str, stored: bool) -> dict | None:
+    """The table of ``obj[key]`` read by a few passes in C, or ``None``
+    unless the array is the clean case: every entry an object with a list
+    ``field`` and a string ``"value"``, the keys hashable and distinct, each
+    distinct value string a rational (parsed once), and, when ``stored``,
+    the wire rules kept.  The key entries are not looked at: the
+    constructor that reads the table checks them."""
+    entries = obj.get(key)
+    if type(entries) is not list or not set(map(type, entries)) <= {dict}:
+        return None
+    try:
+        lists = list(map(itemgetter(field), entries))
+        raws = list(map(itemgetter("value"), entries))
+        if not (set(map(type, lists)) <= {list} and set(map(type, raws)) <= {str}):
+            return None
+        keys = list(map(tuple, lists))
+        parsed = _Rationals()
+        table = dict(zip(keys, map(parsed.__getitem__, raws)))
+        if len(table) != len(keys):
+            return None
+        if stored and not (
+            all(map(lt, keys, keys[1:])) and min(parsed.values(), default=1) > 0
+        ):
+            return None
+    except (KeyError, TypeError, ValueError):
+        # A missing key, an unhashable or incomparable one, or a bad rational.
+        return None
+    return table
+
+
+def _mass_table(
+    obj: dict,
+    key: str,
+    field: str,
+    build: Callable[[dict], Any],
+    stored: bool = False,
+    wire_last: bool = False,
+) -> Any:
+    """``build(table)`` for the mass table ``obj[key]`` (see
+    :func:`_entries` for its shape and wire rules): the one reader of law
+    weights, coupling masses and baseless coupling documents.
+
+    The clean array is read by :func:`_batched_entries` and handed straight
+    to ``build``, a constructor whose exact-mass check
+    (:func:`measure.exact_masses`) is the one check of its integers' types
+    and ranges.  Any other document, and any ``ValueError`` or
+    ``TypeError`` of ``build``, goes through the located read,
+    :func:`_entries`, and then ``build`` again, so a bad document gets the
+    error it would get from the located read alone.  A broken wire rule
+    raises there at once, or, with ``wire_last``, only after ``build``
+    succeeded, so a document that breaks both gets the constructor's
+    error."""
+    table = _batched_entries(obj, key, field, stored)
+    if table is not None:
+        try:
+            return build(table)
+        except (ValueError, TypeError):
+            pass  # the located read below decides the error
+    wire: list[ValidationError] | None = [] if wire_last else None
+    out = _build(build, _entries(obj, key, field, stored, wire))
+    if wire:
+        raise wire[0]
     return out
 
 
@@ -293,12 +359,9 @@ def coupling_from_json(obj: Any, base: ExactProbabilitySpace | None = None) -> C
     arity = _arity(obj)
     if base is None:
         base = _key(obj, "base", space_from_json)
-    wire: list[ValidationError] = []
-    mass = _entries(obj, "mass", "tuple", stored=True, wire=wire)
-    coupling = _build(Coupling, arity, base, mass)
-    if wire:
-        raise wire[0]
-    return coupling
+    return _mass_table(
+        obj, "mass", "tuple", partial(Coupling, arity, base), stored=True, wire_last=True
+    )
 
 
 def _baseless_coupling(arity: int, mass: dict) -> Coupling:
@@ -308,8 +371,11 @@ def _baseless_coupling(arity: int, mass: dict) -> Coupling:
     stand for them (a huge index allocates nothing; a negative one becomes
     -1).  A marginal that is no probability vector means an entry out of
     range or a total other than 1, which ``Coupling`` reports before it
-    reads the base weights, so a uniform base serves then."""
-    used = sorted({i for t in mass for i in t if i >= 0}) or [0]
+    reads the base weights, so a uniform base serves then.  The entries are
+    renumbered before ``Coupling`` reads them, so they are read here with
+    ``operator.index``, as it would: a float or a string raises
+    ``TypeError``."""
+    used = sorted({i for i in map(index, chain.from_iterable(mass)) if i >= 0}) or [0]
     number = {x: j for j, x in enumerate(used)}
     mass = {tuple(number.get(i, -1) for i in t): v for t, v in mass.items()}
     weights = [Fraction(0)] * len(used)
@@ -423,8 +489,9 @@ def law_from_json(obj: Any) -> StationaryLawTruncation:
     if type(k) is not int or type(depth) is not int:
         raise ValidationError((), "k and depth must be integers")
     carrier = _key(obj, "carrier", space_from_json)
-    weights = _entries(obj, "weights", "config")
-    return _build(StationaryLawTruncation, k, depth, carrier, weights)
+    return _mass_table(
+        obj, "weights", "config", partial(StationaryLawTruncation, k, depth, carrier)
+    )
 
 
 # -- removal instances --------------------------------------------------------
@@ -535,15 +602,16 @@ _ENCODER = json.JSONEncoder(
 )
 
 
-def _coupling_document_check(obj: Any) -> None:
-    """Validate a coupling document.  One without a base is checked as a
-    coupling of the base it implies (see :func:`_baseless_coupling`), after
-    the wire rules of stored masses, since that base is read off them."""
+def _coupling_document_check(obj: Any) -> Coupling:
+    """The coupling of a coupling document, which validates it.  One
+    without a base is read as a coupling of the base it implies (see
+    :func:`_baseless_coupling`), after the wire rules of stored masses,
+    since that base is read off them."""
     if isinstance(obj, dict) and "base" in obj:
-        coupling_from_json(obj)
-        return
-    arity = _arity(obj)
-    _build(_baseless_coupling, arity, _entries(obj, "mass", "tuple", stored=True))
+        return coupling_from_json(obj)
+    return _mass_table(
+        obj, "mass", "tuple", partial(_baseless_coupling, _arity(obj)), stored=True
+    )
 
 
 _SCHEMAS = {

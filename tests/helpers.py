@@ -6,22 +6,30 @@ from itertools import combinations, compress, product as iter_product
 from math import gcd, lcm, prod
 from random import Random
 
+from ergolab import serialize
 from ergolab.averages import (
     FurstenbergJoining,
     RecurrenceCertificate,
+    _period_scan,
     furstenberg_self_joining,
 )
 from ergolab.generators import random_system
-from ergolab.hales_jewett import MaxLineFreeResult, all_words, enumerate_lines
+from ergolab.hales_jewett import (
+    MaxLineFreeResult,
+    StationaryLawTruncation,
+    all_words,
+    enumerate_lines,
+)
 from ergolab.measure import (
     Coupling,
     ExactProbabilitySpace,
     IndependenceReport,
     Partition,
+    ValidationError,
     common_refinement,
     relative_independence,
 )
-from ergolab.systems import FiniteZdSystem, compose
+from ergolab.systems import FiniteZdSystem, compose, perm_order
 from ergolab.upsets import bits_of, ground_masks, mask_of, popcount
 
 
@@ -1011,3 +1019,101 @@ def fraction_system_error(space, generators):
         if compose(a, b) != compose(b, a):
             return f"$.generators: generators {i} and {j} do not commute"
     return None
+
+
+# -- the located mass-table reader, as it read every document ---------------------
+#
+# A copy of the former ``serialize._entries``, which read every law, coupling
+# and baseless coupling document entry by entry (an object with an array of
+# ints and a value string already parsed was read inline), and of the
+# readers that called it: the reference for the batched read.
+
+_INT = frozenset({int})
+
+
+def old_entries(obj, key, field, stored=False, wire=None):
+    entries = serialize._need(obj, key)
+    if not isinstance(entries, list):
+        raise ValidationError([key], "expected an array")
+    out = {}
+    parsed = serialize._Rationals()
+    prev = None
+    for i, entry in enumerate(entries):
+        t = entry.get(field) if type(entry) is dict else None
+        if type(t) is list and _INT.issuperset(map(type, t)):
+            t = tuple(t)
+        else:
+            try:
+                t = serialize._key(entry, field, serialize._ints)
+            except ValidationError as exc:
+                raise exc.within(key, i)
+        if stored and prev is not None and t <= prev:
+            serialize._broken(wire, [key, i, field], "tuples must be sorted and distinct")
+        prev = t
+        raw = entry.get("value")
+        v = parsed.get(raw) if type(raw) is str else None
+        if v is None:
+            try:
+                v = serialize._key(entry, "value", parsed.read)
+            except ValidationError as exc:
+                raise exc.within(key, i)
+        if stored and v <= 0:
+            serialize._broken(wire, [key, i, "value"], "stored masses must be positive")
+        out[t] = out[t] + v if t in out else v
+    return out
+
+
+def old_law_from_json(obj):
+    """The former ``serialize.law_from_json``, for a document whose ``k``,
+    ``depth`` and ``carrier`` are well formed."""
+    carrier = serialize.space_from_json(obj["carrier"])
+    weights = old_entries(obj, "weights", "config")
+    return serialize._build(StationaryLawTruncation, obj["k"], obj["depth"], carrier, weights)
+
+
+def old_coupling_from_json(obj):
+    """The former ``serialize.coupling_from_json`` of a document with a
+    well-formed ``arity`` and ``base``: wire rules reported after the
+    constructor's check."""
+    base = serialize.space_from_json(obj["base"])
+    wire = []
+    mass = old_entries(obj, "mass", "tuple", stored=True, wire=wire)
+    coupling = serialize._build(Coupling, obj["arity"], base, mass)
+    if wire:
+        raise wire[0]
+    return coupling
+
+
+def old_baseless_coupling(obj):
+    """The former check of a coupling document without a base.  The old
+    reader let only ints and booleans through, on which the
+    ``operator.index`` read of ``serialize._baseless_coupling`` is the
+    identity up to ``True == 1``."""
+    mass = old_entries(obj, "mass", "tuple", stored=True)
+    return serialize._build(serialize._baseless_coupling, obj["arity"], mass)
+
+
+# -- library functions that only the tests call -----------------------------------
+
+def direction_period(sys: FiniteZdSystem, directions) -> int:
+    """Order of the tuple of generator permutations at the given directions:
+    the global period ``L`` of a direction set."""
+    return lcm(*(perm_order(sys.generators[i]) for i in directions))
+
+
+def multiple_recurrence_check(sys: FiniteZdSystem, sets) -> bool:
+    """Verify the implication: vanishing self-joining mass of the product set
+    forces vanishing measure of the intersection.
+
+    The mass comes from ``averages._period_scan``, without building the
+    joining.  Vacuously true when the product mass is positive.
+    Unconditionally true for finite systems, since the period average
+    dominates ``mu(cap A_i)/L``.
+    """
+    if len(sets) != sys.dim:
+        raise ValueError("need one set per generator")
+    sets = [frozenset(s) for s in sets]
+    if _period_scan(sys, sets)[0] != 0:
+        return True
+    inter = set.intersection(*(set(s) for s in sets)) if sets else set()
+    return sys.space.measure(inter) == 0

@@ -17,6 +17,7 @@ import pytest
 from helpers import (
     brute_cesaro,
     cyclic_system,
+    direction_period,
     set_family_atoms,
     three_direction_torus,
     torus_system,
@@ -26,7 +27,6 @@ from ergolab.averages import (
     VectorSequence,
     check_offdiagonal_invariance,
     difference_subgroup,
-    direction_period,
     furstenberg_self_joining,
     project_joining,
     recurrence_certificate,

@@ -12,7 +12,9 @@ import pytest
 from helpers import (
     brute_cesaro,
     cyclic_system,
+    direction_period,
     long_period_system,
+    multiple_recurrence_check,
     old_furstenberg_self_joining,
     old_period_scan,
     old_recurrence_certificates_exhaustive,
@@ -31,9 +33,7 @@ from ergolab.averages import (
     cesaro_limit,
     check_offdiagonal_invariance,
     difference_subgroup,
-    direction_period,
     furstenberg_self_joining,
-    multiple_recurrence_check,
     nonconventional_average,
     oblique_copy,
     project_joining,

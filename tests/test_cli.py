@@ -878,6 +878,27 @@ def test_force_at_its_point_bound_still_runs_under_the_cap():
     assert json.loads(out)["results"] == {"counterexample": None, "holds": True, "threshold": "3/4"}
 
 
+@pytest.mark.parametrize(
+    "N, L, error",
+    [
+        ("40", "1", "point set too large for the correspondence: at most 2097152 points"),
+        ("1000000000000", "1", "point set too large for the correspondence: at most 2097152 points"),
+        # 2^21 points, but 3^20 - 2^20 line events in the window [2]^20.
+        ("21", "20", "too many lines: at most 100000 are listed"),
+    ],
+)
+def test_correspond_refuses_a_large_space_or_window_before_building_it(tmp_path, N, L, error):
+    # An empty set passes every check on its words, so only the bounds stop
+    # the command before it builds the suffixes or the lines.
+    (tmp_path / "empty.json").write_text("[]")
+    code, out, elapsed = _capped_cli(
+        "dhj", "correspond", "--set", "empty.json", "-k", "2", "-N", N, "-L", L, cwd=tmp_path
+    )
+    assert code == 3
+    assert json.loads(out) == {"error": error}
+    assert elapsed < 5
+
+
 def test_a_law_with_too_many_letters_is_refused_at_its_depth(tmp_path):
     # k = 1 and depth 30,000: the words "1", "11", ... would hold
     # 450,015,000 letters, so the law is refused before any word is built.

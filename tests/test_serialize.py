@@ -1,8 +1,11 @@
 """Wire formats: round trips and diagnostics."""
 from __future__ import annotations
 
+import copy
 import json
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -820,3 +823,135 @@ def test_sequence_from_json_builds_the_sequence():
         ([["1"], "2"], "$.entries[1]: expected an array"),
     ):
         assert validate_document({"entries": entries}, "sequence") == [expected]
+
+
+# -- the batched mass-table read against the located reader --------------------
+
+def _mass_table_documents():
+    """Clean law, coupling and baseless coupling documents, each with its
+    reader, the former reader, and the key and field of its mass table."""
+    from ergolab.averages import furstenberg_self_joining
+    from ergolab.hales_jewett import constant_law
+    from ergolab.serialize import _coupling_document_check
+
+    from helpers import old_baseless_coupling, old_coupling_from_json, old_law_from_json
+
+    two = ExactProbabilitySpace((0, 1), (F(1, 3), F(2, 3)))
+    three = ExactProbabilitySpace((0, 1, 2), (F(1, 6), F(1, 3), F(1, 2)))
+    laws = [iid_law(2, 2, two), iid_law(3, 1, three), constant_law(2, 2, three)]
+    couplings = [
+        furstenberg_self_joining(torus_system(3, (1, 0), (0, 1))).coupling,
+        Coupling.product(three, 2),
+        Coupling.diagonal(three, 3),
+    ]
+    out = [(law_to_json(law), law_from_json, old_law_from_json, "weights", "config")
+           for law in laws]
+    for c in couplings:
+        out.append((coupling_to_json(c), coupling_from_json, old_coupling_from_json, "mass", "tuple"))
+        out.append((
+            coupling_to_json(c, include_base=False),
+            _coupling_document_check,
+            old_baseless_coupling,
+            "mass",
+            "tuple",
+        ))
+    return out
+
+
+_BAD_INDICES = (True, False, 1.0, "1", None, [0], [], 10**18, -1)
+_BAD_VALUES = ("1/x", "abc", "1/0", "0", "-1/4", "0.5x", 0.5, True, None, 1, ["1/2"])
+_NON_OBJECTS = ([0, 1], "x", 3, None)
+_NON_LISTS = ("01", {}, 5, None, [[0, 1]])
+
+
+_KINDS = (
+    "index", "value", "missing", "non-object", "field", "duplicate", "unsorted",
+    "total", "length", "wire-and-constructor", "equal", "split",
+)
+# Mutations that keep a law valid (a coupling's wire rules may break).
+_BENIGN = ("unsorted", "equal", "split")
+
+
+def _mutate(rng, entries, field, kinds):
+    """Apply one seeded mutation of ``kinds`` to the array ``entries``;
+    return its kind."""
+    kind = rng.choice(kinds)
+    i = rng.randrange(len(entries))
+    entry = entries[i]
+    obj = type(entry) is dict
+    if kind == "index" and obj and type(entry.get(field)) is list and entry[field]:
+        entry[field][rng.randrange(len(entry[field]))] = copy.deepcopy(rng.choice(_BAD_INDICES))
+    elif kind == "value" and obj:
+        entry["value"] = copy.deepcopy(rng.choice(_BAD_VALUES))
+    elif kind == "missing" and obj:
+        entry.pop(rng.choice((field, "value")), None)
+    elif kind == "non-object":
+        entries[i] = copy.deepcopy(rng.choice(_NON_OBJECTS))
+    elif kind == "field" and obj:
+        entry[field] = copy.deepcopy(rng.choice(_NON_LISTS))
+    elif kind == "duplicate":
+        entries.insert(rng.randrange(len(entries) + 1), copy.deepcopy(entry))
+    elif kind in ("unsorted", "wire-and-constructor"):
+        j = rng.randrange(len(entries))
+        entries[i], entries[j] = entries[j], entries[i]
+        if kind == "wire-and-constructor" and obj:
+            entry["value"] = rng.choice(("1/7", "1/2", "3"))  # the total is no longer 1
+    elif kind == "total" and obj:
+        entry["value"] = rng.choice(("1/7", "1/2", "3"))
+    elif kind == "length" and obj and type(entry.get(field)) is list:
+        entry[field].append(0)
+    elif kind == "equal" and obj and type(entry.get("value")) is str:
+        # The same law or coupling: an unreduced value and boolean indices.
+        q = parse_fraction(entry["value"])
+        entry["value"] = f"{2 * q.numerator}/{2 * q.denominator}"
+        if type(entry.get(field)) is list:
+            entry[field] = [bool(c) if c in (0, 1) else c for c in entry[field]]
+    elif kind == "split" and obj and type(entry.get("value")) is str:
+        # Half the mass in a repeated entry: the same law, a broken wire rule.
+        half = parse_fraction(entry["value"]) / 2
+        entry["value"] = format_fraction(half)
+        entries.insert(i + 1, dict(copy.deepcopy(entry), value=format_fraction(half)))
+    return kind
+
+
+def _outcome(read, doc):
+    try:
+        return read(doc)
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_batched_mass_tables_match_the_located_reader():
+    # Seeded mutants of law, coupling and baseless coupling documents: the
+    # batched read builds the same object as the former entry-by-entry
+    # reader, or raises the same error with the same text.
+    rng = random.Random(24)
+    documents = _mass_table_documents()
+    kinds = Counter()
+    built = failed = 0
+    for m in range(600):
+        doc, read, old_read, key, field = rng.choice(documents)
+        doc = copy.deepcopy(doc)
+        for _ in range(rng.randint(1, 3)):
+            kinds[_mutate(rng, doc[key], field, _BENIGN if m % 4 == 0 else _KINDS)] += 1
+        expected = _outcome(old_read, doc)
+        assert _outcome(read, doc) == expected, doc
+        if isinstance(expected, tuple):
+            failed += 1
+        else:
+            built += 1
+    assert len(kinds) == 12 and min(kinds.values()) >= 40
+    assert built >= 40 and failed >= 200
+
+
+def test_clean_mass_tables_skip_the_located_reader(monkeypatch):
+    from ergolab import serialize
+
+    documents = _mass_table_documents()
+    expected = [read(doc) for doc, read, *_ in documents]
+
+    def located(*args, **kwargs):
+        raise AssertionError("a clean document reached the located reader")
+
+    monkeypatch.setattr(serialize, "_entries", located)
+    assert [read(doc) for doc, read, *_ in documents] == expected
