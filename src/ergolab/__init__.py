@@ -35,7 +35,6 @@ from .systems import (
     invariant_factor,
     joint_distribution_predicate,
     rotation_extension,
-    two_fold_joining_check,
 )
 
 __version__ = "0.1.0"
@@ -62,6 +61,5 @@ __all__ = [
     "relative_independence",
     "relatively_independent_product",
     "rotation_extension",
-    "two_fold_joining_check",
     "van_der_corput_inequality",
 ]

@@ -9,6 +9,11 @@ Reports are canonical JSON (sorted keys, no insignificant whitespace,
 rationals as reduced ``p/q``), so identical inputs and seed give
 byte-identical output.  Wall time is printed to stderr only, keeping stdout
 deterministic.
+
+The grammar is declared once, as data, in ``_COMMANDS``.  :func:`build_parser`
+builds argparse's parser from it, for help, usage errors and every command
+line the table reader declines; :func:`_read` reads the other command lines
+from tables built from the same data when the module is imported.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import averages, hales_jewett as dhj, removal as removal_mod, serialize
 from .serialize import ValidationError, canonical_dumps, format_fraction
@@ -384,82 +389,117 @@ def _cmd_validate(args) -> int:
     return _emit(args, "validate", doc, results, True, EXIT_OK if not diags else EXIT_INPUT)
 
 
-# -- parser ---------------------------------------------------------------------
+# -- grammar --------------------------------------------------------------------
+
+class _Arg(NamedTuple):
+    """One argument of a command: an option, or a positional when ``flags``
+    is empty.  ``type`` is ``bool`` for a flag that stores ``True``."""
+
+    flags: tuple[str, ...]
+    dest: str
+    type: type = str
+    default: Any = None
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    func: Callable[[argparse.Namespace], int]
+    help: str
+    args: tuple[_Arg, ...]
+
+
+_JSON = _Arg(("--json",), "json", help="write the report to a file")
+_SYSTEM = _Arg(("--system",), "system", required=True)
+
+_COMMANDS = {
+    "avg": _Command(_cmd_avg, "nonconventional average", (
+        _JSON,
+        _SYSTEM,
+        _Arg(("--functions",), "functions", required=True),
+        _Arg(("-N",), "N", int, required=True),
+    )),
+    "fjoin": _Command(_cmd_fjoin, "Furstenberg self-joining", (
+        _JSON,
+        _SYSTEM,
+        _Arg(("--directions",), "directions", help="comma-separated generator indices"),
+    )),
+    "recur": _Command(_cmd_recur, "recurrence certificate", (
+        _JSON,
+        _SYSTEM,
+        _Arg(("--set",), "set", required=True, help="JSON array of point indices"),
+    )),
+    "vdc": _Command(_cmd_vdc, "van der Corput inequality", (
+        _JSON,
+        _Arg(("--seq",), "seq", required=True),
+        _Arg(("-N",), "N", int, required=True),
+        _Arg(("-H",), "H", int, required=True),
+    )),
+    "joint": _Command(_cmd_joint, "joint distribution predicate", (
+        _JSON,
+        _Arg(("--instance",), "instance", required=True),
+    )),
+    "removal": _Command(_cmd_removal, "removal instance tools", (
+        _JSON,
+        _Arg((), "action", choices=("check", "search")),
+        _Arg(("--instance",), "instance", help="instance file for 'check'"),
+        _Arg(("--sizes",), "sizes", default="2", help="comma-separated point counts"),
+        _Arg(("-d",), "d", int, 3),
+        _Arg(("--random",), "random", bool, False, help="sample instead of enumerating"),
+        _Arg(("--samples",), "samples", int, 200),
+        _Arg(("--seed",), "seed", int, 0, help="seed for 'search --random'"),
+    )),
+    "dhj": _Command(_cmd_dhj, "combinatorial space tools", (
+        _JSON,
+        _Arg((), "action", choices=("lines", "maxfree", "force", "correspond", "stationarity")),
+        _Arg(("-k",), "k", int, 2),
+        _Arg(("-N",), "N", int, 2),
+        _Arg(("-L",), "L", int, 1),
+        _Arg(("--set",), "set", help="JSON file with an array of words (correspond)"),
+        _Arg(("--law",), "law", help="law truncation file (stationarity)"),
+        _Arg(("--budget",), "budget", int, 5_000_000, help="search node budget (maxfree)"),
+        _Arg(("--dim-cap",), "dim_cap", int, help="subspace dimension cap (stationarity)"),
+    )),
+    "rotation": _Command(_cmd_rotation, "group rotation membership and extension", (
+        _JSON,
+        _Arg(("--rotation",), "rotation", required=True),
+        _Arg(("--extend",), "extend", bool, False),
+    )),
+    "validate": _Command(_cmd_validate, "validate a JSON document", (
+        _JSON,
+        _Arg(("--schema",), "schema", required=True),
+        _Arg((), "file"),
+    )),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """argparse's parser for the grammar of ``_COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="ergolab",
         description="Exact checks for finite probability-preserving Z^d systems",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", type=str, default=None, help="write the report to a file")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("avg", parents=[common], help="nonconventional average")
-    p.add_argument("--system", required=True)
-    p.add_argument("--functions", required=True)
-    p.add_argument("-N", type=int, required=True)
-    p.set_defaults(func=_cmd_avg)
-
-    p = sub.add_parser("fjoin", parents=[common], help="Furstenberg self-joining")
-    p.add_argument("--system", required=True)
-    p.add_argument("--directions", default=None, help="comma-separated generator indices")
-    p.set_defaults(func=_cmd_fjoin)
-
-    p = sub.add_parser("recur", parents=[common], help="recurrence certificate")
-    p.add_argument("--system", required=True)
-    p.add_argument("--set", required=True, help="JSON array of point indices")
-    p.set_defaults(func=_cmd_recur)
-
-    p = sub.add_parser("vdc", parents=[common], help="van der Corput inequality")
-    p.add_argument("--seq", required=True)
-    p.add_argument("-N", type=int, required=True)
-    p.add_argument("-H", type=int, required=True)
-    p.set_defaults(func=_cmd_vdc)
-
-    p = sub.add_parser("joint", parents=[common], help="joint distribution predicate")
-    p.add_argument("--instance", required=True)
-    p.set_defaults(func=_cmd_joint)
-
-    p = sub.add_parser("removal", parents=[common], help="removal instance tools")
-    p.add_argument("action", choices=["check", "search"])
-    p.add_argument("--instance", help="instance file for 'check'")
-    p.add_argument("--sizes", default="2", help="comma-separated point counts")
-    p.add_argument("-d", type=int, default=3)
-    p.add_argument("--random", action="store_true", help="sample instead of enumerating")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0, help="seed for 'search --random'")
-    p.set_defaults(func=_cmd_removal)
-
-    p = sub.add_parser("dhj", parents=[common], help="combinatorial space tools")
-    p.add_argument("action", choices=["lines", "maxfree", "force", "correspond", "stationarity"])
-    p.add_argument("-k", type=int, default=2)
-    p.add_argument("-N", type=int, default=2)
-    p.add_argument("-L", type=int, default=1)
-    p.add_argument("--set", help="JSON file with an array of words (correspond)")
-    p.add_argument("--law", help="law truncation file (stationarity)")
-    p.add_argument("--budget", type=int, default=5_000_000, help="search node budget (maxfree)")
-    p.add_argument("--dim-cap", dest="dim_cap", type=int, default=None,
-                   help="subspace dimension cap (stationarity)")
-    p.set_defaults(func=_cmd_dhj)
-
-    p = sub.add_parser("rotation", parents=[common], help="group rotation membership and extension")
-    p.add_argument("--rotation", required=True)
-    p.add_argument("--extend", action="store_true")
-    p.set_defaults(func=_cmd_rotation)
-
-    p = sub.add_parser("validate", parents=[common], help="validate a JSON document")
-    p.add_argument("--schema", required=True)
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg in command.args:
+            if not arg.flags:
+                p.add_argument(arg.dest, choices=arg.choices, help=arg.help)
+            elif arg.type is bool:
+                p.add_argument(*arg.flags, dest=arg.dest, action="store_true",
+                               default=arg.default, help=arg.help)
+            else:
+                p.add_argument(*arg.flags, dest=arg.dest, type=arg.type, default=arg.default,
+                               required=arg.required, choices=arg.choices, help=arg.help)
+        p.set_defaults(func=command.func)
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first :func:`main` call and reused after it.
+    """The parser, built on the first command line :func:`_read` declines
+    and reused after it.
 
     Reuse is safe: ``parse_args`` reads the parser and fills a new
     namespace on every call, so no value of one call reaches the next.
@@ -467,110 +507,62 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-class _Table(NamedTuple):
-    """One subcommand's grammar, read off the built parser for :func:`_read`."""
-
-    options: dict[str, argparse.Action]  # option string -> store or store_true action
-    positionals: tuple[argparse.Action, ...]
-    defaults: dict[str, Any]  # the namespace before any token is read
-    required: tuple[argparse.Action, ...]
-    typed_defaults: tuple[argparse.Action, ...]  # string defaults with a ``type``
-
-
-# What argparse turns into a usage error when an argument's ``type`` raises it.
-_TYPE_ERRORS = (argparse.ArgumentTypeError, TypeError, ValueError)
-
-
-@functools.lru_cache(maxsize=1)
-def _tables(parser: argparse.ArgumentParser) -> dict[str, _Table]:
-    """The table of each subcommand of ``parser`` that :func:`_read` can
-    read: its options and positionals all store one value, or ``True``.
-    Built on the first :func:`main` call, as the parser is."""
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if any(a is not commands and not isinstance(a, argparse._HelpAction) for a in parser._actions):
-        return {}
-    tables = {}
-    for name, sub in commands.choices.items():
-        options, positionals = {}, []
-        for action in sub._actions:
-            readable = (
-                type(action) is argparse._StoreAction and action.nargs is None
-                or type(action) is argparse._StoreTrueAction
-            )
-            if readable and action.option_strings:
-                options.update(dict.fromkeys(action.option_strings, action))
-            elif readable:
-                positionals.append(action)
-            elif not action.option_strings:
-                break  # a positional the reader cannot read
-        else:
-            # parse_known_args fills a new namespace with the first default
-            # of each dest, then the set_defaults values; the subcommand's
-            # namespace is copied over the top-level one.
-            own: dict[str, Any] = {}
-            for action in sub._actions:
-                if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-                    own.setdefault(action.dest, action.default)
-            own = {**sub._defaults, **own}
-            tables[name] = _Table(
-                options,
-                tuple(positionals),
-                {**parser._defaults, commands.dest: name, **own},
-                tuple(a for a in sub._actions if a.required),
-                tuple(a for a in sub._actions if isinstance(a.default, str) and a.type is not None),
-            )
-    return tables
+# Each command's tables for _read, built once: its options by flag, the
+# namespace before any token is read (argparse's: the command, each
+# argument's default, the handler), its positionals in order, and the dests
+# every command line must set.
+_READER = {
+    name: (
+        {flag: arg for arg in command.args for flag in arg.flags},
+        {"command": name, **{arg.dest: arg.default for arg in command.args},
+         "func": command.func},
+        tuple(arg for arg in command.args if not arg.flags),
+        frozenset(arg.dest for arg in command.args if arg.required or not arg.flags),
+    )
+    for name, command in _COMMANDS.items()
+}
 
 
-def _read(tables: dict[str, _Table], argv: Sequence[str]) -> argparse.Namespace | None:
+def _read(argv: Sequence[str]) -> argparse.Namespace | None:
     """The namespace ``parse_args(argv)`` returns, read with one table
     lookup per token, or ``None`` where argparse must read ``argv``: a first
-    token that is no subcommand, any token not in the table (abbreviations,
+    token that is no command, any token not in the table (abbreviations,
     ``--opt=value``, ``-k2``, ``--``, ``-h``), a missing value or one that
     starts with ``-``, a failed ``type`` or ``choices`` check, a missing
     required argument and an extra positional.  So help and every usage
     error stay argparse's."""
-    table = tables.get(argv[0]) if argv else None
+    table = _READER.get(argv[0]) if argv else None
     if table is None:
         return None
-    values = dict(table.defaults)
+    options, defaults, positionals, needed = table
+    values = dict(defaults)
     seen = set()
     tokens = iter(argv[1:])
-    free = iter(table.positionals)
+    free = iter(positionals)
     for token in tokens:
-        action = table.options.get(token)
-        if action is None:
-            action, value = next(free, None), token
-            if action is None:
+        arg = options.get(token)
+        if arg is None:
+            arg, value = next(free, None), token
+            if arg is None:
                 return None
-        elif action.nargs == 0:
-            values[action.dest] = action.const
-            seen.add(action)
+        elif arg.type is bool:
+            values[arg.dest] = True
+            seen.add(arg.dest)
             continue
         else:
             value = next(tokens, None)
         if value is None or value[:1] == "-":
             return None
-        if action.type is not None:
-            try:
-                value = action.type(value)
-            except _TYPE_ERRORS:
-                return None
-        if action.choices is not None and value not in action.choices:
+        try:
+            value = arg.type(value)
+        except ValueError:
             return None
-        values[action.dest] = value
-        seen.add(action)
-    for action in table.required:
-        if action not in seen:
+        if arg.choices is not None and value not in arg.choices:
             return None
-    for action in table.typed_defaults:
-        # argparse passes a string default through ``type`` once it is
-        # known that no token set the value.
-        if action not in seen and values.get(action.dest) is action.default:
-            try:
-                values[action.dest] = action.type(action.default)
-            except _TYPE_ERRORS:
-                return None
+        values[arg.dest] = value
+        seen.add(arg.dest)
+    if not needed <= seen:
+        return None
     args = argparse.Namespace()
     vars(args).update(values)
     return args
@@ -579,11 +571,10 @@ def _read(tables: dict[str, _Table], argv: Sequence[str]) -> argparse.Namespace 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _parser()
-    args = _read(_tables(parser), argv)
+    args = _read(argv)
     if args is None:
         try:
-            args = parser.parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:
             # argparse exits 2 on usage errors, which this tool reserves for
             # non-exhaustive searches; remap to the input-error code.

@@ -59,7 +59,6 @@ __all__ = [
     "check_conclusion",
     "search_counterexample",
     "level_set_replacement",
-    "lifting_scenario_report",
     "enumerate_upsets",
 ]
 
@@ -86,8 +85,9 @@ class RemovalInstance:
             raise ValueError("coupling base must be the instance space")
         psi = dict(self.psi)
         object.__setattr__(self, "psi", psi)
-        needed = set(ground_masks(d))
-        if set(psi) != needed:
+        # The count comes first: it bounds the index sets built to compare
+        # with by the size of psi, however large the arity.
+        if len(psi) != (1 << d) - d - 1 or set(psi) != set(ground_masks(d)):
             raise ValueError("psi must be defined exactly on the index sets of size >= 2")
         for m, p in psi.items():
             if not isinstance(p, Partition) or p.size != len(self.space):
@@ -685,110 +685,3 @@ def level_set_replacement(
     a2 = frozenset(x for x in range(len(space)) if ce.values[x] > 0)
     gap = space.measure(A - a2)
     return a2, gap
-
-
-def lifting_scenario_report() -> dict:
-    """Run the three proof manipulations on small deterministic instances and
-    report whether each preserves the relevant null sets.
-
-    Scenarios: positivity-level-set replacement, duplicate principal up-set
-    merging, and the thresholded conditional-expectation replacement with
-    threshold strictly below the reciprocal of the total set count.
-    """
-    report: dict = {}
-
-    # Level-set replacement, including the finest-partition case where the
-    # replacement is exactly the support of the set.
-    space = ExactProbabilitySpace(
-        (0, 1, 2, 3),
-        (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(0)),
-    )
-    cases = []
-    for partition in (
-        Partition.singletons(4),
-        Partition.one_block(4),
-        Partition(4, ((0, 1), (2, 3))),
-    ):
-        for a in (frozenset({1, 3}), frozenset({0}), frozenset()):
-            a2, gap = level_set_replacement(space, a, partition)
-            cases.append(gap == 0)
-    singleton_a2, _ = level_set_replacement(space, frozenset({1, 3}), Partition.singletons(4))
-    report["level_set"] = {
-        "all_null_gaps": all(cases),
-        "finest_gives_support": singleton_a2 == frozenset({1}),
-    }
-
-    # Duplicate principal up-sets at two coordinates merge into one.
-    d = 3
-    base = ExactProbabilitySpace.uniform(tuple(range(3)))
-    lam = Coupling.diagonal(base, d)
-    part = Partition.singletons(3)
-    psi = {m: part for m in ground_masks(d)}
-    e = (0, 1)
-    ups = UpSet.principal(d, e)
-    full_ups = UpSet.principal(d, range(d))
-    a1 = frozenset({0, 1})
-    a2 = frozenset({1, 2})
-    inst = RemovalInstance(
-        base,
-        lam,
-        psi,
-        (
-            ((ups, a1),),
-            ((ups, a2),),
-            ((full_ups, frozenset({0, 1, 2})),),
-        ),
-    )
-    merged = RemovalInstance(
-        base,
-        lam,
-        psi,
-        (
-            ((ups, a1 & a2),),
-            ((ups, frozenset({0, 1, 2})),),
-            ((full_ups, frozenset({0, 1, 2})),),
-        ),
-    )
-    before = check_conclusion(inst)
-    after = check_conclusion(merged)
-    prod_before = lam.event_mass([a1, a2, frozenset({0, 1, 2})])
-    prod_after = lam.event_mass([a1 & a2, frozenset({0, 1, 2}), frozenset({0, 1, 2})])
-    report["duplicate_merge"] = {
-        "product_mass_preserved": prod_before == prod_after,
-        "conclusion_unchanged": before == after,
-    }
-
-    # Thresholded replacement: with delta below 1/(total set count) the
-    # product of the replaced sets keeps zero coupling mass.
-    spaces = ExactProbabilitySpace.uniform(tuple(range(4)))
-    quotient = Partition(4, ((0, 2), (1, 3)))
-    lam2 = relatively_independent_product([spaces] * 3, [quotient.labels] * 3)
-    psi2 = {m: quotient for m in ground_masks(3)}
-    sets = (frozenset({0, 2}), frozenset({1, 3}), frozenset({0, 2}))
-    inst2 = RemovalInstance(
-        spaces,
-        lam2,
-        psi2,
-        tuple(((UpSet.principal(3, range(3)), s),) for s in sets),
-    )
-    total_sets = sum(len(fam) for fam in inst2.families)
-    delta = Fraction(1, total_sets + 1)
-    replaced = []
-    for fam in inst2.families:
-        out = []
-        for ups, a in fam:
-            ce = conditional_expectation(
-                SimpleFunction.indicator(4, a), inst2.block_join(ups), spaces
-            )
-            out.append(
-                frozenset(x for x in range(4) if ce.values[x] > 1 - delta)
-            )
-        replaced.append(out)
-    product_null_before = lam2.event_mass([a for ((_, a),) in inst2.families])
-    f_mass = lam2.event_mass([frozenset.intersection(*r) for r in replaced])
-    report["threshold"] = {
-        "delta": delta,
-        "product_null_before": product_null_before == 0,
-        "replaced_product_null": f_mass == 0,
-    }
-    return report

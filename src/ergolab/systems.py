@@ -383,34 +383,6 @@ def rotation_extension(
 # joining predicates
 # ---------------------------------------------------------------------------
 
-def two_fold_joining_check(
-    joining: FiniteZdSystem,
-    pi1: FactorMap,
-    pi2: FactorMap,
-    gamma1: SubgroupSpec,
-    gamma2: SubgroupSpec,
-) -> IndependenceReport:
-    """Exhaustively verify that a joining of two partially trivial systems is
-    relatively independent over their ``gamma1 + gamma2`` invariant factors.
-
-    This holds for every valid input, so a ``False`` outcome indicates a bug
-    or a violated precondition.
-    """
-    for pi in (pi1, pi2):
-        if pi.source is not joining and pi.source != joining:
-            raise ValueError("both factor maps must start from the joining system")
-    for pi, gamma in ((pi1, gamma1), (pi2, gamma2)):
-        if not is_partially_trivial(pi.target, gamma):
-            raise ValueError("each target must be trivial under its subgroup")
-    total = gamma1 + gamma2
-    factors = (pi1.fiber_partition(), pi2.fiber_partition())
-    subfactors = (
-        pi1.pullback(invariant_factor(pi1.target, total)),
-        pi2.pullback(invariant_factor(pi2.target, total)),
-    )
-    return relative_independence(factors, subfactors, joining.space)
-
-
 def _lattice_index(rows: Sequence[Sequence[int]], dim: int, modulus: int = 0) -> int:
     """The index in ``Z^dim`` of the lattice the integer ``rows`` span, or 0
     when their rank is below ``dim``.

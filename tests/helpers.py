@@ -1,12 +1,13 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 from itertools import combinations, compress, product as iter_product
 from math import gcd, lcm, prod
 from random import Random
 
-from ergolab import serialize
+from ergolab import cli, serialize
 from ergolab.averages import (
     FurstenbergJoining,
     RecurrenceCertificate,
@@ -25,11 +26,23 @@ from ergolab.measure import (
     ExactProbabilitySpace,
     IndependenceReport,
     Partition,
+    SimpleFunction,
     ValidationError,
     common_refinement,
+    conditional_expectation,
     relative_independence,
+    relatively_independent_product,
 )
-from ergolab.systems import FiniteZdSystem, compose, perm_order
+from ergolab.removal import RemovalInstance, UpSet, check_conclusion, level_set_replacement
+from ergolab.systems import (
+    FactorMap,
+    FiniteZdSystem,
+    SubgroupSpec,
+    compose,
+    invariant_factor,
+    is_partially_trivial,
+    perm_order,
+)
 from ergolab.upsets import bits_of, ground_masks, mask_of, popcount
 
 
@@ -1093,6 +1106,79 @@ def old_baseless_coupling(obj):
     return serialize._build(serialize._baseless_coupling, obj["arity"], mass)
 
 
+# -- the command-line parser as it was written by hand, before its grammar was data --
+
+def old_build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ergolab",
+        description="Exact checks for finite probability-preserving Z^d systems",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", type=str, default=None, help="write the report to a file")
+
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("avg", parents=[common], help="nonconventional average")
+    p.add_argument("--system", required=True)
+    p.add_argument("--functions", required=True)
+    p.add_argument("-N", type=int, required=True)
+    p.set_defaults(func=cli._cmd_avg)
+
+    p = sub.add_parser("fjoin", parents=[common], help="Furstenberg self-joining")
+    p.add_argument("--system", required=True)
+    p.add_argument("--directions", default=None, help="comma-separated generator indices")
+    p.set_defaults(func=cli._cmd_fjoin)
+
+    p = sub.add_parser("recur", parents=[common], help="recurrence certificate")
+    p.add_argument("--system", required=True)
+    p.add_argument("--set", required=True, help="JSON array of point indices")
+    p.set_defaults(func=cli._cmd_recur)
+
+    p = sub.add_parser("vdc", parents=[common], help="van der Corput inequality")
+    p.add_argument("--seq", required=True)
+    p.add_argument("-N", type=int, required=True)
+    p.add_argument("-H", type=int, required=True)
+    p.set_defaults(func=cli._cmd_vdc)
+
+    p = sub.add_parser("joint", parents=[common], help="joint distribution predicate")
+    p.add_argument("--instance", required=True)
+    p.set_defaults(func=cli._cmd_joint)
+
+    p = sub.add_parser("removal", parents=[common], help="removal instance tools")
+    p.add_argument("action", choices=["check", "search"])
+    p.add_argument("--instance", help="instance file for 'check'")
+    p.add_argument("--sizes", default="2", help="comma-separated point counts")
+    p.add_argument("-d", type=int, default=3)
+    p.add_argument("--random", action="store_true", help="sample instead of enumerating")
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0, help="seed for 'search --random'")
+    p.set_defaults(func=cli._cmd_removal)
+
+    p = sub.add_parser("dhj", parents=[common], help="combinatorial space tools")
+    p.add_argument("action", choices=["lines", "maxfree", "force", "correspond", "stationarity"])
+    p.add_argument("-k", type=int, default=2)
+    p.add_argument("-N", type=int, default=2)
+    p.add_argument("-L", type=int, default=1)
+    p.add_argument("--set", help="JSON file with an array of words (correspond)")
+    p.add_argument("--law", help="law truncation file (stationarity)")
+    p.add_argument("--budget", type=int, default=5_000_000, help="search node budget (maxfree)")
+    p.add_argument("--dim-cap", dest="dim_cap", type=int, default=None,
+                   help="subspace dimension cap (stationarity)")
+    p.set_defaults(func=cli._cmd_dhj)
+
+    p = sub.add_parser("rotation", parents=[common], help="group rotation membership and extension")
+    p.add_argument("--rotation", required=True)
+    p.add_argument("--extend", action="store_true")
+    p.set_defaults(func=cli._cmd_rotation)
+
+    p = sub.add_parser("validate", parents=[common], help="validate a JSON document")
+    p.add_argument("--schema", required=True)
+    p.add_argument("file")
+    p.set_defaults(func=cli._cmd_validate)
+
+    return parser
+
+
 # -- library functions that only the tests call -----------------------------------
 
 def direction_period(sys: FiniteZdSystem, directions) -> int:
@@ -1117,3 +1203,138 @@ def multiple_recurrence_check(sys: FiniteZdSystem, sets) -> bool:
         return True
     inter = set.intersection(*(set(s) for s in sets)) if sets else set()
     return sys.space.measure(inter) == 0
+
+
+def two_fold_joining_check(
+    joining: FiniteZdSystem,
+    pi1: FactorMap,
+    pi2: FactorMap,
+    gamma1: SubgroupSpec,
+    gamma2: SubgroupSpec,
+) -> IndependenceReport:
+    """Exhaustively verify that a joining of two partially trivial systems is
+    relatively independent over their ``gamma1 + gamma2`` invariant factors.
+
+    This holds for every valid input, so a ``False`` outcome indicates a bug
+    or a violated precondition.
+    """
+    for pi in (pi1, pi2):
+        if pi.source is not joining and pi.source != joining:
+            raise ValueError("both factor maps must start from the joining system")
+    for pi, gamma in ((pi1, gamma1), (pi2, gamma2)):
+        if not is_partially_trivial(pi.target, gamma):
+            raise ValueError("each target must be trivial under its subgroup")
+    total = gamma1 + gamma2
+    factors = (pi1.fiber_partition(), pi2.fiber_partition())
+    subfactors = (
+        pi1.pullback(invariant_factor(pi1.target, total)),
+        pi2.pullback(invariant_factor(pi2.target, total)),
+    )
+    return relative_independence(factors, subfactors, joining.space)
+
+
+def lifting_scenario_report() -> dict:
+    """Run the three proof manipulations on small deterministic instances and
+    report whether each preserves the relevant null sets.
+
+    Scenarios: positivity-level-set replacement, duplicate principal up-set
+    merging, and the thresholded conditional-expectation replacement with
+    threshold strictly below the reciprocal of the total set count.
+    """
+    report: dict = {}
+
+    # Level-set replacement, including the finest-partition case where the
+    # replacement is exactly the support of the set.
+    space = ExactProbabilitySpace(
+        (0, 1, 2, 3),
+        (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(0)),
+    )
+    cases = []
+    for partition in (
+        Partition.singletons(4),
+        Partition.one_block(4),
+        Partition(4, ((0, 1), (2, 3))),
+    ):
+        for a in (frozenset({1, 3}), frozenset({0}), frozenset()):
+            a2, gap = level_set_replacement(space, a, partition)
+            cases.append(gap == 0)
+    singleton_a2, _ = level_set_replacement(space, frozenset({1, 3}), Partition.singletons(4))
+    report["level_set"] = {
+        "all_null_gaps": all(cases),
+        "finest_gives_support": singleton_a2 == frozenset({1}),
+    }
+
+    # Duplicate principal up-sets at two coordinates merge into one.
+    d = 3
+    base = ExactProbabilitySpace.uniform(tuple(range(3)))
+    lam = Coupling.diagonal(base, d)
+    part = Partition.singletons(3)
+    psi = {m: part for m in ground_masks(d)}
+    e = (0, 1)
+    ups = UpSet.principal(d, e)
+    full_ups = UpSet.principal(d, range(d))
+    a1 = frozenset({0, 1})
+    a2 = frozenset({1, 2})
+    inst = RemovalInstance(
+        base,
+        lam,
+        psi,
+        (
+            ((ups, a1),),
+            ((ups, a2),),
+            ((full_ups, frozenset({0, 1, 2})),),
+        ),
+    )
+    merged = RemovalInstance(
+        base,
+        lam,
+        psi,
+        (
+            ((ups, a1 & a2),),
+            ((ups, frozenset({0, 1, 2})),),
+            ((full_ups, frozenset({0, 1, 2})),),
+        ),
+    )
+    before = check_conclusion(inst)
+    after = check_conclusion(merged)
+    prod_before = lam.event_mass([a1, a2, frozenset({0, 1, 2})])
+    prod_after = lam.event_mass([a1 & a2, frozenset({0, 1, 2}), frozenset({0, 1, 2})])
+    report["duplicate_merge"] = {
+        "product_mass_preserved": prod_before == prod_after,
+        "conclusion_unchanged": before == after,
+    }
+
+    # Thresholded replacement: with delta below 1/(total set count) the
+    # product of the replaced sets keeps zero coupling mass.
+    spaces = ExactProbabilitySpace.uniform(tuple(range(4)))
+    quotient = Partition(4, ((0, 2), (1, 3)))
+    lam2 = relatively_independent_product([spaces] * 3, [quotient.labels] * 3)
+    psi2 = {m: quotient for m in ground_masks(3)}
+    sets = (frozenset({0, 2}), frozenset({1, 3}), frozenset({0, 2}))
+    inst2 = RemovalInstance(
+        spaces,
+        lam2,
+        psi2,
+        tuple(((UpSet.principal(3, range(3)), s),) for s in sets),
+    )
+    total_sets = sum(len(fam) for fam in inst2.families)
+    delta = Fraction(1, total_sets + 1)
+    replaced = []
+    for fam in inst2.families:
+        out = []
+        for ups, a in fam:
+            ce = conditional_expectation(
+                SimpleFunction.indicator(4, a), inst2.block_join(ups), spaces
+            )
+            out.append(
+                frozenset(x for x in range(4) if ce.values[x] > 1 - delta)
+            )
+        replaced.append(out)
+    product_null_before = lam2.event_mass([a for ((_, a),) in inst2.families])
+    f_mass = lam2.event_mass([frozenset.intersection(*r) for r in replaced])
+    report["threshold"] = {
+        "delta": delta,
+        "product_null_before": product_null_before == 0,
+        "replaced_product_null": f_mass == 0,
+    }
+    return report

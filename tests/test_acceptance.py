@@ -21,6 +21,7 @@ from helpers import (
     set_family_atoms,
     three_direction_torus,
     torus_system,
+    two_fold_joining_check,
 )
 
 from ergolab.averages import (
@@ -62,7 +63,6 @@ from ergolab.systems import (
     invariant_factor,
     orbit_partition,
     quotient_system,
-    two_fold_joining_check,
 )
 
 F = Fraction

@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import cyclic_system, long_period_system
+from helpers import cyclic_system, long_period_system, old_build_parser
 
 import ergolab
 from ergolab import cli
@@ -331,17 +331,18 @@ def test_correspond_refuses_a_letter_that_is_another_digit(word, tmp_path, capsy
 
 
 def test_options_belong_to_the_commands_that_read_them():
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions if a.dest == "command").choices
     owners = {
-        option: sorted(name for name, p in commands.items() if option in p._option_string_actions)
+        option: sorted(
+            name for name, command in cli._COMMANDS.items()
+            if any(option in arg.flags for arg in command.args)
+        )
         for option in ("--seed", "--budget", "--dim-cap", "--json")
     }
     assert owners == {
         "--seed": ["removal"],
         "--budget": ["dhj"],
         "--dim-cap": ["dhj"],
-        "--json": sorted(commands),
+        "--json": sorted(cli._COMMANDS),
     }
 
 
@@ -767,17 +768,26 @@ def _standalone(argv, cwd):
 
 
 def test_parser_is_built_lazily():
+    # Importing builds no parser, and neither does a command line the
+    # table reader reads; the first one it declines does.
     proc = _fresh_python(
         "-c",
-        "import ergolab.cli as c; "
-        "print(c._parser.cache_info().currsize, c._tables.cache_info().currsize)",
+        "import contextlib, io, ergolab.cli as c\n"
+        "built = [c._parser.cache_info().currsize]\n"
+        "for argv in (['dhj', 'lines', '-k', '2', '-N', '1'], ['dhj', 'lines', '-k2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        c.main(argv)\n"
+        "    built.append(c._parser.cache_info().currsize)\n"
+        "print(*built)",
     )
-    assert proc.stdout == "0 0\n"
+    assert proc.stdout == "0 0 1\n"
 
 
 def test_reused_parser_leaks_no_defaults(z3_file, tmp_path, monkeypatch, capsys):
     # Each command follows one that sets an option it leaves at its
     # default; its exit code and bytes must be those of a fresh process.
+    # The table reader declines every line, so argparse reads them all.
     law = _iid_law_file(tmp_path, 2)
     in_process, standalone = tmp_path / "a.json", tmp_path / "b.json"
     commands = [
@@ -792,6 +802,7 @@ def test_reused_parser_leaks_no_defaults(z3_file, tmp_path, monkeypatch, capsys)
     builds = []
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_read", lambda argv: None)
     cli._parser.cache_clear()
     outputs = []
     for argv in commands:
@@ -899,6 +910,37 @@ def test_correspond_refuses_a_large_space_or_window_before_building_it(tmp_path,
     assert elapsed < 5
 
 
+PSI_ERROR = "$: psi must be defined exactly on the index sets of size >= 2"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["removal", "check", "--instance", "inst.json"], {"error": PSI_ERROR}),
+        (
+            ["validate", "--schema", "instance", "inst.json"],
+            {"diagnostics": [PSI_ERROR], "ok": False, "schema": "instance"},
+        ),
+    ],
+)
+def test_a_removal_instance_of_large_arity_is_refused_at_its_psi(tmp_path, argv, expected):
+    # One point, arity 40 and an empty psi: the check on psi's keys is
+    # bounded by the document, not by the 2^40 - 41 index sets it must name.
+    d = 40
+    doc = {
+        "space": {"points": [0], "weights": ["1"]},
+        "coupling": {"arity": d, "mass": [{"tuple": [0] * d, "value": "1"}]},
+        "psi": [],
+        "families": [[] for _ in range(d)],
+    }
+    (tmp_path / "inst.json").write_text(json.dumps(doc))
+    code, out, elapsed = _capped_cli(*argv, cwd=tmp_path)
+    report = json.loads(out)
+    assert code == 3
+    assert report.get("results", report) == expected
+    assert elapsed < 1
+
+
 def test_a_law_with_too_many_letters_is_refused_at_its_depth(tmp_path):
     # k = 1 and depth 30,000: the words "1", "11", ... would hold
     # 450,015,000 letters, so the law is refused before any word is built.
@@ -933,9 +975,6 @@ READER_FILES = {
     },
     "rotation.json": {"orders": [6], "phi": [[2], [3]]},
 }
-COMMANDS = next(
-    a for a in cli.build_parser()._actions if a.dest == "command"
-).choices
 # Values an option or positional is given, by dest; the ints include a
 # non-ASCII digit, a padded one and ones that fail or start with "-".
 VALUES = {
@@ -959,10 +998,10 @@ HOSTILE = ["-1", "--", "=", "-k2", "-N3", "--set=[0]", "--sys", "--dim", "--dim_
            "--help", "٣", "", "-", "extra", "--json", "-N", "2", "--random", "--extend"]
 
 
-def _values(action):
-    if action.choices is not None:
-        return [*action.choices, "frob"]
-    return INTS if action.type is int else VALUES[action.dest]
+def _values(arg):
+    if arg.choices is not None:
+        return [*arg.choices, "frob"]
+    return INTS if arg.type is int else VALUES[arg.dest]
 
 
 @st.composite
@@ -971,17 +1010,16 @@ def _argvs(draw):
     almost always and the others sometimes, in any order, with up to three
     edits (a token inserted, dropped or repeated, or the first one
     replaced)."""
-    command = draw(st.sampled_from(sorted(COMMANDS)))
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    args = cli._COMMANDS[command].args
     pieces = []
-    for action in COMMANDS[command]._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue
-        if draw(st.integers(0, 9)) < (9 if action.required else 4):
-            head = [draw(st.sampled_from(action.option_strings))] if action.option_strings else []
-            tail = [] if action.nargs == 0 else [draw(st.sampled_from(_values(action)))]
+    for arg in args:
+        if draw(st.integers(0, 9)) < (9 if arg.required or not arg.flags else 4):
+            head = [draw(st.sampled_from(arg.flags))] if arg.flags else []
+            tail = [] if arg.type is bool else [draw(st.sampled_from(_values(arg)))]
             pieces.append(head + tail)
     argv = [command] + [t for piece in draw(st.permutations(pieces)) for t in piece]
-    options = sorted(COMMANDS[command]._option_string_actions)
+    options = sorted(["-h", "--help", *(flag for arg in args for flag in arg.flags)])
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(argv)))
         edit = draw(st.sampled_from(["insert", "option", "drop", "repeat", "first"]))
@@ -1008,7 +1046,7 @@ def _argparse_reading(argv):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_argvs())
 def test_the_reader_gives_argparse_namespace_or_declines(argv):
-    read = cli._read(cli._tables(cli._parser()), argv)
+    read = cli._read(argv)
     if read is not None:
         expected = _argparse_reading(argv)
         assert isinstance(expected, argparse.Namespace)
@@ -1039,7 +1077,7 @@ def _main_in(directory, argv):
 @given(_argvs())
 def test_main_is_the_same_with_or_without_the_reader(reader_dir, argv):
     with_reader = _main_in(reader_dir, argv)
-    with mock.patch.object(cli, "_read", lambda tables, argv: None):
+    with mock.patch.object(cli, "_read", lambda argv: None):
         assert _main_in(reader_dir, argv) == with_reader
 
 
@@ -1063,14 +1101,59 @@ def _bench_job_shapes(files):
     ]
 
 
-def test_the_reader_reads_every_golden_and_bench_command_line(tmp_path):
+def _golden_and_bench_argvs(directory):
     from test_golden import GOLDEN
 
-    files = {name: str(tmp_path / name) for name in READER_FILES}
-    argvs = [[a.format(dir=tmp_path) for a in argv] for argv, _, _ in GOLDEN.values()]
-    argvs += _bench_job_shapes(files)
-    tables = cli._tables(cli._parser())
-    for argv in argvs:
-        read = cli._read(tables, argv)
+    files = {name: str(directory / name) for name in READER_FILES}
+    argvs = [[a.format(dir=directory) for a in argv] for argv, _, _ in GOLDEN.values()]
+    return argvs + _bench_job_shapes(files)
+
+
+def test_the_reader_reads_every_golden_and_bench_command_line(tmp_path):
+    for argv in _golden_and_bench_argvs(tmp_path):
+        read = cli._read(argv)
         assert read is not None, argv
         assert vars(read) == vars(_argparse_reading(argv))
+
+
+# -- the declared grammar against the hand-written parser ----------------------------
+
+# Both are built in this interpreter, so the comparison holds on every
+# Python version whatever argparse's own formatting there.
+OLD_PARSER, NEW_PARSER = old_build_parser(), cli.build_parser()
+
+
+def _parsed_by(parser, argv):
+    """The namespace ``parser.parse_args(argv)`` returns, or the code it
+    exits with, and what it writes to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_the_declared_grammar_has_the_hand_written_help_and_usage():
+    assert NEW_PARSER.format_help() == OLD_PARSER.format_help()
+    assert NEW_PARSER.format_usage() == OLD_PARSER.format_usage()
+    # A command's ``-h`` prints its format_help(); an option without its
+    # value prints its format_usage() above the error.
+    for argv in [[]] + [[name, token] for name in cli._COMMANDS for token in ("-h", "--json")]:
+        parsed = _parsed_by(NEW_PARSER, argv)
+        assert parsed == _parsed_by(OLD_PARSER, argv)
+        assert parsed[0] in (0, 2) and parsed[1] + parsed[2]
+
+
+def test_the_declared_grammar_parses_golden_and_bench_lines_as_written_by_hand(tmp_path):
+    for argv in _golden_and_bench_argvs(tmp_path):
+        parsed = _parsed_by(NEW_PARSER, argv)
+        assert isinstance(parsed[0], dict)
+        assert parsed == _parsed_by(OLD_PARSER, argv)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_argvs())
+def test_the_declared_grammar_parses_as_written_by_hand(argv):
+    assert _parsed_by(NEW_PARSER, argv) == _parsed_by(OLD_PARSER, argv)

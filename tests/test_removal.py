@@ -12,6 +12,7 @@ from helpers import (
     cyclic_system,
     first_dependent_naive_pair,
     fraction_identification,
+    lifting_scenario_report,
     old_conclusion_holds,
     old_exhaustive_search,
     old_psi_maps,
@@ -39,7 +40,6 @@ from ergolab.removal import (
     check_hypotheses,
     enumerate_upsets,
     level_set_replacement,
-    lifting_scenario_report,
     search_counterexample,
 )
 from ergolab.systems import invariant_factor
@@ -390,6 +390,27 @@ def test_measurability_enforced():
         RemovalInstance(
             sp, lam, psi, tuple(((ups, frozenset({0})),) for _ in range(3))
         )
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        (3, 5, 6),  # one index set missing
+        (3, 5, 6, 7, 11),  # one too many
+        (1, 3, 5, 6),  # a singleton in place of {0, 1, 2}
+        (0, 3, 5, 6),  # the empty set
+        (3, 5, 6, 8),  # past range(3)
+        (-1, 3, 5, 6),
+        ("7", 3, 5, 6),
+    ],
+)
+def test_psi_is_keyed_by_exactly_the_index_sets(keys):
+    sp = ExactProbabilitySpace.uniform((0, 1))
+    psi = {m: Partition.one_block(2) for m in keys}
+    ups = UpSet.principal(3, range(3))
+    fams = tuple(((ups, frozenset({0, 1})),) for _ in range(3))
+    with pytest.raises(ValueError, match="psi must be defined exactly on the index sets"):
+        RemovalInstance(sp, Coupling.diagonal(sp, 3), psi, fams)
 
 
 @pytest.mark.parametrize("target", [{0, 7}, {-1}, {2}])

@@ -21,6 +21,7 @@ from helpers import (
     old_relative_independence,
     three_direction_torus,
     torus_system,
+    two_fold_joining_check,
     unreduced_subgroup_order,
 )
 
@@ -42,7 +43,6 @@ from ergolab.systems import (
     perm_power,
     quotient_system,
     rotation_extension,
-    two_fold_joining_check,
     verify_direct_sum,
 )
 
