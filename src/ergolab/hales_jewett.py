@@ -19,7 +19,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations, product as iter_product, starmap
+from itertools import accumulate, chain, combinations, islice, product as iter_product
+from math import prod
 from operator import index, itemgetter
 from typing import Iterable, Sequence
 
@@ -93,16 +94,12 @@ def all_words(k: int, length: int) -> list[str]:
 
 def words_up_to(k: int, depth: int) -> list[str]:
     """All words of length 1..depth, ordered by (length, word)."""
-    out: list[str] = []
-    for n in range(1, depth + 1):
-        out.extend(all_words(k, n))
-    return out
+    return [w for n in range(1, depth + 1) for w in all_words(k, n)]
 
 
 def letter_replace(e: Iterable[int], i: int, w: str) -> str:
     """Rewrite every letter in ``e`` to ``i``; other letters are unchanged."""
-    targets = {str(x) for x in e}
-    rep = str(i)
+    targets, rep = {str(x) for x in e}, str(i)
     return "".join(rep if ch in targets else ch for ch in w)
 
 
@@ -169,36 +166,67 @@ class CombinatorialSubspace:
 
 
 def _subspace_maps(k: int, n: int, total: int):
-    """Every ``n``-dimensional subspace (``n >= 1``) of ambient length
-    ``total`` as ``(breakpoints, wildcards, template, image)``, with letter 1
-    at each wildcard position of the template, ordered by breakpoints, then
-    wildcard sets, then the letters of the other positions in word order.
-
-    A pattern holds ``{}`` at the other positions and ``{{i}}`` at those of
-    wildcard set ``i``; with the letters filled in, its values at the
-    parameter words, all 1s first, are the image."""
-    letters = _LETTERS[: check_alphabet(k)]
-    params = list(iter_product(letters, repeat=n))
+    """The canonical maps of the ``n``-dimensional subspaces (``n >= 1``) of
+    ambient length ``total``, one ``(breakpoints, wildcards, bases, steps)``
+    per wildcard pattern, ordered by breakpoints, then wildcard sets, then
+    the letters of the other positions in word order.  A map is canonical
+    when its breakpoints but the last end its wildcard sets; every other map
+    repeats the image of a canonical one that comes before it, and for
+    ``k >= 2`` no two canonical maps share an image.  A word's index in
+    :func:`all_words` order is the sum of ``(letter - 1) * k^(total - q)``
+    over its positions ``q``: ``bases`` are the templates', in word order,
+    letter 1 at each wildcard position, and ``steps[i]`` that sum over
+    wildcard set ``i``, so an image is :func:`_points`."""
+    check_alphabet(k)
+    weight = [k ** (total - q) for q in range(total + 1)]  # weight[q]: position q
     for cuts in combinations(range(1, total), n - 1):
         breakpoints = (*cuts, total)
         windows = [range(lo + 1, hi + 1) for lo, hi in zip((0, *cuts), breakpoints)]
-        subsets = [[frozenset(c) for r in range(1, len(w) + 1) for c in combinations(w, r)]
-                   for w in windows]
-        for wildcards in iter_product(*subsets):
-            pattern = ["{}"] * total
-            for i, positions in enumerate(wildcards):
-                for p in positions:
-                    pattern[p - 1] = "{{%d}}" % i
-            fill = "".join(pattern).format
-            for fixed in iter_product(letters, repeat=pattern.count("{}")):
-                image = tuple(starmap(fill(*fixed).format, params))
-                yield breakpoints, wildcards, image[0], image
+        # Each breakpoint but the last is the end of its wildcard set.
+        choices = [
+            [frozenset(c) for r in range(1, len(w) + 1) for c in combinations(w, r)
+             if c[-1] == w[-1] or w[-1] == total]
+            for w in windows
+        ]
+        for wildcards in iter_product(*choices):
+            taken = frozenset().union(*wildcards)
+            bases = _points(k, 0, [weight[q] for q in range(1, total + 1) if q not in taken])
+            steps = tuple(sum(map(weight.__getitem__, w)) for w in wildcards)
+            yield breakpoints, wildcards, bases, steps
+
+
+def _subspaces(k: int, n: int, max_length: int):
+    """:func:`_subspace_maps` of the lengths ``n..max_length``, one per image:
+    at ``k = 1`` each length's first map stands for all, whose one image is
+    its one word.  A dimension below 1 is refused at the call."""
+    if n < 1:
+        raise ValueError("subspace dimension must be at least 1")
+    return chain.from_iterable(
+        islice(_subspace_maps(k, n, total), 1 if k == 1 else None)
+        for total in range(n, max_length + 1)
+    )
+
+
+def _points(k: int, base: int, steps: Sequence[int]) -> list[int]:
+    """The word indices of an image, at the parameter words in order: ``base``
+    plus one multiple ``0..k-1`` of each step, in lex order of the multiples."""
+    points = [base]
+    for step in steps:
+        multiples = [c * step for c in range(k)]
+        points = [p + m for p in points for m in multiples]
+    return points
 
 
 def line_maps(k: int, N: int) -> list[tuple[str, ...]]:
     """All lines of ``[k]^N`` in parameter order ``(phi(1), ..., phi(k))``:
-    the images of the 1-dimensional subspaces of ambient length ``N``."""
-    return [image for _, _, _, image in _subspace_maps(k, 1, N)]
+    the images of the 1-dimensional subspaces of ambient length ``N``, each
+    the words from its base in steps of its step."""
+    words = tuple(all_words(k, N))
+    return [
+        words[base : base + k * step : step]
+        for _, _, bases, (step,) in _subspace_maps(k, 1, N)
+        for base in bases
+    ]
 
 
 def _check_lines(k: int, N: int, max_lines: int) -> None:
@@ -210,14 +238,9 @@ def _check_lines(k: int, N: int, max_lines: int) -> None:
 
 
 def enumerate_lines(k: int, N: int, max_lines: int | None = None) -> list[tuple[str, ...]]:
-    """All combinatorial lines of ``[k]^N`` as sorted point tuples, lex ordered
-    and deduplicated.
-
-    Distinct ``(J, w0)`` data always give distinct point sets, so the count
-    is ``(k+1)^N - k^N``; the deduplication is an assertion of that fact.
-    A count above ``max_lines``, when given, is refused before any line is
-    built.
-    """
+    """All ``(k+1)^N - k^N`` combinatorial lines of ``[k]^N`` as sorted point
+    tuples, lex ordered: a line's points rise with its parameter, so each is
+    its :func:`line_maps` tuple.  A count above ``max_lines`` is refused first."""
     if N < 1:
         raise ValueError("N must be at least 1")
     if k < 2:
@@ -225,32 +248,21 @@ def enumerate_lines(k: int, N: int, max_lines: int | None = None) -> list[tuple[
     check_alphabet(k)
     if max_lines is not None:
         _check_lines(k, N, max_lines)
-    seen = {tuple(sorted(line)) for line in line_maps(k, N)}
-    out = sorted(seen)
-    if len(out) != (k + 1) ** N - k**N:
-        raise RuntimeError("line enumeration produced duplicate point sets")
-    return out
+    return sorted(line_maps(k, N))
 
 
 def enumerate_subspaces(k: int, n: int, max_length: int) -> list[CombinatorialSubspace]:
     """All n-dimensional subspaces (``n >= 1``) with ambient length up to
-    ``max_length``, deduplicated by image, in order of ambient length.
-
-    Of the templates that differ only at wildcard positions, which share one
-    image, the first in word order has letter 1 at every wildcard position;
-    it is the only one enumerated.  The other positions then run in word
-    order, so each image keeps its first template, built only once.
-    """
-    if n < 1:
-        raise ValueError("subspace dimension must be at least 1")
-    out: list[CombinatorialSubspace] = []
-    seen: set[tuple[str, ...]] = set()
-    for total in range(n, max_length + 1):
-        for breakpoints, wildcards, template, image in _subspace_maps(k, n, total):
-            if image not in seen:
-                seen.add(image)
-                out.append(CombinatorialSubspace(k, breakpoints, wildcards, template))
-    return out
+    ``max_length``, one per image, in order of ambient length: of the maps
+    that share an image, the first in (breakpoints, wildcard sets, template)
+    order, whose template has letter 1 at every wildcard position."""
+    maps = _subspaces(k, n, max_length)
+    words, _, bounds = _word_layout(k, max_length)
+    return [
+        CombinatorialSubspace(k, bps, wildcards, words[bounds[bps[-1] - 1] + base])
+        for bps, wildcards, bases, _ in maps
+        for base in bases
+    ]
 
 
 @cache
@@ -283,7 +295,7 @@ def _word_layout(k: int, depth: int) -> tuple[tuple[str, ...], dict[str, int], t
     :func:`words_up_to` ``(k, depth)``, each word's index among them, and
     the bounds of the lengths (the words of length ``n`` have the indices
     ``bounds[n - 1]`` to ``bounds[n] - 1``).  Built once per arguments and
-    shared by every law; callers must not change the index."""
+    shared by every law and subspace listing; callers must not change it."""
     words = tuple(words_up_to(k, depth))
     bounds = tuple(accumulate((k**n for n in range(1, depth + 1)), initial=0))
     return words, {w: i for i, w in enumerate(words)}, bounds
@@ -294,13 +306,12 @@ def _summation_plan(k: int, n: int, depth: int) -> tuple[tuple[int, itemgetter],
     """How the stationarity check sums the images of :func:`subspace_images`
     ``(k, n, depth)``, in their order: for each, the position of its word
     length among a law's length tables, and an ``itemgetter`` of its words'
-    positions within that length (all words of an image share one length)."""
-    _, windex, bounds = _word_layout(k, depth)
-    plan = []
-    for img in subspace_images(k, n, depth):
-        lo = bounds[len(img[0]) - 1]
-        plan.append((len(img[0]) - 1, itemgetter(*(windex[w] - lo for w in img))))
-    return tuple(plan)
+    indices in :func:`all_words` order, their positions within that length."""
+    return tuple(
+        (bps[-1] - 1, itemgetter(*_points(k, base, steps)))
+        for bps, _, bases, steps in _subspaces(k, n, depth)
+        for base in bases
+    )
 
 
 MAX_SUBSPACE_MAPS = 100_000
@@ -309,8 +320,8 @@ MAX_SUBSPACE_MAPS = 100_000
 @cache
 def _subspace_map_count(k: int, depth: int, dim_cap: int, stop: int) -> int:
     """The number of subspace maps of dimensions ``1..dim_cap`` and ambient
-    lengths up to ``depth``, as :func:`_subspace_maps` yields them; counting
-    ends as soon as it passes ``stop``.
+    lengths up to ``depth``, canonical or not (:func:`_subspace_maps`);
+    counting ends as soon as it passes ``stop``.
 
     A map of dimension ``n`` and length ``L`` cuts ``L`` into windows
     ``s_1 + ... + s_n``, and a window of ``s`` positions has
@@ -355,6 +366,23 @@ class MaxLineFreeResult:
     exhaustive: bool
 
 
+def _line_masks(k: int, N: int) -> tuple[list[int], list[list[int]]]:
+    """The lines of ``[k]^N`` (``k >= 2``) by their largest point ``p``, as
+    masks of their other points: at two letters, one point each, all in the
+    mask ``single[p]``; at more, one mask per line, listed in ``completes[p]``."""
+    single = [0] * k**N
+    completes: list[list[int]] = [[] for _ in single]
+    for _, _, bases, (step,) in _subspace_maps(k, 1, N):
+        if k == 2:
+            for base in bases:
+                single[base + step] |= 1 << base
+        else:
+            for base in bases:
+                top = base + (k - 1) * step
+                completes[top].append(mask_of(range(base, top, step)))
+    return single, completes
+
+
 def max_line_free(k: int, N: int, budget: int = 5_000_000) -> MaxLineFreeResult:
     """Largest subset of ``[k]^N`` containing no combinatorial line.
 
@@ -363,11 +391,14 @@ def max_line_free(k: int, N: int, budget: int = 5_000_000) -> MaxLineFreeResult:
     preserves that tie-break.  Points are decided in index order and the
     chosen set is always line-free, so including a point can only complete
     a line whose largest point it is: each line is tested once per node,
-    at that point only, as the mask of its other points.  ``budget`` (at
-    least 1) caps the number of search nodes; exceeding it returns the best
-    set found with ``exhaustive=False``, which is the empty set when no
+    at that point only, on the mask of its other points; at two letters
+    that is one point, and the lines of a point share one mask.  ``budget``
+    (at least 1) caps the number of search nodes; exceeding it returns the
+    best set found with ``exhaustive=False``, which is the empty set when no
     leaf was reached.  A space of more than ``MAX_SEARCH_POINTS`` points is
-    refused before any point is built.
+    refused before any point is built.  The masks of its lines are built
+    before the first node, outside the budget: at most ``(k+1)^N - k^N``
+    lines, 527,345 at ``(2, 12)``.
 
     The include child is entered in place and only exclude children are
     stacked, which visits and counts the nodes in the same depth-first
@@ -377,21 +408,14 @@ def max_line_free(k: int, N: int, budget: int = 5_000_000) -> MaxLineFreeResult:
         raise ValueError("budget must be at least 1")
     if check_alphabet(k) > 1 and _more_points(k, N, MAX_SEARCH_POINTS):
         raise ValueError("over budget: point set too large for the exact search")
-    lines = enumerate_lines(k, N)  # refuses N < 1 and k = 1
-    points = all_words(k, N)
-    index = {w: i for i, w in enumerate(points)}
-    n_pts = len(points)
-    # completes[p]: the lines whose largest point is p, without p.
-    completes: list[list[int]] = [[] for _ in range(n_pts)]
-    for line in lines:
-        idx = [index[w] for w in line]
-        top = max(idx)
-        completes[top].append(mask_of(idx) & ~(1 << top))
-
-    best_size = 0  # the empty set is line-free
-    best_mask = 0
-    nodes = 0
-    exhausted = True
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    if k < 2:
+        raise ValueError("lines need an alphabet of at least two letters")
+    single, completes = _line_masks(k, N)
+    n_pts = len(single)
+    best_size, best_mask = 0, 0  # the empty set is line-free
+    nodes, exhausted = 0, True
 
     # Depth-first over point decisions; a frame is (next point, chosen
     # mask, chosen count).  A node is pruned when even choosing every
@@ -412,16 +436,17 @@ def max_line_free(k: int, N: int, budget: int = 5_000_000) -> MaxLineFreeResult:
                 best_size, best_mask = count, chosen
                 floor = best_size - n_pts
                 break
-            for rest in completes[pos]:
-                if chosen & rest == rest:
-                    break  # the point would complete a line: exclude only
-            else:
-                stack.append((pos + 1, chosen, count))
-                chosen |= 1 << pos
-                count += 1
+            if not chosen & single[pos]:
+                for rest in completes[pos]:
+                    if chosen & rest == rest:
+                        break  # the point would complete a line: exclude only
+                else:
+                    stack.append((pos + 1, chosen, count))
+                    chosen |= 1 << pos
+                    count += 1
             pos += 1
 
-    extremal = tuple(points[i] for i in range(n_pts) if best_mask >> i & 1)
+    extremal = tuple(map(all_words(k, N).__getitem__, bits_of(best_mask)))
     return MaxLineFreeResult(best_size, extremal, exhausted)
 
 
@@ -619,9 +644,6 @@ class StationaryLawTruncation:
             raise ValueError(f"word {w!r} beyond the truncation depth")
         return idx[w]
 
-    def _indices(self, image_words: Sequence[str]) -> tuple[int, ...]:
-        return tuple(self.word_index(w) for w in image_words)
-
     def _length_tables(self, nums: list[int]) -> list[dict[tuple[int, ...], int]]:
         """One scan of the whole law: for each word length, the numerators
         summed by the configuration at the words of that length.  ``nums``
@@ -678,7 +700,7 @@ class StationaryLawTruncation:
         denominator, once per distinct tuple of words, and divided only for
         the output keys.
         """
-        idx = self._indices(image_words)
+        idx = tuple(map(self.word_index, image_words))
         if not idx:
             return {(): Fraction(1)}
         den = self._den  # type: ignore[attr-defined]
@@ -716,27 +738,16 @@ def _coordinate_sums(table: dict) -> list[dict[int, int]]:
 
 def iid_law(k: int, depth: int, carrier: ExactProbabilitySpace) -> StationaryLawTruncation:
     """Product law: coordinates independent with the carrier distribution."""
-    wlist = words_up_to(k, depth)
-    supp = carrier.support()
-    weights: dict[tuple[int, ...], Fraction] = {}
-    for cfg in iter_product(supp, repeat=len(wlist)):
-        m = Fraction(1)
-        for c in cfg:
-            m *= carrier.weights[c]
-        weights[cfg] = m
+    cfgs = iter_product(carrier.support(), repeat=len(words_up_to(k, depth)))
+    weights = {cfg: prod(map(carrier.weights.__getitem__, cfg), start=Fraction(1)) for cfg in cfgs}
     return StationaryLawTruncation(k, depth, carrier, weights)
 
 
-def constant_law(
-    k: int, depth: int, carrier: ExactProbabilitySpace
-) -> StationaryLawTruncation:
+def constant_law(k: int, depth: int, carrier: ExactProbabilitySpace) -> StationaryLawTruncation:
     """Mixture of point masses on constant configurations, one per carrier
     point, weighted by the carrier."""
     wlist = words_up_to(k, depth)
-    weights = {
-        (i,) * len(wlist): carrier.weights[i]
-        for i in carrier.support()
-    }
+    weights = {(i,) * len(wlist): carrier.weights[i] for i in carrier.support()}
     return StationaryLawTruncation(k, depth, carrier, weights)
 
 
@@ -750,11 +761,7 @@ def mixture_law(
         raise ValueError("coefficients must be a convex combination")
     first = laws[0]
     for law in laws[1:]:
-        if (law.k, law.depth, law.carrier.points) != (
-            first.k,
-            first.depth,
-            first.carrier.points,
-        ):
+        if (law.k, law.depth, law.carrier.points) != (first.k, first.depth, first.carrier.points):
             raise ValueError("mixture components must share alphabet, depth, carrier")
     weights: dict[tuple[int, ...], Fraction] = {}
     for law, c in zip(laws, coefficients):
@@ -788,9 +795,7 @@ class StationarityResult:
     witness: tuple | None = None  # (dimension, images_a, images_b)
 
 
-def strong_stationarity_check(
-    law: StationaryLawTruncation, dim_cap: int
-) -> StationarityResult:
+def strong_stationarity_check(law: StationaryLawTruncation, dim_cap: int) -> StationarityResult:
     """Check that pullbacks along every subspace of each dimension up to the
     cap agree, i.e. the truncated law cannot distinguish subspaces.
 
@@ -853,9 +858,7 @@ def point_marginal(law: StationaryLawTruncation) -> ExactProbabilitySpace:
     return law.carrier
 
 
-def marginals(
-    law: StationaryLawTruncation,
-) -> tuple[ExactProbabilitySpace, Coupling]:
+def marginals(law: StationaryLawTruncation) -> tuple[ExactProbabilitySpace, Coupling]:
     """Point and line marginals; requires stationarity at dimensions 0 and 1.
 
     The stationarity check has compared the law of every line below the
@@ -923,9 +926,7 @@ def line_marginal_structure_report(law: StationaryLawTruncation) -> LineStructur
     rep = structure_report(line, psi)
     missed = next((x for x in point.support() if (x,) * law.k not in line.mass), None)
     witness = None if missed is None else (frozenset((missed,)),) * law.k
-    return LineStructureReport(
-        rep.coordinate_clause, rep.oblique_pairs, missed is None, witness
-    )
+    return LineStructureReport(rep.coordinate_clause, rep.oblique_pairs, missed is None, witness)
 
 
 def check_density_premises(
@@ -940,9 +941,5 @@ def check_density_premises(
         if 1 not in obj.carrier.points:
             raise ValueError("law carrier has no designated positive value 1")
         one = obj.carrier.points.index(1)
-        for w in obj.words:
-            marg = obj.coordinate_marginal(w)
-            if marg[one] < delta:
-                return False
-        return True
+        return all(obj.coordinate_marginal(w)[one] >= delta for w in obj.words)
     raise TypeError("expected a correspondence measure or a law truncation")

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import argparse
 from fractions import Fraction
-from itertools import combinations, compress, product as iter_product
+from itertools import combinations, compress, product as iter_product, starmap
 from math import gcd, lcm, prod
 from random import Random
 
@@ -16,9 +16,11 @@ from ergolab.averages import (
 )
 from ergolab.generators import random_system
 from ergolab.hales_jewett import (
+    _LETTERS,
     MaxLineFreeResult,
     StationaryLawTruncation,
     all_words,
+    check_alphabet,
     enumerate_lines,
 )
 from ergolab.measure import (
@@ -913,6 +915,60 @@ def every_template_subspaces(k, n, max_length, exact_length=None):
                     if img not in seen:
                         seen.add(img)
                         out.append(s)
+    return out
+
+
+def old_subspace_maps(k, n, total):
+    """Reference for ``hales_jewett._subspace_maps``: every ``n``-dimensional
+    subspace map (``n >= 1``) of ambient length ``total``, every choice of
+    breakpoints included, as ``(breakpoints, wildcards, template, image)``,
+    with letter 1 at each wildcard position of the template, ordered by
+    breakpoints, then wildcard sets, then the letters of the other positions
+    in word order.
+
+    A pattern holds ``{}`` at the other positions and ``{{i}}`` at those of
+    wildcard set ``i``; with the letters filled in, its values at the
+    parameter words, all 1s first, are the image."""
+    letters = _LETTERS[: check_alphabet(k)]
+    params = list(iter_product(letters, repeat=n))
+    for cuts in combinations(range(1, total), n - 1):
+        breakpoints = (*cuts, total)
+        windows = [range(lo + 1, hi + 1) for lo, hi in zip((0, *cuts), breakpoints)]
+        subsets = [[frozenset(c) for r in range(1, len(w) + 1) for c in combinations(w, r)]
+                   for w in windows]
+        for wildcards in iter_product(*subsets):
+            pattern = ["{}"] * total
+            for i, positions in enumerate(wildcards):
+                for p in positions:
+                    pattern[p - 1] = "{{%d}}" % i
+            fill = "".join(pattern).format
+            for fixed in iter_product(letters, repeat=pattern.count("{}")):
+                image = tuple(starmap(fill(*fixed).format, params))
+                yield breakpoints, wildcards, image[0], image
+
+
+def old_enumerate_subspaces(k, n, max_length):
+    """The maps of :func:`old_subspace_maps` over the lengths ``n`` to
+    ``max_length``, each kept only if its image is new."""
+    out, seen = [], set()
+    for total in range(n, max_length + 1):
+        for subspace in old_subspace_maps(k, n, total):
+            if subspace[3] not in seen:
+                seen.add(subspace[3])
+                out.append(subspace)
+    return out
+
+
+def word_line_masks(k, N):
+    """Reference for ``hales_jewett._line_masks``: for each point of
+    ``[k]^N``, the set of the lines whose largest point it is, each as the
+    frozenset of the indices of its other points, built from the words of
+    :func:`old_line_maps` and a word-to-index dict."""
+    index = {w: i for i, w in enumerate(all_words(k, N))}
+    out = [set() for _ in index]
+    for line in old_line_maps(k, N):
+        idx = sorted(index[w] for w in line)
+        out[idx[-1]].add(frozenset(idx[:-1]))
     return out
 
 

@@ -20,7 +20,6 @@ from helpers import (
     direction_period,
     set_family_atoms,
     three_direction_torus,
-    torus_system,
     two_fold_joining_check,
 )
 
@@ -58,7 +57,6 @@ from ergolab.hales_jewett import marginals as law_marginals
 from ergolab.measure import ExactProbabilitySpace, Partition, common_refinement, relative_independence
 from ergolab.removal import SearchConfig, search_counterexample
 from ergolab.systems import (
-    FiniteZdSystem,
     SubgroupSpec,
     invariant_factor,
     orbit_partition,

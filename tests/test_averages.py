@@ -21,7 +21,6 @@ from helpers import (
     old_recurrence_witness,
     pushforward_invariant,
     three_direction_torus,
-    torus_system,
 )
 
 from ergolab import averages
@@ -43,7 +42,7 @@ from ergolab.averages import (
     van_der_corput_inequality,
 )
 from ergolab.generators import random_system, random_vector_sequence
-from ergolab.measure import Coupling, Partition, SimpleFunction, support_pullback_partition
+from ergolab.measure import Coupling, SimpleFunction
 from ergolab.systems import FiniteZdSystem, SubgroupSpec, invariant_factor
 
 F = Fraction

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -13,11 +14,14 @@ from helpers import (
     every_template_subspaces,
     naive_coordinate_marginal,
     naive_pullback,
+    old_enumerate_subspaces,
     old_line_maps,
     old_line_to_point_implication,
     old_max_line_free,
     old_subspace_forcing_check,
+    old_subspace_maps,
     set_family_atoms,
+    word_line_masks,
 )
 
 from ergolab import hales_jewett
@@ -167,6 +171,44 @@ def test_line_maps_match_the_former_loop(k):
         if k >= 2:
             subspaces = enumerate_subspaces(k, 1, N)
             assert lines == [s.image() for s in subspaces if s.ambient_length == N]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_index_enumeration_matches_the_string_enumeration(k):
+    # Every subspace of dimension <= 3 and length <= 5, with its four
+    # fields, its image and its place in the order, as the string maps
+    # give them once each image's repeats are dropped; every line as the
+    # former (J, w0) loop gives it.  Where every template is cheap to
+    # build, that enumeration must agree too.
+    for length in range(6):
+        for n in range(1, 4):
+            expected = old_enumerate_subspaces(k, n, length)
+            subspaces = enumerate_subspaces(k, n, length)
+            got = [(s.breakpoints, s.wildcards, s.template, s.image()) for s in subspaces]
+            assert got == expected
+            assert subspace_images(k, n, length) == tuple(image for *_, image in expected)
+            if k**length <= 81:
+                assert subspaces == every_template_subspaces(k, n, length)
+        lines = old_line_maps(k, length)
+        assert line_maps(k, length) == lines
+        assert lines == [image for *_, image in old_subspace_maps(k, 1, length)]
+        if k >= 2 and length >= 1:
+            assert enumerate_lines(k, length) == sorted({tuple(sorted(l)) for l in lines})
+
+
+@pytest.mark.parametrize("k, N", [(2, 6), (3, 4), (2, 8), (3, 5)])
+def test_line_masks_match_the_masks_built_from_words(k, N):
+    # For each point, the lines whose largest point it is, as the sets of
+    # their other points: read from the one mask per point at two letters,
+    # and from the listed masks otherwise.
+    single, completes = hales_jewett._line_masks(k, N)
+    got = [
+        {frozenset((q,)) for q in bits_of(one)} | {frozenset(bits_of(m)) for m in many}
+        for one, many in zip(single, completes)
+    ]
+    assert got == word_line_masks(k, N)
+    assert (k == 2) == any(single) and (k == 2) != any(completes)
+    assert sum(map(len, got)) == (k + 1) ** N - k**N
 
 
 @pytest.mark.parametrize("k", [0, 10])
@@ -891,7 +933,7 @@ def test_subspace_map_count_matches_the_enumeration():
                     1
                     for n in range(1, cap + 1)
                     for total in range(n, depth + 1)
-                    for _ in hales_jewett._subspace_maps(k, n, total)
+                    for _ in old_subspace_maps(k, n, total)
                 )
                 assert hales_jewett._subspace_map_count(k, depth, cap, 10**9) == walked
 
@@ -1038,8 +1080,15 @@ def test_point_bounds_of_a_long_space_need_no_power():
 
 @pytest.mark.parametrize("k, N", [(2, 12), (3, 7), (8, 4), (9, 3)])
 def test_max_line_free_bound_admits_every_space_up_to_4096_points(k, N):
-    # k^N <= 4096; a budget of one node stops the search at once.
-    assert max_line_free(k, N, budget=1).exhaustive is False
+    # k^N <= 4096; a budget of one node stops the search at once, and the
+    # line masks built before it stay small: (2, 12) has 527,345 lines.
+    tracemalloc.start()
+    try:
+        assert max_line_free(k, N, budget=1).exhaustive is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
     with pytest.raises(ValueError, match="over budget"):
         max_line_free(k, N + 1, budget=1)
 

@@ -27,7 +27,7 @@ from helpers import (
 
 from ergolab import systems
 from ergolab.generators import random_subgroup, random_system
-from ergolab.measure import ExactProbabilitySpace, Partition, ValidationError, ae_equal, common_refinement
+from ergolab.measure import ExactProbabilitySpace, Partition, ValidationError
 from ergolab.systems import (
     FactorMap,
     FiniteZdSystem,
