@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cache
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .averages import furstenberg_self_joining, self_joining_psi
 from .generators import random_system
@@ -175,14 +174,19 @@ def check_hypotheses(inst: RemovalInstance) -> HypothesesReport:
         if not monotone:
             break
 
+    # With one partition on every index set, the full set's coordinate
+    # pairs hold every other set's, so it decides [ii] alone when it holds;
+    # otherwise the loop finds the first failing set and its witness.
     identified = True
-    for m in masks:
-        if not identified_on(coupling, m, psi[m]):
-            identified = False
-            witnesses["identified"] = _identification_witness(
-                coupling, psi[m], m, tuple(combinations(bits_of(m), 2))
-            )
-            break
+    full = (1 << d) - 1
+    if not (_one_partition(psi) and identified_on(coupling, full, psi[full])):
+        for m in masks:
+            if not identified_on(coupling, m, psi[m]):
+                identified = False
+                witnesses["identified"] = _identification_witness(
+                    coupling, psi[m], m, tuple(combinations(bits_of(m), 2))
+                )
+                break
 
     independent = monotone and identified
     if independent:
@@ -201,14 +205,16 @@ def _first_dependent_pair(
     """Hypothesis [iii]: the first pair of up-sets whose lifts are not
     relatively independent over the lift of their meet, or ``None``.
 
-    The member partitions (:func:`~ergolab.upsets.oblique_members`) are
-    built first.  When they are all one partition, every nonempty up-set's
-    lift is that partition and the empty up-set's is one block.  Every
-    nonempty up-set of the family holds the full index set, so the meet of
-    two nonempty up-sets is nonempty, and in every pair the lift of ``a``
-    or of ``b`` equals the lift of the meet: the tower-property tautology
-    of :func:`upset_pair_independence`, decided once for the whole family,
-    and ``None`` is returned.
+    When the member partitions (:func:`~ergolab.upsets.oblique_members`)
+    are all one partition, every nonempty up-set's lift is that partition
+    and the empty up-set's is one block.  Every nonempty up-set of the
+    family holds the full index set, so the meet of two nonempty up-sets
+    is nonempty, and in every pair the lift of ``a`` or of ``b`` equals
+    the lift of the meet: the tower-property tautology of
+    :func:`upset_pair_independence`, decided once for the whole family,
+    and ``None`` is returned.  That is so when ``psi`` gives every index
+    set one partition: under [ii] it pulls back to one partition of the
+    support through every coordinate, so the members are not built.
 
     Otherwise the pairs are checked in order against ``memo``, which holds
     the coupling's support space (``coupling.as_space()``) and its kernel
@@ -216,6 +222,8 @@ def _first_dependent_pair(
     fresh one is built when none is given.  Meaningful only when ``psi``
     satisfies [i] and [ii].
     """
+    if _one_partition(psi):
+        return None
     members = oblique_members(coupling, psi)
     if len({p.labels for p in members.values()}) == 1:
         return None
@@ -227,6 +235,11 @@ def _first_dependent_pair(
         if not rep.holds:
             return a, b, rep
     return None
+
+
+def _one_partition(psi: dict) -> bool:
+    """Whether ``psi`` gives every index set the same partition."""
+    return len({p.labels for p in psi.values()}) == 1
 
 
 def _identification_witness(
@@ -298,31 +311,74 @@ def _conclusion_holds(chosen: Iterable[tuple[int, int]], positive: int) -> bool:
 # instance generation and the counterexample search
 # ---------------------------------------------------------------------------
 
-def _weight_menu(n: int) -> list[tuple[Fraction, ...]]:
-    menu = [tuple(Fraction(1, n) for _ in range(n))]
-    if n >= 2:
+def _menu_length(n: int) -> int:
+    """The number of weight vectors on ``n`` points (:func:`_menu_weights`)."""
+    return 1 if n == 1 else 3
+
+
+def _menu_weights(n: int, i: int) -> tuple[Fraction, ...]:
+    """The ``i``-th weight vector of the menu on ``n`` points: uniform,
+    then weights proportional to ``1, ..., n``, then a null first point
+    with the rest uniform (the last two for ``n >= 2`` only)."""
+    if i == 0:
+        return tuple(Fraction(1, n) for _ in range(n))
+    if i == 1:
         total = n * (n + 1) // 2
-        menu.append(tuple(Fraction(i + 1, total) for i in range(n)))
-        menu.append(
-            (Fraction(0),) + tuple(Fraction(1, n - 1) for _ in range(n - 1))
-        )
-    return menu
+        return tuple(Fraction(x + 1, total) for x in range(n))
+    return (Fraction(0),) + tuple(Fraction(1, n - 1) for _ in range(n - 1))
+
+
+def _weight_menu(n: int) -> list[tuple[Fraction, ...]]:
+    return [_menu_weights(n, i) for i in range(_menu_length(n))]
+
+
+def _completions(n: int) -> list[list[int]]:
+    """Counts of the ways to finish a restricted growth string of length
+    ``n``: ``rows[k][u]``, for ``k + u <= n``, is the number of ways to
+    append ``k`` more labels when the labels ``0, ..., u - 1`` are in use.
+
+    Each label is one in use (``u`` ways) or the next new one, so
+    ``c(0, u) = 1`` and ``c(k, u) = u * c(k - 1, u) + c(k - 1, u + 1)``,
+    and ``c(n, 0)`` is the Bell number of ``n``.
+    """
+    rows = [[1] * (n + 1)]
+    for k in range(1, n + 1):
+        prev = rows[-1]
+        rows.append([u * prev[u] + prev[u + 1] for u in range(n + 1 - k)])
+    return rows
+
+
+def _bell(n: int) -> int:
+    """The number of set partitions of ``n`` points."""
+    return _completions(n)[n][0]
+
+
+def _partition_at(n: int, r: int) -> Partition:
+    """The partition of ``range(n)`` whose restricted growth string (its
+    canonical labels) is the ``r``-th in lexicographic order, for
+    ``0 <= r < _bell(n)``.
+
+    At each point, every label in use heads ``c(k, u)`` completions and
+    the new label ``c(k, u + 1)`` of them (:func:`_completions`), so the
+    label is read off ``r`` by division, one point at a time.
+    """
+    rows = _completions(n)
+    labels = []
+    used = 0
+    for k in range(n - 1, -1, -1):
+        finish = rows[k][used]
+        if r < used * finish:
+            label, r = divmod(r, finish)
+        else:
+            r -= used * finish
+            label = used
+            used += 1
+        labels.append(label)
+    return Partition.from_labels(labels)
 
 
 def _all_partitions(n: int) -> list[Partition]:
-    out: list[Partition] = []
-
-    def rec(i: int, labels: list[int], used: int) -> None:
-        if i == n:
-            out.append(Partition.from_labels(tuple(labels)))
-            return
-        for lab in range(used + 1):
-            labels.append(lab)
-            rec(i + 1, labels, max(used, lab + 1))
-            labels.pop()
-
-    rec(0, [], 0)
-    return out
+    return [_partition_at(n, r) for r in range(_bell(n))]
 
 
 def _translation_systems(space: ExactProbabilitySpace, d: int) -> list[FiniteZdSystem]:
@@ -435,6 +491,14 @@ FAMILIES = ("diagonal", "product", "fiber", "selfjoin")
 # The largest point count an exhaustive sweep accepts, per d.
 _EXHAUSTIVE_MAX_SIZE = {2: 4, 3: 4, 4: 3}
 
+# The most work one random draw may take on: the coupling tuples it builds
+# (``max(sizes) ** d`` for the product coupling, the largest family) and the
+# index-set pairs hypothesis [i] compares (``(2 ** d - d - 1) ** 2``).
+_RANDOM_MAX_WORK = 100_000
+_RANDOM_MAX_D = max(
+    d for d in range(2, 64) if ((1 << d) - d - 1) ** 2 <= _RANDOM_MAX_WORK
+)
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -474,10 +538,17 @@ def search_counterexample(config: SearchConfig) -> RemovalInstance | None:
     per coordinate ranging over every up-set and every block union.  It
     accepts up to 4 points for d <= 3 and up to 3 points for d = 4
     (``_EXHAUSTIVE_MAX_SIZE``).  Random mode draws ``samples`` valid
-    instances from the same ingredients.
+    instances from the same ingredients, each weight vector and partition
+    by its rank, so no draw builds the menu or the Bell-number-long list of
+    partitions.  It accepts the configurations whose draws build at most
+    ``_RANDOM_MAX_WORK`` coupling tuples and compare at most that many
+    index-set pairs in hypothesis [i]: up to d = 8, and up to 316 points
+    at d = 2 and 46 at d = 3.
     """
     if config.exhaustive:
         _check_exhaustive_domain(config)
+    else:
+        _check_random_domain(config)
     masks = ground_masks(config.d)
     coord_upsets = _coordinate_upsets(config.d)
     if config.exhaustive:
@@ -501,14 +572,11 @@ def search_counterexample(config: SearchConfig) -> RemovalInstance | None:
         return None
 
     rng = random.Random(config.seed)
-    # The weight menu and the partition list of each size are built on
-    # first use and kept for this search only, so no draw rebuilds them.
-    weight_menu, partitions = cache(_weight_menu), cache(_all_partitions)
     tested = 0
     attempts = 0
     while tested < config.samples and attempts < 80 * config.samples:
         attempts += 1
-        inst = _random_instance(rng, config, coord_upsets, weight_menu, partitions)
+        inst = _random_instance(rng, config, coord_upsets)
         if inst is None:
             continue
         if not check_hypotheses(inst).all_hold:
@@ -535,6 +603,23 @@ def _check_exhaustive_domain(config: SearchConfig) -> None:
             f"sizes: {too_large}: at most {limit} points at d = {config.d}, "
             f"got {max(config.sizes)}"
         )
+
+
+def _check_random_domain(config: SearchConfig) -> None:
+    """Raise ``ValueError``, located at the field that breaks the limit,
+    when one draw of ``config`` may take on more than ``_RANDOM_MAX_WORK``
+    (see there).  ``d`` is compared first, so no power of a huge ``d`` is
+    taken."""
+    too_large = "configuration too large for random mode"
+    d = config.d
+    if d > _RANDOM_MAX_D:
+        raise ValueError(f"d: {too_large}: at most d = {_RANDOM_MAX_D}, got {d}")
+    n = max(config.sizes)
+    if n ** d > _RANDOM_MAX_WORK:
+        limit = 1
+        while (limit + 1) ** d <= _RANDOM_MAX_WORK:
+            limit += 1
+        raise ValueError(f"sizes: {too_large}: at most {limit} points at d = {d}, got {n}")
 
 
 def _scan_families(
@@ -624,14 +709,12 @@ def _first_failing(
 
 
 def _random_instance(
-    rng: random.Random,
-    config: SearchConfig,
-    coord_upsets: list[list[UpSet]],
-    weight_menu: Callable[[int], list[tuple[Fraction, ...]]],
-    partitions: Callable[[int], list[Partition]],
+    rng: random.Random, config: SearchConfig, coord_upsets: list[list[UpSet]]
 ) -> RemovalInstance | None:
-    """One draw: ``weight_menu(n)`` and ``partitions(n)`` give what
-    :func:`_weight_menu` and :func:`_all_partitions` do."""
+    """One draw.  A weight vector and a partition are drawn by their rank
+    in :func:`_weight_menu` and :func:`_all_partitions`: ``randrange(k)``
+    reads the stream as ``choice`` over a list of ``k`` entries does, so
+    neither list is built."""
     d = config.d
     n = rng.choice(list(config.sizes))
     masks = ground_masks(d)
@@ -642,26 +725,27 @@ def _random_instance(
         coupling = furstenberg_self_joining(sys).coupling
         psi = self_joining_psi(sys)
     else:
-        space = ExactProbabilitySpace(tuple(range(n)), rng.choice(weight_menu(n)))
-        if family == "diagonal":
-            coupling = Coupling.diagonal(space, d)
-            part = rng.choice(partitions(n))
-        elif family == "product":
+        weights = _menu_weights(n, rng.randrange(_menu_length(n)))
+        space = ExactProbabilitySpace(tuple(range(n)), weights)
+        if family == "product":
             coupling = Coupling.product(space, d)
             part = Partition.one_block(n)
         else:
-            part = rng.choice(partitions(n))
-            coupling = relatively_independent_product([space] * d, [part.labels] * d)
+            part = _partition_at(n, rng.randrange(_bell(n)))
+            if family == "diagonal":
+                coupling = Coupling.diagonal(space, d)
+            else:
+                coupling = relatively_independent_product([space] * d, [part.labels] * d)
         psi = dict.fromkeys(masks, part)
     shell_families = []
     for i in range(d):
         fam = []
         for _ in range(rng.randint(1, 2)):
             ups = rng.choice(coord_upsets[i])
-            # Choosing from the range of union indices draws what choosing
-            # from the list of unions does, without building the list.
+            # Drawing a union's index draws what choosing from the list of
+            # unions does, without building the list.
             blocks = _block_join(psi, ups, len(space)).blocks
-            fam.append((ups, _block_union(blocks, rng.choice(range(1 << len(blocks))))))
+            fam.append((ups, _block_union(blocks, rng.randrange(1 << len(blocks)))))
         shell_families.append(tuple(fam))
     try:
         return RemovalInstance(space, coupling, psi, tuple(shell_families))

@@ -136,9 +136,6 @@ class UpSet:
     def __contains__(self, item: int) -> bool:
         return index(item) in self.members
 
-    def __le__(self, other: "UpSet") -> bool:
-        return self.d == other.d and self.members <= other.members
-
 
 @cache
 def enumerate_upsets(d: int) -> tuple[UpSet, ...]:

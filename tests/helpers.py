@@ -393,9 +393,56 @@ def first_dependent_naive_pair(coupling, psi, d):
     return None
 
 
+def listed_weight_menu(n):
+    """The weight menu of ``n`` points as the former ``removal._weight_menu``
+    built it, the reference for ``removal._menu_weights``."""
+    menu = [tuple(Fraction(1, n) for _ in range(n))]
+    if n >= 2:
+        total = n * (n + 1) // 2
+        menu.append(tuple(Fraction(i + 1, total) for i in range(n)))
+        menu.append(
+            (Fraction(0),) + tuple(Fraction(1, n - 1) for _ in range(n - 1))
+        )
+    return menu
+
+
+def recursive_partitions(n):
+    """The former recursive ``removal._all_partitions``, the reference for
+    ``removal._partition_at``: every partition of ``range(n)``, with the
+    restricted growth strings of their labels in lexicographic order."""
+    out = []
+
+    def rec(i, labels, used):
+        if i == n:
+            out.append(Partition.from_labels(tuple(labels)))
+            return
+        for lab in range(used + 1):
+            labels.append(lab)
+            rec(i + 1, labels, max(used, lab + 1))
+            labels.pop()
+
+    rec(0, [], 0)
+    return out
+
+
+def bell_triangle(count):
+    """The first ``count`` Bell numbers, read off the Bell triangle: each
+    row starts with the last entry of the row before, and each further
+    entry adds its left neighbour and the entry above that neighbour."""
+    bells, row = [], [1]
+    for _ in range(count):
+        bells.append(row[0])
+        nxt = [row[-1]]
+        for above in row:
+            nxt.append(nxt[-1] + above)
+        row = nxt
+    return bells
+
+
 def old_random_instance(rng, config, coord_upsets):
     """The former ``removal._random_instance``, which rebuilt the weight
-    menu, the partition list and the list of block unions on every draw."""
+    menu, the partition list and the list of block unions on every draw,
+    and chose from each list."""
     from ergolab import removal
     from ergolab.averages import difference_subgroup, furstenberg_self_joining
     from ergolab.generators import random_system
@@ -415,16 +462,16 @@ def old_random_instance(rng, config, coord_upsets):
             for m in masks
         }
     else:
-        space = ExactProbabilitySpace(tuple(range(n)), rng.choice(removal._weight_menu(n)))
+        space = ExactProbabilitySpace(tuple(range(n)), rng.choice(listed_weight_menu(n)))
         if family == "diagonal":
             coupling = Coupling.diagonal(space, d)
-            psi_part = rng.choice(removal._all_partitions(n))
+            psi_part = rng.choice(recursive_partitions(n))
             psi = {m: psi_part for m in masks}
         elif family == "product":
             coupling = Coupling.product(space, d)
             psi = {m: Partition.one_block(n) for m in masks}
         else:
-            part = rng.choice(removal._all_partitions(n))
+            part = rng.choice(recursive_partitions(n))
             coupling = relatively_independent_product([space] * d, [part.labels] * d)
             psi = {m: part for m in masks}
     shell_families = []
@@ -825,11 +872,11 @@ def old_exhaustive_search(config, holds_for=None):
     masks = ground_masks(config.d)
     coord_upsets = removal._coordinate_upsets(config.d)
     for n in config.sizes:
-        for weights in removal._weight_menu(n):
+        for weights in listed_weight_menu(n):
             space = ExactProbabilitySpace(tuple(range(n)), weights)
             for _, coupling in removal._coupling_menu(space, config.d, config.families):
                 holds = None if holds_for is None else holds_for(space, coupling)
-                for psi in old_psi_maps(removal._all_partitions(n), masks):
+                for psi in old_psi_maps(recursive_partitions(n), masks):
                     hit = old_scan_families(space, coupling, psi, coord_upsets, holds)
                     if hit is not None:
                         return hit

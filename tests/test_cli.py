@@ -910,6 +910,34 @@ def test_correspond_refuses_a_large_space_or_window_before_building_it(tmp_path,
     assert elapsed < 5
 
 
+def test_a_random_removal_search_draws_partitions_without_listing_them():
+    # 12 points have 4,213,597 partitions; each draw takes one by its rank.
+    code, out, elapsed = _capped_cli("removal", "search", "--sizes", "12", "--random")
+    assert code == 2
+    assert json.loads(out)["results"] == {"counterexample": None, "mode": "random", "samples": 200}
+    assert elapsed < 20
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # 47^3 = 103,823 tuples in a product coupling.
+        (["--sizes", "47", "-d", "3"],
+         "sizes: configuration too large for random mode: at most 46 points at d = 3, got 47"),
+        # (2^9 - 10)^2 = 252,004 index-set pairs in hypothesis [i].
+        (["--sizes", "2", "-d", "9"],
+         "d: configuration too large for random mode: at most d = 8, got 9"),
+        (["--sizes", "2", "-d", "1000000000000"],
+         "d: configuration too large for random mode: at most d = 8, got 1000000000000"),
+    ],
+)
+def test_a_random_removal_search_beyond_its_work_bound_is_refused(argv, error):
+    code, out, elapsed = _capped_cli("removal", "search", "--random", *argv)
+    assert code == 3
+    assert json.loads(out) == {"error": error}
+    assert elapsed < 5
+
+
 PSI_ERROR = "$: psi must be defined exactly on the index sets of size >= 2"
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
@@ -9,16 +10,19 @@ from math import prod
 import pytest
 
 from helpers import (
+    bell_triangle,
     cyclic_system,
     first_dependent_naive_pair,
     fraction_identification,
     lifting_scenario_report,
+    listed_weight_menu,
     old_conclusion_holds,
     old_exhaustive_search,
     old_psi_maps,
     old_random_instance,
     old_scan_families,
     product_scan_families,
+    recursive_partitions,
 )
 
 from ergolab import removal
@@ -148,11 +152,13 @@ def test_identification_violation_detected():
 
 
 def test_identification_witness_matches_the_fraction_loop():
-    # Seeded instances with arbitrary psi: hypothesis [ii] and its witness
-    # (mask, block, coordinate pair, exact mismatch mass) must be those of
-    # the block-by-block Fraction loop.
+    # Seeded instances with arbitrary psi, and with one arbitrary partition
+    # on every index set: hypothesis [ii] and its witness (mask, block,
+    # coordinate pair, exact mismatch mass) must be those of the
+    # block-by-block Fraction loop.
     rng = random.Random(53)
     failing, witnesses = 0, set()
+    one_partition = {True: 0, False: 0}  # outcomes of [ii]
     for _ in range(300):
         n, d = rng.randint(1, 4), rng.choice([2, 3])
         nums = [rng.randint(1, 3) for _ in range(n)]
@@ -168,23 +174,28 @@ def test_identification_witness_matches_the_fraction_loop():
                 tuple(v[groups.index(g)] for g in group): prod(space.weights[x] for x in v)
                 for v in iter_product(range(n), repeat=len(groups))
             })
-        psi = {
+        arbitrary = {
             m: Partition.from_labels(tuple(rng.randrange(n) for _ in range(n)))
             for m in ground_masks(d)
         }
+        one = dict.fromkeys(arbitrary, Partition.from_labels(tuple(rng.randrange(n) for _ in range(n))))
         full = UpSet.principal(d, range(d))
-        inst = RemovalInstance(
-            space, coupling, psi, tuple(((full, frozenset(range(n))),) for _ in range(d))
-        )
-        identified, witness = fraction_identification(inst)
-        rep = check_hypotheses(inst)
-        assert rep.identified == identified
-        assert rep.witnesses.get("identified") == witness
-        if not identified:
-            failing += 1
-            witnesses.add(witness[:3])
+        for psi in (arbitrary, one):
+            inst = RemovalInstance(
+                space, coupling, psi, tuple(((full, frozenset(range(n))),) for _ in range(d))
+            )
+            identified, witness = fraction_identification(inst)
+            rep = check_hypotheses(inst)
+            assert rep.identified == identified
+            assert rep.witnesses.get("identified") == witness
+            if psi is one:
+                one_partition[identified] += 1
+            if not identified:
+                failing += 1
+                witnesses.add(witness[:3])
     assert failing > 100
     assert len(witnesses) > 10
+    assert min(one_partition.values()) > 50, one_partition
 
 
 def test_independence_violation_detected_and_excluded():
@@ -241,25 +252,33 @@ def _family_draw(rng, family, n, d):
 @pytest.mark.parametrize("d, rounds", [(3, 8), (4, 2)])
 def test_independence_verdict_and_witness_match_the_naive_pair_loop(d, rounds):
     # Seeded instances of all four families at 1 to 4 points, each with the
-    # psi map of a search draw and with a random psi map passing [i] and
-    # [ii]: hypothesis [iii] and its first witness must be those of the
-    # plain ordered-pair loop, which has no family-level rule.
+    # psi map of a search draw, with a random psi map passing [i] and [ii],
+    # and with one arbitrary partition on every index set: hypothesis [iii]
+    # and its first witness must be those of the plain ordered-pair loop,
+    # which has no family-level rule.  A one-partition map failing [ii] is
+    # not checked for [iii].
     rng = random.Random(100 + d)
-    seen = {"family rule": 0, "pair loop holds": 0, "fails": 0}
+    seen = {"family rule": 0, "pair loop holds": 0, "fails": 0, "not identified": 0}
     for family in removal.FAMILIES:
         for n in range(1, 5):
             for _ in range(rounds):
                 coupling, drawn = _family_draw(rng, family, n, d)
                 space = coupling.base
                 parts = removal._all_partitions(len(space))
-                for psi in (drawn, _random_psi(rng, coupling, parts, ground_masks(d))):
+                one = dict.fromkeys(ground_masks(d), rng.choice(parts))
+                for psi in (drawn, _random_psi(rng, coupling, parts, ground_masks(d)), one):
                     full = UpSet.principal(d, range(d))
                     everything = frozenset(range(len(space)))
                     inst = RemovalInstance(
                         space, coupling, psi, tuple(((full, everything),) for _ in range(d))
                     )
                     rep = check_hypotheses(inst)
-                    assert rep.monotone and rep.identified
+                    assert rep.monotone
+                    if not fraction_identification(inst)[0]:
+                        assert psi is one and not rep.identified and not rep.independent
+                        seen["not identified"] += 1
+                        continue
+                    assert rep.identified
                     expected = first_dependent_naive_pair(coupling, psi, d)
                     assert rep.independent == (expected is None)
                     assert rep.witnesses.get("independent") == expected
@@ -273,7 +292,7 @@ def test_independence_verdict_and_witness_match_the_naive_pair_loop(d, rounds):
                         seen["family rule"] += 1
                     else:
                         seen["pair loop holds"] += 1
-    assert sum(seen.values()) == 2 * 4 * 4 * rounds
+    assert sum(seen.values()) == 3 * 4 * 4 * rounds
     assert all(seen.values()), seen
 
 
@@ -283,14 +302,57 @@ def test_draws_match_the_former_draws(d):
     # after every draw both generators are in the same state.
     coord_upsets = removal._coordinate_upsets(d)
     for seed in range(40):
-        config = SearchConfig(sizes=(1, 2, 3, 4), d=d, exhaustive=False, seed=seed)
+        config = SearchConfig(sizes=(1, 2, 3, 4, 5, 6), d=d, exhaustive=False, seed=seed)
         new_rng, old_rng = random.Random(seed), random.Random(seed)
         for _ in range(5):
-            inst = removal._random_instance(
-                new_rng, config, coord_upsets, removal._weight_menu, removal._all_partitions
-            )
+            inst = removal._random_instance(new_rng, config, coord_upsets)
             assert inst == old_random_instance(old_rng, config, coord_upsets)
             assert new_rng.getstate() == old_rng.getstate()
+
+
+def test_partitions_by_rank_are_the_recursive_enumeration():
+    for n in range(9):
+        expected = recursive_partitions(n)
+        assert removal._bell(n) == len(expected)
+        assert [removal._partition_at(n, r) for r in range(len(expected))] == expected
+        assert [p.labels for p in removal._all_partitions(n)] == [p.labels for p in expected]
+    assert [removal._bell(n) for n in range(41)] == bell_triangle(41)
+
+
+def test_weight_vectors_by_index_are_the_listed_menu():
+    for n in range(1, 9):
+        menu = listed_weight_menu(n)
+        assert removal._menu_length(n) == len(menu)
+        assert [removal._menu_weights(n, i) for i in range(len(menu))] == menu
+        assert removal._weight_menu(n) == menu
+
+
+def test_randrange_reads_the_stream_as_choice_does():
+    # The draws pick a weight vector, a partition and a block union by
+    # index with randrange(k) where the former draws chose from a list of
+    # k entries; the golden digests rely on the two reading the stream
+    # alike (CPython's choice and randrange both take _randbelow(k)).
+    sizes = [1, 2, 3, 5, 15, 52, 4140, 2**31 - 1, 2**32 + 1, 2**62 + 3]
+    for seed in range(50):
+        by_index, by_choice = random.Random(seed), random.Random(seed)
+        for k in sizes:
+            assert by_index.randrange(k) == by_choice.choice(range(k))
+            assert by_index.getstate() == by_choice.getstate()
+        for k in sizes[:7]:
+            assert by_index.randrange(k) == by_choice.choice(list(range(k)))
+            assert by_index.getstate() == by_choice.getstate()
+
+
+def test_a_draw_of_many_blocks_picks_a_union_past_the_range_length_limit():
+    # choice(range(2**63)) raises OverflowError, since a range's length
+    # must fit a C ssize_t.  This diagonal draw on 300 points gives psi 67
+    # blocks, so it picks one of 2**67 unions.
+    with pytest.raises(OverflowError):
+        random.Random(0).choice(range(1 << 63))
+    config = SearchConfig(sizes=(300,), d=2, families=("diagonal",), exhaustive=False, seed=0)
+    inst = removal._random_instance(random.Random(0), config, removal._coordinate_upsets(2))
+    assert len(inst.psi[mask_of((0, 1))].blocks) == 67
+    assert search_counterexample(replace(config, samples=3)) is None
 
 
 def test_two_distinct_lifts_can_fail_independence():
@@ -859,6 +921,29 @@ def test_oversized_exhaustive_error_names_the_limit(kwargs, error):
     config = SearchConfig(**kwargs)
     with pytest.raises(ValueError, match=f"^{error}"):
         search_counterexample(config)
+
+
+@pytest.mark.parametrize(
+    "sizes, d, error",
+    [
+        ((316,), 2, None),
+        ((2, 317), 2, "sizes: .* at most 316 points at d = 2, got 317$"),
+        ((46,), 3, None),
+        ((47,), 3, "sizes: .* at most 46 points at d = 3, got 47$"),
+        ((4,), 8, None),
+        ((5,), 8, "sizes: .* at most 4 points at d = 8, got 5$"),
+        ((1,), 9, "d: .* at most d = 8, got 9$"),
+    ],
+)
+def test_random_mode_bounds_the_work_of_one_draw(sizes, d, error):
+    # At most 100,000 product-coupling tuples (max(sizes)**d) and 100,000
+    # index-set pairs in hypothesis [i] ((2**d - d - 1)**2) per draw.
+    config = SearchConfig(sizes=sizes, d=d, exhaustive=False)
+    if error is None:
+        removal._check_random_domain(config)
+    else:
+        with pytest.raises(ValueError, match=f"^{error}"):
+            search_counterexample(config)
 
 
 # -- lifting scenarios -----------------------------------------------------------------
