@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 from math import lcm
 from operator import or_
 from typing import Iterable, Sequence
@@ -36,9 +36,12 @@ from .systems import (
     FiniteZdSystem,
     Perm,
     SubgroupSpec,
+    _orbits,
+    compose,
     cycle_decomposition,
     identity_perm,
     invariant_factor,
+    perm_inverse,
 )
 from .upsets import StructureReport, bits_of, ground_masks, identified_on, mask_of, structure_report
 
@@ -407,9 +410,24 @@ def van_der_corput_inequality(
 def self_joining_psi(sys: FiniteZdSystem) -> dict[int, Partition]:
     """The self-joining's family of algebras: for each index set ``e`` of
     size >= 2 (a mask of :func:`~ergolab.upsets.ground_masks`), the
-    invariant factor of the difference subgroup of ``e``."""
-    d = sys.dim
-    return {m: invariant_factor(sys, difference_subgroup(d, bits_of(m))) for m in ground_masks(d)}
+    invariant factor of the difference subgroup of ``e``.
+
+    Each generator's inverse is built once, in one pass
+    (:func:`~ergolab.systems.perm_inverse`), and so is the permutation
+    ``T_i T_j^-1`` of each ``e_i - e_j`` with ``i < j``.  The difference
+    subgroup of ``e`` is generated by the ``e_i - e_j`` with ``i`` the least
+    index of ``e`` and ``j`` another, and its factor is the orbits of those
+    permutations on the support: the one union-find that
+    :func:`~ergolab.systems.invariant_factor` also calls.
+    """
+    gens, supp = sys.generators, sys.space.support()
+    inverses = [perm_inverse(g) for g in gens]
+    pair = {(i, j): compose(gens[i], inverses[j]) for i, j in combinations(range(sys.dim), 2)}
+    psi = {}
+    for m in ground_masks(sys.dim):
+        first, *rest = bits_of(m)
+        psi[m] = _orbits(len(sys), supp, [pair[first, j] for j in rest])
+    return psi
 
 
 def self_joining_structure_report(sys: FiniteZdSystem) -> StructureReport:

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product as iter_product
+from math import prod
 
-from .measure import ExactProbabilitySpace, Partition
-from .systems import FiniteZdSystem, GroupRotationSystem, SubgroupSpec
+from .measure import ExactProbabilitySpace
+from .systems import FiniteZdSystem, SubgroupSpec, _orbits, translation_perm
 
 _COMPONENT_ORDERS = (1, 2, 3, 4, 5, 6)
 
@@ -27,10 +29,18 @@ def random_system(
     dim: int = 2,
 ) -> FiniteZdSystem:
     """A random finite system: commuting translations on a disjoint union of
-    small abelian groups, with weights constant on translation orbits."""
-    components: list[GroupRotationSystem] = []
+    small abelian groups, with weights constant on translation orbits.
+
+    Each component is a product of one or two cyclic groups, its points
+    labelled ``(component, element)`` in product order.  A generator's
+    translation of a component is mixed-radix index arithmetic
+    (:func:`~ergolab.systems.translation_perm`), offset past the earlier
+    components' points; no element tuple is added or looked up.  The
+    orbits come from the one union-find of the invariant factors."""
+    labels: list = []
+    perms: list[list[int]] = [[] for _ in range(dim)]
     remaining = max_points
-    for _ in range(rng.randint(1, 3)):
+    for ci in range(rng.randint(1, 3)):
         if remaining < 1:
             break
         choices = [o for o in _COMPONENT_ORDERS if o <= remaining]
@@ -40,36 +50,21 @@ def random_system(
             sub = [o for o in _COMPONENT_ORDERS if o1 * o <= remaining]
             if sub:
                 orders.append(rng.choice(sub))
-        size = 1
-        for o in orders:
-            size *= o
-        remaining -= size
-        rot = GroupRotationSystem(
-            tuple(orders),
-            tuple(
-                tuple(rng.randrange(o) for o in orders) for _ in range(dim)
-            ),
-        )
-        components.append(rot)
-    if not components:
-        components.append(
-            GroupRotationSystem((1,), tuple((0,) for _ in range(dim)))
-        )
-
-    labels: list = []
-    perms: list[list[int]] = [[] for _ in range(dim)]
-    for ci, rot in enumerate(components):
-        elems = rot.elements()
-        index = {e: i for i, e in enumerate(elems)}
+        remaining -= prod(orders)
         offset = len(labels)
-        labels.extend((ci, e) for e in elems)
-        for i in range(dim):
-            for e in elems:
-                perms[i].append(offset + index[rot.add(e, rot.phi[i])])
+        labels.extend((ci, e) for e in iter_product(*map(range, orders)))
+        for perm in perms:
+            shift = [rng.randrange(o) for o in orders]
+            perm.extend(map(offset.__add__, translation_perm(orders, shift)))
+    if not labels:
+        # The trivial group, for a point budget below 1.
+        labels.append((0, (0,)))
+        for perm in perms:
+            perm.append(0)
     # Orbits of the translations are the cosets of the generated subgroups,
     # numbered in order of their first element.
     n = len(labels)
-    orbits = Partition.from_pairs(n, ((x, p[x]) for p in perms for x in range(n)))
+    orbits = _orbits(n, range(n), perms)
 
     while True:
         orbit_weight = [rng.randint(0, 4) for _ in orbits.blocks]

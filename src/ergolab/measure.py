@@ -189,20 +189,21 @@ class Partition:
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
         """Connected components of the graph on ``range(n)`` with the given
-        edges (union-find with path halving)."""
+        edges (union-find with path halving, the finds written inline)."""
         parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return cls.from_labels(tuple(find(x) for x in range(n)))
+            while a != parent[a]:
+                parent[a] = a = parent[parent[a]]
+            while b != parent[b]:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+        roots = []
+        for x in range(n):
+            while x != parent[x]:
+                parent[x] = x = parent[parent[x]]
+            roots.append(x)
+        return cls.from_labels(roots)
 
     def is_refinement_of(self, coarser: "Partition") -> bool:
         """True iff every block of ``self`` lies inside a single block of ``coarser``."""

@@ -68,8 +68,21 @@ def perm_order(p: Perm) -> int:
     return lcm(*map(len, cycle_decomposition(p)[0]))
 
 
+def perm_inverse(p: Perm) -> Perm:
+    """The inverse of ``p``, built in one pass over its points."""
+    inv = [0] * len(p)
+    for x, y in enumerate(p):
+        inv[y] = x
+    return tuple(inv)
+
+
 def perm_power(p: Perm, k: int) -> Perm:
-    """``p`` applied ``k`` times, for any integer ``k``, read off the cycles."""
+    """``p`` applied ``k`` times, for any integer ``k``: ``p`` itself for 1,
+    :func:`perm_inverse` for -1, and otherwise read off the cycles."""
+    if k == 1:
+        return tuple(p)
+    if k == -1:
+        return perm_inverse(p)
     cycle, pos = cycle_decomposition(p)
     return tuple(c[(i + k) % len(c)] for c, i in zip(cycle, pos))
 
@@ -111,13 +124,16 @@ class FiniteZdSystem:
         return len(self.space)
 
     def act(self, n_vec: Sequence[int]) -> Perm:
-        """The permutation of the group element with coordinates ``n_vec``."""
+        """The permutation of the group element with coordinates ``n_vec``:
+        the composition of the generators' powers (:func:`perm_power`).  A
+        power 1 is the generator itself and a power -1 its inverse, built in
+        one pass; only other powers are read off a cycle decomposition."""
         if len(n_vec) != self.dim:
             raise ValueError("vector length must equal the dimension")
         out = identity_perm(len(self.space))
         for g, k in zip(self.generators, n_vec):
             if k:
-                out = compose(g if k == 1 else perm_power(g, k), out)
+                out = compose(perm_power(g, k), out)
         return out
 
 
@@ -207,17 +223,19 @@ def orbit_partition(
     only and zero-weight points become singletons; without it the orbits run
     over all points (convenient for building quotient systems).
     """
-    n = len(sys)
-    if restrict_to_support:
-        eligible = set(sys.space.support())
-    else:
-        eligible = set(range(n))
     if any(len(v) != sys.dim for v in subgroup.vectors):
         raise ValueError("subgroup vectors must match the system dimension")
-    perms = [sys.act(v) for v in subgroup.vectors]
-    return Partition.from_pairs(
-        n, ((x, p[x]) for p in perms for x in eligible if p[x] in eligible)
-    )
+    points = sys.space.support() if restrict_to_support else range(len(sys))
+    return _orbits(len(sys), points, [sys.act(v) for v in subgroup.vectors])
+
+
+def _orbits(n: int, points: Sequence[int], perms: Sequence[Perm]) -> Partition:
+    """Orbits on ``points`` of the group the permutations ``perms`` of
+    ``range(n)`` generate; every other point is a singleton.  ``points``
+    must be mapped onto itself by each of ``perms``, as the support is by
+    every weight-preserving permutation.  This one union-find
+    (:meth:`Partition.from_pairs`) builds every partially invariant factor."""
+    return Partition.from_pairs(n, ((x, p[x]) for p in perms for x in points))
 
 
 def invariant_factor(sys: FiniteZdSystem, subgroup: SubgroupSpec) -> Partition:
@@ -324,13 +342,22 @@ class GroupRotationSystem:
 
     def to_system(self) -> FiniteZdSystem:
         """The induced finite system: uniform weights, translation generators."""
-        elems = self.elements()
-        index = {e: i for i, e in enumerate(elems)}
-        space = ExactProbabilitySpace.uniform(tuple(elems))
-        gens = tuple(
-            tuple(index[self.add(e, v)] for e in elems) for v in self.phi
-        )
+        space = ExactProbabilitySpace.uniform(tuple(self.elements()))
+        gens = tuple(translation_perm(self.orders, v) for v in self.phi)
         return FiniteZdSystem(space, gens)
+
+
+def translation_perm(orders: Sequence[int], shift: Sequence[int]) -> list[int]:
+    """The translation ``e -> e + shift`` of ``Z_o1 x ... x Z_ok`` as a
+    permutation of element indices, the elements numbered in product order
+    (:meth:`GroupRotationSystem.elements`).  That order is mixed radix, ``e``
+    having index ``(e_1 o_2 + e_2) o_3 + ...``, so the permutation is built
+    one cyclic part at a time, with no element tuple made."""
+    out = [0]
+    for o, s in zip(orders, shift):
+        digits = [(y + s) % o for y in range(o)]
+        out = [x * o + y for x in out for y in digits]
+    return out
 
 
 def in_partially_trivial_join(rot: GroupRotationSystem) -> bool:

@@ -12,6 +12,7 @@ from ergolab.averages import (
     FurstenbergJoining,
     RecurrenceCertificate,
     _period_scan,
+    difference_subgroup,
     furstenberg_self_joining,
 )
 from ergolab.generators import random_system
@@ -439,15 +440,23 @@ def bell_triangle(count):
     return bells
 
 
+def old_self_joining_psi(sys):
+    """The former ``averages.self_joining_psi``, the reference for the one
+    built from inverses: the invariant factor of each index set's
+    difference subgroup, each acting vector's permutation built by
+    ``FiniteZdSystem.act``."""
+    d = sys.dim
+    return {m: invariant_factor(sys, difference_subgroup(d, bits_of(m))) for m in ground_masks(d)}
+
+
 def old_random_instance(rng, config, coord_upsets):
     """The former ``removal._random_instance``, which rebuilt the weight
     menu, the partition list and the list of block unions on every draw,
     and chose from each list."""
     from ergolab import removal
-    from ergolab.averages import difference_subgroup, furstenberg_self_joining
+    from ergolab.averages import furstenberg_self_joining
     from ergolab.generators import random_system
     from ergolab.measure import relatively_independent_product
-    from ergolab.systems import invariant_factor
 
     d = config.d
     n = rng.choice(list(config.sizes))
@@ -457,10 +466,7 @@ def old_random_instance(rng, config, coord_upsets):
         sys = random_system(rng, max_points=n, dim=d)
         space = sys.space
         coupling = furstenberg_self_joining(sys).coupling
-        psi = {
-            m: invariant_factor(sys, difference_subgroup(sys.dim, bits_of(m)))
-            for m in masks
-        }
+        psi = old_self_joining_psi(sys)
     else:
         space = ExactProbabilitySpace(tuple(range(n)), rng.choice(listed_weight_menu(n)))
         if family == "diagonal":
@@ -781,8 +787,9 @@ def fraction_identification(inst):
 # -- the removal sweep as it ran before direct monotone enumeration -------------------
 #
 # Verbatim copies of the former ``removal._psi_maps`` (with its cap and
-# graded-chain fallback), ``_monotone``, ``_conclusion_holds`` and
-# ``_scan_families``, the references for the current sweep.  The scan takes
+# graded-chain fallback), ``_monotone`` (the verdict of
+# ``pair_walk_monotone``), ``_conclusion_holds`` and ``_scan_families``, the
+# references for the current sweep.  The scan takes
 # the conclusion predicate as ``holds(targets)`` so that tests can force a
 # failure on chosen targets.
 
@@ -794,7 +801,7 @@ def old_psi_maps(parts, masks, cap=1000):
     if total <= cap:
         for choice in iter_product(parts, repeat=len(masks)):
             psi = dict(zip(masks, choice))
-            if old_monotone(psi, masks):
+            if pair_walk_monotone(psi, masks)[0]:
                 maps.append(psi)
         return maps
     for p in parts:
@@ -815,13 +822,23 @@ def old_psi_maps(parts, masks, cap=1000):
     return maps
 
 
-def old_monotone(psi, masks):
+def pair_walk_monotone(psi, masks):
+    """Removal hypothesis [i] as ``removal.check_hypotheses`` decided it
+    before it walked supersets only: every ordered pair of index sets, in
+    mask order, comparing the subset pairs.  Returns ``(monotone,
+    witness)``, the witness ``None`` when it holds."""
+    monotone = True
+    witness = None
     for small in masks:
         for big in masks:
             if small != big and small & big == small:
                 if not psi[small].is_refinement_of(psi[big]):
-                    return False
-    return True
+                    monotone = False
+                    witness = (bits_of(small), bits_of(big))
+                    break
+        if not monotone:
+            break
+    return monotone, witness
 
 
 def old_conclusion_holds(space, coupling, targets):

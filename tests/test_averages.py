@@ -16,9 +16,11 @@ from helpers import (
     long_period_system,
     multiple_recurrence_check,
     old_furstenberg_self_joining,
+    old_perm_power,
     old_period_scan,
     old_recurrence_certificates_exhaustive,
     old_recurrence_witness,
+    old_self_joining_psi,
     pushforward_invariant,
     three_direction_torus,
 )
@@ -38,12 +40,14 @@ from ergolab.averages import (
     project_joining,
     recurrence_certificate,
     recurrence_certificates_exhaustive,
+    self_joining_psi,
     self_joining_structure_report,
     van_der_corput_inequality,
 )
 from ergolab.generators import random_system, random_vector_sequence
-from ergolab.measure import Coupling, SimpleFunction
-from ergolab.systems import FiniteZdSystem, SubgroupSpec, invariant_factor
+from ergolab.measure import Coupling, Partition, SimpleFunction
+from ergolab.systems import FiniteZdSystem, SubgroupSpec, compose, invariant_factor
+from ergolab.upsets import bits_of, ground_masks
 
 F = Fraction
 
@@ -543,16 +547,68 @@ def test_structure_report_d2_oblique_poset_is_small():
 def test_structure_report_computes_each_invariant_factor_once(monkeypatch, make, masks):
     # One invariant factor per index set of size >= 2, shared by the pair
     # factors and the oblique members: 3 + 1 sets at d = 3, 6 + 4 + 1 at d = 4.
+    # Each is one call of the orbit union-find, with the permutations of its
+    # difference subgroup's generators, in mask order.
     seen = []
-    real = averages.invariant_factor
+    real = averages._orbits
 
-    def counting(sys_, subgroup):
-        seen.append(subgroup)
-        return real(sys_, subgroup)
+    def counting(n, points, perms):
+        seen.append(list(perms))
+        return real(n, points, perms)
 
-    monkeypatch.setattr(averages, "invariant_factor", counting)
-    self_joining_structure_report(make())
-    assert len(seen) == len(set(seen)) == masks
+    monkeypatch.setattr(averages, "_orbits", counting)
+    sys_ = make()
+    self_joining_structure_report(sys_)
+    expected = [
+        [sys_.act(v) for v in difference_subgroup(sys_.dim, bits_of(m)).vectors]
+        for m in ground_masks(sys_.dim)
+    ]
+    assert len(expected) == masks
+    assert seen == expected
+
+
+def _closure_factor(sys_, perms):
+    """Orbits of ``perms`` on the support grown point by point, every
+    zero-weight point a singleton: an invariant factor without union-find."""
+    labels = list(range(len(sys_)))
+    done = set()
+    for x in sys_.space.support():
+        if x in done:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            y = frontier.pop()
+            for p in perms:
+                if p[y] not in orbit:
+                    orbit.add(p[y])
+                    frontier.append(p[y])
+        done |= orbit
+        for y in orbit:
+            labels[y] = x
+    return Partition.from_labels(labels)
+
+
+@pytest.mark.parametrize("max_points", [4, 12])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_self_joining_psi_matches_one_invariant_factor_per_mask(d, max_points):
+    # 100 seeded systems per case, 600 in all.  Each factor is also grown
+    # by hand from the generators' powers by repeated composition, e_i - e_j
+    # acting as T_i after T_j^-1, so neither side's union-find is trusted.
+    rng = random.Random(1000 * d + max_points)
+    zero_weight = 0
+    for _ in range(100):
+        sys_ = random_system(rng, max_points=max_points, dim=d)
+        zero_weight += len(sys_) > len(sys_.space.support())
+        psi = self_joining_psi(sys_)
+        assert psi == old_self_joining_psi(sys_)
+        assert list(psi) == list(ground_masks(d))
+        for m, part in psi.items():
+            first, *rest = bits_of(m)
+            g = sys_.generators
+            perms = [compose(g[first], old_perm_power(g[j], -1)) for j in rest]
+            assert part == _closure_factor(sys_, perms)
+    # The draws include zero-weight orbits, which must stay singletons.
+    assert zero_weight >= 10
 
 
 def test_structure_report_needs_two_directions():

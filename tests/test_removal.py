@@ -21,6 +21,8 @@ from helpers import (
     old_psi_maps,
     old_random_instance,
     old_scan_families,
+    old_self_joining_psi,
+    pair_walk_monotone,
     product_scan_families,
     recursive_partitions,
 )
@@ -137,6 +139,50 @@ def test_monotonicity_violation_detected():
     assert "monotone" in rep.witnesses
 
 
+def _seeded_psi(rng, n, d):
+    """A psi map on ``n`` points: one random partition on every index set;
+    or, on each index set, the partition of a chain of coarsenings at the
+    largest rank of its coordinates, which is monotone; or such a map with
+    one or two index sets given a random partition."""
+    masks = ground_masks(d)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return dict.fromkeys(masks, Partition.from_labels([rng.randrange(n) for _ in range(n)]))
+    labels = list(range(n))
+    chain = [Partition.from_labels(labels)]
+    for _ in range(3):
+        a, b = rng.randrange(n), rng.randrange(n)
+        labels = [labels[a] if x == labels[b] else x for x in labels]
+        chain.append(Partition.from_labels(labels))
+    rank = [rng.randrange(len(chain)) for _ in range(d)]
+    psi = {m: chain[max(rank[i] for i in bits_of(m))] for m in masks}
+    if kind == 2:
+        for _ in range(rng.randint(1, 2)):
+            psi[rng.choice(masks)] = Partition.from_labels([rng.randrange(n) for _ in range(n)])
+    return psi
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_monotone_verdict_and_witness_match_the_pair_walk(d):
+    # Hypothesis [i] walks each index set's supersets only, and skips a
+    # one-partition map; the verdict and the witness must be those of the
+    # walk over every ordered pair of index sets.  At d = 2 there is one
+    # index set, so [i] always holds.
+    rng = random.Random(300 + d)
+    space = ExactProbabilitySpace.uniform(tuple(range(4)))
+    coupling = Coupling.diagonal(space, d)
+    families = tuple(((UpSet.principal(d, range(d)), frozenset()),) for _ in range(d))
+    verdicts = {True: 0, False: 0}
+    for _ in range(60):
+        psi = _seeded_psi(rng, 4, d)
+        rep = check_hypotheses(RemovalInstance(space, coupling, psi, families))
+        expected = pair_walk_monotone(psi, ground_masks(d))
+        assert (rep.monotone, rep.witnesses.get("monotone")) == expected
+        verdicts[rep.monotone] += 1
+    assert verdicts[True] >= 10
+    assert verdicts[False] >= 10 if d > 2 else verdicts[False] == 0
+
+
 def test_identification_violation_detected():
     sp = ExactProbabilitySpace.uniform((0, 1))
     lam = Coupling.product(sp, 3)  # independent coordinates
@@ -237,8 +283,7 @@ def _family_draw(rng, family, n, d):
     masks = ground_masks(d)
     if family == "selfjoin":
         sys_ = random_system(rng, max_points=n, dim=d)
-        psi = {m: invariant_factor(sys_, difference_subgroup(d, bits_of(m))) for m in masks}
-        return furstenberg_self_joining(sys_).coupling, psi
+        return furstenberg_self_joining(sys_).coupling, old_self_joining_psi(sys_)
     space = ExactProbabilitySpace(tuple(range(n)), rng.choice(removal._weight_menu(n)))
     part = rng.choice(removal._all_partitions(n))
     if family == "diagonal":

@@ -181,6 +181,50 @@ def test_perm_power_and_order_match_the_composing_loop():
             assert perm_power(p, k) == old_perm_power(p, k)
 
 
+def _composed(p, k):
+    """``p`` composed with itself ``k`` times, read for ``k < 0`` as the
+    ``-k``-fold composition of the inverse, found by searching ``p``."""
+    n = len(p)
+    step = p if k >= 0 else tuple(p.index(x) for x in range(n))
+    out = tuple(range(n))
+    for _ in range(abs(k)):
+        out = compose(step, out)
+    return out
+
+
+def test_perm_power_and_act_equal_repeated_composition():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        p = list(range(n))
+        rng.shuffle(p)
+        p = tuple(p)
+        for k in range(-3, 4):
+            assert perm_power(p, k) == _composed(p, k)
+        assert systems.perm_inverse(p) == _composed(p, -1)
+    for _ in range(200):
+        sys_ = random_system(rng, max_points=rng.choice([4, 12]), dim=rng.randint(1, 4))
+        vec = tuple(rng.randint(-3, 3) for _ in range(sys_.dim))
+        expected = tuple(range(len(sys_)))
+        for g, k in zip(sys_.generators, vec):
+            expected = compose(_composed(g, k), expected)
+        assert sys_.act(vec) == expected
+
+
+def test_translations_by_index_arithmetic_match_the_element_sums():
+    # The former construction: add the shift to each element tuple and look
+    # the sum up in the element list.
+    rng = random.Random(19)
+    for _ in range(300):
+        orders = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
+        shift = tuple(rng.randrange(o) for o in orders)
+        rot = GroupRotationSystem(orders, (shift,))
+        elems = rot.elements()
+        index = {e: i for i, e in enumerate(elems)}
+        expected = [index[rot.add(e, shift)] for e in elems]
+        assert systems.translation_perm(orders, shift) == expected
+
+
 def test_act_reads_long_periods_off_the_cycles():
     # One generator on 100 points with cycles 2, 3, 5, ..., 23: its order is
     # 223,092,870, which a power loop would step through.
