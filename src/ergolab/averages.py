@@ -239,14 +239,22 @@ def project_joining(fj: FurstenbergJoining, directions: Iterable[int]) -> Coupli
 def difference_subgroup(dim: int, indices: Sequence[int]) -> SubgroupSpec:
     """The subgroup generated by ``e_{i_1} - e_{i_j}`` for the given indices,
     read as a set: a repeated index adds no generator."""
-    idx = sorted(set(indices))
     vectors = []
-    for j in idx[1:]:
+    for i, j in _difference_pairs(indices):
         v = [0] * dim
-        v[idx[0]] = 1
+        v[i] = 1
         v[j] = -1
         vectors.append(tuple(v))
     return SubgroupSpec(tuple(vectors))
+
+
+def _difference_pairs(indices: Iterable[int]) -> list[tuple[int, int]]:
+    """The pairs ``(i, j)`` whose ``e_i - e_j`` generate the difference
+    subgroup of ``indices``: ``i`` the least index and ``j`` each other one.
+    :func:`difference_subgroup` and :func:`self_joining_psi` both take their
+    generators from here."""
+    idx = sorted(set(indices))
+    return [(idx[0], j) for j in idx[1:]]
 
 
 def oblique_copy(fj: FurstenbergJoining, subset: Iterable[int]) -> Partition:
@@ -415,19 +423,18 @@ def self_joining_psi(sys: FiniteZdSystem) -> dict[int, Partition]:
     Each generator's inverse is built once, in one pass
     (:func:`~ergolab.systems.perm_inverse`), and so is the permutation
     ``T_i T_j^-1`` of each ``e_i - e_j`` with ``i < j``.  The difference
-    subgroup of ``e`` is generated by the ``e_i - e_j`` with ``i`` the least
-    index of ``e`` and ``j`` another, and its factor is the orbits of those
-    permutations on the support: the one union-find that
-    :func:`~ergolab.systems.invariant_factor` also calls.
+    subgroup of ``e`` is generated by the ``e_i - e_j`` of
+    :func:`_difference_pairs` (the generators of :func:`difference_subgroup`),
+    and its factor is the orbits of those permutations on the support: the
+    one union-find that :func:`~ergolab.systems.invariant_factor` also calls.
     """
     gens, supp = sys.generators, sys.space.support()
     inverses = [perm_inverse(g) for g in gens]
     pair = {(i, j): compose(gens[i], inverses[j]) for i, j in combinations(range(sys.dim), 2)}
-    psi = {}
-    for m in ground_masks(sys.dim):
-        first, *rest = bits_of(m)
-        psi[m] = _orbits(len(sys), supp, [pair[first, j] for j in rest])
-    return psi
+    return {
+        m: _orbits(len(sys), supp, [pair[ij] for ij in _difference_pairs(bits_of(m))])
+        for m in ground_masks(sys.dim)
+    }
 
 
 def self_joining_structure_report(sys: FiniteZdSystem) -> StructureReport:

@@ -190,6 +190,9 @@ class Partition:
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
         """Connected components of the graph on ``range(n)`` with the given
         edges (union-find with path halving, the finds written inline)."""
+        # ``parent[a] = a = parent[parent[a]]`` relies on Python assigning
+        # chained targets left to right: ``parent[a]`` is set while ``a`` is
+        # still the old point, and only then does ``a`` move up.
         parent = list(range(n))
         for a, b in pairs:
             while a != parent[a]:

@@ -77,12 +77,7 @@ def perm_inverse(p: Perm) -> Perm:
 
 
 def perm_power(p: Perm, k: int) -> Perm:
-    """``p`` applied ``k`` times, for any integer ``k``: ``p`` itself for 1,
-    :func:`perm_inverse` for -1, and otherwise read off the cycles."""
-    if k == 1:
-        return tuple(p)
-    if k == -1:
-        return perm_inverse(p)
+    """``p`` applied ``k`` times, for any integer ``k``, read off the cycles."""
     cycle, pos = cycle_decomposition(p)
     return tuple(c[(i + k) % len(c)] for c, i in zip(cycle, pos))
 
@@ -125,15 +120,15 @@ class FiniteZdSystem:
 
     def act(self, n_vec: Sequence[int]) -> Perm:
         """The permutation of the group element with coordinates ``n_vec``:
-        the composition of the generators' powers (:func:`perm_power`).  A
-        power 1 is the generator itself and a power -1 its inverse, built in
-        one pass; only other powers are read off a cycle decomposition."""
+        the composition of the generators' powers, a power 1 being the
+        generator itself and any other nonzero power read off its cycle
+        decomposition (:func:`perm_power`)."""
         if len(n_vec) != self.dim:
             raise ValueError("vector length must equal the dimension")
         out = identity_perm(len(self.space))
         for g, k in zip(self.generators, n_vec):
             if k:
-                out = compose(perm_power(g, k), out)
+                out = compose(g if k == 1 else perm_power(g, k), out)
         return out
 
 
