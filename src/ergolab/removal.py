@@ -37,7 +37,7 @@ from .measure import (
     conditional_expectation,
     relatively_independent_product,
 )
-from .systems import FiniteZdSystem
+from .systems import FiniteZdSystem, translation_perm
 from .upsets import (
     KernelMemo,
     UpSet,
@@ -281,13 +281,20 @@ def check_conclusion(inst: RemovalInstance, *, verified: bool = False) -> bool:
     """
     if not verified and not check_hypotheses(inst).all_hold:
         raise ValueError("hypotheses not satisfied; conclusion undefined")
-    points = frozenset(range(len(inst.space)))
+    return _families_conclusion(inst.space, inst.coupling, inst.families)
+
+
+def _families_conclusion(
+    space: ExactProbabilitySpace, coupling: Coupling, families: Sequence[Sequence[tuple]]
+) -> bool:
+    """The removal implication on each coordinate's intersection of targets."""
+    points = frozenset(range(len(space)))
     return _conclusion_holds(
         [
-            _target_masks(inst.coupling, i, points.intersection(*(a for _, a in fam)))
-            for i, fam in enumerate(inst.families)
+            _target_masks(coupling, i, points.intersection(*(a for _, a in fam)))
+            for i, fam in enumerate(families)
         ],
-        _positive_mask(inst.space),
+        _positive_mask(space),
     )
 
 
@@ -398,20 +405,16 @@ def _all_partitions(n: int) -> list[Partition]:
 
 
 def _translation_systems(space: ExactProbabilitySpace, d: int) -> list[FiniteZdSystem]:
-    """All d-tuples of translations of a cyclic group on the given points,
-    kept when they preserve the weights."""
+    """Every d-tuple of weight-preserving translations of ``Z_n`` on the
+    points, in lexicographic order; a tuple preserves the weights when each
+    of its shifts does, so each shift is tested once, on the numerators."""
     n = len(space)
-    rot_tuples = iter_product(range(n), repeat=d)
-    out = []
-    for phis in rot_tuples:
-        gens = tuple(
-            tuple((x + phi) % n for x in range(n)) for phi in phis
-        )
-        try:
-            out.append(FiniteZdSystem(space, gens))
-        except ValueError:
-            continue
-    return out
+    _, nums = space.integerized()
+    shifts = [
+        g for g in (translation_perm((n,), (s,)) for s in range(n))
+        if all(nums[y] == w for y, w in zip(g, nums))
+    ]
+    return [FiniteZdSystem(space, gens) for gens in iter_product(shifts, repeat=d)]
 
 
 def _coupling_menu(
@@ -547,21 +550,23 @@ class SearchConfig:
 
 
 def search_counterexample(config: SearchConfig) -> RemovalInstance | None:
-    """Enumerate or sample hypothesis-satisfying instances and return the
-    first one violating the conclusion, or ``None``.
+    """Enumerate or sample shells (a space, a coupling and a psi map) with
+    their targets, and return the first instance violating the conclusion,
+    or ``None``.
 
     Exhaustive mode sweeps, in lexicographic order and each distinct size
     once: a fixed weight menu per size, the requested coupling families,
     every monotone psi assignment (:func:`_psi_maps`), and one target set
     per coordinate ranging over every up-set and every block union.  It
     accepts up to 4 points for d <= 3 and up to 3 points for d = 4
-    (``_EXHAUSTIVE_MAX_SIZE``).  Random mode draws ``samples`` valid
-    instances from the same ingredients, each weight vector and partition
-    by its rank, so no draw builds the menu or the Bell-number-long list of
-    partitions.  It accepts the configurations whose draws build at most
+    (``_EXHAUSTIVE_MAX_SIZE``).  Random mode draws shells and targets from
+    the same ingredients (:func:`_random_shell`) until ``samples`` shells
+    pass [iii].  It accepts the configurations whose draws build at most
     ``_RANDOM_MAX_WORK`` coupling tuples and have at most that many
     ordered pairs of index sets: up to d = 8, and up to 316 points at
-    d = 2 and 46 at d = 3.
+    d = 2 and 46 at d = 3.  Both modes hold [i] and [ii] by construction,
+    decide [iii] once per shell (:func:`_first_dependent_pair`), read the
+    conclusion off integer masks and build only the instance returned.
     """
     if config.exhaustive:
         _check_exhaustive_domain(config)
@@ -590,18 +595,15 @@ def search_counterexample(config: SearchConfig) -> RemovalInstance | None:
         return None
 
     rng = random.Random(config.seed)
-    tested = 0
-    attempts = 0
+    tested = attempts = 0
     while tested < config.samples and attempts < 80 * config.samples:
         attempts += 1
-        inst = _random_instance(rng, config, coord_upsets)
-        if inst is None:
-            continue
-        if not check_hypotheses(inst).all_hold:
+        space, coupling, psi, families = _random_shell(rng, config, coord_upsets)
+        if _first_dependent_pair(coupling, psi) is not None:
             continue
         tested += 1
-        if not check_conclusion(inst, verified=True):
-            return inst
+        if not _families_conclusion(space, coupling, families):
+            return RemovalInstance(space, coupling, psi, families)
     if tested < config.samples:
         raise RuntimeError("sampling failed to reach the requested valid-instance count")
     return None
@@ -664,19 +666,14 @@ def _scan_families(
     """
     if _first_dependent_pair(coupling, psi, memo) is not None:
         return None
-    # Each kept choice is validated once here, so the combinations only
-    # evaluate the conclusion; the instance returned is built, and
-    # validated again as a whole, by the constructor.
-    d, n = coupling.arity, len(space)
+    # Each choice is a union of blocks of its up-set's join: a valid target.
     by_points: list[dict[int, tuple[UpSet, frozenset]]] = []
     mask_lists = []
     for i, opts in enumerate(coord_upsets):
         first: dict[frozenset, UpSet] = {}
         for ups in opts:
-            for a in _block_unions(_block_join(psi, ups, n)):
-                if a not in first:
-                    _check_target(d, i, ups, a, psi, n)
-                    first[a] = ups
+            for a in _block_unions(_block_join(psi, ups, len(space))):
+                first.setdefault(a, ups)
         masks = [_target_masks(coupling, i, a) for a in first]
         by_points.append({points: (ups, a) for (_, points), (a, ups) in zip(masks, first.items())})
         mask_lists.append(masks)
@@ -726,16 +723,21 @@ def _first_failing(
     return tuple(chosen) if walk(0) else None
 
 
-def _random_instance(
+def _random_shell(
     rng: random.Random, config: SearchConfig, coord_upsets: list[list[UpSet]]
-) -> RemovalInstance | None:
-    """One draw.  A weight vector and a partition are drawn by their rank
-    in :func:`_weight_menu` and :func:`_all_partitions`: ``randrange(k)``
-    reads the stream as ``choice`` over a list of ``k`` entries does, so
-    neither list is built."""
+) -> tuple[ExactProbabilitySpace, Coupling, dict, tuple]:
+    """One draw of a shell and one or two targets per coordinate, each a
+    union of blocks of its up-set's join.  Weights and partitions are drawn
+    by rank: ``randrange(k)`` reads the stream as ``choice`` over a list of
+    ``k`` entries does, so no such list is built.
+
+    Every draw passes [i] and [ii].  A selfjoin psi gives ``m`` the factor
+    of its difference subgroup, coarser as ``m`` grows, and on the
+    self-joining ``T_j^k x = (T_j T_i^-1)^k T_i^k x``.  The other families
+    give every index set one partition, whose blocks the coupling keeps
+    together on every coordinate."""
     d = config.d
     n = rng.choice(list(config.sizes))
-    masks = ground_masks(d)
     family = rng.choice(list(config.families))
     if family == "selfjoin":
         sys = random_system(rng, max_points=n, dim=d)
@@ -754,7 +756,7 @@ def _random_instance(
                 coupling = Coupling.diagonal(space, d)
             else:
                 coupling = relatively_independent_product([space] * d, [part.labels] * d)
-        psi = dict.fromkeys(masks, part)
+        psi = dict.fromkeys(ground_masks(d), part)
     shell_families = []
     for i in range(d):
         fam = []
@@ -765,10 +767,7 @@ def _random_instance(
             blocks = _block_join(psi, ups, len(space)).blocks
             fam.append((ups, _block_union(blocks, rng.randrange(1 << len(blocks)))))
         shell_families.append(tuple(fam))
-    try:
-        return RemovalInstance(space, coupling, psi, tuple(shell_families))
-    except ValueError:
-        return None
+    return space, coupling, psi, tuple(shell_families)
 
 
 # ---------------------------------------------------------------------------

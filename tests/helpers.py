@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations, compress, product as iter_product, starmap
 from math import gcd, lcm, prod
 from random import Random
+from types import SimpleNamespace
 
 from ergolab import cli, serialize
 from ergolab.averages import (
@@ -492,6 +493,58 @@ def old_random_instance(rng, config, coord_upsets):
         return removal.RemovalInstance(space, coupling, psi, tuple(shell_families))
     except ValueError:
         return None
+
+
+def old_random_search(config):
+    """The former random mode of ``removal.search_counterexample``, which
+    built and validated every draw (:func:`old_random_instance`) and ran
+    ``check_hypotheses`` and ``check_conclusion`` on it.  The removal
+    names are looked up at call time, so a test that replaces
+    ``removal._conclusion_holds`` reaches this loop too."""
+    from ergolab import removal
+
+    removal._check_random_domain(config)
+    coord_upsets = removal._coordinate_upsets(config.d)
+    rng = Random(config.seed)
+    tested = 0
+    attempts = 0
+    while tested < config.samples and attempts < 80 * config.samples:
+        attempts += 1
+        inst = old_random_instance(rng, config, coord_upsets)
+        if inst is None:
+            continue
+        if not removal.check_hypotheses(inst).all_hold:
+            continue
+        tested += 1
+        if not removal.check_conclusion(inst, verified=True):
+            return inst
+    if tested < config.samples:
+        raise RuntimeError("sampling failed to reach the requested valid-instance count")
+    return None
+
+
+def old_translation_systems(space, d):
+    """The former ``removal._translation_systems``: every d-tuple of
+    translations of ``Z_n`` on the points, each built as a system and kept
+    when the constructor accepts it, that is, when it preserves the
+    weights."""
+    n = len(space)
+    out = []
+    for phis in iter_product(range(n), repeat=d):
+        gens = tuple(tuple((x + phi) % n for x in range(n)) for phi in phis)
+        try:
+            out.append(FiniteZdSystem(space, gens))
+        except ValueError:
+            continue
+    return out
+
+
+def shell_json(space, coupling, psi, families):
+    """A removal draw's shell and targets as the canonical instance JSON,
+    read without building (and so validating) a ``RemovalInstance``."""
+    return serialize.removal_instance_to_json(
+        SimpleNamespace(space=space, coupling=coupling, psi=psi, families=families)
+    )
 
 
 # -- the product couplings as they were before integer numerators -------------------

@@ -1,6 +1,7 @@
 """Up-set combinatorics and removal-instance checking."""
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -20,11 +21,14 @@ from helpers import (
     old_exhaustive_search,
     old_psi_maps,
     old_random_instance,
+    old_random_search,
     old_scan_families,
     old_self_joining_psi,
+    old_translation_systems,
     pair_walk_monotone,
     product_scan_families,
     recursive_partitions,
+    shell_json,
 )
 
 from ergolab import removal
@@ -48,6 +52,7 @@ from ergolab.removal import (
     level_set_replacement,
     search_counterexample,
 )
+from ergolab.serialize import canonical_dumps
 from ergolab.systems import invariant_factor
 from ergolab.upsets import KernelMemo, bits_of, ground_masks, identified_on, mask_of
 
@@ -350,9 +355,64 @@ def test_draws_match_the_former_draws(d):
         config = SearchConfig(sizes=(1, 2, 3, 4, 5, 6), d=d, exhaustive=False, seed=seed)
         new_rng, old_rng = random.Random(seed), random.Random(seed)
         for _ in range(5):
-            inst = removal._random_instance(new_rng, config, coord_upsets)
-            assert inst == old_random_instance(old_rng, config, coord_upsets)
+            shell = removal._random_shell(new_rng, config, coord_upsets)
+            assert RemovalInstance(*shell) == old_random_instance(old_rng, config, coord_upsets)
             assert new_rng.getstate() == old_rng.getstate()
+
+
+# sha256 over seeds 0..199 of the canonical JSON of one draw at sizes 1-6
+# with every family (:func:`helpers.shell_json`), each followed by ``repr``
+# of the generator's next draw, which pins how much of the stream the draw
+# read.  Recorded when a draw still built a whole instance; the shell draw
+# must give the same bytes.
+DRAW_DIGESTS = {
+    2: "2a3a4b48baaede3202bc9c51fea2cb4eb0443ec7ae27662552ba3cec429b291c",
+    3: "a6f4899a9a48894ff0b299c7a048c615adad191c35de5caf7437e52f36e4e1c8",
+    4: "27db48c3aac848826b9f6a835a06abb9c7811b52c987b685a60ae5512dd47a65",
+    5: "caa5b98c87f9431289ed68887561dff8b95c0763b1299b8ef70d98586ec6e08a",
+}
+
+
+@pytest.mark.parametrize("d", sorted(DRAW_DIGESTS))
+def test_random_draws_are_locked(d):
+    coord_upsets = removal._coordinate_upsets(d)
+    h = hashlib.sha256()
+    for seed in range(200):
+        config = SearchConfig(sizes=(1, 2, 3, 4, 5, 6), d=d, exhaustive=False, seed=seed)
+        rng = random.Random(seed)
+        shell = removal._random_shell(rng, config, coord_upsets)
+        h.update(canonical_dumps(shell_json(*shell)).encode() + b"\n")
+        h.update(repr(rng.random()).encode() + b"\n")
+    assert h.hexdigest() == DRAW_DIGESTS[d]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("family", removal.FAMILIES)
+def test_every_draw_is_a_valid_instance_passing_i_and_ii(d, family):
+    # The random search checks only [iii] per draw and builds an instance
+    # only for a counterexample, so every draw must be valid and pass [i]
+    # and [ii] as they are checked for an instance given whole, and the
+    # search's [iii] verdict must be check_hypotheses' verdict.
+    coord_upsets = removal._coordinate_upsets(d)
+    pair_loops, verdicts = 0, set()
+    # Seed 887 draws a 4-point selfjoin shell at d = 4 that fails [iii].
+    for seed in [*range(200), 887]:
+        config = SearchConfig(
+            sizes=(1, 2, 3, 4, 5, 6), d=d, families=(family,), exhaustive=False, seed=seed
+        )
+        space, coupling, psi, families = removal._random_shell(
+            random.Random(seed), config, coord_upsets
+        )
+        rep = check_hypotheses(RemovalInstance(space, coupling, psi, families))
+        assert rep.monotone and rep.identified
+        independent = removal._first_dependent_pair(coupling, psi) is None
+        assert independent == rep.independent
+        verdicts.add(independent)
+        pair_loops += not removal._one_partition(psi)
+    # Only a selfjoin draw gives index sets distinct partitions, so only
+    # there, with more than one index set, does [iii] reach the pair loop.
+    assert (pair_loops > 0) == (family == "selfjoin" and d > 2)
+    assert (False in verdicts) == (family == "selfjoin" and d == 4)
 
 
 def test_partitions_by_rank_are_the_recursive_enumeration():
@@ -395,8 +455,8 @@ def test_a_draw_of_many_blocks_picks_a_union_past_the_range_length_limit():
     with pytest.raises(OverflowError):
         random.Random(0).choice(range(1 << 63))
     config = SearchConfig(sizes=(300,), d=2, families=("diagonal",), exhaustive=False, seed=0)
-    inst = removal._random_instance(random.Random(0), config, removal._coordinate_upsets(2))
-    assert len(inst.psi[mask_of((0, 1))].blocks) == 67
+    _, _, psi, _ = removal._random_shell(random.Random(0), config, removal._coordinate_upsets(2))
+    assert len(psi[mask_of((0, 1))].blocks) == 67
     assert search_counterexample(replace(config, samples=3)) is None
 
 
@@ -829,6 +889,82 @@ def test_random_search_clean_and_deterministic():
     cfg = SearchConfig(sizes=(2, 3), d=3, seed=42, exhaustive=False, samples=60)
     assert search_counterexample(cfg) is None
     assert search_counterexample(cfg) is None  # same seed, same outcome
+
+
+def fail_at_tested(monkeypatch, fail_at):
+    """Make the conclusion fail on its ``fail_at``-th evaluation only."""
+    calls = []
+    holds = removal._conclusion_holds
+
+    def forced_holds(chosen, positive):
+        calls.append(None)
+        return len(calls) != fail_at and holds(chosen, positive)
+
+    monkeypatch.setattr(removal, "_conclusion_holds", forced_holds)
+    return calls
+
+
+@pytest.mark.parametrize("d, fail_at", [(2, 1), (3, 2), (3, 17), (4, 40), (3, 61)])
+def test_random_search_returns_the_former_loops_instance(monkeypatch, d, fail_at):
+    # Both loops evaluate the conclusion once per draw that passes the
+    # hypotheses, so forcing it to fail at the fail_at-th evaluation stops
+    # both at the same tested draw; past the samples, both come out clean.
+    config = SearchConfig(sizes=(1, 2, 3, 4), d=d, exhaustive=False, seed=d, samples=60)
+    calls = fail_at_tested(monkeypatch, fail_at)
+    hit = search_counterexample(config)
+    assert len(calls) == min(fail_at, config.samples)
+    calls.clear()
+    expected = old_random_search(config)
+    assert len(calls) == min(fail_at, config.samples)
+    assert hit == expected
+    assert (hit is None) == (fail_at > config.samples)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig(sizes=(2, 3), d=3, exhaustive=False, seed=5, samples=40),
+        SearchConfig(sizes=(2,), d=3),
+    ],
+)
+def test_a_search_builds_at_most_one_instance(monkeypatch, config):
+    built = []
+    validate = RemovalInstance.__post_init__
+
+    def counting(self):
+        built.append(None)
+        validate(self)
+
+    monkeypatch.setattr(RemovalInstance, "__post_init__", counting)
+    assert search_counterexample(config) is None
+    assert built == []
+    monkeypatch.setattr(removal, "_conclusion_holds", lambda *args: False)
+    assert isinstance(search_counterexample(config), RemovalInstance)
+    assert len(built) == 1
+
+
+def test_coupling_menu_matches_the_former_translation_systems(monkeypatch):
+    # Every weight vector with numerators 0, 1 or 2 on up to 4 points (90
+    # distinct ones): the menu's, and ones that only some shifts preserve,
+    # such as (1, 2, 1, 2) / 6.  The menu of all the families is compared
+    # with the one built on the former systems, in order.
+    weight_vectors = {
+        tuple(F(x, sum(nums)) for x in nums)
+        for n in range(1, 5)
+        for nums in iter_product(range(3), repeat=n)
+        if any(nums)
+    }
+    assert len(weight_vectors) == 90
+    for weights in weight_vectors:
+        space = ExactProbabilitySpace(tuple(range(len(weights))), weights)
+        for d in range(1, 5):
+            assert removal._translation_systems(space, d) == old_translation_systems(space, d)
+            if d == 1:
+                continue
+            menu = removal._coupling_menu(space, d, removal.FAMILIES)
+            with monkeypatch.context() as m:
+                m.setattr(removal, "_translation_systems", old_translation_systems)
+                assert menu == removal._coupling_menu(space, d, removal.FAMILIES)
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4)])
