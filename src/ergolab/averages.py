@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
 from math import lcm
-from operator import or_
 from typing import Iterable, Sequence
 
 from .measure import (
@@ -221,21 +220,6 @@ def check_offdiagonal_invariance(fj: FurstenbergJoining) -> bool:
     return fj.coupling.invariant_under([fj.system.generators[i] for i in fj.directions])
 
 
-def project_joining(fj: FurstenbergJoining, directions: Iterable[int]) -> Coupling:
-    """Coordinate pushforward onto a nonempty subset of the directions.
-
-    Equals the directly built self-joining of the smaller direction set
-    exactly; the projection identity is exercised in the test suite.
-    """
-    dirs = tuple(sorted(directions))
-    if not dirs:
-        raise ValueError("direction subset must be nonempty")
-    if any(i not in fj.directions for i in dirs):
-        raise ValueError("not a subset of the joining's directions")
-    positions = [fj.directions.index(i) for i in dirs]
-    return fj.coupling.pushforward(positions)
-
-
 def difference_subgroup(dim: int, indices: Sequence[int]) -> SubgroupSpec:
     """The subgroup generated by ``e_{i_1} - e_{i_j}`` for the given indices,
     read as a set: a repeated index adds no generator."""
@@ -301,50 +285,6 @@ def recurrence_certificate(sys: FiniteZdSystem, A: Iterable[int]) -> RecurrenceC
     """
     A = frozenset(A)
     return RecurrenceCertificate(*_period_scan(sys, [A] * sys.dim))
-
-
-def recurrence_certificates_exhaustive(
-    sys: FiniteZdSystem,
-) -> dict[int, RecurrenceCertificate]:
-    """Certificates for every subset of points at once, keyed by bitmask.
-
-    Shares one period scan across all sets via a subset-sum transform, so the
-    full sweep over ``2^|X|`` sets costs ``O(2^|X| |X| + |X| max L_x)`` integer
-    operations.  Agrees with :func:`recurrence_certificate` set by set.
-    """
-    n_pts = len(sys)
-    if n_pts > 20:
-        raise ValueError("exhaustive sweep is limited to 20 points")
-    periods, weights, total = _local_weights(sys, range(sys.dim))
-    sentinel = max(periods) + 1
-
-    # Aggregate the period scan by the point set touched by each orbit
-    # tuple, and note the least n at which each such set occurs.
-    agg = [0] * (1 << n_pts)
-    wit = [sentinel] * (1 << n_pts)
-    rows = [[1 << y for y in g] for g in sys.generators]
-    for n, (rows, live) in enumerate(_orbit_walk(sys.generators, rows, periods, weights), 1):
-        masks = [0] * n_pts
-        for row in rows:
-            masks = list(map(or_, masks, row))
-        for m, w in compress(zip(masks, live), live):
-            agg[m] += w
-            if wit[m] == sentinel:
-                wit[m] = n
-
-    # Subset transforms: agg[A] becomes the total mass of orbit tuples inside
-    # A, and wit[A] the least offset whose orbit-image mask lies inside A.
-    for bit in range(n_pts):
-        step = 1 << bit
-        for m in range(1 << n_pts):
-            if m & step:
-                agg[m] += agg[m ^ step]
-                if wit[m ^ step] < wit[m]:
-                    wit[m] = wit[m ^ step]
-    return {
-        m: RecurrenceCertificate(Fraction(a, total), w if w < sentinel else None)
-        for m, (a, w) in enumerate(zip(agg, wit))
-    }
 
 
 @dataclass(frozen=True)

@@ -359,13 +359,11 @@ def _stationarity_results(law: dhj.StationaryLawTruncation, dim_cap: int | None)
         # Cap 0 checks only the coordinate marginals; the line marginal is
         # reported only where dimension-1 stationarity makes it well defined.
         # The law remembers its verdict, so at a cap of 1 or more this
-        # check decides nothing again.
+        # check decides nothing again.  The point marginal is the carrier.
         if dhj.strong_stationarity_check(law, 1).holds:
-            point, line = dhj.marginals(law)
+            line = dhj.marginals(law)[1]
             results["line_marginal"] = serialize.coupling_to_json(line, include_base=False)
-        else:
-            point = dhj.point_marginal(law)
-        results["point_marginal"] = serialize.space_to_json(point)
+        results["point_marginal"] = serialize.space_to_json(law.carrier)
     return results
 
 

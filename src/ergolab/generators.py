@@ -18,7 +18,7 @@ from itertools import product as iter_product
 from math import prod
 
 from .measure import ExactProbabilitySpace
-from .systems import FiniteZdSystem, SubgroupSpec, _orbits, translation_perm
+from .systems import FiniteZdSystem, _orbits, translation_perm
 
 _COMPONENT_ORDERS = (1, 2, 3, 4, 5, 6)
 
@@ -87,19 +87,3 @@ def random_nonnull_subset(rng: random.Random, space: ExactProbabilitySpace) -> f
         s = random_subset(rng, len(space))
         if any(i in s for i in supp):
             return s
-
-
-def random_subgroup(rng: random.Random, dim: int, max_vectors: int = 1) -> SubgroupSpec:
-    vectors = []
-    for _ in range(rng.randint(0, max_vectors)):
-        vectors.append(tuple(rng.randint(-2, 2) for _ in range(dim)))
-    return SubgroupSpec(tuple(vectors))
-
-
-def random_vector_sequence(
-    rng: random.Random, dim: int = 2, length: int = 8
-) -> "tuple[tuple[Fraction, ...], ...]":
-    return tuple(
-        tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
-        for _ in range(length)
-    )

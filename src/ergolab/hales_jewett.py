@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, combinations, islice, product as iter_product
-from math import prod
 from operator import index, itemgetter
 from typing import Iterable, Sequence
 
@@ -30,7 +29,6 @@ from .measure import (
     Partition,
     ValidationError,
     ZERO,
-    _frac,
     exact_masses,
 )
 from .upsets import StructureReport, bits_of, ground_masks, mask_of, structure_report
@@ -46,7 +44,6 @@ __all__ = [
     "words_up_to",
     "check_alphabet",
     "check_word",
-    "letter_replace",
     "enumerate_lines",
     "line_maps",
     "enumerate_subspaces",
@@ -56,17 +53,13 @@ __all__ = [
     "subspace_forcing_check",
     "ForcingResult",
     "build_correspondence",
-    "check_density_premises",
     "strong_stationarity_check",
     "StationarityResult",
     "marginals",
-    "point_marginal",
     "insensitive_algebra",
     "line_marginal_structure_report",
-    "iid_law",
     "constant_law",
     "mixture_law",
-    "law_from_correspondence",
 ]
 
 
@@ -95,12 +88,6 @@ def all_words(k: int, length: int) -> list[str]:
 def words_up_to(k: int, depth: int) -> list[str]:
     """All words of length 1..depth, ordered by (length, word)."""
     return [w for n in range(1, depth + 1) for w in all_words(k, n)]
-
-
-def letter_replace(e: Iterable[int], i: int, w: str) -> str:
-    """Rewrite every letter in ``e`` to ``i``; other letters are unchanged."""
-    targets, rep = {str(x) for x in e}, str(i)
-    return "".join(rep if ch in targets else ch for ch in w)
 
 
 @dataclass(frozen=True)
@@ -589,11 +576,11 @@ class StationaryLawTruncation:
     the joint law of the coordinates of that length.  A tuple of
     coordinates of one length (every coordinate and subspace image is one)
     is summed from its length's table, and any other tuple from the whole
-    law; each is summed once per law and remembered, as is the highest
-    dimension cap at which :func:`strong_stationarity_check` held, so
-    ``weights`` must not be changed after construction.  ``weights`` is the
-    law's own copy, read by :func:`measure.exact_masses`: the dict passed in
-    may be reused or changed afterwards.  That read is the one check of the
+    law.  The law remembers the highest dimension cap at which
+    :func:`strong_stationarity_check` held, so ``weights`` must not be
+    changed after construction.  ``weights`` is the law's own copy, read by
+    :func:`measure.exact_masses`: the dict passed in may be reused or
+    changed afterwards.  That read is the one check of the
     configurations' entries (their types and range), also for a law read
     from a document: ``serialize`` hands the entries over unchecked and
     runs its located per-entry read only after a check here has failed, to
@@ -627,7 +614,6 @@ class StationaryLawTruncation:
         object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_bounds", bounds)
         object.__setattr__(self, "_by_length", self._length_tables(nums))
-        object.__setattr__(self, "_pulled", {})
         # The highest dimension cap at which the stationarity check held.
         object.__setattr__(self, "_verified", -1)
         first = self.coordinate_marginal(wlist[0])
@@ -659,8 +645,8 @@ class StationaryLawTruncation:
         return tables
 
     def _pull(self, idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """Numerators of the joint law of the coordinates ``idx`` (nonempty),
-        summed once per law and remembered; callers must not mutate it.
+        """Numerators of the joint law of the coordinates ``idx`` (nonempty);
+        callers must not mutate it.
 
         Coordinates that are all words of one length are summed from that
         length's table, by their positions in it; others from the whole law.
@@ -668,20 +654,15 @@ class StationaryLawTruncation:
         of a marginal is the marginal.  All the words of one length, in
         order, are that length's table itself.
         """
-        pulled = self._pulled  # type: ignore[attr-defined]
-        table = pulled.get(idx)
-        if table is None:
-            bounds = self._bounds  # type: ignore[attr-defined]
-            n = bisect_right(bounds, idx[0])
-            lo, hi = bounds[n - 1], bounds[n]
-            if lo <= min(idx) and max(idx) < hi:
-                table = self._by_length[n - 1]  # type: ignore[attr-defined]
-                if idx != tuple(range(lo, hi)):
-                    table = _sum_by(table, [i - lo for i in idx])
-            else:
-                table = self._sum_numerators(idx)
-            pulled[idx] = table
-        return table
+        bounds = self._bounds  # type: ignore[attr-defined]
+        n = bisect_right(bounds, idx[0])
+        lo, hi = bounds[n - 1], bounds[n]
+        if lo <= min(idx) and max(idx) < hi:
+            table = self._by_length[n - 1]  # type: ignore[attr-defined]
+            if idx != tuple(range(lo, hi)):
+                table = _sum_by(table, [i - lo for i in idx])
+            return table
+        return self._sum_numerators(idx)
 
     def _sum_numerators(self, idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """One scan of the whole law, for coordinates of several lengths."""
@@ -697,8 +678,7 @@ class StationaryLawTruncation:
         """Joint law of the coordinates at the given words, as a new dict.
 
         The masses are summed as integer numerators over the law's common
-        denominator, once per distinct tuple of words, and divided only for
-        the output keys.
+        denominator, and divided only for the output keys.
         """
         idx = tuple(map(self.word_index, image_words))
         if not idx:
@@ -736,13 +716,6 @@ def _coordinate_sums(table: dict) -> list[dict[int, int]]:
     return sums
 
 
-def iid_law(k: int, depth: int, carrier: ExactProbabilitySpace) -> StationaryLawTruncation:
-    """Product law: coordinates independent with the carrier distribution."""
-    cfgs = iter_product(carrier.support(), repeat=len(words_up_to(k, depth)))
-    weights = {cfg: prod(map(carrier.weights.__getitem__, cfg), start=Fraction(1)) for cfg in cfgs}
-    return StationaryLawTruncation(k, depth, carrier, weights)
-
-
 def constant_law(k: int, depth: int, carrier: ExactProbabilitySpace) -> StationaryLawTruncation:
     """Mixture of point masses on constant configurations, one per carrier
     point, weighted by the carrier."""
@@ -775,18 +748,6 @@ def mixture_law(
     )
     carrier = ExactProbabilitySpace(first.carrier.points, carrier_weights)
     return StationaryLawTruncation(first.k, first.depth, carrier, weights)
-
-
-def law_from_correspondence(cm: CorrespondenceMeasure) -> StationaryLawTruncation:
-    """Promote a depth-1 correspondence measure to a law truncation on the
-    0/1 carrier."""
-    if cm.length != 1:
-        raise ValueError("only depth-1 correspondence measures promote to laws")
-    marg = [ZERO, ZERO]
-    for cfg, v in cm.mass.items():
-        marg[cfg[0]] += v
-    carrier = ExactProbabilitySpace((0, 1), tuple(marg))
-    return StationaryLawTruncation(cm.k, 1, carrier, dict(cm.mass))
 
 
 @dataclass(frozen=True)
@@ -852,24 +813,19 @@ def strong_stationarity_check(law: StationaryLawTruncation, dim_cap: int) -> Sta
     return StationarityResult(True, None)
 
 
-def point_marginal(law: StationaryLawTruncation) -> ExactProbabilitySpace:
-    """The law of the first coordinate, on the carrier's points: the carrier
-    itself, whose weights the constructor checked against that law."""
-    return law.carrier
-
-
 def marginals(law: StationaryLawTruncation) -> tuple[ExactProbabilitySpace, Coupling]:
     """Point and line marginals; requires stationarity at dimensions 0 and 1.
 
     The stationarity check has compared the law of every line below the
     depth with that of the first line, the words of length 1, so the line
     marginal is read from that line alone: the law's length-1 table.  A law
-    already checked at a cap of 1 or more is not checked again.
+    already checked at a cap of 1 or more is not checked again.  The point
+    marginal is the carrier, whose weights the constructor checked against
+    the law of the first coordinate.
     """
     if not strong_stationarity_check(law, 1).holds:
         raise ValueError("stationarity violated; marginals are ill-defined")
-    point = point_marginal(law)
-    return point, Coupling(law.k, point, law.pullback(law.words[: law.k]))
+    return law.carrier, Coupling(law.k, law.carrier, law.pullback(law.words[: law.k]))
 
 
 def insensitive_algebra(law: StationaryLawTruncation, e: Iterable[int]) -> Partition:
@@ -927,19 +883,3 @@ def line_marginal_structure_report(law: StationaryLawTruncation) -> LineStructur
     missed = next((x for x in point.support() if (x,) * law.k not in line.mass), None)
     witness = None if missed is None else (frozenset((missed,)),) * law.k
     return LineStructureReport(rep.coordinate_clause, rep.oblique_pairs, missed is None, witness)
-
-
-def check_density_premises(
-    obj: "CorrespondenceMeasure | StationaryLawTruncation", delta: Fraction
-) -> bool:
-    """Whether every point event (the coordinate taking the designated
-    positive value) has mass at least ``delta``, an exact rational."""
-    delta = _frac(delta)
-    if isinstance(obj, CorrespondenceMeasure):
-        return all(obj.point_event(w) >= delta for w in obj.words)
-    if isinstance(obj, StationaryLawTruncation):
-        if 1 not in obj.carrier.points:
-            raise ValueError("law carrier has no designated positive value 1")
-        one = obj.carrier.points.index(1)
-        return all(obj.coordinate_marginal(w)[one] >= delta for w in obj.words)
-    raise TypeError("expected a correspondence measure or a law truncation")

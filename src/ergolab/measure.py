@@ -393,18 +393,6 @@ class Coupling:
         images = (tuple(map(getitem, point_maps, t)) for t in self.mass)
         return list(map(self.mass.get, images)) == list(self.mass.values())
 
-    def event_mass(self, sets: Sequence[Iterable[int]]) -> Fraction:
-        """Mass of the product event ``A_1 x ... x A_arity``."""
-        if len(sets) != self.arity:
-            raise ValueError("need one set per coordinate")
-        sets = [frozenset(s) for s in sets]
-        total = sum(
-            num
-            for t, num in zip(self.mass, self._nums)  # type: ignore[attr-defined]
-            if all(map(frozenset.__contains__, sets, t))
-        )
-        return Fraction(total, self._den)  # type: ignore[attr-defined]
-
     def pullback_disagreement(self, aset: Iterable[int], i: int, j: int) -> Fraction:
         """Mass of the tuples whose coordinates ``i`` and ``j`` fall on
         different sides of ``aset``: the measure of the symmetric difference

@@ -32,9 +32,7 @@ from .measure import (
     ExactProbabilitySpace,
     IndependenceReport,
     Partition,
-    SimpleFunction,
     common_refinement,
-    conditional_expectation,
     relatively_independent_product,
 )
 from .systems import FiniteZdSystem, translation_perm
@@ -57,7 +55,6 @@ __all__ = [
     "check_hypotheses",
     "check_conclusion",
     "search_counterexample",
-    "level_set_replacement",
     "enumerate_upsets",
 ]
 
@@ -419,30 +416,26 @@ def _translation_systems(space: ExactProbabilitySpace, d: int) -> list[FiniteZdS
 
 def _coupling_menu(
     space: ExactProbabilitySpace, d: int, families: Sequence[str]
-) -> list[tuple[str, Coupling]]:
+) -> list[Coupling]:
     seen: dict = {}
-    out: list[tuple[str, Coupling]] = []
+    out: list[Coupling] = []
 
-    def add(tag: str, c: Coupling) -> None:
+    def add(c: Coupling) -> None:
         key = tuple(sorted(c.mass.items()))
         if key not in seen:
             seen[key] = True
-            out.append((tag, c))
+            out.append(c)
 
     if "diagonal" in families:
-        add("diagonal", Coupling.diagonal(space, d))
+        add(Coupling.diagonal(space, d))
     if "product" in families:
-        add("product", Coupling.product(space, d))
+        add(Coupling.product(space, d))
     if "fiber" in families:
         for part in _all_partitions(len(space)):
-            add(
-                "fiber",
-                relatively_independent_product([space] * d, [part.labels] * d),
-            )
+            add(relatively_independent_product([space] * d, [part.labels] * d))
     if "selfjoin" in families:
         for sys in _translation_systems(space, d):
-            fj = furstenberg_self_joining(sys)
-            add("selfjoin", fj.coupling)
+            add(furstenberg_self_joining(sys).coupling)
     return out
 
 
@@ -579,7 +572,7 @@ def search_counterexample(config: SearchConfig) -> RemovalInstance | None:
             parts = _all_partitions(n)
             for weights in _weight_menu(n):
                 space = ExactProbabilitySpace(tuple(range(n)), weights)
-                for _, coupling in _coupling_menu(space, config.d, config.families):
+                for coupling in _coupling_menu(space, config.d, config.families):
                     # A psi map failing hypothesis [ii] gives a shell with
                     # no instance, so each index set draws only from the
                     # partitions it identifies.
@@ -768,21 +761,3 @@ def _random_shell(
             fam.append((ups, _block_union(blocks, rng.randrange(1 << len(blocks)))))
         shell_families.append(tuple(fam))
     return space, coupling, psi, tuple(shell_families)
-
-
-# ---------------------------------------------------------------------------
-# lifting scenarios
-# ---------------------------------------------------------------------------
-
-def level_set_replacement(
-    space: ExactProbabilitySpace, A: Iterable[int], partition: Partition
-) -> tuple[frozenset[int], Fraction]:
-    """Replace a set by the positivity level set of its conditional
-    expectation; the removed part ``A minus A'`` is always null."""
-    A = frozenset(A)
-    ce = conditional_expectation(
-        SimpleFunction.indicator(len(space), A), partition, space
-    )
-    a2 = frozenset(x for x in range(len(space)) if ce.values[x] > 0)
-    gap = space.measure(A - a2)
-    return a2, gap

@@ -18,9 +18,7 @@ Wire formats:
 * systems: ``{"dim": D, "space": ..., "generators": [[...], ...]}``;
 * subgroups: ``{"vectors": [[...], ...]}``;
 * group rotations: ``{"orders": [n1, ...], "phi": [[...], ...]}``;
-* vector sequences: ``{"entries": [["p/q", ...], ...]}``;
-* subspaces: ``{"N": [...], "I": [[...], ...], "w": "..."}`` (1-based
-  positions).
+* vector sequences: ``{"entries": [["p/q", ...], ...]}``.
 
 A mass table (law weights, coupling masses) is read in one batched pass
 and handed to its constructor, whose exact-mass check is the one check of
@@ -46,7 +44,6 @@ from operator import index, itemgetter, lt
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .hales_jewett import (
-    CombinatorialSubspace,
     CorrespondenceMeasure,
     StationaryLawTruncation,
 )
@@ -427,7 +424,7 @@ def rotation_from_json(obj: Any) -> GroupRotationSystem:
     return _build(GroupRotationSystem, orders, _key(obj, "phi", _items, _ints))
 
 
-# -- sequences, functions, subspaces ----------------------------------------
+# -- sequences and functions ------------------------------------------------
 
 def _sequence(entries: Any) -> VectorSequence:
     return _build(VectorSequence, _items(entries, _items, _Rationals().read))
@@ -441,26 +438,6 @@ def function_from_json(obj: Any) -> SimpleFunction:
     if not isinstance(obj, list):
         raise ValidationError((), "expected an array of rationals")
     return SimpleFunction(_items(obj, _Rationals().read))
-
-
-def subspace_to_json(s: CombinatorialSubspace) -> dict:
-    return {
-        "N": list(s.breakpoints),
-        "I": [sorted(w) for w in s.wildcards],
-        "w": s.template,
-    }
-
-
-def subspace_from_json(obj: Any, k: int) -> CombinatorialSubspace:
-    bps = _key(obj, "N", _ints)
-    wsets = _need(obj, "I")
-    if not isinstance(wsets, list):
-        raise ValidationError(["I"], "expected an array")
-    template = _need(obj, "w")
-    if not isinstance(template, str):
-        raise ValidationError(["w"], "expected a word string")
-    wildcards = tuple(map(frozenset, _key(obj, "I", _items, _ints)))
-    return _build(CombinatorialSubspace, k, bps, wildcards, template)
 
 
 def correspondence_to_json(cm: CorrespondenceMeasure) -> dict:

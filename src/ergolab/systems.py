@@ -63,11 +63,6 @@ def cycle_decomposition(p: Perm) -> tuple[list[Perm], list[int]]:
     return cycle, pos
 
 
-def perm_order(p: Perm) -> int:
-    """lcm of the cycle lengths."""
-    return lcm(*map(len, cycle_decomposition(p)[0]))
-
-
 def perm_inverse(p: Perm) -> Perm:
     """The inverse of ``p``, built in one pass over its points."""
     inv = [0] * len(p)
@@ -209,21 +204,6 @@ class FactorMap:
 # partially invariant factors
 # ---------------------------------------------------------------------------
 
-def orbit_partition(
-    sys: FiniteZdSystem, subgroup: SubgroupSpec, restrict_to_support: bool = True
-) -> Partition:
-    """Orbits of the permutation group generated by the subgroup's images.
-
-    With ``restrict_to_support`` the orbits are computed inside the support
-    only and zero-weight points become singletons; without it the orbits run
-    over all points (convenient for building quotient systems).
-    """
-    if any(len(v) != sys.dim for v in subgroup.vectors):
-        raise ValueError("subgroup vectors must match the system dimension")
-    points = sys.space.support() if restrict_to_support else range(len(sys))
-    return _orbits(len(sys), points, [sys.act(v) for v in subgroup.vectors])
-
-
 def _orbits(n: int, points: Sequence[int], perms: Sequence[Perm]) -> Partition:
     """Orbits on ``points`` of the group the permutations ``perms`` of
     ``range(n)`` generate; every other point is a singleton.  ``points``
@@ -240,7 +220,9 @@ def invariant_factor(sys: FiniteZdSystem, subgroup: SubgroupSpec) -> Partition:
     attached as singletons; this is the finest partition whose block unions
     are a.e. invariant under the subaction.
     """
-    return orbit_partition(sys, subgroup, restrict_to_support=True)
+    if any(len(v) != sys.dim for v in subgroup.vectors):
+        raise ValueError("subgroup vectors must match the system dimension")
+    return _orbits(len(sys), sys.space.support(), [sys.act(v) for v in subgroup.vectors])
 
 
 def is_partially_trivial(sys: FiniteZdSystem, subgroup: SubgroupSpec) -> bool:
@@ -251,31 +233,6 @@ def is_partially_trivial(sys: FiniteZdSystem, subgroup: SubgroupSpec) -> bool:
         if any(p[x] != x for x in supp):
             return False
     return True
-
-
-def quotient_system(
-    sys: FiniteZdSystem, partition: Partition
-) -> tuple[FiniteZdSystem, FactorMap]:
-    """Quotient by a partition whose blocks are permuted by every generator."""
-    if partition.size != len(sys):
-        raise ValueError("partition must live on the system's points")
-    labels = partition.labels
-    gens_out = []
-    for g in sys.generators:
-        out = [None] * len(partition.blocks)
-        for bi, block in enumerate(partition.blocks):
-            images = {labels[g[x]] for x in block}
-            if len(images) != 1:
-                raise ValueError("generators must map blocks to blocks")
-            out[bi] = images.pop()
-        gens_out.append(tuple(out))
-    weights = tuple(sys.space.measure(b) for b in partition.blocks)
-    space = ExactProbabilitySpace(
-        tuple(f"b{i}" for i in range(len(partition.blocks))), weights
-    )
-    target = FiniteZdSystem(space, tuple(gens_out))
-    fmap = FactorMap(sys, target, tuple(labels))
-    return target, fmap
 
 
 # ---------------------------------------------------------------------------

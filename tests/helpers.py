@@ -5,6 +5,7 @@ import argparse
 from fractions import Fraction
 from itertools import combinations, compress, product as iter_product, starmap
 from math import gcd, lcm, prod
+from operator import or_
 from random import Random
 from types import SimpleNamespace
 
@@ -12,6 +13,8 @@ from ergolab import cli, serialize
 from ergolab.averages import (
     FurstenbergJoining,
     RecurrenceCertificate,
+    _local_weights,
+    _orbit_walk,
     _period_scan,
     difference_subgroup,
     furstenberg_self_joining,
@@ -19,11 +22,13 @@ from ergolab.averages import (
 from ergolab.generators import random_system
 from ergolab.hales_jewett import (
     _LETTERS,
+    CorrespondenceMeasure,
     MaxLineFreeResult,
     StationaryLawTruncation,
     all_words,
     check_alphabet,
     enumerate_lines,
+    words_up_to,
 )
 from ergolab.measure import (
     Coupling,
@@ -32,20 +37,22 @@ from ergolab.measure import (
     Partition,
     SimpleFunction,
     ValidationError,
+    _frac,
     common_refinement,
     conditional_expectation,
     relative_independence,
     relatively_independent_product,
 )
-from ergolab.removal import RemovalInstance, UpSet, check_conclusion, level_set_replacement
+from ergolab.removal import RemovalInstance, UpSet, check_conclusion
 from ergolab.systems import (
     FactorMap,
     FiniteZdSystem,
+    Perm,
     SubgroupSpec,
     compose,
+    cycle_decomposition,
     invariant_factor,
     is_partially_trivial,
-    perm_order,
 )
 from ergolab.upsets import bits_of, ground_masks, mask_of, popcount
 
@@ -944,7 +951,7 @@ def old_exhaustive_search(config, holds_for=None):
     for n in config.sizes:
         for weights in listed_weight_menu(n):
             space = ExactProbabilitySpace(tuple(range(n)), weights)
-            for _, coupling in removal._coupling_menu(space, config.d, config.families):
+            for coupling in removal._coupling_menu(space, config.d, config.families):
                 holds = None if holds_for is None else holds_for(space, coupling)
                 for psi in old_psi_maps(recursive_partitions(n), masks):
                     hit = old_scan_families(space, coupling, psi, coord_upsets, holds)
@@ -1114,7 +1121,7 @@ def old_line_to_point_implication(point, line):
     mass."""
     for xs in iter_product(range(len(point)), repeat=line.arity):
         sets = [frozenset((x,)) for x in xs]
-        if line.event_mass(sets) == 0 and point.measure(frozenset.intersection(*sets)) != 0:
+        if event_mass(line, sets) == 0 and point.measure(frozenset.intersection(*sets)) != 0:
             return False, tuple(sets)
     return True, None
 
@@ -1354,6 +1361,187 @@ def old_build_parser() -> argparse.ArgumentParser:
 
 # -- library functions that only the tests call -----------------------------------
 
+def perm_order(p: Perm) -> int:
+    """lcm of the cycle lengths."""
+    return lcm(*map(len, cycle_decomposition(p)[0]))
+
+
+def full_orbit_partition(sys: FiniteZdSystem, subgroup: SubgroupSpec) -> Partition:
+    """Orbits of the subgroup's images over every point, zero-weight ones
+    too, unlike ``systems.invariant_factor``, whose orbits run inside the
+    support: a partition that :func:`quotient_system` can take."""
+    if any(len(v) != sys.dim for v in subgroup.vectors):
+        raise ValueError("subgroup vectors must match the system dimension")
+    perms = [sys.act(v) for v in subgroup.vectors]
+    return Partition.from_pairs(len(sys), ((x, p[x]) for p in perms for x in range(len(sys))))
+
+
+def quotient_system(
+    sys: FiniteZdSystem, partition: Partition
+) -> tuple[FiniteZdSystem, FactorMap]:
+    """Quotient by a partition whose blocks are permuted by every generator."""
+    if partition.size != len(sys):
+        raise ValueError("partition must live on the system's points")
+    labels = partition.labels
+    gens_out = []
+    for g in sys.generators:
+        out = [None] * len(partition.blocks)
+        for bi, block in enumerate(partition.blocks):
+            images = {labels[g[x]] for x in block}
+            if len(images) != 1:
+                raise ValueError("generators must map blocks to blocks")
+            out[bi] = images.pop()
+        gens_out.append(tuple(out))
+    weights = tuple(sys.space.measure(b) for b in partition.blocks)
+    space = ExactProbabilitySpace(
+        tuple(f"b{i}" for i in range(len(partition.blocks))), weights
+    )
+    target = FiniteZdSystem(space, tuple(gens_out))
+    fmap = FactorMap(sys, target, tuple(labels))
+    return target, fmap
+
+
+def event_mass(coupling: Coupling, sets) -> Fraction:
+    """Mass of the product event ``A_1 x ... x A_arity``, summed in the
+    coupling's integer numerators over its common denominator."""
+    if len(sets) != coupling.arity:
+        raise ValueError("need one set per coordinate")
+    sets = [frozenset(s) for s in sets]
+    total = sum(
+        num
+        for t, num in zip(coupling.mass, coupling._nums)
+        if all(map(frozenset.__contains__, sets, t))
+    )
+    return Fraction(total, coupling._den)
+
+
+def random_subgroup(rng: Random, dim: int, max_vectors: int = 1) -> SubgroupSpec:
+    vectors = []
+    for _ in range(rng.randint(0, max_vectors)):
+        vectors.append(tuple(rng.randint(-2, 2) for _ in range(dim)))
+    return SubgroupSpec(tuple(vectors))
+
+
+def random_vector_sequence(
+    rng: Random, dim: int = 2, length: int = 8
+) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(
+        tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
+        for _ in range(length)
+    )
+
+
+def project_joining(fj: FurstenbergJoining, directions) -> Coupling:
+    """Coordinate pushforward onto a nonempty subset of the directions.
+
+    Equals the directly built self-joining of the smaller direction set
+    exactly: the projection identity.
+    """
+    dirs = tuple(sorted(directions))
+    if not dirs:
+        raise ValueError("direction subset must be nonempty")
+    if any(i not in fj.directions for i in dirs):
+        raise ValueError("not a subset of the joining's directions")
+    positions = [fj.directions.index(i) for i in dirs]
+    return fj.coupling.pushforward(positions)
+
+
+def recurrence_certificates_exhaustive(sys: FiniteZdSystem) -> dict[int, RecurrenceCertificate]:
+    """Certificates for every subset of points at once, keyed by bitmask.
+
+    Shares one period scan across all sets via a subset-sum transform, so the
+    full sweep over ``2^|X|`` sets costs ``O(2^|X| |X| + |X| max L_x)`` integer
+    operations.  Agrees with ``averages.recurrence_certificate`` set by set.
+    """
+    n_pts = len(sys)
+    if n_pts > 20:
+        raise ValueError("exhaustive sweep is limited to 20 points")
+    periods, weights, total = _local_weights(sys, range(sys.dim))
+    sentinel = max(periods) + 1
+
+    # Aggregate the period scan by the point set touched by each orbit
+    # tuple, and note the least n at which each such set occurs.
+    agg = [0] * (1 << n_pts)
+    wit = [sentinel] * (1 << n_pts)
+    rows = [[1 << y for y in g] for g in sys.generators]
+    for n, (rows, live) in enumerate(_orbit_walk(sys.generators, rows, periods, weights), 1):
+        masks = [0] * n_pts
+        for row in rows:
+            masks = list(map(or_, masks, row))
+        for m, w in compress(zip(masks, live), live):
+            agg[m] += w
+            if wit[m] == sentinel:
+                wit[m] = n
+
+    # Subset transforms: agg[A] becomes the total mass of orbit tuples inside
+    # A, and wit[A] the least offset whose orbit-image mask lies inside A.
+    for bit in range(n_pts):
+        step = 1 << bit
+        for m in range(1 << n_pts):
+            if m & step:
+                agg[m] += agg[m ^ step]
+                if wit[m ^ step] < wit[m]:
+                    wit[m] = wit[m ^ step]
+    return {
+        m: RecurrenceCertificate(Fraction(a, total), w if w < sentinel else None)
+        for m, (a, w) in enumerate(zip(agg, wit))
+    }
+
+
+def level_set_replacement(
+    space: ExactProbabilitySpace, A, partition: Partition
+) -> tuple[frozenset[int], Fraction]:
+    """Replace a set by the positivity level set of its conditional
+    expectation; the removed part ``A minus A'`` is always null."""
+    A = frozenset(A)
+    ce = conditional_expectation(
+        SimpleFunction.indicator(len(space), A), partition, space
+    )
+    a2 = frozenset(x for x in range(len(space)) if ce.values[x] > 0)
+    gap = space.measure(A - a2)
+    return a2, gap
+
+
+def letter_replace(e, i: int, w: str) -> str:
+    """Rewrite every letter in ``e`` to ``i``; other letters are unchanged."""
+    targets, rep = {str(x) for x in e}, str(i)
+    return "".join(rep if ch in targets else ch for ch in w)
+
+
+def iid_law(k: int, depth: int, carrier: ExactProbabilitySpace) -> StationaryLawTruncation:
+    """Product law: coordinates independent with the carrier distribution."""
+    cfgs = iter_product(carrier.support(), repeat=len(words_up_to(k, depth)))
+    weights = {cfg: prod(map(carrier.weights.__getitem__, cfg), start=Fraction(1)) for cfg in cfgs}
+    return StationaryLawTruncation(k, depth, carrier, weights)
+
+
+def law_from_correspondence(cm: CorrespondenceMeasure) -> StationaryLawTruncation:
+    """Promote a depth-1 correspondence measure to a law truncation on the
+    0/1 carrier."""
+    if cm.length != 1:
+        raise ValueError("only depth-1 correspondence measures promote to laws")
+    marg = [Fraction(0), Fraction(0)]
+    for cfg, v in cm.mass.items():
+        marg[cfg[0]] += v
+    carrier = ExactProbabilitySpace((0, 1), tuple(marg))
+    return StationaryLawTruncation(cm.k, 1, carrier, dict(cm.mass))
+
+
+def check_density_premises(obj, delta: Fraction) -> bool:
+    """Whether every point event (the coordinate taking the designated
+    positive value) of a correspondence measure or a law truncation has
+    mass at least ``delta``, an exact rational."""
+    delta = _frac(delta)
+    if isinstance(obj, CorrespondenceMeasure):
+        return all(obj.point_event(w) >= delta for w in obj.words)
+    if isinstance(obj, StationaryLawTruncation):
+        if 1 not in obj.carrier.points:
+            raise ValueError("law carrier has no designated positive value 1")
+        one = obj.carrier.points.index(1)
+        return all(obj.coordinate_marginal(w)[one] >= delta for w in obj.words)
+    raise TypeError("expected a correspondence measure or a law truncation")
+
+
 def direction_period(sys: FiniteZdSystem, directions) -> int:
     """Order of the tuple of generator permutations at the given directions:
     the global period ``L`` of a direction set."""
@@ -1470,8 +1658,8 @@ def lifting_scenario_report() -> dict:
     )
     before = check_conclusion(inst)
     after = check_conclusion(merged)
-    prod_before = lam.event_mass([a1, a2, frozenset({0, 1, 2})])
-    prod_after = lam.event_mass([a1 & a2, frozenset({0, 1, 2}), frozenset({0, 1, 2})])
+    prod_before = event_mass(lam, [a1, a2, frozenset({0, 1, 2})])
+    prod_after = event_mass(lam, [a1 & a2, frozenset({0, 1, 2}), frozenset({0, 1, 2})])
     report["duplicate_merge"] = {
         "product_mass_preserved": prod_before == prod_after,
         "conclusion_unchanged": before == after,
@@ -1503,8 +1691,8 @@ def lifting_scenario_report() -> dict:
                 frozenset(x for x in range(4) if ce.values[x] > 1 - delta)
             )
         replaced.append(out)
-    product_null_before = lam2.event_mass([a for ((_, a),) in inst2.families])
-    f_mass = lam2.event_mass([frozenset.intersection(*r) for r in replaced])
+    product_null_before = event_mass(lam2, [a for ((_, a),) in inst2.families])
+    f_mass = event_mass(lam2, [frozenset.intersection(*r) for r in replaced])
     report["threshold"] = {
         "delta": delta,
         "product_null_before": product_null_before == 0,

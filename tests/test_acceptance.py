@@ -18,6 +18,14 @@ from helpers import (
     brute_cesaro,
     cyclic_system,
     direction_period,
+    full_orbit_partition,
+    iid_law,
+    law_from_correspondence,
+    project_joining,
+    quotient_system,
+    random_subgroup,
+    random_vector_sequence,
+    recurrence_certificates_exhaustive,
     set_family_atoms,
     three_direction_torus,
     two_fold_joining_check,
@@ -28,25 +36,17 @@ from ergolab.averages import (
     check_offdiagonal_invariance,
     difference_subgroup,
     furstenberg_self_joining,
-    project_joining,
     recurrence_certificate,
-    recurrence_certificates_exhaustive,
     van_der_corput_inequality,
 )
-from ergolab.generators import (
-    random_subgroup,
-    random_system,
-    random_vector_sequence,
-)
+from ergolab.generators import random_system
 from ergolab.hales_jewett import (
     all_words,
     build_correspondence,
     constant_law,
     enumerate_lines,
     enumerate_subspaces,
-    iid_law,
     insensitive_algebra,
-    law_from_correspondence,
     line_maps,
     max_line_free,
     mixture_law,
@@ -56,12 +56,7 @@ from ergolab.hales_jewett import (
 from ergolab.hales_jewett import marginals as law_marginals
 from ergolab.measure import ExactProbabilitySpace, Partition, common_refinement, relative_independence
 from ergolab.removal import SearchConfig, search_counterexample
-from ergolab.systems import (
-    SubgroupSpec,
-    invariant_factor,
-    orbit_partition,
-    quotient_system,
-)
+from ergolab.systems import SubgroupSpec, invariant_factor
 
 F = Fraction
 
@@ -259,8 +254,8 @@ def test_criterion_6_joint_distribution():
         sys_ = random_system(rng, max_points=12, dim=rng.choice((2, 3)))
         g1 = random_subgroup(rng, sys_.dim, max_vectors=1)
         g2 = random_subgroup(rng, sys_.dim, max_vectors=1)
-        _, pi1 = quotient_system(sys_, orbit_partition(sys_, g1, False))
-        _, pi2 = quotient_system(sys_, orbit_partition(sys_, g2, False))
+        _, pi1 = quotient_system(sys_, full_orbit_partition(sys_, g1))
+        _, pi2 = quotient_system(sys_, full_orbit_partition(sys_, g2))
         rep = two_fold_joining_check(sys_, pi1, pi2, g1, g2)
         assert rep.holds, rep.witness
         checked += 1

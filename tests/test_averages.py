@@ -13,6 +13,7 @@ from helpers import (
     brute_cesaro,
     cyclic_system,
     direction_period,
+    event_mass,
     long_period_system,
     multiple_recurrence_check,
     old_furstenberg_self_joining,
@@ -21,7 +22,10 @@ from helpers import (
     old_recurrence_certificates_exhaustive,
     old_recurrence_witness,
     old_self_joining_psi,
+    project_joining,
     pushforward_invariant,
+    random_vector_sequence,
+    recurrence_certificates_exhaustive,
     three_direction_torus,
 )
 
@@ -37,14 +41,12 @@ from ergolab.averages import (
     furstenberg_self_joining,
     nonconventional_average,
     oblique_copy,
-    project_joining,
     recurrence_certificate,
-    recurrence_certificates_exhaustive,
     self_joining_psi,
     self_joining_structure_report,
     van_der_corput_inequality,
 )
-from ergolab.generators import random_system, random_vector_sequence
+from ergolab.generators import random_system
 from ergolab.measure import Coupling, Partition, SimpleFunction
 from ergolab.systems import FiniteZdSystem, SubgroupSpec, compose, invariant_factor
 from ergolab.upsets import bits_of, ground_masks
@@ -288,7 +290,7 @@ def test_diagonal_restriction_of_joining():
     fj = furstenberg_self_joining(sys_, (0, 1))
     phi = invariant_factor(sys_, difference_subgroup(3, (0, 1)))
     for a, b in iter_product(phi.blocks, repeat=2):
-        mass = fj.coupling.event_mass([frozenset(a), frozenset(b)])
+        mass = event_mass(fj.coupling, [frozenset(a), frozenset(b)])
         assert mass == sys_.space.measure(set(a) & set(b))
 
 
@@ -371,11 +373,11 @@ def test_period_scan_matches_the_joining_and_brute_force():
         for _ in range(4):
             sets = [frozenset(x for x in points if rng.random() < 0.6) for _ in range(sys_.dim)]
             limit = cesaro_limit(sys_, sets)
-            assert limit == fj.coupling.event_mass(sets)
+            assert limit == event_mass(fj.coupling, sets)
             assert limit == brute_cesaro(sys_, sets, fj.period)
             A = sets[0]
             cert = recurrence_certificate(sys_, A)
-            assert cert.limit == fj.coupling.event_mass([A] * sys_.dim)
+            assert cert.limit == event_mass(fj.coupling, [A] * sys_.dim)
             assert cert.witness == old_recurrence_witness(sys_, A)
             witnesses.add(cert.witness if cert.witness is None else min(cert.witness, 2))
     assert witnesses == {None, 1, 2}  # null sets, and returns at n = 1 and later
@@ -483,7 +485,7 @@ def test_joining_mass_dominates_intersection():
         fj = furstenberg_self_joining(sys_)
         a = frozenset(x for x in range(len(sys_)) if rng.random() < 0.5)
         b = frozenset(x for x in range(len(sys_)) if rng.random() < 0.5)
-        lhs = fj.coupling.event_mass([a, b])
+        lhs = event_mass(fj.coupling, [a, b])
         assert lhs * fj.period >= sys_.space.measure(a & b)
 
 

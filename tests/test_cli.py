@@ -442,7 +442,7 @@ def test_removal_search_cli_exhaustive(capsys):
 
 
 def test_stationarity_cli(tmp_path, capsys):
-    from ergolab.hales_jewett import iid_law
+    from helpers import iid_law
     from ergolab.measure import ExactProbabilitySpace
     from ergolab.serialize import law_to_json
 
@@ -484,15 +484,15 @@ def test_bad_functions_are_located_input_errors(z3_file, tmp_path, functions, me
 
 
 def test_joint_subcommand(tmp_path, capsys):
-    from helpers import torus_system
+    from helpers import full_orbit_partition, quotient_system, torus_system
     from ergolab.serialize import system_to_json as s2j, subgroup_to_json
-    from ergolab.systems import SubgroupSpec, orbit_partition, quotient_system
+    from ergolab.systems import SubgroupSpec
 
     sys_ = torus_system(3, (1, 0), (0, 1))
     gs = [SubgroupSpec.basis_vector(2, 0), SubgroupSpec.basis_vector(2, 1)]
     targets, maps = [], []
     for g in gs:
-        target, pi = quotient_system(sys_, orbit_partition(sys_, g, False))
+        target, pi = quotient_system(sys_, full_orbit_partition(sys_, g))
         targets.append(s2j(target))
         maps.append(list(pi.point_map))
     doc = {
@@ -565,7 +565,7 @@ def test_dhj_maxfree_budget_short_of_a_leaf_reports_empty_set(capsys):
 
 
 def _iid_law_file(tmp_path, depth):
-    from ergolab.hales_jewett import iid_law
+    from helpers import iid_law
     from ergolab.measure import ExactProbabilitySpace
     from ergolab.serialize import law_to_json
 
@@ -646,8 +646,8 @@ def _deep_copy_jsonable(value):
 def test_input_digest_bytes_unchanged():
     import hashlib
 
+    from helpers import iid_law
     from ergolab.cli import _digest
-    from ergolab.hales_jewett import iid_law
     from ergolab.measure import ExactProbabilitySpace
     from ergolab.serialize import law_to_json
 

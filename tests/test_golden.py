@@ -16,11 +16,11 @@ from itertools import product as iter_product
 
 import pytest
 
-from helpers import three_direction_torus, torus_system
+from helpers import full_orbit_partition, quotient_system, three_direction_torus, torus_system
 
 from ergolab.cli import main
 from ergolab.serialize import subgroup_to_json, system_to_json
-from ergolab.systems import SubgroupSpec, orbit_partition, quotient_system
+from ergolab.systems import SubgroupSpec
 
 Z3 = {"dim": 2, "generators": [[1, 2, 0], [2, 0, 1]],
       "space": {"points": [0, 1, 2], "weights": ["1/3", "1/3", "1/3"]}}
@@ -95,7 +95,7 @@ def _joint_instance(sys_) -> dict:
     """The joining ``sys_`` with its quotients by the orbits of each basis
     direction, the basis subgroups and an empty ``lambda``."""
     gs = [SubgroupSpec.basis_vector(sys_.dim, i) for i in range(sys_.dim)]
-    quotients = [quotient_system(sys_, orbit_partition(sys_, g, False)) for g in gs]
+    quotients = [quotient_system(sys_, full_orbit_partition(sys_, g)) for g in gs]
     return {
         "joining": system_to_json(sys_),
         "targets": [system_to_json(target) for target, _ in quotients],

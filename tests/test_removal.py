@@ -13,8 +13,10 @@ import pytest
 from helpers import (
     bell_triangle,
     cyclic_system,
+    event_mass,
     first_dependent_naive_pair,
     fraction_identification,
+    level_set_replacement,
     lifting_scenario_report,
     listed_weight_menu,
     old_conclusion_holds,
@@ -49,7 +51,6 @@ from ergolab.removal import (
     check_conclusion,
     check_hypotheses,
     enumerate_upsets,
-    level_set_replacement,
     search_counterexample,
 )
 from ergolab.serialize import canonical_dumps
@@ -498,7 +499,7 @@ def test_conclusion_base_case_disjoint_sets():
     inst = diagonal_instance(sets=[{0}, {1}, {0, 1}])
     assert check_hypotheses(inst).all_hold
     # Diagonal coupling: product event mass 0 and intersection empty.
-    assert inst.coupling.event_mass([frozenset({0}), frozenset({1}), frozenset({0, 1})]) == 0
+    assert event_mass(inst.coupling, [frozenset({0}), frozenset({1}), frozenset({0, 1})]) == 0
     assert check_conclusion(inst, verified=True)
 
 
@@ -847,7 +848,7 @@ def test_depth_first_scan_matches_the_product_scan_over_a_sweep(monkeypatch, lim
     hits = set()
     for weights in removal._weight_menu(n):
         space = ExactProbabilitySpace(tuple(range(n)), weights)
-        for _, coupling in removal._coupling_menu(space, d, SearchConfig().families):
+        for coupling in removal._coupling_menu(space, d, SearchConfig().families):
             allowed = [
                 [c for c, p in enumerate(parts) if identified_on(coupling, m, p)]
                 for m in masks
@@ -986,7 +987,7 @@ def test_psi_maps_draw_only_identified_partitions():
     top = UpSet.principal(d, range(d))
     families = tuple(((top, frozenset(range(n))),) for _ in range(d))
     kept = set()
-    for _, coupling in removal._coupling_menu(space, d, SearchConfig().families):
+    for coupling in removal._coupling_menu(space, d, SearchConfig().families):
         allowed = [
             [c for c, p in enumerate(parts) if identified_on(coupling, m, p)]
             for m in masks
@@ -1017,7 +1018,7 @@ def test_sweep_checks_only_hypothesis_iii_per_map(monkeypatch, n, d):
     outcomes = set()
     for weights in removal._weight_menu(n):
         space = ExactProbabilitySpace(tuple(range(n)), weights)
-        for _, coupling in removal._coupling_menu(space, d, SearchConfig().families):
+        for coupling in removal._coupling_menu(space, d, SearchConfig().families):
             allowed = [
                 [c for c, p in enumerate(parts) if identified_on(coupling, m, p)]
                 for m in masks

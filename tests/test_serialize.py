@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cyclic_system, torus_system
+from helpers import cyclic_system, iid_law, torus_system
 
-from ergolab.hales_jewett import build_correspondence, iid_law
+from ergolab.hales_jewett import build_correspondence
 from ergolab.measure import Coupling, ExactProbabilitySpace, Partition
 from ergolab.removal import RemovalInstance, UpSet
 from ergolab.serialize import (
@@ -252,20 +252,6 @@ def test_validate_unknown_schema():
 def test_canonical_dumps_sorted_and_compact():
     s = canonical_dumps({"b": 1, "a": [1, 2]})
     assert s == '{"a":[1,2],"b":1}'
-
-
-def test_subspace_roundtrip():
-    from ergolab.hales_jewett import CombinatorialSubspace
-    from ergolab.serialize import subspace_from_json, subspace_to_json
-
-    s = CombinatorialSubspace(
-        2, (2, 4), (frozenset({1, 2}), frozenset({4})), "1121"
-    )
-    doc = subspace_to_json(s)
-    assert doc == {"N": [2, 4], "I": [[1, 2], [4]], "w": "1121"}
-    assert subspace_from_json(doc, 2) == s
-    with pytest.raises(ValidationError):
-        subspace_from_json({"N": [2], "I": [[]], "w": "11"}, 2)
 
 
 def test_correspondence_json_shape():
@@ -595,8 +581,8 @@ def test_validate_reports_the_locked_diagnostic(schema, doc, expected):
     assert validate_document(doc, schema) == [expected]
 
 
-# Readers called on the value they read; no schema reaches the function and
-# subspace readers.
+# Readers called on the value they read; no schema reaches the function
+# reader.
 _READER_DIAGNOSTICS = [
     ("function_from_json", (), 5, "$: expected an array of rationals"),
     (
@@ -605,8 +591,6 @@ _READER_DIAGNOSTICS = [
         ["1", "x"],
         "$[1]: bad rational 'x': Invalid literal for Fraction: 'x'",
     ),
-    ("subspace_from_json", (2,), {"N": [1], "I": 5, "w": "1"}, "$.I: expected an array"),
-    ("subspace_from_json", (2,), {"N": [1], "I": [[1]], "w": 5}, "$.w: expected a word string"),
     ("partition_from_json", (2,), [[0], [1, "x"]], "$[1]: expected an array of integers"),
     (
         "upset_from_json",
@@ -776,11 +760,6 @@ def test_parse_errors_are_not_wrapped_in_the_document_path():
     assert validate_document({"orders": [2], "phi": [["a"]]}, "rotation") == [
         "$.phi[0]: expected an array of integers"
     ]
-    from ergolab.serialize import subspace_from_json
-
-    with pytest.raises(ValidationError) as exc:
-        subspace_from_json({"N": [1], "I": [["x"]], "w": "1"}, 2)
-    assert str(exc.value) == "$.I[0]: expected an array of integers"
 
 
 def test_constructor_errors_get_the_enclosing_path():

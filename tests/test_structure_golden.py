@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cyclic_system, three_direction_torus, twice_extended_system
+from helpers import cyclic_system, iid_law, three_direction_torus, twice_extended_system
 
 from ergolab.averages import (
     furstenberg_self_joining,
@@ -29,7 +29,6 @@ from ergolab.generators import random_system
 from ergolab.hales_jewett import (
     LineStructureReport,
     constant_law,
-    iid_law,
     line_marginal_structure_report,
     mixture_law,
 )

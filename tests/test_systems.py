@@ -14,11 +14,15 @@ from helpers import (
     cofactor_det,
     cyclic_system,
     fraction_system_error,
+    full_orbit_partition,
     generated_subgroup,
     long_period_system,
     old_perm_order,
     old_perm_power,
     old_relative_independence,
+    perm_order,
+    quotient_system,
+    random_subgroup,
     three_direction_torus,
     torus_system,
     two_fold_joining_check,
@@ -26,7 +30,7 @@ from helpers import (
 )
 
 from ergolab import systems
-from ergolab.generators import random_subgroup, random_system
+from ergolab.generators import random_system
 from ergolab.measure import ExactProbabilitySpace, Partition, ValidationError
 from ergolab.systems import (
     FactorMap,
@@ -38,10 +42,7 @@ from ergolab.systems import (
     invariant_factor,
     is_partially_trivial,
     joint_distribution_predicate,
-    orbit_partition,
-    perm_order,
     perm_power,
-    quotient_system,
     rotation_extension,
     verify_direct_sum,
 )
@@ -456,7 +457,7 @@ def test_factor_map_validation():
 
 def test_quotient_system_roundtrip():
     sys_ = torus_system(3, (1, 0), (0, 1))
-    p = orbit_partition(sys_, SubgroupSpec.basis_vector(2, 0), restrict_to_support=False)
+    p = full_orbit_partition(sys_, SubgroupSpec.basis_vector(2, 0))
     target, fmap = quotient_system(sys_, p)
     assert len(target.space) == 3
     assert is_partially_trivial(target, SubgroupSpec.basis_vector(2, 0))
@@ -469,8 +470,8 @@ def test_two_fold_joining_product_case():
     sys_ = torus_system(3, (1, 0), (0, 1))
     g1 = SubgroupSpec.basis_vector(2, 0)
     g2 = SubgroupSpec.basis_vector(2, 1)
-    x1, pi1 = quotient_system(sys_, orbit_partition(sys_, g1, False))
-    x2, pi2 = quotient_system(sys_, orbit_partition(sys_, g2, False))
+    x1, pi1 = quotient_system(sys_, full_orbit_partition(sys_, g1))
+    x2, pi2 = quotient_system(sys_, full_orbit_partition(sys_, g2))
     rep = two_fold_joining_check(sys_, pi1, pi2, g1, g2)
     assert rep.holds
 
@@ -478,7 +479,7 @@ def test_two_fold_joining_product_case():
 def test_two_fold_joining_diagonal_same_subgroup():
     sys_ = cyclic_system(4, 1, 0)
     g = SubgroupSpec.basis_vector(2, 1)
-    x1, pi1 = quotient_system(sys_, orbit_partition(sys_, g, False))
+    x1, pi1 = quotient_system(sys_, full_orbit_partition(sys_, g))
     rep = two_fold_joining_check(sys_, pi1, pi1, g, g)
     assert rep.holds
 
@@ -489,8 +490,8 @@ def test_two_fold_joining_randomized():
         sys_ = random_system(rng, max_points=10, dim=2)
         g1 = random_subgroup(rng, 2, max_vectors=1)
         g2 = random_subgroup(rng, 2, max_vectors=1)
-        x1, pi1 = quotient_system(sys_, orbit_partition(sys_, g1, False))
-        x2, pi2 = quotient_system(sys_, orbit_partition(sys_, g2, False))
+        x1, pi1 = quotient_system(sys_, full_orbit_partition(sys_, g1))
+        x2, pi2 = quotient_system(sys_, full_orbit_partition(sys_, g2))
         rep = two_fold_joining_check(sys_, pi1, pi2, g1, g2)
         assert rep.holds, rep.witness
 
@@ -498,7 +499,7 @@ def test_two_fold_joining_randomized():
 def test_two_fold_precondition_enforced():
     sys_ = torus_system(3, (1, 0), (0, 1))
     g1 = SubgroupSpec.basis_vector(2, 0)
-    x1, pi1 = quotient_system(sys_, orbit_partition(sys_, g1, False))
+    x1, pi1 = quotient_system(sys_, full_orbit_partition(sys_, g1))
     with pytest.raises(ValueError):
         # The target is not trivial under the wrong subgroup.
         two_fold_joining_check(sys_, pi1, pi1, SubgroupSpec.basis_vector(2, 1), g1)
@@ -601,7 +602,7 @@ def test_direct_sum_verification_at_dimension_12():
 def _quotient_maps(sys_, subgroups):
     maps = []
     for g in subgroups:
-        _, pi = quotient_system(sys_, orbit_partition(sys_, g, False))
+        _, pi = quotient_system(sys_, full_orbit_partition(sys_, g))
         maps.append(pi)
     return maps
 
@@ -664,8 +665,8 @@ def test_joining_predicates_match_the_block_product_loop(monkeypatch):
         sys_ = random_system(rng, max_points=10, dim=rng.choice((2, 3)))
         g1 = random_subgroup(rng, sys_.dim, max_vectors=1)
         g2 = random_subgroup(rng, sys_.dim, max_vectors=1)
-        _, pi1 = quotient_system(sys_, orbit_partition(sys_, g1, False))
-        _, pi2 = quotient_system(sys_, orbit_partition(sys_, g2, False))
+        _, pi1 = quotient_system(sys_, full_orbit_partition(sys_, g1))
+        _, pi2 = quotient_system(sys_, full_orbit_partition(sys_, g2))
         two_fold_joining_check(sys_, pi1, pi2, g1, g2)
     basis = [SubgroupSpec.basis_vector(3, i) for i in range(3)]
     joinings = [

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import cyclic_system, naive_upset_pairs
+from helpers import cyclic_system, iid_law, law_from_correspondence, naive_upset_pairs
 
 from ergolab import hales_jewett, upsets
 from ergolab.averages import (
@@ -26,9 +26,7 @@ from ergolab.generators import random_system
 from ergolab.hales_jewett import (
     build_correspondence,
     constant_law,
-    iid_law,
     insensitive_algebra,
-    law_from_correspondence,
     line_marginal_structure_report,
     marginals,
     mixture_law,
