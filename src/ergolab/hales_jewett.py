@@ -36,32 +36,6 @@ from .upsets import StructureReport, bits_of, ground_masks, mask_of, structure_r
 MAX_ALPHABET = 9
 _LETTERS = "123456789"
 
-__all__ = [
-    "CombinatorialSubspace",
-    "CorrespondenceMeasure",
-    "StationaryLawTruncation",
-    "all_words",
-    "words_up_to",
-    "check_alphabet",
-    "check_word",
-    "enumerate_lines",
-    "line_maps",
-    "enumerate_subspaces",
-    "subspace_images",
-    "max_line_free",
-    "MaxLineFreeResult",
-    "subspace_forcing_check",
-    "ForcingResult",
-    "build_correspondence",
-    "strong_stationarity_check",
-    "StationarityResult",
-    "marginals",
-    "insensitive_algebra",
-    "line_marginal_structure_report",
-    "constant_law",
-    "mixture_law",
-]
-
 
 def check_alphabet(k: int) -> int:
     """Letters are the single digits, so ``1 <= k <= MAX_ALPHABET``."""
@@ -125,31 +99,6 @@ class CombinatorialSubspace:
         # n = 0 degenerates to a bare point: the template is the image.
         if bps and len(self.template) != prev:
             raise ValueError("template length must equal the last breakpoint")
-
-    @property
-    def n(self) -> int:
-        return len(self.breakpoints)
-
-    @property
-    def ambient_length(self) -> int:
-        return self.breakpoints[-1] if self.breakpoints else len(self.template)
-
-    def embed(self, v: str) -> str:
-        """The image word: wildcard positions take the matching letter of ``v``."""
-        check_word(v, self.k)
-        if len(v) != self.n:
-            raise ValueError("argument length must equal the subspace dimension")
-        return self._embed(v)
-
-    def image(self) -> tuple[str, ...]:
-        return tuple(map(self._embed, all_words(self.k, self.n)))
-
-    def _embed(self, v: str) -> str:
-        out = list(self.template)
-        for letter, positions in zip(v, self.wildcards):
-            for p in positions:
-                out[p - 1] = letter
-        return "".join(out)
 
 
 def _subspace_maps(k: int, n: int, total: int):
@@ -255,9 +204,16 @@ def enumerate_subspaces(k: int, n: int, max_length: int) -> list[CombinatorialSu
 @cache
 def subspace_images(k: int, n: int, max_length: int) -> tuple[tuple[str, ...], ...]:
     """The images of :func:`enumerate_subspaces` ``(k, n, max_length)``, in
-    its order.  Built once per arguments and shared by every caller; the
-    tuple is immutable."""
-    return tuple(s.image() for s in enumerate_subspaces(k, n, max_length))
+    its order: the words of each map's length at its :func:`_points`, the
+    index rule the stationarity check sums by.  Built once per arguments
+    and shared by every caller; the tuple is immutable."""
+    maps = _subspaces(k, n, max_length)
+    words, _, bounds = _word_layout(k, max_length)
+    return tuple(
+        tuple(words[bounds[bps[-1] - 1] + p] for p in _points(k, base, steps))
+        for bps, _, bases, steps in maps
+        for base in bases
+    )
 
 
 MAX_LAW_LETTERS = 1 << 24
@@ -469,19 +425,38 @@ def subspace_forcing_check(k: int, L: int, N: int, max_sets: int = 200_000) -> F
         raise ValueError(
             f"point set too large for the forcing check: at most {MAX_FORCING_POINTS} points"
         )
-    points = all_words(k, N)
+    n_points = k**N
     # A set missing m points has density above 1 - k^(-2L) when m k^(2L) < k^N.
-    max_missing = (len(points) - 1) // k ** (2 * L)
+    max_missing = (n_points - 1) // k ** (2 * L)
+    # In all_words order a point's suffix after L letters is its index mod
+    # k^(N-L), so the sets are walked as index combinations.
     n_suffixes = k ** (N - L)
     count = 0
     for miss in range(max_missing + 1):
-        for gone in combinations(points, miss):
+        for gone in _index_combinations(n_points, miss):
             count += 1
             if count > max_sets:
                 return ForcingResult(True, None, False)
-            if len({p[L:] for p in gone}) == n_suffixes:
-                return ForcingResult(False, frozenset(points).difference(gone), True)
+            if len({p % n_suffixes for p in gone}) == n_suffixes:
+                points = all_words(k, N)
+                kept = frozenset(points).difference(points[p] for p in gone)
+                return ForcingResult(False, kept, True)
     return ForcingResult(True, None, True)
+
+
+def _index_combinations(n: int, m: int):
+    """The ``m``-subsets of ``range(n)`` as rising tuples, in the order of
+    ``itertools.combinations(range(n), m)``, which would first copy its
+    pool; this walk holds only the current subset."""
+    idx = list(range(m))
+    while m <= n:
+        yield tuple(idx)
+        i = m - 1
+        while i >= 0 and idx[i] == n - m + i:
+            i -= 1
+        if i < 0:
+            return
+        idx[i:] = range(idx[i] + 1, idx[i] + 1 + m - i)
 
 
 @dataclass(frozen=True)
@@ -500,20 +475,29 @@ class CorrespondenceMeasure:
             self.mass, self.k**self.length, 2, length_error=text, range_error=text
         )
         object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "_words", tuple(all_words(self.k, self.length)))
+        words = tuple(all_words(self.k, self.length))
+        object.__setattr__(self, "_words", words)
+        object.__setattr__(self, "_windex", {w: i for i, w in enumerate(words)})
 
     @property
     def words(self) -> tuple[str, ...]:
         return self._words  # type: ignore[attr-defined]
 
+    def _indices(self, words: Sequence[str]) -> list[int]:
+        """The words' positions in ``[k]^L``; a word outside raises ``ValueError``."""
+        try:
+            return [self._windex[w] for w in words]  # type: ignore[attr-defined]
+        except KeyError as exc:
+            raise ValueError(f"word {exc.args[0]!r} not in [k]^L") from None
+
     def point_event(self, w: str) -> Fraction:
         """Mass of configurations with a 1 at the given word."""
-        i = self.words.index(w)
+        (i,) = self._indices((w,))
         return sum((v for cfg, v in self.mass.items() if cfg[i] == 1), ZERO)
 
     def line_event(self, line: Sequence[str]) -> Fraction:
         """Mass of configurations with a 1 at every point of the line."""
-        idx = [self.words.index(w) for w in line]
+        idx = self._indices(line)
         return sum(
             (v for cfg, v in self.mass.items() if all(cfg[i] == 1 for i in idx)),
             ZERO,
@@ -575,8 +559,8 @@ class StationaryLawTruncation:
     the common denominator of its masses into one table per word length:
     the joint law of the coordinates of that length.  A tuple of
     coordinates of one length (every coordinate and subspace image is one)
-    is summed from its length's table, and any other tuple from the whole
-    law.  The law remembers the highest dimension cap at which
+    is summed from its length's table; a tuple of several lengths is
+    refused.  The law remembers the highest dimension cap at which
     :func:`strong_stationarity_check` held, so ``weights`` must not be
     changed after construction.  ``weights`` is the law's own copy, read by
     :func:`measure.exact_masses`: the dict passed in may be reused or
@@ -611,7 +595,6 @@ class StationaryLawTruncation:
         )
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_bounds", bounds)
         object.__setattr__(self, "_by_length", self._length_tables(nums))
         # The highest dimension cap at which the stationarity check held.
@@ -648,26 +631,21 @@ class StationaryLawTruncation:
         """Numerators of the joint law of the coordinates ``idx`` (nonempty);
         callers must not mutate it.
 
-        Coordinates that are all words of one length are summed from that
-        length's table, by their positions in it; others from the whole law.
-        Both give the same numerators over the same denominator: a marginal
-        of a marginal is the marginal.  All the words of one length, in
-        order, are that length's table itself.
+        The coordinates must all be words of one length, or ``ValueError``
+        is raised.  They are summed from that length's table, by their
+        positions in it: a marginal of a marginal is the marginal, over the
+        same denominator.  All the words of one length, in order, are that
+        length's table itself.
         """
         bounds = self._bounds  # type: ignore[attr-defined]
         n = bisect_right(bounds, idx[0])
         lo, hi = bounds[n - 1], bounds[n]
-        if lo <= min(idx) and max(idx) < hi:
-            table = self._by_length[n - 1]  # type: ignore[attr-defined]
-            if idx != tuple(range(lo, hi)):
-                table = _sum_by(table, [i - lo for i in idx])
-            return table
-        return self._sum_numerators(idx)
-
-    def _sum_numerators(self, idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """One scan of the whole law, for coordinates of several lengths."""
-        nums = self._nums  # type: ignore[attr-defined]
-        return _sum_by(dict(zip(self.weights, nums)), idx)
+        if not (lo <= min(idx) and max(idx) < hi):
+            raise ValueError("pullback words must all have one length")
+        table = self._by_length[n - 1]  # type: ignore[attr-defined]
+        if idx != tuple(range(lo, hi)):
+            table = _sum_by(table, [i - lo for i in idx])
+        return table
 
     def coordinate_marginal(self, w: str) -> tuple[Fraction, ...]:
         acc = self._pull((self.word_index(w),))

@@ -25,7 +25,6 @@ from operator import attrgetter, getitem, index, itemgetter
 from typing import Collection, Iterable, Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _numerator = attrgetter("numerator")
 
@@ -266,16 +265,6 @@ class SimpleFunction:
     def __len__(self) -> int:
         return len(self.values)
 
-    @classmethod
-    def indicator(cls, n: int, where: Iterable[int]) -> "SimpleFunction":
-        s = set(where)
-        return cls(tuple(ONE if i in s else ZERO for i in range(n)))
-
-    @classmethod
-    def constant(cls, n: int, value: Rational) -> "SimpleFunction":
-        v = _frac(value)
-        return cls(tuple(v for _ in range(n)))
-
     def integral(self, space: ExactProbabilitySpace) -> Fraction:
         if len(self) != len(space):
             raise ValueError("dimension mismatch")
@@ -351,10 +340,6 @@ class Coupling:
         """Positive-mass tuples in lexicographic order."""
         return self._support  # type: ignore[attr-defined]
 
-    def marginal(self, coord: int) -> tuple[Fraction, ...]:
-        den = self._den  # type: ignore[attr-defined]
-        return tuple(Fraction(num, den) for num in self._marginal_nums(coord))
-
     def _marginal_nums(self, coord: int) -> list[int]:
         """The numerators over ``_den`` of the marginal at ``coord``."""
         out = [0] * len(self.base)
@@ -366,17 +351,6 @@ class Coupling:
         """The support tuples, with their masses, as a probability space."""
         supp = self.support()
         return ExactProbabilitySpace(supp, tuple(self.mass[t] for t in supp))
-
-    def pushforward(self, coords: Sequence[int]) -> "Coupling":
-        """Marginal coupling on a subtuple of coordinates."""
-        coords = tuple(coords)
-        if not coords or any(not 0 <= c < self.arity for c in coords):
-            raise ValueError("invalid coordinate selection")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for t, v in self.mass.items():
-            key = tuple(t[c] for c in coords)
-            out[key] = out.get(key, ZERO) + v
-        return Coupling(len(coords), self.base, out)
 
     def invariant_under(self, point_maps: Sequence[Sequence[int]]) -> bool:
         """Whether the pushforward under per-coordinate point bijections of

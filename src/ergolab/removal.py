@@ -47,17 +47,6 @@ from .upsets import (
     upset_pair_independence,
 )
 
-__all__ = [
-    "UpSet",
-    "RemovalInstance",
-    "HypothesesReport",
-    "SearchConfig",
-    "check_hypotheses",
-    "check_conclusion",
-    "search_counterexample",
-    "enumerate_upsets",
-]
-
 
 @dataclass(frozen=True)
 class RemovalInstance:
@@ -98,16 +87,9 @@ class RemovalInstance:
             for ups, a in fam:
                 _check_target(d, i, ups, a, psi, len(self.space))
 
-    @property
-    def d(self) -> int:
-        return self.coupling.arity
-
-    def block_join(self, upset: UpSet) -> Partition:
-        """Join of ``psi`` over the up-set members (trivial for the empty up-set)."""
-        return _block_join(self.psi, upset, len(self.space))
-
 
 def _block_join(psi: dict, upset: UpSet, n: int) -> Partition:
+    """Join of ``psi`` over the up-set members (trivial for the empty up-set)."""
     if not upset.members:
         return Partition.one_block(n)
     return common_refinement(*(psi[m] for m in upset.members))

@@ -143,16 +143,6 @@ class SubgroupSpec:
         if len(dims) > 1:
             raise ValueError("generator vectors must share one dimension")
 
-    @classmethod
-    def trivial(cls) -> "SubgroupSpec":
-        return cls(())
-
-    @classmethod
-    def basis_vector(cls, dim: int, i: int) -> "SubgroupSpec":
-        v = [0] * dim
-        v[i] = 1
-        return cls((tuple(v),))
-
     def __add__(self, other: "SubgroupSpec") -> "SubgroupSpec":
         return SubgroupSpec(self.vectors + other.vectors)
 

@@ -92,12 +92,12 @@ class UpSet:
 
     @classmethod
     def closure(cls, d: int, antichain: Iterable[Iterable[int]]) -> "UpSet":
-        """Upward closure of a family of generating subsets."""
-        gens = [mask_of(a) for a in antichain]
-        if any(popcount(g) < 2 for g in gens):
+        """Upward closure of a family of generating subsets: the union of
+        their principal up-sets."""
+        gens = [tuple(a) for a in antichain]
+        if any(popcount(mask_of(g)) < 2 for g in gens):
             raise ValueError("generators must have size at least 2")
-        members = {m for m in ground_masks(d) if any(m & g == g for g in gens)}
-        return cls(d, frozenset(members))
+        return cls(d, frozenset().union(*(cls.principal(d, g).members for g in gens)))
 
     @classmethod
     def principal(cls, d: int, e: Iterable[int]) -> "UpSet":
@@ -112,26 +112,6 @@ class UpSet:
     @classmethod
     def full(cls, d: int) -> "UpSet":
         return cls(d, frozenset(ground_masks(d)))
-
-    def intersect(self, other: "UpSet") -> "UpSet":
-        if self.d != other.d:
-            raise ValueError("up-sets live over different ground dimensions")
-        return UpSet(self.d, self.members & other.members)
-
-    __and__ = intersect
-
-    def depth(self) -> int:
-        """Minimal member size; undefined (raises) for the empty up-set."""
-        if not self.members:
-            raise ValueError("the empty up-set has no depth")
-        return min(popcount(m) for m in self.members)
-
-    def minimal_members(self) -> frozenset[int]:
-        out = set()
-        for m in self.members:
-            if not any(o != m and o & m == o for o in self.members):
-                out.add(m)
-        return frozenset(out)
 
     def __contains__(self, item: int) -> bool:
         return index(item) in self.members
@@ -165,11 +145,10 @@ def enumerate_upsets(d: int) -> tuple[UpSet, ...]:
             except ValueError:
                 continue
         return tuple(sorted(out, key=lambda u: sorted(u.members)))
-    out = [UpSet.full(d), UpSet.empty(d)]
-    for m in ground_masks(d):
-        out.append(UpSet.closure(d, [bits_of(m)]))
-    unique = {u.members: u for u in out}
-    return tuple(unique.values())
+    # No two coincide: a principal up-set holds the full index set and has
+    # one minimal member, so it is neither the empty nor the full up-set.
+    principal = (UpSet.closure(d, [bits_of(m)]) for m in ground_masks(d))
+    return (UpSet.full(d), UpSet.empty(d), *principal)
 
 
 @dataclass(frozen=True)

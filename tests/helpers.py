@@ -22,6 +22,7 @@ from ergolab.averages import (
 from ergolab.generators import random_system
 from ergolab.hales_jewett import (
     _LETTERS,
+    CombinatorialSubspace,
     CorrespondenceMeasure,
     MaxLineFreeResult,
     StationaryLawTruncation,
@@ -828,7 +829,7 @@ def fraction_identification(inst):
     """Reference for removal hypothesis [ii]: the block-by-block loop that
     sums the ``Fraction`` mass of every block's pullback mismatch.  Returns
     ``(identified, witness)``."""
-    for m in ground_masks(inst.d):
+    for m in ground_masks(inst.coupling.arity):
         coords = bits_of(m)
         for block in inst.psi[m].blocks:
             bset = set(block)
@@ -931,7 +932,7 @@ def old_scan_families(space, coupling, psi, coord_upsets, holds=None):
     for i, opts in enumerate(coord_upsets):
         per_coord = []
         for ups in opts:
-            for a in removal._block_unions(shell.block_join(ups)):
+            for a in removal._block_unions(block_join(shell, ups)):
                 removal._check_target(d, i, ups, a, psi, n)
                 per_coord.append((ups, a))
         choice_lists.append(per_coord)
@@ -1006,8 +1007,6 @@ def every_template_subspaces(k, n, max_length, exact_length=None):
     ``max_length`` (or exactly ``exact_length``), deduplicated by image."""
     from itertools import combinations
 
-    from ergolab.hales_jewett import CombinatorialSubspace
-
     out = []
     seen = set()
 
@@ -1035,7 +1034,7 @@ def every_template_subspaces(k, n, max_length, exact_length=None):
             for wcs in iter_product(*wildcard_choices):
                 for template in all_words(k, total):
                     s = CombinatorialSubspace(k, breakpoints, tuple(wcs), template)
-                    img = s.image()
+                    img = image(s)
                     if img not in seen:
                         seen.add(img)
                         out.append(s)
@@ -1415,6 +1414,71 @@ def event_mass(coupling: Coupling, sets) -> Fraction:
     return Fraction(total, coupling._den)
 
 
+def marginal(coupling: Coupling, coord: int) -> tuple[Fraction, ...]:
+    """The marginal at ``coord``, from the coupling's integer numerators
+    over its common denominator."""
+    den = coupling._den
+    return tuple(Fraction(num, den) for num in coupling._marginal_nums(coord))
+
+
+def pushforward(coupling: Coupling, coords) -> Coupling:
+    """Marginal coupling on a subtuple of coordinates."""
+    coords = tuple(coords)
+    if not coords or any(not 0 <= c < coupling.arity for c in coords):
+        raise ValueError("invalid coordinate selection")
+    out: dict[tuple[int, ...], Fraction] = {}
+    for t, v in coupling.mass.items():
+        key = tuple(t[c] for c in coords)
+        out[key] = out.get(key, Fraction(0)) + v
+    return Coupling(len(coords), coupling.base, out)
+
+
+def indicator(n: int, where) -> SimpleFunction:
+    s = set(where)
+    return SimpleFunction(tuple(Fraction(int(i in s)) for i in range(n)))
+
+
+def constant(n: int, value) -> SimpleFunction:
+    return SimpleFunction((value,) * n)
+
+
+def minimal_members(u: UpSet) -> frozenset[int]:
+    """The members of an up-set with no other member inside them: the
+    antichain :meth:`UpSet.closure` rebuilds it from."""
+    return frozenset(
+        m for m in u.members if not any(o != m and o & m == o for o in u.members)
+    )
+
+
+def block_join(inst: RemovalInstance, upset: UpSet) -> Partition:
+    """Join of the instance's ``psi`` over the up-set members (trivial for
+    the empty up-set)."""
+    from ergolab import removal
+
+    return removal._block_join(inst.psi, upset, len(inst.space))
+
+
+def basis_subgroup(dim: int, i: int) -> SubgroupSpec:
+    """The subgroup of Z^dim the ``i``-th unit vector generates."""
+    return SubgroupSpec((tuple(int(j == i) for j in range(dim)),))
+
+
+def embed(s: CombinatorialSubspace, v: str) -> str:
+    """The image word of ``v``, letter by letter: wildcard positions take
+    the matching letter of ``v``, the others copy the template."""
+    out = list(s.template)
+    for letter, positions in zip(v, s.wildcards):
+        for p in positions:
+            out[p - 1] = letter
+    return "".join(out)
+
+
+def image(s: CombinatorialSubspace) -> tuple[str, ...]:
+    """The subspace's words, embedded one parameter word at a time: the
+    oracle of :func:`hales_jewett.subspace_images`' index rule."""
+    return tuple(embed(s, v) for v in all_words(s.k, len(s.breakpoints)))
+
+
 def random_subgroup(rng: Random, dim: int, max_vectors: int = 1) -> SubgroupSpec:
     vectors = []
     for _ in range(rng.randint(0, max_vectors)):
@@ -1443,7 +1507,7 @@ def project_joining(fj: FurstenbergJoining, directions) -> Coupling:
     if any(i not in fj.directions for i in dirs):
         raise ValueError("not a subset of the joining's directions")
     positions = [fj.directions.index(i) for i in dirs]
-    return fj.coupling.pushforward(positions)
+    return pushforward(fj.coupling, positions)
 
 
 def recurrence_certificates_exhaustive(sys: FiniteZdSystem) -> dict[int, RecurrenceCertificate]:
@@ -1495,7 +1559,7 @@ def level_set_replacement(
     expectation; the removed part ``A minus A'`` is always null."""
     A = frozenset(A)
     ce = conditional_expectation(
-        SimpleFunction.indicator(len(space), A), partition, space
+        indicator(len(space), A), partition, space
     )
     a2 = frozenset(x for x in range(len(space)) if ce.values[x] > 0)
     gap = space.measure(A - a2)
@@ -1685,7 +1749,7 @@ def lifting_scenario_report() -> dict:
         out = []
         for ups, a in fam:
             ce = conditional_expectation(
-                SimpleFunction.indicator(4, a), inst2.block_join(ups), spaces
+                indicator(4, a), block_join(inst2, ups), spaces
             )
             out.append(
                 frozenset(x for x in range(4) if ce.values[x] > 1 - delta)

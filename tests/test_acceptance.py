@@ -15,11 +15,13 @@ from itertools import combinations, product as iter_product
 import pytest
 
 from helpers import (
+    basis_subgroup,
     brute_cesaro,
     cyclic_system,
     direction_period,
     full_orbit_partition,
     iid_law,
+    image,
     law_from_correspondence,
     project_joining,
     quotient_system,
@@ -56,7 +58,7 @@ from ergolab.hales_jewett import (
 from ergolab.hales_jewett import marginals as law_marginals
 from ergolab.measure import ExactProbabilitySpace, Partition, common_refinement, relative_independence
 from ergolab.removal import SearchConfig, search_counterexample
-from ergolab.systems import SubgroupSpec, invariant_factor
+from ergolab.systems import invariant_factor
 
 F = Fraction
 
@@ -262,7 +264,7 @@ def test_criterion_6_joint_distribution():
 
     tri = three_direction_torus(5)
     factors = [
-        invariant_factor(tri, SubgroupSpec.basis_vector(3, i)) for i in range(3)
+        invariant_factor(tri, basis_subgroup(3, i)) for i in range(3)
     ]
     trivial = Partition.one_block(25)
     for i, j in combinations(range(3), 2):
@@ -351,7 +353,7 @@ def test_criterion_11_stationarity():
     # Choice independence across at least three line selections.
     lines = enumerate_subspaces(2, 1, 2)
     assert len(lines) >= 3
-    pulls = [law.pullback(s.image()) for s in lines]
+    pulls = [law.pullback(image(s)) for s in lines]
     assert all(p == pulls[0] for p in pulls[1:])
     point, line_marginal = law_marginals(law)
     assert point.weights == carrier.weights

@@ -11,14 +11,16 @@ import pytest
 
 from helpers import (
     brute_cesaro,
+    constant,
     cyclic_system,
     direction_period,
     event_mass,
+    indicator,
     long_period_system,
     multiple_recurrence_check,
     old_furstenberg_self_joining,
-    old_perm_power,
     old_period_scan,
+    old_perm_power,
     old_recurrence_certificates_exhaustive,
     old_recurrence_witness,
     old_self_joining_psi,
@@ -78,7 +80,7 @@ def test_average_identity_action_returns_function():
 
 def test_average_of_ones_is_one():
     sys_ = cyclic_system(3, 1, 2)
-    one = SimpleFunction.constant(3, 1)
+    one = constant(3, 1)
     out = nonconventional_average(sys_, [one, one], 5)
     assert set(out.values) == {F(1)}
 
@@ -86,7 +88,7 @@ def test_average_of_ones_is_one():
 def test_average_direct_summation_oracle():
     # Z3, generators +1 and +2, indicators of {0}, N = 3.
     sys_ = cyclic_system(3, 1, 2)
-    ind = SimpleFunction.indicator(3, {0})
+    ind = indicator(3, {0})
     out = nonconventional_average(sys_, [ind, ind], 3)
     # Oracle: only n = 3 contributes, at x = 0.
     expected = [F(0)] * 3

@@ -484,12 +484,11 @@ def test_bad_functions_are_located_input_errors(z3_file, tmp_path, functions, me
 
 
 def test_joint_subcommand(tmp_path, capsys):
-    from helpers import full_orbit_partition, quotient_system, torus_system
+    from helpers import basis_subgroup, full_orbit_partition, quotient_system, torus_system
     from ergolab.serialize import system_to_json as s2j, subgroup_to_json
-    from ergolab.systems import SubgroupSpec
 
     sys_ = torus_system(3, (1, 0), (0, 1))
-    gs = [SubgroupSpec.basis_vector(2, 0), SubgroupSpec.basis_vector(2, 1)]
+    gs = [basis_subgroup(2, 0), basis_subgroup(2, 1)]
     targets, maps = [], []
     for g in gs:
         target, pi = quotient_system(sys_, full_orbit_partition(sys_, g))
@@ -507,6 +506,45 @@ def test_joint_subcommand(tmp_path, capsys):
     code, report = run(capsys, ["joint", "--instance", str(path)])
     assert code == 0
     assert report["results"]["holds"] is True
+
+
+def test_joint_subcommand_acts_by_a_power_read_off_the_cycles(tmp_path, capsys, monkeypatch):
+    # Subgroups <(1, -1)> and <(0, 1)> with a trivial lambda are a direct
+    # sum of Z^2, so the command acts by T_2^-1, which `FiniteZdSystem.act`
+    # reads off the cycle decomposition (`systems.perm_power`).  The
+    # verdict and each coordinate's report must be the predicate's when
+    # every power is composed step by step instead.
+    from helpers import full_orbit_partition, old_perm_power, quotient_system, torus_system
+    from ergolab import systems
+    from ergolab.serialize import system_to_json as s2j, subgroup_to_json
+    from ergolab.systems import SubgroupSpec, joint_distribution_predicate
+
+    sys_ = torus_system(3, (1, 0), (0, 1))
+    gs = [SubgroupSpec(((1, -1),)), SubgroupSpec(((0, 1),))]
+    quotients = [quotient_system(sys_, full_orbit_partition(sys_, g)) for g in gs]
+    doc = {
+        "joining": s2j(sys_),
+        "targets": [s2j(target) for target, _ in quotients],
+        "maps": [list(pi.point_map) for _, pi in quotients],
+        "subgroups": [subgroup_to_json(g) for g in gs],
+        "lambda": {"vectors": []},
+    }
+    path = tmp_path / "joint.json"
+    path.write_text(json.dumps(doc))
+    powers = []
+    perm_power = systems.perm_power
+    monkeypatch.setattr(systems, "perm_power", lambda p, k: powers.append(k) or perm_power(p, k))
+    code, report = run(capsys, ["joint", "--instance", str(path)])
+    assert -1 in powers
+    monkeypatch.setattr(systems, "perm_power", old_perm_power)
+    expected = joint_distribution_predicate(
+        sys_, [pi for _, pi in quotients], gs, SubgroupSpec(())
+    )
+    results = report["results"]
+    assert [(r["holds"], r["witness"]) for r in results["per_coordinate"]] == [
+        (r.holds, r.witness) for r in expected.per_coordinate
+    ]
+    assert (code, results["holds"]) == (0 if expected.holds else 1, expected.holds)
 
 
 def test_removal_check_subcommand(tmp_path, capsys):
@@ -595,18 +633,13 @@ def test_stationarity_cli_pulls_each_image_back_once(tmp_path, monkeypatch, caps
     from ergolab.hales_jewett import StationaryLawTruncation
 
     path = _iid_law_file(tmp_path, 3)
-    length_tables, scans, passes, sources, parts = [], [], [], [], []
+    length_tables, passes, sources, parts = [], [], [], []
     by_length = StationaryLawTruncation._length_tables
-    scan = StationaryLawTruncation._sum_numerators
     sum_image, coordinate_sums = hales_jewett._sum_image, hales_jewett._coordinate_sums
 
     def counting_length_tables(self, numerator):
         length_tables.append(by_length(self, numerator))
         return length_tables[-1]
-
-    def counting_scan(self, idx):
-        scans.append(idx)
-        return scan(self, idx)
 
     def counting_coordinate_sums(table):
         passes.append(table)
@@ -618,12 +651,11 @@ def test_stationarity_cli_pulls_each_image_back_once(tmp_path, monkeypatch, caps
         return sum_image(table, get)
 
     monkeypatch.setattr(StationaryLawTruncation, "_length_tables", counting_length_tables)
-    monkeypatch.setattr(StationaryLawTruncation, "_sum_numerators", counting_scan)
     monkeypatch.setattr(hales_jewett, "_coordinate_sums", counting_coordinate_sums)
     monkeypatch.setattr(hales_jewett, "_sum_image", counting_sum_image)
     code, report = run(capsys, ["dhj", "stationarity", "--law", path, "--dim-cap", "2"])
     assert code == 0 and report["results"]["holds"] is True
-    assert len(length_tables) == 1 and scans == []
+    assert len(length_tables) == 1
     assert [id(t) for t in passes] == [id(t) for t in length_tables[0]]
     assert all(any(t is own for own in length_tables[0]) for t in sources)
     widths = [len(p) if isinstance(p, tuple) else 1 for p in parts]
@@ -850,11 +882,10 @@ def test_rotation_extension_beyond_the_point_bound_is_an_input_error(tmp_path):
 
 # -- bounds checked before the words are built ------------------------------------------
 
-def _capped_cli(*argv, cwd=None):
+def _capped_cli(*argv, cwd=None, cap=400 << 20):
     """Exit code, stdout and wall time of the command in a child capped at
-    400 MB of address space."""
+    ``cap`` bytes of address space, 400 MiB unless given."""
     resource = pytest.importorskip("resource")
-    cap = 400 << 20
     start = time.perf_counter()
     proc = _fresh_python(
         "-m", "ergolab.cli", *argv, cwd=cwd,
@@ -883,8 +914,10 @@ def test_force_refuses_more_than_its_point_bound_before_building_them(N):
 
 def test_force_at_its_point_bound_still_runs_under_the_cap():
     # 2^21 points is the largest space the bound admits; it stops at its
-    # set budget as before.
-    code, out, _ = _capped_cli("dhj", "force", "-k", "2", "-L", "1", "-N", "21")
+    # set budget as before.  The sets are walked as word indices, so no
+    # word is built and 64 MiB of address space is enough; building the
+    # 2^21 words first took about 215 MiB, well past this cap.
+    code, out, _ = _capped_cli("dhj", "force", "-k", "2", "-L", "1", "-N", "21", cap=64 << 20)
     assert code == 2
     assert json.loads(out)["results"] == {"counterexample": None, "holds": True, "threshold": "3/4"}
 

@@ -16,11 +16,16 @@ from itertools import product as iter_product
 
 import pytest
 
-from helpers import full_orbit_partition, quotient_system, three_direction_torus, torus_system
+from helpers import (
+    basis_subgroup,
+    full_orbit_partition,
+    quotient_system,
+    three_direction_torus,
+    torus_system,
+)
 
 from ergolab.cli import main
 from ergolab.serialize import subgroup_to_json, system_to_json
-from ergolab.systems import SubgroupSpec
 
 Z3 = {"dim": 2, "generators": [[1, 2, 0], [2, 0, 1]],
       "space": {"points": [0, 1, 2], "weights": ["1/3", "1/3", "1/3"]}}
@@ -94,7 +99,7 @@ REMOVAL_DEPENDENT = {
 def _joint_instance(sys_) -> dict:
     """The joining ``sys_`` with its quotients by the orbits of each basis
     direction, the basis subgroups and an empty ``lambda``."""
-    gs = [SubgroupSpec.basis_vector(sys_.dim, i) for i in range(sys_.dim)]
+    gs = [basis_subgroup(sys_.dim, i) for i in range(sys_.dim)]
     quotients = [quotient_system(sys_, full_orbit_partition(sys_, g)) for g in gs]
     return {
         "joining": system_to_json(sys_),

@@ -5,15 +5,17 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 import pytest
 
 from helpers import (
     all_lines_max_line_free,
     check_density_premises,
+    embed,
     every_template_subspaces,
     iid_law,
+    image,
     law_from_correspondence,
     letter_replace,
     naive_coordinate_marginal,
@@ -62,21 +64,21 @@ F = Fraction
 def test_all_wildcard_line_doubles_letters():
     s = CombinatorialSubspace(3, (2,), (frozenset({1, 2}),), "11")
     for i in "123":
-        assert s.embed(i) == i + i
+        assert embed(s, i) == i + i
 
 
 def test_embedding_formula_example():
     # k=2, N1=3, wildcard {2}: positions 1 and 3 copy the template "121".
     s = CombinatorialSubspace(2, (3,), (frozenset({2}),), "121")
-    assert s.embed("1") == "111"
-    assert s.embed("2") == "121"
+    assert embed(s, "1") == "111"
+    assert embed(s, "2") == "121"
 
 
 def test_embedding_injective_on_small_parameters():
     for k in (2, 3):
         for n in (1, 2):
             for s in enumerate_subspaces(k, n, 3):
-                img = s.image()
+                img = image(s)
                 assert len(set(img)) == k**n
 
 
@@ -92,18 +94,18 @@ def test_subspaces_match_the_every_template_enumeration(k, length):
     # ambient lengths in order, each the every-template list of its length.
     for n in range(1, length + 1):
         subspaces = enumerate_subspaces(k, n, length)
-        lengths = [s.ambient_length for s in subspaces]
+        lengths = [s.breakpoints[-1] for s in subspaces]
         assert lengths == sorted(lengths)
         for m in range(n, length + 1):
             expected = every_template_subspaces(k, n, m, exact_length=m)
-            assert [s for s in subspaces if s.ambient_length == m] == expected
+            assert [s for s in subspaces if s.breakpoints[-1] == m] == expected
     assert enumerate_subspaces(k, length + 1, length) == []
 
 
 def test_subspace_images_are_built_once_and_shared():
     images = subspace_images(3, 2, 3)
     assert images is subspace_images(3, 2, 3)
-    assert images == tuple(s.image() for s in enumerate_subspaces(3, 2, 3))
+    assert images == tuple(image(s) for s in enumerate_subspaces(3, 2, 3))
 
 
 def test_subspace_validation():
@@ -117,7 +119,7 @@ def test_subspace_validation():
 
 def test_zero_dimensional_subspace_is_a_point():
     s = CombinatorialSubspace(2, (), (), "121")
-    assert s.embed("") == "121"
+    assert embed(s, "") == "121"
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -170,7 +172,7 @@ def test_line_maps_match_the_former_loop(k):
         assert lines == old_line_maps(k, N)
         if k >= 2:
             subspaces = enumerate_subspaces(k, 1, N)
-            assert lines == [s.image() for s in subspaces if s.ambient_length == N]
+            assert lines == [image(s) for s in subspaces if s.breakpoints[-1] == N]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -184,7 +186,7 @@ def test_index_enumeration_matches_the_string_enumeration(k):
         for n in range(1, 4):
             expected = old_enumerate_subspaces(k, n, length)
             subspaces = enumerate_subspaces(k, n, length)
-            got = [(s.breakpoints, s.wildcards, s.template, s.image()) for s in subspaces]
+            got = [(s.breakpoints, s.wildcards, s.template, image(s)) for s in subspaces]
             assert got == expected
             assert subspace_images(k, n, length) == tuple(image for *_, image in expected)
             if k**length <= 81:
@@ -223,7 +225,7 @@ def test_general_subspace_enumeration_matches_line_count():
     # One-dimensional subspaces at exact ambient length are exactly the lines.
     for k, N in ((2, 2), (2, 3), (3, 2)):
         subspaces = enumerate_subspaces(k, 1, N)
-        images = {tuple(sorted(s.image())) for s in subspaces if s.ambient_length == N}
+        images = {tuple(sorted(image(s))) for s in subspaces if s.breakpoints[-1] == N}
         assert images == set(enumerate_lines(k, N))
 
 
@@ -396,6 +398,13 @@ def test_forcing_matches_the_set_by_set_check():
                 assert subspace_forcing_check(k, L, N) == ForcingResult(ok, counter, True)
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_index_combinations_walk_in_the_itertools_order(n):
+    # The forcing check's lazy walk over the missing points' indices.
+    for m in range(n + 2):
+        assert list(hales_jewett._index_combinations(n, m)) == list(combinations(range(n), m))
+
+
 def test_forcing_over_its_set_limit_is_partial():
     # [2]^3 at L = 1 has the full set and the 8 sets missing one point.
     assert subspace_forcing_check(2, 1, 3, max_sets=9) == ForcingResult(True, None, True)
@@ -435,6 +444,14 @@ def test_correspondence_worked_example():
     assert cm.point_event("2") == F(1, 2)
     for line in line_maps(2, 1):
         assert cm.line_event(line) == 0
+
+
+def test_correspondence_events_refuse_a_word_outside_the_window():
+    cm = build_correspondence({"12", "21"}, 2, 2, 1)
+    for event in (cm.point_event, lambda w: cm.line_event(("1", w))):
+        for word in ("3", "11", ""):
+            with pytest.raises(ValueError, match=r"^word '.*' not in \[k\]\^L$"):
+                event(word)
 
 
 def test_correspondence_identities_direct_enumeration():
@@ -754,15 +771,26 @@ def test_pullbacks_and_marginals_match_fraction_oracle(law):
     for w in law.words:
         assert law.coordinate_marginal(w) == naive_coordinate_marginal(law, w)
     rng = random.Random(len(law.weights))
-    images = [s.image() for n in range(1, law.depth + 1)
+    images = [image(s) for n in range(1, law.depth + 1)
               for s in enumerate_subspaces(law.k, n, law.depth)]
     images += [tuple(rng.choice(law.words) for _ in range(rng.randint(1, 4)))
                for _ in range(20)]
     images += _cross_length_requests(law)
     for img in images:
-        for _ in range(2):  # the second call is answered from the memo
-            assert law.pullback(img) == naive_pullback(law, img)
+        for _ in range(2):  # a second call sums again and agrees
+            _assert_pullback(law, img)
     assert law.pullback(()) == {(): 1}
+
+
+def _assert_pullback(law, img):
+    """Words of one length pull back to the Fraction sums over the weights;
+    words of several lengths are refused, since no length's table holds
+    them."""
+    if len({len(w) for w in img}) > 1:
+        with pytest.raises(ValueError, match="^pullback words must all have one length$"):
+            law.pullback(img)
+    else:
+        assert law.pullback(img) == naive_pullback(law, img)
 
 
 def _cross_length_requests(law):
@@ -801,30 +829,21 @@ def _shuffled_requests(law, rng):
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("index", range(6))
-def test_pullbacks_from_remembered_tables_match_fraction_oracle(monkeypatch, index, seed):
-    # A fresh law per order: each request is summed from its word length's
-    # table, or from the whole law when it spans several lengths, and must
-    # equal the Fraction sums over the weights either way.
+def test_pullbacks_from_remembered_tables_match_fraction_oracle(index, seed):
+    # A fresh law per order: each request of one word length is summed from
+    # that length's table and must equal the Fraction sums over the
+    # weights; a request spanning several lengths is refused.
     law = _oracle_laws()[index]
-    scans = []
-    scan = StationaryLawTruncation._sum_numerators
-    monkeypatch.setattr(
-        StationaryLawTruncation,
-        "_sum_numerators",
-        lambda self, idx: scans.append(idx) or scan(self, idx),
-    )
     rng = random.Random(seed)
     requests = _shuffled_requests(law, rng)
     for img in requests:
         if len(img) == 1 and rng.random() < 0.5:
             assert law.coordinate_marginal(img[0]) == naive_coordinate_marginal(law, img[0])
         else:
-            assert law.pullback(img) == naive_pullback(law, img)
+            _assert_pullback(law, img)
     for w in law.words:
         assert law.coordinate_marginal(w) == naive_coordinate_marginal(law, w)
-    distinct = {tuple(law.word_index(w) for w in img) for img in requests}
-    spanning = {idx for idx in distinct if len({len(law.words[i]) for i in idx}) > 1}
-    assert set(scans) == spanning
+    spanning = [img for img in requests if len({len(w) for w in img}) > 1]
     assert bool(spanning) == (law.depth > 1)
 
 
@@ -835,7 +854,7 @@ def _naive_stationarity(law, dim_cap):
         if naive_coordinate_marginal(law, w) != marg0:
             return False, (0, (law.words[0],), (w,))
     for n in range(1, dim_cap + 1):
-        images = [s.image() for s in enumerate_subspaces(law.k, n, law.depth)]
+        images = [image(s) for s in enumerate_subspaces(law.k, n, law.depth)]
         reference = naive_pullback(law, images[0])
         for img in images[1:]:
             if naive_pullback(law, img) != reference:
@@ -900,7 +919,6 @@ def test_marginals_after_a_checked_cap_sum_no_image_again(monkeypatch):
 
     monkeypatch.setattr(hales_jewett, "_sum_image", refuse)
     monkeypatch.setattr(hales_jewett, "_coordinate_sums", refuse)
-    monkeypatch.setattr(StationaryLawTruncation, "_sum_numerators", refuse)
     assert (marginals(law), insensitive_algebra(law, [1, 2])) == expected
     line_marginal_structure_report(law)
     for cap in (0, 1, 2):
@@ -956,27 +974,27 @@ def test_broken_laws_fail_at_the_intended_dimensions():
 
 def test_repeated_pullback_is_a_fresh_dict():
     law = _mixed_denominator_law()
-    first = law.pullback(("1", "12"))
-    second = law.pullback(("1", "12"))
+    first = law.pullback(("21", "12"))
+    second = law.pullback(("21", "12"))
     assert first == second and first is not second
     first[(9, 9)] = F(1)
-    assert law.pullback(("1", "12")) == second
+    assert law.pullback(("21", "12")) == second
 
 
 def test_law_owns_its_weights():
     # Changing the dict a law was built from afterwards changes neither its
-    # weights nor the marginals, the cross-length pullbacks or the verdict.
+    # weights nor the marginals, the pullbacks or the verdict.
     car = carrier(F(1, 2))
     given = dict(iid_law(2, 2, car).weights)
     law = StationaryLawTruncation(2, 2, car, given)
     assert law.weights is not given
-    before = (law.pullback(("1", "12")), law.coordinate_marginal("2"))
+    before = (law.pullback(("21", "12")), law.coordinate_marginal("2"))
     first = next(iter(given))
     given[first] = F(1, 2)
     given.clear()
     assert law.weights == iid_law(2, 2, car).weights
-    assert (law.pullback(("1", "12")), law.coordinate_marginal("2")) == before
-    assert law.pullback(("1", "12")) == naive_pullback(law, ("1", "12"))
+    assert (law.pullback(("21", "12")), law.coordinate_marginal("2")) == before
+    assert law.pullback(("21", "12")) == naive_pullback(law, ("21", "12"))
     assert strong_stationarity_check(law, 2).holds
 
 

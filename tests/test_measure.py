@@ -17,6 +17,8 @@ from helpers import (
     fraction_product_mass,
     fraction_space_error,
     iid_law,
+    indicator,
+    marginal,
     old_diagonal_coupling,
     old_product_coupling,
     old_relative_independence,
@@ -406,7 +408,7 @@ def test_marginal_and_event_mass_match_fraction_sums():
             brute = [F(0)] * n
             for t, v in coupling.mass.items():
                 brute[t[c]] += v
-            assert coupling.marginal(c) == tuple(brute) == space.weights
+            assert marginal(coupling, c) == tuple(brute) == space.weights
         sets = [{x for x in range(n) if rng.random() < 0.5} for _ in range(arity)]
         brute = sum(
             (v for t, v in coupling.mass.items() if all(x in s for x, s in zip(t, sets))),
@@ -520,8 +522,8 @@ def test_relative_independence_matches_bruteforce():
                 (v for t, v in nu.mass.items() if t[0] in b1 and t[1] in b2),
                 F(0),
             )
-            e1 = conditional_expectation(SimpleFunction.indicator(3, b1), quotient, sp)
-            e2 = conditional_expectation(SimpleFunction.indicator(3, b2), quotient, sp)
+            e1 = conditional_expectation(indicator(3, b1), quotient, sp)
+            e2 = conditional_expectation(indicator(3, b2), quotient, sp)
             rhs = sum(
                 (v * e1.values[t[0]] * e2.values[t[1]] for t, v in nu.mass.items()),
                 F(0),
@@ -540,7 +542,7 @@ def _naive_relative_independence(factors, subfactors, nu):
                 lhs += v
         exps = [
             conditional_expectation(
-                SimpleFunction.indicator(len(base), blocks[i]), subfactors[i], base
+                indicator(len(base), blocks[i]), subfactors[i], base
             )
             for i in range(nu.arity)
         ]
@@ -831,8 +833,8 @@ def test_fiber_product_marginals_and_independence(n, seed):
     labels = [rng.randrange(3) for _ in range(n)]
     quotient = Partition.from_labels(labels)
     nu = relatively_independent_product([sp, sp], [labels, labels])
-    assert nu.marginal(0) == sp.weights
-    assert nu.marginal(1) == sp.weights
+    assert marginal(nu, 0) == sp.weights
+    assert marginal(nu, 1) == sp.weights
     rep = relative_independence(
         (Partition.singletons(n), Partition.singletons(n)),
         (quotient, quotient),

@@ -18,6 +18,7 @@ from helpers import (
     fraction_identification,
     level_set_replacement,
     lifting_scenario_report,
+    minimal_members,
     listed_weight_menu,
     old_conclusion_holds,
     old_exhaustive_search,
@@ -65,26 +66,23 @@ F = Fraction
 def test_principal_upset_examples():
     u = UpSet.principal(3, (0, 1))
     assert u.members == frozenset({mask_of((0, 1)), mask_of((0, 1, 2))})
-    assert u.depth() == 2
-    assert UpSet.principal(3, range(3)).depth() == 3
+    assert UpSet.principal(3, range(3)).members == frozenset({mask_of((0, 1, 2))})
 
 
 def test_principal_intersection_enumerated():
     a = UpSet.principal(3, (0,))
     b = UpSet.principal(3, (1,))
-    meet = a & b
+    meet = a.members & b.members
     # Enumerate: supersets of {0} and of {1} of size >= 2.
     expected = {m for m in ground_masks(3) if m & 1 and m & 2}
-    assert meet.members == frozenset(expected)
-    assert meet.members == frozenset({mask_of((0, 1)), mask_of((0, 1, 2))})
+    assert meet == frozenset(expected)
+    assert meet == UpSet.principal(3, (0, 1)).members
 
 
 def test_upset_closure_roundtrip():
     for u in enumerate_upsets(3):  # the empty up-set included
-        rebuilt = UpSet.closure(3, [bits_of(m) for m in u.minimal_members()])
+        rebuilt = UpSet.closure(3, [bits_of(m) for m in minimal_members(u)])
         assert rebuilt == u
-    u = UpSet.principal(4, (0, 1))
-    assert u & u == u
 
 
 def test_upset_validation():
@@ -890,6 +888,28 @@ def test_random_search_clean_and_deterministic():
     cfg = SearchConfig(sizes=(2, 3), d=3, seed=42, exhaustive=False, samples=60)
     assert search_counterexample(cfg) is None
     assert search_counterexample(cfg) is None  # same seed, same outcome
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+def test_random_search_stops_after_80_draws_per_sample_that_fail_iii(monkeypatch, samples):
+    # Every draw passes [i] and [ii] by construction, so only draws failing
+    # [iii] are redrawn.  With [iii] forced to fail on every draw, the
+    # search gives up after exactly 80 draws per requested sample and
+    # raises, having evaluated no conclusion.
+    config = SearchConfig(sizes=(2, 3), d=3, exhaustive=False, seed=11, samples=samples)
+    draws, conclusions = [], []
+    shell = removal._random_shell
+    monkeypatch.setattr(
+        removal, "_random_shell", lambda *args: draws.append(None) or shell(*args)
+    )
+    monkeypatch.setattr(removal, "_first_dependent_pair", lambda coupling, psi: (0, 0, None))
+    monkeypatch.setattr(
+        removal, "_families_conclusion", lambda *args: conclusions.append(None) or True
+    )
+    with pytest.raises(RuntimeError, match="^sampling failed to reach the requested"):
+        search_counterexample(config)
+    assert len(draws) == 80 * samples
+    assert conclusions == []
 
 
 def fail_at_tested(monkeypatch, fail_at):

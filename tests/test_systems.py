@@ -11,6 +11,7 @@ from math import gcd, prod
 import pytest
 
 from helpers import (
+    basis_subgroup,
     cofactor_det,
     cyclic_system,
     fraction_system_error,
@@ -243,12 +244,12 @@ def test_act_reads_long_periods_off_the_cycles():
 
 def test_invariant_factor_trivial_subgroup():
     sys_ = cyclic_system(5, 1)
-    assert invariant_factor(sys_, SubgroupSpec.trivial()) == Partition.singletons(5)
+    assert invariant_factor(sys_, SubgroupSpec(())) == Partition.singletons(5)
 
 
 def test_invariant_factor_torus_rows():
     sys_ = torus_system(5, (1, 0), (0, 1))
-    p = invariant_factor(sys_, SubgroupSpec.basis_vector(2, 0))
+    p = invariant_factor(sys_, basis_subgroup(2, 0))
     assert len(p.blocks) == 5
     # Blocks fix the second coordinate.
     for block in p.blocks:
@@ -269,7 +270,7 @@ def test_invariant_factor_difference_action():
     # The same form appears as the invariant of the diagonal direction of the
     # three-direction torus: there the difference of coordinates is constant.
     tri = three_direction_torus(5)
-    p3 = invariant_factor(tri, SubgroupSpec.basis_vector(3, 2))
+    p3 = invariant_factor(tri, basis_subgroup(3, 2))
     for block in p3.blocks:
         diffs = {(a - b) % 5 for a, b in (tri.space.points[i] for i in block)}
         assert len(diffs) == 1
@@ -334,8 +335,8 @@ def test_invariant_factor_sum_collapse_for_trivial_direction():
         base = random_system(rng, max_points=8, dim=1)
         gens = (base.generators[0], tuple(range(len(base))))
         sys_ = FiniteZdSystem(base.space, gens)
-        g1 = SubgroupSpec.basis_vector(2, 0)
-        g2 = SubgroupSpec.basis_vector(2, 1)
+        g1 = basis_subgroup(2, 0)
+        g2 = basis_subgroup(2, 1)
         assert is_partially_trivial(sys_, g2)
         assert invariant_factor(sys_, g1) == invariant_factor(sys_, g1 + g2)
 
@@ -457,10 +458,10 @@ def test_factor_map_validation():
 
 def test_quotient_system_roundtrip():
     sys_ = torus_system(3, (1, 0), (0, 1))
-    p = full_orbit_partition(sys_, SubgroupSpec.basis_vector(2, 0))
+    p = full_orbit_partition(sys_, basis_subgroup(2, 0))
     target, fmap = quotient_system(sys_, p)
     assert len(target.space) == 3
-    assert is_partially_trivial(target, SubgroupSpec.basis_vector(2, 0))
+    assert is_partially_trivial(target, basis_subgroup(2, 0))
 
 
 # -- joining predicates ------------------------------------------------------------
@@ -468,8 +469,8 @@ def test_quotient_system_roundtrip():
 def test_two_fold_joining_product_case():
     # Independent joining of two partially trivial systems.
     sys_ = torus_system(3, (1, 0), (0, 1))
-    g1 = SubgroupSpec.basis_vector(2, 0)
-    g2 = SubgroupSpec.basis_vector(2, 1)
+    g1 = basis_subgroup(2, 0)
+    g2 = basis_subgroup(2, 1)
     x1, pi1 = quotient_system(sys_, full_orbit_partition(sys_, g1))
     x2, pi2 = quotient_system(sys_, full_orbit_partition(sys_, g2))
     rep = two_fold_joining_check(sys_, pi1, pi2, g1, g2)
@@ -478,7 +479,7 @@ def test_two_fold_joining_product_case():
 
 def test_two_fold_joining_diagonal_same_subgroup():
     sys_ = cyclic_system(4, 1, 0)
-    g = SubgroupSpec.basis_vector(2, 1)
+    g = basis_subgroup(2, 1)
     x1, pi1 = quotient_system(sys_, full_orbit_partition(sys_, g))
     rep = two_fold_joining_check(sys_, pi1, pi1, g, g)
     assert rep.holds
@@ -498,16 +499,16 @@ def test_two_fold_joining_randomized():
 
 def test_two_fold_precondition_enforced():
     sys_ = torus_system(3, (1, 0), (0, 1))
-    g1 = SubgroupSpec.basis_vector(2, 0)
+    g1 = basis_subgroup(2, 0)
     x1, pi1 = quotient_system(sys_, full_orbit_partition(sys_, g1))
     with pytest.raises(ValueError):
         # The target is not trivial under the wrong subgroup.
-        two_fold_joining_check(sys_, pi1, pi1, SubgroupSpec.basis_vector(2, 1), g1)
+        two_fold_joining_check(sys_, pi1, pi1, basis_subgroup(2, 1), g1)
 
 
 def test_direct_sum_verification():
     verify_direct_sum(
-        [SubgroupSpec.basis_vector(2, 0), SubgroupSpec.basis_vector(2, 1)], 2
+        [basis_subgroup(2, 0), basis_subgroup(2, 1)], 2
     )
     verify_direct_sum([SubgroupSpec(((1, 0), (1, 1))), SubgroupSpec(())], 2)
     with pytest.raises(ValueError):
@@ -609,42 +610,42 @@ def _quotient_maps(sys_, subgroups):
 
 def test_joint_distribution_single_point_targets():
     sys_ = cyclic_system(3, 1, 1, 1)
-    gs = [SubgroupSpec.basis_vector(3, i) for i in range(3)]
+    gs = [basis_subgroup(3, i) for i in range(3)]
     maps = _quotient_maps(sys_, gs)
     # All targets are one orbit, hence single-point systems.
-    rep = joint_distribution_predicate(sys_, maps, gs, SubgroupSpec.trivial())
+    rep = joint_distribution_predicate(sys_, maps, gs, SubgroupSpec(()))
     assert rep.holds
 
 
 def test_joint_distribution_three_direction_failure():
     sys_ = three_direction_torus(5)
-    gs = [SubgroupSpec.basis_vector(3, i) for i in range(3)]
+    gs = [basis_subgroup(3, i) for i in range(3)]
     maps = _quotient_maps(sys_, gs)
-    rep = joint_distribution_predicate(sys_, maps, gs, SubgroupSpec.trivial())
+    rep = joint_distribution_predicate(sys_, maps, gs, SubgroupSpec(()))
     assert not rep.holds
     assert all(not r.holds for r in rep.per_coordinate)
 
 
 def test_joint_distribution_extension_passes():
     sys_ = torus_system(5, (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    gs = [SubgroupSpec.basis_vector(3, i) for i in range(3)]
+    gs = [basis_subgroup(3, i) for i in range(3)]
     maps = _quotient_maps(sys_, gs)
-    rep = joint_distribution_predicate(sys_, maps, gs, SubgroupSpec.trivial())
+    rep = joint_distribution_predicate(sys_, maps, gs, SubgroupSpec(()))
     assert rep.holds
 
 
 def test_joint_distribution_with_complement_subgroup():
     # Two factors plus a nontrivial complement direction.
     sys_ = torus_system(3, (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    gs = [SubgroupSpec.basis_vector(3, 0), SubgroupSpec.basis_vector(3, 1)]
+    gs = [basis_subgroup(3, 0), basis_subgroup(3, 1)]
     maps = _quotient_maps(sys_, gs)
     rep = joint_distribution_predicate(
-        sys_, maps, gs, SubgroupSpec.basis_vector(3, 2)
+        sys_, maps, gs, basis_subgroup(3, 2)
     )
     assert rep.holds
     # Dropping the complement breaks the direct-sum precondition.
     with pytest.raises(ValueError):
-        joint_distribution_predicate(sys_, maps, gs, SubgroupSpec.trivial())
+        joint_distribution_predicate(sys_, maps, gs, SubgroupSpec(()))
 
 
 def test_joining_predicates_match_the_block_product_loop(monkeypatch):
@@ -668,7 +669,7 @@ def test_joining_predicates_match_the_block_product_loop(monkeypatch):
         _, pi1 = quotient_system(sys_, full_orbit_partition(sys_, g1))
         _, pi2 = quotient_system(sys_, full_orbit_partition(sys_, g2))
         two_fold_joining_check(sys_, pi1, pi2, g1, g2)
-    basis = [SubgroupSpec.basis_vector(3, i) for i in range(3)]
+    basis = [basis_subgroup(3, i) for i in range(3)]
     joinings = [
         three_direction_torus(3),
         torus_system(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)),
@@ -676,6 +677,6 @@ def test_joining_predicates_match_the_block_product_loop(monkeypatch):
     ]
     for sys_ in joinings:
         joint_distribution_predicate(
-            sys_, _quotient_maps(sys_, basis), basis, SubgroupSpec.trivial()
+            sys_, _quotient_maps(sys_, basis), basis, SubgroupSpec(())
         )
     assert set(outcomes) == {True, False}

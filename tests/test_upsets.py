@@ -341,7 +341,7 @@ def seeded_removal_instances(seed, count, d=3):
 
 def reference_iii_witness(inst):
     pairs = naive_upset_pairs(
-        enumerate_upsets(inst.d),
+        enumerate_upsets(inst.coupling.arity),
         lambda m: support_pullback_partition(inst.coupling, inst.psi[m], min(bits_of(m))),
         inst.coupling.as_space(),
     )
@@ -371,11 +371,10 @@ def test_shared_memo_matches_reference_loop():
         def member_partition(m):
             return support_pullback_partition(inst.coupling, inst.psi[m], min(bits_of(m)))
 
-        expected = list(naive_upset_pairs(enumerate_upsets(inst.d), member_partition, space))
+        family = enumerate_upsets(inst.coupling.arity)
+        expected = list(naive_upset_pairs(family, member_partition, space))
         for memo in (None, memos.setdefault(space, KernelMemo(space))):
-            pairs = upset_pair_independence(
-                enumerate_upsets(inst.d), member_partition, space, memo
-            )
+            pairs = upset_pair_independence(family, member_partition, space, memo)
             assert [(a.members, b.members, rep) for a, b, rep in pairs] == expected
         outcomes.add(all(rep.holds for _, _, rep in expected))
     assert outcomes == {True, False}
@@ -454,7 +453,7 @@ def assert_skip_is_exact(monkeypatch, family, member_partition, space):
     expected_calls = []
     skipped = 0
     for a, b, rep in pairs:
-        la, lb, meet = lift(a), lift(b), lift(a & b)
+        la, lb, meet = lift(a), lift(b), lift(UpSet(a.d, a.members & b.members))
         if la == meet or lb == meet:
             skipped += 1
             assert rep == IndependenceReport(True, None)
@@ -472,7 +471,7 @@ def test_skip_exact_on_removal_instances(monkeypatch):
     for inst, _ in seeded_removal_instances(seed=2024, count=40):
         _, c = assert_skip_is_exact(
             monkeypatch,
-            enumerate_upsets(inst.d),
+            enumerate_upsets(inst.coupling.arity),
             lambda m: support_pullback_partition(inst.coupling, inst.psi[m], min(bits_of(m))),
             inst.coupling.as_space(),
         )
