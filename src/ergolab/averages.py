@@ -29,6 +29,7 @@ from .measure import (
     ZERO,
     _SharedFractions,
     _frac,
+    _unchecked,
     support_pullback_partition,
 )
 from .systems import (
@@ -53,7 +54,8 @@ class FurstenbergJoining:
     coordinate per direction, marginals equal to the system measure, and is
     invariant under the diagonal action.  The invariance is checked in
     place, generator by generator, with :meth:`Coupling.invariant_under`:
-    no moved coupling is built.
+    no moved coupling is built.  :func:`furstenberg_self_joining` builds its
+    joining without this check, which holds there by construction.
     """
 
     system: FiniteZdSystem
@@ -121,6 +123,21 @@ def furstenberg_self_joining(
     The mass of ``(x_1, ..., x_k)`` is ``(1/L) sum_n sum_x mu(x)`` over the
     pairs with ``x_j = T^(n e_ij) x`` for every ``j``.  The directions are
     checked before any generator is read.
+
+    Neither the coupling (:meth:`Coupling._built`) nor the joining is
+    checked again, because both checks hold by construction.  The
+    :class:`FiniteZdSystem` constructor checked that the generators
+    preserve the weights and commute, so ``x`` and ``T_i x`` carry the same
+    weight and, the cycle lengths of commuting permutations being constant
+    along each other's orbits, the same local period ``L_x``.  Marginals:
+    the pairs ``(x, n)`` with ``n < L_x`` and ``T^(n e_ij) x = y`` are
+    ``L_y`` in number, all with ``x`` on ``y``'s cycle, so each carries
+    ``y``'s weight ``nums[y] * L' / L_y``, and coordinate ``j`` gets
+    ``nums[y] * L'`` over the denominator ``L' * den``: ``mu(y)``.
+    Diagonal invariance: a generator ``g`` commutes with the others, so it
+    sends the tuple of ``(x, n)`` to the tuple of ``(g x, n)``, which
+    carries the same weight; so ``g`` permutes the summands.  The directions were checked above, and the
+    base is the system's space.
     """
     dirs = _checked_directions(sys, range(sys.dim) if directions is None else directions)
     periods, weights, total = _local_weights(sys, dirs)
@@ -135,8 +152,10 @@ def furstenberg_self_joining(
     # coupling's masses skip by identity.
     shared = _SharedFractions()
     mass = {t: shared[v, total] for t, v in acc.items()}
-    coupling = Coupling(len(dirs), sys.space, mass)
-    return FurstenbergJoining(sys, dirs, coupling, lcm(*periods))
+    coupling = Coupling._built(len(dirs), sys.space, mass)
+    return _unchecked(
+        FurstenbergJoining, system=sys, directions=dirs, coupling=coupling, period=lcm(*periods)
+    )
 
 
 def nonconventional_average(

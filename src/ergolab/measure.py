@@ -64,6 +64,16 @@ def _frac(x: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` set as
+    given, built without ``__post_init__``: for builders whose output meets
+    the class's checks by construction."""
+    out = object.__new__(cls)
+    # A frozen dataclass refuses attribute assignment, not its ``__dict__``.
+    out.__dict__.update(fields)
+    return out
+
+
 @dataclass(frozen=True)
 class ExactProbabilitySpace:
     """A finite list of labelled points with exact weights summing to 1."""
@@ -179,11 +189,9 @@ class Partition:
         blocks: list[list[int]] = [[] for _ in index]
         for i, b in enumerate(canon):
             blocks[b].append(i)
-        out = object.__new__(cls)
-        object.__setattr__(out, "size", len(canon))
-        object.__setattr__(out, "blocks", tuple(map(tuple, blocks)))
-        object.__setattr__(out, "_labels", tuple(canon))
-        return out
+        return _unchecked(
+            cls, size=len(canon), blocks=tuple(map(tuple, blocks)), _labels=tuple(canon)
+        )
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
@@ -305,6 +313,13 @@ class Coupling:
     then checked on integer numerators.  The common denominator and the
     numerators, in table order, are kept: sums of masses are taken on them
     and divided once.
+
+    The constructor checks everything it is given.  The two builders whose
+    output is a coupling by construction, :func:`relatively_independent_product`
+    (with :meth:`product` and :meth:`diagonal`) and
+    ``averages.furstenberg_self_joining``, go through :meth:`_built`
+    instead, which keeps the same fields without the re-check; each
+    builder's docstring says why the skipped checks hold.
     """
 
     arity: int
@@ -335,6 +350,23 @@ class Coupling:
             if self._marginal_nums(c) != base_nums:
                 raise ValueError(f"coordinate {c} marginal differs from the base weights")
         object.__setattr__(self, "_support", tuple(sorted(mass)))
+
+    @classmethod
+    def _built(cls, arity: int, base: ExactProbabilitySpace, mass: dict) -> "Coupling":
+        """The coupling a builder made, without the constructor's checks.
+
+        ``mass`` must be what the constructor would keep: a new dict of
+        positive ``Fraction``s keyed by ``arity``-long tuples of point
+        indices, summing to 1, with every coordinate marginal equal to the
+        base weights.  The common denominator, the numerators and the
+        support are computed as the constructor computes them, so the
+        result equals ``Coupling(arity, base, mass)`` field by field.
+        """
+        den, nums = _integer_form(mass, _by_id(mass.values()))
+        return _unchecked(
+            cls, arity=arity, base=base, mass=mass, _den=den, _nums=nums,
+            _support=tuple(sorted(mass)),
+        )
 
     def support(self) -> tuple[tuple[int, ...], ...]:
         """Positive-mass tuples in lexicographic order."""
@@ -460,15 +492,22 @@ def exact_masses(
             if v:
                 table[t] = table[t] + v if t in table else v
         distinct = _by_id(table.values())
-    den = lcm(*{v.denominator for v in distinct.values()})
-    numerator = {i: v.numerator * (den // v.denominator) for i, v in distinct.items()}
-    if len(numerator) == len(table):  # each mass its own object, in table order
-        nums = list(numerator.values())
-    else:
-        nums = list(map(numerator.__getitem__, map(id, table.values())))
+    den, nums = _integer_form(table, distinct)
     if sum(nums) != den:
         raise ValueError("total mass must be exactly 1")
     return table, den, nums
+
+
+def _integer_form(table: dict, distinct: dict) -> tuple[int, list[int]]:
+    """The lcm ``D`` of the denominators of a table's masses, and each
+    mass's numerator over ``D`` in table order; ``distinct`` holds the
+    table's distinct mass objects keyed by ``id`` (:func:`_by_id`), whose
+    numerators are computed once each."""
+    den = lcm(*{v.denominator for v in distinct.values()})
+    numerator = {i: v.numerator * (den // v.denominator) for i, v in distinct.items()}
+    if len(numerator) == len(table):  # each mass its own object, in table order
+        return den, list(numerator.values())
+    return den, list(map(numerator.__getitem__, map(id, table.values())))
 
 
 def _by_id(values: Collection) -> dict:
@@ -502,6 +541,15 @@ def relatively_independent_product(
     A tuple lies over at most one fiber ``y`` (its points' labels), so with
     weights ``num[x]/D`` and ``nu(y) = s_y/D`` its mass is
     ``prod_i num[x_i] / (D * s_y**(k-1))``, computed on those integers.
+
+    The spaces and the maps are checked; the result is not checked again
+    (:meth:`Coupling._built`), because it is a coupling by construction.
+    Every mass is a positive ``Fraction`` on a tuple of support points, one
+    per tuple.  Summing ``prod_j num[x_j]`` over the coordinates other than
+    ``i`` gives ``num[x_i] * s_y**(k-1)``, since each map's fiber ``y``
+    carries ``s_y``.  So the marginal at ``i`` is ``num[x]/D = mu(x)`` at
+    every support point ``x``, and 0 at null points, which lie in no
+    tuple; with the marginals, the total is 1.
     """
     if not spaces or len(spaces) != len(maps):
         raise ValueError("need one map per space")
@@ -534,7 +582,7 @@ def relatively_independent_product(
         scale = den * s ** (k - 1)
         for t in iter_product(*(fib[y] for fib in fibers)):
             mass[t] = shared[prod(map(nums.__getitem__, t)), scale]
-    return Coupling(k, first, mass)
+    return Coupling._built(k, first, mass)
 
 
 @dataclass(frozen=True)

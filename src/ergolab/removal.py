@@ -88,10 +88,9 @@ class RemovalInstance:
                 _check_target(d, i, ups, a, psi, len(self.space))
 
 
-def _block_join(psi: dict, upset: UpSet, n: int) -> Partition:
-    """Join of ``psi`` over the up-set members (trivial for the empty up-set)."""
-    if not upset.members:
-        return Partition.one_block(n)
+def _block_join(psi: dict, upset: UpSet) -> Partition:
+    """Join of ``psi`` over the up-set members.  Every up-set given here
+    holds the full index set, so it has a member."""
     return common_refinement(*(psi[m] for m in upset.members))
 
 
@@ -647,7 +646,7 @@ def _scan_families(
     for i, opts in enumerate(coord_upsets):
         first: dict[frozenset, UpSet] = {}
         for ups in opts:
-            for a in _block_unions(_block_join(psi, ups, len(space))):
+            for a in _block_unions(_block_join(psi, ups)):
                 first.setdefault(a, ups)
         masks = [_target_masks(coupling, i, a) for a in first]
         by_points.append({points: (ups, a) for (_, points), (a, ups) in zip(masks, first.items())})
@@ -739,7 +738,7 @@ def _random_shell(
             ups = rng.choice(coord_upsets[i])
             # Drawing a union's index draws what choosing from the list of
             # unions does, without building the list.
-            blocks = _block_join(psi, ups, len(space)).blocks
+            blocks = _block_join(psi, ups).blocks
             fam.append((ups, _block_union(blocks, rng.randrange(1 << len(blocks)))))
         shell_families.append(tuple(fam))
     return space, coupling, psi, tuple(shell_families)

@@ -494,7 +494,7 @@ def old_random_instance(rng, config, coord_upsets):
         fam = []
         for _ in range(rng.randint(1, 2)):
             ups = rng.choice(coord_upsets[i])
-            unions = removal._block_unions(removal._block_join(psi, ups, len(space)))
+            unions = removal._block_unions(removal._block_join(psi, ups))
             fam.append((ups, rng.choice(unions)))
         shell_families.append(tuple(fam))
     try:
@@ -983,7 +983,7 @@ def product_scan_families(space, coupling, psi, coord_upsets, memo):
     for i, opts in enumerate(coord_upsets):
         first = {}
         for ups in opts:
-            for a in removal._block_unions(removal._block_join(psi, ups, n)):
+            for a in removal._block_unions(removal._block_join(psi, ups)):
                 if a not in first:
                     removal._check_target(d, i, ups, a, psi, n)
                     first[a] = ups
@@ -1451,11 +1451,10 @@ def minimal_members(u: UpSet) -> frozenset[int]:
 
 
 def block_join(inst: RemovalInstance, upset: UpSet) -> Partition:
-    """Join of the instance's ``psi`` over the up-set members (trivial for
-    the empty up-set)."""
+    """Join of the instance's ``psi`` over the up-set members."""
     from ergolab import removal
 
-    return removal._block_join(inst.psi, upset, len(inst.space))
+    return removal._block_join(inst.psi, upset)
 
 
 def basis_subgroup(dim: int, i: int) -> SubgroupSpec:

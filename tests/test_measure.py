@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +25,7 @@ from helpers import (
 )
 
 from ergolab import removal
-from ergolab.averages import VectorSequence, furstenberg_self_joining
+from ergolab.averages import FurstenbergJoining, VectorSequence, furstenberg_self_joining
 from ergolab.generators import random_system
 from ergolab.hales_jewett import (
     CombinatorialSubspace,
@@ -47,6 +47,7 @@ from ergolab.measure import (
     relative_independence,
     relatively_independent_product,
 )
+from ergolab.serialize import canonical_dumps, coupling_to_json
 from ergolab.systems import FiniteZdSystem, GroupRotationSystem, SubgroupSpec
 from ergolab.upsets import UpSet
 
@@ -777,6 +778,73 @@ def test_product_and_diagonal_match_their_former_bodies():
                 assert list(got.mass.items()) == list(expected.mass.items())
                 assert (got._den, got._nums) == (expected._den, expected._nums)
                 assert len({id(v) for v in got.mass.values()}) == len(set(got.mass.values()))
+    assert null_points > 0
+
+
+def _assert_matches_validated(got: Coupling) -> None:
+    """``got`` equals the coupling the public constructor builds from its
+    masses: the masses and their order, the common denominator, the
+    numerators, the support, one ``Fraction`` per distinct mass, and the
+    canonical JSON."""
+    expected = Coupling(got.arity, got.base, dict(got.mass))
+    assert list(got.mass.items()) == list(expected.mass.items())
+    assert (got._den, got._nums) == (expected._den, expected._nums)
+    assert got.support() == expected.support()
+    assert len({id(v) for v in got.mass.values()}) == len(set(got.mass.values()))
+    assert canonical_dumps(coupling_to_json(got)) == canonical_dumps(coupling_to_json(expected))
+
+
+def _weight_preserving_shuffle(rng, space):
+    """A random permutation of the points that moves each point to one of
+    equal weight."""
+    out = list(range(len(space)))
+    for w in set(space.weights):
+        same = [x for x in range(len(space)) if space.weights[x] == w]
+        for x, y in zip(same, rng.sample(same, len(same))):
+            out[x] = y
+    return out
+
+
+def test_fiber_products_match_the_validated_construction():
+    # Product, diagonal and fiber couplings skip the constructor's checks;
+    # they must build what it builds, at arity 1 to 4, on seeded spaces
+    # with null points among them.  The fiber maps differ per coordinate
+    # by a weight-preserving shuffle, so each pushes the weights to the
+    # same base.
+    rng = random.Random(67)
+    null_points = 0
+    for _ in range(200):
+        space = small_space(_random_weights(rng, rng.randint(1, 5)))
+        n = len(space)
+        null_points += n - len(space.support())
+        for arity in range(1, 5):
+            labels = [rng.randrange(n) for _ in range(n)]
+            maps = [
+                [labels[y] for y in _weight_preserving_shuffle(rng, space)]
+                for _ in range(arity)
+            ]
+            _assert_matches_validated(Coupling.product(space, arity))
+            _assert_matches_validated(Coupling.diagonal(space, arity))
+            _assert_matches_validated(relatively_independent_product([space] * arity, maps))
+    assert null_points > 0
+
+
+def test_furstenberg_joinings_match_the_validated_construction():
+    # The joining and its coupling skip their checks; the coupling must be
+    # what the constructor builds, and the public joining constructor must
+    # accept it, at d = 1 to 3 and every direction set.
+    rng = random.Random(71)
+    null_points = 0
+    for _ in range(150):
+        d = rng.randint(1, 3)
+        sys_ = random_system(rng, max_points=rng.randint(1, 8), dim=d)
+        null_points += len(sys_) - len(sys_.space.support())
+        for r in range(1, d + 1):
+            for dirs in combinations(range(d), r):
+                fj = furstenberg_self_joining(sys_, dirs)
+                _assert_matches_validated(fj.coupling)
+                checked = FurstenbergJoining(sys_, dirs, fj.coupling, fj.period)
+                assert checked == fj and checked.directions == fj.directions == dirs
     assert null_points > 0
 
 
