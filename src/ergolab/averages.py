@@ -136,8 +136,8 @@ def furstenberg_self_joining(
     ``nums[y] * L'`` over the denominator ``L' * den``: ``mu(y)``.
     Diagonal invariance: a generator ``g`` commutes with the others, so it
     sends the tuple of ``(x, n)`` to the tuple of ``(g x, n)``, which
-    carries the same weight; so ``g`` permutes the summands.  The directions were checked above, and the
-    base is the system's space.
+    carries the same weight; so ``g`` permutes the summands.  The
+    directions were checked above, and the base is the system's space.
     """
     dirs = _checked_directions(sys, range(sys.dim) if directions is None else directions)
     periods, weights, total = _local_weights(sys, dirs)

@@ -309,17 +309,19 @@ class Coupling:
     Only positive-mass tuples are stored; zero entries passed to the
     constructor are dropped, so the sparse representation is canonical and
     equality of couplings is equality of measures.  ``mass`` is the
-    coupling's own copy, read by :func:`exact_masses`; the marginals are
-    then checked on integer numerators.  The common denominator and the
-    numerators, in table order, are kept: sums of masses are taken on them
-    and divided once.
+    coupling's own dict: the constructor copies it through
+    :func:`exact_masses` and checks the marginals on integer numerators,
+    and :meth:`_built` keeps the builder's fresh dict.  The common
+    denominator and the numerators, in table order, are kept: sums of
+    masses are taken on them and divided once.
 
     The constructor checks everything it is given.  The two builders whose
-    output is a coupling by construction, :func:`relatively_independent_product`
-    (with :meth:`product` and :meth:`diagonal`) and
+    output is a coupling by construction,
+    :func:`relatively_independent_product` (with :meth:`product`) and
     ``averages.furstenberg_self_joining``, go through :meth:`_built`
     instead, which keeps the same fields without the re-check; each
-    builder's docstring says why the skipped checks hold.
+    builder's docstring says why the skipped checks hold.  :meth:`diagonal`
+    passes its fiber product through the constructor.
     """
 
     arity: int
@@ -416,8 +418,13 @@ class Coupling:
     @classmethod
     def diagonal(cls, space: ExactProbabilitySpace, arity: int) -> "Coupling":
         """The coupling carried by the diagonal: the fiber product over the
-        identity map, whose fibers are the points."""
-        return _fiber_power(space, arity, range(len(space)))
+        identity map, whose fibers are the points.
+
+        Unlike the other fiber products it goes through the constructor's
+        checks.  Its support is one tuple per support point, so they cost
+        little, and the bench's constructor-span self-test counts this
+        construction as one checked ``Coupling``."""
+        return cls(arity, space, _fiber_power(space, arity, range(len(space))).mass)
 
     @classmethod
     def product(cls, space: ExactProbabilitySpace, arity: int) -> "Coupling":
