@@ -424,20 +424,23 @@ class Coupling:
         checks.  Its support is one tuple per support point, so they cost
         little, and the bench's constructor-span self-test counts this
         construction as one checked ``Coupling``."""
-        return cls(arity, space, _fiber_power(space, arity, range(len(space))).mass)
+        return cls(arity, space, _fiber_power(space, arity, range(len(space))))
 
     @classmethod
     def product(cls, space: ExactProbabilitySpace, arity: int) -> "Coupling":
         """The independent coupling: the fiber product over the map to one
-        point, so a tuple's mass is the product of its points' weights."""
-        return _fiber_power(space, arity, [0] * len(space))
+        point, so a tuple's mass is the product of its points' weights.  It
+        is a coupling by construction (:func:`relatively_independent_product`),
+        so it is not checked again."""
+        return cls._built(arity, space, _fiber_power(space, arity, [0] * len(space)))
 
 
-def _fiber_power(space: ExactProbabilitySpace, arity: int, labels: Sequence[int]) -> Coupling:
-    """The fiber product of ``arity`` copies of ``space`` over one map."""
+def _fiber_power(space: ExactProbabilitySpace, arity: int, labels: Sequence[int]) -> dict:
+    """The masses of the fiber product of ``arity`` copies of ``space``
+    over one map."""
     if arity < 1:
         raise ValueError("arity must be positive")
-    return relatively_independent_product([space] * arity, [labels] * arity)
+    return _fiber_masses([space] * arity, [labels] * arity)
 
 
 def clean_entries(keys: Iterable, values: Iterable, length: int, n: int) -> bool:
@@ -558,6 +561,15 @@ def relatively_independent_product(
     every support point ``x``, and 0 at null points, which lie in no
     tuple; with the marginals, the total is 1.
     """
+    mass = _fiber_masses(spaces, maps)
+    return Coupling._built(len(spaces), spaces[0], mass)
+
+
+def _fiber_masses(
+    spaces: Sequence[ExactProbabilitySpace], maps: Sequence[Sequence[int]]
+) -> dict[tuple[int, ...], Fraction]:
+    """The checks and the masses of :func:`relatively_independent_product`,
+    as a new dict in its table order."""
     if not spaces or len(spaces) != len(maps):
         raise ValueError("need one map per space")
     first = spaces[0]
@@ -589,7 +601,7 @@ def relatively_independent_product(
         scale = den * s ** (k - 1)
         for t in iter_product(*(fib[y] for fib in fibers)):
             mass[t] = shared[prod(map(nums.__getitem__, t)), scale]
-    return Coupling._built(k, first, mass)
+    return mass
 
 
 @dataclass(frozen=True)
