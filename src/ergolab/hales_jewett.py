@@ -15,7 +15,6 @@ and bound, reporting the lexicographically least extremal set.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -193,7 +192,7 @@ def enumerate_subspaces(k: int, n: int, max_length: int) -> list[CombinatorialSu
     that share an image, the first in (breakpoints, wildcard sets, template)
     order, whose template has letter 1 at every wildcard position."""
     maps = _subspaces(k, n, max_length)
-    words, _, bounds = _word_layout(k, max_length)
+    words, bounds = _word_layout(k, max_length)
     return [
         CombinatorialSubspace(k, bps, wildcards, words[bounds[bps[-1] - 1] + base])
         for bps, wildcards, bases, _ in maps
@@ -208,7 +207,7 @@ def subspace_images(k: int, n: int, max_length: int) -> tuple[tuple[str, ...], .
     index rule the stationarity check sums by.  Built once per arguments
     and shared by every caller; the tuple is immutable."""
     maps = _subspaces(k, n, max_length)
-    words, _, bounds = _word_layout(k, max_length)
+    words, bounds = _word_layout(k, max_length)
     return tuple(
         tuple(words[bounds[bps[-1] - 1] + p] for p in _points(k, base, steps))
         for bps, _, bases, steps in maps
@@ -233,15 +232,15 @@ def _word_letters(k: int, depth: int, stop: int) -> int:
 
 
 @cache
-def _word_layout(k: int, depth: int) -> tuple[tuple[str, ...], dict[str, int], tuple[int, ...]]:
+def _word_layout(k: int, depth: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """The coordinates of a law truncation of that depth: the words of
-    :func:`words_up_to` ``(k, depth)``, each word's index among them, and
-    the bounds of the lengths (the words of length ``n`` have the indices
-    ``bounds[n - 1]`` to ``bounds[n] - 1``).  Built once per arguments and
-    shared by every law and subspace listing; callers must not change it."""
+    :func:`words_up_to` ``(k, depth)`` and the bounds of the lengths (the
+    words of length ``n`` have the indices ``bounds[n - 1]`` to
+    ``bounds[n] - 1``).  Built once per arguments and shared by every law
+    and subspace listing."""
     words = tuple(words_up_to(k, depth))
     bounds = tuple(accumulate((k**n for n in range(1, depth + 1)), initial=0))
-    return words, {w: i for i, w in enumerate(words)}, bounds
+    return words, bounds
 
 
 @cache
@@ -404,18 +403,20 @@ def subspace_forcing_check(k: int, L: int, N: int, max_sets: int = 200_000) -> F
     """Verify that every subset of ``[k]^N`` with density above
     ``1 - k^(-2L)`` contains an L-dimensional subspace.
 
-    Each qualifying set is checked for a prefix set: a common suffix ``w``
-    with ``u + w`` inside the set for every ``u`` in ``[k]^L``, which the
-    density bound guarantees.  A prefix set is the image of an L-dimensional
+    The verdict is the prefix lemma.  A set missing ``m`` points qualifies
+    when ``m k^(2L) < k^N``, so it misses at most
+    ``M = (k^N - 1) // k^(2L) < k^(N-2L) <= k^(N-L)`` points: fewer than
+    there are suffixes ``w`` of length ``N - L``.  It holds the prefix set
+    of ``w`` (every ``u + w``, ``u`` in ``[k]^L``) unless one of its missing
+    points ends in ``w``, so some prefix set survives and no qualifying set
+    is a counterexample.  A prefix set is the image of an L-dimensional
     subspace of ambient length N (breakpoints ``1, ..., L-1, N``, wildcard
     ``i`` at position ``i``, template suffix ``w``), so it is the subspace
-    the statement asks for.  The sets are the complements of the
-    combinations of missing points, fewest missing first; a set holds the
-    prefix set of ``w`` unless one of its missing points ends in ``w``.
-    Reports the first set holding no prefix set, if any.  Past ``max_sets``
-    sets the check stops, with ``exhaustive=False`` and the verdict of the
-    sets it checked.  A space of more than ``MAX_FORCING_POINTS`` points is
-    refused before any point is built.
+    the statement asks for.  The check is exhaustive when the qualifying
+    sets, ``sum C(k^N, m)`` over ``m <= M``, are at most ``max_sets``; the
+    sum stops as soon as it passes that limit, and no set, point or word
+    is built.  A space of more than ``MAX_FORCING_POINTS`` points is
+    refused first.
     """
     if not 1 <= L <= N:
         raise ValueError("need 1 <= L <= N")
@@ -426,37 +427,14 @@ def subspace_forcing_check(k: int, L: int, N: int, max_sets: int = 200_000) -> F
             f"point set too large for the forcing check: at most {MAX_FORCING_POINTS} points"
         )
     n_points = k**N
-    # A set missing m points has density above 1 - k^(-2L) when m k^(2L) < k^N.
     max_missing = (n_points - 1) // k ** (2 * L)
-    # In all_words order a point's suffix after L letters is its index mod
-    # k^(N-L), so the sets are walked as index combinations.
-    n_suffixes = k ** (N - L)
-    count = 0
-    for miss in range(max_missing + 1):
-        for gone in _index_combinations(n_points, miss):
-            count += 1
-            if count > max_sets:
-                return ForcingResult(True, None, False)
-            if len({p % n_suffixes for p in gone}) == n_suffixes:
-                points = all_words(k, N)
-                kept = frozenset(points).difference(points[p] for p in gone)
-                return ForcingResult(False, kept, True)
-    return ForcingResult(True, None, True)
-
-
-def _index_combinations(n: int, m: int):
-    """The ``m``-subsets of ``range(n)`` as rising tuples, in the order of
-    ``itertools.combinations(range(n), m)``, which would first copy its
-    pool; this walk holds only the current subset."""
-    idx = list(range(m))
-    while m <= n:
-        yield tuple(idx)
-        i = m - 1
-        while i >= 0 and idx[i] == n - m + i:
-            i -= 1
-        if i < 0:
-            return
-        idx[i:] = range(idx[i] + 1, idx[i] + 1 + m - i)
+    sets = term = 1  # the full set: C(k^N, 0)
+    for m in range(1, max_missing + 1):
+        if sets > max_sets:
+            break
+        term = term * (n_points - m + 1) // m
+        sets += term
+    return ForcingResult(True, None, sets <= max_sets)
 
 
 @dataclass(frozen=True)
@@ -477,7 +455,7 @@ class CorrespondenceMeasure:
         object.__setattr__(self, "mass", mass)
         words = tuple(all_words(self.k, self.length))
         object.__setattr__(self, "_words", words)
-        object.__setattr__(self, "_windex", {w: i for i, w in enumerate(words)})
+        object.__setattr__(self, "_position", {w: i for i, w in enumerate(words)})
 
     @property
     def words(self) -> tuple[str, ...]:
@@ -486,7 +464,7 @@ class CorrespondenceMeasure:
     def _indices(self, words: Sequence[str]) -> list[int]:
         """The words' positions in ``[k]^L``; a word outside raises ``ValueError``."""
         try:
-            return [self._windex[w] for w in words]  # type: ignore[attr-defined]
+            return [self._position[w] for w in words]  # type: ignore[attr-defined]
         except KeyError as exc:
             raise ValueError(f"word {exc.args[0]!r} not in [k]^L") from None
 
@@ -557,10 +535,13 @@ class StationaryLawTruncation:
 
     The constructor scans the law once, summing integer numerators over
     the common denominator of its masses into one table per word length:
-    the joint law of the coordinates of that length.  A tuple of
-    coordinates of one length (every coordinate and subspace image is one)
-    is summed from its length's table; a tuple of several lengths is
-    refused.  The law remembers the highest dimension cap at which
+    the joint law of the coordinates of that length.  The law is read only
+    through these tables.  :func:`strong_stationarity_check` sums each
+    coordinate and subspace image, which lies inside one length, from its
+    length's table.  The two other reads take the length-1 table: the
+    constructor sums its first coordinate to check the carrier, and
+    :func:`marginals` takes the whole table as the line marginal.  The law
+    remembers the highest dimension cap at which
     :func:`strong_stationarity_check` held, so ``weights`` must not be
     changed after construction.  ``weights`` is the law's own copy, read by
     :func:`measure.exact_masses`: the dict passed in may be reused or
@@ -586,9 +567,8 @@ class StationaryLawTruncation:
             raise ValidationError(
                 ["depth"], f"law too deep: its words would have more than {MAX_LAW_LETTERS} letters"
             )
-        wlist, windex, bounds = _word_layout(self.k, self.depth)
+        wlist, bounds = _word_layout(self.k, self.depth)
         object.__setattr__(self, "_words", wlist)
-        object.__setattr__(self, "_windex", windex)
         text = "configurations must index the carrier at every word"
         weights, den, nums = exact_masses(
             self.weights, len(wlist), len(self.carrier), length_error=text, range_error=text
@@ -596,22 +576,18 @@ class StationaryLawTruncation:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_bounds", bounds)
-        object.__setattr__(self, "_by_length", self._length_tables(nums))
+        tables = self._length_tables(nums)
+        object.__setattr__(self, "_by_length", tables)
         # The highest dimension cap at which the stationarity check held.
         object.__setattr__(self, "_verified", -1)
-        first = self.coordinate_marginal(wlist[0])
+        acc = _sum_image(tables[0], itemgetter(0))
+        first = tuple(Fraction(acc.get(c, 0), den) for c in range(len(self.carrier)))
         if first != self.carrier.weights:
             raise ValueError("carrier weights must equal the first-coordinate marginal")
 
     @property
     def words(self) -> tuple[str, ...]:
         return self._words  # type: ignore[attr-defined]
-
-    def word_index(self, w: str) -> int:
-        idx = self._windex  # type: ignore[attr-defined]
-        if w not in idx:
-            raise ValueError(f"word {w!r} beyond the truncation depth")
-        return idx[w]
 
     def _length_tables(self, nums: list[int]) -> list[dict[tuple[int, ...], int]]:
         """One scan of the whole law: for each word length, the numerators
@@ -626,52 +602,6 @@ class StationaryLawTruncation:
                 key = cfg[part]
                 table[key] = table.get(key, 0) + num
         return tables
-
-    def _pull(self, idx: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """Numerators of the joint law of the coordinates ``idx`` (nonempty);
-        callers must not mutate it.
-
-        The coordinates must all be words of one length, or ``ValueError``
-        is raised.  They are summed from that length's table, by their
-        positions in it: a marginal of a marginal is the marginal, over the
-        same denominator.  All the words of one length, in order, are that
-        length's table itself.
-        """
-        bounds = self._bounds  # type: ignore[attr-defined]
-        n = bisect_right(bounds, idx[0])
-        lo, hi = bounds[n - 1], bounds[n]
-        if not (lo <= min(idx) and max(idx) < hi):
-            raise ValueError("pullback words must all have one length")
-        table = self._by_length[n - 1]  # type: ignore[attr-defined]
-        if idx != tuple(range(lo, hi)):
-            table = _sum_by(table, [i - lo for i in idx])
-        return table
-
-    def coordinate_marginal(self, w: str) -> tuple[Fraction, ...]:
-        acc = self._pull((self.word_index(w),))
-        den = self._den  # type: ignore[attr-defined]
-        return tuple(Fraction(acc.get((c,), 0), den) for c in range(len(self.carrier)))
-
-    def pullback(self, image_words: Sequence[str]) -> dict:
-        """Joint law of the coordinates at the given words, as a new dict.
-
-        The masses are summed as integer numerators over the law's common
-        denominator, and divided only for the output keys.
-        """
-        idx = tuple(map(self.word_index, image_words))
-        if not idx:
-            return {(): Fraction(1)}
-        den = self._den  # type: ignore[attr-defined]
-        return {key: Fraction(num, den) for key, num in self._pull(idx).items()}
-
-
-def _sum_by(table: dict, positions: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """Integer masses of ``table`` summed by the entries of each key at the
-    given positions; a single position still gives 1-tuple keys."""
-    acc = _sum_image(table, itemgetter(*positions))
-    if len(positions) == 1:  # a single index gives bare values, not 1-tuples
-        acc = {(key,): num for key, num in acc.items()}
-    return acc
 
 
 def _sum_image(table: dict, get: itemgetter) -> dict:
@@ -803,7 +733,9 @@ def marginals(law: StationaryLawTruncation) -> tuple[ExactProbabilitySpace, Coup
     """
     if not strong_stationarity_check(law, 1).holds:
         raise ValueError("stationarity violated; marginals are ill-defined")
-    return law.carrier, Coupling(law.k, law.carrier, law.pullback(law.words[: law.k]))
+    den, table = law._den, law._by_length[0]  # type: ignore[attr-defined]
+    line = {key: Fraction(num, den) for key, num in table.items()}
+    return law.carrier, Coupling(law.k, law.carrier, line)
 
 
 def insensitive_algebra(law: StationaryLawTruncation, e: Iterable[int]) -> Partition:

@@ -609,8 +609,9 @@ def fraction_fiber_product_mass(spaces, maps):
 
 
 def naive_pullback(law, image_words):
-    """Reference for ``StationaryLawTruncation.pullback``: ``Fraction`` sums
-    over the public weights, keyed by the configuration at the given words."""
+    """The joint law of a law truncation's coordinates at the given words:
+    ``Fraction`` sums over the public weights, keyed by the configuration at
+    those words."""
     idx = [law.words.index(w) for w in image_words]
     out = {}
     for cfg, v in law.weights.items():
@@ -620,8 +621,8 @@ def naive_pullback(law, image_words):
 
 
 def naive_coordinate_marginal(law, w):
-    """Reference for ``coordinate_marginal``: the carrier-indexed masses of
-    the coordinate at ``w``, summed as ``Fraction``s."""
+    """The law of a law truncation's coordinate at ``w``: the carrier-indexed
+    masses, summed as ``Fraction``s."""
     i = law.words.index(w)
     out = [Fraction(0)] * len(law.carrier)
     for cfg, v in law.weights.items():
@@ -1601,7 +1602,7 @@ def check_density_premises(obj, delta: Fraction) -> bool:
         if 1 not in obj.carrier.points:
             raise ValueError("law carrier has no designated positive value 1")
         one = obj.carrier.points.index(1)
-        return all(obj.coordinate_marginal(w)[one] >= delta for w in obj.words)
+        return all(naive_coordinate_marginal(obj, w)[one] >= delta for w in obj.words)
     raise TypeError("expected a correspondence measure or a law truncation")
 
 

@@ -398,11 +398,17 @@ def test_forcing_matches_the_set_by_set_check():
                 assert subspace_forcing_check(k, L, N) == ForcingResult(ok, counter, True)
 
 
-@pytest.mark.parametrize("n", range(9))
-def test_index_combinations_walk_in_the_itertools_order(n):
-    # The forcing check's lazy walk over the missing points' indices.
-    for m in range(n + 2):
-        assert list(hales_jewett._index_combinations(n, m)) == list(combinations(range(n), m))
+def _qualifying_sets(k, L, N):
+    """The subsets of ``[k]^N`` of density above ``1 - k^(-2L)``, counted
+    one by one as the combinations of the points they miss."""
+    points = all_words(k, N)
+    threshold = 1 - F(1, k ** (2 * L))
+    return sum(
+        1
+        for m in range(len(points) + 1)
+        if F(len(points) - m, len(points)) > threshold
+        for _ in combinations(points, m)
+    )
 
 
 def test_forcing_over_its_set_limit_is_partial():
@@ -411,6 +417,19 @@ def test_forcing_over_its_set_limit_is_partial():
     assert subspace_forcing_check(2, 1, 3, max_sets=8) == ForcingResult(True, None, False)
     with pytest.raises(ValueError, match="over budget"):
         old_subspace_forcing_check(2, 1, 3, max_sets=8)
+    # Every space of at most 27 points, at its set count c and at c - 1: the
+    # former loop walks c sets and raises past c - 1, and the check is
+    # exhaustive exactly at c.
+    cases = [(k, L, N) for k in range(2, 10) for N in range(1, 5) if k**N <= 27
+             for L in range(1, N + 1)]
+    assert len(cases) == 26
+    for k, L, N in cases:
+        c = _qualifying_sets(k, L, N)
+        assert old_subspace_forcing_check(k, L, N, max_sets=c) == (True, None)
+        with pytest.raises(ValueError, match="over budget"):
+            old_subspace_forcing_check(k, L, N, max_sets=c - 1)
+        assert subspace_forcing_check(k, L, N, max_sets=c) == ForcingResult(True, None, True)
+        assert subspace_forcing_check(k, L, N, max_sets=c - 1) == ForcingResult(True, None, False)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -577,7 +596,7 @@ def test_marginals_choice_independent_for_mixture():
     point, line = marginals(law)
     assert sum(line.mass.values(), F(0)) == 1
     assert point.weights == law.carrier.weights
-    assert all(law.pullback(img) == line.mass for img in subspace_images(2, 1, 2))
+    assert all(naive_pullback(law, img) == line.mass for img in subspace_images(2, 1, 2))
 
 
 def test_insensitive_algebra_diagonal_is_singletons():
@@ -768,83 +787,53 @@ def _oracle_laws():
 
 @pytest.mark.parametrize("law", _oracle_laws())
 def test_pullbacks_and_marginals_match_fraction_oracle(law):
-    for w in law.words:
-        assert law.coordinate_marginal(w) == naive_coordinate_marginal(law, w)
-    rng = random.Random(len(law.weights))
-    images = [image(s) for n in range(1, law.depth + 1)
-              for s in enumerate_subspaces(law.k, n, law.depth)]
-    images += [tuple(rng.choice(law.words) for _ in range(rng.randint(1, 4)))
-               for _ in range(20)]
-    images += _cross_length_requests(law)
-    for img in images:
-        for _ in range(2):  # a second call sums again and agrees
-            _assert_pullback(law, img)
-    assert law.pullback(()) == {(): 1}
-
-
-def _assert_pullback(law, img):
-    """Words of one length pull back to the Fraction sums over the weights;
-    words of several lengths are refused, since no length's table holds
-    them."""
-    if len({len(w) for w in img}) > 1:
-        with pytest.raises(ValueError, match="^pullback words must all have one length$"):
-            law.pullback(img)
+    # The two reads of the length-1 table: the constructor's first
+    # coordinate, which must be the carrier, and the line marginal, the law
+    # of the words of length 1, which needs stationarity at dimension 1.
+    assert naive_coordinate_marginal(law, law.words[0]) == law.carrier.weights
+    weights = law.carrier.weights
+    m = len(weights)
+    other = tuple(F(1, m) for _ in weights)
+    if other == weights:
+        other = tuple(F(2 * (i + 1), m * (m + 1)) for i in range(m))
+    wrong = ExactProbabilitySpace(law.carrier.points, other)
+    with pytest.raises(ValueError, match="^carrier weights must equal the first-coordinate"):
+        StationaryLawTruncation(law.k, law.depth, wrong, law.weights)
+    if _naive_stationarity(law, 1)[0]:
+        for _ in range(2):  # a second call reads the table again and agrees
+            assert marginals(law)[1].mass == naive_pullback(law, law.words[: law.k])
     else:
-        assert law.pullback(img) == naive_pullback(law, img)
-
-
-def _cross_length_requests(law):
-    """Word tuples that span several word lengths, which no length's table
-    holds: every pair of a shorter and a longer word's first and last
-    words, both ways round, and one word of every length, forwards and
-    reversed with a repeat."""
-    by_length = {}
-    for w in law.words:
-        by_length.setdefault(len(w), []).append(w)
-    ends = [(ws[0], ws[-1]) for _, ws in sorted(by_length.items())]
-    out = []
-    for i, short in enumerate(ends):
-        for long in ends[i + 1:]:
-            for a in short:
-                for b in long:
-                    out += [(a, b), (b, a)]
-    every = tuple(ws[-1] for ws in by_length.values())
-    if len(every) > 1:
-        out += [every, every[::-1] + every[:1]]
-    return out
-
-
-def _shuffled_requests(law, rng):
-    """Every subspace image up to the depth, every coordinate, random word
-    tuples (repeats and reversals included) and the cross-length requests,
-    in a random order."""
-    requests = [img for n in range(1, law.depth + 1) for img in subspace_images(law.k, n, law.depth)]
-    requests += [(w,) for w in law.words]
-    requests += [tuple(rng.choice(law.words) for _ in range(rng.randint(1, 4))) for _ in range(20)]
-    requests += [tuple(reversed(img)) for img in requests[:5]]
-    requests += _cross_length_requests(law)
-    rng.shuffle(requests)
-    return requests
+        with pytest.raises(ValueError, match="^stationarity violated"):
+            marginals(law)
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("index", range(6))
 def test_pullbacks_from_remembered_tables_match_fraction_oracle(index, seed):
-    # A fresh law per order: each request of one word length is summed from
-    # that length's table and must equal the Fraction sums over the
-    # weights; a request spanning several lengths is refused.
+    # The stationarity check's sums, in a random order on a fresh law: each
+    # coordinate, from one pass over its length's table, and each subspace
+    # image, from its length's table by the cached summation plan, over the
+    # law's denominator, is the Fraction sum over the weights.
     law = _oracle_laws()[index]
     rng = random.Random(seed)
-    requests = _shuffled_requests(law, rng)
-    for img in requests:
-        if len(img) == 1 and rng.random() < 0.5:
-            assert law.coordinate_marginal(img[0]) == naive_coordinate_marginal(law, img[0])
+    tables, den = law._by_length, law._den
+    requests = [("point", i) for i in range(len(law.words))]
+    requests += [("image", n, j) for n in range(1, law.depth + 1)
+                 for j in range(len(subspace_images(law.k, n, law.depth)))]
+    rng.shuffle(requests)
+    for request in requests:
+        if request[0] == "point":
+            w = law.words[request[1]]
+            sums = hales_jewett._coordinate_sums(tables[len(w) - 1])
+            acc = sums[request[1] - law._bounds[len(w) - 1]]
+            got = tuple(F(acc.get(c, 0), den) for c in range(len(law.carrier)))
+            assert got == naive_coordinate_marginal(law, w)
         else:
-            _assert_pullback(law, img)
-    for w in law.words:
-        assert law.coordinate_marginal(w) == naive_coordinate_marginal(law, w)
-    spanning = [img for img in requests if len({len(w) for w in img}) > 1]
-    assert bool(spanning) == (law.depth > 1)
+            _, n, j = request
+            length, get = hales_jewett._summation_plan(law.k, n, law.depth)[j]
+            img = subspace_images(law.k, n, law.depth)[j]
+            acc = hales_jewett._sum_image(tables[length], get)
+            assert {key: F(num, den) for key, num in acc.items()} == naive_pullback(law, img)
 
 
 def _naive_stationarity(law, dim_cap):
@@ -973,12 +962,13 @@ def test_broken_laws_fail_at_the_intended_dimensions():
 
 
 def test_repeated_pullback_is_a_fresh_dict():
-    law = _mixed_denominator_law()
-    first = law.pullback(("21", "12"))
-    second = law.pullback(("21", "12"))
+    # The line marginal is read from the law's length-1 table, into a new
+    # dict per call: changing one changes neither the table nor the next.
+    law = iid_law(2, 2, carrier(F(2, 5)))
+    first, second = marginals(law)[1].mass, marginals(law)[1].mass
     assert first == second and first is not second
     first[(9, 9)] = F(1)
-    assert law.pullback(("21", "12")) == second
+    assert marginals(law)[1].mass == second == naive_pullback(law, law.words[:2])
 
 
 def test_law_owns_its_weights():
@@ -988,13 +978,17 @@ def test_law_owns_its_weights():
     given = dict(iid_law(2, 2, car).weights)
     law = StationaryLawTruncation(2, 2, car, given)
     assert law.weights is not given
-    before = (law.pullback(("21", "12")), law.coordinate_marginal("2"))
+
+    def reads():
+        pair = naive_pullback(law, ("21", "12"))
+        return pair, naive_coordinate_marginal(law, "2"), marginals(law)
+
+    before = reads()
     first = next(iter(given))
     given[first] = F(1, 2)
     given.clear()
     assert law.weights == iid_law(2, 2, car).weights
-    assert (law.pullback(("21", "12")), law.coordinate_marginal("2")) == before
-    assert law.pullback(("21", "12")) == naive_pullback(law, ("21", "12"))
+    assert reads() == before
     assert strong_stationarity_check(law, 2).holds
 
 

@@ -52,18 +52,12 @@ AWAITING_COMMAND: dict[str, str] = {
 SHARED_NAMES: dict[str, str] = {
     "averages.VanDerCorputReport.holds": "`vdc` prints `report.holds`",
     "hales_jewett.CorrespondenceMeasure.words": "`dhj correspond` lists `cm.words`",
-    "hales_jewett.StationaryLawTruncation.pullback": (
-        "`marginals` pulls the line marginal back (`law.pullback`)"
-    ),
     "hales_jewett.StationaryLawTruncation.words": (
         "`strong_stationarity_check` names its witnesses from `law.words`"
     ),
     "measure.Coupling.support": "`Coupling.as_space` reads `self.support()`",
     "measure.ExactProbabilitySpace.support": (
         "`invariant_factor` walks `sys.space.support()`"
-    ),
-    "systems.FactorMap.pullback": (
-        "`joint_distribution_predicate` pulls the join back (`maps[i].pullback`)"
     ),
     "systems.FiniteZdSystem.dim": "`FiniteZdSystem.act` checks `self.dim`",
     "systems.GroupRotationSystem.dim": "`rotation_extension` checks `rot.dim`",

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cyclic_system, iid_law, torus_system
+from helpers import cyclic_system, iid_law, naive_pullback, torus_system
 
 from ergolab.hales_jewett import build_correspondence
 from ergolab.measure import Coupling, ExactProbabilitySpace, Partition
@@ -108,7 +108,7 @@ def test_law_from_json_merges_duplicate_configs():
     }
     law = law_from_json(doc)
     assert law.weights == {(0, 0): F(1, 3), (1, 1): F(2, 3)}
-    assert law.pullback(("1", "2")) == {(0, 0): F(1, 3), (1, 1): F(2, 3)}
+    assert naive_pullback(law, ("1", "2")) == {(0, 0): F(1, 3), (1, 1): F(2, 3)}
     doc["weights"][2]["value"] = "1/5"
     with pytest.raises(ValidationError, match="total mass"):
         law_from_json(doc)
