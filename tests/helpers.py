@@ -9,7 +9,7 @@ from operator import or_
 from random import Random
 from types import SimpleNamespace
 
-from ergolab import cli, serialize
+from ergolab import cli, hales_jewett, serialize
 from ergolab.averages import (
     FurstenbergJoining,
     RecurrenceCertificate,
@@ -1128,9 +1128,10 @@ def old_line_to_point_implication(point, line):
 
 # -- lines, products and diagonals as they were before the shared constructions ----
 #
-# Verbatim in substance: the former ``hales_jewett.line_maps`` loop, and the
-# former bodies of ``Coupling.product`` (integer numerators over ``D**arity``)
-# and ``Coupling.diagonal`` (the base weights on the diagonal tuples).
+# Verbatim in substance: the former ``hales_jewett.line_maps`` loop, the
+# former ``CorrespondenceMeasure`` event scans, and the former bodies of
+# ``Coupling.product`` (integer numerators over ``D**arity``) and
+# ``Coupling.diagonal`` (the base weights on the diagonal tuples).
 
 def old_line_maps(k, N):
     """Reference for ``line_maps``: every ``(J, w0)``, by ``|J|``, then ``J``
@@ -1151,6 +1152,30 @@ def old_line_maps(k, N):
                     line.append("".join(word))
                 out.append(tuple(line))
     return out
+
+
+def line_maps(k, N):
+    """The lines of ``[k]^N`` in parameter order, as the words of
+    ``hales_jewett._lines``: the former library ``line_maps``."""
+    words = all_words(k, N)
+    return [tuple(map(words.__getitem__, line)) for line in hales_jewett._lines(k, N)]
+
+
+def old_point_event(cm, w):
+    """Reference for ``CorrespondenceMeasure.event`` at one word: the mass
+    of the configurations with a 1 at ``w``, scanned in ``Fraction``s."""
+    i = cm.words.index(w)
+    return sum((v for cfg, v in cm.mass.items() if cfg[i] == 1), Fraction(0))
+
+
+def old_line_event(cm, line):
+    """Reference for ``CorrespondenceMeasure.event`` at the words of a line:
+    the mass of the configurations with a 1 at each, scanned in ``Fraction``s."""
+    idx = [cm.words.index(w) for w in line]
+    return sum(
+        (v for cfg, v in cm.mass.items() if all(cfg[i] == 1 for i in idx)),
+        Fraction(0),
+    )
 
 
 def old_product_coupling(space, arity):
@@ -1597,7 +1622,7 @@ def check_density_premises(obj, delta: Fraction) -> bool:
     mass at least ``delta``, an exact rational."""
     delta = _frac(delta)
     if isinstance(obj, CorrespondenceMeasure):
-        return all(obj.point_event(w) >= delta for w in obj.words)
+        return all(obj.event((i,)) >= delta for i in range(len(obj.words)))
     if isinstance(obj, StationaryLawTruncation):
         if 1 not in obj.carrier.points:
             raise ValueError("law carrier has no designated positive value 1")

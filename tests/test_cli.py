@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from helpers import cyclic_system, long_period_system, old_build_parser
 import ergolab
 from ergolab import cli
 from ergolab.cli import main
+from ergolab.hales_jewett import all_words
 from ergolab.serialize import canonical_dumps, system_to_json
 
 F = Fraction
@@ -203,9 +205,11 @@ def test_vdc_ragged_sequence_is_an_input_error(tmp_path, capsys):
 
 
 def test_boolean_point_index_is_an_input_error(z3_file, capsys):
-    code, report = run(capsys, ["recur", "--system", z3_file, "--set", "[true]"])
-    assert code == 3
-    assert report == {"error": "$.--set: expected a JSON array of point indices"}
+    # A value that is not JSON at all gets the same error.
+    for text in ("[true]", "[1,"):
+        code, report = run(capsys, ["recur", "--system", z3_file, "--set", text])
+        assert code == 3
+        assert report == {"error": "$.--set: expected a JSON array of point indices"}
 
 
 @pytest.mark.parametrize("index", [-1, 99])
@@ -315,6 +319,36 @@ def test_alphabet_beyond_single_digits_is_input_error(action, capsys):
     code, report = run(capsys, ["dhj", action, "-k", "10", "-N", "1"])
     assert code == 3
     assert "alphabet size" in report["error"]
+
+
+@pytest.mark.parametrize("doc", [{"words": []}, ["12", 3], "12"])
+def test_correspond_set_file_must_be_an_array_of_words(doc, tmp_path, capsys):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(
+        capsys, ["dhj", "correspond", "--set", str(path), "-k", "2", "-N", "2", "-L", "1"]
+    )
+    assert code == 3
+    assert report == {"error": "$.set: expected a JSON array of words"}
+
+
+def test_correspond_line_events_stay_fast_in_a_wide_window(tmp_path, capsys):
+    # A scan of every configuration per event grows with lines times
+    # configurations: at -k 2 -N 18 -L 9 that is 19,171 line events over up
+    # to 512 configurations, about 12 s.  Events read from masks built once
+    # take well under 1 s; the bound leaves room for a slow host.
+    rng = random.Random(18)
+    words = [w for w in all_words(2, 18) if rng.random() < 0.5]
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(words))
+    argv = ["dhj", "correspond", "--set", str(path), "-k", "2", "-N", "18", "-L", "9"]
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert len(report["results"]["line_events"]) == 3**9 - 2**9 == 19_171
+    assert elapsed < 4, f"dhj correspond took {elapsed:.1f}s"
 
 
 @pytest.mark.parametrize("word", ["1\u0663", "1\u00b2"])

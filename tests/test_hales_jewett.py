@@ -18,12 +18,15 @@ from helpers import (
     image,
     law_from_correspondence,
     letter_replace,
+    line_maps,
     naive_coordinate_marginal,
     naive_pullback,
     old_enumerate_subspaces,
+    old_line_event,
     old_line_maps,
     old_line_to_point_implication,
     old_max_line_free,
+    old_point_event,
     old_subspace_forcing_check,
     old_subspace_maps,
     set_family_atoms,
@@ -34,7 +37,6 @@ from ergolab import hales_jewett
 from ergolab.hales_jewett import (
     CombinatorialSubspace,
     CorrespondenceMeasure,
-    ForcingResult,
     StationaryLawTruncation,
     all_words,
     build_correspondence,
@@ -43,7 +45,6 @@ from ergolab.hales_jewett import (
     enumerate_lines,
     enumerate_subspaces,
     insensitive_algebra,
-    line_maps,
     line_marginal_structure_report,
     marginals,
     max_line_free,
@@ -215,7 +216,7 @@ def test_line_masks_match_the_masks_built_from_words(k, N):
 
 @pytest.mark.parametrize("k", [0, 10])
 def test_enumerations_refuse_alphabets_beyond_the_digits(k):
-    for call in (lambda: line_maps(k, 2), lambda: line_maps(k, 0),
+    for call in (lambda: list(hales_jewett._lines(k, 2)), lambda: list(hales_jewett._lines(k, 0)),
                  lambda: enumerate_subspaces(k, 1, 2)):
         with pytest.raises(ValueError, match="alphabet size"):
             call()
@@ -375,16 +376,19 @@ def test_max_line_free_starts_from_the_empty_set():
 
 # -- subspace forcing ----------------------------------------------------------------------
 
+# The check returns only whether it is exhaustive: the prefix lemma decides
+# the verdict, which the former set-by-set loop confirms below.
+
 def test_forcing_k2_l1_n3():
-    assert subspace_forcing_check(2, 1, 3) == ForcingResult(True, None, True)
+    assert subspace_forcing_check(2, 1, 3) is True
 
 
 def test_forcing_k2_l1_n2_full_set_only():
-    assert subspace_forcing_check(2, 1, 2) == ForcingResult(True, None, True)
+    assert subspace_forcing_check(2, 1, 2) is True
 
 
 def test_forcing_k3_l1_n2():
-    assert subspace_forcing_check(3, 1, 2) == ForcingResult(True, None, True)
+    assert subspace_forcing_check(3, 1, 2) is True
 
 
 def test_forcing_matches_the_set_by_set_check():
@@ -394,8 +398,8 @@ def test_forcing_matches_the_set_by_set_check():
     for k in (1, 2, 3):
         for N in range(1, 4 if k < 3 else 3):
             for L in range(1, N + 1):
-                ok, counter = old_subspace_forcing_check(k, L, N)
-                assert subspace_forcing_check(k, L, N) == ForcingResult(ok, counter, True)
+                assert old_subspace_forcing_check(k, L, N) == (True, None)
+                assert subspace_forcing_check(k, L, N) is True
 
 
 def _qualifying_sets(k, L, N):
@@ -413,8 +417,8 @@ def _qualifying_sets(k, L, N):
 
 def test_forcing_over_its_set_limit_is_partial():
     # [2]^3 at L = 1 has the full set and the 8 sets missing one point.
-    assert subspace_forcing_check(2, 1, 3, max_sets=9) == ForcingResult(True, None, True)
-    assert subspace_forcing_check(2, 1, 3, max_sets=8) == ForcingResult(True, None, False)
+    assert subspace_forcing_check(2, 1, 3, max_sets=9) is True
+    assert subspace_forcing_check(2, 1, 3, max_sets=8) is False
     with pytest.raises(ValueError, match="over budget"):
         old_subspace_forcing_check(2, 1, 3, max_sets=8)
     # Every space of at most 27 points, at its set count c and at c - 1: the
@@ -428,8 +432,8 @@ def test_forcing_over_its_set_limit_is_partial():
         assert old_subspace_forcing_check(k, L, N, max_sets=c) == (True, None)
         with pytest.raises(ValueError, match="over budget"):
             old_subspace_forcing_check(k, L, N, max_sets=c - 1)
-        assert subspace_forcing_check(k, L, N, max_sets=c) == ForcingResult(True, None, True)
-        assert subspace_forcing_check(k, L, N, max_sets=c - 1) == ForcingResult(True, None, False)
+        assert subspace_forcing_check(k, L, N, max_sets=c) is True
+        assert subspace_forcing_check(k, L, N, max_sets=c - 1) is False
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -459,18 +463,61 @@ def test_correspondence_empty_set_is_all_zeros():
 def test_correspondence_worked_example():
     cm = build_correspondence({"12", "21"}, 2, 2, 1)
     assert cm.mass == {(0, 1): F(1, 2), (1, 0): F(1, 2)}
-    assert cm.point_event("1") == F(1, 2)
-    assert cm.point_event("2") == F(1, 2)
-    for line in line_maps(2, 1):
-        assert cm.line_event(line) == 0
+    assert cm.event((0,)) == F(1, 2)
+    assert cm.event((1,)) == F(1, 2)
+    for line in hales_jewett._lines(2, 1):
+        assert cm.event(line) == 0
+    assert cm.event(()) == 1  # no point: the whole space
 
 
 def test_correspondence_events_refuse_a_word_outside_the_window():
+    # The reader takes word indices in range(k^L): the next index and a
+    # negative one, which a list would wrap to the last word, are refused,
+    # alone and among the points of an event.
     cm = build_correspondence({"12", "21"}, 2, 2, 1)
-    for event in (cm.point_event, lambda w: cm.line_event(("1", w))):
-        for word in ("3", "11", ""):
-            with pytest.raises(ValueError, match=r"^word '.*' not in \[k\]\^L$"):
-                event(word)
+    for i in (2, -1, 10**30):
+        for points in ((i,), (0, i)):
+            with pytest.raises(ValueError, match=rf"^word index {i} not in \[k\]\^L$"):
+                cm.event(points)
+
+
+def _assert_events_match_the_scans(cm):
+    """Every point and line event of ``cm``, and the event of no point,
+    read by ``cm.event`` and by the former ``Fraction`` scans on words."""
+    words = cm.words
+    for i, w in enumerate(words):
+        assert cm.event((i,)) == old_point_event(cm, w)
+    for line in hales_jewett._lines(cm.k, cm.length):
+        assert cm.event(line) == old_line_event(cm, [words[i] for i in line])
+    assert cm.event(()) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_event_reader_matches_the_fraction_scans(k):
+    # Seeded sets of several densities, at every window L < N for N <= 4.
+    rng = random.Random(34 + k)
+    for N in range(2, 5):
+        words = all_words(k, N)
+        for L in range(1, N):
+            for density in (0, 0.25, 0.5, 0.75, 1):
+                A = {w for w in words if rng.random() < density}
+                _assert_events_match_the_scans(build_correspondence(A, k, N, L))
+
+
+def test_event_reader_matches_the_fraction_scans_on_given_masses():
+    # Measures built directly, whose numerators over the common denominator
+    # repeat (one mask holds several configurations) and differ.
+    cm = CorrespondenceMeasure(2, 1, {(1, 1): F(1, 2), (1, 0): F(1, 4), (0, 1): F(1, 4)})
+    assert [cm.event((0,)), cm.event((1,)), cm.event((0, 1))] == [F(3, 4), F(3, 4), F(1, 2)]
+    _assert_events_match_the_scans(cm)
+    rng = random.Random(34)
+    for k, L in ((2, 1), (3, 1), (2, 2), (2, 3)):
+        configurations = list(iter_product((0, 1), repeat=k**L))
+        for _ in range(20):
+            chosen = rng.sample(configurations, rng.randint(1, min(len(configurations), 8)))
+            weights = [rng.choice((1, 1, 2, 3, 5)) for _ in chosen]
+            mass = {c: F(w, sum(weights)) for c, w in zip(chosen, weights)}
+            _assert_events_match_the_scans(CorrespondenceMeasure(k, L, mass))
 
 
 def test_correspondence_identities_direct_enumeration():
@@ -480,21 +527,22 @@ def test_correspondence_identities_direct_enumeration():
         A = {w for w in all_words(k, N) if rng.random() < 0.5}
         cm = build_correspondence(A, k, N, L)
         M = N - L
-        for w in all_words(k, L):
+        prefixes = all_words(k, L)
+        for i, w in enumerate(prefixes):
             slice_density = F(
                 sum(1 for v in all_words(k, M) if w + v in A), k**M
             )
-            assert cm.point_event(w) == slice_density
-        for line in line_maps(k, L):
+            assert cm.event((i,)) == slice_density
+        for line in hales_jewett._lines(k, L):
             inter = F(
                 sum(
                     1
                     for v in all_words(k, M)
-                    if all(u + v in A for u in line)
+                    if all(prefixes[i] + v in A for i in line)
                 ),
                 k**M,
             )
-            assert cm.line_event(line) == inter
+            assert cm.event(line) == inter
 
 
 def test_line_free_sets_have_null_line_events():
@@ -509,8 +557,8 @@ def test_line_free_sets_have_null_line_events():
     for A in free_sets:
         for L in (1, 2):
             cm = build_correspondence(A, k, N, L)
-            for line in line_maps(k, L):
-                assert cm.line_event(line) == 0
+            for line in hales_jewett._lines(k, L):
+                assert cm.event(line) == 0
 
 
 def test_density_premises():
@@ -1086,8 +1134,8 @@ def test_point_bounds_of_a_long_space_need_no_power():
     with pytest.raises(ValueError, match="at most 2097152 points"):
         subspace_forcing_check(2, 1, 10**18)
     # [1]^N is one point, so the forcing check holds without its word.
-    assert subspace_forcing_check(1, 1, 10**18) == ForcingResult(True, None, True)
-    assert subspace_forcing_check(1, 2, 5) == ForcingResult(True, None, True)
+    assert subspace_forcing_check(1, 1, 10**18) is True
+    assert subspace_forcing_check(1, 2, 5) is True
 
 
 @pytest.mark.parametrize("k, N", [(2, 12), (3, 7), (8, 4), (9, 3)])
