@@ -15,10 +15,11 @@ and bound, reporting the lexicographically least extremal set.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, combinations, islice, product as iter_product
+from itertools import accumulate, chain, combinations, compress, islice, product as iter_product, repeat
 from operator import index, itemgetter
 from typing import Iterable, Sequence
 
@@ -492,34 +493,40 @@ def build_correspondence(
     with ``A_w = {v : w + v in A}``.  Point events equal the slice densities
     and line events the densities of slice intersections.
 
-    After the arguments and the words of ``A`` are checked, a space of more
-    than ``MAX_FORCING_POINTS`` points (``k^N``) is refused before any word
-    is built, and so, when ``max_lines`` is given, is a window ``[k]^L`` of
-    more than ``max_lines`` lines: a caller that lists every line event
+    ``A`` is read once: its words are checked and marked by :func:`all_words`
+    index in one byte per point of ``[k]^N``, so suffix ``v``'s configuration
+    is the stride from byte ``v`` in steps of ``k^(N-L)``.  A space of more
+    than ``MAX_FORCING_POINTS`` points (``k^N``) is refused before the bytes
+    are allocated, and so, when ``max_lines`` is given, is a window ``[k]^L``
+    of more than ``max_lines`` lines: a caller that lists every line event
     passes its listing bound.
     """
     if not 1 <= L < N:
         raise ValueError("need 1 <= L < N")
-    A = {check_word(w, k) for w in A}
-    for w in A:
-        if len(w) != N:
-            raise ValueError("set elements must have length N")
-    if check_alphabet(k) > 1 and _more_points(k, N, MAX_FORCING_POINTS):
+    A = list(A)
+    letters = _LETTERS[: check_alphabet(k)]
+    for w in compress(A, map(str.strip, A, repeat(letters))):
+        check_word(w, k)  # a letter outside the alphabet: name the first
+    if set(map(len, A)) - {N}:
+        raise ValueError("set elements must have length N")
+    if k > 1 and _more_points(k, N, MAX_FORCING_POINTS):
         raise ValueError(
             f"point set too large for the correspondence: at most {MAX_FORCING_POINTS} points"
         )
     if max_lines is not None:
         _check_lines(k, L, max_lines)
-    prefixes = all_words(k, L)
-    M = N - L
-    acc: dict[tuple[int, ...], int] = {}
-    for v in all_words(k, M):
-        cfg = tuple(1 if w + v in A else 0 for w in prefixes)
-        acc[cfg] = acc.get(cfg, 0) + 1
-    total = k**M
-    return CorrespondenceMeasure(
-        k, L, {cfg: Fraction(c, total) for cfg, c in acc.items()}
-    )
+    inside = bytearray(k**N)
+    if k == 1:  # int() has no base 1: the one word of [1]^N is index 0
+        indices = repeat(0, len(A))
+    else:  # parsed after the letter check, since int() reads any Unicode digit
+        digits = str.maketrans(letters, "012345678"[:k])
+        indices = map(int, map(str.translate, A, repeat(digits)), repeat(k))
+    for i in indices:
+        inside[i] = 1
+    inside = bytes(inside)
+    M = k ** (N - L)
+    acc = Counter(inside[v::M] for v in range(M))
+    return CorrespondenceMeasure(k, L, {tuple(cfg): Fraction(c, M) for cfg, c in acc.items()})
 
 
 @dataclass(frozen=True)

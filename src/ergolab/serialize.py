@@ -43,10 +43,7 @@ from itertools import chain
 from operator import index, itemgetter, lt
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .hales_jewett import (
-    CorrespondenceMeasure,
-    StationaryLawTruncation,
-)
+from .hales_jewett import CorrespondenceMeasure, StationaryLawTruncation
 from .averages import VectorSequence
 from .measure import (
     Coupling,
@@ -54,7 +51,6 @@ from .measure import (
     Partition,
     SimpleFunction,
     ValidationError,
-    format_path,  # re-exported with ValidationError, as before they moved
 )
 from .systems import FactorMap, FiniteZdSystem, GroupRotationSystem, SubgroupSpec
 from .upsets import UpSet, bits_of, mask_of

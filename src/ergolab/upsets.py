@@ -49,10 +49,6 @@ def bits_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 @cache
 def ground_masks(d: int) -> tuple[int, ...]:
     """All subsets of ``range(d)`` of size >= 2, as bitmasks, sorted.
@@ -80,7 +76,7 @@ class UpSet:
             raise ValidationError(["d"], f"expected a nonnegative dimension, got {self.d}")
         full = (1 << self.d) - 1
         for m in members:
-            if popcount(m) < 2:
+            if m.bit_count() < 2:
                 raise ValueError("members must have size at least 2")
             if m & ~full:
                 raise ValueError("member out of range")
@@ -95,7 +91,7 @@ class UpSet:
         """Upward closure of a family of generating subsets: the union of
         their principal up-sets."""
         gens = [tuple(a) for a in antichain]
-        if any(popcount(mask_of(g)) < 2 for g in gens):
+        if any(mask_of(g).bit_count() < 2 for g in gens):
             raise ValueError("generators must have size at least 2")
         return cls(d, frozenset().union(*(cls.principal(d, g).members for g in gens)))
 

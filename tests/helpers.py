@@ -55,7 +55,7 @@ from ergolab.systems import (
     invariant_factor,
     is_partially_trivial,
 )
-from ergolab.upsets import bits_of, ground_masks, mask_of, popcount
+from ergolab.upsets import bits_of, ground_masks, mask_of
 
 
 def cyclic_system(n: int, *shifts: int) -> FiniteZdSystem:
@@ -868,7 +868,7 @@ def old_psi_maps(parts, masks, cap=1000):
         return maps
     for p in parts:
         maps.append({m: p for m in masks})
-    sizes = sorted({popcount(m) for m in masks})
+    sizes = sorted({m.bit_count() for m in masks})
     for chain in iter_product(parts, repeat=len(sizes)):
         by_size = dict(zip(sizes, chain))
         ok = all(
@@ -878,7 +878,7 @@ def old_psi_maps(parts, masks, cap=1000):
             if a < b
         )
         if ok:
-            psi = {m: by_size[popcount(m)] for m in masks}
+            psi = {m: by_size[m.bit_count()] for m in masks}
             if psi not in maps:
                 maps.append(psi)
     return maps
@@ -1176,6 +1176,30 @@ def old_line_event(cm, line):
         (v for cfg, v in cm.mass.items() if all(cfg[i] == 1 for i in idx)),
         Fraction(0),
     )
+
+
+def old_build_correspondence(A, k, N, L, max_lines=None):
+    """Reference for ``build_correspondence``: every word checked letter by
+    letter into a set of strings, and each suffix's configuration read as
+    ``w + v in A`` over the prefixes, with the same checks in the same order."""
+    if not 1 <= L < N:
+        raise ValueError("need 1 <= L < N")
+    A = {hales_jewett.check_word(w, k) for w in A}
+    for w in A:
+        if len(w) != N:
+            raise ValueError("set elements must have length N")
+    bound = hales_jewett.MAX_FORCING_POINTS
+    if check_alphabet(k) > 1 and hales_jewett._more_points(k, N, bound):
+        raise ValueError(f"point set too large for the correspondence: at most {bound} points")
+    if max_lines is not None:
+        hales_jewett._check_lines(k, L, max_lines)
+    prefixes = all_words(k, L)
+    acc = {}
+    for v in all_words(k, N - L):
+        cfg = tuple(1 if w + v in A else 0 for w in prefixes)
+        acc[cfg] = acc.get(cfg, 0) + 1
+    total = k ** (N - L)
+    return CorrespondenceMeasure(k, L, {cfg: Fraction(c, total) for cfg, c in acc.items()})
 
 
 def old_product_coupling(space, arity):

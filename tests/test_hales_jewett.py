@@ -24,6 +24,7 @@ from helpers import (
     old_enumerate_subspaces,
     old_line_event,
     old_line_maps,
+    old_build_correspondence,
     old_line_to_point_implication,
     old_max_line_free,
     old_point_event,
@@ -35,6 +36,7 @@ from helpers import (
 
 from ergolab import hales_jewett
 from ergolab.hales_jewett import (
+    MAX_FORCING_POINTS,
     CombinatorialSubspace,
     CorrespondenceMeasure,
     StationaryLawTruncation,
@@ -55,6 +57,7 @@ from ergolab.hales_jewett import (
     words_up_to,
 )
 from ergolab.measure import ExactProbabilitySpace, Partition, ValidationError
+from ergolab.serialize import canonical_dumps, correspondence_to_json
 from ergolab.upsets import bits_of, ground_masks, structure_report
 
 F = Fraction
@@ -479,6 +482,92 @@ def test_correspondence_events_refuse_a_word_outside_the_window():
         for points in ((i,), (0, i)):
             with pytest.raises(ValueError, match=rf"^word index {i} not in \[k\]\^L$"):
                 cm.event(points)
+
+
+def _assert_same_correspondence(A, k, N, L):
+    """``build_correspondence`` on the list ``A``, on its set and on a
+    generator of it builds the measure the former string scan builds: the
+    same mass items in the same order, integer form, masks and document."""
+
+    def parts(cm):
+        doc = canonical_dumps(correspondence_to_json(cm))
+        return list(cm.mass.items()), cm._den, cm._hits, cm._by_num, doc
+
+    want = parts(old_build_correspondence(A, k, N, L))
+    for given in (A, set(A), (w for w in A)):
+        assert parts(build_correspondence(given, k, N, L)) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_correspondence_matches_the_string_scan(k):
+    # Every window 1 <= L < N of every space of at most 1,024 points (N <= 5
+    # at k = 1), on the empty set, the full set and seeded sets with
+    # repeated words.
+    rng = random.Random(35 + k)
+    lengths = range(2, 6) if k == 1 else [N for N in range(2, 11) if k**N <= 1024]
+    for N in lengths:
+        words = all_words(k, N)
+        for L in range(1, N):
+            _assert_same_correspondence([], k, N, L)
+            _assert_same_correspondence(words, k, N, L)
+            for density in (0.25, 0.5):
+                A = [w for w in words if rng.random() < density]
+                A += rng.choices(A, k=len(A) // 2) if A else []
+                rng.shuffle(A)
+                _assert_same_correspondence(A, k, N, L)
+
+
+def test_correspondence_matches_the_string_scan_at_one_letter():
+    # int() has no base 1: the one word of [1]^N is index 0.
+    for A, k, N, L in ((["11"], 1, 2, 1), ([], 1, 3, 2), (["111", "111"], 1, 3, 1)):
+        _assert_same_correspondence(A, k, N, L)
+    assert build_correspondence(["11"], 1, 2, 1).mass == {(1,): F(1)}
+    assert build_correspondence([], 1, 3, 2).mass == {(0,): F(1)}
+
+
+@pytest.mark.parametrize(
+    "A, k, N, L, max_lines, error",
+    [
+        # L and N first, before any letter.
+        (["x"], 2, 2, 2, None, "need 1 <= L < N"),
+        # Letters of every word before any length.
+        (["1", "13"], 2, 2, 1, None, "letter '3' outside alphabet of size 2"),
+        # The first bad letter in input order is named.
+        (["12", "1xy", "z1"], 2, 3, 1, None, "letter 'x' outside alphabet of size 2"),
+        (["12", "z1", "1xy"], 2, 2, 1, None, "letter 'z' outside alphabet of size 2"),
+        # Other Unicode digits, which int() would read, are letters outside.
+        (["12", "1\u0663"], 3, 2, 1, None, "letter '\u0663' outside alphabet of size 3"),
+        (["1\u00b2", "12"], 3, 2, 1, None, "letter '\u00b2' outside alphabet of size 3"),
+        # The alphabet, with no word to check and with one.
+        ([], 10, 2, 1, None, "alphabet size must be between 1 and 9"),
+        (["12"], 10, 2, 1, None, "alphabet size must be between 1 and 9"),
+        ([], 0, 2, 1, None, "alphabet size must be between 1 and 9"),
+        # Lengths before the point bound, the point bound before the lines.
+        (["1"], 2, 40, 1, None, "set elements must have length N"),
+        (["12", "121"], 2, 2, 1, None, "set elements must have length N"),
+        ([], 2, 40, 39, 100, "point set too large for the correspondence: at most 2097152 points"),
+        ([], 2, 21, 20, 100_000, "too many lines: at most 100000 are listed"),
+    ],
+)
+def test_correspondence_errors_keep_their_texts_and_order(A, k, N, L, max_lines, error):
+    for build in (build_correspondence, old_build_correspondence):
+        with pytest.raises(ValueError) as raised:
+            build(A, k, N, L, max_lines)
+        assert str(raised.value) == error
+
+
+def test_correspondence_refuses_a_large_space_before_its_bytes():
+    # One byte per point would be 2^64 bytes, more than bytearray() takes,
+    # and 4 MiB at N = 22: the bound refuses both before any allocation.
+    for N in (MAX_FORCING_POINTS.bit_length(), 64):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^point set too large for the correspondence"):
+                build_correspondence(["1" * N, "2" * N], 2, N, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _assert_events_match_the_scans(cm):
