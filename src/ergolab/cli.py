@@ -52,6 +52,10 @@ def _load(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise ValidationError([path], "file not found") from None
+    except OSError as exc:  # a directory, say
+        raise ValidationError([path], f"cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError([path], f"not UTF-8 text at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(
             [path], f"malformed JSON at line {exc.lineno} column {exc.colno}"
@@ -81,8 +85,11 @@ def _emit(args, command: str, inputs: Any, results: dict, exhaustive: bool, code
     }
     text = canonical_dumps(report)
     if getattr(args, "json", None):
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # a missing directory, or a directory
+            raise ValidationError(["--json"], f"cannot write: {exc.strerror}") from None
     else:
         print(text)
     return code
@@ -171,14 +178,8 @@ def _cmd_recur(args) -> int:
     results = {"limit": cert.limit, "witness_n": cert.witness}
     positive = sys_.space.measure(aset) > 0
     ok = (not positive) or (cert.limit > 0 and cert.witness is not None)
-    return _emit(
-        args,
-        "recur",
-        {"system": doc, "set": sorted(aset)},
-        results,
-        True,
-        EXIT_OK if ok else EXIT_VIOLATED,
-    )
+    inputs = {"system": doc, "set": sorted(aset)}
+    return _emit(args, "recur", inputs, results, True, EXIT_OK if ok else EXIT_VIOLATED)
 
 
 def _cmd_vdc(args) -> int:
@@ -186,14 +187,8 @@ def _cmd_vdc(args) -> int:
     seq = serialize.sequence_from_json(doc)
     rep = averages.van_der_corput_inequality(seq, args.N, args.H)
     results = {"lhs": rep.lhs, "rhs": rep.rhs, "holds": rep.holds}
-    return _emit(
-        args,
-        "vdc",
-        {"seq": doc, "N": args.N, "H": args.H},
-        results,
-        True,
-        EXIT_OK if rep.holds else EXIT_VIOLATED,
-    )
+    code = EXIT_OK if rep.holds else EXIT_VIOLATED
+    return _emit(args, "vdc", {"seq": doc, "N": args.N, "H": args.H}, results, True, code)
 
 
 def _cmd_joint(args) -> int:

@@ -16,7 +16,7 @@ and bound, reporting the lexicographically least extremal set.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, combinations, compress, islice, product as iter_product, repeat
@@ -434,35 +434,38 @@ def subspace_forcing_check(k: int, L: int, N: int, max_sets: int = 200_000) -> b
 
 @dataclass(frozen=True)
 class CorrespondenceMeasure:
-    """The joint law of the indicator slices of a set: a measure on 0/1
-    configurations indexed by ``[k]^L`` in :func:`all_words` order.  ``mass``
-    is the measure's own copy, read by :func:`measure.exact_masses`, whose
-    integer form the constructor keeps: the common denominator and each
-    configuration's numerator.  In a mask, bit ``j`` is the ``j``-th
-    configuration in table order.  The constructor builds one mask per word,
-    of the configurations with a 1 there, and one per distinct numerator, of
-    those that carry it; :meth:`event` reads every event from these masks."""
+    """The joint law of the indicator slices of a set.  ``table`` is the
+    set's 0/1 indicator on ``[k]^N`` in :func:`all_words` order: with
+    ``M = len(table) // k^L``, row ``w`` (``table[w*M : (w+1)*M]``) is the
+    slice of prefix ``w``, and the measure is the law of column ``v``
+    (``table[v::M]``) for ``v`` uniform in ``range(M)``.  The constructor
+    counts the columns once into ``mass``, in column order, and reads each
+    row as an ``M``-bit int; :meth:`event` reads every event from the rows."""
 
     k: int
     length: int
-    mass: dict
+    table: bytes
+    mass: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        text = "configurations must be 0/1 tuples over [k]^L"
-        mass, den, nums = exact_masses(
-            self.mass, self.k**self.length, 2, length_error=text, range_error=text
-        )
-        object.__setattr__(self, "mass", mass)
+        check_alphabet(self.k)
+        if self.length < 1:
+            raise ValueError("length must be at least 1")
+        table = self.table
+        if type(table) is not bytes:
+            raise TypeError(f"table must be bytes, got {type(table).__name__}")
+        M, extra = divmod(len(table), self.k**self.length)
+        if M < 1 or extra:
+            raise ValueError("table length must be a positive multiple of k^L")
+        if table.translate(None, b"\0\1"):
+            raise ValueError("table bytes must be 0 or 1")
         object.__setattr__(self, "_words", tuple(all_words(self.k, self.length)))
-        object.__setattr__(self, "_den", den)
-        # A word's column of 0/1 bytes as base-2 digits, the last configuration first.
-        digits = bytes.maketrans(b"\0\1", b"01")
-        hits = [int(bytes(col).translate(digits), 2) for col in zip(*reversed(mass))]
-        object.__setattr__(self, "_hits", hits)
-        by_num: dict[int, int] = {}
-        for j, num in enumerate(nums):
-            by_num[num] = by_num.get(num, 0) | 1 << j
-        object.__setattr__(self, "_by_num", tuple(by_num.items()))
+        # Each row's base-2 digits, the last byte first, so bit v is byte v.
+        digits = table.translate(bytes.maketrans(b"\0\1", b"01"))
+        rows = [int(digits[i : i + M][::-1], 2) for i in range(0, len(table), M)]
+        object.__setattr__(self, "_rows", rows)
+        counts = Counter(table[v::M] for v in range(M))
+        object.__setattr__(self, "mass", {tuple(c): Fraction(n, M) for c, n in counts.items()})
 
     @property
     def words(self) -> tuple[str, ...]:
@@ -473,13 +476,13 @@ class CorrespondenceMeasure:
         ``points``: a point event for one index, a line event for a line's.
         An empty ``points`` is the whole space, so its event is 1.  An index
         outside ``range(k^L)``, a negative one included, raises ``ValueError``."""
-        hits, by_num, den = self._hits, self._by_num, self._den  # type: ignore[attr-defined]
-        hit = -1  # every bit set: every configuration
+        rows, M = self._rows, len(self.table) // len(self._rows)  # type: ignore[attr-defined]
+        hit = (1 << M) - 1  # every suffix
         for i in points:
-            if not 0 <= i < len(hits):
+            if not 0 <= i < len(rows):
                 raise ValueError(f"word index {i} not in [k]^L")
-            hit &= hits[i]
-        return Fraction(sum(n * (hit & m).bit_count() for n, m in by_num), den)
+            hit &= rows[i]
+        return Fraction(hit.bit_count(), M)
 
 
 def build_correspondence(
@@ -494,8 +497,8 @@ def build_correspondence(
     and line events the densities of slice intersections.
 
     ``A`` is read once: its words are checked and marked by :func:`all_words`
-    index in one byte per point of ``[k]^N``, so suffix ``v``'s configuration
-    is the stride from byte ``v`` in steps of ``k^(N-L)``.  A space of more
+    index in one byte per point of ``[k]^N``, and those bytes are the
+    measure's table (see :class:`CorrespondenceMeasure`).  A space of more
     than ``MAX_FORCING_POINTS`` points (``k^N``) is refused before the bytes
     are allocated, and so, when ``max_lines`` is given, is a window ``[k]^L``
     of more than ``max_lines`` lines: a caller that lists every line event
@@ -523,10 +526,7 @@ def build_correspondence(
         indices = map(int, map(str.translate, A, repeat(digits)), repeat(k))
     for i in indices:
         inside[i] = 1
-    inside = bytes(inside)
-    M = k ** (N - L)
-    acc = Counter(inside[v::M] for v in range(M))
-    return CorrespondenceMeasure(k, L, {tuple(cfg): Fraction(c, M) for cfg, c in acc.items()})
+    return CorrespondenceMeasure(k, L, bytes(inside))
 
 
 @dataclass(frozen=True)

@@ -486,13 +486,10 @@ _EXHAUSTIVE_MAX_SIZE = {2: 4, 3: 4, 4: 3}
 
 # The most work one random draw may take on: the coupling tuples it builds
 # (``max(sizes) ** d`` for the product coupling, the largest family) and the
-# ordered pairs of index sets (``(2 ** d - d - 1) ** 2``).  Hypothesis [i]
-# compares only the subset pairs among them; [iii] visits about as many
-# pairs of up-sets at d >= 5, where the family is one up-set per index set.
+# ordered up-set pairs hypothesis [iii] visits, ``((1 << d) - d + 1) ** 2``
+# at d >= 5 (the full and empty up-sets, one principal one per index set).
 _RANDOM_MAX_WORK = 100_000
-_RANDOM_MAX_D = max(
-    d for d in range(2, 64) if ((1 << d) - d - 1) ** 2 <= _RANDOM_MAX_WORK
-)
+_RANDOM_MAX_D = max(d for d in range(5, 64) if ((1 << d) - d + 1) ** 2 <= _RANDOM_MAX_WORK)
 
 
 @dataclass(frozen=True)
@@ -537,10 +534,11 @@ def search_counterexample(config: SearchConfig) -> RemovalInstance | None:
     the same ingredients (:func:`_random_shell`) until ``samples`` shells
     pass [iii].  It accepts the configurations whose draws build at most
     ``_RANDOM_MAX_WORK`` coupling tuples and have at most that many
-    ordered pairs of index sets: up to d = 8, and up to 316 points at
-    d = 2 and 46 at d = 3.  Both modes hold [i] and [ii] by construction,
-    decide [iii] once per shell (:func:`_first_dependent_pair`), read the
-    conclusion off integer masks and build only the instance returned.
+    ordered pairs of up-sets in [iii] (``((1 << d) - d + 1) ** 2`` at
+    d >= 5): up to d = 8, and up to 316 points at d = 2 and 46 at d = 3.
+    Both modes hold [i] and [ii] by construction, decide [iii] once per
+    shell (:func:`_first_dependent_pair`), read the conclusion off integer
+    masks and build only the instance returned.
     """
     if config.exhaustive:
         _check_exhaustive_domain(config)

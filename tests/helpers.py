@@ -1181,7 +1181,9 @@ def old_line_event(cm, line):
 def old_build_correspondence(A, k, N, L, max_lines=None):
     """Reference for ``build_correspondence``: every word checked letter by
     letter into a set of strings, and each suffix's configuration read as
-    ``w + v in A`` over the prefixes, with the same checks in the same order."""
+    ``w + v in A`` over the prefixes, with the same checks in the same order.
+    The measure is a plain record of ``k``, ``length``, ``mass`` (in suffix
+    order) and ``words``, which the event oracles above read."""
     if not 1 <= L < N:
         raise ValueError("need 1 <= L < N")
     A = {hales_jewett.check_word(w, k) for w in A}
@@ -1199,7 +1201,8 @@ def old_build_correspondence(A, k, N, L, max_lines=None):
         cfg = tuple(1 if w + v in A else 0 for w in prefixes)
         acc[cfg] = acc.get(cfg, 0) + 1
     total = k ** (N - L)
-    return CorrespondenceMeasure(k, L, {cfg: Fraction(c, total) for cfg, c in acc.items()})
+    mass = {cfg: Fraction(c, total) for cfg, c in acc.items()}
+    return SimpleNamespace(k=k, length=L, mass=mass, words=tuple(prefixes))
 
 
 def old_product_coupling(space, arity):

@@ -621,6 +621,33 @@ def test_json_flag_writes_file(z3_file, tmp_path, capsys):
     assert json.loads(out.read_text())["results"]["limit"] == "1/9"
 
 
+def test_unreadable_input_files_are_located_input_errors(tmp_path, capsys):
+    # A directory and a file that is not UTF-8, each at its path.
+    binary = tmp_path / "latin1.json"
+    binary.write_bytes(b'["\xe9"]')
+    for path, message in [
+        (tmp_path, "cannot read: Is a directory"),
+        (binary, "not UTF-8 text at byte 2"),
+        (tmp_path / "absent.json", "file not found"),
+    ]:
+        code, report = run(capsys, ["validate", "--schema", "system", str(path)])
+        assert code == 3
+        assert report == {"error": f"$.{path}: {message}"}
+
+
+def test_unwritable_report_files_are_input_errors_at_the_json_option(z3_file, tmp_path, capsys):
+    # A report file in a missing directory, and a directory, at --json.
+    for target, message in [
+        (tmp_path / "missing" / "report.json", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+    ]:
+        code, report = run(
+            capsys, ["recur", "--system", z3_file, "--set", "[0]", "--json", str(target)]
+        )
+        assert code == 3
+        assert report == {"error": f"$.--json: cannot write: {message}"}
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_dhj_maxfree_rejects_budget_below_one(budget, capsys):
     code, report = run(capsys, ["dhj", "maxfree", "-k", "2", "-N", "3", "--budget", budget])

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product as iter_product
+from math import lcm
 
 import pytest
 
@@ -485,17 +486,23 @@ def test_correspondence_events_refuse_a_word_outside_the_window():
 
 
 def _assert_same_correspondence(A, k, N, L):
-    """``build_correspondence`` on the list ``A``, on its set and on a
-    generator of it builds the measure the former string scan builds: the
-    same mass items in the same order, integer form, masks and document."""
-
-    def parts(cm):
-        doc = canonical_dumps(correspondence_to_json(cm))
-        return list(cm.mass.items()), cm._den, cm._hits, cm._by_num, doc
-
-    want = parts(old_build_correspondence(A, k, N, L))
-    for given in (A, set(A), (w for w in A)):
-        assert parts(build_correspondence(given, k, N, L)) == want
+    """``build_correspondence`` on the list ``A`` builds the measure the
+    former string scan builds: the same mass items in the same order, the
+    same document and, in a window of at most 64 words (the oracle scans
+    cost seconds at 512), every point and line event.  Its set and a
+    generator of it build the same table."""
+    want = old_build_correspondence(A, k, N, L)
+    cm = build_correspondence(A, k, N, L)
+    assert list(cm.mass.items()) == list(want.mass.items())
+    if k**L <= 64:
+        for i, w in enumerate(want.words):
+            assert cm.event((i,)) == old_point_event(want, w)
+        for line in hales_jewett._lines(k, L):
+            assert cm.event(line) == old_line_event(want, [want.words[i] for i in line])
+    doc = canonical_dumps(correspondence_to_json(want))
+    assert canonical_dumps(correspondence_to_json(cm)) == doc
+    for given in (set(A), (w for w in A)):
+        assert build_correspondence(given, k, N, L) == cm
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -593,10 +600,20 @@ def test_event_reader_matches_the_fraction_scans(k):
                 _assert_events_match_the_scans(build_correspondence(A, k, N, L))
 
 
+def _table_of(k, L, mass):
+    """The table of the measure ``mass`` on ``{0, 1}^(k^L)``: over ``M``,
+    the common denominator, configuration ``j`` fills ``num_j`` columns."""
+    M = lcm(*(m.denominator for m in mass.values()))
+    columns = [cfg for cfg, m in mass.items() for _ in range(m.numerator * M // m.denominator)]
+    return bytes(col[w] for w in range(k**L) for col in columns)
+
+
 def test_event_reader_matches_the_fraction_scans_on_given_masses():
-    # Measures built directly, whose numerators over the common denominator
-    # repeat (one mask holds several configurations) and differ.
-    cm = CorrespondenceMeasure(2, 1, {(1, 1): F(1, 2), (1, 0): F(1, 4), (0, 1): F(1, 4)})
+    # Measures laid out as tables, whose numerators over the common
+    # denominator repeat and differ.
+    mass = {(1, 1): F(1, 2), (1, 0): F(1, 4), (0, 1): F(1, 4)}
+    cm = CorrespondenceMeasure(2, 1, _table_of(2, 1, mass))
+    assert list(cm.mass.items()) == list(mass.items())
     assert [cm.event((0,)), cm.event((1,)), cm.event((0, 1))] == [F(3, 4), F(3, 4), F(1, 2)]
     _assert_events_match_the_scans(cm)
     rng = random.Random(34)
@@ -606,7 +623,9 @@ def test_event_reader_matches_the_fraction_scans_on_given_masses():
             chosen = rng.sample(configurations, rng.randint(1, min(len(configurations), 8)))
             weights = [rng.choice((1, 1, 2, 3, 5)) for _ in chosen]
             mass = {c: F(w, sum(weights)) for c, w in zip(chosen, weights)}
-            _assert_events_match_the_scans(CorrespondenceMeasure(k, L, mass))
+            cm = CorrespondenceMeasure(k, L, _table_of(k, L, mass))
+            assert list(cm.mass.items()) == list(mass.items())
+            _assert_events_match_the_scans(cm)
 
 
 def test_correspondence_identities_direct_enumeration():
@@ -1178,23 +1197,22 @@ _INEXACT_TABLES = [
 ]
 
 
-def test_correspondence_constructor_reads_exact_input():
-    cm = CorrespondenceMeasure(
-        2, 1, _Pairs([((0, 0), F(1, 4)), ([0, 0], F(1, 4)), ((True, 1), F(1, 2)), ((0, 1), 0)])
-    )
-    assert cm.mass == {(0, 0): F(1, 2), (1, 1): F(1, 2)}
-    assert all(type(c) is int for cfg in cm.mass for c in cfg)
-    for mass in _INEXACT_TABLES:
-        with pytest.raises(TypeError):
-            CorrespondenceMeasure(2, 1, mass)
-    with pytest.raises(ValueError, match="0/1 tuples"):
-        CorrespondenceMeasure(2, 1, {(0, 2): F(1)})
-    with pytest.raises(ValueError, match="0/1 tuples"):
-        CorrespondenceMeasure(2, 1, {(0,): F(1)})
-    with pytest.raises(ValueError, match="nonnegative"):
-        CorrespondenceMeasure(2, 1, {(0, 0): F(3, 2), (1, 1): F(-1, 2)})
-    with pytest.raises(ValueError, match="total mass"):
-        CorrespondenceMeasure(2, 1, {(0, 0): F(1, 2)})
+def test_correspondence_constructor_refuses_a_bad_table():
+    # Three suffixes of [2]^1 with no 1: the event of no point is the
+    # whole space, exactly 1, however many suffixes there are.
+    cm = CorrespondenceMeasure(2, 1, bytes(6))
+    assert cm.event(()) == 1 and cm.event((0,)) == 0
+    assert cm.mass == {(0, 0): F(1)}
+    for args, error, text in [
+        ((2, 1, b"\0\1\2\0"), ValueError, "table bytes must be 0 or 1"),
+        ((2, 1, b""), ValueError, "table length must be a positive multiple of k\\^L"),
+        ((2, 2, bytes(6)), ValueError, "table length must be a positive multiple of k\\^L"),
+        ((2, 0, b"\1"), ValueError, "length must be at least 1"),
+        ((2, 1, [0, 1]), TypeError, "table must be bytes, got list"),
+        ((10, 1, bytes(10)), ValueError, "alphabet size must be between 1 and 9"),
+    ]:
+        with pytest.raises(error, match=f"^{text}$"):
+            CorrespondenceMeasure(*args)
 
 
 def test_stationarity_rejects_negative_cap():

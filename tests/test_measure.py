@@ -29,10 +29,7 @@ from ergolab.averages import FurstenbergJoining, VectorSequence, furstenberg_sel
 from ergolab.generators import random_system
 from ergolab.hales_jewett import (
     CombinatorialSubspace,
-    CorrespondenceMeasure,
     StationaryLawTruncation,
-    all_words,
-    build_correspondence,
     constant_law,
 )
 from ergolab.measure import (
@@ -264,34 +261,26 @@ def test_coupling_checks_match_the_fraction_sums():
     assert foreign_base_rejected > 20
 
 
-def _seeded_tables(rng):
-    """Seeded laws and correspondence measures, valid and broken: each as
-    ``(builder of the stored table, mass, key length, entry bound)``."""
-    for _ in range(150):
-        if rng.random() < 0.5:
-            k, depth, m = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 3)
-            car = small_space(_random_weights(rng, m))
-            law = rng.choice([iid_law, constant_law])(k, depth, car)
-            mass, n = dict(law.weights), m
-            build = lambda w, k=k, depth=depth, car=car: StationaryLawTruncation(k, depth, car, w).weights
-        else:
-            k, L = rng.randint(1, 2), 1
-            N = rng.randint(2, 3)
-            words = [w for w in all_words(k, N) if rng.random() < 0.5]
-            mass, n = dict(build_correspondence(words, k, N, L).mass), 2
-            build = lambda w, k=k, L=L: CorrespondenceMeasure(k, L, w).mass
+def _seeded_laws(rng):
+    """Seeded laws, valid and broken: each as ``(builder of the stored
+    table, weights, key length, entry bound)``."""
+    for _ in range(75):
+        k, depth, m = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 3)
+        car = small_space(_random_weights(rng, m))
+        law = rng.choice([iid_law, constant_law])(k, depth, car)
+        mass = dict(law.weights)
+        build = lambda w, k=k, depth=depth, car=car: StationaryLawTruncation(k, depth, car, w).weights
         width = len(next(iter(mass)))
-        _perturb(rng, mass, rng.choice(["none", "move", "scale", "zero"]), n, width)
-        yield build, mass, width, n
+        _perturb(rng, mass, rng.choice(["none", "move", "scale", "zero"]), m, width)
+        yield build, mass, width, m
 
 
-def test_law_and_correspondence_read_both_paths_alike():
-    # The one-pass recognition and the entry-by-entry loop of the law and
-    # the correspondence measure store the same table and raise the same
-    # error, as the coupling's do.
+def test_law_reads_both_paths_alike():
+    # The one-pass recognition and the entry-by-entry loop of the law store
+    # the same table and raise the same error, as the coupling's do.
     rng = random.Random(43)
     outcomes = set()
-    for build, mass, width, n in _seeded_tables(rng):
+    for build, mass, width, n in _seeded_laws(rng):
         clean = _table_outcome(build, mass)
         for variant in _slow_variants(rng, mass, width, n):
             assert not clean_entries(variant.keys(), variant.values(), width, n)

@@ -1139,13 +1139,21 @@ def test_oversized_exhaustive_error_names_the_limit(kwargs, error):
 )
 def test_random_mode_bounds_the_work_of_one_draw(sizes, d, error):
     # At most 100,000 product-coupling tuples (max(sizes)**d) and 100,000
-    # index-set pairs in hypothesis [i] ((2**d - d - 1)**2) per draw.
+    # ordered up-set pairs in hypothesis [iii] per draw.
     config = SearchConfig(sizes=sizes, d=d, exhaustive=False)
     if error is None:
         removal._check_random_domain(config)
     else:
         with pytest.raises(ValueError, match=f"^{error}"):
             search_counterexample(config)
+
+
+def test_random_mode_d_bound_counts_the_upset_pairs_of_hypothesis_iii():
+    # 249**2 = 62,001 ordered pairs at d = 8, 504**2 = 254,016 at d = 9.
+    assert removal._RANDOM_MAX_D == 8
+    for d in range(2, removal._RANDOM_MAX_D + 1):
+        assert len(enumerate_upsets(d)) ** 2 <= removal._RANDOM_MAX_WORK
+    assert len(enumerate_upsets(9)) ** 2 > removal._RANDOM_MAX_WORK
 
 
 # -- lifting scenarios -----------------------------------------------------------------
