@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import sys
 import time
@@ -46,14 +47,25 @@ EXIT_INTERNAL = 4
 MAX_LISTED_LINES = 100_000
 
 
-def _load(path: str) -> Any:
+def _load(path: str) -> tuple[Any, str]:
+    """The JSON document in the file at ``path``, and the sha256 of the
+    file's bytes, which stands for the document in the input digest."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise ValidationError([path], "file not found") from None
     except OSError as exc:  # a directory, say
         raise ValidationError([path], f"cannot read: {exc.strerror}") from None
+    sha = hashlib.sha256(data).hexdigest()
+    try:
+        # Decoded as in a file opened in text mode, every line break read as
+        # "\n", so a malformed document is located at the same line.  Only
+        # the text is held while it is parsed.
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+            del data
+            text = fh.read()
+        return json.loads(text), sha
     except UnicodeDecodeError as exc:
         raise ValidationError([path], f"not UTF-8 text at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
@@ -62,7 +74,7 @@ def _load(path: str) -> Any:
         ) from None
 
 
-def _load_option(args, name: str) -> Any:
+def _load_option(args, name: str) -> tuple[Any, str]:
     """Load the file named by an option that only some actions need."""
     path = getattr(args, name)
     if path is None:
@@ -71,7 +83,8 @@ def _load_option(args, name: str) -> Any:
 
 
 def _digest(payload: Any) -> str:
-    """Hash of the canonical JSON of the input payload."""
+    """Hash of the canonical JSON of the input payload: the options, and
+    each input file as the sha256 :func:`_load` returns with it."""
     return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()[:16]
 
 
@@ -136,9 +149,9 @@ def _system_with_directions(doc: Any):
 
 
 def _cmd_avg(args) -> int:
-    doc = _load(args.system)
+    doc, system_sha = _load(args.system)
     sys_ = serialize.system_from_json(doc)
-    fdoc = _load(args.functions)
+    fdoc, functions_sha = _load(args.functions)
     if not isinstance(fdoc, list):
         raise ValidationError(["functions"], "expected an array of function value arrays")
     funcs = [
@@ -150,11 +163,12 @@ def _cmd_avg(args) -> int:
         "integral": avg.integral(sys_.space),
         "N": args.N,
     }
-    return _emit(args, "avg", {"system": doc, "functions": fdoc, "N": args.N}, results, True, EXIT_OK)
+    inputs = {"system": system_sha, "functions": functions_sha, "N": args.N}
+    return _emit(args, "avg", inputs, results, True, EXIT_OK)
 
 
 def _cmd_fjoin(args) -> int:
-    doc = _load(args.system)
+    doc, sha = _load(args.system)
     if args.directions is None:
         sys_, dirs = _system_with_directions(doc), None
     else:
@@ -167,32 +181,33 @@ def _cmd_fjoin(args) -> int:
         "coupling": serialize.coupling_to_json(fj.coupling, include_base=False),
         "offdiagonal_invariant": averages.check_offdiagonal_invariance(fj),
     }
-    return _emit(args, "fjoin", {"system": doc, "directions": dirs}, results, True, EXIT_OK)
+    return _emit(args, "fjoin", {"system": sha, "directions": dirs}, results, True, EXIT_OK)
 
 
 def _cmd_recur(args) -> int:
-    doc = _load(args.system)
+    doc, sha = _load(args.system)
     sys_ = _system_with_directions(doc)
     aset = _parse_set(args.set)
     cert = _located(["--set"], averages.recurrence_certificate, sys_, aset)
     results = {"limit": cert.limit, "witness_n": cert.witness}
-    positive = sys_.space.measure(aset) > 0
+    _, nums = sys_.space.integerized()
+    positive = any(nums[i] for i in aset)
     ok = (not positive) or (cert.limit > 0 and cert.witness is not None)
-    inputs = {"system": doc, "set": sorted(aset)}
+    inputs = {"system": sha, "set": sorted(aset)}
     return _emit(args, "recur", inputs, results, True, EXIT_OK if ok else EXIT_VIOLATED)
 
 
 def _cmd_vdc(args) -> int:
-    doc = _load(args.seq)
+    doc, sha = _load(args.seq)
     seq = serialize.sequence_from_json(doc)
     rep = averages.van_der_corput_inequality(seq, args.N, args.H)
     results = {"lhs": rep.lhs, "rhs": rep.rhs, "holds": rep.holds}
     code = EXIT_OK if rep.holds else EXIT_VIOLATED
-    return _emit(args, "vdc", {"seq": doc, "N": args.N, "H": args.H}, results, True, code)
+    return _emit(args, "vdc", {"seq": sha, "N": args.N, "H": args.H}, results, True, code)
 
 
 def _cmd_joint(args) -> int:
-    doc = _load(args.instance)
+    doc, sha = _load(args.instance)
     parts = serialize.joint_instance_from_json(doc)
     report = joint_distribution_predicate(
         parts["joining"], parts["maps"], parts["subgroups"], parts["lam"]
@@ -204,13 +219,13 @@ def _cmd_joint(args) -> int:
         "holds": report.holds,
     }
     return _emit(
-        args, "joint", doc, results, True, EXIT_OK if report.holds else EXIT_VIOLATED
+        args, "joint", sha, results, True, EXIT_OK if report.holds else EXIT_VIOLATED
     )
 
 
 def _cmd_removal(args) -> int:
     if args.action == "check":
-        doc = _load_option(args, "instance")
+        doc, sha = _load_option(args, "instance")
         inst = serialize.removal_instance_from_json(doc)
         hyp = removal_mod.check_hypotheses(inst)
         results: dict[str, Any] = {
@@ -228,7 +243,7 @@ def _cmd_removal(args) -> int:
         else:
             results["conclusion"] = None
             code = EXIT_VIOLATED
-        return _emit(args, "removal-check", doc, results, True, code)
+        return _emit(args, "removal-check", sha, results, True, code)
 
     config = removal_mod.SearchConfig(
         sizes=_parse_ints("--sizes", args.sizes, "point counts"),
@@ -302,11 +317,14 @@ def _cmd_dhj(args) -> int:
 
 
 def _cmd_correspond(args) -> int:
-    doc = _load_option(args, "set")
+    doc, sha = _load_option(args, "set")
     if not isinstance(doc, list) or any(not isinstance(w, str) for w in doc):
         raise ValidationError(["set"], "expected a JSON array of words")
     # Every line event is listed, so the lines follow the bound of `dhj lines`.
     cm = dhj.build_correspondence(doc, args.k, args.N, args.L, MAX_LISTED_LINES)
+    # Only the file's hash goes into the digest, so the words are freed
+    # before the report is built.
+    del doc
     words = cm.words
     line_events = {
         "/".join(map(words.__getitem__, line)): cm.event(line)
@@ -320,7 +338,7 @@ def _cmd_correspond(args) -> int:
     return _emit(
         args,
         "correspond",
-        {"set": doc, "k": args.k, "N": args.N, "L": args.L},
+        {"set": sha, "k": args.k, "N": args.N, "L": args.L},
         results,
         True,
         EXIT_OK,
@@ -328,16 +346,9 @@ def _cmd_correspond(args) -> int:
 
 
 def _cmd_stationarity(args) -> int:
-    doc = _load_option(args, "law")
-    # The law is built and dropped inside the helper, so it is freed before
-    # the input digest encodes the document: the two never share the peak.
-    results = _stationarity_results(serialize.law_from_json(doc), args.dim_cap)
-    code = EXIT_OK if results["holds"] else EXIT_VIOLATED
-    return _emit(args, "stationarity", doc, results, True, code)
-
-
-def _stationarity_results(law: dhj.StationaryLawTruncation, dim_cap: int | None) -> dict:
-    cap = dim_cap if dim_cap is not None else min(law.depth, 2)
+    doc, sha = _load_option(args, "law")
+    law = serialize.law_from_json(doc)
+    cap = args.dim_cap if args.dim_cap is not None else min(law.depth, 2)
     res = dhj.strong_stationarity_check(law, cap)
     results: dict[str, Any] = {"holds": res.holds, "dim_cap": cap}
     if res.witness is not None:
@@ -352,11 +363,12 @@ def _stationarity_results(law: dhj.StationaryLawTruncation, dim_cap: int | None)
             line = dhj.marginals(law)[1]
             results["line_marginal"] = serialize.coupling_to_json(line, include_base=False)
         results["point_marginal"] = serialize.space_to_json(law.carrier)
-    return results
+    code = EXIT_OK if res.holds else EXIT_VIOLATED
+    return _emit(args, "stationarity", sha, results, True, code)
 
 
 def _cmd_rotation(args) -> int:
-    doc = _load(args.rotation)
+    doc, sha = _load(args.rotation)
     rot = serialize.rotation_from_json(doc)
     member = in_partially_trivial_join(rot)
     results: dict[str, Any] = {"input_in_join": member}
@@ -365,14 +377,14 @@ def _cmd_rotation(args) -> int:
         results["extension"] = serialize.rotation_to_json(ext)
         results["extension_in_join"] = in_partially_trivial_join(ext)
         results["factor_map"] = list(fmap.point_map)
-    return _emit(args, "rotation", doc, results, True, EXIT_OK)
+    return _emit(args, "rotation", sha, results, True, EXIT_OK)
 
 
 def _cmd_validate(args) -> int:
-    doc = _load(args.file)
+    doc, sha = _load(args.file)
     diags = serialize.validate_document(doc, args.schema)
     results = {"ok": not diags, "diagnostics": diags, "schema": args.schema}
-    return _emit(args, "validate", doc, results, True, EXIT_OK if not diags else EXIT_INPUT)
+    return _emit(args, "validate", sha, results, True, EXIT_OK if not diags else EXIT_INPUT)
 
 
 # -- grammar --------------------------------------------------------------------

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -47,6 +48,18 @@ def test_recur_worked_example(z3_file, capsys):
     assert code == 0
     assert report["results"] == {"limit": "1/9", "witness_n": 3}
     assert report["command"] == "recur"
+
+
+def test_recur_on_a_null_set_holds_with_limit_zero(tmp_path, capsys):
+    # Points 5 and 6 of W3 weigh 0: a set of them alone has measure 0, so
+    # its zero limit and missing witness violate nothing.
+    from test_golden import W3
+
+    path = tmp_path / "w3.json"
+    path.write_text(json.dumps(W3))
+    code, report = run(capsys, ["recur", "--system", str(path), "--set", "[5, 6]"])
+    assert code == 0
+    assert report["results"] == {"limit": "0/1", "witness_n": None}
 
 
 def test_vdc_constant_sequence(tmp_path, capsys):
@@ -785,6 +798,84 @@ def test_digest_needs_no_converted_copy(tmp_path, monkeypatch):
         assert digest(payload) == hashlib.sha256(text.encode()).hexdigest()[:16]
     with pytest.raises(TypeError):
         digest({"x": object()})
+
+
+def test_input_digest_encodes_no_document(tmp_path, monkeypatch, capsys):
+    # A 2^14-configuration law of about 1.3 MB: the digest hashes the file's
+    # bytes, so the longest text the command encodes is its own report.
+    from test_golden import IID_LAW_3
+
+    path = tmp_path / "law3.json"
+    path.write_text(json.dumps(IID_LAW_3))
+    lengths = []
+    dumps = cli.canonical_dumps
+
+    def measured_dumps(value):
+        lengths.append(len(text := dumps(value)))
+        return text
+
+    monkeypatch.setattr(cli, "canonical_dumps", measured_dumps)
+    code = main(["dhj", "stationarity", "--law", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0 and json.loads(out)["results"]["holds"] is True
+    assert max(lengths) <= len(out)
+    assert 100 * len(out) < path.stat().st_size
+
+
+def test_load_holds_one_copy_of_the_text_while_parsing(tmp_path):
+    # The file's bytes are hashed and dropped once decoded, so beyond the
+    # document only the decoded text is held at the peak.
+    import tracemalloc
+
+    from test_golden import IID_LAW_3
+
+    path = tmp_path / "law3.json"
+    path.write_text(json.dumps(IID_LAW_3))
+    tracemalloc.start()
+    try:
+        loaded = cli._load(str(path))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded[0] == IID_LAW_3
+    assert peak - held < 1.5 * path.stat().st_size
+
+
+def _digest_and_rest(capsys, argv):
+    code, report = run(capsys, argv)
+    assert code == 0
+    return report.pop("digest"), report
+
+
+def test_input_digest_is_the_same_for_the_same_bytes_at_two_paths(z3_file, tmp_path, capsys):
+    other = tmp_path / "elsewhere" / "copy.json"
+    other.parent.mkdir()
+    other.write_bytes(Path(z3_file).read_bytes())
+    reports = [
+        _digest_and_rest(capsys, ["recur", "--system", path, "--set", "[0]"])
+        for path in (z3_file, str(other))
+    ]
+    assert reports[0] == reports[1]
+
+
+def test_input_digest_changes_with_one_whitespace_byte_and_nothing_else(z3_file, capsys):
+    argv = ["recur", "--system", z3_file, "--set", "[0]"]
+    digest, rest = _digest_and_rest(capsys, argv)
+    with open(z3_file, "a", encoding="utf-8") as fh:
+        fh.write(" ")
+    spaced_digest, spaced_rest = _digest_and_rest(capsys, argv)
+    assert spaced_digest != digest
+    assert spaced_rest == rest
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_malformed_json_is_located_at_its_line_and_column(newline, tmp_path, capsys):
+    # Every line break counts as one, as in a file read in text mode.
+    path = tmp_path / "bad.json"
+    path.write_bytes(newline.join(["{", '  "dim": 1,', '  "space" []', "}"]).encode())
+    code, report = run(capsys, ["validate", "--schema", "system", str(path)])
+    assert code == 3
+    assert report == {"error": f"$.{path}: malformed JSON at line 3 column 11"}
 
 
 def _tied_law_file(tmp_path):
